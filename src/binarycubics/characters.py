@@ -173,11 +173,20 @@ class StabilizationPolicy:
     the run of equal values ending at n_max must have length >= streak.
     The sequences that arise are eventually constant; taking the tail
     run (rather than the first streak anywhere) avoids latching onto a
-    plateau before the final jump.
+    plateau before the final jump.  n_max and streak must be at least 1,
+    else ValueError: an empty window has no tail, and a streak of 0
+    would accept any value unverified.  A streak longer than the window
+    is allowed; it never certifies, so localize raises NoStabilization.
     """
 
     n_max: int = 50
     streak: int = 3
+
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if self.streak < 1:
+            raise ValueError(f"streak must be at least 1, got {self.streak}")
 
 
 class Character:

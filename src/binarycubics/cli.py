@@ -60,7 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy(args) -> ch.StabilizationPolicy:
-    return ch.StabilizationPolicy(n_max=args.stab_max, streak=args.stab_streak)
+    try:
+        return ch.StabilizationPolicy(n_max=args.stab_max, streak=args.stab_streak)
+    except ValueError as exc:
+        raise _UsageError(f"bad --stab-max/--stab-streak: {exc}") from None
 
 
 def _character(name: str, args) -> ch.Character:

@@ -28,6 +28,7 @@ relation checks), so runs are reproducible.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -655,23 +656,12 @@ def _module_trace_gram(basis: list[RepMorphism]) -> rl.Matrix:
     simple factors of End/rad), so it certifies semisimple dimension
     without structure constants.
     """
-    V = basis[0].source
-    verts = [v for v in V.bq.quiver.vertices if V.dims[v]]
-    d = len(basis)
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        fi = basis[i].blocks
-        for j in range(i, d):
-            gj = basis[j].blocks
-            total = Fraction(0)
-            for v in verts:
-                A, B = fi[v], gj[v]
-                n = len(A)
-                for r in range(n):
-                    Ar = A[r]
-                    total += sum(Ar[c] * B[c][r] for c in range(n))
-            gram[i][j] = gram[j][i] = total
-    return gram
+    # tr(f∘g) = sum over vertices and (r, c) of f[r][c] * g[c][r]: the product
+    # of the row-major flattening of f with the column-major flattening of g
+    verts = basis[0].source.bq.quiver.vertices
+    flat = [[x for v in verts for row in b.blocks[v] for x in row] for b in basis]
+    flat_t = [[x for v in verts for col in zip(*b.blocks[v]) for x in col] for b in basis]
+    return rl.matmul(flat, [list(col) for col in zip(*flat_t)])
 
 
 def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -> int:
@@ -681,21 +671,6 @@ def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -
     if not basis:
         return 0
     return rl.rank(_module_trace_gram(basis), len(basis))
-
-
-def _total_matrix(phi: RepMorphism) -> rl.Matrix:
-    V = phi.source
-    total = V.total_dim()
-    out = rl.zeros(total, total)
-    at = 0
-    for v in V.bq.quiver.vertices:
-        d = V.dims[v]
-        block = phi.blocks[v]
-        for i in range(d):
-            for j in range(d):
-                out[at + i][at + j] = block[i][j]
-        at += d
-    return out
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -773,7 +748,7 @@ def _try_split(V: Representation, basis: list[RepMorphism], rng: random.Random,
                trials: int) -> list[Representation] | None:
     """Proper subrepresentations summing to V, or None if no split was found."""
     for phi in _split_candidates(V, basis, rng, trials):
-        mp = rl.minimal_polynomial(_total_matrix(phi))
+        mp = rl.minimal_polynomial(*(phi.blocks[v] for v in V.bq.quiver.vertices))
         factors = _factor_rational(mp)
         if len(factors) < 2:
             continue
@@ -906,11 +881,38 @@ def is_isomorphic(V: Representation, W: Representation, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 # Representation files: {"quiver": name-or-inline, "dims": {...}, "maps": {...}}
-# with matrix entries written as exact strings "p/q" (decimal-free).
+# with matrix entries written as integers or exact strings "p/q" (decimal-free).
+# Reading checks the shapes and raises ValueError (or KeyError for a missing
+# key or an unknown named quiver) on anything else.
+
+_EXACT_ENTRY = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _fraction_str(x: Fraction) -> str:
     return str(x)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _fraction_from(x) -> Fraction:
+    """An exact entry: a JSON integer or a "p" / "p/q" string, never a decimal."""
+    if _is_int(x) or (isinstance(x, str) and _EXACT_ENTRY.fullmatch(x)):
+        return Fraction(x)
+    raise ValueError(f"entry {x!r} is not an integer or a \"p/q\" string")
+
+
+def _is_list_of(x, check) -> bool:
+    return isinstance(x, list) and all(check(item) for item in x)
+
+
+def _is_names(x) -> bool:
+    return _is_list_of(x, lambda name: isinstance(name, str))
+
+
+def _is_term(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and _is_names(x[1])
 
 
 def quiver_to_dict(bq: BoundQuiver) -> dict:
@@ -925,16 +927,27 @@ def quiver_to_dict(bq: BoundQuiver) -> dict:
 
 
 def quiver_from_dict(data: dict) -> BoundQuiver:
+    if not isinstance(data, dict):
+        raise ValueError("an inline quiver must be an object")
+    if not _is_names(data["vertices"]):
+        raise ValueError('"vertices" must be a list of names')
+    if not _is_list_of(data["arrows"], lambda a: _is_names(a) and len(a) == 3):
+        raise ValueError('"arrows" must be a list of [name, source, target]')
+    if not _is_list_of(data.get("relations", []), lambda rel: _is_list_of(rel, _is_term)):
+        raise ValueError('"relations" must be a list of lists of [coefficient, [arrow, ...]]')
+    bound = data.get("max_path_length")
+    if bound is not None and not _is_int(bound):
+        raise ValueError('"max_path_length" must be an integer')
     quiver = Quiver(
         tuple(data["vertices"]),
         tuple(Arrow(name, src, tgt) for name, src, tgt in data["arrows"]),
     )
     relations = RelationSet(
         tuple(
-            tuple((Fraction(c), tuple(p)) for c, p in rel)
+            tuple((_fraction_from(c), tuple(p)) for c, p in rel)
             for rel in data.get("relations", [])
         ),
-        data.get("max_path_length"),
+        bound,
     )
     return BoundQuiver(quiver, relations)
 
@@ -951,6 +964,8 @@ def rep_to_dict(V: Representation) -> dict:
 
 
 def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = None) -> Representation:
+    if not isinstance(data, dict):
+        raise ValueError("a representation must be an object")
     ref = data["quiver"]
     if isinstance(ref, str):
         if not named_quivers or ref not in named_quivers:
@@ -958,8 +973,16 @@ def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = Non
         bq = named_quivers[ref]
     else:
         bq = quiver_from_dict(ref)
-    dims = {v: int(d) for v, d in data["dims"].items()}
-    maps = {}
-    for name, rows in data.get("maps", {}).items():
-        maps[name] = [[Fraction(str(x)) for x in row] for row in rows]
+    dims = data["dims"]
+    if not isinstance(dims, dict) or not all(_is_int(d) for d in dims.values()):
+        raise ValueError('"dims" must map each vertex to an integer')
+    rows_of = data.get("maps", {})
+    if not isinstance(rows_of, dict) or not all(
+            _is_list_of(rows, lambda row: isinstance(row, list)) for rows in rows_of.values()):
+        raise ValueError('"maps" must map each arrow to a list of rows')
+    unknown = set(rows_of) - {a.name for a in bq.quiver.arrows}
+    if unknown:
+        raise ValueError(f"maps for unknown arrows: {sorted(unknown)}")
+    maps = {name: [[_fraction_from(x) for x in row] for row in rows]
+            for name, rows in rows_of.items()}
     return Representation(bq, dims, maps)

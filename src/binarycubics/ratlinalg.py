@@ -1,10 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows with Fraction (or int) entries.  The
-elimination core clears denominators and runs over the integers with
-per-row gcd normalization, which keeps entry growth tame on the small
-dense systems that arise from quiver representations; results come back
-as Fractions.
+Matrices are plain lists of rows with Fraction (or int) entries; every
+result comes back as Fractions.  The hot paths run on Python integers:
+
+- matmul clears denominators once per row of A and once per column of
+  B, takes integer dot products and builds one Fraction per entry of
+  the product, instead of a Fraction multiply and add per term;
+- elimination clears denominators row by row and runs a fraction-free
+  integer reduced echelon with per-row gcd normalization, which keeps
+  entry growth tame on the small dense systems that arise from quiver
+  representations;
+- nullspace reads its basis straight off the integer echelon rows, one
+  Fraction per nonzero coordinate;
+- minimal_polynomial takes a block-diagonal matrix as its diagonal
+  blocks and powers each block on its own.
 
 Shape conventions: an m x 0 matrix is a list of m empty rows, a 0 x n
 matrix is the empty list.  Functions that cannot infer a column count
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -38,8 +48,12 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
+def _cleared(entries) -> tuple[list[int], int]:
+    """(integers, den) with entries == integers / den, den the lcm of the denominators."""
+    den = lcm(*{x.denominator for x in entries})
+    if den == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
 def matmul(A: Matrix, B: Matrix) -> Matrix:
@@ -50,17 +64,16 @@ def matmul(A: Matrix, B: Matrix) -> Matrix:
         raise ValueError(f"shape mismatch: {len(A)}x{k} @ {len(B)}x?")
     if k == 0:
         raise ValueError("inner dimension 0: supply the result shape explicitly")
-    n = len(B[0])
-    Bcols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in A]
+    cols = [_cleared(col) for col in zip(*B)]
+    out = []
+    for row in A:
+        ints, da = _cleared(row)
+        out.append([Fraction(sum(map(mul, ints, cb)), da * db) for cb, db in cols])
+    return out
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def scale(A: Matrix, c) -> Matrix:
@@ -87,18 +100,10 @@ def is_zero(A: Matrix) -> bool:
     return all(x == 0 for row in A for x in row)
 
 
-def trace(A: Matrix) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), _ZERO)
-
-
 def _int_rows(A: Matrix) -> list[list[int]]:
     rows = []
     for row in A:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in row] if den != 1 else [int(x) for x in row]
+        ints, _ = _cleared(row)
         g = 0
         for v in ints:
             g = gcd(g, v)
@@ -182,7 +187,8 @@ def nullspace(A: Matrix, ncols: int) -> list[Vector]:
         return []
     if not A:
         return [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
-    R, pivots = rref(A, ncols)
+    rows = _int_rows(A)
+    pivots = _rref_int(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -191,7 +197,9 @@ def nullspace(A: Matrix, ncols: int) -> list[Vector]:
         v = [_ZERO] * ncols
         v[f] = _ONE
         for k, c in enumerate(pivots):
-            v[c] = -R[k][f]
+            x = rows[k][f]
+            if x:
+                v[c] = Fraction(-x, rows[k][c])
         basis.append(v)
     return basis
 
@@ -264,15 +272,23 @@ def quotient_maps(B: Matrix, n: int, ncols_b: int) -> tuple[Matrix, Matrix]:
     return proj, comp
 
 
-def minimal_polynomial(A: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial of a square matrix, coefficients low to high."""
-    n = len(A)
+def minimal_polynomial(*blocks: Matrix) -> list[Fraction]:
+    """Monic minimal polynomial, coefficients low to high, of the block-diagonal
+    matrix with the given square diagonal blocks (a single matrix is one block).
+
+    The powers of a block-diagonal matrix are the block-diagonal matrices
+    of the blocks' powers, so the first power that depends linearly on
+    the lower ones is found from the blocks alone; the zero off-diagonal
+    blocks never enter.
+    """
+    n = sum(len(B) for B in blocks)
     if n == 0:
         return [_ONE]
-    power = identity(n)
+    blocks = tuple(B for B in blocks if B)
+    powers = [identity(len(B)) for B in blocks]
     vecs: list[Vector] = []
     for k in range(n + 1):
-        vec = [x for row in power for x in row]
+        vec = [x for P in powers for row in P for x in row]
         if vecs:
             cols = [list(col) for col in zip(*vecs)]
             sol = solve(cols, [[v] for v in vec], len(vecs))
@@ -280,7 +296,7 @@ def minimal_polynomial(A: Matrix) -> list[Fraction]:
                 coeffs = [sol[i][0] for i in range(len(vecs))]
                 return [-c for c in coeffs] + [_ONE]
         vecs.append(vec)
-        power = matmul(power, A)
+        powers = [matmul(P, B) for P, B in zip(powers, blocks)]
     raise AssertionError("minimal polynomial must exist by degree n")
 
 

@@ -230,3 +230,16 @@ class TestConvolution:
         s = ch.from_closed_form(ch.S_FORM)
         if lam[0] < lam[1]:
             assert s.mult(lam) == 0
+
+
+@pytest.mark.parametrize("n_max, streak", [(0, 3), (0, 0), (5, 0), (-1, 1)])
+def test_stabilization_policy_validated(n_max, streak):
+    with pytest.raises(ValueError):
+        ch.StabilizationPolicy(n_max=n_max, streak=streak)
+
+
+def test_streak_longer_than_window_never_certifies():
+    steady = ch.Character(lambda lam: 1)
+    policy = ch.StabilizationPolicy(n_max=1, streak=3)
+    with pytest.raises(ch.NoStabilization):
+        ch.localize(steady, policy).mult((0, 0))

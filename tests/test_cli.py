@@ -174,3 +174,52 @@ def test_verify_exit_codes_for_nonpass_reports(capsys, monkeypatch):
     monkeypatch.setattr(verify, "run_suites", fake_fail)
     code, _, _ = run(capsys, "verify", "--suite", "tame")
     assert code == 1  # failure outranks inconclusive
+
+
+@pytest.mark.parametrize("content", [
+    '{"quiver": "d4hat", "dims": {}, "maps": {"alpha1": 5}}',
+    '[1, 2]',
+    '{"quiver": "d4hat", "dims": {"1": "one"}}',
+    '{"quiver": "d4hat", "dims": [1, 1, 1, 1, 2]}',
+    '{"quiver": "d4hat", "dims": {"1": 1, "5": 2}, "maps": {"alpha1": [1, 0]}}',
+    '{"quiver": 5, "dims": {}}',
+    '{"quiver": "d4hat", "dims": {"1": 1, "5": 2}, "maps": {"zzz": [["1"]]}}',
+    '{"quiver": {"vertices": ["a"], "arrows": [["x", "a"]]}, "dims": {}}',
+])
+def test_rep_bad_schema(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert "bad representation file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ['"1.5"', "1.5", "1.0", '"1e3"', '"1/0"', '" 1"', "true"])
+def test_rep_rejects_inexact_entries(tmp_path, capsys, entry):
+    path = tmp_path / "decimal.json"
+    path.write_text('{"quiver": "d4hat", "dims": {"1": 1, "5": 2}, '
+                    '"maps": {"alpha1": [[%s], ["0"]]}}' % entry)
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert "bad representation file" in err and "Traceback" not in err
+
+
+def test_rep_accepts_integers_and_fraction_strings(tmp_path, capsys):
+    path = tmp_path / "exact.json"
+    path.write_text('{"quiver": "d4hat", "dims": {"1": 1, "5": 2}, '
+                    '"maps": {"alpha1": [[3], ["-5/7"]]}}')
+    code, out, _ = run(capsys, "rep", "decompose", str(path))
+    assert code == 0 and "indecomposable" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--stab-max", "0"),
+    ("--stab-max", "-3"),
+    ("--stab-streak", "0", "--stab-max", "1"),
+    ("--stab-streak", "-1"),
+])
+def test_bad_stabilization_policy_is_usage_error(capsys, flags):
+    code, out, err = run(capsys, *flags, "mult", "Q0delta", "-2", "-4")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "--stab-max/--stab-streak" in err

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +93,119 @@ def test_minimal_polynomial_annihilates(diag):
     coeffs = rl.minimal_polynomial(A)
     assert rl.is_zero(rl.eval_poly(coeffs, A))
     assert len(coeffs) - 1 == len(set(diag))  # one root per distinct eigenvalue
+
+
+# -- plain-Fraction references for the integer-cleared kernels --------------
+
+
+def ref_matmul(A, B):
+    return [[sum((Fraction(a) * Fraction(b) for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
+
+
+def ref_rref(A):
+    """Plain Fraction Gauss-Jordan: (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in A]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ref_rank(A):
+    return len(ref_rref(A)[1])
+
+
+def ref_block_diag(blocks):
+    n = sum(len(B) for B in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            for j, x in enumerate(row):
+                out[at + i][at + j] = Fraction(x)
+        at += len(B)
+    return out
+
+
+def ref_minimal_polynomial(A):
+    """Lowest k with A^k = sum c_i A^i over i < k, from the full matrix."""
+    n = len(A)
+    if n == 0:
+        return [Fraction(1)]
+    powers = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    while True:
+        powers.append(ref_matmul(powers[-1], A))
+        k = len(powers) - 1
+        flat = [[x for row in P for x in row] for P in powers]
+        R, pivots = ref_rref([[v[e] for v in flat] for e in range(n * n)])
+        if k not in pivots:  # A^k depends on the lower powers, which are independent
+            return [-R[i][k] for i in range(k)] + [Fraction(1)]
+
+
+big_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+entries = st.one_of(st.integers(-10**9, 10**9), big_fractions, st.just(0))
+
+
+def matrices_of(m, n, cells=entries):
+    return st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5)).flatmap(
+    lambda s: st.tuples(matrices_of(s[0], s[1]), matrices_of(s[1], s[2]))))
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_fraction_reference(pair):
+    A, B = pair
+    C = rl.matmul(A, B)
+    assert C == ref_matmul(A, B)
+    assert all(type(x) is Fraction for row in C for x in row)
+
+
+def test_matmul_shape_errors_kept():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        rl.matmul([[1, 2]], [[1]])
+    with pytest.raises(ValueError, match="inner dimension 0"):
+        rl.matmul([[]], [])
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+    lambda s: matrices_of(s[0], s[1], st.one_of(st.integers(-3, 3), big_fractions))))
+@settings(max_examples=80, deadline=None)
+def test_nullspace_against_reference_rank(A):
+    n = len(A[0])
+    kernel = rl.nullspace(A, n)
+    assert len(kernel) == n - ref_rank(A)
+    for vec in kernel:
+        assert all(type(x) is Fraction for x in vec)
+        assert all(sum(Fraction(r[j]) * vec[j] for j in range(n)) == 0 for r in A)
+
+
+small_blocks = st.integers(0, 3).flatmap(
+    lambda d: matrices_of(d, d, st.one_of(st.integers(-2, 2),
+                                          st.fractions(-2, 2, max_denominator=3))))
+
+
+@given(st.lists(small_blocks, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_minimal_polynomial_of_blocks(blocks, repeat_first):
+    if repeat_first:
+        blocks = blocks + [blocks[0]]  # shared eigenvalues across blocks
+    full = ref_block_diag(blocks)
+    expected = ref_minimal_polynomial(full)
+    assert rl.minimal_polynomial(*blocks) == expected
+    assert rl.minimal_polynomial(full) == expected
+
+
+def test_minimal_polynomial_of_empty_blocks():
+    assert rl.minimal_polynomial([], []) == [Fraction(1)]
+    assert rl.minimal_polynomial([], [[Fraction(3)]], []) == [Fraction(-3), Fraction(1)]
