@@ -19,8 +19,9 @@ for weight, mult in sorted(ch.truncate(S, 0, 9).items()):
 
 # ----------------------------------------------------------------------
 # Localizing away from the discriminant divisor: the character of
-# S_Delta is the stable limit of shifts by (6n, 6n), and the engine
-# detects that limit numerically.  The closed periodic form agrees.
+# S_Delta is the eventual value of shifts by (6n, 6n), and the engine
+# reads it at one shift proven to lie on the constant tail.  The closed
+# periodic form agrees.
 
 S_delta = catalog.character_of("Sdelta")
 loc = ch.localize(S)
@@ -28,7 +29,7 @@ probe = [(3, -3), (-1, -5), (-6, -6), (0, 0)]
 print("\nlocalization at the discriminant, two independent routes:")
 for weight in probe:
     print(f"  <[S_Delta], e^{weight}> = {S_delta.mult(weight)}"
-          f"  (stabilized limit: {loc.mult(weight)})")
+          f"  (at the proven shift: {loc.mult(weight)})")
 
 # ----------------------------------------------------------------------
 # All 14 simples.  Their characters combine closed forms, the counting

@@ -14,8 +14,6 @@ on the command line.
 from .characters import (
     Character,
     ClosedFormCharacter,
-    NoStabilization,
-    StabilizationPolicy,
     Weight,
     add,
     box_weights,

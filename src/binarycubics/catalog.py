@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import characters as ch
-from .characters import Character, StabilizationPolicy, Weight
+from .characters import Character, Weight
 
 SIMPLES = ("S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E")
 
@@ -89,10 +89,10 @@ def _check(name: str) -> str:
     return name
 
 
-_characters: dict[StabilizationPolicy, dict[str, Character]] = {}
+_characters: dict[str, Character] = {}
 
 
-def _build_characters(policy: StabilizationPolicy) -> dict[str, Character]:
+def _build_characters() -> dict[str, Character]:
     s = ch.from_closed_form(ch.S_FORM, "S")
     e = ch.from_closed_form(ch.E_FORM, "E")
     sdelta = ch.from_closed_form(ch.SDELTA_FORM, "Sdelta")
@@ -100,7 +100,7 @@ def _build_characters(policy: StabilizationPolicy) -> dict[str, Character]:
     d = {j: Character(lambda lam, j=j: ch.mult_d(j, lam), f"D{j}") for j in (0, 1, 2)}
     q0 = ch.fourier(d[0])
     q0.name = "Q0"
-    q0delta = ch.localize(q0, policy)
+    q0delta = ch.localize(q0)
     q0delta.name = "Q0delta"
     out = {
         "S": s,
@@ -128,21 +128,22 @@ def _build_characters(policy: StabilizationPolicy) -> dict[str, Character]:
     return out
 
 
-def character_of(name: str, policy: StabilizationPolicy = StabilizationPolicy()) -> Character:
+def character_of(name: str) -> Character:
     """Character of a simple (or of one of the named derived modules).
 
     Simples are assembled from the character engine: S and E from their
     closed forms, P = [Sdelta] - [S] - [E], the D_j from the
     twisted-cubic count, G_1 and G_-1 as Fourier images of D_2 and D_1,
     G_i = [Sdelta] shifted by (i, i) for i = 2, 3, 4, Q_0 as the Fourier
-    image of D_0, and Q_j as [Q0 localized] shifted by (2j, 2j).
-    Instances are shared, so repeated queries hit one memo table.
+    image of D_0, and Q_j as [Q0 localized] shifted by (2j, 2j), where
+    the localization is read at one proven shift by a multiple of (6, 6)
+    (characters.localize).  The table is built on first use and
+    instances are shared, so repeated queries hit one memo table.
     """
-    table = _characters.get(policy)
-    if table is None:
-        table = _characters[policy] = _build_characters(policy)
+    if not _characters:
+        _characters.update(_build_characters())
     try:
-        return table[name]
+        return _characters[name]
     except KeyError:
         raise KeyError(f"unknown character name: {name!r}") from None
 
@@ -277,29 +278,23 @@ def local_cohomology_entries() -> tuple[tuple[str, str, int], ...]:
 COMPOSITION_SERIES_FACTORS = {fact.ambient: fact.factors for fact in COMPOSITION_SERIES}
 
 
-def _sum_of(names, policy) -> Character:
-    total = ch.zero_character()
-    for n in names:
-        total = total + character_of(n, policy)
-    return total
-
-
 def verify_identities(
     lo: int = -30,
     hi: int = 30,
-    policy: StabilizationPolicy = StabilizationPolicy(),
     overrides: dict[str, Character] | None = None,
 ) -> list[dict]:
     """Replay the catalog's character identities coefficientwise on a box.
 
     Returns one entry per identity: name, status ("pass"/"fail") and,
     on failure, the first counterexample weight.  The left-hand sides of
-    the localization identities are computed by the stabilization limit;
-    the right-hand sides come from the independent closed/count formulas,
-    so the two routes genuinely cross-check each other.  `overrides`
-    substitutes characters by name (used to exercise failure reporting).
+    the localization identities are computed by characters.localize,
+    which reads S, Q0 and G1 at a proven far shift by a multiple of
+    (6, 6); the right-hand sides come from the independent closed/count
+    formulas, so the two routes genuinely cross-check each other.
+    `overrides` substitutes characters by name (used to exercise failure
+    reporting).
     """
-    get = lambda n: (overrides or {}).get(n) or character_of(n, policy)
+    get = lambda n: (overrides or {}).get(n) or character_of(n)
     checks: list[dict] = []
 
     def record(name: str, witness: Weight | None):
@@ -311,16 +306,16 @@ def verify_identities(
     def equal(name: str, left: Character, right: Character):
         record(name, ch.first_disagreement(left, right, lo, hi))
 
-    loc_s = ch.localize(get("S"), policy)
+    loc_s = ch.localize(get("S"))
     equal("[Sdelta] = [S] + [P] + [E] (localize vs formulas)",
           loc_s, get("S") + get("P") + get("E"))
-    loc_q0 = ch.localize(get("Q0"), policy)
+    loc_q0 = ch.localize(get("Q0"))
     equal("[Q0delta] = [Q0] + [P] + [D0] (localize vs formulas)",
           loc_q0, get("Q0") + get("P") + get("D0"))
     equal("[F1] = [G1] + [D1]", get("F1"), get("G1") + get("D1"))
     equal("[F-1] = [G-1] + [D2]", get("F-1"), get("G-1") + get("D2"))
     equal("[H^1_O3bar(G1)] = [D1]",
-          ch.localize(get("G1"), policy) - get("G1"), get("D1"))
+          ch.localize(get("G1")) - get("G1"), get("D1"))
 
     def congruence(name: str, char: Character, residue: int):
         witness = None

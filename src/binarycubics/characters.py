@@ -13,7 +13,10 @@ Coefficients of closed forms are counted by bounded Diophantine
 enumeration: each strictly sloped denominator weight advances l1 - l2,
 so its exponent is bounded by the slope gap, after which the scalar or
 lattice exponents are pinned by l1 + l2.  Nothing is ever truncated to a
-power series and all arithmetic is exact.
+power series and all arithmetic is exact.  A localization at the
+discriminant is evaluated once, at a shift by a multiple of (6, 6) that
+is proven to lie where the shifted multiplicities no longer change (see
+localize); no limit is sampled.
 
 The product on characters is formal convolution of e-symbols, not a
 tensor-product decomposition of representations; all closed forms are
@@ -49,15 +52,13 @@ def fourier_weight(lam: Weight) -> Weight:
 def nu(i: int) -> int:
     """Number of pairs (a, b) of non-negative integers with 2a + 3b = i.
 
-    Coefficient of t^i in 1/((1 - t^2)(1 - t^3)); zero for i < 0.
+    Coefficient of t^i in 1/((1 - t^2)(1 - t^3)); zero for i < 0.  For
+    i >= 0 the pairs are b = i mod 2, i mod 2 + 2, ... up to i // 3, so
+    nu(i + 6) = nu(i) + 1 and nu(i) = i // 6 + (i % 6 != 1).
     """
     if i < 0:
         return 0
-    return sum(1 for b in range(i // 3 + 1) if (i - 3 * b) % 2 == 0)
-
-
-class NoStabilization(RuntimeError):
-    """A localized character failed to reach a stable multiplicity."""
+    return i // 6 + (i % 6 != 1)
 
 
 class InvalidClosedForm(ValueError):
@@ -165,30 +166,6 @@ def multiply_forms(f: ClosedFormCharacter, g: ClosedFormCharacter) -> ClosedForm
     )
 
 
-@dataclass(frozen=True)
-class StabilizationPolicy:
-    """Window for detecting the stable value of a localized character.
-
-    Multiplicities are sampled along lam + (6n, 6n) for n = 1..n_max and
-    the run of equal values ending at n_max must have length >= streak.
-    The sequences that arise are eventually constant; taking the tail
-    run (rather than the first streak anywhere) avoids latching onto a
-    plateau before the final jump.  n_max and streak must be at least 1,
-    else ValueError: an empty window has no tail, and a streak of 0
-    would accept any value unverified.  A streak longer than the window
-    is allowed; it never certifies, so localize raises NoStabilization.
-    """
-
-    n_max: int = 50
-    streak: int = 3
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
-        if self.streak < 1:
-            raise ValueError(f"streak must be at least 1, got {self.streak}")
-
-
 class Character:
     """An exact multiplicity function on dominant weights.
 
@@ -254,31 +231,45 @@ def fourier(c: Character) -> Character:
     return Character(lambda lam: c.mult(fourier_weight(lam)), f"F({c.name})")
 
 
-def localize(c: Character, policy: StabilizationPolicy = StabilizationPolicy()) -> Character:
+def localize(c: Character) -> Character:
     """Character of the localization away from the discriminant divisor.
 
-    mult(lam) is the stable value of c.mult(lam + (6n, 6n)) as n grows;
-    the discriminant spans a one-dimensional representation of weight
-    (6, 6).  Meaningful when the underlying module has no discriminant
-    torsion; that hypothesis cannot be read off the character, so the
-    caller is trusted.  Raises NoStabilization when the tail of the
-    sampling window is still moving.
+    The discriminant spans a one-dimensional representation of weight
+    (6, 6), so mult(lam) is the eventual value of c.mult(lam + (6n, 6n))
+    as n grows.  It is read at the single point n = N(lam),
+
+        N(lam) = max(0, ceil((l1 - 2*l2) / 6)),
+
+    which is proven to lie on the constant tail for the 19 catalog
+    characters, their Z-combinations and the shifts in use.  For
+    dominant lam, 6N >= l1 - 2*l2 >= -l2, so l2 + 6N >= 0, and:
+
+    (i)   A term of S_FORM with numerator nu and exponents a, b on (3,0),
+          (4,2) sits at gap l1 - l2 = nu1 - nu2 + 3a + 2b, and both
+          numerators satisfy nu1 + nu2 + 3a + 6b <= 3(l1 - l2).  Its
+          exponent on (6,6) is (l1 + l2 + 12n - nu1 - nu2 - 3a - 6b)/12,
+          which is >= 0 for every term once 12n >= 2*l1 - 4*l2; from
+          there on S(lam + (6n, 6n)) = SDELTA_FORM(lam).
+    (ii)  nu(k + 6) = nu(k) + 1 for k >= 0, so the nu differences in Q0
+          and G+-1 (nu(l1 + 1) - nu(l2) at shift n) are constant once
+          l2 + 6n >= 0.
+    (iii) E is supported on l1 <= -6 and the D_j on l2 <= -5, while the
+          shifted point has l1 >= l2 >= 0, so E and the D_j vanish
+          there; by (i) so does P = Sdelta - S - E.
+    (iv)  Sdelta and its shifts (G2, G3, G4, F1, F-1, Q0delta, Q1, Q2)
+          are already invariant under shifts by (6, 6).
+
+    The bound is sharp: S at (-6, -12) has N = 3 and reads 1 at n = 2,
+    2 from n = 3 on.  Meaningful when the underlying module has no
+    discriminant torsion; that cannot be read off the character, so
+    the caller is trusted, and a character outside the class above
+    (say one with finite support) gets its value at that point, not a
+    limit.
     """
 
     def fn(lam: Weight) -> int:
-        values = [c.mult((lam[0] + 6 * n, lam[1] + 6 * n)) for n in range(1, policy.n_max + 1)]
-        tail = values[-1]
-        run = 0
-        for v in reversed(values):
-            if v != tail:
-                break
-            run += 1
-        if run < policy.streak:
-            raise NoStabilization(
-                f"multiplicity at {lam} not stable after n={policy.n_max} "
-                f"(needed a tail run of {policy.streak}, got {run})"
-            )
-        return tail
+        n = max(0, -((2 * lam[1] - lam[0]) // 6))  # ceil((l1 - 2*l2) / 6)
+        return c.mult((lam[0] + 6 * n, lam[1] + 6 * n))
 
     return Character(fn, f"({c.name})_loc")
 

@@ -1,9 +1,10 @@
 """Command-line interface: multiplicities, tables, quiver queries,
 representation decomposition, verification suites.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error, 3 inconclusive (tame suite only).  The CLI
-performs no arithmetic of its own; every number comes from the library.
+Exit codes: 0 success / all checks pass, 1 verification failure
+(verify only), 2 usage or parse error, 3 inconclusive (tame suite
+only).  The CLI performs no arithmetic of its own; every number comes
+from the library and is exact, localized characters included.
 Output in json mode is stable-ordered (weights lexicographic), so runs
 are byte-identical for a fixed seed.
 """
@@ -29,10 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--stab-max", type=int, default=50,
-                        help="localization window bound")
-    parser.add_argument("--stab-streak", type=int, default=3,
-                        help="required stable tail length for localization")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mult = sub.add_parser("mult", help="multiplicity of a weight in a character")
@@ -59,18 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy(args) -> ch.StabilizationPolicy:
-    try:
-        return ch.StabilizationPolicy(n_max=args.stab_max, streak=args.stab_streak)
-    except ValueError as exc:
-        raise _UsageError(f"bad --stab-max/--stab-streak: {exc}") from None
-
-
-def _character(name: str, args) -> ch.Character:
+def _character(name: str) -> ch.Character:
     if name not in catalog.all_character_names():
         raise _UsageError(
             f"unknown character {name!r}; expected one of {', '.join(catalog.all_character_names())}")
-    return catalog.character_of(name, _policy(args))
+    return catalog.character_of(name)
 
 
 def _emit(args, payload: dict, text_lines: list[str], tsv_rows: list[list]) -> None:
@@ -85,7 +75,7 @@ def _emit(args, payload: dict, text_lines: list[str], tsv_rows: list[list]) -> N
 
 
 def _cmd_mult(args) -> int:
-    value = _character(args.name, args).mult((args.l1, args.l2))
+    value = _character(args.name).mult((args.l1, args.l2))
     _emit(args,
           {"name": args.name, "weight": [args.l1, args.l2], "multiplicity": value},
           [str(value)],
@@ -96,7 +86,7 @@ def _cmd_mult(args) -> int:
 def _cmd_table(args) -> int:
     if args.lo > args.hi:
         raise _UsageError("--lo must not exceed --hi")
-    table = ch.truncate(_character(args.name, args), args.lo, args.hi)
+    table = ch.truncate(_character(args.name), args.lo, args.hi)
     entries = sorted(table.items())
     _emit(args,
           {"name": args.name, "lo": args.lo, "hi": args.hi,
@@ -214,9 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ch.NoStabilization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

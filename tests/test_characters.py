@@ -1,15 +1,19 @@
 """Character engine tests.
 
-Derived expectations are computed by independent oracles defined at the
-top of this file (series DP, brute-force monomial expansion, double-sum
-convolution); paper-sourced values are frozen literals.
+Derived expectations are computed by independent oracles defined in
+this file (series DP, brute-force monomial expansion, double-sum
+convolution, the sampled tail of a localization); paper-sourced values
+are frozen literals.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binarycubics import characters as ch
+from binarycubics import catalog, characters as ch
 
 
 def series_coefficients(steps, n):
@@ -58,6 +62,12 @@ def test_nu_matches_series_expansion():
 @pytest.mark.parametrize("i, expected", [(0, 1), (1, 0), (6, 2), (-3, 0)])
 def test_nu_frozen(i, expected):
     assert ch.nu(i) == expected
+
+
+def test_nu_closed_form_counts_pairs():
+    for i in range(5000):
+        pairs = sum(1 for b in range(i // 3 + 1) if (i - 3 * b) % 2 == 0)
+        assert ch.nu(i) == pairs, i
 
 
 @given(weights)
@@ -186,15 +196,17 @@ class TestCombinators:
         sdelta = ch.from_closed_form(ch.SDELTA_FORM)
         assert ch.first_disagreement(loc, sdelta, -12, 12) is None
 
-    def test_localize_finite_table_dies(self):
-        finite = ch.from_table({(0, 0): 3, (5, 1): 2})
-        loc = ch.localize(finite)
-        assert all(loc.mult(lam) == 0 for lam in ch.box_weights(-8, 8))
+    def test_localize_kills_lower_supports(self):
+        for name in ("E", "D0", "D1", "D2"):
+            loc = ch.localize(catalog.character_of(name))
+            assert all(loc.mult(lam) == 0 for lam in ch.box_weights(-30, 30)), name
 
-    def test_localize_raises_without_stabilization(self):
-        wobble = ch.Character(lambda lam: (lam[0] // 6) % 2)
-        with pytest.raises(ch.NoStabilization):
-            ch.localize(wobble).mult((0, 0))
+    def test_localize_bound_is_sharp(self):
+        # N(-6, -12) = 3; one shift fewer is still off the stable tail
+        s = ch.from_closed_form(ch.S_FORM)
+        assert s.mult((6, 0)) == 1
+        assert s.mult((12, 6)) == s.mult((18, 12)) == 2
+        assert ch.localize(s).mult((-6, -12)) == 2
 
     def test_mult_caches_consistently(self):
         s = ch.from_closed_form(ch.S_FORM)
@@ -232,14 +244,41 @@ class TestConvolution:
             assert s.mult(lam) == 0
 
 
-@pytest.mark.parametrize("n_max, streak", [(0, 3), (0, 0), (5, 0), (-1, 1)])
-def test_stabilization_policy_validated(n_max, streak):
-    with pytest.raises(ValueError):
-        ch.StabilizationPolicy(n_max=n_max, streak=streak)
+def proven_shift(lam):
+    """N(lam) = max(0, ceil((l1 - 2*l2) / 6)), written independently of localize."""
+    return max(0, math.ceil(Fraction(lam[0] - 2 * lam[1], 6)))
 
 
-def test_streak_longer_than_window_never_certifies():
-    steady = ch.Character(lambda lam: 1)
-    policy = ch.StabilizationPolicy(n_max=1, streak=3)
-    with pytest.raises(ch.NoStabilization):
-        ch.localize(steady, policy).mult((0, 0))
+def sampled_tail(c, lam, ns):
+    """c along lam + (6n, 6n) for the given n: the sampled limit of the
+    localization, kept here as the oracle for the proven single point."""
+    return [c.mult((lam[0] + 6 * n, lam[1] + 6 * n)) for n in ns]
+
+
+far_weights = st.tuples(st.integers(-330, 60), st.integers(0, 600)).map(
+    lambda t: (t[0] + t[1], t[0]))
+
+
+@given(st.sampled_from(catalog.all_character_names()), far_weights)
+@settings(max_examples=100, deadline=None)
+def test_localize_matches_sampled_tail(name, lam):
+    c = catalog.character_of(name)
+    n = proven_shift(lam)
+    value = ch.localize(c).mult(lam)
+    assert sampled_tail(c, lam, (n + 1, n + 2, n + 7)) == [value] * 3
+
+
+def nuq(i):
+    """The quasi-polynomial extension of nu to all of Z (nu(i) for i >= 0)."""
+    return i // 6 + (i % 6 != 1)
+
+
+@given(far_weights)
+@settings(max_examples=60, deadline=None)
+def test_q0delta_reciprocity_formula(lam):
+    # Q0delta(lam) = [l1+l2 = 0 mod 3] (nuq(l1+1) - nuq(l2)) + Sdelta(lam),
+    # read off the closed forms without going through localize
+    l1, l2 = lam
+    count = nuq(l1 + 1) - nuq(l2) if (l1 + l2) % 3 == 0 else 0
+    expected = count + ch.SDELTA_FORM.coefficient(lam)
+    assert catalog.character_of("Q0delta").mult(lam) == expected

@@ -20,6 +20,8 @@ def run(capsys, *argv):
     (("mult", "S", "1", "0"), "0"),
     (("mult", "F-1", "-7", "-7"), "1"),
     (("mult", "SdeltaModS", "-6", "-6"), "1"),
+    (("mult", "Q0delta", "300", "-300"), "200"),
+    (("mult", "Q0delta", "0", "-330"), "110"),
 ])
 def test_mult_values(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
@@ -140,13 +142,6 @@ def test_verify_json_schema(capsys):
         assert check["status"] == "pass"
 
 
-def test_stabilization_flags_are_wired(capsys):
-    # a one-sample window cannot certify a stable tail of 3
-    code, _, err = run(capsys, "--stab-max", "1", "mult", "Q0delta", "-2", "-4")
-    assert code == 1
-    assert "not stable" in err
-
-
 def test_verify_all_suites_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
@@ -210,16 +205,3 @@ def test_rep_accepts_integers_and_fraction_strings(tmp_path, capsys):
                     '"maps": {"alpha1": [[3], ["-5/7"]]}}')
     code, out, _ = run(capsys, "rep", "decompose", str(path))
     assert code == 0 and "indecomposable" in out
-
-
-@pytest.mark.parametrize("flags", [
-    ("--stab-max", "0"),
-    ("--stab-max", "-3"),
-    ("--stab-streak", "0", "--stab-max", "1"),
-    ("--stab-streak", "-1"),
-])
-def test_bad_stabilization_policy_is_usage_error(capsys, flags):
-    code, out, err = run(capsys, *flags, "mult", "Q0delta", "-2", "-4")
-    assert code == 2
-    assert out == "" and "Traceback" not in err
-    assert "--stab-max/--stab-streak" in err
