@@ -58,7 +58,6 @@ from .quiver import (
     decompose,
     decompose_certified,
     direct_sum,
-    end_algebra,
     hom_basis,
     hom_dim,
     image,

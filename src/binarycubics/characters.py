@@ -208,10 +208,6 @@ def from_table(table: Mapping[Weight, int], name: str = "") -> Character:
     return Character(lambda lam: frozen.get(lam, 0), name)
 
 
-def zero_character() -> Character:
-    return Character(lambda lam: 0, "0")
-
-
 def add(c: Character, d: Character) -> Character:
     return Character(lambda lam: c.mult(lam) + d.mult(lam), f"({c.name}+{d.name})")
 

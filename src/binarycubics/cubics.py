@@ -153,33 +153,21 @@ def separate_node(V: Representation) -> Representation:
         raise ValueError("separate_node expects a representation of big_component")
     out_bq = build("separated")
     dims: dict[str, int] = {"5": V.dims["5"]}
-    maps: dict[str, rl.Matrix] = {}
+    maps: dict[str, rl.Mat] = {}
     for i in (1, 2, 3, 4):
         x = str(i)
         beta = V.maps[f"beta{i}"]            # V_5 -> V_x
-        d_x, d_5 = V.dims[x], V.dims["5"]
-        img_basis, pivots = rl.column_space_basis(beta, d_5)
+        img_basis, pivots = rl.column_space_basis(beta)
         r = len(pivots)
         dims[f"{i}'"] = r
-        dims[x] = d_x - r
+        dims[x] = V.dims[x] - r
         # corestriction of beta to its image
-        if r and d_5:
-            core = rl.solve(img_basis, beta, r)
-            assert core is not None
-            maps[f"beta{i}"] = core
-        else:
-            maps[f"beta{i}"] = [[] for _ in range(r)] if d_5 == 0 else rl.zeros(r, d_5)
-        # alpha descends to the quotient V_x / im(beta)
-        proj, section = rl.quotient_maps(beta, d_x, d_5)
-        alpha = V.maps[f"alpha{i}"]          # V_x -> V_5
-        q = d_x - r
-        if d_5 and q:
-            descended = rl.matmul(alpha, section)
-        elif d_5 == 0:
-            descended = []
-        else:
-            descended = [[] for _ in range(d_5)]
-        maps[f"alpha{i}"] = descended
+        core = rl.solve(img_basis, beta)
+        assert core is not None
+        maps[f"beta{i}"] = core
+        # alpha (V_x -> V_5) descends to the quotient V_x / im(beta)
+        _, section = rl.quotient_maps(beta)
+        maps[f"alpha{i}"] = rl.matmul(V.maps[f"alpha{i}"], section)
     return Representation(out_bq, dims, maps)
 
 
@@ -202,21 +190,11 @@ def embed_beta(V: Representation) -> Representation:
     if V.bq is not build("d4hat"):
         raise ValueError("embed_beta expects a representation of d4hat")
     bq = build("big_component")
-    dims = dict(V.dims)
-    maps = {}
-    for i in (1, 2, 3, 4):
-        A = V.maps[f"alpha{i}"]  # d5 x d_i
-        d_i, d_5 = V.dims[str(i)], V.dims["5"]
-        if d_i == 0:
-            maps[f"beta{i}"] = []
-        elif d_5 == 0:
-            maps[f"beta{i}"] = [[] for _ in range(d_i)]
-        else:
-            maps[f"beta{i}"] = [list(row) for row in zip(*A)]
-    return Representation(bq, dims, maps)
+    maps = {f"beta{i}": rl.transpose(V.maps[f"alpha{i}"]) for i in (1, 2, 3, 4)}
+    return Representation(bq, dict(V.dims), maps)
 
 
-def jordan_block(n: int, lam) -> rl.Matrix:
+def jordan_block(n: int, lam) -> rl.Mat:
     lam = Fraction(lam)
     J = rl.zeros(n, n)
     for i in range(n):
@@ -270,25 +248,17 @@ def injective_envelope_of_P() -> Representation:
     return I_P
 
 
-def _sandwich(rng: random.Random, target_basis: list[rl.Vector], proj: rl.Matrix,
-              m: int, n: int) -> rl.Matrix:
+def _sandwich(rng: random.Random, target_basis: rl.Mat, proj: rl.Mat) -> rl.Mat:
     """Random m x n matrix of the form L @ R @ proj.
 
-    Columns land in the span of target_basis (vectors in Q^m) and the
-    matrix kills the kernel of proj (a q x n quotient map), with R a
-    random small-integer matrix: the general solution of a pair of
-    one-sided linear constraints.
+    Columns land in the span of the rows of target_basis (r vectors in
+    Q^m) and the matrix kills the kernel of proj (a q x n quotient map),
+    with R a random small-integer r x q matrix: the general solution of
+    a pair of one-sided linear constraints.
     """
-    r, q = len(target_basis), len(proj)
-    if m == 0:
-        return []
-    if n == 0:
-        return [[] for _ in range(m)]
-    if r == 0 or q == 0:
-        return rl.zeros(m, n)
-    L = [[vec[i] for vec in target_basis] for i in range(m)]
-    R = [[Fraction(rng.randint(-2, 2)) for _ in range(q)] for _ in range(r)]
-    return rl.matmul(rl.matmul(L, R), proj)
+    r, q = target_basis.rows, proj.rows
+    R = rl.Mat(r, q, [[Fraction(rng.randint(-2, 2)) for _ in range(q)] for _ in range(r)])
+    return rl.matmul(rl.matmul(rl.transpose(target_basis), R), proj)
 
 
 def random_big_component_rep(rng: random.Random, max_outer: int = 3,
@@ -309,40 +279,32 @@ def random_big_component_rep(rng: random.Random, max_outer: int = 3,
     d5 = dims["5"]
 
     def rand(m, n):
-        if m == 0:
-            return []
-        if n == 0:
-            return [[] for _ in range(m)]
-        return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        return rl.Mat(m, n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)])
 
-    maps: dict[str, rl.Matrix] = {}
+    maps: dict[str, rl.Mat] = {}
     if rng.random() < 0.5:
         for i in (1, 2, 3, 4):
             maps[f"alpha{i}"] = rand(d5, dims[str(i)])
         for j in (1, 2, 3, 4):
-            d_j = dims[str(j)]
             # columns of the constrained alphas span the subspace to kill
-            span = [[] for _ in range(d5)]
-            width = 0
+            span = rl.zeros(d5, 0)
             for i in (1, 2, 3, 4):
                 if (i, j) not in _DIAGONAL:
                     span = rl.hstack(span, maps[f"alpha{i}"])
-                    width += dims[str(i)]
-            proj, _ = rl.quotient_maps(span, d5, width)
-            ker = rl.nullspace(maps[f"alpha{j}"], d_j)
-            maps[f"beta{j}"] = _sandwich(rng, ker, proj, d_j, d5)
+            proj, _ = rl.quotient_maps(span)
+            ker = rl.nullspace(maps[f"alpha{j}"])
+            maps[f"beta{j}"] = _sandwich(rng, ker, proj)
     else:
         for i in (1, 2, 3, 4):
             maps[f"beta{i}"] = rand(dims[str(i)], d5)
         for i in (1, 2, 3, 4):
-            d_i = dims[str(i)]
-            stacked: list[rl.Vector] = []
+            stacked = rl.zeros(0, d5)
             for j in (1, 2, 3, 4):
                 if (i, j) not in _DIAGONAL:
-                    stacked.extend(list(row) for row in maps[f"beta{j}"])
-            ker = rl.nullspace(stacked, d5)
-            proj, _ = rl.quotient_maps(maps[f"beta{i}"], d_i, d5)
-            maps[f"alpha{i}"] = _sandwich(rng, ker, proj, d5, d_i)
+                    stacked = rl.vstack(stacked, maps[f"beta{j}"])
+            ker = rl.nullspace(stacked)
+            proj, _ = rl.quotient_maps(maps[f"beta{i}"])
+            maps[f"alpha{i}"] = _sandwich(rng, ker, proj)
     return Representation(bq, dims, maps)
 
 
@@ -410,16 +372,11 @@ def check_two_vertex_component(samples: int = 50, max_dim: int = 4, seed: int = 
               "violations": []}
     for k in range(samples):
         d1, d2 = rng.randint(0, max_dim), rng.randint(0, max_dim)
-        if d2 == 0:
-            a = []
-        elif d1 == 0:
-            a = [[] for _ in range(d2)]
-        else:
-            a = [[Fraction(rng.randint(-3, 3)) for _ in range(d1)] for _ in range(d2)]
+        a = rl.Mat(d2, d1, [[Fraction(rng.randint(-3, 3)) for _ in range(d1)] for _ in range(d2)])
         # b must kill Im(a) and land in ker(a)
-        ker = rl.nullspace(a, d1)
-        proj, _ = rl.quotient_maps(a, d2, d1)
-        b = _sandwich(rng, ker, proj, d1, d2)
+        ker = rl.nullspace(a)
+        proj, _ = rl.quotient_maps(a)
+        b = _sandwich(rng, ker, proj)
         V = Representation(bq, {"1": d1, "2": d2}, {"a": a, "b": b})
         for W, _certified in decompose_certified(V, seed=seed * 99991 + k):
             report["summands"] += 1

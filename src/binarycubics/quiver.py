@@ -13,12 +13,13 @@ The engine computes path bases of the quiver algebra degree by degree
 relations short-circuited to subpath exclusion), the simple, projective
 and injective representations, morphism spaces by solving the exact
 intertwining equations, kernels, images and cokernels with their
-induced maps, endomorphism algebras with their radicals (trace form of
-the left regular representation, valid in characteristic zero), and
-decompositions into indecomposables by splitting along coprime factors
-of minimal polynomials of endomorphisms.  Indecomposability is
-certified only in the absolutely indecomposable case End/rad of
-dimension one; otherwise the verdict is "inconclusive" by design.
+induced maps, the semisimple dimension of endomorphism algebras (rank
+of the trace form of V as an End(V)-module, valid in characteristic
+zero), and decompositions into indecomposables by splitting along
+coprime factors of minimal polynomials of endomorphisms.
+Indecomposability is certified only in the absolutely indecomposable
+case End/rad of dimension one; otherwise the verdict is "inconclusive"
+by design.
 
 All randomized steps take explicit seeds and every randomized
 conclusion is re-verified deterministically (exact rank checks,
@@ -219,7 +220,7 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
                             if hit and any(row):
                                 gens.append(row)
             if gens:
-                R, pivots = rl.rref(gens, len(plist))
+                R, pivots = rl.rref(rl.Mat(len(gens), len(plist), gens))
                 pivot_set = set(pivots)
                 free = [j for j in range(len(plist)) if j not in pivot_set]
                 for k, c in enumerate(pivots):
@@ -298,42 +299,22 @@ class BoundQuiver:
             for j, p in enumerate(into_tgt):
                 for coeff, bp in pb.reduce((a.name,) + p):
                     L[idx[bp]][j] += coeff
-            maps[a.name] = [list(row) for row in zip(*L)] if L else [[] for _ in into_tgt]
+            maps[a.name] = rl.transpose(L)
         return Representation(self, dims, maps)
-
-
-def _mm(A: rl.Matrix, B: rl.Matrix, m: int, k: int, n: int) -> rl.Matrix:
-    if m == 0:
-        return []
-    if n == 0:
-        return [[] for _ in range(m)]
-    if k == 0:
-        return rl.zeros(m, n)
-    return rl.matmul(A, B)
-
-
-def _shaped(M, m: int, n: int) -> rl.Matrix:
-    if m == 0:
-        return []
-    if n == 0:
-        return [[] for _ in range(m)]
-    M = rl.mat(M)
-    if len(M) != m or any(len(row) != n for row in M):
-        raise ValueError(f"expected a {m}x{n} matrix")
-    return M
 
 
 @dataclass
 class Representation:
     """Vector spaces at the vertices, exact rational matrices on the arrows.
 
-    maps[arrow] has shape (dim target) x (dim source); omitted arrows
-    default to zero.  The relations are checked on construction.
+    maps[arrow] has shape (dim target) x (dim source), also when a
+    dimension is 0; omitted arrows default to zero.  The shapes and the
+    relations are checked on construction.
     """
 
     bq: BoundQuiver
     dims: dict[str, int]
-    maps: dict[str, rl.Matrix] = field(default_factory=dict)
+    maps: dict[str, rl.Mat] = field(default_factory=dict)
 
     def __post_init__(self):
         q = self.bq.quiver
@@ -347,7 +328,7 @@ class Representation:
         for a in q.arrows:
             m, n = self.dims[a.target], self.dims[a.source]
             given = self.maps.get(a.name)
-            normalized[a.name] = _shaped(given, m, n) if given is not None else _mm([], [], m, 0, n)
+            normalized[a.name] = rl.mat(given, m, n) if given is not None else rl.zeros(m, n)
         self.maps = normalized
         self._check_relations()
 
@@ -363,18 +344,13 @@ class Representation:
             if not rl.is_zero(total):
                 raise ValueError(f"relation {rel} is violated")
 
-    def path_matrix(self, path: Path) -> rl.Matrix:
+    def path_matrix(self, path: Path) -> rl.Mat:
         """Matrix of a path (first arrow applied first)."""
-        q = self.bq.quiver
         if not path:
             raise ValueError("trivial path needs a vertex; use identity directly")
-        first = q.arrow(path[0])
         cur = self.maps[path[0]]
-        cur_rows, cur_cols = self.dims[first.target], self.dims[first.source]
         for name in path[1:]:
-            a = q.arrow(name)
-            cur = _mm(self.maps[name], cur, self.dims[a.target], cur_rows, cur_cols)
-            cur_rows = self.dims[a.target]
+            cur = rl.matmul(self.maps[name], cur)
         return cur
 
     def dim_vector(self) -> tuple[int, ...]:
@@ -384,9 +360,7 @@ class Representation:
         return sum(self.dims.values())
 
     def arrow_rank(self, name: str) -> int:
-        a = self.bq.quiver.arrow(name)
-        n = self.dims[a.source]
-        return rl.rank(self.maps[name], n) if n else 0
+        return rl.rank(self.maps[name])
 
     def __repr__(self):
         dims = ", ".join(f"{v}:{d}" for v, d in self.dims.items() if d)
@@ -399,7 +373,7 @@ class RepMorphism:
 
     source: Representation
     target: Representation
-    blocks: dict[str, rl.Matrix]
+    blocks: dict[str, rl.Mat]
 
     def __post_init__(self):
         q = self.source.bq.quiver
@@ -407,25 +381,21 @@ class RepMorphism:
         for v in q.vertices:
             m, n = self.target.dims[v], self.source.dims[v]
             given = self.blocks.get(v)
-            normalized[v] = _shaped(given, m, n) if given is not None else _mm([], [], m, 0, n)
+            normalized[v] = rl.mat(given, m, n) if given is not None else rl.zeros(m, n)
         self.blocks = normalized
         V, W = self.source, self.target
         for a in q.arrows:
             x, y = a.source, a.target
-            left = _mm(self.blocks[y], V.maps[a.name], W.dims[y], V.dims[y], V.dims[x])
-            right = _mm(W.maps[a.name], self.blocks[x], W.dims[y], W.dims[x], V.dims[x])
+            left = rl.matmul(self.blocks[y], V.maps[a.name])
+            right = rl.matmul(W.maps[a.name], self.blocks[x])
             if left != right:
                 raise ValueError(f"blocks do not intertwine along arrow {a.name}")
 
 
 def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
     """g after f."""
-    V, U, W = f.source, f.target, g.target
-    blocks = {
-        v: _mm(g.blocks[v], f.blocks[v], W.dims[v], U.dims[v], V.dims[v])
-        for v in V.bq.quiver.vertices
-    }
-    return RepMorphism(V, W, blocks)
+    blocks = {v: rl.matmul(g.blocks[v], f.blocks[v]) for v in f.source.bq.quiver.vertices}
+    return RepMorphism(f.source, g.target, blocks)
 
 
 def _offsets(V: Representation, W: Representation) -> tuple[dict[str, int], int]:
@@ -437,27 +407,15 @@ def _offsets(V: Representation, W: Representation) -> tuple[dict[str, int], int]
     return offs, total
 
 
-def _flatten(phi: RepMorphism) -> list[Fraction]:
-    out = []
-    for v in phi.source.bq.quiver.vertices:
-        for row in phi.blocks[v]:
-            out.extend(row)
-    return out
-
-
 def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     """Basis of Hom(V, W), by exact solution of the intertwining system."""
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
     offs, total = _offsets(V, W)
-    if total == 0:
-        return []
     rows: list[list[Fraction]] = []
     zero = Fraction(0)
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
-        if W.dims[y] == 0 or V.dims[x] == 0:
-            continue
         Va, Wa = V.maps[a.name], W.maps[a.name]
         for i in range(W.dims[y]):
             for j in range(V.dims[x]):
@@ -468,12 +426,12 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
                     row[offs[x] + k * V.dims[x] + j] -= Wa[i][k]
                 rows.append(row)
     basis = []
-    for vec in rl.nullspace(rows, total):
+    for vec in rl.nullspace(rl.Mat(len(rows), total, rows)):
         blocks = {}
         for v in V.bq.quiver.vertices:
             m, n = W.dims[v], V.dims[v]
             at = offs[v]
-            blocks[v] = [vec[at + i * n: at + (i + 1) * n] for i in range(m)] if n else [[] for _ in range(m)]
+            blocks[v] = rl.Mat(m, n, [vec[at + i * n: at + (i + 1) * n] for i in range(m)])
         basis.append(RepMorphism(V, W, blocks))
     return basis
 
@@ -486,20 +444,12 @@ def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Vertexwise kernel with its induced maps and the inclusion into the source."""
     V = phi.source
     q = V.bq.quiver
-    incl = {}
-    dims = {}
-    for v in q.vertices:
-        vecs = rl.nullspace(phi.blocks[v], V.dims[v])
-        dims[v] = len(vecs)
-        incl[v] = [[vec[i] for vec in vecs] for i in range(V.dims[v])] if V.dims[v] else []
+    incl = {v: rl.transpose(rl.nullspace(phi.blocks[v])) for v in q.vertices}
+    dims = {v: incl[v].cols for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        x, y = a.source, a.target
-        restricted = _mm(V.maps[a.name], incl[x], V.dims[y], V.dims[x], dims[x])
-        if dims[y] == 0 or dims[x] == 0:
-            maps[a.name] = _mm([], [], dims[y], 0, dims[x])
-            continue
-        sol = rl.solve(incl[y], restricted, dims[y])
+        restricted = rl.matmul(V.maps[a.name], incl[a.source])
+        sol = rl.solve(incl[a.target], restricted)
         assert sol is not None, "kernel is not arrow-stable (broken morphism)"
         maps[a.name] = sol
     K = Representation(V.bq, dims, maps)
@@ -510,20 +460,12 @@ def image(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Vertexwise image as a subrepresentation of the target, with inclusion."""
     W = phi.target
     q = W.bq.quiver
-    incl = {}
-    dims = {}
-    for v in q.vertices:
-        basis, pivots = rl.column_space_basis(phi.blocks[v], phi.source.dims[v])
-        dims[v] = len(pivots)
-        incl[v] = basis
+    incl = {v: rl.column_space_basis(phi.blocks[v])[0] for v in q.vertices}
+    dims = {v: incl[v].cols for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        x, y = a.source, a.target
-        pushed = _mm(W.maps[a.name], incl[x], W.dims[y], W.dims[x], dims[x])
-        if dims[y] == 0 or dims[x] == 0:
-            maps[a.name] = _mm([], [], dims[y], 0, dims[x])
-            continue
-        sol = rl.solve(incl[y], pushed, dims[y])
+        pushed = rl.matmul(W.maps[a.name], incl[a.source])
+        sol = rl.solve(incl[a.target], pushed)
         assert sol is not None, "image is not arrow-stable (broken morphism)"
         maps[a.name] = sol
     I = Representation(W.bq, dims, maps)
@@ -538,14 +480,12 @@ def cokernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
     section = {}
     dims = {}
     for v in q.vertices:
-        p, s = rl.quotient_maps(phi.blocks[v], W.dims[v], phi.source.dims[v])
-        dims[v] = len(p)
-        proj[v], section[v] = p, s
+        proj[v], section[v] = rl.quotient_maps(phi.blocks[v])
+        dims[v] = proj[v].rows
     maps = {}
     for a in q.arrows:
-        x, y = a.source, a.target
-        mid = _mm(W.maps[a.name], section[x], W.dims[y], W.dims[x], dims[x])
-        maps[a.name] = _mm(proj[y], mid, dims[y], W.dims[y], dims[x])
+        mid = rl.matmul(W.maps[a.name], section[a.source])
+        maps[a.name] = rl.matmul(proj[a.target], mid)
     C = Representation(W.bq, dims, maps)
     out = RepMorphism(W, C, proj)  # also re-verifies that the maps descend
     return C, out
@@ -556,19 +496,7 @@ def direct_sum(V: Representation, W: Representation) -> Representation:
         raise ValueError("representations live over different quivers")
     q = V.bq.quiver
     dims = {v: V.dims[v] + W.dims[v] for v in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        x, y = a.source, a.target
-        maps[a.name] = rl.block_diag(
-            V.maps[a.name] if V.dims[y] else [],
-            W.maps[a.name] if W.dims[y] else [],
-            V.dims[x], W.dims[x],
-        )
-        # block_diag loses empty-row blocks; rebuild shape explicitly
-        if dims[y] == 0:
-            maps[a.name] = []
-        elif dims[x] == 0:
-            maps[a.name] = [[] for _ in range(dims[y])]
+    maps = {a.name: rl.block_diag(V.maps[a.name], W.maps[a.name]) for a in q.arrows}
     return Representation(V.bq, dims, maps)
 
 
@@ -580,75 +508,20 @@ def conjugate(V: Representation, seed: int = 0) -> Representation:
     Tinv = {}
     for v in q.vertices:
         d = V.dims[v]
-        if d == 0:
-            T[v], Tinv[v] = [], []
-            continue
         while True:
-            cand = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+            cand = rl.Mat(d, d, [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)])
             inv = rl.inverse(cand)
             if inv is not None:
                 T[v], Tinv[v] = cand, inv
                 break
     maps = {}
     for a in q.arrows:
-        x, y = a.source, a.target
-        mid = _mm(V.maps[a.name], Tinv[x], V.dims[y], V.dims[x], V.dims[x])
-        maps[a.name] = _mm(T[y], mid, V.dims[y], V.dims[y], V.dims[x])
+        mid = rl.matmul(V.maps[a.name], Tinv[a.source])
+        maps[a.name] = rl.matmul(T[a.target], mid)
     return Representation(V.bq, dict(V.dims), maps)
 
 
-@dataclass
-class EndAlgebra:
-    """End(V) with structure constants and its Jacobson radical.
-
-    structure[i][j] are the coordinates of basis[i]∘basis[j]; the
-    radical is the kernel of the trace pairing of left multiplications
-    (exact, valid in characteristic zero).  semisimple_dim == 1 is the
-    certificate that V is (absolutely) indecomposable.
-    """
-
-    rep: Representation
-    basis: list[RepMorphism]
-    structure: list[list[list[Fraction]]]
-    radical: list[list[Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def semisimple_dim(self) -> int:
-        return len(self.basis) - len(self.radical)
-
-
-def end_algebra(V: Representation) -> EndAlgebra:
-    basis = hom_basis(V, V)
-    d = len(basis)
-    if d == 0:
-        return EndAlgebra(V, [], [], [])
-    flats = [_flatten(b) for b in basis]
-    cols = [list(col) for col in zip(*flats)]  # N x d
-    prod_cols = []
-    for f in basis:
-        for g in basis:
-            prod_cols.append(_flatten(compose(f, g)))
-    P = [list(col) for col in zip(*prod_cols)]  # N x d^2
-    C = rl.solve(cols, P, d)
-    assert C is not None, "products must lie in the hom space"
-    structure = [[[C[k][i * d + j] for k in range(d)] for j in range(d)] for i in range(d)]
-    # tr(L_i L_j) = sum_{k,m} c^k_{i,m} c^m_{j,k}
-    gram = [
-        [
-            sum(structure[i][m][k] * structure[j][k][m] for k in range(d) for m in range(d))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    radical = rl.nullspace(gram, d)
-    return EndAlgebra(V, basis, structure, radical)
-
-
-def _module_trace_gram(basis: list[RepMorphism]) -> rl.Matrix:
+def _module_trace_gram(basis: list[RepMorphism]) -> rl.Mat:
     """Gram matrix of (f, g) -> tr_V(f∘g) on a basis of End(V).
 
     In characteristic zero this pairing has radical exactly rad End(V)
@@ -661,7 +534,8 @@ def _module_trace_gram(basis: list[RepMorphism]) -> rl.Matrix:
     verts = basis[0].source.bq.quiver.vertices
     flat = [[x for v in verts for row in b.blocks[v] for x in row] for b in basis]
     flat_t = [[x for v in verts for col in zip(*b.blocks[v]) for x in col] for b in basis]
-    return rl.matmul(flat, [list(col) for col in zip(*flat_t)])
+    size = len(flat[0])
+    return rl.matmul(rl.Mat(len(basis), size, flat), rl.transpose(rl.Mat(len(basis), size, flat_t)))
 
 
 def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -> int:
@@ -670,7 +544,7 @@ def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -
         basis = hom_basis(V, V)
     if not basis:
         return 0
-    return rl.rank(_module_trace_gram(basis), len(basis))
+    return rl.rank(_module_trace_gram(basis))
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -723,6 +597,16 @@ def _is_central_scalar(phi: RepMorphism) -> bool:
     return True
 
 
+def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
+    """Blocks of the sum of c * b over the nonzero coefficients; None when all are 0."""
+    out = None
+    for c, b in zip(coeffs, basis):
+        if c:
+            scaled = {v: rl.scale(m, c) for v, m in b.blocks.items()}
+            out = scaled if out is None else {v: rl.mat_add(out[v], scaled[v]) for v in out}
+    return out
+
+
 def _split_candidates(V: Representation, basis: list[RepMorphism],
                       rng: random.Random, trials: int):
     for b in basis:
@@ -730,16 +614,7 @@ def _split_candidates(V: Representation, basis: list[RepMorphism],
             yield b
     d = len(basis)
     for _ in range(trials):
-        blocks = None
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(d)]
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            scaled = {v: rl.scale(m, c) for v, m in b.blocks.items()}
-            if blocks is None:
-                blocks = scaled
-            else:
-                blocks = {v: rl.mat_add(blocks[v], scaled[v]) for v in blocks}
+        blocks = _combination(basis, [Fraction(rng.randint(-5, 5)) for _ in range(d)])
         if blocks is not None:
             yield RepMorphism(V, V, blocks)
 
@@ -755,10 +630,7 @@ def _try_split(V: Representation, basis: list[RepMorphism], rng: random.Random,
         parts = []
         for p, e in factors:
             power = _poly_pow(p, e)
-            blocks = {
-                v: rl.eval_poly(power, phi.blocks[v]) if V.dims[v] else []
-                for v in V.bq.quiver.vertices
-            }
+            blocks = {v: rl.eval_poly(power, phi.blocks[v]) for v in V.bq.quiver.vertices}
             sub, _ = kernel(RepMorphism(V, V, blocks))
             parts.append(sub)
         for v in V.bq.quiver.vertices:
@@ -812,21 +684,8 @@ def is_indecomposable(V: Representation, seed: int = 0, trials: int = 40) -> str
     return "inconclusive"
 
 
-def _blocks_invertible(V: Representation, blocks: dict[str, rl.Matrix]) -> bool:
-    for v in V.bq.quiver.vertices:
-        d = V.dims[v]
-        if d and rl.rank(blocks[v], d) != d:
-            return False
-    return True
-
-
-def _combo_blocks(basis: list[RepMorphism], coeffs) -> dict[str, rl.Matrix]:
-    verts = basis[0].source.bq.quiver.vertices
-    out = None
-    for c, b in zip(coeffs, basis):
-        scaled = {v: rl.scale(b.blocks[v], c) for v in verts}
-        out = scaled if out is None else {v: rl.mat_add(out[v], scaled[v]) for v in verts}
-    return out
+def _blocks_invertible(V: Representation, blocks: dict[str, rl.Mat]) -> bool:
+    return all(rl.rank(blocks[v]) == V.dims[v] for v in V.bq.quiver.vertices)
 
 
 def is_isomorphic(V: Representation, W: Representation, seed: int = 0,
@@ -864,14 +723,14 @@ def is_isomorphic(V: Representation, W: Representation, seed: int = 0,
     if h == 2:
         degree = V.total_dim()
         for k in range(degree + 1):
-            blocks = _combo_blocks(basis, [Fraction(1), Fraction(k)])
+            blocks = _combination(basis, [Fraction(1), Fraction(k)])
             if _blocks_invertible(V, blocks):
                 return True
         return False  # det(f + t g) vanishes identically, and g alone was singular
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(h)]
-        blocks = _combo_blocks(basis, coeffs)
+        blocks = _combination(basis, coeffs)
         if blocks is not None and _blocks_invertible(V, blocks):
             return True
     raise UndecidedIsomorphism(

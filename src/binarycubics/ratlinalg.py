@@ -1,7 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows with Fraction (or int) entries; every
-result comes back as Fractions.  The hot paths run on Python integers:
+Every matrix is a Mat: its shape (rows x cols) plus its entries as a
+list of row lists of Fractions.  The shape is part of the value, so an
+m x 0 or a 0 x n matrix is as well defined as any other, products with
+a zero dimension come out with the right shape, and no function takes a
+column count beside its matrix.  mat(x, m, n) is the one boundary
+constructor: it takes nested rows (or a Mat) and checks the shape.
+The hot paths run on Python integers:
 
 - matmul clears denominators once per row of A and once per column of
   B, takes integer dot products and builds one Fraction per entry of
@@ -14,38 +19,81 @@ result comes back as Fractions.  The hot paths run on Python integers:
   Fraction per nonzero coordinate;
 - minimal_polynomial takes a block-diagonal matrix as its diagonal
   blocks and powers each block on its own.
-
-Shape conventions: an m x 0 matrix is a list of m empty rows, a 0 x n
-matrix is the empty list.  Functions that cannot infer a column count
-from an empty input take it explicitly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+@dataclass(slots=True, repr=False)
+class Mat:
+    """A rows x cols rational matrix; data holds rows lists of cols Fractions.
+
+    len(M) is the row count, M[i] is row i (a list) and iteration runs
+    over the rows; two matrices are equal when their shapes and entries are.
+    """
+
+    rows: int
+    cols: int
+    data: list[list[Fraction]]
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, i: int) -> list[Fraction]:
+        return self.data[i]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __repr__(self) -> str:
+        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.data)
+        return f"Mat({self.rows}x{self.cols}, [{body}])"
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[_ZERO] * n for _ in range(m)]
+def mat(x, m: int | None = None, n: int | None = None) -> Mat:
+    """The m x n matrix given as nested rows or as a Mat; ValueError on another shape.
+
+    An omitted size is read off x: m is its number of rows and n the
+    length of its first row (0 when it has none).  A Mat of the right
+    shape is returned as it is.
+    """
+    if isinstance(x, Mat):
+        if (m is None or x.rows == m) and (n is None or x.cols == n):
+            return x
+        raise ValueError(f"expected a {m}x{n} matrix, got {x.rows}x{x.cols}")
+    data = [[Fraction(v) for v in row] for row in x]
+    if m is None:
+        m = len(data)
+    if n is None:
+        n = len(data[0]) if data else 0
+    if len(data) != m or any(len(row) != n for row in data):
+        raise ValueError(f"expected a {m}x{n} matrix")
+    return Mat(m, n, data)
 
 
-def identity(n: int) -> Matrix:
+def zeros(m: int, n: int) -> Mat:
+    return Mat(m, n, [[_ZERO] * n for _ in range(m)])
+
+
+def identity(n: int) -> Mat:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = _ONE
+        out.data[i][i] = _ONE
     return out
+
+
+def transpose(A: Mat) -> Mat:
+    return Mat(A.cols, A.rows, [[row[j] for row in A.data] for j in range(A.cols)])
 
 
 def _cleared(entries) -> tuple[list[int], int]:
@@ -56,51 +104,53 @@ def _cleared(entries) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in entries], den
 
 
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    if not A:
-        return []
-    k = len(A[0])
-    if k != len(B):
-        raise ValueError(f"shape mismatch: {len(A)}x{k} @ {len(B)}x?")
-    if k == 0:
-        raise ValueError("inner dimension 0: supply the result shape explicitly")
-    cols = [_cleared(col) for col in zip(*B)]
+def matmul(A: Mat, B: Mat) -> Mat:
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    if not (A.rows and A.cols and B.cols):
+        return zeros(A.rows, B.cols)
+    cols = [_cleared(col) for col in zip(*B.data)]
     out = []
-    for row in A:
+    for row in A.data:
         ints, da = _cleared(row)
         out.append([Fraction(sum(map(mul, ints, cb)), da * db) for cb, db in cols])
-    return out
+    return Mat(A.rows, B.cols, out)
 
 
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+def mat_add(A: Mat, B: Mat) -> Mat:
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} + {B.rows}x{B.cols}")
+    return Mat(A.rows, A.cols, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A.data, B.data)])
 
 
-def scale(A: Matrix, c) -> Matrix:
+def scale(A: Mat, c) -> Mat:
     c = Fraction(c)
-    return [[c * x for x in row] for row in A]
+    return Mat(A.rows, A.cols, [[c * x for x in row] for row in A.data])
 
 
-def hstack(A: Matrix, B: Matrix) -> Matrix:
-    return [ra + rb for ra, rb in zip(A, B)]
+def hstack(A: Mat, B: Mat) -> Mat:
+    if A.rows != B.rows:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} beside {B.rows}x{B.cols}")
+    return Mat(A.rows, A.cols + B.cols, [ra + rb for ra, rb in zip(A.data, B.data)])
 
 
-def vstack(A: Matrix, B: Matrix) -> Matrix:
-    return [row[:] for row in A] + [row[:] for row in B]
+def vstack(A: Mat, B: Mat) -> Mat:
+    if A.cols != B.cols:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} above {B.rows}x{B.cols}")
+    return Mat(A.rows + B.rows, A.cols, [row[:] for row in A.data] + [row[:] for row in B.data])
 
 
-def block_diag(A: Matrix, B: Matrix, na: int, nb: int) -> Matrix:
-    """Block diagonal of A (?, na) and B (?, nb)."""
-    out = [row + [_ZERO] * nb for row in A]
-    out += [[_ZERO] * na + row for row in B]
-    return out
+def block_diag(A: Mat, B: Mat) -> Mat:
+    out = [row + [_ZERO] * B.cols for row in A.data]
+    out += [[_ZERO] * A.cols + row for row in B.data]
+    return Mat(A.rows + B.rows, A.cols + B.cols, out)
 
 
-def is_zero(A: Matrix) -> bool:
-    return all(x == 0 for row in A for x in row)
+def is_zero(A: Mat) -> bool:
+    return all(x == 0 for row in A.data for x in row)
 
 
-def _int_rows(A: Matrix) -> list[list[int]]:
+def _int_rows(A: list[list[Fraction]]) -> list[list[int]]:
     rows = []
     for row in A:
         ints, _ = _cleared(row)
@@ -161,118 +211,99 @@ def _rref_int(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def rref(A: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+def rref(A: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q (zero rows dropped) and pivot columns."""
-    if not A:
-        return [], []
-    n = ncols if ncols is not None else len(A[0])
-    rows = _int_rows(A)
-    pivots = _rref_int(rows, n)
+    rows = _int_rows(A.data)
+    pivots = _rref_int(rows, A.cols)
     out = []
     for k, c in enumerate(pivots):
         pv = rows[k][c]
         out.append([Fraction(x, pv) for x in rows[k]])
-    return out, pivots
+    return Mat(len(out), A.cols, out), pivots
 
 
-def rank(A: Matrix, ncols: int | None = None) -> int:
-    if not A:
-        return 0
-    return len(rref(A, ncols)[1])
+def rank(A: Mat) -> int:
+    return len(rref(A)[1])
 
 
-def nullspace(A: Matrix, ncols: int) -> list[Vector]:
-    """Basis of the right kernel {x : A @ x = 0} as length-ncols vectors."""
-    if ncols == 0:
-        return []
-    if not A:
-        return [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
-    rows = _int_rows(A)
-    pivots = _rref_int(rows, ncols)
+def nullspace(A: Mat) -> Mat:
+    """Basis of the right kernel {x : A @ x = 0}, as the rows of a
+    (cols - rank) x cols matrix."""
+    n = A.cols
+    rows = _int_rows(A.data)
+    pivots = _rref_int(rows, n)
     pivot_set = set(pivots)
     basis = []
-    for f in range(ncols):
+    for f in range(n):
         if f in pivot_set:
             continue
-        v = [_ZERO] * ncols
+        v = [_ZERO] * n
         v[f] = _ONE
         for k, c in enumerate(pivots):
             x = rows[k][f]
             if x:
                 v[c] = Fraction(-x, rows[k][c])
         basis.append(v)
-    return basis
+    return Mat(len(basis), n, basis)
 
 
-def solve(A: Matrix, B: Matrix, ncols_a: int | None = None) -> Matrix | None:
+def solve(A: Mat, B: Mat) -> Mat | None:
     """Some X with A @ X = B (free coordinates zero), or None if inconsistent."""
-    m = len(A)
-    na = ncols_a if ncols_a is not None else (len(A[0]) if A else 0)
-    nb = len(B[0]) if B else 0
-    if m == 0:
-        return zeros(na, nb)
-    aug = [list(A[i]) + list(B[i]) for i in range(m)]
-    R, pivots = rref(aug, na + nb)
-    X = zeros(na, nb)
+    na = A.cols
+    R, pivots = rref(hstack(A, B))
+    X = zeros(na, B.cols)
     for k, c in enumerate(pivots):
         if c >= na:
             return None
-        X[c] = R[k][na:]
+        X.data[c] = R[k][na:]
     return X
 
 
-def inverse(A: Matrix) -> Matrix | None:
+def inverse(A: Mat) -> Mat | None:
     """Exact inverse of a square matrix, or None when singular."""
-    n = len(A)
-    if n == 0:
-        return []
-    return solve(A, identity(n), n)
+    return solve(A, identity(A.rows))
 
 
-def column_space_basis(A: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+def column_space_basis(A: Mat) -> tuple[Mat, list[int]]:
     """Columns of A forming a basis of the column space, with their indices."""
-    if not A or ncols == 0:
-        return [[] for _ in A], []
-    _, pivots = rref(A, ncols)
-    return [[row[c] for c in pivots] for row in A], pivots
+    _, pivots = rref(A)
+    return Mat(A.rows, len(pivots), [[row[c] for c in pivots] for row in A.data]), pivots
 
 
-def complement_columns(B: Matrix, n: int, r: int) -> Matrix:
-    """Identity columns extending the r independent columns of B to a basis of Q^n."""
-    rows = [list(row) for row in B] if r else [[] for _ in range(n)]
+def complement_columns(B: Mat) -> Mat:
+    """Identity columns extending the independent columns of B (n x r) to a basis of Q^n."""
+    n = B.rows
+    rows = B.data
     chosen: list[int] = []
-    current = r
+    current = B.cols
     for i in range(n):
         if current == n:
             break
         candidate = [rows[j] + [(_ONE if j == i else _ZERO)] for j in range(n)]
-        if rank(candidate, current + 1) == current + 1:
+        if rank(Mat(n, current + 1, candidate)) == current + 1:
             rows = candidate
             chosen.append(i)
             current += 1
-    return [[_ONE if j == i else _ZERO for i in chosen] for j in range(n)]
+    return Mat(n, len(chosen), [[_ONE if j == i else _ZERO for i in chosen] for j in range(n)])
 
 
-def quotient_maps(B: Matrix, n: int, ncols_b: int) -> tuple[Matrix, Matrix]:
-    """(proj, section) presenting Q^n / col(B).
+def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
+    """(proj, section) presenting Q^n / col(B) for B with n rows.
 
     proj is q x n with kernel exactly col(B); section is n x q with
     proj @ section = I_q.  q = n - rank(B).
     """
-    basis, pivots = column_space_basis(B, ncols_b)
-    r = len(pivots)
-    comp = complement_columns(basis, n, r)
-    q = n - r
-    if q == 0:
-        return [], [[] for _ in range(n)]
-    M = hstack(basis, comp) if r else comp
-    Minv = inverse(M)
+    basis, pivots = column_space_basis(B)
+    n, r = B.rows, len(pivots)
+    comp = complement_columns(basis)
+    if r == n:
+        return zeros(0, n), comp
+    Minv = inverse(hstack(basis, comp))
     assert Minv is not None
-    proj = Minv[r:]
-    return proj, comp
+    return Mat(n - r, n, Minv.data[r:]), comp
 
 
-def minimal_polynomial(*blocks: Matrix) -> list[Fraction]:
+def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     """Monic minimal polynomial, coefficients low to high, of the block-diagonal
     matrix with the given square diagonal blocks (a single matrix is one block).
 
@@ -281,17 +312,18 @@ def minimal_polynomial(*blocks: Matrix) -> list[Fraction]:
     the lower ones is found from the blocks alone; the zero off-diagonal
     blocks never enter.
     """
-    n = sum(len(B) for B in blocks)
+    n = sum(B.rows for B in blocks)
     if n == 0:
         return [_ONE]
-    blocks = tuple(B for B in blocks if B)
-    powers = [identity(len(B)) for B in blocks]
+    blocks = tuple(B for B in blocks if B.rows)
+    powers = [identity(B.rows) for B in blocks]
+    size = sum(B.rows * B.rows for B in blocks)
     vecs: list[Vector] = []
     for k in range(n + 1):
-        vec = [x for P in powers for row in P for x in row]
+        vec = [x for P in powers for row in P.data for x in row]
         if vecs:
-            cols = [list(col) for col in zip(*vecs)]
-            sol = solve(cols, [[v] for v in vec], len(vecs))
+            cols = transpose(Mat(len(vecs), size, vecs))
+            sol = solve(cols, Mat(size, 1, [[v] for v in vec]))
             if sol is not None:
                 coeffs = [sol[i][0] for i in range(len(vecs))]
                 return [-c for c in coeffs] + [_ONE]
@@ -300,9 +332,9 @@ def minimal_polynomial(*blocks: Matrix) -> list[Fraction]:
     raise AssertionError("minimal polynomial must exist by degree n")
 
 
-def eval_poly(coeffs: list[Fraction], A: Matrix) -> Matrix:
+def eval_poly(coeffs: list[Fraction], A: Mat) -> Mat:
     """Evaluate a polynomial (coefficients low to high) at a square matrix."""
-    n = len(A)
+    n = A.rows
     out = scale(identity(n), coeffs[0]) if coeffs else zeros(n, n)
     power = identity(n)
     for c in coeffs[1:]:

@@ -78,7 +78,7 @@ class TestCharacters:
     def test_composition_series_on_box(self):
         for fact in catalog.COMPOSITION_SERIES:
             ambient = catalog.character_of(fact.ambient)
-            total = ch.zero_character()
+            total = ch.from_table({})
             for name in fact.factors:
                 total = total + catalog.character_of(name)
             assert ch.first_disagreement(ambient, total, -15, 15) is None, fact.ambient

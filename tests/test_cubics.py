@@ -119,7 +119,7 @@ class TestEmbeddings:
     def test_beta_transposes(self):
         R = cubics.rn_family(1, Fraction(2, 5))
         out = cubics.embed_beta(R)
-        assert out.maps["beta4"] == [[Fraction(1), Fraction(2, 5)]]
+        assert out.maps["beta4"] == rl.mat([[Fraction(1), Fraction(2, 5)]])
 
     def test_separated_alpha_image_avoids_primed_copy(self):
         # alpha images have zero betas, so separation leaves primed vertices empty
@@ -139,10 +139,10 @@ class TestEmbeddings:
 class TestRnFamily:
     def test_displayed_matrices_for_n1(self):
         R = cubics.rn_family(1, 7)
-        assert R.maps["alpha1"] == [[1], [0]]
-        assert R.maps["alpha2"] == [[0], [1]]
-        assert R.maps["alpha3"] == [[1], [1]]
-        assert R.maps["alpha4"] == [[1], [7]]
+        assert R.maps["alpha1"] == rl.mat([[1], [0]])
+        assert R.maps["alpha2"] == rl.mat([[0], [1]])
+        assert R.maps["alpha3"] == rl.mat([[1], [1]])
+        assert R.maps["alpha4"] == rl.mat([[1], [7]])
         assert R.dim_vector() == (1, 1, 1, 1, 2)
 
     def test_jordan_block_shape(self):

@@ -2,6 +2,7 @@
 kernels/cokernels, endomorphism algebras and decomposition."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,25 @@ class TestKernelsCokernels:
         C, _ = qv.cokernel(zero)
         assert qv.is_isomorphic(C, W)
 
+    def test_dimensions_add_up_with_zero_dimensional_vertices(self):
+        rng = random.Random(31)
+        zero_vertices = 0
+        for _ in range(12):
+            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
+            W = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
+            verts = V.bq.quiver.vertices
+            zero_vertices += sum(1 for v in verts if V.dims[v] == 0 or W.dims[v] == 0)
+            S = qv.direct_sum(V, W)
+            assert all(S.dims[v] == V.dims[v] + W.dims[v] for v in verts)
+            for phi in qv.hom_basis(V, W) + [qv.RepMorphism(V, W, {})]:
+                K, _ = qv.kernel(phi)
+                I, _ = qv.image(phi)
+                C, _ = qv.cokernel(phi)
+                for v in verts:
+                    assert K.dims[v] + I.dims[v] == V.dims[v]
+                    assert I.dims[v] + C.dims[v] == W.dims[v]
+        assert zero_vertices > 0  # the samples do reach zero-dimensional vertices
+
     def test_image_plus_kernel_dimensions(self):
         d4 = cubics.build("d4hat")
         V = cubics.rn_family(2, 1)
@@ -126,17 +146,73 @@ class TestKernelsCokernels:
             assert K.dims[v] + I.dims[v] == V.dims[v]
 
 
+# -- oracle: End(V) from structure constants --------------------------------
+
+
+@dataclass
+class EndAlgebra:
+    """End(V) with structure constants and its Jacobson radical.
+
+    structure[i][j] are the coordinates of basis[i]∘basis[j]; the
+    radical is the kernel of the trace pairing of left multiplications
+    (exact, valid in characteristic zero).  This is a second route to
+    dim End/rad, independent of quiver.semisimple_rank, which uses the
+    trace form of V itself.
+    """
+
+    rep: qv.Representation
+    basis: list
+    structure: list
+    radical: rl.Mat
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def semisimple_dim(self) -> int:
+        return len(self.basis) - len(self.radical)
+
+
+def _flatten(phi):
+    return [x for v in phi.source.bq.quiver.vertices for row in phi.blocks[v] for x in row]
+
+
+def end_algebra(V):
+    basis = qv.hom_basis(V, V)
+    d = len(basis)
+    if d == 0:
+        return EndAlgebra(V, [], [], rl.zeros(0, 0))
+    flats = [_flatten(b) for b in basis]
+    size = len(flats[0])
+    cols = rl.transpose(rl.Mat(d, size, flats))  # size x d
+    prods = [_flatten(qv.compose(f, g)) for f in basis for g in basis]
+    P = rl.transpose(rl.Mat(d * d, size, prods))  # size x d^2
+    C = rl.solve(cols, P)
+    assert C is not None, "products must lie in the hom space"
+    structure = [[[C[k][i * d + j] for k in range(d)] for j in range(d)] for i in range(d)]
+    # tr(L_i L_j) = sum_{k,m} c^k_{i,m} c^m_{j,k}
+    gram = [
+        [
+            sum(structure[i][m][k] * structure[j][k][m] for k in range(d) for m in range(d))
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    return EndAlgebra(V, basis, structure, rl.nullspace(rl.Mat(d, d, gram)))
+
+
 class TestEndAlgebra:
     def test_simple_has_scalar_endomorphisms(self):
         bc = cubics.build("big_component")
-        end = qv.end_algebra(bc.simple("3"))
+        end = end_algebra(bc.simple("3"))
         assert end.dim == 1
         assert end.semisimple_dim == 1
         assert end.structure[0][0] in ([Fraction(1)],)
 
     def test_radical_of_projective_injective(self):
         bc = cubics.build("big_component")
-        end = qv.end_algebra(bc.projective("1"))
+        end = end_algebra(bc.projective("1"))
         assert end.dim == 1 and not end.radical
 
     def test_two_routes_to_the_radical_agree(self):
@@ -145,19 +221,19 @@ class TestEndAlgebra:
             V = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
             if V.total_dim() == 0:
                 continue
-            end = qv.end_algebra(V)
+            end = end_algebra(V)
             assert end.semisimple_dim == qv.semisimple_rank(V, end.basis)
 
     def test_rn_endomorphisms_are_jordan_commutant(self):
         # End(R_n(lam)) is the polynomial algebra of the Jordan block: dim n
         for n in (1, 2, 3):
-            end = qv.end_algebra(cubics.rn_family(n, 4))
+            end = end_algebra(cubics.rn_family(n, 4))
             assert end.dim == n
             assert end.semisimple_dim == 1
 
     def test_structure_constants_have_a_unit(self):
         # the identity endomorphism acts as a two-sided unit
-        end = qv.end_algebra(cubics.rn_family(2, 0))
+        end = end_algebra(cubics.rn_family(2, 0))
         ident = None
         for i, b in enumerate(end.basis):
             blocks = b.blocks
@@ -167,12 +243,12 @@ class TestEndAlgebra:
         # the hom basis need not contain the identity itself; find its coords
         coords = None
         if ident is None:
-            flats = [qv._flatten(b) for b in end.basis]
-            target = qv._flatten(qv.RepMorphism(
+            flats = [_flatten(b) for b in end.basis]
+            target = _flatten(qv.RepMorphism(
                 end.rep, end.rep,
                 {v: rl.identity(end.rep.dims[v]) for v in end.rep.bq.quiver.vertices}))
-            cols = [list(col) for col in zip(*flats)]
-            sol = rl.solve(cols, [[x] for x in target], len(flats))
+            cols = rl.transpose(rl.mat(flats))
+            sol = rl.solve(cols, rl.mat([[x] for x in target]))
             coords = [sol[k][0] for k in range(len(flats))]
         else:
             coords = [Fraction(1) if k == ident else Fraction(0) for k in range(end.dim)]
@@ -277,13 +353,39 @@ class TestRepresentationFiles:
         data = qv.rep_to_dict(V)
         data["quiver"] = qv.quiver_to_dict(bq)  # force the inline route
         back = qv.rep_from_dict(data)
-        assert back.maps["a"] == [[Fraction(2, 3)]]
-        assert back.maps["b"] == [[Fraction(0)]]
+        assert back.maps["a"] == rl.mat([[Fraction(2, 3)]])
+        assert back.maps["b"] == rl.mat([[Fraction(0)]])
 
     def test_fraction_strings_are_exact(self):
         V = cubics.rn_family(1, Fraction(-5, 7))
         data = qv.rep_to_dict(V)
         assert data["maps"]["alpha4"] == [["1"], ["-5/7"]]
+
+    def test_round_trip_with_zero_dimensional_vertices(self):
+        bq = cubics.build("big_component")
+        V = qv.Representation(bq, {"1": 2, "3": 1, "5": 0}, {})
+        data = qv.rep_to_dict(V)
+        assert data["maps"]["alpha1"] == []          # 0 x 2: no rows
+        assert data["maps"]["beta1"] == [[], []]     # 2 x 0: two empty rows
+        back = qv.rep_from_dict(data, cubics.named_quivers())
+        assert back.dims == V.dims
+        assert back.maps == V.maps
+        assert (back.maps["beta3"].rows, back.maps["beta3"].cols) == (1, 0)
+
+    @pytest.mark.parametrize("dims, alpha1", [
+        ({"1": 0, "5": 1}, [[1, 2]]),
+        ({"1": 2, "5": 0}, [[1, 2], [3, 4]]),
+        ({"1": 2, "5": 0}, [[], []]),
+        ({"1": 0, "5": 2}, []),
+    ])
+    def test_wrong_shape_at_zero_dimensional_vertex_rejected(self, dims, alpha1):
+        with pytest.raises(ValueError, match="expected a"):
+            qv.Representation(cubics.build("d4hat"), dims, {"alpha1": alpha1})
+
+    def test_wrong_shaped_morphism_block_rejected(self):
+        S1 = cubics.build("d4hat").simple("1")
+        with pytest.raises(ValueError, match="expected a 0x0 matrix"):
+            qv.RepMorphism(S1, S1, {"1": [[2]], "5": [[7, 7]]})
 
     def test_violating_maps_rejected(self):
         bq = cubics.build("two_vertex_pair")

@@ -21,7 +21,7 @@ small_matrices = st.integers(1, 5).flatmap(
 def test_nullspace_vectors_annihilate(rows):
     A = rl.mat(rows)
     n = len(A[0])
-    for vec in rl.nullspace(A, n):
+    for vec in rl.nullspace(A):
         assert all(sum(r[j] * vec[j] for j in range(n)) == 0 for r in A)
 
 
@@ -30,18 +30,18 @@ def test_nullspace_vectors_annihilate(rows):
 def test_rank_nullity(rows):
     A = rl.mat(rows)
     n = len(A[0])
-    assert rl.rank(A, n) + len(rl.nullspace(A, n)) == n
+    assert rl.rank(A) + len(rl.nullspace(A)) == n
 
 
 def test_rref_known():
     R, pivots = rl.rref(rl.mat([[2, 4], [1, 2]]))
     assert pivots == [0]
-    assert R == [[Fraction(1), Fraction(2)]]
+    assert R == rl.mat([[Fraction(1), Fraction(2)]])
 
 
 def test_solve_and_inverse():
     A = rl.mat([[2, 1], [1, 1]])
-    X = rl.solve(A, rl.identity(2), 2)
+    X = rl.solve(A, rl.identity(2))
     assert rl.matmul(A, X) == rl.identity(2)
     assert rl.inverse(A) == X
     assert rl.inverse(rl.mat([[1, 2], [2, 4]])) is None
@@ -49,27 +49,27 @@ def test_solve_and_inverse():
 
 def test_solve_inconsistent():
     A = rl.mat([[1, 0], [1, 0]])
-    assert rl.solve(A, rl.mat([[1], [2]]), 2) is None
+    assert rl.solve(A, rl.mat([[1], [2]])) is None
 
 
 def test_column_space_and_quotient():
     B = rl.mat([[1, 2], [0, 0], [2, 4]])
-    basis, pivots = rl.column_space_basis(B, 2)
+    basis, pivots = rl.column_space_basis(B)
     assert pivots == [0]
-    proj, section = rl.quotient_maps(B, 3, 2)
+    proj, section = rl.quotient_maps(B)
     assert len(proj) == 2
     assert rl.matmul(proj, basis) == rl.zeros(2, 1)
     assert rl.matmul(proj, section) == rl.identity(2)
 
 
 def test_quotient_by_zero_subspace_is_identity():
-    proj, section = rl.quotient_maps(rl.zeros(3, 2), 3, 2)
+    proj, section = rl.quotient_maps(rl.zeros(3, 2))
     assert len(proj) == 3
     assert rl.matmul(proj, section) == rl.identity(3)
 
 
 def test_minimal_polynomial_examples():
-    assert rl.minimal_polynomial([[Fraction(5)]]) == [Fraction(-5), Fraction(1)]
+    assert rl.minimal_polynomial(rl.mat([[Fraction(5)]])) == [Fraction(-5), Fraction(1)]
     # projection: t^2 - t
     P = rl.mat([[1, 0], [0, 0]])
     assert rl.minimal_polynomial(P) == [Fraction(0), Fraction(-1), Fraction(1)]
@@ -166,16 +166,16 @@ def matrices_of(m, n, cells=entries):
 @settings(max_examples=80, deadline=None)
 def test_matmul_matches_fraction_reference(pair):
     A, B = pair
-    C = rl.matmul(A, B)
-    assert C == ref_matmul(A, B)
+    C = rl.matmul(rl.mat(A), rl.mat(B))
+    assert C == rl.mat(ref_matmul(A, B))
     assert all(type(x) is Fraction for row in C for x in row)
 
 
 def test_matmul_shape_errors_kept():
     with pytest.raises(ValueError, match="shape mismatch"):
-        rl.matmul([[1, 2]], [[1]])
-    with pytest.raises(ValueError, match="inner dimension 0"):
-        rl.matmul([[]], [])
+        rl.matmul(rl.mat([[1, 2]]), rl.mat([[1]]))
+    # inner dimension 0: the defined 1 x n zero product
+    assert rl.matmul(rl.mat([[]]), rl.mat([], 0, 3)) == rl.zeros(1, 3)
 
 
 @given(st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
@@ -183,7 +183,7 @@ def test_matmul_shape_errors_kept():
 @settings(max_examples=80, deadline=None)
 def test_nullspace_against_reference_rank(A):
     n = len(A[0])
-    kernel = rl.nullspace(A, n)
+    kernel = rl.nullspace(rl.mat(A))
     assert len(kernel) == n - ref_rank(A)
     for vec in kernel:
         assert all(type(x) is Fraction for x in vec)
@@ -202,10 +202,65 @@ def test_minimal_polynomial_of_blocks(blocks, repeat_first):
         blocks = blocks + [blocks[0]]  # shared eigenvalues across blocks
     full = ref_block_diag(blocks)
     expected = ref_minimal_polynomial(full)
-    assert rl.minimal_polynomial(*blocks) == expected
-    assert rl.minimal_polynomial(full) == expected
+    assert rl.minimal_polynomial(*map(rl.mat, blocks)) == expected
+    assert rl.minimal_polynomial(rl.mat(full)) == expected
 
 
 def test_minimal_polynomial_of_empty_blocks():
-    assert rl.minimal_polynomial([], []) == [Fraction(1)]
-    assert rl.minimal_polynomial([], [[Fraction(3)]], []) == [Fraction(-3), Fraction(1)]
+    assert rl.minimal_polynomial(rl.mat([]), rl.mat([])) == [Fraction(1)]
+    assert rl.minimal_polynomial(rl.mat([]), rl.mat([[Fraction(3)]]), rl.mat([])) == [Fraction(-3), Fraction(1)]
+
+
+# -- shapes with zero dimensions --------------------------------------------
+
+small_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+def shaped_pair(s):
+    m, k, n = s
+    return st.tuples(st.just(s), matrices_of(m, k, small_entries), matrices_of(k, n, small_entries))
+
+
+@given(shapes.flatmap(shaped_pair))
+@settings(max_examples=120, deadline=None)
+def test_zero_dimension_shapes(case):
+    (m, k, n), a, b = case
+    A, B = rl.mat(a, m, k), rl.mat(b, k, n)
+
+    C = rl.matmul(A, B)
+    assert (C.rows, C.cols) == (m, n)
+    assert C.data == [[sum((Fraction(a[i][j]) * Fraction(b[j][l]) for j in range(k)), Fraction(0))
+                       for l in range(n)] for i in range(m)]
+
+    D = rl.block_diag(A, B)
+    assert (D.rows, D.cols) == (m + k, k + n)
+    assert D.data == [[Fraction(x) for x in row] + [Fraction(0)] * n for row in a] + [
+        [Fraction(0)] * k + [Fraction(x) for x in row] for row in b]
+
+    N = rl.nullspace(A)
+    assert (N.rows, N.cols) == (k - ref_rank(a), k)
+    assert rl.matmul(A, rl.transpose(N)) == rl.zeros(m, N.rows)
+
+    X = rl.solve(A, C)  # consistent by construction
+    assert X is not None and (X.rows, X.cols) == (k, n)
+    assert rl.matmul(A, X) == C
+
+    proj, section = rl.quotient_maps(A)
+    q = m - ref_rank(a)
+    assert (proj.rows, proj.cols) == (q, m) and (section.rows, section.cols) == (m, q)
+    assert rl.matmul(proj, A) == rl.zeros(q, k)
+    assert rl.matmul(proj, section) == rl.identity(q)
+
+
+def test_mat_checks_the_shape():
+    assert rl.mat([], 0, 3) == rl.zeros(0, 3)
+    assert rl.mat([[], []], 2, 0) == rl.zeros(2, 0)
+    assert rl.zeros(0, 3) != rl.zeros(3, 0) and rl.zeros(0, 3) != rl.zeros(0, 2)
+    for rows, m, n in (([[1, 2]], 0, 2), ([], 2, 0), ([[1, 2], [3]], 2, 2), ([[1]], 1, 2)):
+        with pytest.raises(ValueError, match="expected a"):
+            rl.mat(rows, m, n)
+    Z = rl.zeros(2, 3)
+    assert rl.mat(Z, 2, 3) is Z  # a Mat of the right shape passes through
+    with pytest.raises(ValueError, match="expected a 3x2 matrix"):
+        rl.mat(Z, 3, 2)
