@@ -53,7 +53,6 @@ from .quiver import (
     RelationSet,
     RepMorphism,
     Representation,
-    UndecidedIsomorphism,
     cokernel,
     decompose,
     decompose_certified,

@@ -270,11 +270,6 @@ def local_cohomology_is_extension(name: str, support: str, k: int) -> bool:
     return bool(entry and entry[1])
 
 
-def local_cohomology_entries() -> tuple[tuple[str, str, int], ...]:
-    """Keys of all non-zero recorded local cohomology groups."""
-    return tuple(sorted(_LOCAL_COHOMOLOGY))
-
-
 COMPOSITION_SERIES_FACTORS = {fact.ambient: fact.factors for fact in COMPOSITION_SERIES}
 
 

@@ -309,8 +309,7 @@ def random_big_component_rep(rng: random.Random, max_outer: int = 3,
 
 
 def check_tame_classification(samples: int = 100, max_outer: int = 3,
-                              max_center: int = 6, seed: int = 0,
-                              trials: int = 40) -> dict:
+                              max_center: int = 6, seed: int = 0) -> dict:
     """Randomized check that big-component indecomposables fall into the
     three classified cases.
 
@@ -334,7 +333,7 @@ def check_tame_classification(samples: int = 100, max_outer: int = 3,
     }
     for k in range(samples):
         V = random_big_component_rep(rng, max_outer, max_center)
-        for W, certified in decompose_certified(V, seed=seed * 100003 + k, trials=trials):
+        for W, certified in decompose_certified(V, seed=seed * 100003 + k):
             report["summands"] += 1
             if not certified:
                 report["inconclusive"] += 1

@@ -15,15 +15,16 @@ and injective representations, morphism spaces by solving the exact
 intertwining equations, kernels, images and cokernels with their
 induced maps, the semisimple dimension of endomorphism algebras (rank
 of the trace form of V as an End(V)-module, valid in characteristic
-zero), and decompositions into indecomposables by splitting along
-coprime factors of minimal polynomials of endomorphisms.
-Indecomposability is certified only in the absolutely indecomposable
-case End/rad of dimension one; otherwise the verdict is "inconclusive"
-by design.
+zero), exact isomorphism tests (ranks of the trace pairings of the hom
+spaces, see is_isomorphic), and decompositions into indecomposables by
+splitting along coprime factors of minimal polynomials of
+endomorphisms.  Indecomposability is certified only in the absolutely
+indecomposable case End/rad of dimension one; otherwise the verdict is
+"inconclusive" by design.
 
-All randomized steps take explicit seeds and every randomized
-conclusion is re-verified deterministically (exact rank checks,
-relation checks), so runs are reproducible.
+The split search is the only randomized step: it takes an explicit
+seed, and every split it finds is re-verified deterministically (exact
+kernels that must fill V, relation checks), so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ Path = tuple[str, ...]  # arrow names in traversal order; () is a trivial path
 
 class NonAdmissibleError(ValueError):
     """Nonzero paths persist at the configured length bound."""
-
-
-class UndecidedIsomorphism(RuntimeError):
-    """The randomized isomorphism search exhausted its retries."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +66,9 @@ class Quiver:
             if a.source not in vs or a.target not in vs:
                 raise ValueError(f"arrow {a.name} has endpoints outside the vertex set")
 
-    def arrow(self, name: str) -> Arrow:
-        return self._by_name[name]
-
     @property
     def _by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
-
-    def arrows_from(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
 
     def arrow_count(self, x: str, y: str) -> int:
         """Number of arrows x -> y (the Ext^1 dimension between the simples)."""
@@ -308,8 +299,9 @@ class Representation:
     """Vector spaces at the vertices, exact rational matrices on the arrows.
 
     maps[arrow] has shape (dim target) x (dim source), also when a
-    dimension is 0; omitted arrows default to zero.  The shapes and the
-    relations are checked on construction.
+    dimension is 0; omitted arrows default to zero.  The vertex and
+    arrow names, the shapes and the relations are checked on
+    construction.
     """
 
     bq: BoundQuiver
@@ -321,6 +313,9 @@ class Representation:
         unknown = set(self.dims) - set(q.vertices)
         if unknown:
             raise ValueError(f"dimensions for unknown vertices: {sorted(unknown)}")
+        unknown = set(self.maps) - {a.name for a in q.arrows}
+        if unknown:
+            raise ValueError(f"maps for unknown arrows: {sorted(unknown)}")
         self.dims = {v: int(self.dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
@@ -369,7 +364,11 @@ class Representation:
 
 @dataclass
 class RepMorphism:
-    """Vertexwise matrices intertwining two representations of one quiver."""
+    """Vertexwise matrices intertwining two representations of one quiver.
+
+    Omitted vertices default to zero blocks; unknown vertex names, wrong
+    shapes and blocks that do not intertwine raise ValueError.
+    """
 
     source: Representation
     target: Representation
@@ -377,6 +376,9 @@ class RepMorphism:
 
     def __post_init__(self):
         q = self.source.bq.quiver
+        unknown = set(self.blocks) - set(q.vertices)
+        if unknown:
+            raise ValueError(f"blocks for unknown vertices: {sorted(unknown)}")
         normalized = {}
         for v in q.vertices:
             m, n = self.target.dims[v], self.source.dims[v]
@@ -521,80 +523,44 @@ def conjugate(V: Representation, seed: int = 0) -> Representation:
     return Representation(V.bq, dict(V.dims), maps)
 
 
-def _module_trace_gram(basis: list[RepMorphism]) -> rl.Mat:
-    """Gram matrix of (f, g) -> tr_V(f∘g) on a basis of End(V).
+def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
+    """Gram matrix of (f, g) -> tr(f∘g) for f in fs (X -> Y) and g in gs (Y -> X).
 
-    In characteristic zero this pairing has radical exactly rad End(V)
-    (V is a faithful End(V)-module whose composition factors exhaust the
-    simple factors of End/rad), so it certifies semisimple dimension
-    without structure constants.
+    tr(f∘g) = tr(g∘f), so the trace may be read over X or over Y.
     """
+    if not fs or not gs:
+        return rl.zeros(len(fs), len(gs))
     # tr(f∘g) = sum over vertices and (r, c) of f[r][c] * g[c][r]: the product
     # of the row-major flattening of f with the column-major flattening of g
-    verts = basis[0].source.bq.quiver.vertices
-    flat = [[x for v in verts for row in b.blocks[v] for x in row] for b in basis]
-    flat_t = [[x for v in verts for col in zip(*b.blocks[v]) for x in col] for b in basis]
+    verts = fs[0].source.bq.quiver.vertices
+    flat = [[x for v in verts for row in f.blocks[v] for x in row] for f in fs]
+    flat_t = [[x for v in verts for col in zip(*g.blocks[v]) for x in col] for g in gs]
     size = len(flat[0])
-    return rl.matmul(rl.Mat(len(basis), size, flat), rl.transpose(rl.Mat(len(basis), size, flat_t)))
+    return rl.matmul(rl.Mat(len(fs), size, flat), rl.transpose(rl.Mat(len(gs), size, flat_t)))
 
 
 def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -> int:
-    """dim(End(V)/rad) via the module trace form; 1 certifies indecomposability."""
+    """dim(End(V)/rad) via the module trace form; 1 certifies indecomposability.
+
+    In characteristic zero the pairing (f, g) -> tr_V(f∘g) on End(V) has
+    radical exactly rad End(V) (V is a faithful End(V)-module whose
+    composition factors exhaust the simple factors of End/rad), so its
+    rank is the semisimple dimension, without structure constants.
+    """
     if basis is None:
         basis = hom_basis(V, V)
-    if not basis:
-        return 0
-    return rl.rank(_module_trace_gram(basis))
+    return rl.rank(_trace_pairing(basis, basis))
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_pow(p: list[Fraction], e: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _factor_rational(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Irreducible factors over Q of a monic polynomial (low-to-high coeffs)."""
+def _factor_rational(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    """Monic prime-power factors over Q of a monic polynomial (low-to-high coeffs)."""
     from sympy import Poly, Rational, Symbol
 
     t = Symbol("t")
     poly = Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ")
     _, factors = poly.factor_list()
-    out = []
-    for f, e in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        lead = cs[-1]
-        if lead != 1:
-            cs = [c / lead for c in cs]
-        out.append((cs, int(e)))
-    return out
-
-
-def _is_central_scalar(phi: RepMorphism) -> bool:
-    c = None
-    for v in phi.source.bq.quiver.vertices:
-        d = phi.source.dims[v]
-        block = phi.blocks[v]
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    if c is None:
-                        c = block[i][j]
-                    elif block[i][j] != c:
-                        return False
-                elif block[i][j] != 0:
-                    return False
-    return True
+    return [[Fraction(c.p, c.q) for c in reversed((f.monic() ** e).all_coeffs())]
+            for f, e in factors]
 
 
 def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
@@ -607,29 +573,29 @@ def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
     return out
 
 
-def _split_candidates(V: Representation, basis: list[RepMorphism],
-                      rng: random.Random, trials: int):
-    for b in basis:
-        if not _is_central_scalar(b):
-            yield b
+#: random endomorphisms a split attempt tries after the basis elements
+SPLIT_TRIALS = 40
+
+
+def _split_candidates(V: Representation, basis: list[RepMorphism], rng: random.Random):
+    yield from basis
     d = len(basis)
-    for _ in range(trials):
+    for _ in range(SPLIT_TRIALS):
         blocks = _combination(basis, [Fraction(rng.randint(-5, 5)) for _ in range(d)])
         if blocks is not None:
             yield RepMorphism(V, V, blocks)
 
 
-def _try_split(V: Representation, basis: list[RepMorphism], rng: random.Random,
-               trials: int) -> list[Representation] | None:
+def _try_split(V: Representation, basis: list[RepMorphism],
+               rng: random.Random) -> list[Representation] | None:
     """Proper subrepresentations summing to V, or None if no split was found."""
-    for phi in _split_candidates(V, basis, rng, trials):
+    for phi in _split_candidates(V, basis, rng):
         mp = rl.minimal_polynomial(*(phi.blocks[v] for v in V.bq.quiver.vertices))
         factors = _factor_rational(mp)
         if len(factors) < 2:
             continue
         parts = []
-        for p, e in factors:
-            power = _poly_pow(p, e)
+        for power in factors:
             blocks = {v: rl.eval_poly(power, phi.blocks[v]) for v in V.bq.quiver.vertices}
             sub, _ = kernel(RepMorphism(V, V, blocks))
             parts.append(sub)
@@ -639,8 +605,7 @@ def _try_split(V: Representation, basis: list[RepMorphism], rng: random.Random,
     return None
 
 
-def decompose_certified(V: Representation, seed: int = 0,
-                        trials: int = 40) -> list[tuple[Representation, bool]]:
+def decompose_certified(V: Representation, seed: int = 0) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
     Splits repeatedly along coprime factors of minimal polynomials of
@@ -660,7 +625,7 @@ def decompose_certified(V: Representation, seed: int = 0,
         if len(basis) == 1 or semisimple_rank(cur, basis) == 1:
             out.append((cur, True))
             continue
-        parts = _try_split(cur, basis, rng, trials)
+        parts = _try_split(cur, basis, rng)
         if parts is None:
             out.append((cur, False))
         else:
@@ -668,74 +633,63 @@ def decompose_certified(V: Representation, seed: int = 0,
     return out
 
 
-def decompose(V: Representation, seed: int = 0, trials: int = 40) -> list[Representation]:
-    return [rep for rep, _ in decompose_certified(V, seed, trials)]
+def decompose(V: Representation, seed: int = 0) -> list[Representation]:
+    return [rep for rep, _ in decompose_certified(V, seed)]
 
 
-def is_indecomposable(V: Representation, seed: int = 0, trials: int = 40) -> str:
-    """'yes', 'no', or 'inconclusive' (End/rad too big but no split found)."""
-    if V.total_dim() == 0:
+def is_indecomposable(V: Representation, seed: int = 0) -> str:
+    """'yes', 'no', or 'inconclusive' (End/rad too big but no split found).
+
+    Read off decompose_certified: no summand (V = 0) or several give
+    "no", one certified summand "yes", one uncertified "inconclusive".
+    """
+    summands = decompose_certified(V, seed)
+    if len(summands) != 1:
         return "no"
-    basis = hom_basis(V, V)
-    if len(basis) == 1 or semisimple_rank(V, basis) == 1:
-        return "yes"
-    if _try_split(V, basis, random.Random(seed), trials) is not None:
-        return "no"
-    return "inconclusive"
+    return "yes" if summands[0][1] else "inconclusive"
 
 
-def _blocks_invertible(V: Representation, blocks: dict[str, rl.Mat]) -> bool:
-    return all(rl.rank(blocks[v]) == V.dims[v] for v in V.bq.quiver.vertices)
+def is_isomorphic(V: Representation, W: Representation) -> bool:
+    """Whether V and W are isomorphic, decided exactly from trace forms.
 
+    Criterion: V ≅ W if and only if ssr(V) + ssr(W) = 2 * rank(B), where
+    ssr is semisimple_rank and B is the Gram matrix of the pairing
+    (f, g) -> tr_V(g∘f) for f in a basis of Hom(V, W) and g in a basis
+    of Hom(W, V).
 
-def is_isomorphic(V: Representation, W: Representation, seed: int = 0,
-                  trials: int = 60) -> bool:
-    """Whether V and W are isomorphic, by searching Hom(V, W) for an
-    invertible element.
+    Proof.  By Krull-Schmidt write V ≅ ⊕ X_i^{m_i} and W ≅ ⊕ X_i^{n_i}
+    with pairwise non-isomorphic indecomposables X_i.  Each End(X_i) is
+    local; let D_i = End(X_i)/rad, a division algebra, and
+    d_i = dim_Q D_i.
 
-    Dimension vectors, arrow ranks and hom dimensions give fast decisive
-    negatives.  For hom spaces of dimension <= 2 the search is exhaustive
-    (the vertexwise determinants form a polynomial identity tested on
-    enough points), so the answer is decisive; beyond that a seeded
-    randomized search is used and exhaustion raises UndecidedIsomorphism
-    rather than answering falsely.
+    1. The pairing vanishes when f or g lies in the radical of the
+       category: then g∘f lies in rad End(V), a nilpotent ideal, so g∘f
+       is nilpotent and has trace 0.  The pairing therefore factors
+       through Hom(V, W)/rad × Hom(W, V)/rad, which is
+       ⊕_i M_{n_i×m_i}(D_i) × M_{m_i×n_i}(D_i); pieces with different i
+       compose to zero.
+    2. Filter X_i by the submodules rad^k End(X_i) · X_i.  End(X_i) acts
+       on each layer through D_i, and each layer is a free D_i-module,
+       so tr_{X_i}(φ) = r_i · T_i(φ mod rad), with r_i = dim_{D_i} X_i
+       = dim_Q X_i / d_i ≥ 1 and T_i the regular trace of D_i over Q.
+       Summed over the diagonal of V, the pairing is
+       Σ_i r_i · T_i(tr G_i F_i) on the pieces (F_i, G_i).
+    3. T_i is nondegenerate in characteristic 0, since
+       T_i(x · x⁻¹) = T_i(1) = d_i ≠ 0.  If F_i has an entry x ≠ 0 at
+       (a, b), then G_i = x⁻¹ E_{ba} pairs with F_i to r_i · d_i ≠ 0.
+       So the i-th piece is a nondegenerate pairing of two spaces of
+       dimension m_i n_i d_i, and rank(B) = Σ_i m_i n_i d_i.
+    4. For W = V this is the form semisimple_rank uses, so
+       ssr(V) = Σ_i m_i² d_i and ssr(W) = Σ_i n_i² d_i.  Hence
+       ssr(V) + ssr(W) − 2 rank(B) = Σ_i d_i (m_i − n_i)², which is zero
+       exactly when m_i = n_i for every i, that is, when V ≅ W.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
     if V.dim_vector() != W.dim_vector():
         return False
-    if V.total_dim() == 0:
-        return True
-    for a in V.bq.quiver.arrows:
-        if V.arrow_rank(a.name) != W.arrow_rank(a.name):
-            return False
-    basis = hom_basis(V, W)
-    if not basis:
-        return False
-    if len(hom_basis(W, V)) != len(basis):
-        return False
-    for b in basis:
-        if _blocks_invertible(V, b.blocks):
-            return True
-    h = len(basis)
-    if h == 1:
-        return False  # every multiple of the single generator is singular too
-    if h == 2:
-        degree = V.total_dim()
-        for k in range(degree + 1):
-            blocks = _combination(basis, [Fraction(1), Fraction(k)])
-            if _blocks_invertible(V, blocks):
-                return True
-        return False  # det(f + t g) vanishes identically, and g alone was singular
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(h)]
-        blocks = _combination(basis, coeffs)
-        if blocks is not None and _blocks_invertible(V, blocks):
-            return True
-    raise UndecidedIsomorphism(
-        f"no invertible element found in a {h}-dimensional hom space after {trials} trials"
-    )
+    pairing = _trace_pairing(hom_basis(V, W), hom_basis(W, V))
+    return semisimple_rank(V) + semisimple_rank(W) == 2 * rl.rank(pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +699,6 @@ def is_isomorphic(V: Representation, W: Representation, seed: int = 0,
 # key or an unknown named quiver) on anything else.
 
 _EXACT_ENTRY = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _is_int(x) -> bool:
@@ -779,7 +729,7 @@ def quiver_to_dict(bq: BoundQuiver) -> dict:
         "vertices": list(bq.quiver.vertices),
         "arrows": [[a.name, a.source, a.target] for a in bq.quiver.arrows],
         "relations": [
-            [[_fraction_str(c), list(p)] for c, p in rel] for rel in bq.relations.relations
+            [[str(c), list(p)] for c, p in rel] for rel in bq.relations.relations
         ],
         "max_path_length": bq.relations.bound(bq.quiver),
     }
@@ -818,7 +768,7 @@ def rep_to_dict(V: Representation) -> dict:
         "maps": {},
     }
     for a in V.bq.quiver.arrows:
-        out["maps"][a.name] = [[_fraction_str(x) for x in row] for row in V.maps[a.name]]
+        out["maps"][a.name] = [[str(x) for x in row] for row in V.maps[a.name]]
     return out
 
 
@@ -839,9 +789,6 @@ def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = Non
     if not isinstance(rows_of, dict) or not all(
             _is_list_of(rows, lambda row: isinstance(row, list)) for rows in rows_of.values()):
         raise ValueError('"maps" must map each arrow to a list of rows')
-    unknown = set(rows_of) - {a.name for a in bq.quiver.arrows}
-    if unknown:
-        raise ValueError(f"maps for unknown arrows: {sorted(unknown)}")
     maps = {name: [[_fraction_from(x) for x in row] for row in rows]
             for name, rows in rows_of.items()}
     return Representation(bq, dims, maps)

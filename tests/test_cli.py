@@ -1,11 +1,15 @@
 """Command-line surface tests: parsing, output formats, exit codes,
 representation files."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from binarycubics import cli, cubics, quiver as qv
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded.json"
 
 
 def run(capsys, *argv):
@@ -129,7 +133,8 @@ def test_rep_bad_json(tmp_path, capsys):
 def test_verify_loccoh_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "loccoh")
     assert code == 0
-    assert "FAIL" not in out
+    assert "FAIL" not in out and "INCONCLUSIVE" not in out
+    assert "suite loccoh:" in out
 
 
 def test_verify_json_schema(capsys):
@@ -143,11 +148,14 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_all_suites_exit_zero(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "all")
+    # the fixed-seed JSON output is byte-identical to the recorded answers
+    code, out, _ = run(capsys, "--format", "json", "--seed", "0", "verify", "--suite", "all")
     assert code == 0
-    assert "FAIL" not in out and "INCONCLUSIVE" not in out
-    for suite in ("characters", "quiver", "loccoh", "tame"):
-        assert f"suite {suite}:" in out
+    recorded = json.loads(RECORDED.read_text())["verify_seed0_json_sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded
+    reports = json.loads(out)["reports"]
+    assert [r["suite"] for r in reports] == ["characters", "quiver", "loccoh", "tame"]
+    assert all(c["status"] == "pass" for r in reports for c in r["checks"])
 
 
 def test_verify_exit_codes_for_nonpass_reports(capsys, monkeypatch):

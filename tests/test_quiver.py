@@ -337,6 +337,85 @@ class TestIsIsomorphic:
         assert not qv.is_isomorphic(cubics.rn_family(1, 0), cubics.rn_family(1, 1))
         assert qv.hom_dim(cubics.rn_family(1, 0), cubics.rn_family(1, 1)) == 0
 
+    def test_multiplicities_decide(self):
+        # same dimension vectors, arrow ranks and 4-dimensional hom spaces
+        R = cubics.rn_family
+        V = qv.direct_sum(qv.direct_sum(R(1, 2), R(1, 2)), R(1, 3))
+        W = qv.direct_sum(qv.direct_sum(R(1, 2), R(1, 3)), R(1, 3))
+        assert qv.hom_dim(V, W) == qv.hom_dim(W, V) == 4
+        assert not qv.is_isomorphic(V, W)
+        assert not qv.is_isomorphic(W, V)
+        # ssr(V) equals rank(B) here, so only the two-sided sum decides
+        assert not qv.is_isomorphic(qv.direct_sum(R(1, 2), R(1, 3)),
+                                    qv.direct_sum(R(1, 2), R(1, 2)))
+        permuted = qv.direct_sum(qv.direct_sum(R(1, 3), R(1, 2)), R(1, 2))
+        assert qv.is_isomorphic(V, qv.conjugate(permuted, seed=4))
+
+    def test_end_mod_rad_a_quadratic_field(self):
+        # alpha4 = [I; C] with C the companion matrix of t^2 + c: End = Q[C],
+        # a field of degree 2 for c = 1, 2, so the rep is indecomposable and
+        # not absolutely indecomposable
+        def quadratic(c):
+            I, Z = rl.identity(2), rl.zeros(2, 2)
+            C = rl.mat([[0, -c], [1, 0]])
+            maps = {"alpha1": rl.vstack(I, Z), "alpha2": rl.vstack(Z, I),
+                    "alpha3": rl.vstack(I, I), "alpha4": rl.vstack(I, C)}
+            dims = {"1": 2, "2": 2, "3": 2, "4": 2, "5": 4}
+            return qv.Representation(cubics.build("d4hat"), dims, maps)
+
+        Vi, V2 = quadratic(1), quadratic(2)
+        assert qv.semisimple_rank(Vi) == 2
+        assert qv.is_indecomposable(Vi) == "inconclusive"
+        assert qv.is_isomorphic(Vi, qv.conjugate(Vi, seed=5))
+        assert not qv.is_isomorphic(Vi, V2)
+        assert not qv.is_isomorphic(qv.direct_sum(Vi, Vi), qv.direct_sum(Vi, V2))
+        assert qv.is_isomorphic(qv.direct_sum(Vi, V2), qv.direct_sum(V2, qv.conjugate(Vi, 6)))
+
+    def test_random_big_component_reps(self):
+        rng = random.Random(17)
+        reps = [cubics.random_big_component_rep(rng, max_outer=1, max_center=2)
+                for _ in range(60)]
+        verdicts = {True: 0, False: 0}
+        for k, V in enumerate(reps):
+            assert qv.is_isomorphic(V, qv.conjugate(V, seed=k))
+            for W in reps[k + 1:]:
+                if V.dim_vector() != W.dim_vector():
+                    continue
+                verdict = qv.is_isomorphic(V, W)
+                verdicts[verdict] += 1
+                assert qv.is_isomorphic(W, V) == verdict
+                # an invertible element of Hom(V, W) is an independent witness
+                assert _invertible_hom_found(V, W, random.Random(k)) == verdict
+        assert verdicts[True] >= 5 and verdicts[False] >= 5, verdicts
+
+    def test_is_indecomposable_reads_decompose_certified(self):
+        rng = random.Random(23)
+        seen = set()
+        for k in range(16):
+            V = cubics.random_big_component_rep(rng, max_outer=1, max_center=2)
+            summands = qv.decompose_certified(V, seed=k)
+            expected = ("no" if len(summands) != 1
+                        else "yes" if summands[0][1] else "inconclusive")
+            assert qv.is_indecomposable(V, seed=k) == expected
+            seen.add(expected)
+        assert seen == {"yes", "no"}
+
+
+def _invertible_hom_found(V, W, rng, tries=30):
+    """Whether a random combination of a basis of Hom(V, W) is invertible."""
+    if V.total_dim() == 0:
+        return True
+    basis = qv.hom_basis(V, W)
+    verts = V.bq.quiver.vertices
+    for _ in range(tries):
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+        blocks = {v: rl.zeros(W.dims[v], V.dims[v]) for v in verts}
+        for c, b in zip(coeffs, basis):
+            blocks = {v: rl.mat_add(blocks[v], rl.scale(b.blocks[v], c)) for v in verts}
+        if all(rl.rank(blocks[v]) == V.dims[v] for v in verts):
+            return True
+    return False
+
 
 class TestRepresentationFiles:
     def test_round_trip_named_quiver(self):
@@ -386,6 +465,15 @@ class TestRepresentationFiles:
         S1 = cubics.build("d4hat").simple("1")
         with pytest.raises(ValueError, match="expected a 0x0 matrix"):
             qv.RepMorphism(S1, S1, {"1": [[2]], "5": [[7, 7]]})
+
+    def test_unknown_arrow_rejected(self):
+        with pytest.raises(ValueError, match=r"maps for unknown arrows: \['alpha9'\]"):
+            qv.Representation(cubics.build("d4hat"), {"1": 1, "5": 1}, {"alpha9": [[5]]})
+
+    def test_unknown_morphism_vertex_rejected(self):
+        S1 = cubics.build("d4hat").simple("1")
+        with pytest.raises(ValueError, match=r"blocks for unknown vertices: \['zz'\]"):
+            qv.RepMorphism(S1, S1, {"zz": [[3]]})
 
     def test_violating_maps_rejected(self):
         bq = cubics.build("two_vertex_pair")
