@@ -33,6 +33,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import ratlinalg as rl
 
@@ -367,7 +368,10 @@ class RepMorphism:
     """Vertexwise matrices intertwining two representations of one quiver.
 
     Omitted vertices default to zero blocks; unknown vertex names, wrong
-    shapes and blocks that do not intertwine raise ValueError.
+    shapes and blocks that do not intertwine raise ValueError.  The
+    elements of hom_basis are built by _intertwining, which skips only
+    the intertwining check: hom_basis has already checked every element
+    exactly against the intertwining equations, which is the same check.
     """
 
     source: Representation
@@ -375,6 +379,16 @@ class RepMorphism:
     blocks: dict[str, rl.Mat]
 
     def __post_init__(self):
+        self._normalize_blocks()
+        V, W = self.source, self.target
+        for a in V.bq.quiver.arrows:
+            x, y = a.source, a.target
+            left = rl.matmul(self.blocks[y], V.maps[a.name])
+            right = rl.matmul(W.maps[a.name], self.blocks[x])
+            if left != right:
+                raise ValueError(f"blocks do not intertwine along arrow {a.name}")
+
+    def _normalize_blocks(self):
         q = self.source.bq.quiver
         unknown = set(self.blocks) - set(q.vertices)
         if unknown:
@@ -385,13 +399,15 @@ class RepMorphism:
             given = self.blocks.get(v)
             normalized[v] = rl.mat(given, m, n) if given is not None else rl.zeros(m, n)
         self.blocks = normalized
-        V, W = self.source, self.target
-        for a in q.arrows:
-            x, y = a.source, a.target
-            left = rl.matmul(self.blocks[y], V.maps[a.name])
-            right = rl.matmul(W.maps[a.name], self.blocks[x])
-            if left != right:
-                raise ValueError(f"blocks do not intertwine along arrow {a.name}")
+
+    @classmethod
+    def _intertwining(cls, V: Representation, W: Representation,
+                      blocks: dict[str, rl.Mat]) -> "RepMorphism":
+        """The morphism with blocks already known to intertwine V and W."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.blocks = V, W, blocks
+        f._normalize_blocks()
+        return f
 
 
 def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
@@ -410,31 +426,49 @@ def _offsets(V: Representation, W: Representation) -> tuple[dict[str, int], int]
 
 
 def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
-    """Basis of Hom(V, W), by exact solution of the intertwining system."""
+    """Basis of Hom(V, W), by exact solution of the intertwining system.
+
+    The unknowns are the entries of the blocks f_v, vertex by vertex and
+    row-major; each arrow a: x -> y gives one equation per entry of
+    f_y V(a) - W(a) f_x.  The equations go to rl.kernel_basis as sparse
+    integer rows (each cleared of its denominators), and kernel_basis
+    checks every basis vector exactly against every row.  That check is
+    the intertwining equation, so the elements are built without
+    RepMorphism's own check of it.  The basis is the one read off the
+    reduced echelon form of the system, which is unique: it does not
+    depend on how the elimination runs.
+    """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
     offs, total = _offsets(V, W)
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    rows: list[rl.Row] = []
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
-        Va, Wa = V.maps[a.name], W.maps[a.name]
-        for i in range(W.dims[y]):
-            for j in range(V.dims[x]):
-                row = [zero] * total
-                for k in range(V.dims[y]):
-                    row[offs[y] + i * V.dims[y] + k] += Va[k][j]
-                for k in range(W.dims[x]):
-                    row[offs[x] + k * V.dims[x] + j] -= Wa[i][k]
-                rows.append(row)
+        dvx, dvy = V.dims[x], V.dims[y]
+        va_cols = [rl.cleared(col) for col in rl.transpose(V.maps[a.name])]
+        for i, wa_row in enumerate(W.maps[a.name]):
+            wa_ints, wa_den = rl.cleared(wa_row)
+            for j, (va_ints, va_den) in enumerate(va_cols):
+                den = lcm(va_den, wa_den)
+                row: rl.Row = {}
+                at, scale = offs[y] + i * dvy, den // va_den
+                for k, v in enumerate(va_ints):
+                    if v:
+                        row[at + k] = scale * v
+                at, scale = offs[x] + j, den // wa_den
+                for k, v in enumerate(wa_ints):
+                    if v:
+                        row[at + k * dvx] = row.get(at + k * dvx, 0) - scale * v
+                if row:
+                    rows.append(row)
     basis = []
-    for vec in rl.nullspace(rl.Mat(len(rows), total, rows)):
+    for vec in rl.kernel_basis(rows, total):
         blocks = {}
         for v in V.bq.quiver.vertices:
             m, n = W.dims[v], V.dims[v]
             at = offs[v]
             blocks[v] = rl.Mat(m, n, [vec[at + i * n: at + (i + 1) * n] for i in range(m)])
-        basis.append(RepMorphism(V, W, blocks))
+        basis.append(RepMorphism._intertwining(V, W, blocks))
     return basis
 
 

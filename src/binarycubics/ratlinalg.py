@@ -11,12 +11,16 @@ The hot paths run on Python integers:
 - matmul clears denominators once per row of A and once per column of
   B, takes integer dot products and builds one Fraction per entry of
   the product, instead of a Fraction multiply and add per term;
-- elimination clears denominators row by row and runs a fraction-free
-  integer reduced echelon with per-row gcd normalization, which keeps
-  entry growth tame on the small dense systems that arise from quiver
-  representations;
-- nullspace reads its basis straight off the integer echelon rows, one
-  Fraction per nonzero coordinate;
+- echelon is the one elimination routine.  It takes sparse rows, each a
+  dict from column to integer, and runs a fraction-free reduced echelon
+  with pivots on the leading column, per-row gcd normalization and back
+  substitution.  The cost follows the nonzero entries, not rows x cols,
+  which matters for the wide, mostly-zero intertwining systems of hom
+  spaces; rref, rank, nullspace and solve clear the rows of their
+  matrix into it, and quiver.hom_basis hands it its equations directly;
+- kernel_basis reads a kernel basis straight off the sparse echelon
+  rows, one Fraction per nonzero coordinate, and checks every basis
+  vector against every input row with integer dot products;
 - minimal_polynomial takes a block-diagonal matrix as its diagonal
   blocks and powers each block on its own.
 """
@@ -96,7 +100,7 @@ def transpose(A: Mat) -> Mat:
     return Mat(A.cols, A.rows, [[row[j] for row in A.data] for j in range(A.cols)])
 
 
-def _cleared(entries) -> tuple[list[int], int]:
+def cleared(entries) -> tuple[list[int], int]:
     """(integers, den) with entries == integers / den, den the lcm of the denominators."""
     den = lcm(*{x.denominator for x in entries})
     if den == 1:
@@ -109,10 +113,10 @@ def matmul(A: Mat, B: Mat) -> Mat:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
     if not (A.rows and A.cols and B.cols):
         return zeros(A.rows, B.cols)
-    cols = [_cleared(col) for col in zip(*B.data)]
+    cols = [cleared(col) for col in zip(*B.data)]
     out = []
     for row in A.data:
-        ints, da = _cleared(row)
+        ints, da = cleared(row)
         out.append([Fraction(sum(map(mul, ints, cb)), da * db) for cb, db in cols])
     return Mat(A.rows, B.cols, out)
 
@@ -150,112 +154,142 @@ def is_zero(A: Mat) -> bool:
     return all(x == 0 for row in A.data for x in row)
 
 
-def _int_rows(A: list[list[Fraction]]) -> list[list[int]]:
-    rows = []
-    for row in A:
-        ints, _ = _cleared(row)
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
-    return rows
+Row = dict[int, int]
 
 
-def _normalize(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
+def _normalized(row: Row) -> Row:
+    """row with its zero entries dropped and divided by the gcd of the rest."""
+    row = {j: v for j, v in row.items() if v}
+    g = gcd(*row.values())
     if g > 1:
-        return [v // g for v in row]
+        return {j: v // g for j, v in row.items()}
     return row
 
 
-def _rref_int(rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place integer reduced echelon (rows scaled); returns pivot columns."""
-    pivots: list[int] = []
-    m = len(rows)
-    r = 0
-    for c in range(ncols):
-        best = -1
-        best_val = 0
-        for i in range(r, m):
-            v = rows[i][c]
-            if v and (best < 0 or abs(v) < best_val):
-                best, best_val = i, abs(v)
-                if best_val == 1:
-                    break
-        if best < 0:
+def _sparse_rows(A: Mat) -> list[Row]:
+    """The nonzero rows of A, each cleared of its denominators."""
+    rows = []
+    for row in A.data:
+        cols = [j for j, x in enumerate(row) if x]
+        if cols:
+            ints, _ = cleared([row[j] for j in cols])
+            rows.append(dict(zip(cols, ints)))
+    return rows
+
+
+def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
+    """Reduced row echelon form of sparse integer rows: (pivot column, row) pairs.
+
+    The pivot columns come in increasing order.  Each row is zero at
+    every pivot column but its own and gcd-normalized; dividing it by its
+    pivot entry gives the reduced echelon row over Q.  Zero rows drop out
+    and the input rows are left as they are.
+
+    The elimination is fraction-free.  Forward, each row in turn is
+    reduced on its leading column by the pivot row there until its
+    leading column is free, where it becomes a pivot row.  Back
+    substitution then clears, from the last pivot row to the first, the
+    other pivot columns of each row with the rows already reduced; since
+    those are zero at every pivot column but their own, one common
+    multiple of their pivots clears them all in one pass.  The reduced
+    echelon form of a matrix is unique, so the rows over Q and the pivots
+    do not depend on the order of the rows or on which row becomes the
+    pivot of a column: they are those of any Gauss-Jordan elimination.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = _normalized(row)
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            g = gcd(p[c], row[c])
+            a, b = p[c] // g, row[c] // g
+            out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+            for j, v in p.items():
+                out[j] = out.get(j, 0) - b * v
+            row = _normalized(out)
+    order = sorted(pivots)
+    for c in reversed(order):
+        p = pivots[c]
+        hits = [k for k in p if k != c and k in pivots]
+        if not hits:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv_row = rows[r]
-        pv = piv_row[c]
-        for i in range(m):
-            if i == r:
-                continue
-            v = rows[i][c]
-            if not v:
-                continue
-            g = gcd(pv, v)
-            a, b = pv // g, v // g
-            rows[i] = _normalize([a * x - b * y for x, y in zip(rows[i], piv_row)])
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
+        den = lcm(*(pivots[k][k] for k in hits))
+        out = {j: den * v for j, v in p.items()}
+        for k in hits:
+            q = pivots[k]
+            f = p[k] * (den // q[k])
+            for j, v in q.items():
+                out[j] = out.get(j, 0) - f * v
+        pivots[c] = _normalized(out)
+    return [(c, pivots[c]) for c in order]
+
+
+def kernel_basis(rows: list[Row], ncols: int) -> list[Vector]:
+    """Basis of {x in Q^ncols : row . x = 0 for every row}, checked exactly.
+
+    Read off the reduced echelon form: one vector per free column f,
+    with 1 at f and minus the reduced echelon entries in column f at the
+    pivot columns.  Every vector is cleared of denominators and its
+    integer dot product with every input row must vanish; ArithmeticError
+    is raised otherwise.
+    """
+    ech = echelon(rows)
+    pivot_set = {c for c, _ in ech}
+    free = [f for f in range(ncols) if f not in pivot_set]
+    at = {f: k for k, f in enumerate(free)}
+    basis = [[_ZERO] * ncols for _ in free]
+    for v, f in zip(basis, free):
+        v[f] = _ONE
+    for c, row in ech:
+        pv = row[c]
+        for f, x in row.items():
+            if f != c:
+                basis[at[f]][c] = Fraction(-x, pv)
+    for v in basis:
+        ints, _ = cleared(v)
+        for row in rows:
+            if sum(map(mul, row.values(), map(ints.__getitem__, row))):
+                raise ArithmeticError("a kernel vector fails an equation of its system")
+    return basis
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q (zero rows dropped) and pivot columns."""
-    rows = _int_rows(A.data)
-    pivots = _rref_int(rows, A.cols)
-    out = []
-    for k, c in enumerate(pivots):
-        pv = rows[k][c]
-        out.append([Fraction(x, pv) for x in rows[k]])
+    out, pivots = [], []
+    for c, row in echelon(_sparse_rows(A)):
+        pv = row[c]
+        dense = [_ZERO] * A.cols
+        for j, x in row.items():
+            dense[j] = Fraction(x, pv)
+        out.append(dense)
+        pivots.append(c)
     return Mat(len(out), A.cols, out), pivots
 
 
 def rank(A: Mat) -> int:
-    return len(rref(A)[1])
+    return len(echelon(_sparse_rows(A)))
 
 
 def nullspace(A: Mat) -> Mat:
     """Basis of the right kernel {x : A @ x = 0}, as the rows of a
     (cols - rank) x cols matrix."""
-    n = A.cols
-    rows = _int_rows(A.data)
-    pivots = _rref_int(rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for k, c in enumerate(pivots):
-            x = rows[k][f]
-            if x:
-                v[c] = Fraction(-x, rows[k][c])
-        basis.append(v)
-    return Mat(len(basis), n, basis)
+    basis = kernel_basis(_sparse_rows(A), A.cols)
+    return Mat(len(basis), A.cols, basis)
 
 
 def solve(A: Mat, B: Mat) -> Mat | None:
     """Some X with A @ X = B (free coordinates zero), or None if inconsistent."""
-    na = A.cols
-    R, pivots = rref(hstack(A, B))
-    X = zeros(na, B.cols)
-    for k, c in enumerate(pivots):
+    na, nb = A.cols, B.cols
+    X = zeros(na, nb)
+    for c, row in echelon(_sparse_rows(hstack(A, B))):
         if c >= na:
             return None
-        X.data[c] = R[k][na:]
+        pv = row[c]
+        X.data[c] = [Fraction(row[na + j], pv) if na + j in row else _ZERO for j in range(nb)]
     return X
 
 
@@ -266,7 +300,7 @@ def inverse(A: Mat) -> Mat | None:
 
 def column_space_basis(A: Mat) -> tuple[Mat, list[int]]:
     """Columns of A forming a basis of the column space, with their indices."""
-    _, pivots = rref(A)
+    pivots = [c for c, _ in echelon(_sparse_rows(A))]
     return Mat(A.rows, len(pivots), [[row[c] for c in pivots] for row in A.data]), pivots
 
 

@@ -102,6 +102,107 @@ class TestStandardModules:
         assert qv.hom_dim(s1, s2) == 0
 
 
+def dense_hom_basis(V, W):
+    """Hom(V, W) as flattened block vectors, from the intertwining system
+    written out as one dense rows x unknowns Fraction matrix."""
+    verts = V.bq.quiver.vertices
+    offs, total = {}, 0
+    for v in verts:
+        offs[v] = total
+        total += V.dims[v] * W.dims[v]
+    rows = []
+    for a in V.bq.quiver.arrows:
+        x, y = a.source, a.target
+        Va, Wa = V.maps[a.name], W.maps[a.name]
+        for i in range(W.dims[y]):
+            for j in range(V.dims[x]):
+                row = [Fraction(0)] * total
+                for k in range(V.dims[y]):
+                    row[offs[y] + i * V.dims[y] + k] += Va[k][j]
+                for k in range(W.dims[x]):
+                    row[offs[x] + k * V.dims[x] + j] -= Wa[i][k]
+                rows.append(row)
+    return rl.nullspace(rl.Mat(len(rows), total, rows)).data
+
+
+def random_square_zero(rng, d):
+    """A d x d matrix N with N @ N = 0 and, generically, a nonzero diagonal."""
+    J = rl.zeros(d, d)
+    for i in range(0, d - 1, 2):
+        J[i][i + 1] = Fraction(rng.randint(1, 3))
+    T = None
+    while T is None or rl.inverse(T) is None:
+        T = rl.mat([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+                    for _ in range(d)])
+    return rl.matmul(rl.matmul(T, J), rl.inverse(T))
+
+
+class TestHomBasis:
+    def assert_matches_dense_solve(self, V, W):
+        basis = qv.hom_basis(V, W)
+        assert [_flatten(f) for f in basis] == dense_hom_basis(V, W)
+        for f in basis:
+            qv.RepMorphism(V, W, f.blocks)  # the public check passes
+
+    def test_loop_with_square_zero_relation(self):
+        # source == target: both terms of an equation can land on one unknown
+        bq = qv.BoundQuiver(loop_quiver(), qv.RelationSet.monomial([("a", "a")]))
+        rng = random.Random(41)
+        reps = [qv.Representation(bq, {"1": d}, {"a": random_square_zero(rng, d)})
+                for d in (1, 2, 3, 4, 4, 5)]
+        assert any(V.maps["a"][i][i] for V in reps for i in range(V.dims["1"]))
+        for V in reps:
+            for W in reps:
+                self.assert_matches_dense_solve(V, W)
+
+    def test_two_parallel_arrows(self):
+        q = qv.Quiver(("x", "y"), (qv.Arrow("a", "x", "y"), qv.Arrow("b", "x", "y")))
+        bq = qv.BoundQuiver(q, qv.RelationSet(()))
+        rng = random.Random(43)
+
+        def rep(dx, dy):
+            def rand():
+                return rl.mat([[Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+                                for _ in range(dx)] for _ in range(dy)], dy, dx)
+            return qv.Representation(bq, {"x": dx, "y": dy}, {"a": rand(), "b": rand()})
+
+        reps = [rep(dx, dy) for dx, dy in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (0, 2))]
+        reps.append(qv.direct_sum(reps[0], reps[0]))  # a hom space of dimension > 1
+        for V in reps:
+            for W in reps:
+                self.assert_matches_dense_solve(V, W)
+
+    def test_every_element_passes_the_public_check(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            V = cubics.random_big_component_rep(rng)
+            W = cubics.random_big_component_rep(rng)
+            for X, Y in ((V, W), (W, V), (V, V)):
+                for f in qv.hom_basis(X, Y):
+                    qv.RepMorphism(X, Y, f.blocks)
+        R = [cubics.rn_family(n, lam) for n, lam in ((1, 2), (2, 2), (2, Fraction(-1, 3)), (3, 0))]
+        reps = R + [cubics.embed_alpha(R[1]), cubics.embed_beta(R[2])]
+        for V in reps:
+            for W in reps:
+                if V.bq is W.bq:
+                    for f in qv.hom_basis(V, W):
+                        qv.RepMorphism(V, W, f.blocks)
+
+
+class TestScale:
+    """The decomposition engine on the R_8 and R_12 families (no timing asserted)."""
+
+    def test_end_of_r12_under_alpha(self):
+        V = cubics.embed_alpha(cubics.rn_family(12, 5))
+        assert len(qv.hom_basis(V, V)) == 12
+
+    def test_r8_pair_decomposes_certified(self):
+        V = qv.direct_sum(cubics.rn_family(8, 5), cubics.rn_family(8, 7))
+        out = qv.decompose_certified(V)
+        assert [(S.dim_vector(), certified) for S, certified in out] == [
+            ((8, 8, 8, 8, 16), True), ((8, 8, 8, 8, 16), True)]
+
+
 class TestKernelsCokernels:
     def test_kernel_of_identity_is_zero(self):
         bc = cubics.build("big_component")

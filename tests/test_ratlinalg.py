@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -103,11 +104,17 @@ def ref_matmul(A, B):
              for col in zip(*B)] for row in A]
 
 
-def ref_rref(A):
-    """Plain Fraction Gauss-Jordan: (reduced rows, pivot columns)."""
+def ref_rref(A, ncols=None):
+    """Plain Fraction Gauss-Jordan: (reduced rows, pivot columns).
+
+    Pivots go on the first row, in column order, with a nonzero entry
+    there; the zero rows are kept at the bottom of the reduced rows.
+    """
     rows = [[Fraction(x) for x in row] for row in A]
     pivots = []
-    for c in range(len(rows[0]) if rows else 0):
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
@@ -124,6 +131,22 @@ def ref_rref(A):
 
 def ref_rank(A):
     return len(ref_rref(A)[1])
+
+
+def ref_nullspace(A, ncols):
+    """One kernel vector per free column f: 1 at f, minus column f of the
+    reduced rows at the pivot columns, 0 elsewhere."""
+    R, pivots = ref_rref(A, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -R[k][f]
+        basis.append(v)
+    return basis
 
 
 def ref_block_diag(blocks):
@@ -264,3 +287,85 @@ def test_mat_checks_the_shape():
     assert rl.mat(Z, 2, 3) is Z  # a Mat of the right shape passes through
     with pytest.raises(ValueError, match="expected a 3x2 matrix"):
         rl.mat(Z, 3, 2)
+
+
+# -- the sparse echelon core against plain Gauss-Jordan ------------------------
+
+# mostly zeros, with integers and fractions of mixed denominators
+sparse_cells = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5),
+                         st.fractions(-5, 5, max_denominator=12))
+
+
+def int_rows(rows):
+    """Each row as {column: integer}, scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append({j: int(Fraction(x) * den) for j, x in enumerate(row) if x})
+    return out
+
+
+@st.composite
+def elimination_cases(draw):
+    """(m, n, rows): 0 x n and m x 0 shapes, wide mostly-zero matrices,
+    zero rows and duplicate rows."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.one_of(st.integers(0, 6), st.integers(7, 24)))
+    rows = draw(matrices_of(m, n, sparse_cells))
+    if rows and draw(st.booleans()):
+        dup = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.insert(draw(st.integers(0, len(rows))), list(dup))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return len(rows), n, rows
+
+
+@given(elimination_cases())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_gauss_jordan_entry_for_entry(case):
+    m, n, rows = case
+    A = rl.mat(rows, m, n)
+    R_ref, pivots_ref = ref_rref(rows, n)
+    reduced_ref = R_ref[:len(pivots_ref)]
+
+    R, pivots = rl.rref(A)
+    assert pivots == pivots_ref
+    assert (R.rows, R.cols) == (len(pivots_ref), n)
+    assert R.data == reduced_ref
+    assert all(type(x) is Fraction for row in R for x in row)
+    assert rl.rank(A) == len(pivots_ref)
+
+    # the sparse core itself: pivot rows scaled by their pivot entries
+    ech = rl.echelon(int_rows(rows))
+    assert [c for c, _ in ech] == pivots_ref
+    for (c, row), ref_row in zip(ech, reduced_ref):
+        assert all(type(v) is int for v in row.values())
+        assert {j: Fraction(v, row[c]) for j, v in row.items()} == {
+            j: x for j, x in enumerate(ref_row) if x}
+
+    N = rl.nullspace(A)
+    assert (N.rows, N.cols) == (n - len(pivots_ref), n)
+    assert N.data == ref_nullspace(rows, n)
+    assert all(type(x) is Fraction for row in N for x in row)
+
+
+def test_kernel_basis_checks_every_vector_against_every_row():
+    rows = [{0: 1, 1: -1}, {1: 2, 2: -2}]
+    assert rl.kernel_basis(rows, 3) == [[Fraction(1)] * 3]
+    # the rows are left as they are
+    assert rows == [{0: 1, 1: -1}, {1: 2, 2: -2}]
+    assert rl.kernel_basis([], 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert rl.kernel_basis([{0: 3}], 1) == []
+
+
+def test_kernel_basis_refuses_vectors_that_fail_a_row(monkeypatch):
+    echelon = rl.echelon
+
+    def off_by_one(rows):  # one wrong entry in a free column of the first pivot row
+        (c, row), *rest = echelon(rows)
+        f = next(j for j in row if j != c)
+        return [(c, {**row, f: row[f] + row[c]})] + rest
+
+    monkeypatch.setattr(rl, "echelon", off_by_one)
+    with pytest.raises(ArithmeticError, match="fails an equation"):
+        rl.kernel_basis([{0: 1, 1: -1}, {1: 2, 2: -2}], 3)
