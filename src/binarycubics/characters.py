@@ -9,11 +9,15 @@ optionally times a full lattice factor sum_{t in Z} e^(t*rho) -- or
 combinator nodes (sums, differences, shifts, Fourier images,
 localizations) over other characters.
 
-Coefficients of closed forms are counted by bounded Diophantine
-enumeration: each strictly sloped denominator weight advances l1 - l2,
-so its exponent is bounded by the slope gap, after which the scalar or
-lattice exponents are pinned by l1 + l2.  Nothing is ever truncated to a
-power series and all arithmetic is exact.  A localization at the
+Coefficients of closed forms are counted exactly, in closed form: the
+slope gap l1 - l2 pins the last sloped exponent and leaves the one
+before it running through an arithmetic progression, the scalar or
+lattice exponent is then pinned by l1 + l2, and the count is the number
+of integers of an interval in one residue class (see
+ClosedFormCharacter.coefficient).  Every catalog form has at most two
+sloped and one scalar or lattice factor, so each numerator term costs
+O(1); larger products sum over their extra exponents.  Nothing is ever
+truncated to a power series and all arithmetic is exact.  A localization at the
 discriminant is evaluated once, at a shift by a multiple of (6, 6) that
 is proven to lie where the shifted multiplicities no longer change (see
 localize); no limit is sampled.
@@ -26,6 +30,8 @@ built from monomial exponentials, which is why convolution suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import index
 from typing import Callable, Iterable, Mapping
 
 Weight = tuple[int, int]
@@ -107,47 +113,131 @@ class ClosedFormCharacter:
                 raise InvalidClosedForm("periodic factor excludes scalar denominators")
 
     def coefficient(self, lam: Weight) -> int:
-        """Exact multiplicity of e^lam, by bounded signed enumeration."""
+        """Exact multiplicity of e^lam; O(1) per numerator term for forms
+        with at most two sloped and one scalar or periodic factor.
+
+        A numerator term e^nu meets e^lam with gap = (l1 - l2) - (nu1 - nu2)
+        and rem = (l1 + l2) - (nu1 + nu2).  It contributes the number of
+        exponent vectors a_i >= 0 (sloped weights, gap d_i > 0, sum s_i)
+        and c_j >= 0 (scalar steps t_j) with
+
+            sum a_i*d_i = gap,   sum a_i*s_i + sum c_j*t_j = rem,
+
+        where with a periodic factor (r, r) the second equation holds
+        modulo 2r instead, and with neither it holds exactly.  Sloped
+        exponents beyond the last two and scalar exponents beyond the last
+        are summed over (each is bounded); what remains is counted by:
+
+        Lemma (progression count).  Let (d1, s1), (d2, s2) be the last two
+        sloped weights, g = gcd(d1, d2), n1 = d1/g, n2 = d2/g.  If g does
+        not divide gap there is no solution.  Otherwise let a1* be the
+        least a1 >= 0 with a1*n1 = gap/g (mod n2), and
+        a2* = (gap - a1*·d1)/d2.  The solutions (a1, a2) of
+        a1*d1 + a2*d2 = gap in non-negative integers are exactly
+
+            (a1* + k*n2, a2* - k*n1),  0 <= k <= floor(a2*/n1),
+
+        and along them the rest left for the leaf is rem0 - k*delta with
+        rem0 = rem - a1*·s1 - a2*·s2 and delta = n2*s1 - n1*s2.
+
+        Proof.  a1*d1 + a2*d2 = gap forces a1*n1 = gap/g (mod n2), and n1
+        is invertible mod n2, so the admissible a1 >= 0 are a1* + k*n2,
+        k >= 0; each fixes a2 = a2* - k*n1, which is >= 0 exactly for
+        k <= a2*/n1.  Substituting into rem - a1*s1 - a2*s2 gives the rest.
+        With one sloped weight a1 = gap/d1 is pinned (k = 0 only, delta =
+        0), and with none gap must be 0.  []
+
+        The leaf then asks, for k in an interval, that k*delta = rem0
+        modulo m: m = 2r for the periodic factor, m = t for the last
+        scalar step t > 0 (signs normalized), and m = 0 (equality) with
+        neither.  A scalar leaf adds the linear bound rem0 - k*delta >= 0,
+        which narrows the interval.  With h = gcd(delta, m) the congruence
+        is solvable iff h divides rem0, and then it says k = r (mod m/h)
+        for r = (rem0/h)·(delta/h)^-1 mod m/h; the integers of [lo, hi] in
+        that class number floor((hi - r)/n) - floor((lo - 1 - r)/n) with
+        n = m/h.  For m = 0 it pins k = rem0/delta (or leaves every k free
+        when delta = rem0 = 0).
+        """
         if not is_dominant(lam):
             return 0
-        sloped = [mu for mu in self.denominators if mu[0] > mu[1]]
-        scalars = [2 * mu[0] for mu in self.denominators if mu[0] == mu[1]]
-        gaps = [mu[0] - mu[1] for mu in sloped]
-        sums = [mu[0] + mu[1] for mu in sloped]
+        sloped = [(mu[0] - mu[1], mu[0] + mu[1]) for mu in self.denominators if mu[0] > mu[1]]
+        steps = [2 * mu[0] for mu in self.denominators if mu[0] == mu[1]]
+        modulus = 2 * self.periodic[0] if self.periodic is not None else 0
         total = 0
         for sign, nu_ in self.numerator:
             gap = (lam[0] - lam[1]) - (nu_[0] - nu_[1])
-            rem0 = (lam[0] + lam[1]) - (nu_[0] + nu_[1])
-            if gap < 0:
-                continue
-            total += sign * self._count(gaps, sums, scalars, 0, gap, rem0)
+            if gap >= 0:
+                rem = (lam[0] + lam[1]) - (nu_[0] + nu_[1])
+                total += sign * _count(sloped, steps, modulus, gap, rem)
         return total
 
-    def _count(self, gaps, sums, scalars, k, gap, rem) -> int:
-        if k == len(gaps):
-            if gap != 0:
-                return 0
-            if self.periodic is not None:
-                return 1 if rem % (2 * self.periodic[0]) == 0 else 0
-            return _count_scalar(scalars, rem)
-        d, s = gaps[k], sums[k]
-        count = 0
-        for a in range(gap // d + 1):
-            count += self._count(gaps, sums, scalars, k + 1, gap - a * d, rem - a * s)
-        return count
 
-
-def _count_scalar(steps: list[int], rem: int) -> int:
-    """Solutions of sum c_i*steps_i = rem with c_i >= 0 (steps sign-uniform)."""
-    if not steps:
-        return 1 if rem == 0 else 0
-    if steps[0] < 0:
-        steps = [-s for s in steps]
-        rem = -rem
-    if rem < 0:
+def _count(sloped: list[tuple[int, int]], steps: list[int], modulus: int,
+           gap: int, rem: int) -> int:
+    """Solutions for one numerator term (see ClosedFormCharacter.coefficient)."""
+    if len(sloped) > 2:
+        (d, s), rest = sloped[0], sloped[1:]
+        return sum(_count(rest, steps, modulus, gap - a * d, rem - a * s)
+                   for a in range(gap // d + 1))
+    if not sloped:
+        if gap:
+            return 0
+        return _count_scalar(steps, modulus, 0, rem, 0)
+    if len(sloped) == 1:
+        d, s = sloped[0]
+        if gap % d:
+            return 0
+        return _count_scalar(steps, modulus, 0, rem - gap // d * s, 0)
+    (d1, s1), (d2, s2) = sloped
+    g = gcd(d1, d2)
+    if gap % g:
         return 0
-    first, rest = steps[0], steps[1:]
-    return sum(_count_scalar(rest, rem - c * first) for c in range(rem // first + 1))
+    n1, n2 = d1 // g, d2 // g
+    a1 = gap // g * pow(n1, -1, n2) % n2
+    a2 = (gap - a1 * d1) // d2
+    if a2 < 0:
+        return 0
+    return _count_scalar(steps, modulus, a2 // n1, rem - a1 * s1 - a2 * s2, n2 * s1 - n1 * s2)
+
+
+def _count_scalar(steps: list[int], modulus: int, top: int, rem0: int, delta: int) -> int:
+    """Pairs (k, c) with 0 <= k <= top, c_i >= 0 and sum c_i*steps_i equal
+    to rem0 - k*delta: exactly, or modulo `modulus` when it is nonzero
+    (then steps is empty).  Steps share one sign."""
+    if not steps:
+        return _progression(0, top, delta, rem0, modulus)
+    if steps[0] < 0:
+        steps, rem0, delta = [-t for t in steps], -rem0, -delta
+    if len(steps) > 1:
+        first, rest = steps[0], steps[1:]
+        most = rem0 - min(0, top * delta)  # largest rem0 - k*delta on [0, top]
+        return sum(_count_scalar(rest, 0, top, rem0 - c * first, delta)
+                   for c in range(most // first + 1))
+    lo, hi = 0, top
+    if delta > 0:
+        hi = min(top, rem0 // delta)
+    elif delta < 0:
+        lo = max(0, -(rem0 // -delta))
+    elif rem0 < 0:
+        return 0
+    return _progression(lo, hi, delta, rem0, steps[0])
+
+
+def _progression(lo: int, hi: int, delta: int, rem: int, modulus: int) -> int:
+    """Integers k in [lo, hi] with k*delta = rem (mod modulus); modulus 0
+    asks for equality."""
+    if hi < lo:
+        return 0
+    h = gcd(delta, modulus)
+    if h == 0:
+        return hi - lo + 1 if rem == 0 else 0
+    if rem % h:
+        return 0
+    n = modulus // h
+    if n == 0:
+        return 1 if lo <= rem // delta <= hi else 0
+    r = rem // h * pow(delta // h, -1, n) % n
+    return (hi - r) // n - (lo - 1 - r) // n
 
 
 def multiply_forms(f: ClosedFormCharacter, g: ClosedFormCharacter) -> ClosedFormCharacter:
@@ -171,7 +261,9 @@ class Character:
 
     Immutable and referentially transparent; evaluations are memoized,
     so the combinators may be stacked freely.  Evaluation at a
-    non-dominant weight is 0 by convention.
+    non-dominant weight is 0 by convention.  Weight components must be
+    integers (any type with __index__, numpy integers included); a float
+    or Fraction raises TypeError rather than being truncated.
     """
 
     def __init__(self, fn: Callable[[Weight], int], name: str = ""):
@@ -180,7 +272,7 @@ class Character:
         self._cache: dict[Weight, int] = {}
 
     def mult(self, lam: Weight) -> int:
-        lam = (int(lam[0]), int(lam[1]))
+        lam = (index(lam[0]), index(lam[1]))
         if lam[0] < lam[1]:
             return 0
         cached = self._cache.get(lam)
@@ -204,7 +296,7 @@ def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
 
 def from_table(table: Mapping[Weight, int], name: str = "") -> Character:
     """Character with explicit finite support."""
-    frozen = {(int(k[0]), int(k[1])): int(v) for k, v in table.items()}
+    frozen = {(index(k[0]), index(k[1])): index(v) for k, v in table.items()}
     return Character(lambda lam: frozen.get(lam, 0), name)
 
 

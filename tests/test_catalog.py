@@ -1,9 +1,15 @@
 """Catalog tests: pairings, characters of the 14 simples, composition
 series, local cohomology tables, and the self-verification report."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from binarycubics import catalog, characters as ch
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded.json"
 
 
 class TestPairings:
@@ -90,6 +96,18 @@ class TestCharacters:
     def test_p_nonnegative(self):
         p = catalog.character_of("P")
         assert all(p.mult(lam) >= 0 for lam in ch.box_weights(-15, 15))
+
+    def test_box_tables_match_recorded_digests(self):
+        # the 19 tables on the -30..30 box against perfbench/recorded.json
+        # (read only), hashed by the rule of perfbench/worker.table_digests
+        recorded = json.loads(RECORDED.read_text())["chars_table_sha256"]
+        digests = {}
+        for name in catalog.all_character_names():
+            table = ch.truncate(catalog.character_of(name), -30, 30)
+            payload = json.dumps(sorted([list(w), m] for w, m in table.items()), sort_keys=True)
+            digests[name] = hashlib.sha256(payload.encode()).hexdigest()
+        assert len(digests) == 19
+        assert digests == recorded
 
 
 class TestLocalCohomology:

@@ -2,13 +2,14 @@
 
 Derived expectations are computed by independent oracles defined in
 this file (series DP, brute-force monomial expansion, double-sum
-convolution, the sampled tail of a localization); paper-sourced values
-are frozen literals.
+convolution, exponent enumeration of a closed form, the sampled tail of
+a localization); paper-sourced values are frozen literals.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,41 @@ def convolution_sum(f, g, lam, span):
     for m1 in range(-span, span + 1):
         for m2 in range(-span, m1 + 1):
             total += f.mult((m1, m2)) * g.mult((lam[0] - m1, lam[1] - m2))
+    return total
+
+
+def enumerated_coefficient(form, lam):
+    """Coefficient of a closed form by enumerating every exponent vector:
+    each sloped exponent over its range, then each scalar exponent."""
+    if lam[0] < lam[1]:
+        return 0
+    sloped = [mu for mu in form.denominators if mu[0] > mu[1]]
+    steps = [2 * mu[0] for mu in form.denominators if mu[0] == mu[1]]
+
+    def scalar(steps, rem):
+        if not steps:
+            return 1 if rem == 0 else 0
+        if steps[0] < 0:
+            steps, rem = [-s for s in steps], -rem
+        if rem < 0:
+            return 0
+        return sum(scalar(steps[1:], rem - c * steps[0]) for c in range(rem // steps[0] + 1))
+
+    def count(k, gap, rem):
+        if k == len(sloped):
+            if gap != 0:
+                return 0
+            if form.periodic is not None:
+                return 1 if rem % (2 * form.periodic[0]) == 0 else 0
+            return scalar(steps, rem)
+        d, s = sloped[k][0] - sloped[k][1], sloped[k][0] + sloped[k][1]
+        return sum(count(k + 1, gap - a * d, rem - a * s) for a in range(gap // d + 1))
+
+    total = 0
+    for sign, nu_ in form.numerator:
+        gap = (lam[0] - lam[1]) - (nu_[0] - nu_[1])
+        if gap >= 0:
+            total += sign * count(0, gap, (lam[0] + lam[1]) - (nu_[0] + nu_[1]))
     return total
 
 
@@ -126,6 +162,87 @@ class TestClosedForms:
     def test_rejects_mixed_sign_scalars(self):
         with pytest.raises(ch.InvalidClosedForm):
             ch.ClosedFormCharacter(((1, (0, 0)),), ((2, 2), (-2, -2)))
+
+
+# sloped denominator weights: gap 1..6, either sign of mu1 + mu2
+sloped_weights = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(
+    lambda t: (t[0], t[0] - t[1]))
+numerators = st.lists(
+    st.tuples(st.sampled_from((1, -1)), st.tuples(st.integers(-8, 8), st.integers(-8, 8))),
+    min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def closed_forms(draw):
+    """0-3 sloped weights, then 0-2 scalar weights of one sign or one
+    periodic factor, over 1-3 signed numerator terms."""
+    n = draw(st.integers(0, 3))
+    sloped = tuple(draw(st.lists(sloped_weights, min_size=n, max_size=n)))
+    leaf = draw(st.integers(0, 3))  # 0-2 scalar weights, 3: periodic
+    if leaf == 3:
+        return ch.ClosedFormCharacter(draw(numerators), sloped, (draw(st.integers(1, 6)),) * 2)
+    sign = draw(st.sampled_from((1, -1)))
+    scalars = tuple((sign * m, sign * m)
+                    for m in draw(st.lists(st.integers(1, 6), min_size=leaf, max_size=leaf)))
+    return ch.ClosedFormCharacter(draw(numerators), sloped + scalars)
+
+
+gap_weights = st.tuples(st.integers(-40, 40), st.integers(0, 90)).map(
+    lambda t: (t[0] + t[1], t[0]))
+
+
+def reachable_weights(form):
+    """nu + sum a_mu*mu (+ t*rho) for a numerator weight nu, exponents
+    a_mu in 0..4 and t in -4..4: gap <= 88, and the coefficient there is
+    often nonzero."""
+    rho = form.periodic or (0, 0)
+    k = len(form.denominators)
+    return st.tuples(
+        st.sampled_from([nu_ for _, nu_ in form.numerator]),
+        st.lists(st.integers(0, 4), min_size=k, max_size=k),
+        st.integers(-4, 4),
+    ).map(lambda t: (
+        t[0][0] + sum(a * mu[0] for a, mu in zip(t[1], form.denominators)) + t[2] * rho[0],
+        t[0][1] + sum(a * mu[1] for a, mu in zip(t[1], form.denominators)) + t[2] * rho[1]))
+
+
+class TestCoefficientAgainstEnumeration:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_forms(self, data):
+        form = data.draw(closed_forms())
+        lam = data.draw(st.one_of(gap_weights, reachable_weights(form)))
+        assert form.coefficient(lam) == enumerated_coefficient(form, lam)
+
+    @pytest.mark.parametrize("form", [ch.S_FORM, ch.SDELTA_FORM, ch.E_FORM],
+                             ids=["S", "Sdelta", "E"])
+    @pytest.mark.parametrize("lam", [
+        (600, 0), (450, -150), (301, -299), (-6, -606), (-100, -700), (597, 3),
+    ])
+    def test_catalog_forms_at_large_gaps(self, form, lam):
+        assert form.coefficient(lam) == enumerated_coefficient(form, lam)
+
+    def test_large_weight_of_p(self):
+        # recorded from the exponent enumeration, which takes seconds here
+        assert catalog.character_of("P").mult((4800, -4800)) == 1601
+
+
+class TestIntegralWeights:
+    @pytest.mark.parametrize("lam", [(6.7, 3.2), (6.0, 3), (Fraction(13, 2), 3)])
+    def test_mult_rejects_non_integral_weight(self, lam):
+        with pytest.raises(TypeError):
+            catalog.character_of("S").mult(lam)
+
+    def test_mult_accepts_numpy_integers(self):
+        assert catalog.character_of("S").mult((np.int64(6), np.int32(3))) == 1
+
+    @pytest.mark.parametrize("table", [{(1.9, 0): 5}, {(1, Fraction(0)): 5}, {(1, 0): 2.5}])
+    def test_from_table_rejects_non_integers(self, table):
+        with pytest.raises(TypeError):
+            ch.from_table(table)
+
+    def test_from_table_accepts_numpy_integers(self):
+        assert ch.from_table({(np.int64(1), 0): np.int64(5)}).mult((1, 0)) == 5
 
 
 class TestTwistedCubicCounts:

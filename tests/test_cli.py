@@ -26,6 +26,7 @@ def run(capsys, *argv):
     (("mult", "SdeltaModS", "-6", "-6"), "1"),
     (("mult", "Q0delta", "300", "-300"), "200"),
     (("mult", "Q0delta", "0", "-330"), "110"),
+    (("mult", "P", "4800", "-4800"), "1601"),
 ])
 def test_mult_values(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
