@@ -59,6 +59,9 @@ ORBITS = (
     OrbitInfo("O4", 4, "w0^3 + w1^3", "(C3 x C3) : C2", 9),
 )
 
+#: Dimension of each orbit, read off ORBITS.
+ORBIT_DIM = {o.name: o.dim for o in ORBITS}
+
 #: Support of each simple, as the orbit whose closure carries it.
 SUPPORT = {
     "S": "O4", "G-1": "O4", "G1": "O4", "G2": "O4", "G3": "O4", "G4": "O4",
@@ -199,7 +202,8 @@ INJECTIVE_FACTORS = {
 
 SUPPORT_CLOSURES = ("O3bar", "O2bar", "O0")
 
-_CLOSURE_DIM = {"O3bar": 3, "O2bar": 2, "O0": 0}
+#: Dimension of each orbit closure: that of the orbit it closes.
+CLOSURE_DIM = {c: ORBIT_DIM[c.removesuffix("bar")] for c in SUPPORT_CLOSURES}
 
 #: Non-zero local cohomology H^k with support in an orbit closure, for
 #: the simples and for the length-two extension SdeltaModS = Sdelta/S.
@@ -224,19 +228,6 @@ _LOCAL_COHOMOLOGY: dict[tuple[str, str, int], tuple[tuple[str, ...], bool]] = {
     ("G-1", "O2bar", 1): (("D2",), False),
 }
 
-#: Verification status of the table rows: character-level identities are
-#: replayed by verify_identities when both sides are computable; rows
-#: citing outside computations are data with congruence/support checks only.
-LOCAL_COHOMOLOGY_PROVENANCE = {
-    ("S", "O3bar", 1): "character identity (localization)",
-    ("Q0", "O3bar", 1): "character identity (localization)",
-    ("G1", "O3bar", 1): "character identity (localization)",
-    ("G-1", "O3bar", 1): "character identity (localization)",
-    ("S", "O2bar", 2): "verified: congruence+support only",
-    ("S", "O0", 4): "verified: congruence+support only",
-}
-
-
 def _support_of_object(name: str) -> str:
     if name in SUPPORT:
         return SUPPORT[name]
@@ -252,11 +243,9 @@ def local_cohomology(name: str, support: str, k: int) -> tuple[str, ...]:
     the module itself in degree 0 and nothing elsewhere; every entry
     absent from the table is zero.
     """
-    if support not in _CLOSURE_DIM:
+    if support not in CLOSURE_DIM:
         raise KeyError(f"unknown support: {support!r} (expected one of {SUPPORT_CLOSURES})")
-    own = _support_of_object(name)
-    own_dim = {"O0": 0, "O2": 2, "O3": 3, "O4": 4}[own]
-    if _CLOSURE_DIM[support] >= own_dim:
+    if CLOSURE_DIM[support] >= ORBIT_DIM[_support_of_object(name)]:
         if k == 0:
             return tuple(COMPOSITION_SERIES_FACTORS.get(name, (name,)))
         return ()

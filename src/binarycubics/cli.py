@@ -137,9 +137,9 @@ def _cmd_quiver(args) -> int:
 
 def _cmd_rep(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.file}: {exc}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{args.file} is not valid JSON: {exc}")

@@ -476,36 +476,30 @@ def hom_dim(V: Representation, W: Representation) -> int:
     return len(hom_basis(V, W))
 
 
-def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Vertexwise kernel with its induced maps and the inclusion into the source."""
-    V = phi.source
+def _subrepresentation(V: Representation,
+                       incl: dict[str, rl.Mat]) -> tuple[Representation, RepMorphism]:
+    """The subrepresentation of V spanned at each vertex v by the
+    independent columns of incl[v], with its inclusion into V."""
     q = V.bq.quiver
-    incl = {v: rl.transpose(rl.nullspace(phi.blocks[v])) for v in q.vertices}
-    dims = {v: incl[v].cols for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        restricted = rl.matmul(V.maps[a.name], incl[a.source])
-        sol = rl.solve(incl[a.target], restricted)
-        assert sol is not None, "kernel is not arrow-stable (broken morphism)"
+        sol = rl.solve(incl[a.target], rl.matmul(V.maps[a.name], incl[a.source]))
+        assert sol is not None, "subspace is not arrow-stable (broken morphism)"
         maps[a.name] = sol
-    K = Representation(V.bq, dims, maps)
-    return K, RepMorphism(K, V, incl)
+    sub = Representation(V.bq, {v: incl[v].cols for v in q.vertices}, maps)
+    return sub, RepMorphism(sub, V, incl)
+
+
+def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
+    """Vertexwise kernel with its induced maps and the inclusion into the source."""
+    return _subrepresentation(phi.source, {
+        v: rl.transpose(rl.nullspace(m)) for v, m in phi.blocks.items()})
 
 
 def image(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Vertexwise image as a subrepresentation of the target, with inclusion."""
-    W = phi.target
-    q = W.bq.quiver
-    incl = {v: rl.column_space_basis(phi.blocks[v])[0] for v in q.vertices}
-    dims = {v: incl[v].cols for v in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        pushed = rl.matmul(W.maps[a.name], incl[a.source])
-        sol = rl.solve(incl[a.target], pushed)
-        assert sol is not None, "image is not arrow-stable (broken morphism)"
-        maps[a.name] = sol
-    I = Representation(W.bq, dims, maps)
-    return I, RepMorphism(I, W, incl)
+    return _subrepresentation(phi.target, {
+        v: rl.column_space_basis(m)[0] for v, m in phi.blocks.items()})
 
 
 def cokernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:

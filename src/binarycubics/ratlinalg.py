@@ -21,8 +21,10 @@ The hot paths run on Python integers:
 - kernel_basis reads a kernel basis straight off the sparse echelon
   rows, one Fraction per nonzero coordinate, and checks every basis
   vector against every input row with integer dot products;
-- minimal_polynomial takes a block-diagonal matrix as its diagonal
-  blocks and powers each block on its own.
+- minimal_polynomial powers the diagonal blocks of a block-diagonal
+  matrix on their own and adds one power per degree to one growing
+  echelon, through the forward step _reduce that echelon runs too;
+- quotient_maps reads both of its maps off one reduced echelon.
 """
 
 from __future__ import annotations
@@ -177,6 +179,24 @@ def _sparse_rows(A: Mat) -> list[Row]:
     return rows
 
 
+def _reduce(row: Row, pivots: dict[int, Row]) -> Row:
+    """row normalized and reduced on its leading column by the pivot row
+    there (pivots maps a column to its row) until that column has none."""
+    row = _normalized(row)
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            break
+        g = gcd(p[c], row[c])
+        a, b = p[c] // g, row[c] // g
+        out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+        for j, v in p.items():
+            out[j] = out.get(j, 0) - b * v
+        row = _normalized(out)
+    return row
+
+
 def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     """Reduced row echelon form of sparse integer rows: (pivot column, row) pairs.
 
@@ -185,12 +205,11 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     pivot entry gives the reduced echelon row over Q.  Zero rows drop out
     and the input rows are left as they are.
 
-    The elimination is fraction-free.  Forward, each row in turn is
-    reduced on its leading column by the pivot row there until its
-    leading column is free, where it becomes a pivot row.  Back
-    substitution then clears, from the last pivot row to the first, the
-    other pivot columns of each row with the rows already reduced; since
-    those are zero at every pivot column but their own, one common
+    The elimination is fraction-free.  Forward, _reduce takes each row in
+    turn down to a free leading column, where it becomes a pivot row.
+    Back substitution then clears, from the last pivot row to the first,
+    the other pivot columns of each row with the rows already reduced;
+    since those are zero at every pivot column but their own, one common
     multiple of their pivots clears them all in one pass.  The reduced
     echelon form of a matrix is unique, so the rows over Q and the pivots
     do not depend on the order of the rows or on which row becomes the
@@ -198,19 +217,9 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     """
     pivots: dict[int, Row] = {}
     for row in rows:
-        row = _normalized(row)
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = row
-                break
-            g = gcd(p[c], row[c])
-            a, b = p[c] // g, row[c] // g
-            out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
-            for j, v in p.items():
-                out[j] = out.get(j, 0) - b * v
-            row = _normalized(out)
+        row = _reduce(row, pivots)
+        if row:
+            pivots[min(row)] = row
     order = sorted(pivots)
     for c in reversed(order):
         p = pivots[c]
@@ -304,37 +313,37 @@ def column_space_basis(A: Mat) -> tuple[Mat, list[int]]:
     return Mat(A.rows, len(pivots), [[row[c] for c in pivots] for row in A.data]), pivots
 
 
-def complement_columns(B: Mat) -> Mat:
-    """Identity columns extending the independent columns of B (n x r) to a basis of Q^n."""
-    n = B.rows
-    rows = B.data
-    chosen: list[int] = []
-    current = B.cols
-    for i in range(n):
-        if current == n:
-            break
-        candidate = [rows[j] + [(_ONE if j == i else _ZERO)] for j in range(n)]
-        if rank(Mat(n, current + 1, candidate)) == current + 1:
-            rows = candidate
-            chosen.append(i)
-            current += 1
-    return Mat(n, len(chosen), [[_ONE if j == i else _ZERO for i in chosen] for j in range(n)])
-
-
 def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
     """(proj, section) presenting Q^n / col(B) for B with n rows.
 
     proj is q x n with kernel exactly col(B); section is n x q with
-    proj @ section = I_q.  q = n - rank(B).
+    proj @ section = I_q, q = n - rank(B).  The section's columns are the
+    e_i, in increasing i, with e_i outside col(B) + span(e_0..e_(i-1)).
+
+    Both come from one elimination of the columns of B with coordinate i
+    at column n - 1 - i: the rows of proj are the kernel basis of that
+    system, {y : y . b = 0 for every column b of B}, reversed back.  The
+    vector of the free column n - 1 - f is 1 there, 0 at the other free
+    columns and nonzero elsewhere only at pivot columns before it, so,
+    reversed back, its first nonzero coordinate is f.  Hence
+    proj @ section = I_q, and proj, of rank q and zero on col(B), has
+    kernel col(B); with the section, that fixes proj.  The section's
+    coordinates are the free ones: col(B) meets span(e_0..e_i) in the
+    vectors leading at columns >= n - 1 - i, of dimension the number of
+    pivots there, so the meet grows at i, that is e_i lies in
+    col(B) + span(e_0..e_(i-1)), exactly when n - 1 - i is a pivot.
     """
-    basis, pivots = column_space_basis(B)
-    n, r = B.rows, len(pivots)
-    comp = complement_columns(basis)
-    if r == n:
-        return zeros(0, n), comp
-    Minv = inverse(hstack(basis, comp))
-    assert Minv is not None
-    return Mat(n - r, n, Minv.data[r:]), comp
+    n = B.rows
+    flipped = [{n - 1 - i: x for i, x in row.items()} for row in _sparse_rows(transpose(B))]
+    rows = [v[::-1] for v in reversed(kernel_basis(flipped, n))]
+    free = [next(i for i, x in enumerate(v) if x) for v in rows]
+    section = Mat(n, len(free), [[_ONE if i == f else _ZERO for f in free] for i in range(n)])
+    return Mat(len(rows), n, rows), section
+
+
+def complement_columns(B: Mat) -> Mat:
+    """Unit columns extending col(B) to Q^n: the section of quotient_maps(B)."""
+    return quotient_maps(B)[1]
 
 
 def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
@@ -342,9 +351,17 @@ def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     matrix with the given square diagonal blocks (a single matrix is one block).
 
     The powers of a block-diagonal matrix are the block-diagonal matrices
-    of the blocks' powers, so the first power that depends linearly on
-    the lower ones is found from the blocks alone; the zero off-diagonal
-    blocks never enter.
+    of the blocks' powers, so only the blocks are powered.  One echelon
+    grows with the degree: B^k, its blocks flattened to a vector of length
+    size and cleared to integers over den, enters as one row with the tag
+    den at column size + k, that is den * (B^k, e_k), and _reduce takes it
+    down by the pivot rows of the lower degrees.  The row is then a sum of
+    t_j * (B^j, e_j) over j <= k, with t_j at column size + j.  No pivot
+    sits at a tag column (the loop stops at the first), so if the row
+    leads at a tag column its power part is zero: sum t_j * B^j = 0.  And
+    t_k != 0: no pivot row has a tag at size + k, and each step scales the
+    row by a nonzero integer.  B^0..B^(k-1) are independent, as their rows
+    became pivots, so dividing by t_k gives the minimal polynomial.
     """
     n = sum(B.rows for B in blocks)
     if n == 0:
@@ -352,16 +369,16 @@ def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     blocks = tuple(B for B in blocks if B.rows)
     powers = [identity(B.rows) for B in blocks]
     size = sum(B.rows * B.rows for B in blocks)
-    vecs: list[Vector] = []
+    pivots: dict[int, Row] = {}
     for k in range(n + 1):
-        vec = [x for P in powers for row in P.data for x in row]
-        if vecs:
-            cols = transpose(Mat(len(vecs), size, vecs))
-            sol = solve(cols, Mat(size, 1, [[v] for v in vec]))
-            if sol is not None:
-                coeffs = [sol[i][0] for i in range(len(vecs))]
-                return [-c for c in coeffs] + [_ONE]
-        vecs.append(vec)
+        ints, den = cleared([x for P in powers for row in P.data for x in row])
+        row = {j: v for j, v in enumerate(ints) if v}
+        row[size + k] = den
+        row = _reduce(row, pivots)
+        c = min(row)
+        if c >= size:
+            return [Fraction(row.get(size + j, 0), row[size + k]) for j in range(k)] + [_ONE]
+        pivots[c] = row
         powers = [matmul(P, B) for P, B in zip(powers, blocks)]
     raise AssertionError("minimal polynomial must exist by degree n")
 

@@ -13,6 +13,10 @@ from . import catalog, characters as ch, cubics, quiver as qv
 
 SUITES = ("characters", "quiver", "loccoh", "tame")
 
+BOX_LO, BOX_HI = -30, 30  # the weight box of the character identities
+QUIVER_SAMPLES, TAME_SAMPLES = 50, 100  # random representations each sampler draws
+MAX_INCONCLUSIVE_RATE = 0.05  # share of tame summands that may stay inconclusive
+
 
 def _check(name: str, ok: bool, witness: str | None = None) -> dict:
     out = {"name": name, "status": "pass" if ok else "fail"}
@@ -21,7 +25,7 @@ def _check(name: str, ok: bool, witness: str | None = None) -> dict:
     return out
 
 
-def suite_characters(lo: int = -30, hi: int = 30) -> dict:
+def suite_characters() -> dict:
     checks: list[dict] = []
 
     golden = [
@@ -63,12 +67,12 @@ def suite_characters(lo: int = -30, hi: int = 30) -> dict:
             break
     checks.append(_check("nu matches direct expansion on [0, 60]", ok, witness))
 
-    checks.extend(catalog.verify_identities(lo, hi))
-    checks.extend(catalog.fourier_coherence(lo, hi))
+    checks.extend(catalog.verify_identities(BOX_LO, BOX_HI))
+    checks.extend(catalog.fourier_coherence(BOX_LO, BOX_HI))
     return {"suite": "characters", "checks": checks}
 
 
-def suite_quiver(seed: int = 0, samples: int = 50) -> dict:
+def suite_quiver(seed: int = 0) -> dict:
     checks: list[dict] = []
     pf = cubics.build("paper_full")
     bc = cubics.build("big_component")
@@ -134,15 +138,15 @@ def suite_quiver(seed: int = 0, samples: int = 50) -> dict:
         got = qv.is_isomorphic(cubics.rn_family(1, a), cubics.rn_family(1, b))
         checks.append(_check(f"R_1({a}) and R_1({b}) are non-isomorphic", got is False))
 
-    two = cubics.check_two_vertex_component(samples=samples, seed=seed)
+    two = cubics.check_two_vertex_component(samples=QUIVER_SAMPLES, seed=seed)
     checks.append(_check(
-        f"two-vertex component: {two['summands']} summands from {samples} samples "
+        f"two-vertex component: {two['summands']} summands from {QUIVER_SAMPLES} samples "
         "all among the four indecomposables",
         not two["violations"], str(two["violations"][:3])))
     return {"suite": "quiver", "checks": checks}
 
 
-def suite_loccoh(lo: int = -30, hi: int = 30) -> dict:
+def suite_loccoh() -> dict:
     checks: list[dict] = []
     expected = {
         ("S", "O3bar", 1): ("E", "P"),
@@ -169,9 +173,9 @@ def suite_loccoh(lo: int = -30, hi: int = 30) -> dict:
 
     ok, witness = True, None
     for name in catalog.SIMPLES:
-        own = {"O0": 0, "O2": 2, "O3": 3, "O4": 4}[catalog.SUPPORT[name]]
-        for support, dim in (("O3bar", 3), ("O2bar", 2), ("O0", 0)):
-            if dim >= own:
+        own = catalog.ORBIT_DIM[catalog.SUPPORT[name]]
+        for support in catalog.SUPPORT_CLOSURES:
+            if catalog.CLOSURE_DIM[support] >= own:
                 continue
             for k in range(0, 7):
                 got = catalog.local_cohomology(name, support, k)
@@ -206,13 +210,13 @@ def suite_loccoh(lo: int = -30, hi: int = 30) -> dict:
 
     g1 = catalog.character_of("G1")
     d1 = catalog.character_of("D1")
-    witness = ch.first_disagreement(ch.localize(g1) - g1, d1, lo, hi)
+    witness = ch.first_disagreement(ch.localize(g1) - g1, d1, BOX_LO, BOX_HI)
     checks.append(_check("[H^1_O3bar(G1)] = [D1] on the box", witness is None, str(witness)))
     return {"suite": "loccoh", "checks": checks}
 
 
-def suite_tame(samples: int = 100, seed: int = 0, max_inconclusive_rate: float = 0.05) -> dict:
-    report = cubics.check_tame_classification(samples=samples, seed=seed)
+def suite_tame(seed: int = 0) -> dict:
+    report = cubics.check_tame_classification(samples=TAME_SAMPLES, seed=seed)
     checks = [
         _check(
             f"all {report['summands']} conclusive summands fall into the three classified cases",
@@ -220,8 +224,8 @@ def suite_tame(samples: int = 100, seed: int = 0, max_inconclusive_rate: float =
     ]
     rate = report["inconclusive_rate"]
     rate_check = {
-        "name": f"inconclusive rate {rate:.3f} below {max_inconclusive_rate}",
-        "status": "pass" if rate < max_inconclusive_rate else "inconclusive",
+        "name": f"inconclusive rate {rate:.3f} below {MAX_INCONCLUSIVE_RATE}",
+        "status": "pass" if rate < MAX_INCONCLUSIVE_RATE else "inconclusive",
     }
     if rate_check["status"] != "pass":
         rate_check["witness"] = f"{report['inconclusive']} of {report['summands']}"
@@ -233,14 +237,8 @@ def suite_tame(samples: int = 100, seed: int = 0, max_inconclusive_rate: float =
 def run_suites(names: list[str], seed: int = 0) -> list[dict]:
     reports = []
     for name in names:
-        if name == "characters":
-            reports.append(suite_characters())
-        elif name == "quiver":
-            reports.append(suite_quiver(seed=seed))
-        elif name == "loccoh":
-            reports.append(suite_loccoh())
-        elif name == "tame":
-            reports.append(suite_tame(seed=seed))
-        else:
+        if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
+        suite = globals()[f"suite_{name}"]  # looked up when it runs, so it can be wrapped
+        reports.append(suite(seed=seed) if name in ("quiver", "tame") else suite())
     return reports

@@ -131,6 +131,14 @@ def test_rep_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_rep_non_utf8_file(tmp_path, capsys):
+    # a UTF-16 byte-order mark and a brace: not UTF-8, so a usage error, not a traceback
+    path = tmp_path / "utf16.json"
+    path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x7B]))
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2 and "cannot read" in err and "utf-8" in err
+
+
 def test_verify_loccoh_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "loccoh")
     assert code == 0

@@ -61,6 +61,9 @@ def test_column_space_and_quotient():
     assert len(proj) == 2
     assert rl.matmul(proj, basis) == rl.zeros(2, 1)
     assert rl.matmul(proj, section) == rl.identity(2)
+    # col(B) = span(e_0 + 2 e_2): e_0 and e_1 complement it, e_2 does not
+    assert section == rl.mat([[1, 0], [0, 1], [0, 0]])
+    assert proj == rl.mat([[1, 0, Fraction(-1, 2)], [0, 1, 0]])
 
 
 def test_quotient_by_zero_subspace_is_identity():
@@ -77,6 +80,19 @@ def test_minimal_polynomial_examples():
     # Jordan block at 0 of size 3: t^3
     J = rl.mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert rl.minimal_polynomial(J) == [Fraction(0)] * 3 + [Fraction(1)]
+    # a nilpotent block beside an invertible one: t^3 (t - 2); zero blocks: t
+    N = rl.mat([[0, 2, 1], [0, 0, -3], [0, 0, 0]])  # N^2 != 0 = N^3
+    assert rl.minimal_polynomial(N, rl.mat([[2]])) == [Fraction(0)] * 3 + [Fraction(-2), Fraction(1)]
+    assert rl.minimal_polynomial(rl.zeros(2, 2), rl.zeros(1, 1)) == [Fraction(0), Fraction(1)]
+    # degree n: a companion matrix is cyclic, so its minimal polynomial is
+    # its characteristic polynomial t^4 - 2 t^3 + t / 2 - 3
+    low = [Fraction(-3), Fraction(1, 2), Fraction(0), Fraction(-2)]
+    C = rl.zeros(4, 4)
+    for i in range(4):
+        C[i][3] = -low[i]
+        if i:
+            C[i][i - 1] = Fraction(1)
+    assert rl.minimal_polynomial(C) == low + [Fraction(1)]
 
 
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=4))
@@ -347,6 +363,60 @@ def test_echelon_matches_gauss_jordan_entry_for_entry(case):
     assert (N.rows, N.cols) == (n - len(pivots_ref), n)
     assert N.data == ref_nullspace(rows, n)
     assert all(type(x) is Fraction for row in N for x in row)
+
+
+def greedy_complement_columns(B):
+    """Unit columns e_i, in increasing i, each kept when it raises the rank
+    of the independent columns of B and the unit columns kept so far."""
+    n = B.rows
+    rows = B.data
+    chosen = []
+    current = B.cols
+    for i in range(n):
+        if current == n:
+            break
+        candidate = [rows[j] + [Fraction(int(j == i))] for j in range(n)]
+        if rl.rank(rl.Mat(n, current + 1, candidate)) == current + 1:
+            rows = candidate
+            chosen.append(i)
+            current += 1
+    return rl.Mat(n, len(chosen), [[Fraction(int(j == i)) for i in chosen] for j in range(n)])
+
+
+def ref_quotient_maps(B):
+    """(proj, section) from a column basis of B, the greedy complement and
+    the inverse of the two side by side: proj is the rows of the inverse
+    that belong to the complement."""
+    basis, pivots = rl.column_space_basis(B)
+    n, r = B.rows, len(pivots)
+    comp = greedy_complement_columns(basis)
+    if r == n:
+        return rl.zeros(0, n), comp
+    inv = rl.inverse(rl.hstack(basis, comp))
+    return rl.Mat(n - r, n, inv.data[r:]), comp
+
+
+@st.composite
+def column_cases(draw):
+    """An n x c matrix, mostly zeros, often with a zero column and a
+    column that is a multiple of another."""
+    n, c = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    cols = draw(st.lists(st.lists(sparse_cells, min_size=n, max_size=n), min_size=c, max_size=c))
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), [0] * n)
+    if cols and draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        cols.insert(draw(st.integers(0, len(cols))), [k * Fraction(x) for x in draw(st.sampled_from(cols))])
+    return rl.mat([[col[i] for col in cols] for i in range(n)], n, len(cols))
+
+
+@given(column_cases())
+@settings(max_examples=200, deadline=None)
+def test_quotient_maps_match_the_greedy_complement(B):
+    proj, section = rl.quotient_maps(B)
+    assert (proj, section) == ref_quotient_maps(B)
+    assert all(type(x) is Fraction for M in (proj, section) for row in M for x in row)
+    assert rl.complement_columns(B) == section
 
 
 def test_kernel_basis_checks_every_vector_against_every_row():
