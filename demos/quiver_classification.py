@@ -53,7 +53,7 @@ print("beta image indecomposable:", qv.is_indecomposable(B))
 # the dimension of End modulo its radical.
 
 scrambled = qv.conjugate(qv.direct_sum(cubics.rn_family(1, 3), cubics.rn_family(1, 7)), seed=5)
-parts = qv.decompose(scrambled, seed=1)
+parts = qv.decompose(scrambled)
 print("\nscrambled R_1(3) + R_1(7) decomposes into:",
       [p.dim_vector() for p in parts])
 for p in parts:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import characters as ch
-from .characters import Character, Weight
+from .characters import Character
 
 SIMPLES = ("S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E")
 
@@ -78,18 +78,29 @@ HOLONOMIC_RANK = {"S": 1, "G-1": 1, "G1": 1, "G2": 1, "G3": 1, "G4": 1, "Q0": 2,
 
 def fourier_partner(name: str) -> str:
     """The simple paired with this one by the Fourier transform."""
-    return _FOURIER[_check(name)]
+    return _FOURIER[_simple(name)]
 
 
 def dual_partner(name: str) -> str:
     """The simple paired with this one by holonomic duality."""
-    return _DUALITY[_check(name)]
+    return _DUALITY[_simple(name)]
 
 
-def _check(name: str) -> str:
+def _simple(name: str) -> str:
     if name not in SUPPORT:
         raise KeyError(f"unknown simple: {name!r}")
     return name
+
+
+def check(name: str, witness=None) -> dict:
+    """A pass/fail check record: it passes when witness is None.
+
+    A failing record carries str(witness), the first counterexample
+    found, under "witness".
+    """
+    if witness is None:
+        return {"name": name, "status": "pass"}
+    return {"name": name, "status": "fail", "witness": str(witness)}
 
 
 _characters: dict[str, Character] = {}
@@ -279,61 +290,42 @@ def verify_identities(
     reporting).
     """
     get = lambda n: (overrides or {}).get(n) or character_of(n)
-    checks: list[dict] = []
+    box = list(ch.box_weights(lo, hi))
 
-    def record(name: str, witness: Weight | None):
-        checks.append(
-            {"name": name, "status": "pass" if witness is None else "fail"}
-            | ({} if witness is None else {"witness": str(witness)})
-        )
+    def equal(name: str, left: Character, right: Character) -> dict:
+        return check(name, ch.first_disagreement(left, right, lo, hi))
 
-    def equal(name: str, left: Character, right: Character):
-        record(name, ch.first_disagreement(left, right, lo, hi))
+    checks = [
+        equal("[Sdelta] = [S] + [P] + [E] (localize vs formulas)",
+              ch.localize(get("S")), get("S") + get("P") + get("E")),
+        equal("[Q0delta] = [Q0] + [P] + [D0] (localize vs formulas)",
+              ch.localize(get("Q0")), get("Q0") + get("P") + get("D0")),
+        equal("[F1] = [G1] + [D1]", get("F1"), get("G1") + get("D1")),
+        equal("[F-1] = [G-1] + [D2]", get("F-1"), get("G-1") + get("D2")),
+        equal("[H^1_O3bar(G1)] = [D1]", ch.localize(get("G1")) - get("G1"), get("D1")),
+    ]
 
-    loc_s = ch.localize(get("S"))
-    equal("[Sdelta] = [S] + [P] + [E] (localize vs formulas)",
-          loc_s, get("S") + get("P") + get("E"))
-    loc_q0 = ch.localize(get("Q0"))
-    equal("[Q0delta] = [Q0] + [P] + [D0] (localize vs formulas)",
-          loc_q0, get("Q0") + get("P") + get("D0"))
-    equal("[F1] = [G1] + [D1]", get("F1"), get("G1") + get("D1"))
-    equal("[F-1] = [G-1] + [D2]", get("F-1"), get("G-1") + get("D2"))
-    equal("[H^1_O3bar(G1)] = [D1]",
-          ch.localize(get("G1")) - get("G1"), get("D1"))
-
-    def congruence(name: str, char: Character, residue: int):
-        witness = None
-        for lam in ch.box_weights(lo, hi):
-            if char.mult(lam) != 0 and (lam[0] + lam[1] - residue) % 3 != 0:
-                witness = lam
-                break
-        record(name, witness)
+    def congruence(name: str, char: Character, residue: int) -> dict:
+        return check(name, next((lam for lam in box if char.mult(lam) != 0
+                                 and (lam[0] + lam[1] - residue) % 3 != 0), None))
 
     for j in (0, 1, 2):
-        congruence(f"[D{j}] supported on l1+l2 = -{j} mod 3", get(f"D{j}"), -j)
+        checks.append(congruence(f"[D{j}] supported on l1+l2 = -{j} mod 3", get(f"D{j}"), -j))
     for j, name in ((0, "Q0"), (1, "Q1"), (2, "Q2")):
-        congruence(f"[{name}] supported on l1+l2 = {j} mod 3", get(name), j)
+        checks.append(congruence(f"[{name}] supported on l1+l2 = {j} mod 3", get(name), j))
 
-    def diagonal(name: str, char: Character, expected):
-        witness = None
-        for a in range(lo, hi + 1):
-            if char.mult((a, a)) != expected(a):
-                witness = (a, a)
-                break
-        record(name, witness)
+    def diagonal(name: str, char: Character, expected) -> dict:
+        return check(name, next(((a, a) for a in range(lo, hi + 1)
+                                 if char.mult((a, a)) != expected(a)), None))
 
-    diagonal("[D1] SL-invariants: 1 iff a = 1 mod 6, a <= -5", get("D1"),
-             lambda a: 1 if (a % 6 == 1 and a <= -5) else 0)
-    diagonal("[D2] SL-invariants: 1 iff a = -1 mod 6, a <= -7", get("D2"),
-             lambda a: 1 if (a % 6 == 5 and a <= -7) else 0)
-    diagonal("[D0] has no SL-invariants", get("D0"), lambda a: 0)
+    checks.append(diagonal("[D1] SL-invariants: 1 iff a = 1 mod 6, a <= -5", get("D1"),
+                           lambda a: 1 if (a % 6 == 1 and a <= -5) else 0))
+    checks.append(diagonal("[D2] SL-invariants: 1 iff a = -1 mod 6, a <= -7", get("D2"),
+                           lambda a: 1 if (a % 6 == 5 and a <= -7) else 0))
+    checks.append(diagonal("[D0] has no SL-invariants", get("D0"), lambda a: 0))
 
-    witness = None
-    for lam in ch.box_weights(lo, hi):
-        if get("P").mult(lam) < 0:
-            witness = lam
-            break
-    record("[P] is non-negative", witness)
+    p = get("P")
+    checks.append(check("[P] is non-negative", next((lam for lam in box if p.mult(lam) < 0), None)))
 
     obstruction = (
         ("<[D0], e^(-6,-9)> = 1", get("D0").mult((-6, -9)), 1),
@@ -342,11 +334,8 @@ def verify_identities(
         ("<[Q0], e^(0,-3)> = 0", get("Q0").mult((0, -3)), 0),
     )
     for name, got, expected in obstruction:
-        checks.append(
-            {"name": f"submodule obstruction: {name}", "status": "pass" if got == expected else "fail"}
-            | ({} if got == expected else {"witness": f"got {got}"})
-        )
-
+        checks.append(check(f"submodule obstruction: {name}",
+                            None if got == expected else f"got {got}"))
     return checks
 
 
@@ -355,11 +344,6 @@ def fourier_coherence(lo: int = -30, hi: int = 30) -> list[dict]:
     checks = []
     for name in SIMPLES:
         partner = fourier_partner(name)
-        witness = ch.first_disagreement(
-            character_of(partner), ch.fourier(character_of(name)), lo, hi
-        )
-        checks.append(
-            {"name": f"F([{name}]) = [{partner}]", "status": "pass" if witness is None else "fail"}
-            | ({} if witness is None else {"witness": str(witness)})
-        )
+        checks.append(check(f"F([{name}]) = [{partner}]", ch.first_disagreement(
+            character_of(partner), ch.fourier(character_of(name)), lo, hi)))
     return checks

@@ -6,7 +6,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure
 only).  The CLI performs no arithmetic of its own; every number comes
 from the library and is exact, localized characters included.
 Output in json mode is stable-ordered (weights lexicographic), so runs
-are byte-identical for a fixed seed.
+are byte-identical; --seed seeds only the random samplers of the verify
+suites, and every other command is deterministic without it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "D-modules on binary cubic forms.",
     )
     parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the random samplers of the verify suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mult = sub.add_parser("mult", help="multiplicity of a weight in a character")
@@ -147,7 +149,7 @@ def _cmd_rep(args) -> int:
         rep = qv.rep_from_dict(data, cubics.named_quivers())
     except (KeyError, ValueError) as exc:
         raise _UsageError(f"bad representation file: {exc}")
-    summands = qv.decompose_certified(rep, seed=args.seed)
+    summands = qv.decompose_certified(rep)
     verts = rep.bq.quiver.vertices
     payload = {"file": args.file, "summands": []}
     lines = []

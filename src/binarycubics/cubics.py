@@ -13,7 +13,9 @@ the big component, the one-parameter families R_n(lambda), the
 injective envelope of the middle simple P, and the randomized checks
 that every indecomposable of the big component is a
 projective-injective or the image of a four-subspace indecomposable
-under one of the embeddings (domestic tame type).
+under one of the embeddings (domestic tame type).  Their seed draws the
+samples only: _complete solves each quiver's zero relations for the
+arrows left after the free ones, and decompositions take no seed.
 
 In big_component the outer vertices are numbered so that the surviving
 diagonal compositions are 1 -> 2, 2 -> 1, 3 -> 4, 4 -> 3; the simples
@@ -195,7 +197,8 @@ def embed_beta(V: Representation) -> Representation:
 
 
 def jordan_block(n: int, lam) -> rl.Mat:
-    lam = Fraction(lam)
+    """The upper n x n Jordan block with eigenvalue lam, an integer or a Fraction."""
+    lam = rl.exact(lam)
     J = rl.zeros(n, n)
     for i in range(n):
         J[i][i] = lam
@@ -209,7 +212,8 @@ def rn_family(n: int, lam) -> Representation:
 
     Dimension vector (n, n, n, n, 2n); the four subspaces of C^(2n) are
     the column spans of [I;0], [0;I], [I;I] and [I;J_n(lambda)] with
-    J_n(lambda) the upper Jordan block.
+    J_n(lambda) the upper Jordan block.  lambda must be an integer or a
+    Fraction (TypeError otherwise).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -248,64 +252,59 @@ def injective_envelope_of_P() -> Representation:
     return I_P
 
 
-def _sandwich(rng: random.Random, target_basis: rl.Mat, proj: rl.Mat) -> rl.Mat:
-    """Random m x n matrix of the form L @ R @ proj.
+def _complete(rng: random.Random, bq: BoundQuiver, dims: dict[str, int],
+              free: set[str]) -> Representation:
+    """Random representation of bq: free arrows get small-integer
+    matrices, the others are sampled from the zero relations f c = 0.
 
-    Columns land in the span of the rows of target_basis (r vectors in
-    Q^m) and the matrix kills the kernel of proj (a q x n quotient map),
-    with R a random small-integer r x q matrix: the general solution of
-    a pair of one-sided linear constraints.
+    The free arrows are drawn first, then each other arrow c in arrow
+    order as L @ R @ proj, the general solution once the free arrows are
+    fixed: proj kills the images of the free f with f c = 0, the columns
+    of L span the common kernel of the free g with c g = 0, and R is a
+    random small-integer matrix.  Other relations are left to
+    Representation, which raises ValueError if they fail.  A sampling
+    heuristic, not uniform on the relation variety.
     """
-    r, q = target_basis.rows, proj.rows
-    R = rl.Mat(r, q, [[Fraction(rng.randint(-2, 2)) for _ in range(q)] for _ in range(r)])
-    return rl.matmul(rl.matmul(rl.transpose(target_basis), R), proj)
+    arrows = bq.quiver.arrows
+    zero = {rel[0][1] for rel in bq.relations.relations if len(rel) == 1}
+    maps = {}
+    for a in arrows:
+        if a.name in free:
+            maps[a.name] = _small(rng, dims[a.target], dims[a.source], 3)
+    for c in arrows:
+        if c.name in free:
+            continue
+        killed = rl.zeros(dims[c.source], 0)
+        kernel_of = rl.zeros(0, dims[c.target])
+        for f in arrows:
+            if (f.name, c.name) in zero:
+                killed = rl.hstack(killed, maps[f.name])
+            if (c.name, f.name) in zero:
+                kernel_of = rl.vstack(kernel_of, maps[f.name])
+        proj, _ = rl.quotient_maps(killed)
+        ker = rl.nullspace(kernel_of)
+        R = _small(rng, ker.rows, proj.rows, 2)
+        maps[c.name] = rl.matmul(rl.matmul(rl.transpose(ker), R), proj)
+    return Representation(bq, dims, maps)
+
+
+def _small(rng: random.Random, m: int, n: int, bound: int) -> rl.Mat:
+    """An m x n matrix of integers drawn uniformly from [-bound, bound], row by row."""
+    return rl.Mat(m, n, [[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+                         for _ in range(m)])
 
 
 def random_big_component_rep(rng: random.Random, max_outer: int = 3,
                              max_center: int = 6) -> Representation:
     """Seeded random representation of the big component.
 
-    One side of the arrows (alphas or betas, chosen per sample) gets
-    free small-integer matrices; each arrow on the other side is then
-    sampled from the exact solution space of the relations, which are
-    linear in it once the free side is fixed: it must kill the images of
-    the arrows it composes to zero with, and land in the kernel of the
-    arrow that composes to zero after it.  A sampling heuristic, not
-    uniform on the relation variety.
+    One side of the arrows (alphas or betas, chosen per sample) is free;
+    _complete samples the other side from the relations.
     """
-    bq = build("big_component")
     dims = {str(i): rng.randint(0, max_outer) for i in (1, 2, 3, 4)}
     dims["5"] = rng.randint(0, max_center)
-    d5 = dims["5"]
-
-    def rand(m, n):
-        return rl.Mat(m, n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)])
-
-    maps: dict[str, rl.Mat] = {}
-    if rng.random() < 0.5:
-        for i in (1, 2, 3, 4):
-            maps[f"alpha{i}"] = rand(d5, dims[str(i)])
-        for j in (1, 2, 3, 4):
-            # columns of the constrained alphas span the subspace to kill
-            span = rl.zeros(d5, 0)
-            for i in (1, 2, 3, 4):
-                if (i, j) not in _DIAGONAL:
-                    span = rl.hstack(span, maps[f"alpha{i}"])
-            proj, _ = rl.quotient_maps(span)
-            ker = rl.nullspace(maps[f"alpha{j}"])
-            maps[f"beta{j}"] = _sandwich(rng, ker, proj)
-    else:
-        for i in (1, 2, 3, 4):
-            maps[f"beta{i}"] = rand(dims[str(i)], d5)
-        for i in (1, 2, 3, 4):
-            stacked = rl.zeros(0, d5)
-            for j in (1, 2, 3, 4):
-                if (i, j) not in _DIAGONAL:
-                    stacked = rl.vstack(stacked, maps[f"beta{j}"])
-            ker = rl.nullspace(stacked)
-            proj, _ = rl.quotient_maps(maps[f"beta{i}"])
-            maps[f"alpha{i}"] = _sandwich(rng, ker, proj)
-    return Representation(bq, dims, maps)
+    side = "alpha" if rng.random() < 0.5 else "beta"
+    return _complete(rng, build("big_component"), dims, {f"{side}{i}" for i in (1, 2, 3, 4)})
 
 
 def check_tame_classification(samples: int = 100, max_outer: int = 3,
@@ -333,7 +332,7 @@ def check_tame_classification(samples: int = 100, max_outer: int = 3,
     }
     for k in range(samples):
         V = random_big_component_rep(rng, max_outer, max_center)
-        for W, certified in decompose_certified(V, seed=seed * 100003 + k):
+        for W, certified in decompose_certified(V):
             report["summands"] += 1
             if not certified:
                 report["inconclusive"] += 1
@@ -370,14 +369,8 @@ def check_two_vertex_component(samples: int = 50, max_dim: int = 4, seed: int = 
               "simple_1": 0, "simple_2": 0, "arrow_a": 0, "arrow_b": 0,
               "violations": []}
     for k in range(samples):
-        d1, d2 = rng.randint(0, max_dim), rng.randint(0, max_dim)
-        a = rl.Mat(d2, d1, [[Fraction(rng.randint(-3, 3)) for _ in range(d1)] for _ in range(d2)])
-        # b must kill Im(a) and land in ker(a)
-        ker = rl.nullspace(a)
-        proj, _ = rl.quotient_maps(a)
-        b = _sandwich(rng, ker, proj)
-        V = Representation(bq, {"1": d1, "2": d2}, {"a": a, "b": b})
-        for W, _certified in decompose_certified(V, seed=seed * 99991 + k):
+        dims = {"1": rng.randint(0, max_dim), "2": rng.randint(0, max_dim)}
+        for W, _certified in decompose_certified(_complete(rng, bq, dims, {"a"})):
             report["summands"] += 1
             dv = W.dim_vector()
             ra, rb = W.arrow_rank("a"), W.arrow_rank("b")

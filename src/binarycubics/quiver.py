@@ -22,13 +22,15 @@ endomorphisms.  Indecomposability is certified only in the absolutely
 indecomposable case End/rad of dimension one; otherwise the verdict is
 "inconclusive" by design.
 
-The split search is the only randomized step: it takes an explicit
-seed, and every split it finds is re-verified deterministically (exact
-kernels that must fill V, relation checks), so runs are reproducible.
+The split search is the only randomized step.  It draws from a fixed
+internal generator, so the summands and verdicts depend on V alone, and
+every split it finds is re-verified deterministically (exact kernels
+that must fill V, relation checks).  Only conjugate takes a seed.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -98,7 +100,11 @@ class RelationSet:
     Every combination must be length-homogeneous (the slice-wise
     reduction is graded by path length); all relations arising here are
     monomial of length two.  max_path_length defaults to
-    (#vertices) * max(2, longest relation length).
+    (#vertices) * max(2, longest relation length); path_basis raises
+    NonAdmissibleError when nonzero paths remain at that length.  An
+    admissible algebra can need more: Λ(Q^2), one vertex with loops a, b
+    and relations a^2, b^2, ab + ba, keeps ba at length 2 and needs
+    max_path_length=3.
     """
 
     relations: tuple[Relation, ...]
@@ -230,7 +236,8 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
         if not alive:
             return PathBasis(by_pair, reduction)
     raise NonAdmissibleError(
-        f"nonzero paths persist at length {bound}; the relation ideal is not admissible"
+        f"nonzero paths remain at length {bound}, the max_path_length bound: the relation "
+        "ideal is not admissible, or it needs a larger max_path_length"
     )
 
 
@@ -302,7 +309,9 @@ class Representation:
     maps[arrow] has shape (dim target) x (dim source), also when a
     dimension is 0; omitted arrows default to zero.  The vertex and
     arrow names, the shapes and the relations are checked on
-    construction.
+    construction.  A dimension must be an integer (numpy integers too)
+    and an entry an integer or a Fraction; anything else, a float, a
+    string or a bool, raises TypeError rather than being truncated.
     """
 
     bq: BoundQuiver
@@ -317,7 +326,7 @@ class Representation:
         unknown = set(self.maps) - {a.name for a in q.arrows}
         if unknown:
             raise ValueError(f"maps for unknown arrows: {sorted(unknown)}")
-        self.dims = {v: int(self.dims.get(v, 0)) for v in q.vertices}
+        self.dims = {v: _dimension(self.dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
         normalized = {}
@@ -361,6 +370,12 @@ class Representation:
     def __repr__(self):
         dims = ", ".join(f"{v}:{d}" for v, d in self.dims.items() if d)
         return f"Representation({self.bq.name or 'quiver'}; {dims or '0'})"
+
+
+def _dimension(d) -> int:
+    if isinstance(d, bool) or not hasattr(d, "__index__"):
+        raise TypeError(f"dimension {d!r} is not an integer")
+    return operator.index(d)
 
 
 @dataclass
@@ -633,7 +648,7 @@ def _try_split(V: Representation, basis: list[RepMorphism],
     return None
 
 
-def decompose_certified(V: Representation, seed: int = 0) -> list[tuple[Representation, bool]]:
+def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
     Splits repeatedly along coprime factors of minimal polynomials of
@@ -644,7 +659,7 @@ def decompose_certified(V: Representation, seed: int = 0) -> list[tuple[Represen
     """
     if V.total_dim() == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(0)  # fixed, so the summands depend on V alone
     out: list[tuple[Representation, bool]] = []
     stack = [V]
     while stack:
@@ -661,17 +676,17 @@ def decompose_certified(V: Representation, seed: int = 0) -> list[tuple[Represen
     return out
 
 
-def decompose(V: Representation, seed: int = 0) -> list[Representation]:
-    return [rep for rep, _ in decompose_certified(V, seed)]
+def decompose(V: Representation) -> list[Representation]:
+    return [rep for rep, _ in decompose_certified(V)]
 
 
-def is_indecomposable(V: Representation, seed: int = 0) -> str:
+def is_indecomposable(V: Representation) -> str:
     """'yes', 'no', or 'inconclusive' (End/rad too big but no split found).
 
     Read off decompose_certified: no summand (V = 0) or several give
     "no", one certified summand "yes", one uncertified "inconclusive".
     """
-    summands = decompose_certified(V, seed)
+    summands = decompose_certified(V)
     if len(summands) != 1:
         return "no"
     return "yes" if summands[0][1] else "inconclusive"

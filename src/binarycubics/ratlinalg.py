@@ -5,7 +5,8 @@ list of row lists of Fractions.  The shape is part of the value, so an
 m x 0 or a 0 x n matrix is as well defined as any other, products with
 a zero dimension come out with the right shape, and no function takes a
 column count beside its matrix.  mat(x, m, n) is the one boundary
-constructor: it takes nested rows (or a Mat) and checks the shape.
+constructor: it takes nested rows (or a Mat) and checks the shape, and
+exact(x) admits an entry only if it is an integer or a Fraction.
 The hot paths run on Python integers:
 
 - matmul clears denominators once per row of A and once per column of
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 Vector = list[Fraction]
 
@@ -66,18 +67,32 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, [{body}])"
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction: x must be a Fraction or an integer (numpy integers too).
+
+    Floats, strings and bools raise TypeError: 0.1 is not 1/10, and
+    "1.5" is text, so neither is turned into a number silently.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"{x!r} is not an integer or a Fraction")
+    return Fraction(index(x))
+
+
 def mat(x, m: int | None = None, n: int | None = None) -> Mat:
     """The m x n matrix given as nested rows or as a Mat; ValueError on another shape.
 
     An omitted size is read off x: m is its number of rows and n the
     length of its first row (0 when it has none).  A Mat of the right
-    shape is returned as it is.
+    shape is returned as it is; nested rows go through exact, so an
+    entry that is not an integer or a Fraction raises TypeError.
     """
     if isinstance(x, Mat):
         if (m is None or x.rows == m) and (n is None or x.cols == n):
             return x
         raise ValueError(f"expected a {m}x{n} matrix, got {x.rows}x{x.cols}")
-    data = [[Fraction(v) for v in row] for row in x]
+    data = [[exact(v) for v in row] for row in x]
     if m is None:
         m = len(data)
     if n is None:
@@ -130,7 +145,7 @@ def mat_add(A: Mat, B: Mat) -> Mat:
 
 
 def scale(A: Mat, c) -> Mat:
-    c = Fraction(c)
+    c = exact(c)
     return Mat(A.rows, A.cols, [[c * x for x in row] for row in A.data])
 
 

@@ -2,27 +2,25 @@
 
 Each suite returns a report dict {"suite": name, "checks": [...]} where a
 check is {"name", "status", "witness"?} and status is "pass", "fail" or
-(for the randomized tame suite only) "inconclusive".  The CLI prints
-these; the acceptance tests assert on them.  All numbers are produced by
-the library layers.
+(for the randomized tame suite only) "inconclusive".  Every pass/fail
+check is built by catalog.check, which passes when there is no witness;
+a scan reports its first counterexample.  The CLI prints these; the
+acceptance tests assert on them.  All numbers are produced by the
+library layers.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import catalog, characters as ch, cubics, quiver as qv
+from .catalog import check
 
 SUITES = ("characters", "quiver", "loccoh", "tame")
 
 BOX_LO, BOX_HI = -30, 30  # the weight box of the character identities
 QUIVER_SAMPLES, TAME_SAMPLES = 50, 100  # random representations each sampler draws
 MAX_INCONCLUSIVE_RATE = 0.05  # share of tame summands that may stay inconclusive
-
-
-def _check(name: str, ok: bool, witness: str | None = None) -> dict:
-    out = {"name": name, "status": "pass" if ok else "fail"}
-    if not ok and witness is not None:
-        out["witness"] = witness
-    return out
 
 
 def suite_characters() -> dict:
@@ -53,19 +51,13 @@ def suite_characters() -> dict:
         ("m_diag(4)", ch.m_diag(4), 0),
     ]
     for name, got, want in golden:
-        checks.append(_check(f"golden: {name} = {want}", got == want, f"got {got}"))
+        checks.append(check(f"golden: {name} = {want}", None if got == want else f"got {got}"))
 
-    ok = all(ch.m_diag(a) == ch.nu(a - 5) - ch.nu(a - 6) for a in range(-10, 61))
-    checks.append(_check("m_diag agrees with the nu difference on [-10, 60]", ok))
-
-    ok = True
-    witness = None
-    for i in range(0, 61):
-        expect = sum(1 for a in range(i // 2 + 1) if (i - 2 * a) % 3 == 0)
-        if ch.nu(i) != expect:
-            ok, witness = False, str(i)
-            break
-    checks.append(_check("nu matches direct expansion on [0, 60]", ok, witness))
+    checks.append(check("m_diag agrees with the nu difference on [-10, 60]", next(
+        (a for a in range(-10, 61) if ch.m_diag(a) != ch.nu(a - 5) - ch.nu(a - 6)), None)))
+    checks.append(check("nu matches direct expansion on [0, 60]", next(
+        (i for i in range(0, 61)
+         if ch.nu(i) != sum(1 for a in range(i // 2 + 1) if (i - 2 * a) % 3 == 0)), None)))
 
     checks.extend(catalog.verify_identities(BOX_LO, BOX_HI))
     checks.extend(catalog.fourier_coherence(BOX_LO, BOX_HI))
@@ -73,6 +65,7 @@ def suite_characters() -> dict:
 
 
 def suite_quiver(seed: int = 0) -> dict:
+    """Quiver facts; seed draws the two-vertex component's random samples."""
     checks: list[dict] = []
     pf = cubics.build("paper_full")
     bc = cubics.build("big_component")
@@ -86,63 +79,56 @@ def suite_quiver(seed: int = 0) -> dict:
             for factor in [pf.vertex_labels[v]] * d
         )
         want = sorted(catalog.INJECTIVE_FACTORS[simple])
-        checks.append(_check(
-            f"injective envelope of {simple} has factors {','.join(want)}",
-            got == want, f"got {got}"))
+        checks.append(check(f"injective envelope of {simple} has factors {','.join(want)}",
+                            None if got == want else f"got {got}"))
 
     facts = [("d1", "g1", 1), ("e", "s", 0), ("d0", "s", 0), ("q0", "e", 0)]
     for x, y, count in facts:
-        checks.append(_check(
-            f"arrow count {x} -> {y} is {count}",
-            pf.arrow_count(x, y) == count, f"got {pf.arrow_count(x, y)}"))
+        got = pf.arrow_count(x, y)
+        checks.append(check(f"arrow count {x} -> {y} is {count}",
+                            None if got == count else f"got {got}"))
 
     label_to_vertex = {s: v for v, s in pf.vertex_labels.items()}
-    ok, witness = True, None
-    for x in pf.quiver.vertices:
-        for y in pf.quiver.vertices:
-            dx = label_to_vertex[catalog.dual_partner(pf.vertex_labels[x])]
-            dy = label_to_vertex[catalog.dual_partner(pf.vertex_labels[y])]
-            if pf.arrow_count(x, y) != pf.arrow_count(dy, dx):
-                ok, witness = False, f"({x}, {y})"
-                break
-        if not ok:
-            break
-    checks.append(_check("arrow counts are symmetric under holonomic duality", ok, witness))
+    dual = {x: label_to_vertex[catalog.dual_partner(s)] for x, s in pf.vertex_labels.items()}
+    checks.append(check("arrow counts are symmetric under holonomic duality", next(
+        (f"({x}, {y})" for x, y in product(pf.quiver.vertices, repeat=2)
+         if pf.arrow_count(x, y) != pf.arrow_count(dual[y], dual[x])), None)))
 
     for i, j in ((1, 2), (2, 1), (3, 4), (4, 3)):
         got = qv.is_isomorphic(bc.projective(str(i)), bc.injective(str(j)))
-        checks.append(_check(f"projective({i}) is isomorphic to injective({j})", got))
+        checks.append(check(f"projective({i}) is isomorphic to injective({j})",
+                            None if got else "not isomorphic"))
 
     try:
         cubics.injective_envelope_of_P()
-        checks.append(_check("cokernel of P -> H + F(H) is the injective envelope of P", True))
+        witness = None
     except AssertionError as exc:
-        checks.append(_check("cokernel of P -> H + F(H) is the injective envelope of P",
-                             False, str(exc)))
+        witness = str(exc)
+    checks.append(check("cokernel of P -> H + F(H) is the injective envelope of P", witness))
 
     for n in (1, 2, 3, 4):
         for lam in (0, 1, -1, 5):
             R = cubics.rn_family(n, lam)
             verdicts = [
-                ("", qv.is_indecomposable(R, seed=seed)),
-                (" alpha image", qv.is_indecomposable(cubics.embed_alpha(R), seed=seed)),
-                (" beta image", qv.is_indecomposable(cubics.embed_beta(R), seed=seed)),
+                ("", qv.is_indecomposable(R)),
+                (" alpha image", qv.is_indecomposable(cubics.embed_alpha(R))),
+                (" beta image", qv.is_indecomposable(cubics.embed_beta(R))),
             ]
             bad = [tag for tag, v in verdicts if v != "yes"]
-            checks.append(_check(
-                f"R_{n}({lam}) indecomposable (and under both embeddings)",
-                not bad, f"failed at{','.join(bad)}"))
+            checks.append(check(f"R_{n}({lam}) indecomposable (and under both embeddings)",
+                                f"failed at{','.join(bad)}" if bad else None))
 
     pairs = [(0, 1), (0, -1), (1, 5), (-1, 5), (2, 7)]
     for a, b in pairs:
         got = qv.is_isomorphic(cubics.rn_family(1, a), cubics.rn_family(1, b))
-        checks.append(_check(f"R_1({a}) and R_1({b}) are non-isomorphic", got is False))
+        checks.append(check(f"R_1({a}) and R_1({b}) are non-isomorphic",
+                            "isomorphic" if got else None))
 
     two = cubics.check_two_vertex_component(samples=QUIVER_SAMPLES, seed=seed)
-    checks.append(_check(
+    checks.append(check(
         f"two-vertex component: {two['summands']} summands from {QUIVER_SAMPLES} samples "
         "all among the four indecomposables",
-        not two["violations"], str(two["violations"][:3])))
+        two["violations"][:3] or None))
     return {"suite": "quiver", "checks": checks}
 
 
@@ -168,22 +154,19 @@ def suite_loccoh() -> dict:
     }
     for (name, support, k), want in sorted(expected.items()):
         got = tuple(sorted(catalog.local_cohomology(name, support, k)))
-        checks.append(_check(
-            f"H^{k}_{support}({name}) = {'+'.join(want)}", got == want, f"got {got}"))
+        checks.append(check(f"H^{k}_{support}({name}) = {'+'.join(want)}",
+                            None if got == want else f"got {got}"))
 
-    ok, witness = True, None
-    for name in catalog.SIMPLES:
-        own = catalog.ORBIT_DIM[catalog.SUPPORT[name]]
-        for support in catalog.SUPPORT_CLOSURES:
-            if catalog.CLOSURE_DIM[support] >= own:
-                continue
-            for k in range(0, 7):
-                got = catalog.local_cohomology(name, support, k)
-                want = expected.get((name, support, k), ())
-                if tuple(sorted(got)) != tuple(sorted(want)):
-                    ok, witness = False, f"H^{k}_{support}({name})"
-                    break
-    checks.append(_check("all off-table local cohomology queries vanish", ok, witness))
+    # every group below the module's own support, in (module, support, degree) order
+    groups = ((name, support, k)
+              for name in catalog.SIMPLES
+              for support in catalog.SUPPORT_CLOSURES
+              if catalog.CLOSURE_DIM[support] < catalog.ORBIT_DIM[catalog.SUPPORT[name]]
+              for k in range(0, 7))
+    checks.append(check("all off-table local cohomology queries vanish", next(
+        (f"H^{k}_{support}({name})" for name, support, k in groups
+         if sorted(catalog.local_cohomology(name, support, k))
+         != sorted(expected.get((name, support, k), ()))), None)))
 
     def iterate(name: str, steps: list[tuple[str, int]]) -> tuple[str, ...] | None:
         objs = [name]
@@ -206,21 +189,22 @@ def suite_loccoh() -> dict:
     ]
     for label, steps, want in iterated_groups:
         got = iterate("S", steps)
-        checks.append(_check(f"iterated {label} = {'+'.join(want)}", got == want, f"got {got}"))
+        checks.append(check(f"iterated {label} = {'+'.join(want)}",
+                            None if got == want else f"got {got}"))
 
     g1 = catalog.character_of("G1")
     d1 = catalog.character_of("D1")
-    witness = ch.first_disagreement(ch.localize(g1) - g1, d1, BOX_LO, BOX_HI)
-    checks.append(_check("[H^1_O3bar(G1)] = [D1] on the box", witness is None, str(witness)))
+    checks.append(check("[H^1_O3bar(G1)] = [D1] on the box",
+                        ch.first_disagreement(ch.localize(g1) - g1, d1, BOX_LO, BOX_HI)))
     return {"suite": "loccoh", "checks": checks}
 
 
 def suite_tame(seed: int = 0) -> dict:
+    """The tame classification on random big-component representations drawn from seed."""
     report = cubics.check_tame_classification(samples=TAME_SAMPLES, seed=seed)
     checks = [
-        _check(
-            f"all {report['summands']} conclusive summands fall into the three classified cases",
-            not report["violations"], str(report["violations"][:3])),
+        check(f"all {report['summands']} conclusive summands fall into the three classified cases",
+              report["violations"][:3] or None),
     ]
     rate = report["inconclusive_rate"]
     rate_check = {

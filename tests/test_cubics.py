@@ -1,5 +1,7 @@
 """Tests for the binary-cubics quivers, embeddings and classification checks."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -85,13 +87,13 @@ class TestSeparateNode:
         checked = 0
         while checked < 20:
             V = cubics.random_big_component_rep(rng, max_outer=2, max_center=4)
-            for W, certified in qv.decompose_certified(V, seed=checked):
+            for W, certified in qv.decompose_certified(V):
                 if not certified or W.total_dim() <= 1:
                     continue
                 if all(d == 0 for v, d in W.dims.items() if v != "5"):
                     continue  # simple at the node is not covered by the bijection
                 out = cubics.separate_node(W)
-                assert qv.is_indecomposable(out, seed=checked) == "yes"
+                assert qv.is_indecomposable(out) == "yes"
                 checked += 1
 
     def test_wrong_quiver_rejected(self):
@@ -156,6 +158,17 @@ class TestRnFamily:
         with pytest.raises(ValueError):
             cubics.rn_family(0, 1)
 
+    def test_parameter_must_be_exact(self):
+        import numpy as np
+
+        assert cubics.rn_family(2, np.int64(3)).maps == cubics.rn_family(2, 3).maps
+        assert cubics.jordan_block(1, Fraction(2, 5)) == rl.mat([[Fraction(2, 5)]])
+        for bad in (0.1, "1.5", "3", True):
+            with pytest.raises(TypeError, match="not an integer or a Fraction"):
+                cubics.jordan_block(2, bad)
+            with pytest.raises(TypeError, match="not an integer or a Fraction"):
+                cubics.rn_family(1, bad)
+
     def test_indecomposable(self):
         assert qv.is_indecomposable(cubics.rn_family(2, 7)) == "yes"
 
@@ -185,7 +198,7 @@ class TestClassificationChecks:
             cubics.embed_alpha(cubics.rn_family(1, 2)),
             cubics.embed_beta(cubics.rn_family(1, 3)),
         )
-        parts = qv.decompose(qv.conjugate(V, seed=2), seed=3)
+        parts = qv.decompose(qv.conjugate(V, seed=2))
         assert len(parts) == 2
         kinds = set()
         for p in parts:
@@ -200,3 +213,57 @@ class TestClassificationChecks:
         total = (report["simple_1"] + report["simple_2"]
                  + report["arrow_a"] + report["arrow_b"])
         assert total == report["summands"]
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+#: Recorded data, taken before the samplers were rewritten around
+#: cubics._complete: the first 16 hex digits of the sha256 of the
+#: sorted-key JSON of [rep_to_dict(V) for the first three samples V of
+#: random_big_component_rep(random.Random(s))], keyed by s.
+BIG_COMPONENT_STREAMS = {
+    0: "d261979a0dfe2ea9", 1: "fa2dd0fc2601c09b", 2: "a9d3bbdd299cceb7",
+    3: "3f6328ea5fd41543", 4: "57eaccb4150b5496", 5: "77a80981fca27fa1",
+}
+
+#: Recorded data of the same kind for check_two_vertex_component(samples=15,
+#: seed=s): the digest of the fifteen sampled representations and the report.
+TWO_VERTEX_STREAMS = {
+    0: ("1568ef254487f783", {"samples": 15, "summands": 53, "simple_1": 12, "simple_2": 20,
+                             "arrow_a": 21, "arrow_b": 0, "violations": []}),
+    4: ("6fc9ce3d51085fc3", {"samples": 15, "summands": 42, "simple_1": 8, "simple_2": 17,
+                             "arrow_a": 17, "arrow_b": 0, "violations": []}),
+}
+
+
+class TestSamplerStreams:
+    """The samplers draw the same representations, in the same order, as recorded."""
+
+    def test_big_component_streams(self):
+        sides = set()
+        for s, want in BIG_COMPONENT_STREAMS.items():
+            rng = random.Random(s)
+            samples = [qv.rep_to_dict(cubics.random_big_component_rep(rng)) for _ in range(3)]
+            assert _digest(samples) == want, s
+            # the first sample draws four outer and one central dimension, then its free side
+            replay = random.Random(s)
+            for bound in (3, 3, 3, 3, 6):
+                replay.randint(0, bound)
+            sides.add("alpha" if replay.random() < 0.5 else "beta")
+        assert sides == {"alpha", "beta"}  # the recorded streams reach both sides
+
+    def test_two_vertex_streams(self, monkeypatch):
+        sampled = []
+        decompose = cubics.decompose_certified
+
+        def spy(V):
+            sampled.append(qv.rep_to_dict(V))
+            return decompose(V)
+
+        monkeypatch.setattr(cubics, "decompose_certified", spy)
+        for s, (want, report) in TWO_VERTEX_STREAMS.items():
+            sampled.clear()
+            assert cubics.check_two_vertex_component(samples=15, seed=s) == report
+            assert _digest(sampled) == want, s

@@ -63,6 +63,19 @@ class TestPathBasis:
         reduced = pb.reduce(("a", "c"))
         assert reduced == ((Fraction(1), ("b", "c")),)
 
+    def test_exterior_algebra_needs_a_larger_bound(self):
+        # Λ(Q^2): relations a^2, b^2, ab + ba; ba survives at length 2, the default bound
+        q = qv.Quiver(("1",), (qv.Arrow("a", "1", "1"), qv.Arrow("b", "1", "1")))
+        one = Fraction(1)
+        rels = (((one, ("a", "a")),), ((one, ("b", "b")),),
+                ((one, ("a", "b")), (one, ("b", "a"))))
+        with pytest.raises(qv.NonAdmissibleError,
+                           match="remain at length 2, the max_path_length bound"):
+            qv.BoundQuiver(q, qv.RelationSet(rels)).path_basis()
+        pb = qv.BoundQuiver(q, qv.RelationSet(rels, max_path_length=3)).path_basis()
+        assert pb.paths("1", "1") == [(), ("a",), ("b",), ("b", "a")]
+        assert pb.reduce(("a", "b")) == ((-one, ("b", "a")),)
+
     def test_inhomogeneous_relation_rejected(self):
         q = qv.Quiver(("x",), (qv.Arrow("a", "x", "x"),))
         rel = ((Fraction(1), ("a", "a")), (Fraction(-1), ("a", "a", "a")))
@@ -375,7 +388,7 @@ class TestDecompose:
     def test_conjugated_tube_sum_recovers_parameters(self):
         R3, R7 = cubics.rn_family(1, 3), cubics.rn_family(1, 7)
         scrambled = qv.conjugate(qv.direct_sum(R3, R7), seed=5)
-        parts = qv.decompose(scrambled, seed=1)
+        parts = qv.decompose(scrambled)
         assert len(parts) == 2
         matches = {3: 0, 7: 0}
         for p in parts:
@@ -388,18 +401,26 @@ class TestDecompose:
         rng = random.Random(4)
         for k in range(3):
             V = cubics.random_big_component_rep(rng, max_outer=2, max_center=4)
-            before = sorted(p.dim_vector() for p in qv.decompose(V, seed=k))
+            before = sorted(p.dim_vector() for p in qv.decompose(V))
             after = sorted(
-                p.dim_vector() for p in qv.decompose(qv.conjugate(V, seed=k + 50), seed=k)
+                p.dim_vector() for p in qv.decompose(qv.conjugate(V, seed=k + 50))
             )
             assert before == after
 
     def test_summands_satisfy_relations_and_fill_dims(self):
         rng = random.Random(9)
         V = cubics.random_big_component_rep(rng, max_outer=3, max_center=5)
-        parts = qv.decompose(V, seed=2)  # construction re-checks relations
+        parts = qv.decompose(V)  # construction re-checks relations
         for v in V.bq.quiver.vertices:
             assert sum(p.dims[v] for p in parts) == V.dims[v]
+
+    def test_summands_depend_on_the_representation_alone(self):
+        rng = random.Random(9)
+        for _ in range(3):
+            V = cubics.random_big_component_rep(rng, max_outer=3, max_center=5)
+            first = qv.decompose_certified(V)
+            assert len(first) > 1
+            assert qv.decompose_certified(V) == first
 
     def test_is_indecomposable_verdicts(self):
         bc = cubics.build("big_component")
@@ -494,10 +515,10 @@ class TestIsIsomorphic:
         seen = set()
         for k in range(16):
             V = cubics.random_big_component_rep(rng, max_outer=1, max_center=2)
-            summands = qv.decompose_certified(V, seed=k)
+            summands = qv.decompose_certified(V)
             expected = ("no" if len(summands) != 1
                         else "yes" if summands[0][1] else "inconclusive")
-            assert qv.is_indecomposable(V, seed=k) == expected
+            assert qv.is_indecomposable(V) == expected
             seen.add(expected)
         assert seen == {"yes", "no"}
 
@@ -580,3 +601,20 @@ class TestRepresentationFiles:
         bq = cubics.build("two_vertex_pair")
         with pytest.raises(ValueError):
             qv.Representation(bq, {"1": 1, "2": 1}, {"a": [[1]], "b": [[1]]})
+
+    def test_dimensions_must_be_integers(self):
+        import numpy as np
+
+        d4 = cubics.build("d4hat")
+        V = qv.Representation(d4, {"1": np.int64(1), "5": 2}, {"alpha1": [[1], [0]]})
+        assert V.dims["1"] == 1 and type(V.dims["1"]) is int
+        # 1.9 and "1" used to be truncated or parsed to 1
+        for bad in (1.9, 1.0, "1", True, Fraction(1)):
+            with pytest.raises(TypeError, match="is not an integer"):
+                qv.Representation(d4, {"1": bad, "5": 1}, {})
+
+    def test_matrix_entries_must_be_exact(self):
+        d4 = cubics.build("d4hat")
+        for bad in (0.1, "1.5", True):
+            with pytest.raises(TypeError, match="not an integer or a Fraction"):
+                qv.Representation(d4, {"1": 1, "5": 1}, {"alpha1": [[bad]]})

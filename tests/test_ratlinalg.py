@@ -305,6 +305,22 @@ def test_mat_checks_the_shape():
         rl.mat(Z, 3, 2)
 
 
+def test_mat_takes_only_exact_entries():
+    import numpy as np
+
+    assert rl.mat([[np.int64(3), Fraction(1, 10), -2]]) == rl.mat([[3, Fraction(1, 10), -2]])
+    assert all(type(x) is Fraction for x in rl.mat([[np.int32(1), 2]])[0])
+    # 0.1 would be 3602879701896397/36028797018963968, "1.5" is text, True is not a number
+    for bad in (0.1, 2.0, "1.5", "1", True, np.float64(1.0), None):
+        with pytest.raises(TypeError, match="not an integer or a Fraction"):
+            rl.mat([[1, bad]])
+        with pytest.raises(TypeError):
+            rl.exact(bad)
+        with pytest.raises(TypeError):
+            rl.scale(rl.identity(1), bad)
+    assert rl.exact(Fraction(2, 3)) == Fraction(2, 3) and rl.exact(np.int8(-4)) == -4
+
+
 # -- the sparse echelon core against plain Gauss-Jordan ------------------------
 
 # mostly zeros, with integers and fractions of mixed denominators
