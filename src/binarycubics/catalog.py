@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import characters as ch
 from .characters import Character
+from .ratlinalg import integer
 
 SIMPLES = ("S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E")
 
@@ -252,8 +253,10 @@ def local_cohomology(name: str, support: str, k: int) -> tuple[str, ...]:
 
     Supports not strictly smaller than the support of the module give
     the module itself in degree 0 and nothing elsewhere; every entry
-    absent from the table is zero.
+    absent from the table is zero.  The degree k must be an integer: a
+    float or a bool raises TypeError.
     """
+    k = integer(k)
     if support not in CLOSURE_DIM:
         raise KeyError(f"unknown support: {support!r} (expected one of {SUPPORT_CLOSURES})")
     if CLOSURE_DIM[support] >= ORBIT_DIM[_support_of_object(name)]:
@@ -266,18 +269,14 @@ def local_cohomology(name: str, support: str, k: int) -> tuple[str, ...]:
 
 def local_cohomology_is_extension(name: str, support: str, k: int) -> bool:
     """Whether the recorded group is a non-split extension of its factors."""
-    entry = _LOCAL_COHOMOLOGY.get((name, support, k))
+    entry = _LOCAL_COHOMOLOGY.get((name, support, integer(k)))
     return bool(entry and entry[1])
 
 
 COMPOSITION_SERIES_FACTORS = {fact.ambient: fact.factors for fact in COMPOSITION_SERIES}
 
 
-def verify_identities(
-    lo: int = -30,
-    hi: int = 30,
-    overrides: dict[str, Character] | None = None,
-) -> list[dict]:
+def verify_identities(lo: int = -30, hi: int = 30) -> list[dict]:
     """Replay the catalog's character identities coefficientwise on a box.
 
     Returns one entry per identity: name, status ("pass"/"fail") and,
@@ -286,10 +285,8 @@ def verify_identities(
     which reads S, Q0 and G1 at a proven far shift by a multiple of
     (6, 6); the right-hand sides come from the independent closed/count
     formulas, so the two routes genuinely cross-check each other.
-    `overrides` substitutes characters by name (used to exercise failure
-    reporting).
     """
-    get = lambda n: (overrides or {}).get(n) or character_of(n)
+    get = character_of
     box = list(ch.box_weights(lo, hi))
 
     def equal(name: str, left: Character, right: Character) -> dict:

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
 from typing import Callable, Iterable, Mapping
+
+from .ratlinalg import integer
 
 Weight = tuple[int, int]
 
@@ -262,8 +263,8 @@ class Character:
     Immutable and referentially transparent; evaluations are memoized,
     so the combinators may be stacked freely.  Evaluation at a
     non-dominant weight is 0 by convention.  Weight components must be
-    integers (any type with __index__, numpy integers included); a float
-    or Fraction raises TypeError rather than being truncated.
+    integers (any type with __index__, numpy integers included); a float,
+    a Fraction or a bool raises TypeError rather than being truncated.
     """
 
     def __init__(self, fn: Callable[[Weight], int], name: str = ""):
@@ -272,9 +273,12 @@ class Character:
         self._cache: dict[Weight, int] = {}
 
     def mult(self, lam: Weight) -> int:
-        lam = (index(lam[0]), index(lam[1]))
-        if lam[0] < lam[1]:
+        l1, l2 = lam[0], lam[1]
+        if l1.__class__ is not int or l2.__class__ is not int:  # plain ints skip the check
+            l1, l2 = integer(l1), integer(l2)
+        if l1 < l2:
             return 0
+        lam = (l1, l2)
         cached = self._cache.get(lam)
         if cached is None:
             cached = self._cache[lam] = int(self._fn(lam))
@@ -296,7 +300,7 @@ def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
 
 def from_table(table: Mapping[Weight, int], name: str = "") -> Character:
     """Character with explicit finite support."""
-    frozen = {(index(k[0]), index(k[1])): index(v) for k, v in table.items()}
+    frozen = {(integer(k[0]), integer(k[1])): integer(v) for k, v in table.items()}
     return Character(lambda lam: frozen.get(lam, 0), name)
 
 

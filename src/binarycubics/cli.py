@@ -106,34 +106,31 @@ def _get_quiver(name: str) -> qv.BoundQuiver:
 
 def _cmd_quiver(args) -> int:
     bq = _get_quiver(args.quiver_name)
-    if args.query in ("paths", "ext1"):
-        if len(args.args) != 2:
-            raise _UsageError(f"quiver {args.query} takes SRC TGT")
-        src, tgt = args.args
-        for v in (src, tgt):
-            if v not in bq.quiver.vertices:
-                raise _UsageError(f"unknown vertex {v!r}")
+    arity = 2 if args.query in ("paths", "ext1") else 1
+    if len(args.args) != arity:
+        raise _UsageError(f"quiver {args.query} takes {'SRC TGT' if arity == 2 else 'VERTEX'}")
+    try:  # the library names an unknown vertex in a KeyError
         if args.query == "ext1":
+            src, tgt = args.args
             value = bq.arrow_count(src, tgt)
             _emit(args, {"quiver": args.quiver_name, "ext1": [src, tgt], "dim": value},
                   [str(value)], [[src, tgt, value]])
-        else:
+        elif args.query == "paths":
+            src, tgt = args.args
             paths = bq.path_basis().paths(src, tgt)
             names = [" ".join(p) if p else f"e_{src}" for p in paths]
             _emit(args, {"quiver": args.quiver_name, "source": src, "target": tgt,
                          "paths": names},
                   names or ["(none)"], [[n] for n in names])
-        return 0
-    if len(args.args) != 1:
-        raise _UsageError(f"quiver {args.query} takes VERTEX")
-    vertex = args.args[0]
-    if vertex not in bq.quiver.vertices:
-        raise _UsageError(f"unknown vertex {vertex!r}")
-    rep = bq.injective(vertex) if args.query == "injective" else bq.projective(vertex)
-    dims = [[v, rep.dims[v]] for v in bq.quiver.vertices]
-    _emit(args, {"quiver": args.quiver_name, args.query: vertex, "dims": dict(dims)},
-          [f"{v}:{d}" for v, d in dims],
-          dims)
+        else:
+            vertex = args.args[0]
+            rep = bq.injective(vertex) if args.query == "injective" else bq.projective(vertex)
+            dims = [[v, rep.dims[v]] for v in bq.quiver.vertices]
+            _emit(args, {"quiver": args.quiver_name, args.query: vertex, "dims": dict(dims)},
+                  [f"{v}:{d}" for v, d in dims],
+                  dims)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0])
     return 0
 
 

@@ -22,6 +22,12 @@ endomorphisms.  Indecomposability is certified only in the absolutely
 indecomposable case End/rad of dimension one; otherwise the verdict is
 "inconclusive" by design.
 
+A BoundQuiver validates its relations once and keeps the endpoints of
+each relation and its one-term vanishing paths, which everything below
+reads.  An unknown vertex raises KeyError, and a failed exactness
+condition raises ArithmeticError, never an assert, so python -O gives
+the same answers.
+
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
 every split it finds is re-verified deterministically (exact kernels
@@ -30,11 +36,11 @@ that must fill V, relation checks).  Only conjugate takes a seed.
 
 from __future__ import annotations
 
-import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import ratlinalg as rl
@@ -69,13 +75,15 @@ class Quiver:
             if a.source not in vs or a.target not in vs:
                 raise ValueError(f"arrow {a.name} has endpoints outside the vertex set")
 
-    @property
+    @cached_property
     def _by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
-    def arrow_count(self, x: str, y: str) -> int:
-        """Number of arrows x -> y (the Ext^1 dimension between the simples)."""
-        return sum(1 for a in self.arrows if a.source == x and a.target == y)
+
+def _check_vertices(vertices: tuple[str, ...], *names: str) -> None:
+    for v in names:
+        if v not in vertices:
+            raise KeyError(f"unknown vertex {v!r}")
 
 
 Relation = tuple[tuple[Fraction, Path], ...]  # rational combination of parallel paths
@@ -104,7 +112,7 @@ class RelationSet:
     NonAdmissibleError when nonzero paths remain at that length.  An
     admissible algebra can need more: Λ(Q^2), one vertex with loops a, b
     and relations a^2, b^2, ab + ba, keeps ba at length 2 and needs
-    max_path_length=3.
+    max_path_length=3.  BoundQuiver validates it once and keeps the ends.
     """
 
     relations: tuple[Relation, ...]
@@ -117,7 +125,9 @@ class RelationSet:
             tuple(((Fraction(1), tuple(p)),) for p in paths), max_path_length
         )
 
-    def validate(self, quiver: Quiver) -> None:
+    def validate(self, quiver: Quiver) -> tuple[tuple[str, str], ...]:
+        """The (source, target) of each relation; ValueError on a malformed one."""
+        ends = []
         for rel in self.relations:
             if not rel:
                 raise ValueError("empty relation")
@@ -126,12 +136,14 @@ class RelationSet:
                 raise ValueError(f"relation {rel} mixes path lengths")
             if lengths.pop() < 2:
                 raise ValueError(f"relation {rel} involves a path of length < 2")
-            ends = {_path_endpoints(quiver, p) for _, p in rel}
-            if len(ends) != 1:
+            rel_ends = {_path_endpoints(quiver, p) for _, p in rel}
+            if len(rel_ends) != 1:
                 raise ValueError(f"relation {rel} mixes sources/targets")
             for c, _ in rel:
                 if c == 0:
                     raise ValueError(f"relation {rel} has a zero coefficient")
+            ends.append(rel_ends.pop())
+        return tuple(ends)
 
     def bound(self, quiver: Quiver) -> int:
         if self.max_path_length is not None:
@@ -150,10 +162,12 @@ class PathBasis:
     the algebra).
     """
 
+    vertices: tuple[str, ...]
     by_pair: dict[tuple[str, str], list[Path]]
     reduction: dict[Path, tuple[tuple[Fraction, Path], ...]]
 
     def paths(self, x: str, y: str) -> list[Path]:
+        _check_vertices(self.vertices, x, y)
         return self.by_pair.get((x, y), [])
 
     def reduce(self, path: Path) -> tuple[tuple[Fraction, Path], ...]:
@@ -165,12 +179,12 @@ class PathBasis:
         return sum(len(v) for v in self.by_pair.values())
 
 
-def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
-    relations.validate(quiver)
-    bound = relations.bound(quiver)
-    monomials = {rel[0][1] for rel in relations.relations if len(rel) == 1}
-    linear = [rel for rel in relations.relations if len(rel) > 1]
-    by_name = quiver._by_name
+def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
+    quiver = bq.quiver
+    bound = bq.relations.bound(quiver)
+    zero_lengths = sorted({len(p) for p in bq.zero_paths})
+    linear = [(rel, src, tgt) for rel, (src, tgt) in zip(bq.relations.relations, bq.relation_ends)
+              if len(rel) > 1]
     arrows_from: dict[str, list[Arrow]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
         arrows_from[a.source].append(a)
@@ -184,7 +198,7 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
 
     def killed(path: Path) -> bool:
         # the new arrow is last, so any fresh forbidden factor is a suffix
-        return any(len(path) >= len(m) and path[-len(m):] == m for m in monomials)
+        return any(path[-k:] in bq.zero_paths for k in zero_lengths if k <= len(path))
 
     for length in range(1, bound + 1):
         current: dict[tuple[str, str], list[Path]] = {}
@@ -200,11 +214,10 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
             plist.sort()
             index = {p: i for i, p in enumerate(plist)}
             gens: list[list[Fraction]] = []
-            for rel in linear:
+            for rel, rel_src, rel_tgt in linear:
                 rel_len = len(rel[0][1])
                 if rel_len > length:
                     continue
-                rel_src, rel_tgt = _path_endpoints(quiver, rel[0][1])
                 for i in range(length - rel_len + 1):
                     for u in levels[i].get((src, rel_src), []):
                         for w in levels[length - rel_len - i].get((rel_tgt, tgt), []):
@@ -234,7 +247,7 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
                 by_pair.setdefault((src, tgt), []).extend(slice_basis)
                 alive = True
         if not alive:
-            return PathBasis(by_pair, reduction)
+            return PathBasis(quiver.vertices, by_pair, reduction)
     raise NonAdmissibleError(
         f"nonzero paths remain at length {bound}, the max_path_length bound: the relation "
         "ideal is not admissible, or it needs a larger max_path_length"
@@ -242,11 +255,20 @@ def _build_path_basis(quiver: Quiver, relations: RelationSet) -> PathBasis:
 
 
 class BoundQuiver:
-    """A quiver with an admissible relation set and its cached path basis."""
+    """A quiver with an admissible relation set and its cached path basis.
+
+    It validates the relations once, on construction, and keeps the
+    (source, target) of each and the paths a one-term relation declares
+    zero: the path basis, Representation's relation check and the cubics
+    samplers read these.  A vertex it lacks raises KeyError.
+    """
 
     def __init__(self, quiver: Quiver, relations: RelationSet, name: str = "",
                  vertex_labels: dict[str, str] | None = None):
-        relations.validate(quiver)
+        #: (source, target) of each relation, in the order of relations.relations
+        self.relation_ends = relations.validate(quiver)
+        #: the paths that a one-term relation declares zero
+        self.zero_paths = frozenset(rel[0][1] for rel in relations.relations if len(rel) == 1)
         self.quiver = quiver
         self.relations = relations
         self.name = name
@@ -256,14 +278,16 @@ class BoundQuiver:
 
     def path_basis(self) -> PathBasis:
         if self._basis is None:
-            self._basis = _build_path_basis(self.quiver, self.relations)
+            self._basis = _build_path_basis(self)
         return self._basis
 
     def arrow_count(self, x: str, y: str) -> int:
         """Arrows x -> y; equals dim Ext^1 of the simple at x by the simple at y."""
-        return self.quiver.arrow_count(x, y)
+        _check_vertices(self.quiver.vertices, x, y)
+        return sum(1 for a in self.quiver.arrows if a.source == x and a.target == y)
 
     def simple(self, x: str) -> "Representation":
+        _check_vertices(self.quiver.vertices, x)
         dims = {v: (1 if v == x else 0) for v in self.quiver.vertices}
         return Representation(self, dims, {})
 
@@ -323,23 +347,16 @@ class Representation:
         unknown = set(self.dims) - set(q.vertices)
         if unknown:
             raise ValueError(f"dimensions for unknown vertices: {sorted(unknown)}")
-        unknown = set(self.maps) - {a.name for a in q.arrows}
-        if unknown:
-            raise ValueError(f"maps for unknown arrows: {sorted(unknown)}")
-        self.dims = {v: _dimension(self.dims.get(v, 0)) for v in q.vertices}
+        self.dims = {v: rl.integer(self.dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
-        normalized = {}
-        for a in q.arrows:
-            m, n = self.dims[a.target], self.dims[a.source]
-            given = self.maps.get(a.name)
-            normalized[a.name] = rl.mat(given, m, n) if given is not None else rl.zeros(m, n)
-        self.maps = normalized
+        self.maps = _vertexwise(
+            self.maps, {a.name: (self.dims[a.target], self.dims[a.source]) for a in q.arrows},
+            "maps for unknown arrows")
         self._check_relations()
 
     def _check_relations(self):
-        for rel in self.bq.relations.relations:
-            src, tgt = _path_endpoints(self.bq.quiver, rel[0][1])
+        for rel, (src, tgt) in zip(self.bq.relations.relations, self.bq.relation_ends):
             m, n = self.dims[tgt], self.dims[src]
             if m == 0 or n == 0:
                 continue
@@ -372,21 +389,27 @@ class Representation:
         return f"Representation({self.bq.name or 'quiver'}; {dims or '0'})"
 
 
-def _dimension(d) -> int:
-    if isinstance(d, bool) or not hasattr(d, "__index__"):
-        raise TypeError(f"dimension {d!r} is not an integer")
-    return operator.index(d)
+def _vertexwise(given: dict, shapes: dict[str, tuple[int, int]], unknown: str) -> dict[str, rl.Mat]:
+    """One matrix per key of shapes, checked by rl.mat; omitted (or None) keys
+    are zero, and keys that shapes lacks raise ValueError headed by unknown."""
+    extra = set(given) - set(shapes)
+    if extra:
+        raise ValueError(f"{unknown}: {sorted(extra)}")
+    return {key: rl.zeros(m, n) if given.get(key) is None else rl.mat(given[key], m, n)
+            for key, (m, n) in shapes.items()}
 
 
 @dataclass
 class RepMorphism:
     """Vertexwise matrices intertwining two representations of one quiver.
 
-    Omitted vertices default to zero blocks; unknown vertex names, wrong
+    The blocks are normalized like Representation.maps (by _vertexwise):
+    omitted vertices default to zero blocks; unknown vertex names, wrong
     shapes and blocks that do not intertwine raise ValueError.  The
-    elements of hom_basis are built by _intertwining, which skips only
-    the intertwining check: hom_basis has already checked every element
-    exactly against the intertwining equations, which is the same check.
+    elements of hom_basis are built by _intertwining, which skips both
+    steps: hom_basis builds every block as a Mat of the right shape and
+    has already checked every element exactly against the intertwining
+    equations, which is the same check.
     """
 
     source: Representation
@@ -394,8 +417,10 @@ class RepMorphism:
     blocks: dict[str, rl.Mat]
 
     def __post_init__(self):
-        self._normalize_blocks()
         V, W = self.source, self.target
+        self.blocks = _vertexwise(
+            self.blocks, {v: (W.dims[v], V.dims[v]) for v in V.bq.quiver.vertices},
+            "blocks for unknown vertices")
         for a in V.bq.quiver.arrows:
             x, y = a.source, a.target
             left = rl.matmul(self.blocks[y], V.maps[a.name])
@@ -403,25 +428,12 @@ class RepMorphism:
             if left != right:
                 raise ValueError(f"blocks do not intertwine along arrow {a.name}")
 
-    def _normalize_blocks(self):
-        q = self.source.bq.quiver
-        unknown = set(self.blocks) - set(q.vertices)
-        if unknown:
-            raise ValueError(f"blocks for unknown vertices: {sorted(unknown)}")
-        normalized = {}
-        for v in q.vertices:
-            m, n = self.target.dims[v], self.source.dims[v]
-            given = self.blocks.get(v)
-            normalized[v] = rl.mat(given, m, n) if given is not None else rl.zeros(m, n)
-        self.blocks = normalized
-
     @classmethod
     def _intertwining(cls, V: Representation, W: Representation,
                       blocks: dict[str, rl.Mat]) -> "RepMorphism":
-        """The morphism with blocks already known to intertwine V and W."""
+        """The morphism with blocks (one Mat per vertex) known to intertwine V and W."""
         f = cls.__new__(cls)
         f.source, f.target, f.blocks = V, W, blocks
-        f._normalize_blocks()
         return f
 
 
@@ -429,15 +441,6 @@ def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
     """g after f."""
     blocks = {v: rl.matmul(g.blocks[v], f.blocks[v]) for v in f.source.bq.quiver.vertices}
     return RepMorphism(f.source, g.target, blocks)
-
-
-def _offsets(V: Representation, W: Representation) -> tuple[dict[str, int], int]:
-    offs = {}
-    total = 0
-    for v in V.bq.quiver.vertices:
-        offs[v] = total
-        total += V.dims[v] * W.dims[v]
-    return offs, total
 
 
 def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
@@ -455,7 +458,9 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
-    offs, total = _offsets(V, W)
+    offs, total = {}, 0  # where the entries of each block f_v start, and how many there are
+    for v in V.bq.quiver.vertices:
+        offs[v], total = total, total + V.dims[v] * W.dims[v]
     rows: list[rl.Row] = []
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
@@ -499,7 +504,8 @@ def _subrepresentation(V: Representation,
     maps = {}
     for a in q.arrows:
         sol = rl.solve(incl[a.target], rl.matmul(V.maps[a.name], incl[a.source]))
-        assert sol is not None, "subspace is not arrow-stable (broken morphism)"
+        if sol is None:
+            raise ArithmeticError("subspace is not arrow-stable (broken morphism)")
         maps[a.name] = sol
     sub = Representation(V.bq, {v: incl[v].cols for v in q.vertices}, maps)
     return sub, RepMorphism(sub, V, incl)
@@ -642,8 +648,8 @@ def _try_split(V: Representation, basis: list[RepMorphism],
             blocks = {v: rl.eval_poly(power, phi.blocks[v]) for v in V.bq.quiver.vertices}
             sub, _ = kernel(RepMorphism(V, V, blocks))
             parts.append(sub)
-        for v in V.bq.quiver.vertices:
-            assert sum(p.dims[v] for p in parts) == V.dims[v], "generalized kernels must fill V"
+        if any(sum(p.dims[v] for p in parts) != V.dims[v] for v in V.bq.quiver.vertices):
+            raise ArithmeticError("generalized kernels must fill V")
         return parts
     return None
 

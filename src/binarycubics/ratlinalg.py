@@ -80,6 +80,14 @@ def exact(x) -> Fraction:
     return Fraction(index(x))
 
 
+def integer(x) -> int:
+    """x as an int if it has __index__ (numpy integers too); a bool, a float or
+    anything else raises TypeError, so True is not 1 and 1.0 is not truncated."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"{x!r} is not an integer")
+    return index(x)
+
+
 def mat(x, m: int | None = None, n: int | None = None) -> Mat:
     """The m x n matrix given as nested rows or as a Mat; ValueError on another shape.
 
@@ -395,7 +403,7 @@ def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
             return [Fraction(row.get(size + j, 0), row[size + k]) for j in range(k)] + [_ONE]
         pivots[c] = row
         powers = [matmul(P, B) for P, B in zip(powers, blocks)]
-    raise AssertionError("minimal polynomial must exist by degree n")
+    raise ArithmeticError("minimal polynomial must exist by degree n")
 
 
 def eval_poly(coeffs: list[Fraction], A: Mat) -> Mat:

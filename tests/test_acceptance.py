@@ -156,8 +156,7 @@ def test_criterion_08_four_subspace_families():
 
 
 def test_criterion_09_tame_property_suite():
-    report = cubics.check_tame_classification(
-        samples=100, max_outer=3, max_center=6, seed=0)
+    report = cubics.check_tame_classification(samples=100, seed=0)
     assert report["violations"] == [], report["violations"][:5]
     assert report["summands"] > 0
     assert report["inconclusive_rate"] < 0.05, report["inconclusive"]
@@ -166,7 +165,7 @@ def test_criterion_09_tame_property_suite():
 
 
 def test_criterion_10_two_vertex_component():
-    report = cubics.check_two_vertex_component(samples=50, max_dim=4, seed=0)
+    report = cubics.check_two_vertex_component(samples=50, seed=0)
     assert report["violations"] == [], report["violations"][:5]
     classified = (report["simple_1"] + report["simple_2"]
                   + report["arrow_a"] + report["arrow_b"])

@@ -140,6 +140,18 @@ class TestLocalCohomology:
         assert catalog.local_cohomology_is_extension("Q0", "O3bar", 1)
         assert not catalog.local_cohomology_is_extension("P", "O2bar", 1)
 
+    @pytest.mark.parametrize("k", [1.0, True, "1"])
+    def test_degree_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match="is not an integer"):
+            catalog.local_cohomology("S", "O3bar", k)
+        with pytest.raises(TypeError, match="is not an integer"):
+            catalog.local_cohomology_is_extension("S", "O3bar", k)
+
+    def test_degree_accepts_numpy_integers(self):
+        import numpy as np
+
+        assert sorted(catalog.local_cohomology("S", "O3bar", np.int64(1))) == ["E", "P"]
+
     def test_unknown_names_rejected(self):
         with pytest.raises(KeyError):
             catalog.local_cohomology("S", "O1bar", 1)
@@ -156,9 +168,10 @@ class TestVerifyIdentities:
         for check in catalog.verify_identities(5, 4):
             assert "fail" not in check["status"] or check["status"] == "pass"
 
-    def test_perturbed_p_is_caught_at_origin(self):
+    def test_perturbed_p_is_caught_at_origin(self, monkeypatch):
         broken = catalog.character_of("P") + ch.from_table({(0, 0): 1})
-        checks = catalog.verify_identities(-8, 8, overrides={"P": broken})
+        monkeypatch.setitem(catalog._characters, "P", broken)
+        checks = catalog.verify_identities(-8, 8)
         failures = [c for c in checks if c["status"] == "fail"]
         assert failures
         assert any(c.get("witness") == "(0, 0)" for c in failures)

@@ -228,7 +228,7 @@ class TestCoefficientAgainstEnumeration:
 
 
 class TestIntegralWeights:
-    @pytest.mark.parametrize("lam", [(6.7, 3.2), (6.0, 3), (Fraction(13, 2), 3)])
+    @pytest.mark.parametrize("lam", [(6.7, 3.2), (6.0, 3), (Fraction(13, 2), 3), (True, False)])
     def test_mult_rejects_non_integral_weight(self, lam):
         with pytest.raises(TypeError):
             catalog.character_of("S").mult(lam)
@@ -236,7 +236,8 @@ class TestIntegralWeights:
     def test_mult_accepts_numpy_integers(self):
         assert catalog.character_of("S").mult((np.int64(6), np.int32(3))) == 1
 
-    @pytest.mark.parametrize("table", [{(1.9, 0): 5}, {(1, Fraction(0)): 5}, {(1, 0): 2.5}])
+    @pytest.mark.parametrize("table", [{(1.9, 0): 5}, {(1, Fraction(0)): 5}, {(1, 0): 2.5},
+                                       {(0, 0): True}, {(True, 0): 1}])
     def test_from_table_rejects_non_integers(self, table):
         with pytest.raises(TypeError):
             ch.from_table(table)

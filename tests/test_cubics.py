@@ -65,6 +65,41 @@ class TestBuilders:
                 assert pf.arrow_count(x, y) == pf.arrow_count(fx, fy)
 
 
+#: Recorded data: the vanishing paths of each named quiver, read off the
+#: hand-written relation lists that _bound's two rules replaced.
+RECORDED_ZERO_PATHS = {
+    "paper_full": [
+        "alpha1 beta1", "alpha1 beta2", "alpha1 beta4", "alpha2 beta1", "alpha2 beta2",
+        "alpha2 beta3", "alpha3 beta2", "alpha3 beta3", "alpha3 beta4", "alpha4 beta1",
+        "alpha4 beta3", "alpha4 beta4", "beta1 alpha1", "beta2 alpha2", "beta3 alpha3",
+        "beta4 alpha4", "delta-1 gamma-1", "delta1 gamma1", "gamma-1 delta-1", "gamma1 delta1"],
+    "big_component": [
+        "alpha1 beta1", "alpha1 beta3", "alpha1 beta4", "alpha2 beta2", "alpha2 beta3",
+        "alpha2 beta4", "alpha3 beta1", "alpha3 beta2", "alpha3 beta3", "alpha4 beta1",
+        "alpha4 beta2", "alpha4 beta4", "beta1 alpha1", "beta2 alpha2", "beta3 alpha3",
+        "beta4 alpha4"],
+    "separated": [
+        "alpha1 beta1", "alpha1 beta3", "alpha1 beta4", "alpha2 beta2", "alpha2 beta3",
+        "alpha2 beta4", "alpha3 beta1", "alpha3 beta2", "alpha3 beta3", "alpha4 beta1",
+        "alpha4 beta2", "alpha4 beta4"],
+    "d4hat": [],
+    "two_vertex_pair": ["a b", "b a"],
+}
+
+
+def test_named_quivers_in_recorded_order():
+    assert cubics.NAMED_QUIVERS == tuple(RECORDED_ZERO_PATHS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_ZERO_PATHS))
+def test_vanishing_paths_match_recorded(name):
+    bq = cubics.build(name)
+    assert all(len(rel) == 1 and rel[0][0] == 1 for rel in bq.relations.relations)
+    got = sorted(" ".join(rel[0][1]) for rel in bq.relations.relations)
+    assert got == RECORDED_ZERO_PATHS[name]  # sorted and free of duplicates
+    assert bq.zero_paths == {tuple(p.split()) for p in RECORDED_ZERO_PATHS[name]}
+
+
 class TestSeparateNode:
     def test_simple_at_center_passes_through(self):
         bc = cubics.build("big_component")

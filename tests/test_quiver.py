@@ -114,6 +114,47 @@ class TestStandardModules:
         assert qv.hom_dim(s1, s1) == 1
         assert qv.hom_dim(s1, s2) == 0
 
+    @pytest.mark.parametrize("query", [
+        lambda bq: bq.simple("zz"),
+        lambda bq: bq.projective("zz"),
+        lambda bq: bq.injective("zz"),
+        lambda bq: bq.arrow_count("zz", "1"),
+        lambda bq: bq.arrow_count("1", "zz"),
+        lambda bq: bq.path_basis().paths("zz", "1"),
+        lambda bq: bq.path_basis().paths("1", "zz"),
+    ], ids=["simple", "projective", "injective", "ext1-source", "ext1-target",
+            "paths-source", "paths-target"])
+    def test_unknown_vertex_raises_key_error(self, query):
+        with pytest.raises(KeyError, match="unknown vertex 'zz'"):
+            query(cubics.build("big_component"))
+
+
+class TestRelationData:
+    def test_relations_validated_once_per_bound_quiver(self, monkeypatch):
+        calls = []
+        validate = qv.RelationSet.validate
+        monkeypatch.setattr(qv.RelationSet, "validate",
+                            lambda self, quiver: calls.append(1) or validate(self, quiver))
+        q = qv.Quiver(("1", "2"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "1")))
+        bq = qv.BoundQuiver(q, qv.RelationSet.monomial([("a", "b"), ("b", "a")]))
+        bq.path_basis()
+        bq.projective("1")
+        qv.Representation(bq, {"1": 1, "2": 1}, {"a": [[1]]})
+        assert len(calls) == 1
+
+    def test_ends_and_zero_paths_kept(self):
+        q = qv.Quiver(("1", "2", "3"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"),
+                                        qv.Arrow("c", "1", "2"), qv.Arrow("d", "2", "3")))
+        one = Fraction(1)
+        rels = qv.RelationSet(((((one, ("a", "b")),), ((one, ("a", "d")), (-one, ("c", "b"))))))
+        bq = qv.BoundQuiver(q, rels)
+        assert bq.relation_ends == (("1", "3"), ("1", "3"))
+        assert bq.zero_paths == {("a", "b")}
+        # ad = cb: of the four paths 1 -> 3, ab dies and ad, cb are one class
+        assert len(bq.path_basis().paths("1", "3")) == 2
+        with pytest.raises(ValueError, match="relation .* is violated"):
+            qv.Representation(bq, {"1": 1, "2": 1, "3": 1}, {"a": [[1]], "b": [[1]]})
+
 
 def dense_hom_basis(V, W):
     """Hom(V, W) as flattened block vectors, from the intertwining system

@@ -1,6 +1,14 @@
 """The verification layer's check records and scans."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from binarycubics import catalog, verify
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_check_record():
@@ -23,3 +31,27 @@ def test_off_table_local_cohomology_reports_the_first_wrong_group(monkeypatch):
     failed = [c["name"] for c in checks.values() if c["status"] != "pass"]
     assert failed == ["all off-table local cohomology queries vanish"]
 
+
+
+SABOTAGED_QUIVER_SUITE = """
+import json, sys
+from binarycubics import cubics, verify
+cubics.is_isomorphic = lambda V, W: False
+checks = verify.suite_quiver()["checks"]
+print(json.dumps({"optimize": sys.flags.optimize, "checks": checks}))
+"""
+
+
+def test_injective_envelope_check_fails_under_python_O():
+    """The verdict does not ride on assert: with the isomorphism test
+    sabotaged, the check fails also when python -O strips asserts."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", SABOTAGED_QUIVER_SUITE], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["optimize"] == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cokernel of P -> H + F(H) is the injective envelope of P"] == {
+        "name": "cokernel of P -> H + F(H) is the injective envelope of P",
+        "status": "fail", "witness": "cokernel must be the injective envelope"}
