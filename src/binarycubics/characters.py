@@ -273,7 +273,10 @@ class Character:
         self._cache: dict[Weight, int] = {}
 
     def mult(self, lam: Weight) -> int:
-        l1, l2 = lam[0], lam[1]
+        try:
+            l1, l2 = lam
+        except ValueError:
+            raise ValueError(f"a weight has two components, got {lam!r}") from None
         if l1.__class__ is not int or l2.__class__ is not int:  # plain ints skip the check
             l1, l2 = integer(l1), integer(l2)
         if l1 < l2:

@@ -18,15 +18,16 @@ of the trace form of V as an End(V)-module, valid in characteristic
 zero), exact isomorphism tests (ranks of the trace pairings of the hom
 spaces, see is_isomorphic), and decompositions into indecomposables by
 splitting along coprime factors of minimal polynomials of
-endomorphisms.  Indecomposability is certified only in the absolutely
-indecomposable case End/rad of dimension one; otherwise the verdict is
-"inconclusive" by design.
+endomorphisms, which polyfactor.factor finds exactly over ℚ, in-house.
+Indecomposability is certified only in the absolutely indecomposable
+case End/rad of dimension one; otherwise the verdict is "inconclusive"
+by design.
 
 A BoundQuiver validates its relations once and keeps the endpoints of
 each relation and its one-term vanishing paths, which everything below
-reads.  An unknown vertex raises KeyError, and a failed exactness
-condition raises ArithmeticError, never an assert, so python -O gives
-the same answers.
+reads.  An unknown vertex, or an arrow a relation names that the
+quiver lacks, raises KeyError, and a failed exactness condition raises
+ArithmeticError, never an assert, so python -O gives the same answers.
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
@@ -44,6 +45,7 @@ from functools import cached_property
 from math import lcm
 
 from . import ratlinalg as rl
+from .polyfactor import factor
 
 Path = tuple[str, ...]  # arrow names in traversal order; () is a trivial path
 
@@ -91,6 +93,9 @@ Relation = tuple[tuple[Fraction, Path], ...]  # rational combination of parallel
 
 def _path_endpoints(quiver: Quiver, path: Path) -> tuple[str, str]:
     by_name = quiver._by_name
+    for name in path:
+        if name not in by_name:
+            raise KeyError(f"unknown arrow {name!r}")
     src = by_name[path[0]].source
     cur = src
     for name in path:
@@ -126,7 +131,8 @@ class RelationSet:
         )
 
     def validate(self, quiver: Quiver) -> tuple[tuple[str, str], ...]:
-        """The (source, target) of each relation; ValueError on a malformed one."""
+        """The (source, target) of each relation; ValueError on a malformed one,
+        KeyError on an unknown arrow."""
         ends = []
         for rel in self.relations:
             if not rel:
@@ -601,17 +607,6 @@ def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -
     return rl.rank(_trace_pairing(basis, basis))
 
 
-def _factor_rational(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    """Monic prime-power factors over Q of a monic polynomial (low-to-high coeffs)."""
-    from sympy import Poly, Rational, Symbol
-
-    t = Symbol("t")
-    poly = Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ")
-    _, factors = poly.factor_list()
-    return [[Fraction(c.p, c.q) for c in reversed((f.monic() ** e).all_coeffs())]
-            for f, e in factors]
-
-
 def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
     """Blocks of the sum of c * b over the nonzero coefficients; None when all are 0."""
     out = None
@@ -640,7 +635,7 @@ def _try_split(V: Representation, basis: list[RepMorphism],
     """Proper subrepresentations summing to V, or None if no split was found."""
     for phi in _split_candidates(V, basis, rng):
         mp = rl.minimal_polynomial(*(phi.blocks[v] for v in V.bq.quiver.vertices))
-        factors = _factor_rational(mp)
+        factors = factor(mp)
         if len(factors) < 2:
             continue
         parts = []

@@ -233,6 +233,11 @@ class TestIntegralWeights:
         with pytest.raises(TypeError):
             catalog.character_of("S").mult(lam)
 
+    @pytest.mark.parametrize("lam", [(3, 0, 99), (3,), ()])
+    def test_mult_rejects_weights_without_two_components(self, lam):
+        with pytest.raises(ValueError, match="two components"):
+            catalog.character_of("S").mult(lam)
+
     def test_mult_accepts_numpy_integers(self):
         assert catalog.character_of("S").mult((np.int64(6), np.int32(3))) == 1
 

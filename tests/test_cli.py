@@ -209,6 +209,18 @@ def test_rep_bad_schema(tmp_path, capsys, content):
     assert "bad representation file" in err and "Traceback" not in err
 
 
+def test_rep_inline_quiver_with_unknown_arrow_in_a_relation(tmp_path, capsys):
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]],
+                   "relations": [[[1, ["a", "zz"]]]]},
+        "dims": {"1": 1, "2": 1}, "maps": {"a": [["1"]]}}))
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert "bad representation file" in err and "unknown arrow 'zz'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry", ['"1.5"', "1.5", "1.0", '"1e3"', '"1/0"', '" 1"', "true"])
 def test_rep_rejects_inexact_entries(tmp_path, capsys, entry):
     path = tmp_path / "decimal.json"

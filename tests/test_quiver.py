@@ -128,6 +128,11 @@ class TestStandardModules:
         with pytest.raises(KeyError, match="unknown vertex 'zz'"):
             query(cubics.build("big_component"))
 
+    def test_relation_naming_an_unknown_arrow_raises_key_error(self):
+        q = qv.Quiver(("1", "2"), (qv.Arrow("a", "1", "2"),))
+        with pytest.raises(KeyError, match="unknown arrow 'zz'"):
+            qv.BoundQuiver(q, qv.RelationSet.monomial([("a", "zz")]))
+
 
 class TestRelationData:
     def test_relations_validated_once_per_bound_quiver(self, monkeypatch):
