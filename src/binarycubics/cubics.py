@@ -181,12 +181,7 @@ def embed_beta(V: Representation) -> Representation:
 def jordan_block(n: int, lam) -> rl.Mat:
     """The upper n x n Jordan block with eigenvalue lam, an integer or a Fraction."""
     lam = rl.exact(lam)
-    J = rl.zeros(n, n)
-    for i in range(n):
-        J[i][i] = lam
-        if i + 1 < n:
-            J[i][i + 1] = Fraction(1)
-    return J
+    return rl.mat([[lam if j == i else int(j == i + 1) for j in range(n)] for i in range(n)], n, n)
 
 
 def rn_family(n: int, lam) -> Representation:
@@ -273,19 +268,18 @@ def _complete(rng: random.Random, bq: BoundQuiver, dims: dict[str, int],
 
 def _small(rng: random.Random, m: int, n: int, bound: int) -> rl.Mat:
     """An m x n matrix of integers drawn uniformly from [-bound, bound], row by row."""
-    return rl.Mat(m, n, [[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
-                         for _ in range(m)])
+    return rl.mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], m, n)
 
 
-def random_big_component_rep(rng: random.Random, max_outer: int = 3,
-                             max_center: int = 6) -> Representation:
+def random_big_component_rep(rng: random.Random) -> Representation:
     """Seeded random representation of the big component.
 
-    One side of the arrows (alphas or betas, chosen per sample) is free;
-    _complete samples the other side from the relations.
+    Each outer vertex gets a dimension in [0, 3] and the center one in
+    [0, 6].  One side of the arrows (alphas or betas, chosen per sample)
+    is free; _complete samples the other side from the relations.
     """
-    dims = {str(i): rng.randint(0, max_outer) for i in (1, 2, 3, 4)}
-    dims["5"] = rng.randint(0, max_center)
+    dims = {str(i): rng.randint(0, 3) for i in (1, 2, 3, 4)}
+    dims["5"] = rng.randint(0, 6)
     side = "alpha" if rng.random() < 0.5 else "beta"
     return _complete(rng, build("big_component"), dims, {f"{side}{i}" for i in (1, 2, 3, 4)})
 

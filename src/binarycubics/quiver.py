@@ -237,13 +237,11 @@ def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
                             if hit and any(row):
                                 gens.append(row)
             if gens:
-                R, pivots = rl.rref(rl.Mat(len(gens), len(plist), gens))
+                R, pivots = rl.rref(rl.mat(gens, len(gens), len(plist)))
                 pivot_set = set(pivots)
                 free = [j for j in range(len(plist)) if j not in pivot_set]
-                for k, c in enumerate(pivots):
-                    reduction[plist[c]] = tuple(
-                        (-R[k][j], plist[j]) for j in free if R[k][j] != 0
-                    )
+                for c, row in zip(pivots, R):
+                    reduction[plist[c]] = tuple((-row[j], plist[j]) for j in free if row[j])
                 slice_basis = [plist[j] for j in free]
             else:
                 slice_basis = list(plist)
@@ -307,11 +305,11 @@ class BoundQuiver:
             src_paths = pb.paths(x, a.source)
             tgt_paths = pb.paths(x, a.target)
             idx = {p: i for i, p in enumerate(tgt_paths)}
-            M = rl.zeros(len(tgt_paths), len(src_paths))
+            M = [[0] * len(src_paths) for _ in tgt_paths]
             for j, p in enumerate(src_paths):
                 for coeff, bp in pb.reduce(p + (a.name,)):
                     M[idx[bp]][j] += coeff
-            maps[a.name] = M
+            maps[a.name] = rl.mat(M, len(tgt_paths), len(src_paths))
         return Representation(self, dims, maps)
 
     def injective(self, x: str) -> "Representation":
@@ -324,11 +322,11 @@ class BoundQuiver:
             into_src = pb.paths(a.source, x)   # rows of the concatenation matrix
             into_tgt = pb.paths(a.target, x)   # columns
             idx = {p: i for i, p in enumerate(into_src)}
-            L = rl.zeros(len(into_src), len(into_tgt))
+            L = [[0] * len(into_tgt) for _ in into_src]
             for j, p in enumerate(into_tgt):
                 for coeff, bp in pb.reduce((a.name,) + p):
                     L[idx[bp]][j] += coeff
-            maps[a.name] = rl.transpose(L)
+            maps[a.name] = rl.transpose(rl.mat(L, len(into_src), len(into_tgt)))
         return Representation(self, dims, maps)
 
 
@@ -455,12 +453,14 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     The unknowns are the entries of the blocks f_v, vertex by vertex and
     row-major; each arrow a: x -> y gives one equation per entry of
     f_y V(a) - W(a) f_x.  The equations go to rl.kernel_basis as sparse
-    integer rows (each cleared of its denominators), and kernel_basis
-    checks every basis vector exactly against every row.  That check is
-    the intertwining equation, so the elements are built without
-    RepMorphism's own check of it.  The basis is the one read off the
-    reduced echelon form of the system, which is unique: it does not
-    depend on how the elimination runs.
+    integer rows, read off the numerators of V(a) and W(a) over the lcm
+    of their two denominators, and kernel_basis checks every basis
+    vector exactly against every row.  That check is the intertwining
+    equation, so the elements are built without RepMorphism's own check
+    of it; each block is the integer slice of a basis vector over its
+    denominator.  The basis is the one read off the reduced echelon form
+    of the system, which is unique: it does not depend on how the
+    elimination runs.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
@@ -471,29 +471,30 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
         dvx, dvy = V.dims[x], V.dims[y]
-        va_cols = [rl.cleared(col) for col in rl.transpose(V.maps[a.name])]
-        for i, wa_row in enumerate(W.maps[a.name]):
-            wa_ints, wa_den = rl.cleared(wa_row)
-            for j, (va_ints, va_den) in enumerate(va_cols):
-                den = lcm(va_den, wa_den)
+        va, wa = V.maps[a.name], W.maps[a.name]
+        den = lcm(va.den, wa.den)
+        va_scale, wa_scale = den // va.den, den // wa.den
+        va_cols = rl.transpose(va).num
+        for i, wa_row in enumerate(wa.num):
+            for j, va_col in enumerate(va_cols):
                 row: rl.Row = {}
-                at, scale = offs[y] + i * dvy, den // va_den
-                for k, v in enumerate(va_ints):
+                at = offs[y] + i * dvy
+                for k, v in enumerate(va_col):
                     if v:
-                        row[at + k] = scale * v
-                at, scale = offs[x] + j, den // wa_den
-                for k, v in enumerate(wa_ints):
+                        row[at + k] = va_scale * v
+                at = offs[x] + j
+                for k, v in enumerate(wa_row):
                     if v:
-                        row[at + k * dvx] = row.get(at + k * dvx, 0) - scale * v
+                        row[at + k * dvx] = row.get(at + k * dvx, 0) - wa_scale * v
                 if row:
                     rows.append(row)
     basis = []
-    for vec in rl.kernel_basis(rows, total):
+    for ints, den in rl.kernel_basis(rows, total):
         blocks = {}
         for v in V.bq.quiver.vertices:
             m, n = W.dims[v], V.dims[v]
             at = offs[v]
-            blocks[v] = rl.Mat(m, n, [vec[at + i * n: at + (i + 1) * n] for i in range(m)])
+            blocks[v] = rl.over([ints[at + i * n: at + (i + 1) * n] for i in range(m)], den, m, n)
         basis.append(RepMorphism._intertwining(V, W, blocks))
     return basis
 
@@ -566,7 +567,7 @@ def conjugate(V: Representation, seed: int = 0) -> Representation:
     for v in q.vertices:
         d = V.dims[v]
         while True:
-            cand = rl.Mat(d, d, [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)])
+            cand = rl.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], d, d)
             inv = rl.inverse(cand)
             if inv is not None:
                 T[v], Tinv[v] = cand, inv
@@ -588,10 +589,10 @@ def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
     # tr(f∘g) = sum over vertices and (r, c) of f[r][c] * g[c][r]: the product
     # of the row-major flattening of f with the column-major flattening of g
     verts = fs[0].source.bq.quiver.vertices
-    flat = [[x for v in verts for row in f.blocks[v] for x in row] for f in fs]
-    flat_t = [[x for v in verts for col in zip(*g.blocks[v]) for x in col] for g in gs]
-    size = len(flat[0])
-    return rl.matmul(rl.Mat(len(fs), size, flat), rl.transpose(rl.Mat(len(gs), size, flat_t)))
+    flat = [rl.flatten(f.blocks[v] for v in verts) for f in fs]
+    flat_t = [rl.flatten(rl.transpose(g.blocks[v]) for v in verts) for g in gs]
+    size = len(flat[0][0])
+    return rl.matmul(rl.stack_rows(flat, size), rl.transpose(rl.stack_rows(flat_t, size)))
 
 
 def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -> int:
@@ -634,7 +635,7 @@ def _try_split(V: Representation, basis: list[RepMorphism],
                rng: random.Random) -> list[Representation] | None:
     """Proper subrepresentations summing to V, or None if no split was found."""
     for phi in _split_candidates(V, basis, rng):
-        mp = rl.minimal_polynomial(*(phi.blocks[v] for v in V.bq.quiver.vertices))
+        mp = rl.minimal_polynomial(*[phi.blocks[v] for v in V.bq.quiver.vertices])
         factors = factor(mp)
         if len(factors) < 2:
             continue

@@ -1,69 +1,88 @@
 """Exact linear algebra over the rationals.
 
-Every matrix is a Mat: its shape (rows x cols) plus its entries as a
-list of row lists of Fractions.  The shape is part of the value, so an
-m x 0 or a 0 x n matrix is as well defined as any other, products with
-a zero dimension come out with the right shape, and no function takes a
-column count beside its matrix.  mat(x, m, n) is the one boundary
-constructor: it takes nested rows (or a Mat) and checks the shape, and
-exact(x) admits an entry only if it is an integer or a Fraction.
-The hot paths run on Python integers:
+Every matrix is a Mat: its shape (rows x cols), its integer numerator
+rows num and one positive common denominator den, so entry (i, j) is
+num[i][j] / den.  A Mat is always reduced, gcd(den, every numerator)
+= 1 (a zero matrix has den 1), so equal values give equal Mats and
+equality and is_zero compare integers.  The shape is part of the value,
+so an m x 0 or a 0 x n matrix is as well defined as any other, products
+with a zero dimension come out with the right shape, and no function
+takes a column count beside its matrix.  mat(x, m, n) is the one
+boundary constructor: it takes nested rows (or a Mat) and checks the
+shape, and exact(x) admits an entry only if it is an integer or a
+Fraction.  over and stack_rows build a Mat from integers the library
+already holds.  Reading M[i] gives row i as a tuple of Fractions, so a
+write into it raises TypeError; no Mat, and no list in num, is written
+in place once built, so matrices share rows freely.  The hot paths run
+on Python integers:
 
-- matmul clears denominators once per row of A and once per column of
-  B, takes integer dot products and builds one Fraction per entry of
-  the product, instead of a Fraction multiply and add per term;
+- matmul takes integer dot products of the numerator rows of A and
+  columns of B over A.den * B.den and reduces by one gcd, building no
+  Fraction; mat_add, scale and the stacks work over the lcm of the
+  denominators;
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
   substitution.  The cost follows the nonzero entries, not rows x cols,
   which matters for the wide, mostly-zero intertwining systems of hom
-  spaces; rref, rank, nullspace and solve clear the rows of their
-  matrix into it, and quiver.hom_basis hands it its equations directly;
+  spaces; rref, rank, nullspace and solve hand it the numerator rows of
+  their matrix, and quiver.hom_basis hands it its equations directly;
 - kernel_basis reads a kernel basis straight off the sparse echelon
-  rows, one Fraction per nonzero coordinate, and checks every basis
-  vector against every input row with integer dot products;
+  rows, as integer vectors each with its denominator, and checks every
+  basis vector against every input row with integer dot products;
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
   matrix on their own and adds one power per degree to one growing
   echelon, through the forward step _reduce that echelon runs too;
 - quotient_maps reads both of its maps off one reduced echelon.
+
+Star arguments are unpacked from lists, never from generators: CPython
+builds the argument tuple of a generator in ten slots and shrinks it,
+and the shrunk tuples pile up in its per-size tuple free lists, which
+raised the peak memory of a verify run by about 0.35 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd, lcm
-from operator import index, mul
+from operator import add, index, mul
 
-Vector = list[Fraction]
+IntRows = list[list[int]]
+#: an integer vector and its positive denominator: the rational vector ints / den
+IntVector = tuple[list[int], int]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 @dataclass(slots=True, repr=False)
 class Mat:
-    """A rows x cols rational matrix; data holds rows lists of cols Fractions.
+    """A rows x cols rational matrix: entry (i, j) is num[i][j] / den.
 
-    len(M) is the row count, M[i] is row i (a list) and iteration runs
-    over the rows; two matrices are equal when their shapes and entries are.
+    num holds rows lists of cols integers and den > 0, reduced so that
+    gcd(den, every numerator) = 1.  len(M) is the row count, M[i] is row
+    i as a tuple of Fractions and iteration runs over the rows; two
+    matrices are equal when their shapes and entries are.
     """
 
     rows: int
     cols: int
-    data: list[list[Fraction]]
+    num: IntRows
+    den: int
 
     def __len__(self) -> int:
         return self.rows
 
-    def __getitem__(self, i: int) -> list[Fraction]:
-        return self.data[i]
+    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num[i])
 
     def __iter__(self):
-        return iter(self.data)
+        return map(self.__getitem__, range(self.rows))
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.data)
+        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self)
         return f"Mat({self.rows}x{self.cols}, [{body}])"
 
 
@@ -88,6 +107,27 @@ def integer(x) -> int:
     return index(x)
 
 
+def over(num: IntRows, den: int, m: int, n: int) -> Mat:
+    """The m x n matrix num / den, reduced; num is m lists of n integers, den > 0.
+
+    The integers are taken as they are: mat is the checked constructor.
+    """
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = [[x // g for x in row] for row in num]
+    return Mat(m, n, num, den)
+
+
+def stack_rows(vectors: list[IntVector], n: int) -> Mat:
+    """The matrix whose row i is ints_i / den_i, for (ints_i, den_i) in vectors,
+    each ints_i a list of n integers and den_i > 0."""
+    den = lcm(*[d for _, d in vectors])
+    num = [ints if d == den else [x * (den // d) for x in ints] for ints, d in vectors]
+    return over(num, den, len(vectors), n)
+
+
 def mat(x, m: int | None = None, n: int | None = None) -> Mat:
     """The m x n matrix given as nested rows or as a Mat; ValueError on another shape.
 
@@ -107,22 +147,22 @@ def mat(x, m: int | None = None, n: int | None = None) -> Mat:
         n = len(data[0]) if data else 0
     if len(data) != m or any(len(row) != n for row in data):
         raise ValueError(f"expected a {m}x{n} matrix")
-    return Mat(m, n, data)
+    ints, den = cleared([v for row in data for v in row])
+    it = iter(ints)
+    return over([list(islice(it, n)) for _ in range(m)], den, m, n)
 
 
 def zeros(m: int, n: int) -> Mat:
-    return Mat(m, n, [[_ZERO] * n for _ in range(m)])
+    return Mat(m, n, [[0] * n] * m, 1)
 
 
 def identity(n: int) -> Mat:
-    out = zeros(n, n)
-    for i in range(n):
-        out.data[i][i] = _ONE
-    return out
+    return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
 
 def transpose(A: Mat) -> Mat:
-    return Mat(A.cols, A.rows, [[row[j] for row in A.data] for j in range(A.cols)])
+    num = list(map(list, zip(*A.num))) if A.rows else [[] for _ in range(A.cols)]
+    return Mat(A.cols, A.rows, num, A.den)
 
 
 def cleared(entries) -> tuple[list[int], int]:
@@ -133,50 +173,78 @@ def cleared(entries) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in entries], den
 
 
+def _scaled(A: Mat, den: int) -> IntRows:
+    """The numerators of A over den, a multiple of A.den.
+
+    Over the lcm of the denominators of reduced matrices the numerators
+    stay reduced: a prime power dividing the lcm exactly divides the
+    denominator of one of them, whose numerators it does not all divide.
+    """
+    f = den // A.den
+    if f == 1:
+        return A.num
+    return [[f * x for x in row] for row in A.num]
+
+
+def flatten(blocks) -> IntVector:
+    """The entries of the blocks, row by row and block after block, as integers
+    over the lcm of their denominators."""
+    blocks = list(blocks)
+    den = lcm(*[B.den for B in blocks])
+    return list(chain.from_iterable(chain.from_iterable(_scaled(B, den) for B in blocks))), den
+
+
 def matmul(A: Mat, B: Mat) -> Mat:
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
     if not (A.rows and A.cols and B.cols):
         return zeros(A.rows, B.cols)
-    cols = [cleared(col) for col in zip(*B.data)]
-    out = []
-    for row in A.data:
-        ints, da = cleared(row)
-        out.append([Fraction(sum(map(mul, ints, cb)), da * db) for cb, db in cols])
-    return Mat(A.rows, B.cols, out)
+    cols = list(zip(*B.num))
+    num = [[sum(map(mul, row, col)) for col in cols] for row in A.num]
+    return over(num, A.den * B.den, A.rows, B.cols)
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
     if A.rows != B.rows or A.cols != B.cols:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} + {B.rows}x{B.cols}")
-    return Mat(A.rows, A.cols, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A.data, B.data)])
+    den = lcm(A.den, B.den)
+    num = [list(map(add, ra, rb)) for ra, rb in zip(_scaled(A, den), _scaled(B, den))]
+    return over(num, den, A.rows, A.cols)
 
 
 def scale(A: Mat, c) -> Mat:
     c = exact(c)
-    return Mat(A.rows, A.cols, [[c * x for x in row] for row in A.data])
+    if c == 1:
+        return A
+    p = c.numerator
+    return over([[p * x for x in row] for row in A.num], A.den * c.denominator,
+                A.rows, A.cols)
 
 
 def hstack(A: Mat, B: Mat) -> Mat:
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} beside {B.rows}x{B.cols}")
-    return Mat(A.rows, A.cols + B.cols, [ra + rb for ra, rb in zip(A.data, B.data)])
+    den = lcm(A.den, B.den)
+    num = [ra + rb for ra, rb in zip(_scaled(A, den), _scaled(B, den))]
+    return Mat(A.rows, A.cols + B.cols, num, den)
 
 
 def vstack(A: Mat, B: Mat) -> Mat:
     if A.cols != B.cols:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} above {B.rows}x{B.cols}")
-    return Mat(A.rows + B.rows, A.cols, [row[:] for row in A.data] + [row[:] for row in B.data])
+    den = lcm(A.den, B.den)
+    return Mat(A.rows + B.rows, A.cols, _scaled(A, den) + _scaled(B, den), den)
 
 
 def block_diag(A: Mat, B: Mat) -> Mat:
-    out = [row + [_ZERO] * B.cols for row in A.data]
-    out += [[_ZERO] * A.cols + row for row in B.data]
-    return Mat(A.rows + B.rows, A.cols + B.cols, out)
+    den = lcm(A.den, B.den)
+    right, left = [0] * B.cols, [0] * A.cols
+    num = [row + right for row in _scaled(A, den)] + [left + row for row in _scaled(B, den)]
+    return Mat(A.rows + B.rows, A.cols + B.cols, num, den)
 
 
 def is_zero(A: Mat) -> bool:
-    return all(x == 0 for row in A.data for x in row)
+    return not any(map(any, A.num))
 
 
 Row = dict[int, int]
@@ -192,14 +260,8 @@ def _normalized(row: Row) -> Row:
 
 
 def _sparse_rows(A: Mat) -> list[Row]:
-    """The nonzero rows of A, each cleared of its denominators."""
-    rows = []
-    for row in A.data:
-        cols = [j for j, x in enumerate(row) if x]
-        if cols:
-            ints, _ = cleared([row[j] for j in cols])
-            rows.append(dict(zip(cols, ints)))
-    return rows
+    """The nonzero numerator rows of A, as sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A.num if any(row)]
 
 
 def _reduce(row: Row, pivots: dict[int, Row]) -> Row:
@@ -249,7 +311,7 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
         hits = [k for k in p if k != c and k in pivots]
         if not hits:
             continue
-        den = lcm(*(pivots[k][k] for k in hits))
+        den = lcm(*[pivots[k][k] for k in hits])
         out = {j: den * v for j, v in p.items()}
         for k in hits:
             q = pivots[k]
@@ -260,29 +322,43 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     return [(c, pivots[c]) for c in order]
 
 
-def kernel_basis(rows: list[Row], ncols: int) -> list[Vector]:
+def _echelon_row(row: Row, c: int, n: int) -> IntVector:
+    """The reduced echelon row over Q of a pivot row leading at c: row / row[c]."""
+    s = 1 if row[c] > 0 else -1
+    dense = [0] * n
+    for j, x in row.items():
+        dense[j] = s * x
+    return dense, s * row[c]
+
+
+def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
     """Basis of {x in Q^ncols : row . x = 0 for every row}, checked exactly.
 
     Read off the reduced echelon form: one vector per free column f,
     with 1 at f and minus the reduced echelon entries in column f at the
-    pivot columns.  Every vector is cleared of denominators and its
-    integer dot product with every input row must vanish; ArithmeticError
-    is raised otherwise.
+    pivot columns.  Each comes as (ints, den), the integer vector ints
+    with gcd 1 and its denominator den > 0, the entry of ints at f.  The
+    integer dot product of every ints with every input row must vanish;
+    ArithmeticError is raised otherwise.
     """
     ech = echelon(rows)
     pivot_set = {c for c, _ in ech}
-    free = [f for f in range(ncols) if f not in pivot_set]
-    at = {f: k for k, f in enumerate(free)}
-    basis = [[_ZERO] * ncols for _ in free]
-    for v, f in zip(basis, free):
-        v[f] = _ONE
+    hits: dict[int, list[tuple[int, Row]]] = {
+        f: [] for f in range(ncols) if f not in pivot_set}
     for c, row in ech:
-        pv = row[c]
-        for f, x in row.items():
+        for f in row:
             if f != c:
-                basis[at[f]][c] = Fraction(-x, pv)
-    for v in basis:
-        ints, _ = cleared(v)
+                hits[f].append((c, row))
+    basis = []
+    for f, column in hits.items():
+        den = lcm(*[row[c] for c, row in column])
+        v = [0] * ncols
+        v[f] = den
+        for c, row in column:
+            v[c] = -row[f] * den // row[c]
+        g = gcd(*v)
+        basis.append(([x // g for x in v], den // g))
+    for ints, _ in basis:
         for row in rows:
             if sum(map(mul, row.values(), map(ints.__getitem__, row))):
                 raise ArithmeticError("a kernel vector fails an equation of its system")
@@ -291,15 +367,8 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Vector]:
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q (zero rows dropped) and pivot columns."""
-    out, pivots = [], []
-    for c, row in echelon(_sparse_rows(A)):
-        pv = row[c]
-        dense = [_ZERO] * A.cols
-        for j, x in row.items():
-            dense[j] = Fraction(x, pv)
-        out.append(dense)
-        pivots.append(c)
-    return Mat(len(out), A.cols, out), pivots
+    ech = echelon(_sparse_rows(A))
+    return stack_rows([_echelon_row(row, c, A.cols) for c, row in ech], A.cols), [c for c, _ in ech]
 
 
 def rank(A: Mat) -> int:
@@ -309,20 +378,19 @@ def rank(A: Mat) -> int:
 def nullspace(A: Mat) -> Mat:
     """Basis of the right kernel {x : A @ x = 0}, as the rows of a
     (cols - rank) x cols matrix."""
-    basis = kernel_basis(_sparse_rows(A), A.cols)
-    return Mat(len(basis), A.cols, basis)
+    return stack_rows(kernel_basis(_sparse_rows(A), A.cols), A.cols)
 
 
 def solve(A: Mat, B: Mat) -> Mat | None:
     """Some X with A @ X = B (free coordinates zero), or None if inconsistent."""
     na, nb = A.cols, B.cols
-    X = zeros(na, nb)
+    X = [([0] * nb, 1)] * na
     for c, row in echelon(_sparse_rows(hstack(A, B))):
         if c >= na:
             return None
-        pv = row[c]
-        X.data[c] = [Fraction(row[na + j], pv) if na + j in row else _ZERO for j in range(nb)]
-    return X
+        ints, den = _echelon_row(row, c, na + nb)
+        X[c] = ints[na:], den
+    return stack_rows(X, nb)
 
 
 def inverse(A: Mat) -> Mat | None:
@@ -333,7 +401,8 @@ def inverse(A: Mat) -> Mat | None:
 def column_space_basis(A: Mat) -> tuple[Mat, list[int]]:
     """Columns of A forming a basis of the column space, with their indices."""
     pivots = [c for c, _ in echelon(_sparse_rows(A))]
-    return Mat(A.rows, len(pivots), [[row[c] for c in pivots] for row in A.data]), pivots
+    num = [[row[c] for c in pivots] for row in A.num]
+    return over(num, A.den, A.rows, len(pivots)), pivots
 
 
 def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
@@ -358,10 +427,10 @@ def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
     """
     n = B.rows
     flipped = [{n - 1 - i: x for i, x in row.items()} for row in _sparse_rows(transpose(B))]
-    rows = [v[::-1] for v in reversed(kernel_basis(flipped, n))]
-    free = [next(i for i, x in enumerate(v) if x) for v in rows]
-    section = Mat(n, len(free), [[_ONE if i == f else _ZERO for f in free] for i in range(n)])
-    return Mat(len(rows), n, rows), section
+    rows = [(ints[::-1], den) for ints, den in reversed(kernel_basis(flipped, n))]
+    free = [next(i for i, x in enumerate(ints) if x) for ints, _ in rows]
+    section = Mat(n, len(free), [[int(i == f) for f in free] for i in range(n)], 1)
+    return stack_rows(rows, n), section
 
 
 def complement_columns(B: Mat) -> Mat:
@@ -376,8 +445,8 @@ def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     The powers of a block-diagonal matrix are the block-diagonal matrices
     of the blocks' powers, so only the blocks are powered.  One echelon
     grows with the degree: B^k, its blocks flattened to a vector of length
-    size and cleared to integers over den, enters as one row with the tag
-    den at column size + k, that is den * (B^k, e_k), and _reduce takes it
+    size of integers over den, enters as one row with the tag den at
+    column size + k, that is den * (B^k, e_k), and _reduce takes it
     down by the pivot rows of the lower degrees.  The row is then a sum of
     t_j * (B^j, e_j) over j <= k, with t_j at column size + j.  No pivot
     sits at a tag column (the loop stops at the first), so if the row
@@ -394,7 +463,7 @@ def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     size = sum(B.rows * B.rows for B in blocks)
     pivots: dict[int, Row] = {}
     for k in range(n + 1):
-        ints, den = cleared([x for P in powers for row in P.data for x in row])
+        ints, den = flatten(powers)
         row = {j: v for j, v in enumerate(ints) if v}
         row[size + k] = den
         row = _reduce(row, pivots)

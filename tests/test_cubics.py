@@ -12,6 +12,17 @@ from binarycubics import quiver as qv
 from binarycubics import ratlinalg as rl
 
 
+def small_big_component_rep(rng, max_outer, max_center):
+    """A random big-component representation drawn like
+    cubics.random_big_component_rep, with outer dimensions in
+    [0, max_outer] and the center one in [0, max_center]."""
+    dims = {str(i): rng.randint(0, max_outer) for i in (1, 2, 3, 4)}
+    dims["5"] = rng.randint(0, max_center)
+    side = "alpha" if rng.random() < 0.5 else "beta"
+    return cubics._complete(rng, cubics.build("big_component"), dims,
+                            {f"{side}{i}" for i in (1, 2, 3, 4)})
+
+
 class TestBuilders:
     def test_paper_full_counts(self):
         bq = cubics.build("paper_full")
@@ -121,7 +132,7 @@ class TestSeparateNode:
         rng = random.Random(17)
         checked = 0
         while checked < 20:
-            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=4)
+            V = small_big_component_rep(rng, 2, 4)
             for W, certified in qv.decompose_certified(V):
                 if not certified or W.total_dim() <= 1:
                     continue

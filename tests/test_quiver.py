@@ -17,6 +17,17 @@ def loop_quiver():
     return q
 
 
+def small_big_component_rep(rng, max_outer, max_center):
+    """A random big-component representation drawn like
+    cubics.random_big_component_rep, with outer dimensions in
+    [0, max_outer] and the center one in [0, max_center]."""
+    dims = {str(i): rng.randint(0, max_outer) for i in (1, 2, 3, 4)}
+    dims["5"] = rng.randint(0, max_center)
+    side = "alpha" if rng.random() < 0.5 else "beta"
+    return cubics._complete(rng, cubics.build("big_component"), dims,
+                            {f"{side}{i}" for i in (1, 2, 3, 4)})
+
+
 class TestPathBasis:
     def test_two_vertex_algebra_has_dimension_four(self):
         bq = cubics.build("two_vertex_pair")
@@ -104,7 +115,7 @@ class TestStandardModules:
         bc = cubics.build("big_component")
         rng = random.Random(11)
         for _ in range(4):
-            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
+            V = small_big_component_rep(rng, 2, 3)
             for x in bc.quiver.vertices:
                 assert qv.hom_dim(bc.projective(x), V) == V.dims[x]
 
@@ -181,14 +192,15 @@ def dense_hom_basis(V, W):
                 for k in range(W.dims[x]):
                     row[offs[x] + k * V.dims[x] + j] -= Wa[i][k]
                 rows.append(row)
-    return rl.nullspace(rl.Mat(len(rows), total, rows)).data
+    return [list(row) for row in rl.nullspace(rl.mat(rows, len(rows), total))]
 
 
 def random_square_zero(rng, d):
     """A d x d matrix N with N @ N = 0 and, generically, a nonzero diagonal."""
-    J = rl.zeros(d, d)
+    J = [[0] * d for _ in range(d)]
     for i in range(0, d - 1, 2):
-        J[i][i + 1] = Fraction(rng.randint(1, 3))
+        J[i][i + 1] = rng.randint(1, 3)
+    J = rl.mat(J, d, d)
     T = None
     while T is None or rl.inverse(T) is None:
         T = rl.mat([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
@@ -281,8 +293,8 @@ class TestKernelsCokernels:
         rng = random.Random(31)
         zero_vertices = 0
         for _ in range(12):
-            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
-            W = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
+            V = small_big_component_rep(rng, 2, 3)
+            W = small_big_component_rep(rng, 2, 3)
             verts = V.bq.quiver.vertices
             zero_vertices += sum(1 for v in verts if V.dims[v] == 0 or W.dims[v] == 0)
             S = qv.direct_sum(V, W)
@@ -345,9 +357,9 @@ def end_algebra(V):
         return EndAlgebra(V, [], [], rl.zeros(0, 0))
     flats = [_flatten(b) for b in basis]
     size = len(flats[0])
-    cols = rl.transpose(rl.Mat(d, size, flats))  # size x d
+    cols = rl.transpose(rl.mat(flats, d, size))  # size x d
     prods = [_flatten(qv.compose(f, g)) for f in basis for g in basis]
-    P = rl.transpose(rl.Mat(d * d, size, prods))  # size x d^2
+    P = rl.transpose(rl.mat(prods, d * d, size))  # size x d^2
     C = rl.solve(cols, P)
     assert C is not None, "products must lie in the hom space"
     structure = [[[C[k][i * d + j] for k in range(d)] for j in range(d)] for i in range(d)]
@@ -359,7 +371,7 @@ def end_algebra(V):
         ]
         for i in range(d)
     ]
-    return EndAlgebra(V, basis, structure, rl.nullspace(rl.Mat(d, d, gram)))
+    return EndAlgebra(V, basis, structure, rl.nullspace(rl.mat(gram, d, d)))
 
 
 class TestEndAlgebra:
@@ -378,7 +390,7 @@ class TestEndAlgebra:
     def test_two_routes_to_the_radical_agree(self):
         rng = random.Random(23)
         for _ in range(4):
-            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=3)
+            V = small_big_component_rep(rng, 2, 3)
             if V.total_dim() == 0:
                 continue
             end = end_algebra(V)
@@ -446,7 +458,7 @@ class TestDecompose:
     def test_dimension_partition_preserved_under_conjugation(self):
         rng = random.Random(4)
         for k in range(3):
-            V = cubics.random_big_component_rep(rng, max_outer=2, max_center=4)
+            V = small_big_component_rep(rng, 2, 4)
             before = sorted(p.dim_vector() for p in qv.decompose(V))
             after = sorted(
                 p.dim_vector() for p in qv.decompose(qv.conjugate(V, seed=k + 50))
@@ -455,7 +467,7 @@ class TestDecompose:
 
     def test_summands_satisfy_relations_and_fill_dims(self):
         rng = random.Random(9)
-        V = cubics.random_big_component_rep(rng, max_outer=3, max_center=5)
+        V = small_big_component_rep(rng, 3, 5)
         parts = qv.decompose(V)  # construction re-checks relations
         for v in V.bq.quiver.vertices:
             assert sum(p.dims[v] for p in parts) == V.dims[v]
@@ -463,7 +475,7 @@ class TestDecompose:
     def test_summands_depend_on_the_representation_alone(self):
         rng = random.Random(9)
         for _ in range(3):
-            V = cubics.random_big_component_rep(rng, max_outer=3, max_center=5)
+            V = small_big_component_rep(rng, 3, 5)
             first = qv.decompose_certified(V)
             assert len(first) > 1
             assert qv.decompose_certified(V) == first
@@ -541,7 +553,7 @@ class TestIsIsomorphic:
 
     def test_random_big_component_reps(self):
         rng = random.Random(17)
-        reps = [cubics.random_big_component_rep(rng, max_outer=1, max_center=2)
+        reps = [small_big_component_rep(rng, 1, 2)
                 for _ in range(60)]
         verdicts = {True: 0, False: 0}
         for k, V in enumerate(reps):
@@ -560,7 +572,7 @@ class TestIsIsomorphic:
         rng = random.Random(23)
         seen = set()
         for k in range(16):
-            V = cubics.random_big_component_rep(rng, max_outer=1, max_center=2)
+            V = small_big_component_rep(rng, 1, 2)
             summands = qv.decompose_certified(V)
             expected = ("no" if len(summands) != 1
                         else "yes" if summands[0][1] else "inconclusive")

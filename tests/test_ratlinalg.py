@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -87,11 +87,7 @@ def test_minimal_polynomial_examples():
     # degree n: a companion matrix is cyclic, so its minimal polynomial is
     # its characteristic polynomial t^4 - 2 t^3 + t / 2 - 3
     low = [Fraction(-3), Fraction(1, 2), Fraction(0), Fraction(-2)]
-    C = rl.zeros(4, 4)
-    for i in range(4):
-        C[i][3] = -low[i]
-        if i:
-            C[i][i - 1] = Fraction(1)
+    C = rl.mat([[-low[i] if j == 3 else int(j == i - 1) for j in range(4)] for i in range(4)])
     assert rl.minimal_polynomial(C) == low + [Fraction(1)]
 
 
@@ -103,9 +99,7 @@ def test_minimal_polynomial_annihilates(diag):
     T = None
     while T is None or rl.inverse(T) is None:
         T = rl.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-    D = rl.zeros(n, n)
-    for i, d in enumerate(diag):
-        D[i][i] = Fraction(d)
+    D = rl.mat([[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)])
     A = rl.matmul(rl.matmul(T, D), rl.inverse(T))
     coeffs = rl.minimal_polynomial(A)
     assert rl.is_zero(rl.eval_poly(coeffs, A))
@@ -147,6 +141,16 @@ def ref_rref(A, ncols=None):
 
 def ref_rank(A):
     return len(ref_rref(A)[1])
+
+
+def ref_solve(A, B, na, nb):
+    """The solution of A X = B with free coordinates zero, read off the
+    reduced rows of [A | B] (the system must be consistent)."""
+    R, pivots = ref_rref([list(ra) + list(rb) for ra, rb in zip(A, B)], na + nb)
+    X = [[Fraction(0)] * nb for _ in range(na)]
+    for row, c in zip(R, pivots):
+        X[c] = row[na:]
+    return X
 
 
 def ref_nullspace(A, ncols):
@@ -208,6 +212,8 @@ def test_matmul_matches_fraction_reference(pair):
     C = rl.matmul(rl.mat(A), rl.mat(B))
     assert C == rl.mat(ref_matmul(A, B))
     assert all(type(x) is Fraction for row in C for x in row)
+    for M in (rl.mat(A), rl.mat(B), C):
+        assert_reduced(M)
 
 
 def test_matmul_shape_errors_kept():
@@ -250,6 +256,60 @@ def test_minimal_polynomial_of_empty_blocks():
     assert rl.minimal_polynomial(rl.mat([]), rl.mat([[Fraction(3)]]), rl.mat([])) == [Fraction(-3), Fraction(1)]
 
 
+# -- the reduced integer form -------------------------------------------------
+
+
+def assert_reduced(M):
+    """M holds rows lists of cols integers over den > 0 with
+    gcd(den, every numerator) = 1, the one form of its value."""
+    assert type(M.num) is list and all(type(row) is list for row in M.num)
+    assert len(M.num) == M.rows and all(len(row) == M.cols for row in M.num)
+    assert all(type(x) is int for row in M.num for x in row)
+    assert type(M.den) is int and M.den > 0
+    assert gcd(M.den, *(x for row in M.num for x in row)) == 1
+    # the same value over a multiple of the denominator reduces to an equal Mat
+    assert rl.over([[6 * x for x in row] for row in M.num], 6 * M.den,
+                   M.rows, M.cols) == M
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(st.just(s), matrices_of(*s, entries), matrices_of(*s, entries),
+                        entries)))
+@settings(max_examples=120, deadline=None)
+def test_entrywise_operations_match_fraction_reference(case):
+    (m, n), a, b, c = case
+    A, B = rl.mat(a, m, n), rl.mat(b, m, n)
+    fa = [[Fraction(x) for x in row] for row in a]
+    fb = [[Fraction(x) for x in row] for row in b]
+    c = Fraction(c)
+    cases = [
+        (A, fa, (m, n)),
+        (rl.mat_add(A, B), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(fa, fb)], (m, n)),
+        (rl.scale(A, c), [[c * x for x in row] for row in fa], (m, n)),
+        (rl.hstack(A, B), [ra + rb for ra, rb in zip(fa, fb)], (m, 2 * n)),
+        (rl.vstack(A, B), fa + fb, (2 * m, n)),
+        (rl.transpose(A), [[fa[i][j] for i in range(m)] for j in range(n)], (n, m)),
+    ]
+    for M, ref, shape in cases:
+        assert (M.rows, M.cols) == shape
+        assert list(M) == list(map(tuple, ref))
+        assert_reduced(M)
+        assert M == rl.mat(ref, *shape)  # equal values, equal Mats
+    # values that cancel come back in the zero matrix's one form
+    assert rl.mat_add(A, rl.scale(A, -1)) == rl.zeros(m, n)
+    assert rl.scale(A, 0) == rl.zeros(m, n) and rl.is_zero(rl.scale(A, 0))
+    if c:
+        assert rl.scale(rl.scale(A, c), 1 / c) == A
+
+
+def test_a_mat_is_not_written_in_place():
+    M = rl.mat([[1, 2], [3, Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        M[0][1] = 5
+    assert M == rl.mat([[1, 2], [3, Fraction(1, 2)]])
+    assert (M.num, M.den) == ([[2, 4], [6, 1]], 2)
+
+
 # -- shapes with zero dimensions --------------------------------------------
 
 small_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
@@ -269,25 +329,32 @@ def test_zero_dimension_shapes(case):
 
     C = rl.matmul(A, B)
     assert (C.rows, C.cols) == (m, n)
-    assert C.data == [[sum((Fraction(a[i][j]) * Fraction(b[j][l]) for j in range(k)), Fraction(0))
-                       for l in range(n)] for i in range(m)]
+    assert_reduced(C)
+    assert list(C) == [tuple(sum((Fraction(a[i][j]) * Fraction(b[j][l]) for j in range(k)), Fraction(0))
+                             for l in range(n)) for i in range(m)]
 
     D = rl.block_diag(A, B)
     assert (D.rows, D.cols) == (m + k, k + n)
-    assert D.data == [[Fraction(x) for x in row] + [Fraction(0)] * n for row in a] + [
-        [Fraction(0)] * k + [Fraction(x) for x in row] for row in b]
+    assert_reduced(D)
+    assert list(D) == [tuple([Fraction(x) for x in row] + [Fraction(0)] * n) for row in a] + [
+        tuple([Fraction(0)] * k + [Fraction(x) for x in row]) for row in b]
 
     N = rl.nullspace(A)
     assert (N.rows, N.cols) == (k - ref_rank(a), k)
+    assert_reduced(N)
     assert rl.matmul(A, rl.transpose(N)) == rl.zeros(m, N.rows)
 
     X = rl.solve(A, C)  # consistent by construction
     assert X is not None and (X.rows, X.cols) == (k, n)
     assert rl.matmul(A, X) == C
+    assert_reduced(X)
+    assert list(X) == list(map(tuple, ref_solve(a, list(C), k, n)))
 
     proj, section = rl.quotient_maps(A)
     q = m - ref_rank(a)
     assert (proj.rows, proj.cols) == (q, m) and (section.rows, section.cols) == (m, q)
+    assert_reduced(proj)
+    assert_reduced(section)
     assert rl.matmul(proj, A) == rl.zeros(q, k)
     assert rl.matmul(proj, section) == rl.identity(q)
 
@@ -363,7 +430,8 @@ def test_echelon_matches_gauss_jordan_entry_for_entry(case):
     R, pivots = rl.rref(A)
     assert pivots == pivots_ref
     assert (R.rows, R.cols) == (len(pivots_ref), n)
-    assert R.data == reduced_ref
+    assert list(R) == list(map(tuple, reduced_ref))
+    assert_reduced(R)
     assert all(type(x) is Fraction for row in R for x in row)
     assert rl.rank(A) == len(pivots_ref)
 
@@ -377,7 +445,8 @@ def test_echelon_matches_gauss_jordan_entry_for_entry(case):
 
     N = rl.nullspace(A)
     assert (N.rows, N.cols) == (n - len(pivots_ref), n)
-    assert N.data == ref_nullspace(rows, n)
+    assert list(N) == list(map(tuple, ref_nullspace(rows, n)))
+    assert_reduced(N)
     assert all(type(x) is Fraction for row in N for x in row)
 
 
@@ -385,18 +454,18 @@ def greedy_complement_columns(B):
     """Unit columns e_i, in increasing i, each kept when it raises the rank
     of the independent columns of B and the unit columns kept so far."""
     n = B.rows
-    rows = B.data
+    rows = [list(row) for row in B]
     chosen = []
     current = B.cols
     for i in range(n):
         if current == n:
             break
         candidate = [rows[j] + [Fraction(int(j == i))] for j in range(n)]
-        if rl.rank(rl.Mat(n, current + 1, candidate)) == current + 1:
+        if rl.rank(rl.mat(candidate, n, current + 1)) == current + 1:
             rows = candidate
             chosen.append(i)
             current += 1
-    return rl.Mat(n, len(chosen), [[Fraction(int(j == i)) for i in chosen] for j in range(n)])
+    return rl.mat([[int(j == i) for i in chosen] for j in range(n)], n, len(chosen))
 
 
 def ref_quotient_maps(B):
@@ -409,7 +478,7 @@ def ref_quotient_maps(B):
     if r == n:
         return rl.zeros(0, n), comp
     inv = rl.inverse(rl.hstack(basis, comp))
-    return rl.Mat(n - r, n, inv.data[r:]), comp
+    return rl.mat(list(inv)[r:], n - r, n), comp
 
 
 @st.composite
@@ -432,15 +501,18 @@ def test_quotient_maps_match_the_greedy_complement(B):
     proj, section = rl.quotient_maps(B)
     assert (proj, section) == ref_quotient_maps(B)
     assert all(type(x) is Fraction for M in (proj, section) for row in M for x in row)
+    assert_reduced(proj)
+    assert_reduced(section)
     assert rl.complement_columns(B) == section
 
 
 def test_kernel_basis_checks_every_vector_against_every_row():
     rows = [{0: 1, 1: -1}, {1: 2, 2: -2}]
-    assert rl.kernel_basis(rows, 3) == [[Fraction(1)] * 3]
+    # integer vectors with their denominators: (1, 1, 1) / 1
+    assert rl.kernel_basis(rows, 3) == [([1, 1, 1], 1)]
     # the rows are left as they are
     assert rows == [{0: 1, 1: -1}, {1: 2, 2: -2}]
-    assert rl.kernel_basis([], 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert rl.kernel_basis([], 2) == [([1, 0], 1), ([0, 1], 1)]
     assert rl.kernel_basis([{0: 3}], 1) == []
 
 
