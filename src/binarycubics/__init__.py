@@ -35,13 +35,13 @@ from .characters import (
 from .catalog import (
     COMPOSITION_SERIES,
     DERIVED,
-    INJECTIVE_FACTORS,
     ORBITS,
     SIMPLES,
     SUPPORT,
     character_of,
     dual_partner,
     fourier_partner,
+    injective_envelope_character,
     local_cohomology,
     verify_identities,
 )

@@ -7,8 +7,9 @@ the discriminant hypersurface (P), three on the cone over the twisted
 cubic (D_0, D_1, D_2), and one at the origin (E).  The catalog records
 their characters (wired to the exact character engine), the Fourier and
 holonomic-duality pairings, the composition-series identities of the
-localizations, injective-envelope factor multisets, and the full table
-of (iterated) local cohomology groups with support in orbit closures.
+localizations, the characters of the injective envelopes, and the full
+table of (iterated) local cohomology groups with support in orbit
+closures.
 """
 
 from __future__ import annotations
@@ -189,28 +190,22 @@ COMPOSITION_SERIES = (
     CompositionSeriesFact("SdeltaModS", ("P", "E"), non_split=True),
 )
 
-#: Composition factors of the injective envelope of each simple.  For a
-#: full-support simple the envelope is the localization away from the
-#: discriminant; for E, D0, D1, D2 it is the Fourier image of the
-#: envelope of the Fourier partner; for P it is the cokernel of the
-#: diagonal embedding into the two rank-one extensions over the
-#: discriminant hypersurface (see the quiver layer).
-INJECTIVE_FACTORS = {
-    "S": ("S", "P", "E"),
-    "E": ("E", "P", "S"),
-    "Q0": ("Q0", "P", "D0"),
-    "D0": ("D0", "P", "Q0"),
-    "P": ("P", "S", "D0", "E", "Q0"),
-    "G1": ("G1", "D1"),
-    "D1": ("D1", "G1"),
-    "G-1": ("G-1", "D2"),
-    "D2": ("D2", "G-1"),
-    "G2": ("G2",),
-    "G3": ("G3",),
-    "G4": ("G4",),
-    "Q1": ("Q1",),
-    "Q2": ("Q2",),
-}
+def injective_envelope_character(name: str) -> Character:
+    """Character of the injective envelope of a simple.
+
+    A full-support simple M has the localization away from the
+    discriminant, [M_delta] = localize([M]); E and the D_j have the
+    Fourier image of the envelope of their full-support Fourier partner;
+    P has that of the cokernel of P embedded diagonally in H and F(H)
+    (cubics.injective_envelope_of_P), [H] + [F(H)] - [P] =
+    [Sdelta] + [Q0delta] - [P].
+    """
+    if SUPPORT[_simple(name)] == "O4":
+        return ch.localize(character_of(name))
+    if name == "P":
+        return character_of("Sdelta") + character_of("Q0delta") - character_of("P")
+    return ch.fourier(ch.localize(character_of(fourier_partner(name))))
+
 
 SUPPORT_CLOSURES = ("O3bar", "O2bar", "O0")
 

@@ -140,7 +140,7 @@ def _cmd_rep(args) -> int:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.file}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise _UsageError(f"{args.file} is not valid JSON: {exc}")
     try:
         rep = qv.rep_from_dict(data, cubics.named_quivers())

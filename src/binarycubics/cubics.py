@@ -32,7 +32,6 @@ ArithmeticError, never an assert, so python -O gives the same answers.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import ratlinalg as rl
 from .quiver import (
@@ -218,12 +217,12 @@ def injective_envelope_of_P() -> Representation:
     injective envelope of the simple at p.
     """
     bq = build("paper_full")
-    one = [[Fraction(1)]]
+    one = [[1]]
     H = Representation(bq, {"p": 1, "d0": 1, "e": 1}, {"alpha2": one, "alpha3": one})
     FH = Representation(bq, {"p": 1, "s": 1, "q0": 1}, {"alpha1": one, "alpha4": one})
     both = direct_sum(H, FH)
     P = bq.simple("p")
-    diag = RepMorphism(P, both, {"p": [[Fraction(1)], [Fraction(1)]]})
+    diag = RepMorphism(P, both, {"p": [[1], [1]]})
     I_P, _ = cokernel(diag)
     if not is_isomorphic(I_P, bq.injective("p")):
         raise ArithmeticError("cokernel must be the injective envelope")

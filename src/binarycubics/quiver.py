@@ -181,6 +181,16 @@ class PathBasis:
             return ((Fraction(1), path),)
         return self.reduction.get(path, ())
 
+    def action(self, src: list[Path], tgt: list[Path], extend) -> rl.Mat:
+        """Matrix of p -> reduce(extend(p)) from the span of the basis paths
+        src to that of tgt."""
+        row = {p: i for i, p in enumerate(tgt)}
+        M = [[0] * len(src) for _ in tgt]
+        for j, p in enumerate(src):
+            for coeff, bp in self.reduce(extend(p)):
+                M[row[bp]][j] += coeff
+        return rl.mat(M, len(tgt), len(src))
+
     def dimension(self) -> int:
         return sum(len(v) for v in self.by_pair.values())
 
@@ -296,38 +306,24 @@ class BoundQuiver:
         return Representation(self, dims, {})
 
     def projective(self, x: str) -> "Representation":
-        """Projective cover of the simple at x: paths out of x, arrows act
-        by right concatenation."""
+        """Projective cover of the simple at x: the paths out of x, an arrow
+        a acting by right concatenation p -> p a."""
         pb = self.path_basis()
-        dims = {y: len(pb.paths(x, y)) for y in self.quiver.vertices}
-        maps = {}
-        for a in self.quiver.arrows:
-            src_paths = pb.paths(x, a.source)
-            tgt_paths = pb.paths(x, a.target)
-            idx = {p: i for i, p in enumerate(tgt_paths)}
-            M = [[0] * len(src_paths) for _ in tgt_paths]
-            for j, p in enumerate(src_paths):
-                for coeff, bp in pb.reduce(p + (a.name,)):
-                    M[idx[bp]][j] += coeff
-            maps[a.name] = rl.mat(M, len(tgt_paths), len(src_paths))
-        return Representation(self, dims, maps)
+        out = {y: pb.paths(x, y) for y in self.quiver.vertices}
+        maps = {a.name: pb.action(out[a.source], out[a.target], lambda p, a=a: p + (a.name,))
+                for a in self.quiver.arrows}
+        return Representation(self, {y: len(ps) for y, ps in out.items()}, maps)
 
     def injective(self, x: str) -> "Representation":
-        """Injective envelope of the simple at x: duals of paths into x,
-        arrows act by the transpose of left concatenation."""
+        """Injective envelope of the simple at x: the duals of the paths
+        into x, an arrow a acting by the transpose of left concatenation
+        p -> a p."""
         pb = self.path_basis()
-        dims = {y: len(pb.paths(y, x)) for y in self.quiver.vertices}
-        maps = {}
-        for a in self.quiver.arrows:
-            into_src = pb.paths(a.source, x)   # rows of the concatenation matrix
-            into_tgt = pb.paths(a.target, x)   # columns
-            idx = {p: i for i, p in enumerate(into_src)}
-            L = [[0] * len(into_tgt) for _ in into_src]
-            for j, p in enumerate(into_tgt):
-                for coeff, bp in pb.reduce((a.name,) + p):
-                    L[idx[bp]][j] += coeff
-            maps[a.name] = rl.transpose(rl.mat(L, len(into_src), len(into_tgt)))
-        return Representation(self, dims, maps)
+        into = {y: pb.paths(y, x) for y in self.quiver.vertices}
+        maps = {a.name: rl.transpose(pb.action(into[a.target], into[a.source],
+                                               lambda p, a=a: (a.name,) + p))
+                for a in self.quiver.arrows}
+        return Representation(self, {y: len(ps) for y, ps in into.items()}, maps)
 
 
 @dataclass

@@ -113,9 +113,10 @@ def test_criterion_05_quiver_catalog_agreement():
     pf = cubics.build("paper_full")
     for vertex, simple in pf.vertex_labels.items():
         inj = pf.injective(vertex)
-        got = sorted(
-            pf.vertex_labels[v] for v in pf.quiver.vertices for _ in range(inj.dims[v]))
-        assert got == sorted(catalog.INJECTIVE_FACTORS[simple]), simple
+        factors = [pf.vertex_labels[v] for v in pf.quiver.vertices for _ in range(inj.dims[v])]
+        got = ch.Character(lambda lam: sum(catalog.character_of(f).mult(lam) for f in factors))
+        want = catalog.injective_envelope_character(simple)
+        assert ch.first_disagreement(got, want, -6, 6) is None, simple
     assert pf.arrow_count("d1", "g1") == 1
     assert pf.arrow_count("e", "s") == 0
     assert pf.arrow_count("d0", "s") == 0
@@ -126,7 +127,7 @@ def test_criterion_05_quiver_catalog_agreement():
             dx = to_vertex[catalog.dual_partner(pf.vertex_labels[x])]
             dy = to_vertex[catalog.dual_partner(pf.vertex_labels[y])]
             assert pf.arrow_count(x, y) == pf.arrow_count(dy, dx), (x, y)
-    _passed(5, "injective factor multisets (14 vertices), arrow facts, duality symmetry")
+    _passed(5, "injective envelopes (14 vertices) vs their characters, arrow facts, duality symmetry")
 
 
 def test_criterion_06_projective_injective_identifications():

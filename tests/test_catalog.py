@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from binarycubics import catalog, characters as ch
+from binarycubics import catalog, characters as ch, ratlinalg as rl, verify
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded.json"
 
@@ -108,6 +108,26 @@ class TestCharacters:
             digests[name] = hashlib.sha256(payload.encode()).hexdigest()
         assert len(digests) == 19
         assert digests == recorded
+
+
+class TestInjectiveEnvelopes:
+    @staticmethod
+    def rank_of_simples(lo, hi):
+        weights = list(ch.box_weights(lo, hi))
+        rows = [[catalog.character_of(name).mult(lam) for lam in weights]
+                for name in catalog.SIMPLES]
+        return len(weights), rl.rank(rl.mat(rows, len(rows), len(weights)))
+
+    def test_simple_characters_independent_on_the_envelope_box(self):
+        # rank 14 on the 91 dominant weights of (-6, 6), so a character
+        # there fixes its composition-factor multiset; (-5, 5) is too small
+        assert self.rank_of_simples(*verify.ENVELOPE_BOX) == (91, 14)
+        assert self.rank_of_simples(-5, 5) == (66, 13)
+
+    def test_unknown_simple_rejected(self):
+        for name in ("X", "Sdelta"):
+            with pytest.raises(KeyError):
+                catalog.injective_envelope_character(name)
 
 
 class TestLocalCohomology:

@@ -125,10 +125,16 @@ def test_rep_unreadable_file(capsys):
 
 
 def test_rep_bad_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "rep", "decompose", str(path))
-    assert code == 2
+    contents = {
+        "syntax": "{not json",
+        "long-integer": "1" * 5000,  # json.load raises a bare ValueError past 4,300 digits
+        "deep-nesting": "[" * 100_000,  # and RecursionError on deep nesting
+    }
+    for label, content in contents.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(content)
+        code, _, err = run(capsys, "rep", "decompose", str(path))
+        assert code == 2 and "is not valid JSON" in err, label
 
 
 def test_rep_non_utf8_file(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """The verification layer's check records and scans."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from binarycubics import catalog, verify
 
@@ -31,6 +34,31 @@ def test_off_table_local_cohomology_reports_the_first_wrong_group(monkeypatch):
     failed = [c["name"] for c in checks.values() if c["status"] != "pass"]
     assert failed == ["all off-table local cohomology queries vanish"]
 
+
+# wrong envelope rules: G1 without its socle quotient D1, P without the - [P]
+WRONG_ENVELOPES = {
+    "G1": lambda: catalog.character_of("G1"),
+    "P": lambda: catalog.character_of("Sdelta") + catalog.character_of("Q0delta"),
+}
+
+
+@pytest.mark.parametrize("simple", [None, "G1", "P"])
+def test_envelope_checks_fail_exactly_for_a_wrong_rule(monkeypatch, simple):
+    rule = catalog.injective_envelope_character
+    monkeypatch.setattr(catalog, "injective_envelope_character",
+                        lambda name: WRONG_ENVELOPES[name]() if name == simple else rule(name))
+    checks = verify.suite_quiver(seed=0)["checks"]
+    envelope = [c for c in checks if c["name"].startswith("injective envelope of ")]
+    assert len(envelope) == 14
+    failed = [c for c in checks if c["status"] != "pass"]
+    if simple is None:
+        assert failed == []
+        return
+    assert [c["name"] for c in failed] == [
+        next(c["name"] for c in envelope if c["name"].startswith(f"injective envelope of {simple} "))]
+    l1, l2 = ast.literal_eval(failed[0]["witness"])
+    lo, hi = verify.ENVELOPE_BOX
+    assert lo <= l2 <= l1 <= hi
 
 
 SABOTAGED_QUIVER_SUITE = """
