@@ -146,18 +146,14 @@ def _cmd_rep(args) -> int:
         rep = qv.rep_from_dict(data, cubics.named_quivers())
     except (KeyError, ValueError) as exc:
         raise _UsageError(f"bad representation file: {exc}")
-    summands = qv.decompose_certified(rep)
     verts = rep.bq.quiver.vertices
-    payload = {"file": args.file, "summands": []}
-    lines = []
-    rows = []
-    for W, certified in summands:
-        verdict = "indecomposable" if certified else "inconclusive"
-        dims = [W.dims[v] for v in verts]
-        payload["summands"].append({"dims": dims, "verdict": verdict})
-        lines.append("(" + ",".join(str(d) for d in dims) + f")  {verdict}")
-        rows.append(dims + [verdict])
-    payload["summands"].sort(key=lambda s: s["dims"])
+    summands = [([W.dims[v] for v in verts], "indecomposable" if certified else "inconclusive")
+                for W, certified in qv.decompose_certified(rep)]
+    summands.sort(key=lambda s: s[0])  # every format lists them by dimension vector
+    payload = {"file": args.file,
+               "summands": [{"dims": dims, "verdict": verdict} for dims, verdict in summands]}
+    lines = ["(" + ",".join(map(str, dims)) + f")  {verdict}" for dims, verdict in summands]
+    rows = [dims + [verdict] for dims, verdict in summands]
     _emit(args, payload, lines or ["(zero representation)"], rows)
     return 0
 

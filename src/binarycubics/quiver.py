@@ -31,8 +31,9 @@ ArithmeticError, never an assert, so python -O gives the same answers.
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is re-verified deterministically (exact kernels
-that must fill V, relation checks).  Only conjugate takes a seed.
+every split it finds is checked exactly (one change of basis per
+vertex that must be invertible and block-diagonalize every arrow,
+relation checks).  Only conjugate takes a seed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 
 from . import ratlinalg as rl
@@ -627,23 +628,37 @@ def _split_candidates(V: Representation, basis: list[RepMorphism], rng: random.R
             yield RepMorphism(V, V, blocks)
 
 
-def _try_split(V: Representation, basis: list[RepMorphism],
-               rng: random.Random) -> list[Representation] | None:
-    """Proper subrepresentations summing to V, or None if no split was found."""
-    for phi in _split_candidates(V, basis, rng):
-        mp = rl.minimal_polynomial(*[phi.blocks[v] for v in V.bq.quiver.vertices])
-        factors = factor(mp)
-        if len(factors) < 2:
-            continue
-        parts = []
-        for power in factors:
-            blocks = {v: rl.eval_poly(power, phi.blocks[v]) for v in V.bq.quiver.vertices}
-            sub, _ = kernel(RepMorphism(V, V, blocks))
-            parts.append(sub)
-        if any(sum(p.dims[v] for p in parts) != V.dims[v] for v in V.bq.quiver.vertices):
-            raise ArithmeticError("generalized kernels must fill V")
-        return parts
-    return None
+def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
+    """V cut along the coprime factors of the minimal polynomial of phi (one
+    square block per vertex), in the order polyfactor.factor gives them, by
+    one checked change of basis (see decompose_certified); None when that
+    polynomial is a power of one irreducible."""
+    verts = V.bq.quiver.vertices
+    factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
+    if len(factors) < 2:
+        return None
+    sizes, T, T_inv = {}, {}, {}
+    for v in verts:
+        kernels = [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
+        sizes[v] = [K.rows for K in kernels]
+        T[v] = rl.transpose(reduce(rl.vstack, kernels))
+        T_inv[v] = rl.inverse(T[v]) if T[v].cols == T[v].rows else None
+        if T_inv[v] is None:
+            raise ArithmeticError(f"the generalized kernels do not fill V at vertex {v}")
+    maps: list[dict[str, rl.Mat]] = [{} for _ in factors]
+    for a in V.bq.quiver.arrows:
+        x, y = a.source, a.target
+        moved = rl.matmul(V.maps[a.name], T[x])
+        C = rl.matmul(T_inv[y], moved)
+        if rl.matmul(T[y], C) != moved:
+            raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
+        blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
+        if blocks is None:
+            raise ArithmeticError(f"a generalized kernel is not stable under arrow {a.name}")
+        for part, block in zip(maps, blocks):
+            part[a.name] = block
+    return [Representation(V.bq, {v: sizes[v][i] for v in verts}, part)
+            for i, part in enumerate(maps)]
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
@@ -654,6 +669,37 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     one.  An uncertified summand resisted all splitting attempts but
     its endomorphism ring is not known to be local (e.g. a rational
     form of a pair of conjugate complex indecomposables).
+
+    Deferred certification.  A summand whose End has dimension one is a
+    certified leaf.  Any other first tries the first basis endomorphism
+    and computes semisimple_rank only when that does not split it: rank
+    one makes it a certified leaf, and otherwise the search goes on with
+    the rest of the basis and then the SPLIT_TRIALS random combinations.
+    Ranking first would change nothing.  Rank one means End is local, so
+    every endomorphism is c * id plus a nilpotent, its minimal
+    polynomial is a power of t - c, and no candidate splits; so the
+    candidates tried, the draws of the generator, the summands and the
+    flags are the same in either order, and a summand that the first
+    candidate splits is never ranked.
+
+    One change of basis per split (_split).  For each factor p^k of the
+    minimal polynomial of an endomorphism phi, the part at a vertex v is
+    spanned by the columns of K_v, the basis of the kernel of p^k(phi_v)
+    that rl.nullspace gives, which is the basis kernel() takes.  T_v
+    stacks the K_v of all the factors side by side, and for an arrow
+    a: x -> y, C_a = T_y^-1 V_a T_x.  Four exact checks, each raising
+    ArithmeticError:
+
+    - T_v is square and invertible: the generalized kernels fill V;
+    - V_a T_x = T_y C_a on every arrow: the inverse is right;
+    - C_a is zero off its diagonal blocks: each part is arrow-stable;
+    - each part is built as a Representation, which checks the relations.
+
+    Then K_y B = V_a K_x for the diagonal block B of a part, so B is the
+    unique solution that kernel() solves for, and each part equals
+    kernel(p^k(phi))[0], Mat for Mat.  For an endomorphism phi the checks
+    cannot fail: the generalized kernels of the coprime factors of its
+    minimal polynomial are subrepresentations, and V is their direct sum.
     """
     if V.total_dim() == 0:
         return []
@@ -663,10 +709,16 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     while stack:
         cur = stack.pop()
         basis = hom_basis(cur, cur)
-        if len(basis) == 1 or semisimple_rank(cur, basis) == 1:
+        if len(basis) == 1:
             out.append((cur, True))
             continue
-        parts = _try_split(cur, basis, rng)
+        candidates = _split_candidates(cur, basis, rng)
+        parts = _split(cur, next(candidates).blocks)
+        if parts is None:
+            if semisimple_rank(cur, basis) == 1:
+                out.append((cur, True))
+                continue
+            parts = next(filter(None, (_split(cur, phi.blocks) for phi in candidates)), None)
         if parts is None:
             out.append((cur, False))
         else:

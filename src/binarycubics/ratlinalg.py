@@ -243,6 +243,25 @@ def block_diag(A: Mat, B: Mat) -> Mat:
     return Mat(A.rows + B.rows, A.cols + B.cols, num, den)
 
 
+def diagonal_blocks(A: Mat, rows: list[int], cols: list[int]) -> list[Mat] | None:
+    """The diagonal blocks of A cut into row blocks of the sizes rows and
+    column blocks of the sizes cols, or None when A is nonzero off them."""
+    if sum(rows) != A.rows or sum(cols) != A.cols or len(rows) != len(cols):
+        raise ValueError(f"blocks {rows} x {cols} do not tile a {A.rows}x{A.cols} matrix")
+    out = []
+    r0 = c0 = 0
+    for m, n in zip(rows, cols):
+        c1 = c0 + n
+        num = []
+        for row in A.num[r0:r0 + m]:
+            if any(row[:c0]) or any(row[c1:]):
+                return None
+            num.append(row[c0:c1])
+        out.append(over(num, A.den, m, n))
+        r0, c0 = r0 + m, c1
+    return out
+
+
 def is_zero(A: Mat) -> bool:
     return not any(map(any, A.num))
 

@@ -3,13 +3,17 @@ representation files."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from binarycubics import cli, cubics, quiver as qv
 
-RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded.json"
+ROOT = Path(__file__).resolve().parent.parent
+RECORDED = ROOT / "perfbench" / "recorded.json"
 
 
 def run(capsys, *argv):
@@ -105,6 +109,29 @@ def test_rep_decompose_file(tmp_path, capsys):
     summands = json.loads(out)["summands"]
     assert sorted(tuple(s["dims"]) for s in summands) == [(1, 0, 0, 0, 0), (1, 1, 1, 1, 2)]
     assert all(s["verdict"] == "indecomposable" for s in summands)
+
+
+def test_rep_decompose_lists_summands_by_dims_in_every_format(tmp_path, capsys):
+    bq = cubics.build("d4hat")
+    V = qv.direct_sum(qv.direct_sum(bq.simple("5"), cubics.rn_family(1, 2)), bq.simple("1"))
+    stack_order = [W.dim_vector() for W, _ in qv.decompose_certified(V)]
+    assert stack_order != sorted(stack_order)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(qv.rep_to_dict(V)))
+    listed = {}
+    for fmt in ("json", "text", "tsv"):
+        code, out, _ = run(capsys, "--format", fmt, "rep", "decompose", str(path))
+        assert code == 0
+        if fmt == "json":
+            listed[fmt] = [(tuple(s["dims"]), s["verdict"]) for s in json.loads(out)["summands"]]
+        elif fmt == "text":
+            listed[fmt] = [(tuple(int(d) for d in dims.strip("()").split(",")), verdict)
+                           for dims, verdict in (line.split() for line in out.splitlines())]
+        else:
+            listed[fmt] = [(tuple(int(d) for d in row[:-1]), row[-1])
+                           for row in (line.split("\t") for line in out.splitlines())]
+    assert listed["json"] == listed["text"] == listed["tsv"]
+    assert [dims for dims, _ in listed["json"]] == sorted(stack_order)
 
 
 def test_rep_decompose_inline_quiver(tmp_path, capsys):
@@ -243,3 +270,12 @@ def test_rep_accepts_integers_and_fraction_strings(tmp_path, capsys):
                     '"maps": {"alpha1": [[3], ["-5/7"]]}}')
     code, out, _ = run(capsys, "rep", "decompose", str(path))
     assert code == 0 and "indecomposable" in out
+
+
+def test_python_m_binarycubics_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "binarycubics", "--format", "json", "--seed", "0",
+                           "verify", "--suite", "loccoh"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert [r["suite"] for r in json.loads(done.stdout)["reports"]] == ["loccoh"]

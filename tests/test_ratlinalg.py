@@ -338,6 +338,7 @@ def test_zero_dimension_shapes(case):
     assert_reduced(D)
     assert list(D) == [tuple([Fraction(x) for x in row] + [Fraction(0)] * n) for row in a] + [
         tuple([Fraction(0)] * k + [Fraction(x) for x in row]) for row in b]
+    assert rl.diagonal_blocks(D, [m, k], [k, n]) == [A, B]
 
     N = rl.nullspace(A)
     assert (N.rows, N.cols) == (k - ref_rank(a), k)
@@ -527,3 +528,12 @@ def test_kernel_basis_refuses_vectors_that_fail_a_row(monkeypatch):
     monkeypatch.setattr(rl, "echelon", off_by_one)
     with pytest.raises(ArithmeticError, match="fails an equation"):
         rl.kernel_basis([{0: 1, 1: -1}, {1: 2, 2: -2}], 3)
+
+
+def test_diagonal_blocks_refuse_entries_off_the_blocks():
+    A = rl.mat([[2, 0, 0], [0, 3, Fraction(1, 2)], [0, 5, 7]])
+    assert rl.diagonal_blocks(A, [1, 2], [1, 2]) == [
+        rl.mat([[2]]), rl.mat([[3, Fraction(1, 2)], [5, 7]])]
+    assert rl.diagonal_blocks(A, [2, 1], [2, 1]) is None
+    with pytest.raises(ValueError, match="do not tile"):
+        rl.diagonal_blocks(A, [1, 1], [1, 2])

@@ -1,0 +1,201 @@
+"""The split step of decompose_certified: one checked change of basis per
+summand, against the kernel() route it replaced, and the deferred
+semisimple_rank."""
+
+import importlib.util
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+from binarycubics import cubics
+from binarycubics import quiver as qv
+from binarycubics import ratlinalg as rl
+from binarycubics.polyfactor import factor
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  ROOT / "perfbench" / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def kernel_route_split(V, phi):
+    """The parts of V along the factors of the minimal polynomial of phi,
+    each cut out by kernel(); None when there is one factor."""
+    verts = V.bq.quiver.vertices
+    factors = factor(rl.minimal_polynomial(*[phi.blocks[v] for v in verts]))
+    if len(factors) < 2:
+        return None
+    return [qv.kernel(qv.RepMorphism(V, V, {v: rl.eval_poly(power, phi.blocks[v])
+                                            for v in verts}))[0]
+            for power in factors]
+
+
+def kernel_route_decompose(V):
+    """decompose_certified with semisimple_rank computed before any candidate
+    and every split cut out by kernel()."""
+    if V.total_dim() == 0:
+        return []
+    rng = random.Random(0)
+    out, stack = [], [V]
+    while stack:
+        cur = stack.pop()
+        basis = qv.hom_basis(cur, cur)
+        if len(basis) == 1 or qv.semisimple_rank(cur, basis) == 1:
+            out.append((cur, True))
+            continue
+        parts = next(filter(None, (kernel_route_split(cur, phi)
+                                   for phi in qv._split_candidates(cur, basis, rng))), None)
+        if parts is None:
+            out.append((cur, False))
+        else:
+            stack.extend(parts)
+    return out
+
+
+def oracle_inputs():
+    rng = random.Random(5)
+    reps = [cubics.random_big_component_rep(rng) for _ in range(12)]
+    two = cubics.build("two_vertex_pair")
+    for _ in range(8):
+        dims = {"1": rng.randint(0, 4), "2": rng.randint(0, 4)}
+        reps.append(cubics._complete(rng, two, dims, {"a"}))
+    for n, lam, mu in ((1, 0, 1), (2, 1, 3), (2, -4, Fraction(1, 2)), (3, 2, -5)):
+        reps.append(qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu)))
+    return reps
+
+
+def test_split_equals_the_kernel_route_part_for_part():
+    splits = 0
+    for V in oracle_inputs():
+        if V.total_dim() == 0:
+            continue
+        basis = qv.hom_basis(V, V)
+        for phi in islice(qv._split_candidates(V, basis, random.Random(1)), len(basis) + 4):
+            want = kernel_route_split(V, phi)
+            assert qv._split(V, phi.blocks) == want
+            splits += want is not None
+    assert splits >= 50, splits
+
+
+def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
+    worker = load_worker()
+    inputs = {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
+    inputs.add(("d4hat", 2, 1, 3))
+    for kind, n, lam, mu in sorted(inputs):
+        if kind == "d4hat":
+            V = qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
+        else:
+            V = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
+                              cubics.embed_beta(cubics.rn_family(n, mu)))
+        got = qv.decompose_certified(V)
+        assert got == kernel_route_decompose(V)
+        assert [certified for _, certified in got] == [True, True]
+
+
+def test_decompose_certified_matches_the_kernel_route_on_random_reps():
+    for V in oracle_inputs():
+        assert qv.decompose_certified(V) == kernel_route_decompose(V)
+
+
+def not_intertwining():
+    """A d4hat representation and vertexwise blocks with minimal polynomial
+    (t - 1)(t - 2) that do not commute with its arrows."""
+    V = qv.direct_sum(cubics.rn_family(1, 0), cubics.rn_family(1, 1))
+    phi = {v: rl.identity(V.dims[v]) for v in V.bq.quiver.vertices}
+    phi["5"] = rl.mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return V, phi
+
+
+def test_a_non_intertwining_phi_raises():
+    V, phi = not_intertwining()
+    assert len(factor(rl.minimal_polynomial(*phi.values()))) == 2
+    with pytest.raises(ArithmeticError, match="not stable under arrow"):
+        qv._split(V, phi)
+
+
+def test_a_singular_change_of_basis_raises(monkeypatch):
+    V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
+    phi = next(f for f in qv.hom_basis(V, V) if qv._split(V, f.blocks) is not None)
+    nullspace = rl.nullspace
+    zeroed = []
+
+    def first_center_vector_zeroed(A):
+        # the first kernel basis at the center vertex 5, the only 8 x 8 block,
+        # loses its first vector to a zero one: T_5 stays square
+        N = nullspace(A)
+        if A.rows == V.dims["5"] and not zeroed:
+            zeroed.append(N)
+            return rl.vstack(rl.zeros(1, N.cols), rl.mat(list(N)[1:], N.rows - 1, N.cols))
+        return N
+
+    monkeypatch.setattr(rl, "nullspace", first_center_vector_zeroed)
+    with pytest.raises(ArithmeticError, match="do not fill V at vertex 5"):
+        qv._split(V, phi.blocks)
+    assert zeroed and zeroed[0].rows > 0
+
+
+NOT_INTERTWINING_UNDER_O = """
+import json, sys
+from binarycubics import cubics, quiver as qv, ratlinalg as rl
+V = qv.direct_sum(cubics.rn_family(1, 0), cubics.rn_family(1, 1))
+phi = {v: rl.identity(V.dims[v]) for v in V.bq.quiver.vertices}
+phi["5"] = rl.mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+try:
+    parts = qv._split(V, phi)
+    raised = None
+except ArithmeticError as exc:
+    parts, raised = None, str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "parts": parts is not None, "raised": raised}))
+"""
+
+
+def test_a_non_intertwining_phi_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", NOT_INTERTWINING_UNDER_O], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["optimize"] == 1
+    assert not report["parts"]
+    assert "not stable under arrow" in report["raised"]
+
+
+def ranked_during_decompose(monkeypatch, V):
+    """The dimension vectors of the representations decompose_certified(V) ranks."""
+    ranked = []
+    semisimple_rank = qv.semisimple_rank
+
+    def spy(W, basis=None):
+        ranked.append(W.dim_vector())
+        return semisimple_rank(W, basis)
+
+    monkeypatch.setattr(qv, "semisimple_rank", spy)
+    out = qv.decompose_certified(V)
+    assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), True)] * 2
+    return ranked
+
+
+def test_a_sum_split_by_the_first_candidate_is_never_ranked(monkeypatch):
+    V = qv.conjugate(qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3)), seed=1)
+    assert ranked_during_decompose(monkeypatch, V) == [(2, 2, 2, 2, 4)] * 2
+
+
+def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch):
+    # the first basis endomorphism of the plain sum is the nilpotent of
+    # R_2(1), minimal polynomial t^2, so the sum is ranked (rank 2) before
+    # the second one splits it
+    V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
+    assert qv._split(V, qv.hom_basis(V, V)[0].blocks) is None
+    assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)] + [(2, 2, 2, 2, 4)] * 2
