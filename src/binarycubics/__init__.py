@@ -26,7 +26,6 @@ from .characters import (
     localize,
     m_diag,
     mult_d,
-    multiply_forms,
     nu,
     shift,
     sub,
@@ -50,7 +49,6 @@ from .quiver import (
     BoundQuiver,
     NonAdmissibleError,
     Quiver,
-    RelationSet,
     RepMorphism,
     Representation,
     cokernel,
@@ -58,11 +56,10 @@ from .quiver import (
     decompose_certified,
     direct_sum,
     hom_basis,
-    hom_dim,
-    image,
     is_indecomposable,
     is_isomorphic,
     kernel,
+    monomial_relations,
     rep_from_dict,
     rep_to_dict,
 )

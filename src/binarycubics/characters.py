@@ -21,10 +21,6 @@ truncated to a power series and all arithmetic is exact.  A localization at the
 discriminant is evaluated once, at a shift by a multiple of (6, 6) that
 is proven to lie where the shifted multiplicities no longer change (see
 localize); no limit is sampled.
-
-The product on characters is formal convolution of e-symbols, not a
-tensor-product decomposition of representations; all closed forms are
-built from monomial exponentials, which is why convolution suffices.
 """
 
 from __future__ import annotations
@@ -239,22 +235,6 @@ def _progression(lo: int, hi: int, delta: int, rem: int, modulus: int) -> int:
         return 1 if lo <= rem // delta <= hi else 0
     r = rem // h * pow(delta // h, -1, n) % n
     return (hi - r) // n - (lo - 1 - r) // n
-
-
-def multiply_forms(f: ClosedFormCharacter, g: ClosedFormCharacter) -> ClosedFormCharacter:
-    """Convolution product of two closed forms, when it is again one."""
-    if f.periodic is not None and g.periodic is not None:
-        raise InvalidClosedForm("product of two lattice factors is not admissible")
-    numerator = tuple(
-        (s1 * s2, (w1[0] + w2[0], w1[1] + w2[1]))
-        for s1, w1 in f.numerator
-        for s2, w2 in g.numerator
-    )
-    return ClosedFormCharacter(
-        numerator=numerator,
-        denominators=f.denominators + g.denominators,
-        periodic=f.periodic or g.periodic,
-    )
 
 
 class Character:

@@ -38,13 +38,13 @@ from .quiver import (
     Arrow,
     BoundQuiver,
     Quiver,
-    RelationSet,
     RepMorphism,
     Representation,
     cokernel,
     decompose_certified,
     direct_sum,
     is_isomorphic,
+    monomial_relations,
 )
 
 #: surviving diagonal pairs of the big component: alpha_i then beta_j is
@@ -87,7 +87,8 @@ def _bound(name: str, vertices, arrows, outer: dict[int, str] | None = None,
         number = {s: int(v) for v, s in _BIG_LABELS.items()}
         zero += [(f"alpha{i}", f"beta{j}") for i in outer for j in outer
                  if (number[outer[i]], number[outer[j]]) not in _DIAGONAL]
-    return BoundQuiver(quiver, RelationSet.monomial(list(dict.fromkeys(zero))), name, labels)
+    return BoundQuiver(quiver, monomial_relations(dict.fromkeys(zero)), name=name,
+                       vertex_labels=labels)
 
 
 def _paper_full() -> BoundQuiver:

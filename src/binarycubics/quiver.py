@@ -12,8 +12,8 @@ The engine computes path bases of the quiver algebra degree by degree
 (row reduction on each (source, target, length) slice, with monomial
 relations short-circuited to subpath exclusion), the simple, projective
 and injective representations, morphism spaces by solving the exact
-intertwining equations, kernels, images and cokernels with their
-induced maps, the semisimple dimension of endomorphism algebras (rank
+intertwining equations, kernels and cokernels with their induced
+maps, the semisimple dimension of endomorphism algebras (rank
 of the trace form of V as an End(V)-module, valid in characteristic
 zero), exact isomorphism tests (ranks of the trace pairings of the hom
 spaces, see is_isomorphic), and decompositions into indecomposables by
@@ -107,56 +107,9 @@ def _path_endpoints(quiver: Quiver, path: Path) -> tuple[str, str]:
     return src, cur
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Relations plus the length bound past which all paths must vanish.
-
-    Every combination must be length-homogeneous (the slice-wise
-    reduction is graded by path length); all relations arising here are
-    monomial of length two.  max_path_length defaults to
-    (#vertices) * max(2, longest relation length); path_basis raises
-    NonAdmissibleError when nonzero paths remain at that length.  An
-    admissible algebra can need more: Λ(Q^2), one vertex with loops a, b
-    and relations a^2, b^2, ab + ba, keeps ba at length 2 and needs
-    max_path_length=3.  BoundQuiver validates it once and keeps the ends.
-    """
-
-    relations: tuple[Relation, ...]
-    max_path_length: int | None = None
-
-    @staticmethod
-    def monomial(paths: list[Path], max_path_length: int | None = None) -> "RelationSet":
-        """Relations declaring each given path to be zero."""
-        return RelationSet(
-            tuple(((Fraction(1), tuple(p)),) for p in paths), max_path_length
-        )
-
-    def validate(self, quiver: Quiver) -> tuple[tuple[str, str], ...]:
-        """The (source, target) of each relation; ValueError on a malformed one,
-        KeyError on an unknown arrow."""
-        ends = []
-        for rel in self.relations:
-            if not rel:
-                raise ValueError("empty relation")
-            lengths = {len(p) for _, p in rel}
-            if len(lengths) != 1:
-                raise ValueError(f"relation {rel} mixes path lengths")
-            if lengths.pop() < 2:
-                raise ValueError(f"relation {rel} involves a path of length < 2")
-            rel_ends = {_path_endpoints(quiver, p) for _, p in rel}
-            if len(rel_ends) != 1:
-                raise ValueError(f"relation {rel} mixes sources/targets")
-            for c, _ in rel:
-                if c == 0:
-                    raise ValueError(f"relation {rel} has a zero coefficient")
-            ends.append(rel_ends.pop())
-        return tuple(ends)
-
-    def bound(self, quiver: Quiver) -> int:
-        if self.max_path_length is not None:
-            return self.max_path_length
-        longest = max((len(p) for rel in self.relations for _, p in rel), default=2)
-        return len(quiver.vertices) * max(2, longest)
+def monomial_relations(paths) -> tuple[Relation, ...]:
+    """Relations declaring each given path to be zero."""
+    return tuple(((Fraction(1), tuple(p)),) for p in paths)
 
 
 @dataclass
@@ -198,9 +151,8 @@ class PathBasis:
 
 def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
     quiver = bq.quiver
-    bound = bq.relations.bound(quiver)
     zero_lengths = sorted({len(p) for p in bq.zero_paths})
-    linear = [(rel, src, tgt) for rel, (src, tgt) in zip(bq.relations.relations, bq.relation_ends)
+    linear = [(rel, src, tgt) for rel, (src, tgt) in zip(bq.relations, bq.relation_ends)
               if len(rel) > 1]
     arrows_from: dict[str, list[Arrow]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
@@ -217,7 +169,7 @@ def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
         # the new arrow is last, so any fresh forbidden factor is a suffix
         return any(path[-k:] in bq.zero_paths for k in zero_lengths if k <= len(path))
 
-    for length in range(1, bound + 1):
+    for length in range(1, bq.bound + 1):
         current: dict[tuple[str, str], list[Path]] = {}
         for (src, tgt), plist in levels[-1].items():
             for p in plist:
@@ -264,7 +216,7 @@ def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
         if not alive:
             return PathBasis(quiver.vertices, by_pair, reduction)
     raise NonAdmissibleError(
-        f"nonzero paths remain at length {bound}, the max_path_length bound: the relation "
+        f"nonzero paths remain at length {bq.bound}, the max_path_length bound: the relation "
         "ideal is not admissible, or it needs a larger max_path_length"
     )
 
@@ -272,20 +224,54 @@ def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
 class BoundQuiver:
     """A quiver with an admissible relation set and its cached path basis.
 
-    It validates the relations once, on construction, and keeps the
+    Every relation must be length-homogeneous (the slice-wise reduction
+    is graded by path length); all relations arising here are monomial
+    of length two.  max_path_length, a positive integer, defaults to
+    (#vertices) * max(2, longest relation length); path_basis raises
+    NonAdmissibleError when nonzero paths remain at that length.  An
+    admissible algebra can need more: Λ(Q^2), one vertex with loops a, b
+    and relations a^2, b^2, ab + ba, keeps ba at length 2 and needs
+    max_path_length=3.
+
+    It validates the relations once, on construction (ValueError on a
+    malformed one, KeyError on an unknown arrow), and keeps the
     (source, target) of each and the paths a one-term relation declares
     zero: the path basis, Representation's relation check and the cubics
     samplers read these.  A vertex it lacks raises KeyError.
     """
 
-    def __init__(self, quiver: Quiver, relations: RelationSet, name: str = "",
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...] = (),
+                 max_path_length: int | None = None, name: str = "",
                  vertex_labels: dict[str, str] | None = None):
-        #: (source, target) of each relation, in the order of relations.relations
-        self.relation_ends = relations.validate(quiver)
+        self.relations: tuple[Relation, ...] = tuple(relations)
+        ends = []
+        for rel in self.relations:
+            if not rel:
+                raise ValueError("empty relation")
+            lengths = {len(p) for _, p in rel}
+            if len(lengths) != 1:
+                raise ValueError(f"relation {rel} mixes path lengths")
+            if lengths.pop() < 2:
+                raise ValueError(f"relation {rel} involves a path of length < 2")
+            rel_ends = {_path_endpoints(quiver, p) for _, p in rel}
+            if len(rel_ends) != 1:
+                raise ValueError(f"relation {rel} mixes sources/targets")
+            if any(c == 0 for c, _ in rel):
+                raise ValueError(f"relation {rel} has a zero coefficient")
+            ends.append(rel_ends.pop())
+        if max_path_length is None:
+            longest = max((len(p) for rel in self.relations for _, p in rel), default=2)
+            max_path_length = len(quiver.vertices) * max(2, longest)
+        #: the length at which every path must vanish (admissibility); rl.integer
+        #: raises TypeError on a bool, a float or a string
+        self.bound: int = rl.integer(max_path_length)
+        if self.bound < 1:
+            raise ValueError(f"max_path_length {max_path_length} is not positive")
+        #: (source, target) of each relation, in the order of relations
+        self.relation_ends = tuple(ends)
         #: the paths that a one-term relation declares zero
-        self.zero_paths = frozenset(rel[0][1] for rel in relations.relations if len(rel) == 1)
+        self.zero_paths = frozenset(rel[0][1] for rel in self.relations if len(rel) == 1)
         self.quiver = quiver
-        self.relations = relations
         self.name = name
         #: optional metadata: vertex -> name of the simple module it stands for
         self.vertex_labels = dict(vertex_labels or {})
@@ -357,13 +343,11 @@ class Representation:
         self._check_relations()
 
     def _check_relations(self):
-        for rel, (src, tgt) in zip(self.bq.relations.relations, self.bq.relation_ends):
-            m, n = self.dims[tgt], self.dims[src]
-            if m == 0 or n == 0:
+        for rel, (src, tgt) in zip(self.bq.relations, self.bq.relation_ends):
+            if self.dims[tgt] == 0 or self.dims[src] == 0:
                 continue
-            total = rl.zeros(m, n)
-            for coeff, path in rel:
-                total = rl.mat_add(total, rl.scale(self.path_matrix(path), coeff))
+            total = reduce(rl.mat_add, (rl.scale(self.path_matrix(path), coeff)
+                                        for coeff, path in rel))
             if not rl.is_zero(total):
                 raise ValueError(f"relation {rel} is violated")
 
@@ -438,12 +422,6 @@ class RepMorphism:
         return f
 
 
-def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
-    """g after f."""
-    blocks = {v: rl.matmul(g.blocks[v], f.blocks[v]) for v in f.source.bq.quiver.vertices}
-    return RepMorphism(f.source, g.target, blocks)
-
-
 def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     """Basis of Hom(V, W), by exact solution of the intertwining system.
 
@@ -496,35 +474,18 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     return basis
 
 
-def hom_dim(V: Representation, W: Representation) -> int:
-    return len(hom_basis(V, W))
-
-
-def _subrepresentation(V: Representation,
-                       incl: dict[str, rl.Mat]) -> tuple[Representation, RepMorphism]:
-    """The subrepresentation of V spanned at each vertex v by the
-    independent columns of incl[v], with its inclusion into V."""
-    q = V.bq.quiver
+def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
+    """Vertexwise kernel with its induced maps and the inclusion into the source."""
+    V = phi.source
+    incl = {v: rl.transpose(rl.nullspace(m)) for v, m in phi.blocks.items()}
     maps = {}
-    for a in q.arrows:
+    for a in V.bq.quiver.arrows:
         sol = rl.solve(incl[a.target], rl.matmul(V.maps[a.name], incl[a.source]))
         if sol is None:
             raise ArithmeticError("subspace is not arrow-stable (broken morphism)")
         maps[a.name] = sol
-    sub = Representation(V.bq, {v: incl[v].cols for v in q.vertices}, maps)
-    return sub, RepMorphism(sub, V, incl)
-
-
-def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Vertexwise kernel with its induced maps and the inclusion into the source."""
-    return _subrepresentation(phi.source, {
-        v: rl.transpose(rl.nullspace(m)) for v, m in phi.blocks.items()})
-
-
-def image(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Vertexwise image as a subrepresentation of the target, with inclusion."""
-    return _subrepresentation(phi.target, {
-        v: rl.column_space_basis(m)[0] for v, m in phi.blocks.items()})
+    K = Representation(V.bq, {v: m.cols for v, m in incl.items()}, maps)
+    return K, RepMorphism(K, V, incl)
 
 
 def cokernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
@@ -619,13 +580,18 @@ def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
 SPLIT_TRIALS = 40
 
 
-def _split_candidates(V: Representation, basis: list[RepMorphism], rng: random.Random):
-    yield from basis
+def _split_candidates(basis: list[RepMorphism], rng: random.Random):
+    """The blocks of each basis endomorphism, then of SPLIT_TRIALS random
+    integer combinations of them (all-zero draws skipped).  A combination
+    is not re-checked as a morphism: it intertwines by linearity, and
+    _split checks whatever it cuts along exactly."""
+    for b in basis:
+        yield b.blocks
     d = len(basis)
     for _ in range(SPLIT_TRIALS):
-        blocks = _combination(basis, [Fraction(rng.randint(-5, 5)) for _ in range(d)])
+        blocks = _combination(basis, [rng.randint(-5, 5) for _ in range(d)])
         if blocks is not None:
-            yield RepMorphism(V, V, blocks)
+            yield blocks
 
 
 def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
@@ -712,13 +678,13 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
         if len(basis) == 1:
             out.append((cur, True))
             continue
-        candidates = _split_candidates(cur, basis, rng)
-        parts = _split(cur, next(candidates).blocks)
+        candidates = _split_candidates(basis, rng)
+        parts = _split(cur, next(candidates))
         if parts is None:
             if semisimple_rank(cur, basis) == 1:
                 out.append((cur, True))
                 continue
-            parts = next(filter(None, (_split(cur, phi.blocks) for phi in candidates)), None)
+            parts = next(filter(None, (_split(cur, phi) for phi in candidates)), None)
         if parts is None:
             out.append((cur, False))
         else:
@@ -822,9 +788,9 @@ def quiver_to_dict(bq: BoundQuiver) -> dict:
         "vertices": list(bq.quiver.vertices),
         "arrows": [[a.name, a.source, a.target] for a in bq.quiver.arrows],
         "relations": [
-            [[str(c), list(p)] for c, p in rel] for rel in bq.relations.relations
+            [[str(c), list(p)] for c, p in rel] for rel in bq.relations
         ],
-        "max_path_length": bq.relations.bound(bq.quiver),
+        "max_path_length": bq.bound,
     }
 
 
@@ -844,14 +810,9 @@ def quiver_from_dict(data: dict) -> BoundQuiver:
         tuple(data["vertices"]),
         tuple(Arrow(name, src, tgt) for name, src, tgt in data["arrows"]),
     )
-    relations = RelationSet(
-        tuple(
-            tuple((_fraction_from(c), tuple(p)) for c, p in rel)
-            for rel in data.get("relations", [])
-        ),
-        bound,
-    )
-    return BoundQuiver(quiver, relations)
+    relations = tuple(tuple((_fraction_from(c), tuple(p)) for c, p in rel)
+                      for rel in data.get("relations", []))
+    return BoundQuiver(quiver, relations, bound)
 
 
 def rep_to_dict(V: Representation) -> dict:

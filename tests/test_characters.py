@@ -1,9 +1,9 @@
 """Character engine tests.
 
 Derived expectations are computed by independent oracles defined in
-this file (series DP, brute-force monomial expansion, double-sum
-convolution, exponent enumeration of a closed form, the sampled tail of
-a localization); paper-sourced values are frozen literals.
+this file (series DP, brute-force monomial expansion, exponent
+enumeration of a closed form, the sampled tail of a localization);
+paper-sourced values are frozen literals.
 """
 
 import math
@@ -39,16 +39,6 @@ def expand_s_table(lo, hi):
                     if lo <= w[1] <= w[0] <= hi:
                         table[w] = table.get(w, 0) + 1
     return table
-
-
-def convolution_sum(f, g, lam, span):
-    """Direct double sum of the convolution at lam, for characters supported
-    in the cone l1 + l2 >= 0, l1 >= l2 (which bounds the sum)."""
-    total = 0
-    for m1 in range(-span, span + 1):
-        for m2 in range(-span, m1 + 1):
-            total += f.mult((m1, m2)) * g.mult((lam[0] - m1, lam[1] - m2))
-    return total
 
 
 def enumerated_coefficient(form, lam):
@@ -145,6 +135,13 @@ class TestClosedForms:
 
     def test_non_dominant_is_zero(self):
         assert ch.S_FORM.coefficient((0, 5)) == 0
+
+    @given(weights)
+    @settings(max_examples=40)
+    def test_character_zero_off_dominant(self, lam):
+        s = ch.from_closed_form(ch.S_FORM)
+        if lam[0] < lam[1]:
+            assert s.mult(lam) == 0
 
     def test_sdelta_support_congruence(self):
         for lam in ch.box_weights(-15, 15):
@@ -334,37 +331,6 @@ class TestCombinators:
     def test_mult_caches_consistently(self):
         s = ch.from_closed_form(ch.S_FORM)
         assert s.mult((6, 3)) == s.mult((6, 3)) == 1
-
-
-class TestConvolution:
-    def test_product_of_forms_matches_double_sum(self):
-        f_form = ch.ClosedFormCharacter(((1, (0, 0)),), ((3, 0),))
-        g_form = ch.ClosedFormCharacter(((1, (0, 0)), (1, (6, 3))), ((4, 2), (6, 6)))
-        product = ch.multiply_forms(f_form, g_form)
-        f = ch.from_closed_form(f_form)
-        g = ch.from_closed_form(g_form)
-        assert product.denominators == ((3, 0), (4, 2), (6, 6))
-        for lam in ch.box_weights(0, 14):
-            assert product.coefficient(lam) == convolution_sum(f, g, lam, 16)
-
-    def test_product_reassembles_s(self):
-        f_form = ch.ClosedFormCharacter(((1, (0, 0)),), ((3, 0),))
-        g_form = ch.ClosedFormCharacter(((1, (0, 0)), (1, (6, 3))), ((4, 2), (6, 6)))
-        product = ch.multiply_forms(f_form, g_form)
-        for lam in ch.box_weights(-4, 14):
-            assert product.coefficient(lam) == ch.S_FORM.coefficient(lam)
-
-    def test_two_lattice_factors_rejected(self):
-        sd = ch.SDELTA_FORM
-        with pytest.raises(ch.InvalidClosedForm):
-            ch.multiply_forms(sd, sd)
-
-    @given(weights)
-    @settings(max_examples=40)
-    def test_character_zero_off_dominant(self, lam):
-        s = ch.from_closed_form(ch.S_FORM)
-        if lam[0] < lam[1]:
-            assert s.mult(lam) == 0
 
 
 def proven_shift(lam):

@@ -230,6 +230,7 @@ def test_verify_exit_codes_for_nonpass_reports(capsys, monkeypatch):
     '{"quiver": 5, "dims": {}}',
     '{"quiver": "d4hat", "dims": {"1": 1, "5": 2}, "maps": {"zzz": [["1"]]}}',
     '{"quiver": {"vertices": ["a"], "arrows": [["x", "a"]]}, "dims": {}}',
+    '{"quiver": {"vertices": ["a"], "arrows": [], "max_path_length": 0}, "dims": {}}',
     # wrong shapes at a zero-dimensional vertex
     '{"quiver": "d4hat", "dims": {"1": 0, "5": 1}, "maps": {"alpha1": [[1, 2]]}}',
     '{"quiver": "d4hat", "dims": {"1": 2, "5": 0}, "maps": {"alpha1": [[1, 2], [3, 4]]}}',

@@ -28,7 +28,7 @@ class TestBuilders:
         bq = cubics.build("paper_full")
         assert len(bq.quiver.vertices) == 14
         assert len(bq.quiver.arrows) == 12
-        assert len(bq.relations.relations) == 20
+        assert len(bq.relations) == 20
         assert set(bq.vertex_labels.values()) == {
             "S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E"}
 
@@ -42,13 +42,13 @@ class TestBuilders:
         bq = cubics.build("separated")
         assert len(bq.quiver.vertices) == 9
         assert len(bq.quiver.arrows) == 8
-        assert len(bq.relations.relations) == 12
+        assert len(bq.relations) == 12
 
     def test_d4hat_counts(self):
         bq = cubics.build("d4hat")
         assert len(bq.quiver.vertices) == 5
         assert len(bq.quiver.arrows) == 4
-        assert len(bq.relations.relations) == 0
+        assert len(bq.relations) == 0
 
     def test_instances_cached(self):
         assert cubics.build("d4hat") is cubics.build("d4hat")
@@ -105,8 +105,8 @@ def test_named_quivers_in_recorded_order():
 @pytest.mark.parametrize("name", sorted(RECORDED_ZERO_PATHS))
 def test_vanishing_paths_match_recorded(name):
     bq = cubics.build(name)
-    assert all(len(rel) == 1 and rel[0][0] == 1 for rel in bq.relations.relations)
-    got = sorted(" ".join(rel[0][1]) for rel in bq.relations.relations)
+    assert all(len(rel) == 1 and rel[0][0] == 1 for rel in bq.relations)
+    got = sorted(" ".join(rel[0][1]) for rel in bq.relations)
     assert got == RECORDED_ZERO_PATHS[name]  # sorted and free of duplicates
     assert bq.zero_paths == {tuple(p.split()) for p in RECORDED_ZERO_PATHS[name]}
 

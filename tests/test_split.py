@@ -31,13 +31,14 @@ def load_worker():
 
 
 def kernel_route_split(V, phi):
-    """The parts of V along the factors of the minimal polynomial of phi,
-    each cut out by kernel(); None when there is one factor."""
+    """The parts of V along the factors of the minimal polynomial of phi
+    (one block per vertex), each cut out by kernel(); None when there is
+    one factor."""
     verts = V.bq.quiver.vertices
-    factors = factor(rl.minimal_polynomial(*[phi.blocks[v] for v in verts]))
+    factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
     if len(factors) < 2:
         return None
-    return [qv.kernel(qv.RepMorphism(V, V, {v: rl.eval_poly(power, phi.blocks[v])
+    return [qv.kernel(qv.RepMorphism(V, V, {v: rl.eval_poly(power, phi[v])
                                             for v in verts}))[0]
             for power in factors]
 
@@ -56,7 +57,7 @@ def kernel_route_decompose(V):
             out.append((cur, True))
             continue
         parts = next(filter(None, (kernel_route_split(cur, phi)
-                                   for phi in qv._split_candidates(cur, basis, rng))), None)
+                                   for phi in qv._split_candidates(basis, rng))), None)
         if parts is None:
             out.append((cur, False))
         else:
@@ -82,9 +83,9 @@ def test_split_equals_the_kernel_route_part_for_part():
         if V.total_dim() == 0:
             continue
         basis = qv.hom_basis(V, V)
-        for phi in islice(qv._split_candidates(V, basis, random.Random(1)), len(basis) + 4):
+        for phi in islice(qv._split_candidates(basis, random.Random(1)), len(basis) + 4):
             want = kernel_route_split(V, phi)
-            assert qv._split(V, phi.blocks) == want
+            assert qv._split(V, phi) == want
             splits += want is not None
     assert splits >= 50, splits
 
@@ -199,3 +200,22 @@ def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch)
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     assert qv._split(V, qv.hom_basis(V, V)[0].blocks) is None
     assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)] + [(2, 2, 2, 2, 4)] * 2
+
+
+def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
+    # End(X + X) is M_2(Q) for X = R_1(0); after this change of basis no
+    # basis endomorphism has two coprime factors, but a random one does
+    V = qv.conjugate(qv.direct_sum(cubics.rn_family(1, 0), cubics.rn_family(1, 0)), 0)
+    basis = qv.hom_basis(V, V)
+    assert len(basis) == 4
+    assert all(qv._split(V, b.blocks) is None for b in basis)
+    tried = []
+    split = qv._split
+    monkeypatch.setattr(qv, "_split", lambda W, phi: tried.append(W.dim_vector()) or split(W, phi))
+    out = qv.decompose_certified(V)
+    assert [(W.dim_vector(), certified) for W, certified in out] == [((1, 1, 1, 1, 2), True)] * 2
+    # the 4 basis elements, then random combinations until the 18th splits
+    assert tried.count(V.dim_vector()) == 4 + 18
+    monkeypatch.setattr(qv, "SPLIT_TRIALS", 0)
+    out = qv.decompose_certified(V)
+    assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), False)]
