@@ -60,13 +60,6 @@ for p in parts:
     which = [lam for lam in (3, 7) if qv.is_isomorphic(p, cubics.rn_family(1, lam))]
     print("  summand is R_1 with parameter", which[0])
 
-# Node separation: the functor behind the tame classification.  It
-# splits each outer vertex of the big component into source and sink
-# halves, preserving non-simple indecomposables.
-sep = cubics.separate_node(bc.projective("1"))
-print("\nseparated projective(1) lives on:",
-      {v: d for v, d in sep.dims.items() if d})
-
 # ----------------------------------------------------------------------
 # The classification theorem, checked on random representations: every
 # indecomposable is a projective-injective, or all-beta-zero (an alpha

@@ -21,7 +21,6 @@ from .characters import (
     fourier,
     fourier_weight,
     from_closed_form,
-    from_table,
     is_dominant,
     localize,
     m_diag,
@@ -72,7 +71,6 @@ from .cubics import (
     embed_beta,
     injective_envelope_of_P,
     rn_family,
-    separate_node,
 )
 
 __version__ = "0.1.0"

@@ -73,11 +73,6 @@ SUPPORT = {
     "E": "O0",
 }
 
-#: Holonomic rank metadata for the full-support simples (rank of the
-#: underlying local system on the dense orbit).
-HOLONOMIC_RANK = {"S": 1, "G-1": 1, "G1": 1, "G2": 1, "G3": 1, "G4": 1, "Q0": 2, "Q1": 2, "Q2": 2}
-
-
 def fourier_partner(name: str) -> str:
     """The simple paired with this one by the Fourier transform."""
     return _FOURIER[_simple(name)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .ratlinalg import integer
 
@@ -279,12 +279,6 @@ class Character:
 
 def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
     return Character(form.coefficient, name)
-
-
-def from_table(table: Mapping[Weight, int], name: str = "") -> Character:
-    """Character with explicit finite support."""
-    frozen = {(integer(k[0]), integer(k[1])): integer(v) for k, v in table.items()}
-    return Character(lambda lam: frozen.get(lam, 0), name)
 
 
 def add(c: Character, d: Character) -> Character:

@@ -5,17 +5,18 @@ binary cubic forms is equivalent to representations of a 14-vertex
 quiver whose relations are all 2-cycles and all non-diagonal
 compositions through the central vertex p.  This module builds that
 quiver ("paper_full"), its 5-vertex big component ("big_component"),
-the node-separated quiver ("separated"), the extended Dynkin quiver of
-the four subspace problem ("d4hat") and the 2-vertex component
-("two_vertex_pair"), together with the functors between them: node
-separation, the two embeddings of four-subspace representations into
-the big component, the one-parameter families R_n(lambda), the
-injective envelope of the middle simple P, and the randomized checks
-that every indecomposable of the big component is a
-projective-injective or the image of a four-subspace indecomposable
-under one of the embeddings (domestic tame type).  Their seed draws the
-samples only: _complete solves each quiver's zero relations for the
-arrows left after the free ones, and decompositions take no seed.
+the extended Dynkin quiver of the four subspace problem ("d4hat") and
+the 2-vertex component ("two_vertex_pair"), together with the two
+embeddings of four-subspace representations into the big component,
+the one-parameter families R_n(lambda), the injective envelope of the
+middle simple P, and the randomized checks of the classification
+(domestic tame type): every summand of a random big-component
+representation has all beta maps zero or all alpha maps zero, as the
+images of four-subspace representations under the embeddings do, or
+else is isomorphic to one of the four projective-injectives.  Their
+seed draws the samples only: _complete solves each quiver's zero
+relations for the arrows left after the free ones, and decompositions
+take no seed.
 
 In big_component the outer vertices are numbered so that the surviving
 diagonal compositions are 1 -> 2, 2 -> 1, 3 -> 4, 4 -> 3; the simples
@@ -112,47 +113,12 @@ _BUILDERS = {
     "big_component": lambda: _bound(
         "big_component", _BIG_LABELS,
         _ALPHAS + [Arrow(f"beta{i}", "5", str(i)) for i in _BIG_OUTER], _BIG_OUTER, _BIG_LABELS),
-    "separated": lambda: _bound(
-        "separated", ("1", "2", "3", "4", "1'", "2'", "3'", "4'", "5"),
-        _ALPHAS + [Arrow(f"beta{i}", "5", f"{i}'") for i in _BIG_OUTER], _BIG_OUTER),
     "d4hat": lambda: _bound("d4hat", ("1", "2", "3", "4", "5"), _ALPHAS),
     "two_vertex_pair": lambda: _bound(
         "two_vertex_pair", ("1", "2"), [Arrow("a", "1", "2"), Arrow("b", "2", "1")]),
 }
 
 NAMED_QUIVERS = tuple(_BUILDERS)
-
-
-def separate_node(V: Representation) -> Representation:
-    """Separate the four outer nodes of a big-component representation.
-
-    At each outer vertex x the incoming image Im V(beta_x) splits off to
-    the primed copy x' and x keeps the quotient V_x / Im V(beta_x); the
-    arrow out of x descends because of the 2-cycle relation, and the
-    arrow into x corestricts.  Non-simple indecomposables correspond
-    bijectively under this functor.  Total dimension is preserved.
-    """
-    if V.bq is not build("big_component"):
-        raise ValueError("separate_node expects a representation of big_component")
-    out_bq = build("separated")
-    dims: dict[str, int] = {"5": V.dims["5"]}
-    maps: dict[str, rl.Mat] = {}
-    for i in (1, 2, 3, 4):
-        x = str(i)
-        beta = V.maps[f"beta{i}"]            # V_5 -> V_x
-        img_basis, pivots = rl.column_space_basis(beta)
-        r = len(pivots)
-        dims[f"{i}'"] = r
-        dims[x] = V.dims[x] - r
-        # corestriction of beta to its image
-        core = rl.solve(img_basis, beta)
-        if core is None:
-            raise ArithmeticError(f"the image basis of beta{i} does not span its columns")
-        maps[f"beta{i}"] = core
-        # alpha (V_x -> V_5) descends to the quotient V_x / im(beta)
-        _, section = rl.quotient_maps(beta)
-        maps[f"alpha{i}"] = rl.matmul(V.maps[f"alpha{i}"], section)
-    return Representation(out_bq, dims, maps)
 
 
 def embed_alpha(V: Representation) -> Representation:

@@ -832,7 +832,7 @@ def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = Non
     ref = data["quiver"]
     if isinstance(ref, str):
         if not named_quivers or ref not in named_quivers:
-            raise KeyError(f"unknown named quiver: {ref!r}")
+            raise KeyError(f"unknown quiver {ref!r}; expected one of {', '.join(named_quivers or ())}")
         bq = named_quivers[ref]
     else:
         bq = quiver_from_dict(ref)

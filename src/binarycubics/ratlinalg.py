@@ -417,13 +417,6 @@ def inverse(A: Mat) -> Mat | None:
     return solve(A, identity(A.rows))
 
 
-def column_space_basis(A: Mat) -> tuple[Mat, list[int]]:
-    """Columns of A forming a basis of the column space, with their indices."""
-    pivots = [c for c, _ in echelon(_sparse_rows(A))]
-    num = [[row[c] for c in pivots] for row in A.num]
-    return over(num, A.den, A.rows, len(pivots)), pivots
-
-
 def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
     """(proj, section) presenting Q^n / col(B) for B with n rows.
 

@@ -238,15 +238,6 @@ class TestIntegralWeights:
     def test_mult_accepts_numpy_integers(self):
         assert catalog.character_of("S").mult((np.int64(6), np.int32(3))) == 1
 
-    @pytest.mark.parametrize("table", [{(1.9, 0): 5}, {(1, Fraction(0)): 5}, {(1, 0): 2.5},
-                                       {(0, 0): True}, {(True, 0): 1}])
-    def test_from_table_rejects_non_integers(self, table):
-        with pytest.raises(TypeError):
-            ch.from_table(table)
-
-    def test_from_table_accepts_numpy_integers(self):
-        assert ch.from_table({(np.int64(1), 0): np.int64(5)}).mult((1, 0)) == 5
-
 
 class TestTwistedCubicCounts:
     @pytest.mark.parametrize("j, lam, expected", [

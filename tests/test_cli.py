@@ -100,6 +100,20 @@ def test_quiver_bad_vertex(capsys):
     assert code == 2 and "unknown vertex" in err
 
 
+@pytest.mark.parametrize("route", ["quiver", "rep"])
+def test_unknown_quiver_name_lists_the_named_quivers(tmp_path, capsys, route):
+    if route == "quiver":
+        code, _, err = run(capsys, "quiver", "paths", "separated", "1", "2")
+    else:
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"quiver": "separated", "dims": {}}))
+        code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert ("unknown quiver 'separated'; expected one of "
+            "paper_full, big_component, d4hat, two_vertex_pair") in err
+    assert "Traceback" not in err
+
+
 def test_rep_decompose_file(tmp_path, capsys):
     V = qv.direct_sum(cubics.rn_family(1, 2), cubics.build("d4hat").simple("1"))
     path = tmp_path / "rep.json"

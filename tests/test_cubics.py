@@ -12,17 +12,6 @@ from binarycubics import quiver as qv
 from binarycubics import ratlinalg as rl
 
 
-def small_big_component_rep(rng, max_outer, max_center):
-    """A random big-component representation drawn like
-    cubics.random_big_component_rep, with outer dimensions in
-    [0, max_outer] and the center one in [0, max_center]."""
-    dims = {str(i): rng.randint(0, max_outer) for i in (1, 2, 3, 4)}
-    dims["5"] = rng.randint(0, max_center)
-    side = "alpha" if rng.random() < 0.5 else "beta"
-    return cubics._complete(rng, cubics.build("big_component"), dims,
-                            {f"{side}{i}" for i in (1, 2, 3, 4)})
-
-
 class TestBuilders:
     def test_paper_full_counts(self):
         bq = cubics.build("paper_full")
@@ -37,12 +26,6 @@ class TestBuilders:
         assert len(bq.quiver.vertices) == 5
         assert len(bq.quiver.arrows) == 8
         assert bq.vertex_labels == {"1": "S", "2": "E", "3": "D0", "4": "Q0", "5": "P"}
-
-    def test_separated_counts(self):
-        bq = cubics.build("separated")
-        assert len(bq.quiver.vertices) == 9
-        assert len(bq.quiver.arrows) == 8
-        assert len(bq.relations) == 12
 
     def test_d4hat_counts(self):
         bq = cubics.build("d4hat")
@@ -89,10 +72,6 @@ RECORDED_ZERO_PATHS = {
         "alpha2 beta4", "alpha3 beta1", "alpha3 beta2", "alpha3 beta3", "alpha4 beta1",
         "alpha4 beta2", "alpha4 beta4", "beta1 alpha1", "beta2 alpha2", "beta3 alpha3",
         "beta4 alpha4"],
-    "separated": [
-        "alpha1 beta1", "alpha1 beta3", "alpha1 beta4", "alpha2 beta2", "alpha2 beta3",
-        "alpha2 beta4", "alpha3 beta1", "alpha3 beta2", "alpha3 beta3", "alpha4 beta1",
-        "alpha4 beta2", "alpha4 beta4"],
     "d4hat": [],
     "two_vertex_pair": ["a b", "b a"],
 }
@@ -109,42 +88,6 @@ def test_vanishing_paths_match_recorded(name):
     got = sorted(" ".join(rel[0][1]) for rel in bq.relations)
     assert got == RECORDED_ZERO_PATHS[name]  # sorted and free of duplicates
     assert bq.zero_paths == {tuple(p.split()) for p in RECORDED_ZERO_PATHS[name]}
-
-
-class TestSeparateNode:
-    def test_simple_at_center_passes_through(self):
-        bc = cubics.build("big_component")
-        out = cubics.separate_node(bc.simple("5"))
-        assert {v: d for v, d in out.dims.items() if d} == {"5": 1}
-
-    def test_projective_one(self):
-        bc = cubics.build("big_component")
-        out = cubics.separate_node(bc.projective("1"))
-        assert {v: d for v, d in out.dims.items() if d} == {"1": 1, "5": 1, "2'": 1}
-
-    def test_total_dimension_preserved(self):
-        rng = random.Random(3)
-        for _ in range(6):
-            V = cubics.random_big_component_rep(rng)
-            assert cubics.separate_node(V).total_dim() == V.total_dim()
-
-    def test_nonsimple_indecomposables_stay_indecomposable(self):
-        rng = random.Random(17)
-        checked = 0
-        while checked < 20:
-            V = small_big_component_rep(rng, 2, 4)
-            for W, certified in qv.decompose_certified(V):
-                if not certified or W.total_dim() <= 1:
-                    continue
-                if all(d == 0 for v, d in W.dims.items() if v != "5"):
-                    continue  # simple at the node is not covered by the bijection
-                out = cubics.separate_node(W)
-                assert qv.is_indecomposable(out) == "yes"
-                checked += 1
-
-    def test_wrong_quiver_rejected(self):
-        with pytest.raises(ValueError):
-            cubics.separate_node(cubics.rn_family(1, 0))
 
 
 class TestEmbeddings:
@@ -168,20 +111,6 @@ class TestEmbeddings:
         R = cubics.rn_family(1, Fraction(2, 5))
         out = cubics.embed_beta(R)
         assert out.maps["beta4"] == rl.mat([[Fraction(1), Fraction(2, 5)]])
-
-    def test_separated_alpha_image_avoids_primed_copy(self):
-        # alpha images have zero betas, so separation leaves primed vertices empty
-        for lam in (0, 3):
-            out = cubics.separate_node(cubics.embed_alpha(cubics.rn_family(2, lam)))
-            assert all(out.dims[f"{i}'"] == 0 for i in (1, 2, 3, 4))
-            assert out.total_dim() == 12
-
-    def test_separated_beta_image_lands_in_primed_copy(self):
-        # non-simple indecomposables have injective subspace maps, so the
-        # unprimed outer quotients vanish for beta images
-        out = cubics.separate_node(cubics.embed_beta(cubics.rn_family(2, 1)))
-        assert all(out.dims[str(i)] == 0 for i in (1, 2, 3, 4))
-        assert all(out.dims[f"{i}'"] == 2 for i in (1, 2, 3, 4))
 
 
 class TestRnFamily:

@@ -55,7 +55,7 @@ def test_solve_inconsistent():
 
 def test_column_space_and_quotient():
     B = rl.mat([[1, 2], [0, 0], [2, 4]])
-    basis, pivots = rl.column_space_basis(B)
+    basis, pivots = greedy_column_basis(B)
     assert pivots == [0]
     proj, section = rl.quotient_maps(B)
     assert len(proj) == 2
@@ -451,6 +451,19 @@ def test_echelon_matches_gauss_jordan_entry_for_entry(case):
     assert all(type(x) is Fraction for row in N for x in row)
 
 
+def greedy_column_basis(B):
+    """Columns of B, in increasing j, each kept when it raises the rank of
+    the columns kept so far, with their indices."""
+    def columns(idx):
+        return rl.mat([[row[c] for c in idx] for row in B], B.rows, len(idx))
+
+    pivots = []
+    for j in range(B.cols):
+        if rl.rank(columns(pivots + [j])) == len(pivots) + 1:
+            pivots.append(j)
+    return columns(pivots), pivots
+
+
 def greedy_complement_columns(B):
     """Unit columns e_i, in increasing i, each kept when it raises the rank
     of the independent columns of B and the unit columns kept so far."""
@@ -473,7 +486,7 @@ def ref_quotient_maps(B):
     """(proj, section) from a column basis of B, the greedy complement and
     the inverse of the two side by side: proj is the rows of the inverse
     that belong to the complement."""
-    basis, pivots = rl.column_space_basis(B)
+    basis, pivots = greedy_column_basis(B)
     n, r = B.rows, len(pivots)
     comp = greedy_complement_columns(basis)
     if r == n:
