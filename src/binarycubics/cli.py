@@ -144,7 +144,9 @@ def _cmd_rep(args) -> int:
         raise _UsageError(f"{args.file} is not valid JSON: {exc}")
     try:
         rep = qv.rep_from_dict(data, cubics.named_quivers())
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:  # a missing key or an unknown quiver, arrow or vertex
+        raise _UsageError(f"bad representation file: {exc.args[0]}")
+    except ValueError as exc:
         raise _UsageError(f"bad representation file: {exc}")
     verts = rep.bq.quiver.vertices
     summands = [([W.dims[v] for v in verts], "indecomposable" if certified else "inconclusive")

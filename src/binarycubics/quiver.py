@@ -29,6 +29,15 @@ reads.  An unknown vertex, or an arrow a relation names that the
 quiver lacks, raises KeyError, and a failed exactness condition raises
 ArithmeticError, never an assert, so python -O gives the same answers.
 
+Before its split search, decompose_certified peels off every simple
+summand in one pass.  At a vertex v the common kernel K of the arrows
+out of v is the socle of V there and the sum I of the images of the
+arrows into v its radical, so S_v is a summand exactly
+dim K - dim(K ∩ I) times.  A complement C of K ∩ I in K is killed by
+every arrow out of v, and a complement of C that contains I holds the
+image of every arrow into v, so both are subrepresentations (proof at
+decompose_certified).
+
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
 every split it finds is checked exactly (one change of basis per
@@ -627,6 +636,55 @@ def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | 
             for i, part in enumerate(maps)]
 
 
+def _peel_simples(V: Representation) -> tuple[Representation, list[Representation]]:
+    """(W, simples) with V = W ⊕ simples and W without a simple summand, by one
+    checked change of basis at each vertex with a simple summand (see
+    decompose_certified); W is V itself when there is none."""
+    q = V.bq.quiver
+    T, T_inv, peeled = {}, {}, {}
+    for v in q.vertices:
+        d = V.dims[v]
+        if d == 0:
+            continue
+        out = reduce(rl.vstack, (V.maps[a.name] for a in q.arrows if a.source == v),
+                     rl.zeros(0, d))
+        K = rl.transpose(rl.nullspace(out))  # columns: a basis of the socle at v
+        if K.cols == 0:
+            continue
+        into = reduce(rl.hstack, (V.maps[a.name] for a in q.arrows if a.target == v),
+                      rl.zeros(d, 0))
+        proj, _ = rl.quotient_maps(into)  # kernel: I, the radical at v
+        K_mod_I = rl.matmul(proj, K)
+        if rl.is_zero(K_mod_I):  # K inside I, also when I is all of V_v
+            continue
+        # K ∩ I in the coordinates of K, and the section spanning a complement
+        _, section = rl.quotient_maps(rl.transpose(rl.nullspace(K_mod_I)))
+        C = rl.matmul(K, section)
+        I = rl.transpose(rl.nullspace(proj))
+        _, D = rl.quotient_maps(rl.hstack(I, C))
+        T[v] = rl.hstack(rl.hstack(I, D), C)
+        T_inv[v] = rl.inverse(T[v]) if T[v].cols == d else None
+        if T_inv[v] is None:
+            raise ArithmeticError(f"the socle complement does not fill V at vertex {v}")
+        peeled[v] = C.cols
+    if not peeled:
+        return V, []
+    maps = {}
+    for a in q.arrows:
+        x, y = a.source, a.target
+        moved = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
+        C_a = rl.matmul(T_inv[y], moved) if y in T else moved
+        if y in T and rl.matmul(T[y], C_a) != moved:
+            raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
+        cx, cy = peeled.get(x, 0), peeled.get(y, 0)
+        blocks = rl.diagonal_blocks(C_a, [V.dims[y] - cy, cy], [V.dims[x] - cx, cx])
+        if blocks is None or not rl.is_zero(blocks[1]):
+            raise ArithmeticError(f"a peeled simple is not a summand along arrow {a.name}")
+        maps[a.name] = blocks[0]
+    W = Representation(V.bq, {v: d - peeled.get(v, 0) for v, d in V.dims.items()}, maps)
+    return W, [V.bq.simple(v) for v, c in peeled.items() for _ in range(c)]
+
+
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
@@ -635,6 +693,47 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     one.  An uncertified summand resisted all splitting attempts but
     its endomorphism ring is not known to be local (e.g. a rational
     form of a pair of conjugate complex indecomposables).
+
+    Peeling the simples (_peel_simples).  First every simple summand is
+    split off, by one change of basis at each vertex that has one; each
+    copy of S_v comes out as bq.simple(v), a certified leaf, vertex by
+    vertex ahead of the other summands.  At a vertex v let K be the
+    common kernel of the arrows out of v and I the sum of the images of
+    the arrows into v: the socle and the radical of V at v
+    (Assem-Simson-Skowroński 2006, ch. III).
+
+    - Multiplicity.  S_v is a summand of V exactly dim K - dim(K ∩ I)
+      times.  K and I are additive over a decomposition V = ⊕ X_i, so
+      this is the sum of the same numbers for the X_i.  S_v gives
+      1 - 0 = 1.  Any other indecomposable X gives 0: were x in K(X)
+      outside I(X), then t -> t x is a morphism S_v -> X (the arrows out
+      of v kill x), and a functional f on X_v with f(I(X)) = 0 and
+      f(x) = 1 is a morphism X -> S_v (the arrows into v land in I(X)),
+      so f splits t -> t x and S_v would be a summand of X.
+    - Complement.  Let C be a complement of K ∩ I in K and W_v ⊇ I with
+      V_v = W_v ⊕ C (C ∩ I = 0, as C lies in K).  C, placed at v, is a
+      subrepresentation: C ⊆ K is killed by every arrow out of v.  W,
+      which is W_v at each peeled vertex v and V elsewhere, is one too:
+      every arrow into v lands in I ⊆ W_v.  So V = W ⊕ ⊕_v C, with each
+      C ≅ S_v^(dim C), and W has no simple summand left.  Peeling once
+      is enough: by Krull-Schmidt the parts of a split of W have no
+      simple summand either.
+
+    K is the null space of the arrows out of v, stacked.  proj, from
+    rl.quotient_maps of the arrows into v side by side, has kernel I, so
+    in the coordinates of the basis of K, K ∩ I is the null space of
+    proj K, and the section of quotient_maps of that null space spans
+    C = K section.  W_v is I (the null space of proj) beside the
+    standard vectors that quotient_maps adds to I + C, and
+    T_v = [W_v | C].  For an arrow a: x -> y, C_a = T_y^-1 V_a T_x (T is
+    the identity at an unpeeled vertex).  Each check raises
+    ArithmeticError: T_v is square and invertible; V_a T_x = T_y C_a;
+    C_a is zero off its diagonal blocks and on its C block; W is built
+    as a Representation, which checks the relations.  A vertex is
+    skipped without a change of basis when V_v = 0, when K = 0 (the
+    arrows out of v are jointly injective) or when proj K = 0 (K ⊆ I,
+    which holds when the arrows into v span V_v); with no vertex
+    peeled, the loop below starts from V itself.
 
     Deferred certification.  A summand whose End has dimension one is a
     certified leaf.  Any other first tries the first basis endomorphism
@@ -670,8 +769,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     if V.total_dim() == 0:
         return []
     rng = random.Random(0)  # fixed, so the summands depend on V alone
-    out: list[tuple[Representation, bool]] = []
-    stack = [V]
+    W, simples = _peel_simples(V)
+    out: list[tuple[Representation, bool]] = [(S, True) for S in simples]
+    stack = [W] if W.total_dim() else []
     while stack:
         cur = stack.pop()
         basis = hom_basis(cur, cur)
@@ -754,8 +854,8 @@ def is_isomorphic(V: Representation, W: Representation) -> bool:
 # ---------------------------------------------------------------------------
 # Representation files: {"quiver": name-or-inline, "dims": {...}, "maps": {...}}
 # with matrix entries written as integers or exact strings "p/q" (decimal-free).
-# Reading checks the shapes and raises ValueError (or KeyError for a missing
-# key or an unknown named quiver) on anything else.
+# Reading checks the shapes and raises ValueError (or KeyError, whose message
+# names a missing key or an unknown named quiver) on anything else.
 
 _EXACT_ENTRY = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -794,9 +894,16 @@ def quiver_to_dict(bq: BoundQuiver) -> dict:
     }
 
 
+def _require(data: dict, *keys: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise KeyError(f'missing key "{key}"')
+
+
 def quiver_from_dict(data: dict) -> BoundQuiver:
     if not isinstance(data, dict):
         raise ValueError("an inline quiver must be an object")
+    _require(data, "vertices", "arrows")
     if not _is_names(data["vertices"]):
         raise ValueError('"vertices" must be a list of names')
     if not _is_list_of(data["arrows"], lambda a: _is_names(a) and len(a) == 3):
@@ -829,6 +936,7 @@ def rep_to_dict(V: Representation) -> dict:
 def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = None) -> Representation:
     if not isinstance(data, dict):
         raise ValueError("a representation must be an object")
+    _require(data, "quiver", "dims")
     ref = data["quiver"]
     if isinstance(ref, str):
         if not named_quivers or ref not in named_quivers:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,39 @@ def test_unknown_quiver_name_lists_the_named_quivers(tmp_path, capsys, route):
     assert ("unknown quiver 'separated'; expected one of "
             "paper_full, big_component, d4hat, two_vertex_pair") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"quiver": "separated", "dims": {}}',
+     "unknown quiver 'separated'; expected one of "
+     "paper_full, big_component, d4hat, two_vertex_pair"),
+    ('{"quiver": "d4hat"}', 'missing key "dims"'),
+    ('{"dims": {}}', 'missing key "quiver"'),
+    ('{"quiver": {"arrows": []}, "dims": {}}', 'missing key "vertices"'),
+], ids=["unknown_quiver", "no_dims", "no_quiver", "no_vertices"])
+def test_rep_key_errors_print_their_message(tmp_path, capsys, content, message):
+    path = tmp_path / "rep.json"
+    path.write_text(content)
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert err == f"error: bad representation file: {message}\n"
+
+
+def test_rep_decompose_peels_simple_summands_as_before(tmp_path, capsys):
+    # S_1 + S_1 + S_5 + P_1 + alpha(R_2(0)) on big_component, conjugated: the
+    # rows are those decompose_certified gave before simples were peeled
+    bq = cubics.build("big_component")
+    parts = [bq.simple("1"), bq.simple("1"), bq.simple("5"), bq.projective("1"),
+             cubics.embed_alpha(cubics.rn_family(2, 0))]
+    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=3)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(qv.rep_to_dict(V)))
+    code, out, _ = run(capsys, "--format", "json", "rep", "decompose", str(path))
+    assert code == 0
+    assert [(s["dims"], s["verdict"]) for s in json.loads(out)["summands"]] == [
+        ([0, 0, 0, 0, 1], "indecomposable"), ([1, 0, 0, 0, 0], "indecomposable"),
+        ([1, 0, 0, 0, 0], "indecomposable"), ([1, 1, 0, 0, 1], "indecomposable"),
+        ([2, 2, 2, 2, 4], "indecomposable")]
 
 
 def test_rep_decompose_file(tmp_path, capsys):

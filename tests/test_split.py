@@ -1,6 +1,6 @@
 """The split step of decompose_certified: one checked change of basis per
-summand, against the kernel() route it replaced, and the deferred
-semisimple_rank."""
+summand, against the kernel() route it replaced, the deferred
+semisimple_rank, and the peel of simple summands before the split search."""
 
 import importlib.util
 import json
@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from pathlib import Path
 
@@ -105,9 +106,29 @@ def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
         assert [certified for _, certified in got] == [True, True]
 
 
+def paired_up_to_isomorphism(got, want):
+    """Whether the (summand, certified) lists got and want pair up one to
+    one, with equal flags and isomorphic summands."""
+    unpaired = list(want)
+    for W, certified in got:
+        match = next((i for i, (X, c) in enumerate(unpaired)
+                      if c == certified and X.dim_vector() == W.dim_vector()
+                      and qv.is_isomorphic(W, X)), None)
+        if match is None:
+            return False
+        unpaired.pop(match)
+    return not unpaired
+
+
 def test_decompose_certified_matches_the_kernel_route_on_random_reps():
+    # the peel puts the simple summands first and the rest comes out in
+    # other bases, so the two routes agree up to isomorphism
+    peeled = 0
     for V in oracle_inputs():
-        assert qv.decompose_certified(V) == kernel_route_decompose(V)
+        got = qv.decompose_certified(V)
+        assert paired_up_to_isomorphism(got, kernel_route_decompose(V))
+        peeled += len(qv._peel_simples(V)[1]) if V.total_dim() else 0
+    assert peeled >= 20, peeled
 
 
 def not_intertwining():
@@ -219,3 +240,91 @@ def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
     monkeypatch.setattr(qv, "SPLIT_TRIALS", 0)
     out = qv.decompose_certified(V)
     assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), False)]
+
+
+#: parts of a direct sum on each named quiver, and the vertices of its
+#: simple summands in the order the peel returns them
+PEEL_CASES = {
+    "big_component": (lambda bq: [bq.simple("1"), bq.simple("1"), bq.simple("5"),
+                                  bq.projective("1"), cubics.embed_alpha(cubics.rn_family(2, 0))],
+                      ["1", "1", "5"]),
+    "d4hat": (lambda bq: [bq.simple("1"), bq.simple("5"), cubics.rn_family(1, 2),
+                          bq.projective("1")],
+              ["1", "5"]),
+    "two_vertex_pair": (lambda bq: [bq.projective("1"), bq.simple("1"), bq.simple("2"),
+                                    bq.simple("2"), bq.projective("2")],
+                        ["1", "2", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_the_peel_splits_off_exactly_the_simple_summands(name):
+    bq = cubics.build(name)
+    build_parts, simple_at = PEEL_CASES[name]
+    parts = build_parts(bq)
+    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=3)
+    W, simples = qv._peel_simples(V)
+    assert simples == [bq.simple(v) for v in simple_at]
+    assert qv.is_isomorphic(W, reduce(qv.direct_sum, [X for X in parts if X.total_dim() > 1]))
+    got = qv.decompose_certified(V)
+    assert got[:len(simples)] == [(S, True) for S in simples]
+    assert sum(X.total_dim() == 1 for X, _ in got) == len(simples)
+    assert all(certified for _, certified in got)
+
+
+@pytest.mark.parametrize("name, sink", [("big_component", "2"), ("d4hat", "5")])
+def test_a_socle_inside_the_radical_is_not_peeled(name, sink):
+    # the socle of P_1 is one-dimensional, at the end of its longest path,
+    # and it is the image of the arrow into that vertex
+    bq = cubics.build(name)
+    P = qv.conjugate(bq.projective("1"), seed=2)
+    assert P.dims[sink] == 1
+    assert all(rl.is_zero(P.maps[a.name]) for a in bq.quiver.arrows if a.source == sink)
+    assert any(not rl.is_zero(P.maps[a.name]) for a in bq.quiver.arrows if a.target == sink)
+    W, simples = qv._peel_simples(P)
+    assert W is P and simples == []
+    assert qv.decompose_certified(P) == [(P, True)]
+
+
+def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
+    # the first kernel the peel computes, the socle at vertex 1 of S_1 + P_1,
+    # comes back as all of V_1, so the vector of P_1 that a sends to V_2 is peeled
+    bq = cubics.build("two_vertex_pair")
+    V = qv.direct_sum(bq.simple("1"), bq.projective("1"))
+    nullspace = rl.nullspace
+    calls = []
+
+    def whole_space_first(A):
+        calls.append(A)
+        return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
+
+    monkeypatch.setattr(rl, "nullspace", whole_space_first)
+    with pytest.raises(ArithmeticError, match="not a summand along arrow a"):
+        qv._peel_simples(V)
+
+
+#: check_tame_classification(100, s) before the peel: (summands,
+#: projective-injective, beta-zero, alpha-zero, inconclusive), keyed by s
+TAME_COUNTS = {
+    0: (427, 1, 316, 314, 0),
+    1: (406, 0, 296, 281, 0),
+    2: (381, 1, 274, 252, 1),
+    3: (392, 0, 306, 228, 0),
+    4: (409, 0, 295, 306, 2),
+    5: (379, 1, 265, 255, 0),
+}
+
+
+@pytest.mark.parametrize("seed", TAME_COUNTS)
+def test_the_tame_counts_are_kept(seed):
+    report = cubics.check_tame_classification(100, seed)
+    assert report["violations"] == []
+    assert tuple(report[key] for key in ("summands", "case_projective_injective",
+                                         "case_beta_zero", "case_alpha_zero",
+                                         "inconclusive")) == TAME_COUNTS[seed]
+
+
+def test_the_two_vertex_counts_are_kept():
+    report = cubics.check_two_vertex_component(50, 0)
+    assert report == {"samples": 50, "summands": 149, "simple_1": 28, "simple_2": 63,
+                      "arrow_a": 58, "arrow_b": 0, "violations": []}
