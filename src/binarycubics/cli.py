@@ -98,18 +98,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _get_quiver(name: str) -> qv.BoundQuiver:
-    if name not in cubics.NAMED_QUIVERS:
-        raise _UsageError(f"unknown quiver {name!r}; expected one of {', '.join(cubics.NAMED_QUIVERS)}")
-    return cubics.build(name)
-
-
 def _cmd_quiver(args) -> int:
-    bq = _get_quiver(args.quiver_name)
-    arity = 2 if args.query in ("paths", "ext1") else 1
-    if len(args.args) != arity:
-        raise _UsageError(f"quiver {args.query} takes {'SRC TGT' if arity == 2 else 'VERTEX'}")
-    try:  # the library names an unknown vertex in a KeyError
+    try:  # the library names an unknown quiver or vertex in a KeyError
+        bq = cubics.build(args.quiver_name)
+        arity = 2 if args.query in ("paths", "ext1") else 1
+        if len(args.args) != arity:
+            raise _UsageError(f"quiver {args.query} takes {'SRC TGT' if arity == 2 else 'VERTEX'}")
         if args.query == "ext1":
             src, tgt = args.args
             value = bq.arrow_count(src, tgt)

@@ -63,7 +63,7 @@ _cache: dict[str, BoundQuiver] = {}
 def build(name: str) -> BoundQuiver:
     """The named quiver with its relations (instances are shared)."""
     if name not in _BUILDERS:
-        raise KeyError(f"unknown quiver {name!r}; expected one of {NAMED_QUIVERS}")
+        raise KeyError(f"unknown quiver {name!r}; expected one of {', '.join(NAMED_QUIVERS)}")
     if name not in _cache:
         _cache[name] = _BUILDERS[name]()
     return _cache[name]

@@ -40,13 +40,15 @@ decompose_certified).
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is checked exactly (one change of basis per
-vertex that must be invertible and block-diagonalize every arrow,
-relation checks).  Only conjugate takes a seed.
+every split it finds is checked exactly.  The split, the peel and
+conjugate share one change of basis per vertex, _cut, which must be
+invertible and block-diagonalize every arrow.  Only conjugate takes a
+seed.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass, field
@@ -114,6 +116,15 @@ def _path_endpoints(quiver: Quiver, path: Path) -> tuple[str, str]:
             raise ValueError(f"path {path} is not composable at {a.name}")
         cur = a.target
     return src, cur
+
+
+def _relation_data(rel: Relation) -> list:
+    """A relation as quiver_to_dict writes it: [["p/q", [arrow, ...]], ...]."""
+    return [[str(c), list(p)] for c, p in rel]
+
+
+def _bad_relation(rel: Relation, problem: str) -> ValueError:
+    return ValueError(f"relation {json.dumps(_relation_data(rel))} {problem}")
 
 
 def monomial_relations(paths) -> tuple[Relation, ...]:
@@ -259,14 +270,14 @@ class BoundQuiver:
                 raise ValueError("empty relation")
             lengths = {len(p) for _, p in rel}
             if len(lengths) != 1:
-                raise ValueError(f"relation {rel} mixes path lengths")
+                raise _bad_relation(rel, "mixes path lengths")
             if lengths.pop() < 2:
-                raise ValueError(f"relation {rel} involves a path of length < 2")
+                raise _bad_relation(rel, "involves a path of length < 2")
             rel_ends = {_path_endpoints(quiver, p) for _, p in rel}
             if len(rel_ends) != 1:
-                raise ValueError(f"relation {rel} mixes sources/targets")
+                raise _bad_relation(rel, "mixes sources/targets")
             if any(c == 0 for c, _ in rel):
-                raise ValueError(f"relation {rel} has a zero coefficient")
+                raise _bad_relation(rel, "has a zero coefficient")
             ends.append(rel_ends.pop())
         if max_path_length is None:
             longest = max((len(p) for rel in self.relations for _, p in rel), default=2)
@@ -358,7 +369,7 @@ class Representation:
             total = reduce(rl.mat_add, (rl.scale(self.path_matrix(path), coeff)
                                         for coeff, path in rel))
             if not rl.is_zero(total):
-                raise ValueError(f"relation {rel} is violated")
+                raise _bad_relation(rel, "is violated")
 
     def path_matrix(self, path: Path) -> rl.Mat:
         """Matrix of a path (first arrow applied first)."""
@@ -484,7 +495,8 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
 
 
 def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Vertexwise kernel with its induced maps and the inclusion into the source."""
+    """Vertexwise kernel with its induced maps and the inclusion into the source;
+    kept as the tests' oracle of _split and a perfbench layer-trace target."""
     V = phi.source
     incl = {v: rl.transpose(rl.nullspace(m)) for v, m in phi.blocks.items()}
     maps = {}
@@ -526,24 +538,16 @@ def direct_sum(V: Representation, W: Representation) -> Representation:
 
 
 def conjugate(V: Representation, seed: int = 0) -> Representation:
-    """A random change of basis at every vertex; the result is isomorphic to V."""
+    """V with arrow a: x -> y changed to T_y V_a T_x^-1 by _cut, T_v the first
+    invertible draw of a matrix with entries in [-3, 3]; isomorphic to V."""
     rng = random.Random(seed)
-    q = V.bq.quiver
-    T = {}
-    Tinv = {}
-    for v in q.vertices:
-        d = V.dims[v]
-        while True:
-            cand = rl.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], d, d)
-            inv = rl.inverse(cand)
+    bases = {}
+    for v, d in V.dims.items():
+        while v not in bases:
+            inv = rl.inverse(rl.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], d, d))
             if inv is not None:
-                T[v], Tinv[v] = cand, inv
-                break
-    maps = {}
-    for a in q.arrows:
-        mid = rl.matmul(V.maps[a.name], Tinv[a.source])
-        maps[a.name] = rl.matmul(T[a.target], mid)
-    return Representation(V.bq, dict(V.dims), maps)
+                bases[v] = [rl.transpose(inv)]
+    return _cut(V, bases)[0]
 
 
 def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
@@ -603,45 +607,70 @@ def _split_candidates(basis: list[RepMorphism], rng: random.Random):
             yield blocks
 
 
+def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
+    """V cut into parts by one checked change of basis per vertex.
+
+    The rows of bases[v][i] are a basis of part i at v (the form of
+    rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
+    the first part.  T_v holds the bases of the parts at v as columns, and
+    an arrow a: x -> y becomes C_a = T_y^-1 V_a T_x (no product at a vertex
+    left alone), whose diagonal blocks are the maps of the parts.  Checks:
+
+    - T_v is square and invertible: the parts fill V_v;
+    - V_a T_x = T_y C_a on every arrow: the inverse is right;
+    - C_a is zero off its diagonal blocks: each part is arrow-stable;
+    - each part is built as a Representation, which checks the relations.
+
+    The first three raise ArithmeticError.  The last raises ValueError and
+    cannot fail once they pass: V satisfies the relations, and the path
+    matrices of the parts are the diagonal blocks of T_y^-1 V_p T_x.
+    """
+    count = max(map(len, bases.values()), default=1)
+    sizes, T, T_inv = {}, {}, {}
+    for v, d in V.dims.items():
+        if v not in bases:
+            sizes[v] = [d] + [0] * (count - 1)
+            continue
+        sizes[v] = [B.rows for B in bases[v]]
+        T[v] = rl.transpose(reduce(rl.vstack, bases[v]))
+        T_inv[v] = rl.inverse(T[v]) if T[v].cols == T[v].rows == d else None
+        if T_inv[v] is None:
+            raise ArithmeticError(f"the parts do not fill V at vertex {v}")
+    maps: list[dict[str, rl.Mat]] = [{} for _ in range(count)]
+    for a in V.bq.quiver.arrows:
+        x, y = a.source, a.target
+        C = moved = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
+        if y in T:
+            C = rl.matmul(T_inv[y], moved)
+            if rl.matmul(T[y], C) != moved:
+                raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
+        blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
+        if blocks is None:
+            raise ArithmeticError(f"a part is not stable under arrow {a.name}")
+        for part, block in zip(maps, blocks):
+            part[a.name] = block
+    return [Representation(V.bq, {v: sizes[v][i] for v in V.dims}, part)
+            for i, part in enumerate(maps)]
+
+
 def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
-    """V cut along the coprime factors of the minimal polynomial of phi (one
-    square block per vertex), in the order polyfactor.factor gives them, by
-    one checked change of basis (see decompose_certified); None when that
-    polynomial is a power of one irreducible."""
+    """V cut by _cut along the coprime factors of the minimal polynomial of
+    phi (one square block per vertex), in the order polyfactor.factor gives
+    them; None when that polynomial is a power of one irreducible."""
     verts = V.bq.quiver.vertices
     factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
     if len(factors) < 2:
         return None
-    sizes, T, T_inv = {}, {}, {}
-    for v in verts:
-        kernels = [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
-        sizes[v] = [K.rows for K in kernels]
-        T[v] = rl.transpose(reduce(rl.vstack, kernels))
-        T_inv[v] = rl.inverse(T[v]) if T[v].cols == T[v].rows else None
-        if T_inv[v] is None:
-            raise ArithmeticError(f"the generalized kernels do not fill V at vertex {v}")
-    maps: list[dict[str, rl.Mat]] = [{} for _ in factors]
-    for a in V.bq.quiver.arrows:
-        x, y = a.source, a.target
-        moved = rl.matmul(V.maps[a.name], T[x])
-        C = rl.matmul(T_inv[y], moved)
-        if rl.matmul(T[y], C) != moved:
-            raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
-        blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
-        if blocks is None:
-            raise ArithmeticError(f"a generalized kernel is not stable under arrow {a.name}")
-        for part, block in zip(maps, blocks):
-            part[a.name] = block
-    return [Representation(V.bq, {v: sizes[v][i] for v in verts}, part)
-            for i, part in enumerate(maps)]
+    return _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
+                    for v in verts})
 
 
 def _peel_simples(V: Representation) -> tuple[Representation, list[Representation]]:
-    """(W, simples) with V = W ⊕ simples and W without a simple summand, by one
-    checked change of basis at each vertex with a simple summand (see
-    decompose_certified); W is V itself when there is none."""
+    """(W, simples) with V = W ⊕ simples and W without a simple summand, cut
+    by _cut at each vertex with a simple summand (see decompose_certified);
+    W is V itself when there is none."""
     q = V.bq.quiver
-    T, T_inv, peeled = {}, {}, {}
+    bases = {}
     for v in q.vertices:
         d = V.dims[v]
         if d == 0:
@@ -662,27 +691,13 @@ def _peel_simples(V: Representation) -> tuple[Representation, list[Representatio
         C = rl.matmul(K, section)
         I = rl.transpose(rl.nullspace(proj))
         _, D = rl.quotient_maps(rl.hstack(I, C))
-        T[v] = rl.hstack(rl.hstack(I, D), C)
-        T_inv[v] = rl.inverse(T[v]) if T[v].cols == d else None
-        if T_inv[v] is None:
-            raise ArithmeticError(f"the socle complement does not fill V at vertex {v}")
-        peeled[v] = C.cols
-    if not peeled:
+        bases[v] = [rl.transpose(rl.hstack(I, D)), rl.transpose(C)]
+    if not bases:
         return V, []
-    maps = {}
-    for a in q.arrows:
-        x, y = a.source, a.target
-        moved = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
-        C_a = rl.matmul(T_inv[y], moved) if y in T else moved
-        if y in T and rl.matmul(T[y], C_a) != moved:
-            raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
-        cx, cy = peeled.get(x, 0), peeled.get(y, 0)
-        blocks = rl.diagonal_blocks(C_a, [V.dims[y] - cy, cy], [V.dims[x] - cx, cx])
-        if blocks is None or not rl.is_zero(blocks[1]):
-            raise ArithmeticError(f"a peeled simple is not a summand along arrow {a.name}")
-        maps[a.name] = blocks[0]
-    W = Representation(V.bq, {v: d - peeled.get(v, 0) for v, d in V.dims.items()}, maps)
-    return W, [V.bq.simple(v) for v, c in peeled.items() for _ in range(c)]
+    W, socle = _cut(V, bases)
+    if not all(map(rl.is_zero, socle.maps.values())):
+        raise ArithmeticError("an arrow does not kill a peeled simple")
+    return W, [V.bq.simple(v) for v, c in socle.dims.items() for _ in range(c)]
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
@@ -724,16 +739,13 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     in the coordinates of the basis of K, K ∩ I is the null space of
     proj K, and the section of quotient_maps of that null space spans
     C = K section.  W_v is I (the null space of proj) beside the
-    standard vectors that quotient_maps adds to I + C, and
-    T_v = [W_v | C].  For an arrow a: x -> y, C_a = T_y^-1 V_a T_x (T is
-    the identity at an unpeeled vertex).  Each check raises
-    ArithmeticError: T_v is square and invertible; V_a T_x = T_y C_a;
-    C_a is zero off its diagonal blocks and on its C block; W is built
-    as a Representation, which checks the relations.  A vertex is
-    skipped without a change of basis when V_v = 0, when K = 0 (the
-    arrows out of v are jointly injective) or when proj K = 0 (K ⊆ I,
-    which holds when the arrows into v span V_v); with no vertex
-    peeled, the loop below starts from V itself.
+    standard vectors that quotient_maps adds to I + C.  _cut changes the
+    basis, with W_v and C as the parts at each peeled vertex, and checks
+    it; the peel checks on top that every map of the C part is zero
+    (ArithmeticError).  A vertex is skipped without a change of basis
+    when V_v = 0, when K = 0 (the arrows out of v are jointly injective)
+    or when proj K = 0 (K ⊆ I, which holds when the arrows into v span
+    V_v); with no vertex peeled, the loop below starts from V itself.
 
     Deferred certification.  A summand whose End has dimension one is a
     certified leaf.  Any other first tries the first basis endomorphism
@@ -750,17 +762,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     One change of basis per split (_split).  For each factor p^k of the
     minimal polynomial of an endomorphism phi, the part at a vertex v is
     spanned by the columns of K_v, the basis of the kernel of p^k(phi_v)
-    that rl.nullspace gives, which is the basis kernel() takes.  T_v
-    stacks the K_v of all the factors side by side, and for an arrow
-    a: x -> y, C_a = T_y^-1 V_a T_x.  Four exact checks, each raising
-    ArithmeticError:
-
-    - T_v is square and invertible: the generalized kernels fill V;
-    - V_a T_x = T_y C_a on every arrow: the inverse is right;
-    - C_a is zero off its diagonal blocks: each part is arrow-stable;
-    - each part is built as a Representation, which checks the relations.
-
-    Then K_y B = V_a K_x for the diagonal block B of a part, so B is the
+    that rl.nullspace gives, which is the basis kernel() takes; _cut
+    changes the basis with these parts and checks it.  Then
+    K_y B = V_a K_x for the diagonal block B of a part, so B is the
     unique solution that kernel() solves for, and each part equals
     kernel(p^k(phi))[0], Mat for Mat.  For an endomorphism phi the checks
     cannot fail: the generalized kernels of the coprime factors of its
@@ -887,9 +891,7 @@ def quiver_to_dict(bq: BoundQuiver) -> dict:
     return {
         "vertices": list(bq.quiver.vertices),
         "arrows": [[a.name, a.source, a.target] for a in bq.quiver.arrows],
-        "relations": [
-            [[str(c), list(p)] for c, p in rel] for rel in bq.relations
-        ],
+        "relations": [_relation_data(rel) for rel in bq.relations],
         "max_path_length": bq.bound,
     }
 

@@ -303,6 +303,19 @@ def test_rep_inline_quiver_with_unknown_arrow_in_a_relation(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_rep_inline_quiver_with_a_short_relation_prints_it_as_written(tmp_path, capsys):
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]],
+                   "relations": [[["1", ["a"]]]]},
+        "dims": {"1": 1, "2": 1}, "maps": {"a": [["1"]]}}))
+    code, _, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2
+    assert err == ('error: bad representation file: relation [["1", ["a"]]] '
+                   "involves a path of length < 2\n")
+    assert "Fraction(" not in err
+
+
 @pytest.mark.parametrize("entry", ['"1.5"', "1.5", "1.0", '"1e3"', '"1/0"', '" 1"', "true"])
 def test_rep_rejects_inexact_entries(tmp_path, capsys, entry):
     path = tmp_path / "decimal.json"

@@ -37,8 +37,10 @@ class TestBuilders:
         assert cubics.build("d4hat") is cubics.build("d4hat")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as info:
             cubics.build("mystery")
+        assert info.value.args[0] == ("unknown quiver 'mystery'; expected one of "
+                                      "paper_full, big_component, d4hat, two_vertex_pair")
 
     def test_ext1_facts(self):
         pf = cubics.build("paper_full")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from binarycubics import cubics
 from binarycubics import quiver as qv
@@ -623,6 +624,42 @@ def _invertible_hom_found(V, W, rng, tries=30):
         if all(rl.rank(blocks[v]) == V.dims[v] for v in verts):
             return True
     return False
+
+
+def conjugated_by_draws(V, seed):
+    """The maps T_y V_a T_x^-1 of conjugate(V, seed), by sympy: T_v is the
+    first draw at v of a matrix of randint(-3, 3) entries that is invertible."""
+    rng = random.Random(seed)
+    T = {}
+    for v in V.bq.quiver.vertices:
+        d = V.dims[v]
+        while v not in T:
+            M = sympy.Matrix(d, d, [rng.randint(-3, 3) for _ in range(d * d)])
+            if M.det() != 0:
+                T[v] = M
+    maps = {}
+    for a in V.bq.quiver.arrows:
+        Va = sympy.Matrix(V.maps[a.name].rows, V.maps[a.name].cols,
+                          [sympy.Rational(x.numerator, x.denominator)
+                           for row in V.maps[a.name] for x in row])
+        C = T[a.target] * Va * T[a.source].inv()
+        maps[a.name] = rl.mat([[Fraction(int(x.p), int(x.q)) for x in C.row(i)]
+                               for i in range(C.rows)], C.rows, C.cols)
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["d4hat", "big_component", "two_vertex_pair"])
+def test_conjugate_is_pinned_by_its_draws(name, seed):
+    bq = cubics.build(name)
+    V = {"d4hat": lambda: qv.direct_sum(cubics.rn_family(2, 3), cubics.rn_family(1, -1)),
+         "big_component": lambda: cubics.random_big_component_rep(random.Random(7)),
+         "two_vertex_pair": lambda: qv.direct_sum(bq.projective("1"), bq.projective("2")),
+         }[name]()
+    assert V.total_dim() > 3
+    W = qv.conjugate(V, seed)
+    assert W.dims == V.dims
+    assert W.maps == conjugated_by_draws(V, seed)
 
 
 class TestRepresentationFiles:

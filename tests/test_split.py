@@ -171,15 +171,27 @@ def test_a_singular_change_of_basis_raises(monkeypatch):
 NOT_INTERTWINING_UNDER_O = """
 import json, sys
 from binarycubics import cubics, quiver as qv, ratlinalg as rl
+
+def raised(cut):
+    try:
+        cut()
+    except ArithmeticError as exc:
+        return str(exc)
+
 V = qv.direct_sum(cubics.rn_family(1, 0), cubics.rn_family(1, 1))
 phi = {v: rl.identity(V.dims[v]) for v in V.bq.quiver.vertices}
 phi["5"] = rl.mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-try:
-    parts = qv._split(V, phi)
-    raised = None
-except ArithmeticError as exc:
-    parts, raised = None, str(exc)
-print(json.dumps({"optimize": sys.flags.optimize, "parts": parts is not None, "raised": raised}))
+split = raised(lambda: qv._split(V, phi))
+# the failing peel of test_a_peeled_vector_that_an_arrow_does_not_kill_raises
+bq = cubics.build("two_vertex_pair")
+S_P = qv.direct_sum(bq.simple("1"), bq.projective("1"))
+nullspace, calls = rl.nullspace, []
+def whole_space_first(A):
+    calls.append(A)
+    return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
+rl.nullspace = whole_space_first
+peel = raised(lambda: qv._peel_simples(S_P))
+print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel}))
 """
 
 
@@ -190,8 +202,8 @@ def test_a_non_intertwining_phi_raises_under_python_O():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["optimize"] == 1
-    assert not report["parts"]
-    assert "not stable under arrow" in report["raised"]
+    assert "not stable under arrow" in report["split"]
+    assert report["peel"] == "a part is not stable under arrow a"
 
 
 def ranked_during_decompose(monkeypatch, V):
@@ -299,7 +311,7 @@ def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
         return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
 
     monkeypatch.setattr(rl, "nullspace", whole_space_first)
-    with pytest.raises(ArithmeticError, match="not a summand along arrow a"):
+    with pytest.raises(ArithmeticError, match="not stable under arrow a"):
         qv._peel_simples(V)
 
 
