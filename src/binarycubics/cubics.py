@@ -234,7 +234,7 @@ def _complete(rng: random.Random, bq: BoundQuiver, dims: dict[str, int],
 
 def _small(rng: random.Random, m: int, n: int, bound: int) -> rl.Mat:
     """An m x n matrix of integers drawn uniformly from [-bound, bound], row by row."""
-    return rl.mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], m, n)
+    return rl.over([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], 1, m, n)
 
 
 def random_big_component_rep(rng: random.Random) -> Representation:

@@ -24,10 +24,11 @@ case End/rad of dimension one; otherwise the verdict is "inconclusive"
 by design.
 
 A BoundQuiver validates its relations once and keeps the endpoints of
-each relation and its one-term vanishing paths, which everything below
-reads.  An unknown vertex, or an arrow a relation names that the
-quiver lacks, raises KeyError, and a failed exactness condition raises
-ArithmeticError, never an assert, so python -O gives the same answers.
+each relation, the vertices each of its paths passes and its one-term
+vanishing paths, which everything below reads.  An unknown vertex, or
+an arrow a relation names that the quiver lacks, raises KeyError, and a
+failed exactness condition raises ArithmeticError, never an assert, so
+python -O gives the same answers.
 
 Before its split search, decompose_certified peels off every simple
 summand in one pass.  At a vertex v the common kernel K of the arrows
@@ -36,11 +37,15 @@ arrows into v its radical, so S_v is a summand exactly
 dim K - dim(K ∩ I) times.  A complement C of K ∩ I in K is killed by
 every arrow out of v, and a complement of C that contains I holds the
 image of every arrow into v, so both are subrepresentations (proof at
-decompose_certified).
+decompose_certified).  Then every summand M_a, the two-dimensional
+module of an arrow a: x -> y with a acting by 1, is peeled off arrow by
+arrow: with Φ = Hom(V, M_a) and K = Hom(M_a, V), read as functionals
+on V_y and vectors in V_x, M_a is a summand exactly rank(Φ V_a K)
+times.
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is checked exactly.  The split, the peel and
+every split it finds is checked exactly.  The split, the two peels and
 conjugate share one change of basis per vertex, _cut, which must be
 invertible and block-diagonalize every arrow.  Only conjugate takes a
 seed.
@@ -103,19 +108,19 @@ def _check_vertices(vertices: tuple[str, ...], *names: str) -> None:
 Relation = tuple[tuple[Fraction, Path], ...]  # rational combination of parallel paths
 
 
-def _path_endpoints(quiver: Quiver, path: Path) -> tuple[str, str]:
+def _path_vertices(quiver: Quiver, path: Path) -> tuple[str, ...]:
+    """The vertices a path passes, its source first and its target last."""
     by_name = quiver._by_name
     for name in path:
         if name not in by_name:
             raise KeyError(f"unknown arrow {name!r}")
-    src = by_name[path[0]].source
-    cur = src
+    visited = [by_name[path[0]].source]
     for name in path:
         a = by_name[name]
-        if a.source != cur:
+        if a.source != visited[-1]:
             raise ValueError(f"path {path} is not composable at {a.name}")
-        cur = a.target
-    return src, cur
+        visited.append(a.target)
+    return tuple(visited)
 
 
 def _relation_data(rel: Relation) -> list:
@@ -255,8 +260,9 @@ class BoundQuiver:
 
     It validates the relations once, on construction (ValueError on a
     malformed one, KeyError on an unknown arrow), and keeps the
-    (source, target) of each and the paths a one-term relation declares
-    zero: the path basis, Representation's relation check and the cubics
+    (source, target) of each, the vertices each of its paths passes and
+    the paths a one-term relation declares zero: the path basis,
+    Representation's relation check, the arrow peel and the cubics
     samplers read these.  A vertex it lacks raises KeyError.
     """
 
@@ -264,7 +270,7 @@ class BoundQuiver:
                  max_path_length: int | None = None, name: str = "",
                  vertex_labels: dict[str, str] | None = None):
         self.relations: tuple[Relation, ...] = tuple(relations)
-        ends = []
+        ends, vertices = [], []
         for rel in self.relations:
             if not rel:
                 raise ValueError("empty relation")
@@ -273,12 +279,14 @@ class BoundQuiver:
                 raise _bad_relation(rel, "mixes path lengths")
             if lengths.pop() < 2:
                 raise _bad_relation(rel, "involves a path of length < 2")
-            rel_ends = {_path_endpoints(quiver, p) for _, p in rel}
+            visits = [_path_vertices(quiver, p) for _, p in rel]
+            rel_ends = {(vs[0], vs[-1]) for vs in visits}
             if len(rel_ends) != 1:
                 raise _bad_relation(rel, "mixes sources/targets")
             if any(c == 0 for c, _ in rel):
                 raise _bad_relation(rel, "has a zero coefficient")
             ends.append(rel_ends.pop())
+            vertices.append(tuple(visits))
         if max_path_length is None:
             longest = max((len(p) for rel in self.relations for _, p in rel), default=2)
             max_path_length = len(quiver.vertices) * max(2, longest)
@@ -289,6 +297,8 @@ class BoundQuiver:
             raise ValueError(f"max_path_length {max_path_length} is not positive")
         #: (source, target) of each relation, in the order of relations
         self.relation_ends = tuple(ends)
+        #: the vertices each term's path passes, per relation, in the order of relations
+        self.relation_vertices = tuple(vertices)
         #: the paths that a one-term relation declares zero
         self.zero_paths = frozenset(rel[0][1] for rel in self.relations if len(rel) == 1)
         self.quiver = quiver
@@ -311,6 +321,18 @@ class BoundQuiver:
         _check_vertices(self.quiver.vertices, x)
         dims = {v: (1 if v == x else 0) for v in self.quiver.vertices}
         return Representation(self, dims, {})
+
+    def arrow_module(self, name: str) -> "Representation":
+        """M_a for the arrow a called name, x -> y with x != y: Q at x and at y,
+        a acting by 1 and every other arrow by 0; the non-split extension of
+        the simple at x by the simple at y that a stands for.  KeyError on an
+        unknown arrow, ValueError on a loop."""
+        if name not in self.quiver._by_name:
+            raise KeyError(f"unknown arrow {name!r}")
+        a = self.quiver._by_name[name]
+        if a.source == a.target:
+            raise ValueError(f"arrow {name} is a loop")
+        return Representation(self, {a.source: 1, a.target: 1}, {name: rl.identity(1)})
 
     def projective(self, x: str) -> "Representation":
         """Projective cover of the simple at x: the paths out of x, an arrow
@@ -363,12 +385,13 @@ class Representation:
         self._check_relations()
 
     def _check_relations(self):
-        for rel, (src, tgt) in zip(self.bq.relations, self.bq.relation_ends):
-            if self.dims[tgt] == 0 or self.dims[src] == 0:
-                continue
-            total = reduce(rl.mat_add, (rl.scale(self.path_matrix(path), coeff)
-                                        for coeff, path in rel))
-            if not rl.is_zero(total):
+        """Each relation multiplied out, without the terms whose path passes a
+        zero-dimensional vertex: their matrices are exactly zero."""
+        zero = {v for v, d in self.dims.items() if d == 0}
+        for rel, visits in zip(self.bq.relations, self.bq.relation_vertices):
+            terms = [term for term, vs in zip(rel, visits) if zero.isdisjoint(vs)]
+            if terms and not rl.is_zero(reduce(rl.mat_add, (
+                    rl.scale(self.path_matrix(path), coeff) for coeff, path in terms))):
                 raise _bad_relation(rel, "is violated")
 
     def path_matrix(self, path: Path) -> rl.Mat:
@@ -700,6 +723,51 @@ def _peel_simples(V: Representation) -> tuple[Representation, list[Representatio
     return W, [V.bq.simple(v) for v, c in socle.dims.items() for _ in range(c)]
 
 
+def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
+    """The rows of A at the indices keep, in that order."""
+    return rl.over([A.num[i] for i in keep], A.den, len(keep), A.cols)
+
+
+def _peel_arrows(V: Representation) -> tuple[Representation, list[Representation]]:
+    """(W, arrow modules) with V = W ⊕ arrow modules and W without a summand
+    M_a, cut by _cut once for each arrow a with one (see decompose_certified);
+    the modules come in arrow order, and W is V itself when there is none."""
+    bq = V.bq
+    arrows = bq.quiver.arrows
+    W, peeled = V, []
+    for a in arrows:
+        x, y = a.source, a.target
+        Va = W.maps[a.name]
+        if x == y or rl.is_zero(Va):
+            continue
+        # Φ, rows: the functionals on W_y that kill every other arrow into y
+        # and W_a W_c for every arrow c into x; a product that a relation
+        # declares zero is left out, here and in K
+        into = [W.maps[b.name] for b in arrows if b.target == y and b is not a]
+        into += [rl.matmul(Va, W.maps[c.name]) for c in arrows
+                 if c.target == x and (c.name, a.name) not in bq.zero_paths]
+        Phi = rl.nullspace(rl.transpose(reduce(rl.hstack, into, rl.zeros(W.dims[y], 0))))
+        Phi_a = rl.matmul(Phi, Va)
+        if rl.is_zero(Phi_a):
+            continue
+        # K, rows: the vectors of W_x that every other arrow out of x and
+        # W_c W_a for every arrow c out of y kill
+        out = [W.maps[b.name] for b in arrows if b.source == x and b is not a]
+        out += [rl.matmul(W.maps[c.name], Va) for c in arrows
+                if c.source == y and (a.name, c.name) not in bq.zero_paths]
+        K = rl.nullspace(reduce(rl.vstack, out, rl.zeros(0, W.dims[x])))
+        pairing = rl.matmul(Phi_a, rl.transpose(K))
+        _, cols = rl.rref(pairing)
+        if not cols:
+            continue
+        _, rows = rl.rref(rl.transpose(pairing))
+        K1 = _rows(K, cols)
+        W, _ = _cut(W, {x: [rl.nullspace(_rows(Phi_a, rows)), K1],
+                        y: [rl.nullspace(_rows(Phi, rows)), rl.matmul(K1, rl.transpose(Va))]})
+        peeled += [bq.arrow_module(a.name) for _ in cols]
+    return W, peeled
+
+
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
@@ -745,7 +813,51 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     (ArithmeticError).  A vertex is skipped without a change of basis
     when V_v = 0, when K = 0 (the arrows out of v are jointly injective)
     or when proj K = 0 (K ⊆ I, which holds when the arrows into v span
-    V_v); with no vertex peeled, the loop below starts from V itself.
+    V_v); with no vertex peeled, the arrow peel starts from V itself.
+
+    Peeling the arrow modules (_peel_arrows).  Then, arrow by arrow, every
+    summand M_a (bq.arrow_module) of an arrow a: x -> y, x != y, is split
+    off by one change of basis at x and y; its copies come out after the
+    simples, in arrow order, as certified leaves (End(M_a) = Q).
+
+    - Hom spaces.  A morphism V -> M_a is a functional φ on V_y, with
+      φ V_a at x; it intertwines exactly when φ kills V_b for every other
+      arrow b into y and φ V_a V_c = 0 for every arrow c into x.  These φ
+      form Φ.  A morphism M_a -> V is a vector v in V_x, with V_a v at y;
+      it intertwines exactly when V_b v = 0 for every other arrow b out
+      of x and V_c V_a v = 0 for every arrow c out of y.  These v form K.
+      A product V_a V_c or V_c V_a that a relation declares zero is left
+      out of the equations.
+    - Multiplicity.  The composite M_a -> V -> M_a of v and φ is the
+      scalar φ V_a v, and M_a is a summand of V exactly m = rank(Φ V_a K)
+      times.  Over V = ⊕ X_i the hom spaces split and a morphism through
+      X_i composed with one from X_j (i != j) is zero, so the rank is the
+      sum of the ranks for the X_i.  M_a gives 1.  Any other
+      indecomposable X gives 0: were φ V_a v != 0, then v: M_a -> X would
+      be split by φ / (φ V_a v), and M_a would be a summand of X.
+    - Complement.  m independent columns K' of K and m independent rows
+      Φ' of Φ, the pivots of the pairing matrix and of its transpose,
+      meet in an invertible minor Φ' V_a K'.  So K' is a morphism
+      g: M_a^m -> V and Φ' one f: V -> M_a^m with f g invertible, and
+      V = im g ⊕ ker f, both subrepresentations: im g is K' at x and
+      V_a K' at y, and ker f is ker Φ' V_a at x, ker Φ' at y and V
+      elsewhere.  In the basis K', V_a K' the part im g is M_a^m
+      exactly: a acts by the identity, and any other arrow b between x
+      and y acts by a block B with Φ' V_a K' B = 0 (Φ' kills V_b when b
+      ends at y, Φ' V_a kills V_b when b ends at x), so B = 0.  The
+      copies are therefore emitted as bq.arrow_module(a) without a
+      check of their own.
+    - Once is enough.  M_a and M_b are not isomorphic for a != b, so
+      peeling M_b first leaves the multiplicity of M_a as it was, and by
+      Krull-Schmidt the parts of a split of W have no summand M_a and no
+      simple summand.
+
+    _cut changes the basis, with ker f and im g as the parts at x and y,
+    and checks it.  An arrow is skipped without a change of basis when
+    x = y, when V_a = 0 or when Φ V_a = 0 (Φ is computed first, and then
+    the pairing is zero), or when the pairing has rank 0; with no arrow
+    peeled, the loop below starts from the representation the simple
+    peel left.
 
     Deferred certification.  A summand whose End has dimension one is a
     certified leaf.  Any other first tries the first basis endomorphism
@@ -774,7 +886,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
         return []
     rng = random.Random(0)  # fixed, so the summands depend on V alone
     W, simples = _peel_simples(V)
-    out: list[tuple[Representation, bool]] = [(S, True) for S in simples]
+    W, arrow_modules = _peel_arrows(W)
+    out: list[tuple[Representation, bool]] = [(M, True) for M in simples + arrow_modules]
     stack = [W] if W.total_dim() else []
     while stack:
         cur = stack.pop()

@@ -244,3 +244,12 @@ class TestSamplerStreams:
             sampled.clear()
             assert cubics.check_two_vertex_component(samples=15, seed=s) == report
             assert _digest(sampled) == want, s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_small_builds_the_mat_that_mat_builds_from_its_draws(seed):
+    for m, n, bound in ((0, 3, 2), (3, 0, 2), (2, 3, 3), (4, 4, 2)):
+        got = cubics._small(random.Random(seed), m, n, bound)
+        rng = random.Random(seed)
+        want = rl.mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], m, n)
+        assert got == want

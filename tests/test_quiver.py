@@ -173,11 +173,11 @@ class TestStandardModules:
 
 class TestRelationData:
     def test_relations_validated_once_per_bound_quiver(self, monkeypatch):
-        # validation reads the endpoints of every path of every relation, once
+        # validation walks every path of every relation, once
         calls = []
-        endpoints = qv._path_endpoints
-        monkeypatch.setattr(qv, "_path_endpoints",
-                            lambda quiver, path: calls.append(path) or endpoints(quiver, path))
+        vertices = qv._path_vertices
+        monkeypatch.setattr(qv, "_path_vertices",
+                            lambda quiver, path: calls.append(path) or vertices(quiver, path))
         q = qv.Quiver(("1", "2"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "1")))
         bq = qv.BoundQuiver(q, qv.monomial_relations([("a", "b"), ("b", "a")]))
         bq.path_basis()
@@ -197,6 +197,27 @@ class TestRelationData:
         assert len(bq.path_basis().paths("1", "3")) == 2
         with pytest.raises(ValueError, match="relation .* is violated"):
             qv.Representation(bq, {"1": 1, "2": 1, "3": 1}, {"a": [[1]], "b": [[1]]})
+
+    def test_a_term_through_a_zero_vertex_is_not_multiplied(self, monkeypatch):
+        # ab = cd: the term cd passes vertex 4, ab does not
+        q = qv.Quiver(("1", "2", "3", "4"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"),
+                                             qv.Arrow("c", "1", "4"), qv.Arrow("d", "4", "3")))
+        one = Fraction(1)
+        bq = qv.BoundQuiver(q, (((one, ("a", "b")), (-one, ("c", "d"))),))
+        assert bq.relation_vertices == ((("1", "2", "3"), ("1", "4", "3")),)
+        multiplied = []
+        path_matrix = qv.Representation.path_matrix
+        monkeypatch.setattr(qv.Representation, "path_matrix",
+                            lambda V, path: multiplied.append(path) or path_matrix(V, path))
+        dims = {"1": 1, "2": 1, "3": 1, "4": 0}
+        qv.Representation(bq, dims, {"a": [[1]]})
+        assert multiplied == [("a", "b")]
+        # the term left is still checked: ab = 1 is not cd = 0
+        with pytest.raises(ValueError, match="relation .* is violated"):
+            qv.Representation(bq, dims, {"a": [[1]], "b": [[1]]})
+        multiplied.clear()
+        qv.Representation(bq, {"1": 1, "2": 0, "3": 1, "4": 0}, {})
+        assert multiplied == []
 
 
 def dense_hom_basis(V, W):

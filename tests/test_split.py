@@ -1,6 +1,7 @@
 """The split step of decompose_certified: one checked change of basis per
 summand, against the kernel() route it replaced, the deferred
-semisimple_rank, and the peel of simple summands before the split search."""
+semisimple_rank, and the peels of simple summands and arrow modules
+before the split search."""
 
 import importlib.util
 import json
@@ -121,14 +122,18 @@ def paired_up_to_isomorphism(got, want):
 
 
 def test_decompose_certified_matches_the_kernel_route_on_random_reps():
-    # the peel puts the simple summands first and the rest comes out in
-    # other bases, so the two routes agree up to isomorphism
-    peeled = 0
+    # the peels put the simple summands and the arrow modules first and the
+    # rest comes out in other bases, so the two routes agree up to isomorphism
+    peeled = arrow_modules = 0
     for V in oracle_inputs():
         got = qv.decompose_certified(V)
         assert paired_up_to_isomorphism(got, kernel_route_decompose(V))
-        peeled += len(qv._peel_simples(V)[1]) if V.total_dim() else 0
+        if V.total_dim():
+            W, simples = qv._peel_simples(V)
+            peeled += len(simples)
+            arrow_modules += len(qv._peel_arrows(W)[1])
     assert peeled >= 20, peeled
+    assert arrow_modules >= 10, arrow_modules
 
 
 def not_intertwining():
@@ -191,7 +196,17 @@ def whole_space_first(A):
     return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
 rl.nullspace = whole_space_first
 peel = raised(lambda: qv._peel_simples(S_P))
-print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel}))
+# the failing peel of test_a_peeled_arrow_module_that_another_arrow_moves_raises
+big = cubics.build("big_component")
+M_P = qv.direct_sum(big.arrow_module("alpha1"), big.projective("1"))
+calls.clear()
+def whole_space_second(A):
+    calls.append(A)
+    return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
+rl.nullspace = whole_space_second
+arrow_peel = raised(lambda: qv._peel_arrows(M_P))
+print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel,
+                  "arrow_peel": arrow_peel}))
 """
 
 
@@ -204,6 +219,7 @@ def test_a_non_intertwining_phi_raises_under_python_O():
     assert report["optimize"] == 1
     assert "not stable under arrow" in report["split"]
     assert report["peel"] == "a part is not stable under arrow a"
+    assert report["arrow_peel"] == "a part is not stable under arrow beta2"
 
 
 def ranked_during_decompose(monkeypatch, V):
@@ -313,6 +329,109 @@ def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
     monkeypatch.setattr(rl, "nullspace", whole_space_first)
     with pytest.raises(ArithmeticError, match="not stable under arrow a"):
         qv._peel_simples(V)
+
+
+#: parts of a direct sum on each named quiver, and the arrows of its
+#: summands M_a in the order the arrow peel returns them; a projective
+#: can be an arrow module (P_1 = M_alpha1 on d4hat, P_g1 = M_gamma1 on
+#: paper_full, P_1 = M_a on two_vertex_pair)
+ARROW_CASES = {
+    "paper_full": (lambda bq: [bq.simple("p"), bq.arrow_module("gamma1"), bq.projective("s"),
+                               bq.arrow_module("alpha2"), bq.arrow_module("delta-1"),
+                               bq.projective("g1"), bq.arrow_module("alpha2")],
+                   ["alpha2", "alpha2", "gamma1", "gamma1", "delta-1"]),
+    "big_component": (lambda bq: [bq.simple("1"), bq.arrow_module("alpha1"), bq.projective("1"),
+                                  bq.arrow_module("beta2"),
+                                  cubics.embed_alpha(cubics.rn_family(2, 0)),
+                                  bq.arrow_module("alpha1"), bq.simple("5"),
+                                  cubics.embed_beta(cubics.rn_family(1, 3))],
+                      ["alpha1", "alpha1", "beta2"]),
+    "d4hat": (lambda bq: [bq.simple("1"), bq.arrow_module("alpha3"), cubics.rn_family(1, 2),
+                          bq.projective("1"), bq.simple("5"), bq.arrow_module("alpha1"),
+                          cubics.rn_family(2, 1)],
+              ["alpha1", "alpha1", "alpha3"]),
+    "two_vertex_pair": (lambda bq: [bq.simple("1"), bq.arrow_module("b"), bq.projective("1"),
+                                    bq.arrow_module("a"), bq.simple("2"), bq.projective("2")],
+                        ["a", "a", "b", "b"]),
+}
+
+
+@pytest.mark.parametrize("name", ARROW_CASES)
+def test_the_peel_splits_off_exactly_the_arrow_modules(name):
+    bq = cubics.build(name)
+    build_parts, arrows = ARROW_CASES[name]
+    parts = build_parts(bq)
+    modules = [bq.arrow_module(a) for a in arrows]
+    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=4)
+    W, simples = qv._peel_simples(V)
+    W, peeled = qv._peel_arrows(W)
+    assert peeled == modules
+    rest = [X for X in parts if X.total_dim() > 1 and X not in modules]
+    assert qv.is_isomorphic(W, reduce(qv.direct_sum, rest, qv.Representation(bq, {}, {})))
+    got = qv.decompose_certified(V)
+    leaves = [(S, True) for S in simples + modules]
+    assert got[:len(leaves)] == leaves
+    assert all(X.total_dim() > 2 for X, _ in got[len(leaves):])
+    assert all(certified for _, certified in got)
+
+
+def test_the_arrow_peel_finds_no_module_in_the_benchmark_pairs():
+    worker = load_worker()
+    inputs = {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
+    for kind, n, lam, mu in sorted(inputs):
+        if kind == "d4hat":
+            V = qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
+        else:
+            V = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
+                              cubics.embed_beta(cubics.rn_family(n, mu)))
+        W, modules = qv._peel_arrows(V)
+        assert W is V and modules == []
+
+
+def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
+    # on two_vertex_pair every vector at 1 is in K for a (ab = 0 and no
+    # other arrow leaves 1), so K is all of V_1, of dimension 3, and the
+    # pairing has rank 2
+    bq = cubics.build("two_vertex_pair")
+    M_a, M_b = bq.arrow_module("a"), bq.arrow_module("b")
+    V = qv.conjugate(reduce(qv.direct_sum, [M_a, M_b, M_a]), seed=5)
+    W, modules = qv._peel_arrows(V)
+    assert V.dims["1"] == 3
+    assert modules == [M_a, M_a, M_b]
+    assert W.total_dim() == 0
+
+
+def test_a_peeled_arrow_module_that_another_arrow_moves_raises(monkeypatch):
+    # the second kernel the peel computes, K of alpha1 on M_alpha1 + P_1,
+    # comes back as all of V_1, so the vector of P_1 that alpha1 beta2
+    # sends to V_2 is peeled
+    bq = cubics.build("big_component")
+    V = qv.direct_sum(bq.arrow_module("alpha1"), bq.projective("1"))
+    nullspace = rl.nullspace
+    calls = []
+
+    def whole_space_second(A):
+        calls.append(A)
+        return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
+
+    monkeypatch.setattr(rl, "nullspace", whole_space_second)
+    with pytest.raises(ArithmeticError, match="not stable under arrow beta2"):
+        qv._peel_arrows(V)
+
+
+def test_arrow_module_is_the_module_of_one_arrow():
+    bq = cubics.build("big_component")
+    M = bq.arrow_module("beta3")
+    assert M.dims == {"1": 0, "2": 0, "3": 1, "4": 0, "5": 1}
+    assert M.maps["beta3"] == rl.identity(1)
+    assert all(rl.is_zero(A) for name, A in M.maps.items() if name != "beta3")
+    assert cubics.build("d4hat").projective("2") == cubics.build("d4hat").arrow_module("alpha2")
+    with pytest.raises(KeyError, match="unknown arrow 'zz'"):
+        bq.arrow_module("zz")
+    loop = qv.BoundQuiver(qv.Quiver(("1",), (qv.Arrow("l", "1", "1"),)),
+                          qv.monomial_relations([("l", "l")]))
+    with pytest.raises(ValueError, match="arrow l is a loop"):
+        loop.arrow_module("l")
 
 
 #: check_tame_classification(100, s) before the peel: (summands,
