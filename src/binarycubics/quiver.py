@@ -30,22 +30,18 @@ an arrow a relation names that the quiver lacks, raises KeyError, and a
 failed exactness condition raises ArithmeticError, never an assert, so
 python -O gives the same answers.
 
-Before its split search, decompose_certified peels off every simple
-summand in one pass.  At a vertex v the common kernel K of the arrows
-out of v is the socle of V there and the sum I of the images of the
-arrows into v its radical, so S_v is a summand exactly
-dim K - dim(K ∩ I) times.  A complement C of K ∩ I in K is killed by
-every arrow out of v, and a complement of C that contains I holds the
-image of every arrow into v, so both are subrepresentations (proof at
-decompose_certified).  Then every summand M_a, the two-dimensional
-module of an arrow a: x -> y with a acting by 1, is peeled off arrow by
-arrow: with Φ = Hom(V, M_a) and K = Hom(M_a, V), read as functionals
-on V_y and vectors in V_x, M_a is a summand exactly rank(Φ V_a K)
-times.
+Before its split search, decompose_certified peels off every summand
+M_p of a path p: x -> y of length <= 1, with Q at x and at y and p
+acting by 1: the simple S_v for the trivial path at each vertex v, then
+the two-dimensional module M_a for each arrow a with x != y.  With
+Φ = Hom(V, M_p) and K = Hom(M_p, V), read as functionals on V_y and
+vectors in V_x, M_p is a summand exactly rank(Φ V_p K) times; for S_v
+that is dim K - dim(K ∩ I), K the socle and I the radical of V at v
+(proof at decompose_certified).
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is checked exactly.  The split, the two peels and
+every split it finds is checked exactly.  The split, the peel and
 conjugate share one change of basis per vertex, _cut, which must be
 invertible and block-diagonalize every arrow.  Only conjugate takes a
 seed.
@@ -262,7 +258,7 @@ class BoundQuiver:
     malformed one, KeyError on an unknown arrow), and keeps the
     (source, target) of each, the vertices each of its paths passes and
     the paths a one-term relation declares zero: the path basis,
-    Representation's relation check, the arrow peel and the cubics
+    Representation's relation check, the peel and the cubics
     samplers read these.  A vertex it lacks raises KeyError.
     """
 
@@ -688,83 +684,56 @@ def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | 
                     for v in verts})
 
 
-def _peel_simples(V: Representation) -> tuple[Representation, list[Representation]]:
-    """(W, simples) with V = W ⊕ simples and W without a simple summand, cut
-    by _cut at each vertex with a simple summand (see decompose_certified);
-    W is V itself when there is none."""
-    q = V.bq.quiver
-    bases = {}
-    for v in q.vertices:
-        d = V.dims[v]
-        if d == 0:
-            continue
-        out = reduce(rl.vstack, (V.maps[a.name] for a in q.arrows if a.source == v),
-                     rl.zeros(0, d))
-        K = rl.transpose(rl.nullspace(out))  # columns: a basis of the socle at v
-        if K.cols == 0:
-            continue
-        into = reduce(rl.hstack, (V.maps[a.name] for a in q.arrows if a.target == v),
-                      rl.zeros(d, 0))
-        proj, _ = rl.quotient_maps(into)  # kernel: I, the radical at v
-        K_mod_I = rl.matmul(proj, K)
-        if rl.is_zero(K_mod_I):  # K inside I, also when I is all of V_v
-            continue
-        # K ∩ I in the coordinates of K, and the section spanning a complement
-        _, section = rl.quotient_maps(rl.transpose(rl.nullspace(K_mod_I)))
-        C = rl.matmul(K, section)
-        I = rl.transpose(rl.nullspace(proj))
-        _, D = rl.quotient_maps(rl.hstack(I, C))
-        bases[v] = [rl.transpose(rl.hstack(I, D)), rl.transpose(C)]
-    if not bases:
-        return V, []
-    W, socle = _cut(V, bases)
-    if not all(map(rl.is_zero, socle.maps.values())):
-        raise ArithmeticError("an arrow does not kill a peeled simple")
-    return W, [V.bq.simple(v) for v, c in socle.dims.items() for _ in range(c)]
-
-
 def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
     """The rows of A at the indices keep, in that order."""
     return rl.over([A.num[i] for i in keep], A.den, len(keep), A.cols)
 
 
-def _peel_arrows(V: Representation) -> tuple[Representation, list[Representation]]:
-    """(W, arrow modules) with V = W ⊕ arrow modules and W without a summand
-    M_a, cut by _cut once for each arrow a with one (see decompose_certified);
-    the modules come in arrow order, and W is V itself when there is none."""
+def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
+    """(W, peeled) with V = W ⊕ peeled and W without a summand M_p for a path
+    p: x -> y of length <= 1 (see decompose_certified): the trivial path at
+    each vertex, whose M_p is the simple, then each arrow with x != y, whose
+    M_p is its arrow module.  Each p with a summand gets one _cut at x, and
+    at y for an arrow; the summands come in that order, and W is V itself
+    when there is none."""
     bq = V.bq
     arrows = bq.quiver.arrows
+    paths = [(v, v, None) for v in bq.quiver.vertices]
+    paths += [(a.source, a.target, a) for a in arrows if a.source != a.target]
     W, peeled = V, []
-    for a in arrows:
-        x, y = a.source, a.target
-        Va = W.maps[a.name]
-        if x == y or rl.is_zero(Va):
+    for x, y, p in paths:
+        Vp = rl.identity(W.dims[x]) if p is None else W.maps[p.name]
+        if rl.is_zero(Vp):
             continue
-        # Φ, rows: the functionals on W_y that kill every other arrow into y
-        # and W_a W_c for every arrow c into x; a product that a relation
-        # declares zero is left out, here and in K
-        into = [W.maps[b.name] for b in arrows if b.target == y and b is not a]
-        into += [rl.matmul(Va, W.maps[c.name]) for c in arrows
-                 if c.target == x and (c.name, a.name) not in bq.zero_paths]
+        # Φ, rows: the functionals on W_y that kill every arrow into y other
+        # than p and, for an arrow p, W_p W_c for every arrow c into x; a
+        # product that a relation declares zero is left out, here and in K
+        into = [W.maps[b.name] for b in arrows if b.target == y and b is not p]
+        if p is not None:
+            into += [rl.matmul(Vp, W.maps[c.name]) for c in arrows
+                     if c.target == x and (c.name, p.name) not in bq.zero_paths]
         Phi = rl.nullspace(rl.transpose(reduce(rl.hstack, into, rl.zeros(W.dims[y], 0))))
-        Phi_a = rl.matmul(Phi, Va)
-        if rl.is_zero(Phi_a):
+        Phi_p = Phi if p is None else rl.matmul(Phi, Vp)
+        if rl.is_zero(Phi_p):
             continue
-        # K, rows: the vectors of W_x that every other arrow out of x and
-        # W_c W_a for every arrow c out of y kill
-        out = [W.maps[b.name] for b in arrows if b.source == x and b is not a]
-        out += [rl.matmul(W.maps[c.name], Va) for c in arrows
-                if c.source == y and (a.name, c.name) not in bq.zero_paths]
+        # K, rows: the vectors of W_x that every arrow out of x other than p
+        # and, for an arrow p, W_c W_p for every arrow c out of y kill
+        out = [W.maps[b.name] for b in arrows if b.source == x and b is not p]
+        if p is not None:
+            out += [rl.matmul(W.maps[c.name], Vp) for c in arrows
+                    if c.source == y and (p.name, c.name) not in bq.zero_paths]
         K = rl.nullspace(reduce(rl.vstack, out, rl.zeros(0, W.dims[x])))
-        pairing = rl.matmul(Phi_a, rl.transpose(K))
+        pairing = rl.matmul(Phi_p, rl.transpose(K))
         _, cols = rl.rref(pairing)
         if not cols:
             continue
         _, rows = rl.rref(rl.transpose(pairing))
         K1 = _rows(K, cols)
-        W, _ = _cut(W, {x: [rl.nullspace(_rows(Phi_a, rows)), K1],
-                        y: [rl.nullspace(_rows(Phi, rows)), rl.matmul(K1, rl.transpose(Va))]})
-        peeled += [bq.arrow_module(a.name) for _ in cols]
+        bases = {x: [rl.nullspace(_rows(Phi_p, rows)), K1]}
+        if p is not None:
+            bases[y] = [rl.nullspace(_rows(Phi, rows)), rl.matmul(K1, rl.transpose(Vp))]
+        W, _ = _cut(W, bases)
+        peeled += [bq.simple(x) if p is None else bq.arrow_module(p.name) for _ in cols]
     return W, peeled
 
 
@@ -777,87 +746,59 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     its endomorphism ring is not known to be local (e.g. a rational
     form of a pair of conjugate complex indecomposables).
 
-    Peeling the simples (_peel_simples).  First every simple summand is
-    split off, by one change of basis at each vertex that has one; each
-    copy of S_v comes out as bq.simple(v), a certified leaf, vertex by
-    vertex ahead of the other summands.  At a vertex v let K be the
-    common kernel of the arrows out of v and I the sum of the images of
-    the arrows into v: the socle and the radical of V at v
-    (Assem-Simson-Skowroński 2006, ch. III).
+    The peel (_peel).  First every summand M_p of a path p: x -> y of
+    length <= 1, with Q at x and at y and p acting by 1, is split off by
+    one change of basis at x, and at y when p is an arrow; its copies
+    come out as certified leaves (End(M_p) = Q) ahead of the other
+    summands.  The paths are the trivial path e_v at each vertex v, in
+    vertex order, with x = y = v, V_p the identity and M_p the simple
+    S_v (bq.simple); then each arrow a: x -> y with x != y, in arrow
+    order, with M_p the module M_a (bq.arrow_module).  The argument is
+    the one for Hom spaces of Assem-Simson-Skowroński 2006, ch. III.
 
-    - Multiplicity.  S_v is a summand of V exactly dim K - dim(K ∩ I)
-      times.  K and I are additive over a decomposition V = ⊕ X_i, so
-      this is the sum of the same numbers for the X_i.  S_v gives
-      1 - 0 = 1.  Any other indecomposable X gives 0: were x in K(X)
-      outside I(X), then t -> t x is a morphism S_v -> X (the arrows out
-      of v kill x), and a functional f on X_v with f(I(X)) = 0 and
-      f(x) = 1 is a morphism X -> S_v (the arrows into v land in I(X)),
-      so f splits t -> t x and S_v would be a summand of X.
-    - Complement.  Let C be a complement of K ∩ I in K and W_v ⊇ I with
-      V_v = W_v ⊕ C (C ∩ I = 0, as C lies in K).  C, placed at v, is a
-      subrepresentation: C ⊆ K is killed by every arrow out of v.  W,
-      which is W_v at each peeled vertex v and V elsewhere, is one too:
-      every arrow into v lands in I ⊆ W_v.  So V = W ⊕ ⊕_v C, with each
-      C ≅ S_v^(dim C), and W has no simple summand left.  Peeling once
-      is enough: by Krull-Schmidt the parts of a split of W have no
-      simple summand either.
-
-    K is the null space of the arrows out of v, stacked.  proj, from
-    rl.quotient_maps of the arrows into v side by side, has kernel I, so
-    in the coordinates of the basis of K, K ∩ I is the null space of
-    proj K, and the section of quotient_maps of that null space spans
-    C = K section.  W_v is I (the null space of proj) beside the
-    standard vectors that quotient_maps adds to I + C.  _cut changes the
-    basis, with W_v and C as the parts at each peeled vertex, and checks
-    it; the peel checks on top that every map of the C part is zero
-    (ArithmeticError).  A vertex is skipped without a change of basis
-    when V_v = 0, when K = 0 (the arrows out of v are jointly injective)
-    or when proj K = 0 (K ⊆ I, which holds when the arrows into v span
-    V_v); with no vertex peeled, the arrow peel starts from V itself.
-
-    Peeling the arrow modules (_peel_arrows).  Then, arrow by arrow, every
-    summand M_a (bq.arrow_module) of an arrow a: x -> y, x != y, is split
-    off by one change of basis at x and y; its copies come out after the
-    simples, in arrow order, as certified leaves (End(M_a) = Q).
-
-    - Hom spaces.  A morphism V -> M_a is a functional φ on V_y, with
-      φ V_a at x; it intertwines exactly when φ kills V_b for every other
-      arrow b into y and φ V_a V_c = 0 for every arrow c into x.  These φ
-      form Φ.  A morphism M_a -> V is a vector v in V_x, with V_a v at y;
-      it intertwines exactly when V_b v = 0 for every other arrow b out
-      of x and V_c V_a v = 0 for every arrow c out of y.  These v form K.
-      A product V_a V_c or V_c V_a that a relation declares zero is left
+    - Hom spaces.  A morphism V -> M_p is a functional φ on V_y, with
+      φ V_p at x; it intertwines exactly when φ kills V_b for every arrow
+      b into y other than p and, when p is an arrow, φ V_p V_c = 0 for
+      every arrow c into x.  These φ form Φ.  A morphism M_p -> V is a
+      vector v in V_x, with V_p v at y; it intertwines exactly when
+      V_b v = 0 for every arrow b out of x other than p and, when p is an
+      arrow, V_c V_p v = 0 for every arrow c out of y.  These v form K.
+      A product V_p V_c or V_c V_p that a relation declares zero is left
       out of the equations.
-    - Multiplicity.  The composite M_a -> V -> M_a of v and φ is the
-      scalar φ V_a v, and M_a is a summand of V exactly m = rank(Φ V_a K)
+    - Multiplicity.  The composite M_p -> V -> M_p of v and φ is the
+      scalar φ V_p v, and M_p is a summand of V exactly m = rank(Φ V_p K)
       times.  Over V = ⊕ X_i the hom spaces split and a morphism through
       X_i composed with one from X_j (i != j) is zero, so the rank is the
-      sum of the ranks for the X_i.  M_a gives 1.  Any other
-      indecomposable X gives 0: were φ V_a v != 0, then v: M_a -> X would
-      be split by φ / (φ V_a v), and M_a would be a summand of X.
+      sum of the ranks for the X_i.  M_p gives 1.  Any other
+      indecomposable X gives 0: were φ V_p v != 0, then v: M_p -> X would
+      be split by φ / (φ V_p v), and M_p would be a summand of X.  For
+      p = e_v, Φ is the annihilator of the radical I of V at v (the sum
+      of the images of the arrows into v) and K its socle (the common
+      kernel of the arrows out of v), so m = dim K - dim(K ∩ I).
     - Complement.  m independent columns K' of K and m independent rows
       Φ' of Φ, the pivots of the pairing matrix and of its transpose,
-      meet in an invertible minor Φ' V_a K'.  So K' is a morphism
-      g: M_a^m -> V and Φ' one f: V -> M_a^m with f g invertible, and
+      meet in an invertible minor Φ' V_p K'.  So K' is a morphism
+      g: M_p^m -> V and Φ' one f: V -> M_p^m with f g invertible, and
       V = im g ⊕ ker f, both subrepresentations: im g is K' at x and
-      V_a K' at y, and ker f is ker Φ' V_a at x, ker Φ' at y and V
-      elsewhere.  In the basis K', V_a K' the part im g is M_a^m
-      exactly: a acts by the identity, and any other arrow b between x
-      and y acts by a block B with Φ' V_a K' B = 0 (Φ' kills V_b when b
-      ends at y, Φ' V_a kills V_b when b ends at x), so B = 0.  The
-      copies are therefore emitted as bq.arrow_module(a) without a
+      V_p K' at y, and ker f is ker Φ' V_p at x, ker Φ' at y and V
+      elsewhere.  In the basis K', V_p K' the part im g is M_p^m
+      exactly: p acts by the identity, and any other arrow b with both
+      ends in {x, y} acts by a block B with Φ' V_p K' B = 0 (Φ' kills
+      V_b when b ends at y, Φ' V_p kills V_b when b ends at x), so
+      B = 0.  For p = e_v such a b is a loop at v, and an arrow from v to
+      another vertex meets a zero-dimensional part.  The copies are
+      therefore emitted as bq.simple(v) or bq.arrow_module(a) without a
       check of their own.
-    - Once is enough.  M_a and M_b are not isomorphic for a != b, so
-      peeling M_b first leaves the multiplicity of M_a as it was, and by
-      Krull-Schmidt the parts of a split of W have no summand M_a and no
-      simple summand.
+    - Once is enough.  The M_p are pairwise non-isomorphic, so peeling
+      one leaves the multiplicity of every other as it was, and by
+      Krull-Schmidt the parts of a split of W have no summand M_p.
 
-    _cut changes the basis, with ker f and im g as the parts at x and y,
-    and checks it.  An arrow is skipped without a change of basis when
-    x = y, when V_a = 0 or when Φ V_a = 0 (Φ is computed first, and then
-    the pairing is zero), or when the pairing has rank 0; with no arrow
-    peeled, the loop below starts from the representation the simple
-    peel left.
+    _cut changes the basis, with ker f and im g as the parts at x (and
+    y), and checks it.  A path is skipped without a change of basis when
+    V_p = 0 (for e_v, when V_v = 0), when Φ V_p = 0 (Φ is computed first,
+    and then the pairing is zero; for e_v, when the arrows into v span
+    V_v), or when the pairing has rank 0 (for e_v, when K ⊆ I); with
+    nothing peeled, the loop below starts from V itself.
 
     Deferred certification.  A summand whose End has dimension one is a
     certified leaf.  Any other first tries the first basis endomorphism
@@ -885,9 +826,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     if V.total_dim() == 0:
         return []
     rng = random.Random(0)  # fixed, so the summands depend on V alone
-    W, simples = _peel_simples(V)
-    W, arrow_modules = _peel_arrows(W)
-    out: list[tuple[Representation, bool]] = [(M, True) for M in simples + arrow_modules]
+    W, peeled = _peel(V)
+    out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
     stack = [W] if W.total_dim() else []
     while stack:
         cur = stack.pop()

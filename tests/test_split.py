@@ -1,6 +1,6 @@
 """The split step of decompose_certified: one checked change of basis per
 summand, against the kernel() route it replaced, the deferred
-semisimple_rank, and the peels of simple summands and arrow modules
+semisimple_rank, and the peel of simple summands and arrow modules
 before the split search."""
 
 import importlib.util
@@ -122,17 +122,17 @@ def paired_up_to_isomorphism(got, want):
 
 
 def test_decompose_certified_matches_the_kernel_route_on_random_reps():
-    # the peels put the simple summands and the arrow modules first and the
+    # the peel puts the simple summands and the arrow modules first and the
     # rest comes out in other bases, so the two routes agree up to isomorphism
-    peeled = arrow_modules = 0
+    simples = arrow_modules = 0
     for V in oracle_inputs():
         got = qv.decompose_certified(V)
         assert paired_up_to_isomorphism(got, kernel_route_decompose(V))
         if V.total_dim():
-            W, simples = qv._peel_simples(V)
-            peeled += len(simples)
-            arrow_modules += len(qv._peel_arrows(W)[1])
-    assert peeled >= 20, peeled
+            peeled = qv._peel(V)[1]
+            simples += sum(M.total_dim() == 1 for M in peeled)
+            arrow_modules += sum(M.total_dim() == 2 for M in peeled)
+    assert simples >= 20, simples
     assert arrow_modules >= 10, arrow_modules
 
 
@@ -191,20 +191,20 @@ split = raised(lambda: qv._split(V, phi))
 bq = cubics.build("two_vertex_pair")
 S_P = qv.direct_sum(bq.simple("1"), bq.projective("1"))
 nullspace, calls = rl.nullspace, []
-def whole_space_first(A):
-    calls.append(A)
-    return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
-rl.nullspace = whole_space_first
-peel = raised(lambda: qv._peel_simples(S_P))
-# the failing peel of test_a_peeled_arrow_module_that_another_arrow_moves_raises
-big = cubics.build("big_component")
-M_P = qv.direct_sum(big.arrow_module("alpha1"), big.projective("1"))
-calls.clear()
 def whole_space_second(A):
     calls.append(A)
     return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
 rl.nullspace = whole_space_second
-arrow_peel = raised(lambda: qv._peel_arrows(M_P))
+peel = raised(lambda: qv._peel(S_P))
+# the failing peel of test_a_peeled_arrow_module_that_another_arrow_moves_raises
+big = cubics.build("big_component")
+M_P = qv.direct_sum(big.arrow_module("alpha1"), big.projective("1"))
+calls.clear()
+def whole_space_sixth(A):
+    calls.append(A)
+    return rl.identity(A.cols) if len(calls) == 6 else nullspace(A)
+rl.nullspace = whole_space_sixth
+arrow_peel = raised(lambda: qv._peel(M_P))
 print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel,
                   "arrow_peel": arrow_peel}))
 """
@@ -270,34 +270,45 @@ def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
     assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), False)]
 
 
-#: parts of a direct sum on each named quiver, and the vertices of its
-#: simple summands in the order the peel returns them
+#: parts of a direct sum on each named quiver, the vertices of its simple
+#: summands and the arrows of its summands M_a, in the order the peel
+#: returns them; a projective can be an arrow module (P_1 = M_alpha1 on
+#: d4hat, P_1 = M_a and P_2 = M_b on two_vertex_pair)
 PEEL_CASES = {
     "big_component": (lambda bq: [bq.simple("1"), bq.simple("1"), bq.simple("5"),
                                   bq.projective("1"), cubics.embed_alpha(cubics.rn_family(2, 0))],
-                      ["1", "1", "5"]),
+                      ["1", "1", "5"], []),
     "d4hat": (lambda bq: [bq.simple("1"), bq.simple("5"), cubics.rn_family(1, 2),
                           bq.projective("1")],
-              ["1", "5"]),
+              ["1", "5"], ["alpha1"]),
     "two_vertex_pair": (lambda bq: [bq.projective("1"), bq.simple("1"), bq.simple("2"),
                                     bq.simple("2"), bq.projective("2")],
-                        ["1", "2", "2"]),
+                        ["1", "2", "2"], ["a", "b"]),
 }
+
+
+def check_the_peel(name, cases, seed):
+    """_peel of the conjugated sum of cases[name] returns the simples by
+    vertex, then the arrow modules by arrow, and leaves the rest; and
+    decompose_certified lists them first."""
+    bq = cubics.build(name)
+    build_parts, simple_at, arrows = cases[name]
+    parts = build_parts(bq)
+    modules = [bq.simple(v) for v in simple_at] + [bq.arrow_module(a) for a in arrows]
+    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=seed)
+    W, peeled = qv._peel(V)
+    assert peeled == modules
+    rest = [X for X in parts if X not in modules]
+    assert qv.is_isomorphic(W, reduce(qv.direct_sum, rest, qv.Representation(bq, {}, {})))
+    got = qv.decompose_certified(V)
+    assert got[:len(modules)] == [(M, True) for M in modules]
+    assert all(X.total_dim() > 2 for X, _ in got[len(modules):])
+    assert all(certified for _, certified in got)
 
 
 @pytest.mark.parametrize("name", PEEL_CASES)
 def test_the_peel_splits_off_exactly_the_simple_summands(name):
-    bq = cubics.build(name)
-    build_parts, simple_at = PEEL_CASES[name]
-    parts = build_parts(bq)
-    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=3)
-    W, simples = qv._peel_simples(V)
-    assert simples == [bq.simple(v) for v in simple_at]
-    assert qv.is_isomorphic(W, reduce(qv.direct_sum, [X for X in parts if X.total_dim() > 1]))
-    got = qv.decompose_certified(V)
-    assert got[:len(simples)] == [(S, True) for S in simples]
-    assert sum(X.total_dim() == 1 for X, _ in got) == len(simples)
-    assert all(certified for _, certified in got)
+    check_the_peel(name, PEEL_CASES, seed=3)
 
 
 @pytest.mark.parametrize("name, sink", [("big_component", "2"), ("d4hat", "5")])
@@ -309,73 +320,76 @@ def test_a_socle_inside_the_radical_is_not_peeled(name, sink):
     assert P.dims[sink] == 1
     assert all(rl.is_zero(P.maps[a.name]) for a in bq.quiver.arrows if a.source == sink)
     assert any(not rl.is_zero(P.maps[a.name]) for a in bq.quiver.arrows if a.target == sink)
-    W, simples = qv._peel_simples(P)
-    assert W is P and simples == []
+    # on d4hat P_1 is M_alpha1, which the peel splits off as an arrow module
+    _, peeled = qv._peel(P)
+    assert all(M.total_dim() > 1 for M in peeled)
     assert qv.decompose_certified(P) == [(P, True)]
 
 
 def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
-    # the first kernel the peel computes, the socle at vertex 1 of S_1 + P_1,
-    # comes back as all of V_1, so the vector of P_1 that a sends to V_2 is peeled
+    # the second null space the peel computes, the socle at vertex 1 of
+    # S_1 + P_1 (after Φ there), comes back as all of V_1, so the vector of
+    # P_1 that a sends to V_2 is peeled
     bq = cubics.build("two_vertex_pair")
     V = qv.direct_sum(bq.simple("1"), bq.projective("1"))
     nullspace = rl.nullspace
     calls = []
 
-    def whole_space_first(A):
+    def whole_space_second(A):
         calls.append(A)
-        return rl.identity(A.cols) if len(calls) == 1 else nullspace(A)
+        return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
 
-    monkeypatch.setattr(rl, "nullspace", whole_space_first)
+    monkeypatch.setattr(rl, "nullspace", whole_space_second)
     with pytest.raises(ArithmeticError, match="not stable under arrow a"):
-        qv._peel_simples(V)
+        qv._peel(V)
 
 
-#: parts of a direct sum on each named quiver, and the arrows of its
-#: summands M_a in the order the arrow peel returns them; a projective
-#: can be an arrow module (P_1 = M_alpha1 on d4hat, P_g1 = M_gamma1 on
-#: paper_full, P_1 = M_a on two_vertex_pair)
+#: parts of a direct sum on each named quiver, with its summands M_a and
+#: its simple summands as in PEEL_CASES (P_g1 = M_gamma1 on paper_full)
 ARROW_CASES = {
     "paper_full": (lambda bq: [bq.simple("p"), bq.arrow_module("gamma1"), bq.projective("s"),
                                bq.arrow_module("alpha2"), bq.arrow_module("delta-1"),
                                bq.projective("g1"), bq.arrow_module("alpha2")],
-                   ["alpha2", "alpha2", "gamma1", "gamma1", "delta-1"]),
+                   ["p"], ["alpha2", "alpha2", "gamma1", "gamma1", "delta-1"]),
     "big_component": (lambda bq: [bq.simple("1"), bq.arrow_module("alpha1"), bq.projective("1"),
                                   bq.arrow_module("beta2"),
                                   cubics.embed_alpha(cubics.rn_family(2, 0)),
                                   bq.arrow_module("alpha1"), bq.simple("5"),
                                   cubics.embed_beta(cubics.rn_family(1, 3))],
-                      ["alpha1", "alpha1", "beta2"]),
+                      ["1", "5"], ["alpha1", "alpha1", "beta2"]),
     "d4hat": (lambda bq: [bq.simple("1"), bq.arrow_module("alpha3"), cubics.rn_family(1, 2),
                           bq.projective("1"), bq.simple("5"), bq.arrow_module("alpha1"),
                           cubics.rn_family(2, 1)],
-              ["alpha1", "alpha1", "alpha3"]),
+              ["1", "5"], ["alpha1", "alpha1", "alpha3"]),
     "two_vertex_pair": (lambda bq: [bq.simple("1"), bq.arrow_module("b"), bq.projective("1"),
                                     bq.arrow_module("a"), bq.simple("2"), bq.projective("2")],
-                        ["a", "a", "b", "b"]),
+                        ["1", "2"], ["a", "a", "b", "b"]),
 }
 
 
 @pytest.mark.parametrize("name", ARROW_CASES)
 def test_the_peel_splits_off_exactly_the_arrow_modules(name):
-    bq = cubics.build(name)
-    build_parts, arrows = ARROW_CASES[name]
-    parts = build_parts(bq)
-    modules = [bq.arrow_module(a) for a in arrows]
-    V = qv.conjugate(reduce(qv.direct_sum, parts), seed=4)
-    W, simples = qv._peel_simples(V)
-    W, peeled = qv._peel_arrows(W)
-    assert peeled == modules
-    rest = [X for X in parts if X.total_dim() > 1 and X not in modules]
-    assert qv.is_isomorphic(W, reduce(qv.direct_sum, rest, qv.Representation(bq, {}, {})))
+    check_the_peel(name, ARROW_CASES, seed=4)
+
+
+def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
+    # l is both into and out of vertex 1, so Φ kills its image and K its
+    # kernel; J_2, l acting by a nilpotent Jordan block, stays for the split
+    loop = qv.BoundQuiver(qv.Quiver(("1", "2"), (qv.Arrow("l", "1", "1"), qv.Arrow("a", "1", "2"))),
+                          qv.monomial_relations([("l", "l"), ("l", "a")]))
+    J2 = qv.Representation(loop, {"1": 2}, {"l": [[0, 0], [1, 0]]})
+    S1, M_a = loop.simple("1"), loop.arrow_module("a")
+    V = qv.conjugate(reduce(qv.direct_sum, [J2, S1, M_a, S1]), 7)
+    W, peeled = qv._peel(V)
+    assert peeled == [S1, S1, M_a]
+    assert W.dim_vector() == (2, 0) and qv.is_isomorphic(W, J2)
     got = qv.decompose_certified(V)
-    leaves = [(S, True) for S in simples + modules]
-    assert got[:len(leaves)] == leaves
-    assert all(X.total_dim() > 2 for X, _ in got[len(leaves):])
-    assert all(certified for _, certified in got)
+    assert got[:3] == [(S1, True), (S1, True), (M_a, True)]
+    assert len(got) == 4 and got[3][1] and qv.is_isomorphic(got[3][0], J2)
 
 
-def test_the_arrow_peel_finds_no_module_in_the_benchmark_pairs():
+def test_the_peel_finds_no_summand_in_the_benchmark_pairs():
+    # so the decompose workload pays only the peel's exits
     worker = load_worker()
     inputs = {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
     for kind, n, lam, mu in sorted(inputs):
@@ -384,8 +398,8 @@ def test_the_arrow_peel_finds_no_module_in_the_benchmark_pairs():
         else:
             V = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
                               cubics.embed_beta(cubics.rn_family(n, mu)))
-        W, modules = qv._peel_arrows(V)
-        assert W is V and modules == []
+        W, peeled = qv._peel(V)
+        assert W is V and peeled == []
 
 
 def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
@@ -395,28 +409,29 @@ def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
     bq = cubics.build("two_vertex_pair")
     M_a, M_b = bq.arrow_module("a"), bq.arrow_module("b")
     V = qv.conjugate(reduce(qv.direct_sum, [M_a, M_b, M_a]), seed=5)
-    W, modules = qv._peel_arrows(V)
+    W, modules = qv._peel(V)
     assert V.dims["1"] == 3
     assert modules == [M_a, M_a, M_b]
     assert W.total_dim() == 0
 
 
 def test_a_peeled_arrow_module_that_another_arrow_moves_raises(monkeypatch):
-    # the second kernel the peel computes, K of alpha1 on M_alpha1 + P_1,
-    # comes back as all of V_1, so the vector of P_1 that alpha1 beta2
-    # sends to V_2 is peeled
+    # the sixth null space the peel computes, K of alpha1 on M_alpha1 + P_1
+    # (after Φ and K at vertex 1, Φ at 2 and 5 and Φ of alpha1), comes back
+    # as all of V_1, so the vector of P_1 that alpha1 beta2 sends to V_2 is
+    # peeled
     bq = cubics.build("big_component")
     V = qv.direct_sum(bq.arrow_module("alpha1"), bq.projective("1"))
     nullspace = rl.nullspace
     calls = []
 
-    def whole_space_second(A):
+    def whole_space_sixth(A):
         calls.append(A)
-        return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
+        return rl.identity(A.cols) if len(calls) == 6 else nullspace(A)
 
-    monkeypatch.setattr(rl, "nullspace", whole_space_second)
+    monkeypatch.setattr(rl, "nullspace", whole_space_sixth)
     with pytest.raises(ArithmeticError, match="not stable under arrow beta2"):
-        qv._peel_arrows(V)
+        qv._peel(V)
 
 
 def test_arrow_module_is_the_module_of_one_arrow():
