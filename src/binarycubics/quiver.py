@@ -468,13 +468,16 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     row-major; each arrow a: x -> y gives one equation per entry of
     f_y V(a) - W(a) f_x.  The equations go to rl.kernel_basis as sparse
     integer rows, read off the numerators of V(a) and W(a) over the lcm
-    of their two denominators, and kernel_basis checks every basis
-    vector exactly against every row.  That check is the intertwining
-    equation, so the elements are built without RepMorphism's own check
-    of it; each block is the integer slice of a basis vector over its
-    denominator.  The basis is the one read off the reduced echelon form
-    of the system, which is unique: it does not depend on how the
-    elimination runs.
+    of their two denominators: the nonzero entries of each column of
+    V(a) and each row of W(a) are listed once per arrow, and the
+    equation of entry (i, j) is built from column j of V(a) and row i of
+    W(a) alone, so its cost follows their nonzero entries.  kernel_basis
+    checks every basis vector exactly against every row.  That check is
+    the intertwining equation, so the elements are built without
+    RepMorphism's own check of it; each block is the integer slice of a
+    basis vector over its denominator.  The basis is the one read off
+    the reduced echelon form of the system, which is unique: it does not
+    depend on how the elimination runs.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
@@ -488,18 +491,18 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
         va, wa = V.maps[a.name], W.maps[a.name]
         den = lcm(va.den, wa.den)
         va_scale, wa_scale = den // va.den, den // wa.den
-        va_cols = rl.transpose(va).num
-        for i, wa_row in enumerate(wa.num):
+        # the nonzero entries of V(a) column j, as (unknown f_y[0][k], V(a)[k][j]),
+        # and of W(a) row i, as (unknown f_x[k][0], -W(a)[i][k]), listed once
+        va_cols = [[(offs[y] + k, va_scale * v) for k, v in enumerate(col) if v]
+                   for col in rl.transpose(va).num]
+        wa_rows = [[(offs[x] + k * dvx, -wa_scale * v) for k, v in enumerate(row) if v]
+                   for row in wa.num]
+        for i, wa_row in enumerate(wa_rows):
+            at = i * dvy
             for j, va_col in enumerate(va_cols):
-                row: rl.Row = {}
-                at = offs[y] + i * dvy
-                for k, v in enumerate(va_col):
-                    if v:
-                        row[at + k] = va_scale * v
-                at = offs[x] + j
-                for k, v in enumerate(wa_row):
-                    if v:
-                        row[at + k * dvx] = row.get(at + k * dvx, 0) - wa_scale * v
+                row: rl.Row = {at + k: v for k, v in va_col}
+                for k, v in wa_row:
+                    row[k + j] = row.get(k + j, 0) + v
                 if row:
                     rows.append(row)
     basis = []
@@ -724,10 +727,9 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
                     if c.source == y and (p.name, c.name) not in bq.zero_paths]
         K = rl.nullspace(reduce(rl.vstack, out, rl.zeros(0, W.dims[x])))
         pairing = rl.matmul(Phi_p, rl.transpose(K))
-        _, cols = rl.rref(pairing)
+        rows, cols = rl.rank_profiles(pairing)
         if not cols:
             continue
-        _, rows = rl.rref(rl.transpose(pairing))
         K1 = _rows(K, cols)
         bases = {x: [rl.nullspace(_rows(Phi_p, rows)), K1]}
         if p is not None:
@@ -776,12 +778,13 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       of the images of the arrows into v) and K its socle (the common
       kernel of the arrows out of v), so m = dim K - dim(K ∩ I).
     - Complement.  m independent columns K' of K and m independent rows
-      Φ' of Φ, the pivots of the pairing matrix and of its transpose,
-      meet in an invertible minor Φ' V_p K'.  So K' is a morphism
-      g: M_p^m -> V and Φ' one f: V -> M_p^m with f g invertible, and
-      V = im g ⊕ ker f, both subrepresentations: im g is K' at x and
-      V_p K' at y, and ker f is ker Φ' V_p at x, ker Φ' at y and V
-      elsewhere.  In the basis K', V_p K' the part im g is M_p^m
+      Φ' of Φ, the pivot columns of the pairing matrix and its rows
+      independent of the rows before them (rl.rank_profiles, read off
+      one elimination), meet in an invertible minor Φ' V_p K'.  So K'
+      is a morphism g: M_p^m -> V and Φ' one f: V -> M_p^m with f g
+      invertible, and V = im g ⊕ ker f, both subrepresentations: im g
+      is K' at x and V_p K' at y, and ker f is ker Φ' V_p at x, ker Φ'
+      at y and V elsewhere.  In the basis K', V_p K' the part im g is M_p^m
       exactly: p acts by the identity, and any other arrow b with both
       ends in {x, y} acts by a block B with Φ' V_p K' B = 0 (Φ' kills
       V_b when b ends at y, Φ' V_p kills V_b when b ends at x), so

@@ -16,10 +16,11 @@ write into it raises TypeError; no Mat, and no list in num, is written
 in place once built, so matrices share rows freely.  The hot paths run
 on Python integers:
 
-- matmul takes integer dot products of the numerator rows of A and
-  columns of B over A.den * B.den and reduces by one gcd, building no
-  Fraction; mat_add, scale and the stacks work over the lcm of the
-  denominators;
+- matmul builds row i of the product over A.den * B.den as the sum of
+  a * (row k of B's numerators) over the nonzero numerators a of row i
+  of A (Gustavson's row-by-row product), so its cost follows the nonzero
+  entries of A, and reduces by one gcd, building no Fraction; mat_add,
+  scale and the stacks work over the lcm of the denominators;
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
@@ -29,7 +30,12 @@ on Python integers:
   their matrix, and quiver.hom_basis hands it its equations directly;
 - kernel_basis reads a kernel basis straight off the sparse echelon
   rows, as integer vectors each with its denominator, and checks every
-  basis vector against every input row with integer dot products;
+  basis vector against every input row with integer dot products,
+  taking only the rows that meet the vector's nonzero columns, through
+  an index from each column to its rows built once per call (any other
+  row has dot product 0);
+- rank_profiles reads the pivot columns and the rows independent of
+  the rows before them off echelon's forward step alone;
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
   matrix on their own and adds one power per degree to one growing
   echelon, through the forward step _reduce that echelon runs too;
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import gcd, lcm
 from operator import add, index, mul
 
@@ -199,8 +205,16 @@ def matmul(A: Mat, B: Mat) -> Mat:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
     if not (A.rows and A.cols and B.cols):
         return zeros(A.rows, B.cols)
-    cols = list(zip(*B.num))
-    num = [[sum(map(mul, row, col)) for col in cols] for row in A.num]
+    zero = [0] * B.cols
+    num = []
+    for row in A.num:
+        out = zero  # the sum of a * B.num[k] over the nonzero a = row[k]
+        for a, b in compress(zip(row, B.num), row):
+            if out is zero:
+                out = b if a == 1 else list(map(a.__mul__, b))
+            else:
+                out = list(map(add, out, map(a.__mul__, b)))
+        num.append(out)
     return over(num, A.den * B.den, A.rows, B.cols)
 
 
@@ -301,6 +315,20 @@ def _reduce(row: Row, pivots: dict[int, Row]) -> Row:
     return row
 
 
+def _forward(rows: list[Row]) -> tuple[dict[int, Row], list[int]]:
+    """The forward step of echelon: each row in turn reduced by _reduce
+    and kept as the pivot row of its leading column unless it reduces to
+    zero.  Returns the pivot rows by column and the indices of the rows kept."""
+    pivots: dict[int, Row] = {}
+    kept = []
+    for i, row in enumerate(rows):
+        row = _reduce(row, pivots)
+        if row:
+            pivots[min(row)] = row
+            kept.append(i)
+    return pivots, kept
+
+
 def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     """Reduced row echelon form of sparse integer rows: (pivot column, row) pairs.
 
@@ -319,11 +347,7 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     do not depend on the order of the rows or on which row becomes the
     pivot of a column: they are those of any Gauss-Jordan elimination.
     """
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[min(row)] = row
+    pivots, _ = _forward(rows)
     order = sorted(pivots)
     for c in reversed(order):
         p = pivots[c]
@@ -358,7 +382,10 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
     pivot columns.  Each comes as (ints, den), the integer vector ints
     with gcd 1 and its denominator den > 0, the entry of ints at f.  The
     integer dot product of every ints with every input row must vanish;
-    ArithmeticError is raised otherwise.
+    ArithmeticError is raised otherwise.  A row that meets no nonzero
+    column of ints has dot product 0 with it, so each ints is dotted only
+    with the rows that meet its nonzero columns, found through one index
+    from each column to the rows nonzero there; that is the same check.
     """
     ech = echelon(rows)
     pivot_set = {c for c, _ in ech}
@@ -377,8 +404,15 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
             v[c] = -row[f] * den // row[c]
         g = gcd(*v)
         basis.append(([x // g for x in v], den // g))
+    if not basis:
+        return basis
+    meets: list[list[int]] = [[] for _ in range(ncols)]  # column -> the rows nonzero there
+    for r, row in enumerate(rows):
+        for j in row:
+            meets[j].append(r)
     for ints, _ in basis:
-        for row in rows:
+        for r in set(chain.from_iterable(compress(meets, ints))):
+            row = rows[r]
             if sum(map(mul, row.values(), map(ints.__getitem__, row))):
                 raise ArithmeticError("a kernel vector fails an equation of its system")
     return basis
@@ -388,6 +422,21 @@ def rref(A: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q (zero rows dropped) and pivot columns."""
     ech = echelon(_sparse_rows(A))
     return stack_rows([_echelon_row(row, c, A.cols) for c, row in ech], A.cols), [c for c, _ in ech]
+
+
+def rank_profiles(A: Mat) -> tuple[list[int], list[int]]:
+    """(rows, cols): the rows of A that are not combinations of the rows
+    before them, and the pivot columns of A, both in increasing order.
+
+    Both come from one forward elimination (_forward): _reduce takes row
+    i to zero exactly when it lies in the span of the rows before it, so
+    the rows kept as pivot rows are those rows, the pivot columns of the
+    reduced echelon form of A^T.  The pivot rows are in echelon form with
+    the row space of A, so their leading columns are the pivot columns
+    of A.
+    """
+    pivots, rows = _forward([{j: x for j, x in enumerate(row) if x} for row in A.num])
+    return rows, sorted(pivots)
 
 
 def rank(A: Mat) -> int:

@@ -291,6 +291,19 @@ class TestHomBasis:
             for W in reps:
                 self.assert_matches_dense_solve(V, W)
 
+    @pytest.mark.parametrize("kind", ["d4hat", "big_component"])
+    def test_the_benchmark_sums_of_tube_modules(self, kind):
+        # the decompose workload's shapes: R_4(λ) ⊕ R_4(μ) on d4hat and
+        # embed_alpha(R_2(λ)) ⊕ embed_beta(R_2(μ)) on big_component
+        if kind == "d4hat":
+            X, Y = cubics.rn_family(4, 2), cubics.rn_family(4, Fraction(-7, 3))
+        else:
+            X = cubics.embed_alpha(cubics.rn_family(2, 2))
+            Y = cubics.embed_beta(cubics.rn_family(2, Fraction(-7, 3)))
+        V = qv.direct_sum(X, Y)
+        for A, B in ((V, V), (X, V), (V, Y), (X, Y)):
+            self.assert_matches_dense_solve(A, B)
+
     def test_every_element_passes_the_public_check(self):
         rng = random.Random(47)
         for _ in range(30):

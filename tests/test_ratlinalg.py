@@ -216,6 +216,50 @@ def test_matmul_matches_fraction_reference(pair):
         assert_reduced(M)
 
 
+nonzero_entries = st.one_of(st.just(1), st.just(-1), st.integers(-10**9, 10**9).filter(bool),
+                            big_fractions.filter(bool))
+
+
+@st.composite
+def sparse_products(draw):
+    """(A, B, zero_row): mostly-zero A (m x k) and B (k x n) with a whole
+    zero row zero_row of A, a zero column of A (so a row of B that no
+    entry of A multiplies) and a zero column of B; denominators up to 10**12."""
+    m, k, n = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def sparse(rows, cols):
+        M = [[0] * cols for _ in range(rows)]
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for (i, j), x in draw(st.dictionaries(cells, nonzero_entries,
+                                              max_size=max(1, rows * cols // 4))).items():
+            M[i][j] = x
+        return M
+
+    A, B = sparse(m, k), sparse(k, n)
+    zero_row = draw(st.integers(0, m - 1))
+    A[zero_row] = [0] * k
+    zero_col = draw(st.integers(0, k - 1))
+    for row in A:
+        row[zero_col] = 0
+    zero_col = draw(st.integers(0, n - 1))
+    for row in B:
+        row[zero_col] = 0
+    return A, B, zero_row
+
+
+@given(sparse_products())
+@settings(max_examples=150, deadline=None)
+def test_matmul_of_mostly_zero_operands_matches_fraction_reference(case):
+    A, B, zero_row = case
+    MA, MB = rl.mat(A), rl.mat(B)
+    before = [list(row) for row in MB.num]
+    C = rl.matmul(MA, MB)
+    assert C == rl.mat(ref_matmul(A, B))
+    assert C.num[zero_row] == [0] * MB.cols
+    assert_reduced(C)
+    assert MB.num == before  # B's rows may be shared by C, never written
+
+
 def test_matmul_shape_errors_kept():
     with pytest.raises(ValueError, match="shape mismatch"):
         rl.matmul(rl.mat([[1, 2]]), rl.mat([[1]]))
@@ -435,6 +479,8 @@ def test_echelon_matches_gauss_jordan_entry_for_entry(case):
     assert_reduced(R)
     assert all(type(x) is Fraction for row in R for x in row)
     assert rl.rank(A) == len(pivots_ref)
+    # the rows independent of the rows before them are the pivots of A^T
+    assert rl.rank_profiles(A) == (ref_rref([list(c) for c in zip(*rows)], m)[1], pivots_ref)
 
     # the sparse core itself: pivot rows scaled by their pivot entries
     ech = rl.echelon(int_rows(rows))
@@ -541,6 +587,18 @@ def test_kernel_basis_refuses_vectors_that_fail_a_row(monkeypatch):
     monkeypatch.setattr(rl, "echelon", off_by_one)
     with pytest.raises(ArithmeticError, match="fails an equation"):
         rl.kernel_basis([{0: 1, 1: -1}, {1: 2, 2: -2}], 3)
+
+
+def test_kernel_basis_checks_a_row_that_meets_a_vector_in_one_column(monkeypatch):
+    echelon = rl.echelon
+
+    def last_pivot_lost(rows):  # column 2 turns free: its vector e_2 fails the last row
+        return echelon(rows)[:-1]
+
+    monkeypatch.setattr(rl, "echelon", last_pivot_lost)
+    # e_2 meets the rows only at column 2 of the last row; (1, 1, 0) passes both rows
+    with pytest.raises(ArithmeticError, match="fails an equation"):
+        rl.kernel_basis([{0: 1, 1: -1}, {2: 3}], 3)
 
 
 def test_diagonal_blocks_refuse_entries_off_the_blocks():
