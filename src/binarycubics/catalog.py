@@ -107,7 +107,7 @@ def _build_characters() -> dict[str, Character]:
     s = ch.from_closed_form(ch.S_FORM, "S")
     e = ch.from_closed_form(ch.E_FORM, "E")
     sdelta = ch.from_closed_form(ch.SDELTA_FORM, "Sdelta")
-    p = Character(lambda lam: sdelta.mult(lam) - s.mult(lam) - e.mult(lam), "P")
+    p = Character(lambda lam: sdelta._value(lam) - s._value(lam) - e._value(lam), "P")
     d = {j: Character(lambda lam, j=j: ch.mult_d(j, lam), f"D{j}") for j in (0, 1, 2)}
     q0 = ch.fourier(d[0])
     q0.name = "Q0"

@@ -14,18 +14,27 @@ slope gap l1 - l2 pins the last sloped exponent and leaves the one
 before it running through an arithmetic progression, the scalar or
 lattice exponent is then pinned by l1 + l2, and the count is the number
 of integers of an interval in one residue class (see
-ClosedFormCharacter.coefficient).  Every catalog form has at most two
-sloped and one scalar or lattice factor, so each numerator term costs
-O(1); larger products sum over their extra exponents.  Nothing is ever
-truncated to a power series and all arithmetic is exact.  A localization at the
-discriminant is evaluated once, at a shift by a multiple of (6, 6) that
-is proven to lie where the shifted multiplicities no longer change (see
-localize); no limit is sampled.
+ClosedFormCharacter.coefficient).  Each form computes its counting plan
+once, when it is built: the (gap, rem) offset and sign of each numerator
+term, the gcd, quotients, modular inverse and step delta of the last two
+sloped weights, and the gcd, period and inverse of the leaf congruence.
+Every catalog form has at most two sloped and one scalar or lattice
+factor, so each numerator term costs a few integer operations; larger
+products sum over their extra exponents in front of the same constants.
+Nothing is ever truncated to a power series and all arithmetic is exact.
+A localization at the discriminant is evaluated once, at a shift by a
+multiple of (6, 6) that is proven to lie where the shifted
+multiplicities no longer change (see localize); no limit is sampled.
+
+Character.mult is the checked entry: it checks the weight and returns 0
+off the dominant chamber.  Combinator nodes and the box scans build
+their weights from ints already checked and read the memo of the nodes
+below through Character._value, so nested calls are not re-checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable
 
@@ -68,6 +77,12 @@ class InvalidClosedForm(ValueError):
     """A closed rational form whose coefficients would not be finite."""
 
 
+def _ints(w: Weight) -> Weight:
+    """The two components of a weight, each checked by integer."""
+    a, b = w
+    return integer(a), integer(b)
+
+
 @dataclass(frozen=True)
 class ClosedFormCharacter:
     """A character of shape  sum_s s*e^nu / prod_mu (1 - e^mu)  [* e^(rho Z)].
@@ -82,18 +97,27 @@ class ClosedFormCharacter:
                   for the full lattice factor sum_{t in Z} e^(t*rho).
                   Incompatible with scalar denominators (the coefficient
                   count would be infinite).
+
+    Everything is checked at construction: each sign and weight component
+    goes through integer (a float, a str or a bool raises TypeError), so
+    no form is built that miscounts or fails at its first query.  The
+    counting plan of coefficient is built here too, once per form; it
+    takes no part in ==, hash or repr.
     """
 
     numerator: tuple[tuple[int, Weight], ...]
     denominators: tuple[Weight, ...] = ()
     periodic: Weight | None = None
+    _plan: _CountingPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for sign, nu_ in self.numerator:
+        numerator = [(integer(sign), _ints(nu_)) for sign, nu_ in self.numerator]
+        for sign, _ in numerator:
             if sign not in (1, -1):
                 raise InvalidClosedForm(f"numerator sign must be +-1, got {sign}")
+        denominators = [_ints(mu) for mu in self.denominators]
         scalar_signs = set()
-        for mu in self.denominators:
+        for mu in denominators:
             if mu[0] < mu[1]:
                 raise InvalidClosedForm(f"denominator weight {mu} is not dominant")
             if mu[0] == mu[1]:
@@ -102,16 +126,20 @@ class ClosedFormCharacter:
                 scalar_signs.add(mu[0] > 0)
         if len(scalar_signs) > 1:
             raise InvalidClosedForm("scalar denominators must share one sign")
+        modulus = 0
         if self.periodic is not None:
-            r1, r2 = self.periodic
+            r1, r2 = _ints(self.periodic)
             if r1 != r2 or r1 <= 0:
                 raise InvalidClosedForm(f"periodic weight must be (r, r), r > 0, got {self.periodic}")
             if scalar_signs:
                 raise InvalidClosedForm("periodic factor excludes scalar denominators")
+            modulus = 2 * r1
+        object.__setattr__(self, "_plan", _CountingPlan(numerator, denominators, modulus))
 
     def coefficient(self, lam: Weight) -> int:
-        """Exact multiplicity of e^lam; O(1) per numerator term for forms
-        with at most two sloped and one scalar or periodic factor.
+        """Exact multiplicity of e^lam: a few integer operations per
+        numerator term for forms with at most two sloped and one scalar or
+        periodic factor, with every constant read off the form's plan.
 
         A numerator term e^nu meets e^lam with gap = (l1 - l2) - (nu1 - nu2)
         and rem = (l1 + l2) - (nu1 + nu2).  It contributes the number of
@@ -121,9 +149,9 @@ class ClosedFormCharacter:
             sum a_i*d_i = gap,   sum a_i*s_i + sum c_j*t_j = rem,
 
         where with a periodic factor (r, r) the second equation holds
-        modulo 2r instead, and with neither it holds exactly.  Sloped
-        exponents beyond the last two and scalar exponents beyond the last
-        are summed over (each is bounded); what remains is counted by:
+        modulo 2r instead.  Sloped exponents beyond the last two and
+        scalar exponents beyond the last are summed over (each is
+        bounded); what remains is counted by:
 
         Lemma (progression count).  Let (d1, s1), (d2, s2) be the last two
         sloped weights, g = gcd(d1, d2), n1 = d1/g, n2 = d2/g.  If g does
@@ -140,101 +168,115 @@ class ClosedFormCharacter:
         Proof.  a1*d1 + a2*d2 = gap forces a1*n1 = gap/g (mod n2), and n1
         is invertible mod n2, so the admissible a1 >= 0 are a1* + k*n2,
         k >= 0; each fixes a2 = a2* - k*n1, which is >= 0 exactly for
-        k <= a2*/n1.  Substituting into rem - a1*s1 - a2*s2 gives the rest.
-        With one sloped weight a1 = gap/d1 is pinned (k = 0 only, delta =
-        0), and with none gap must be 0.  []
+        k <= a2*/n1.  Substituting into rem - a1*s1 - a2*s2 gives the rest.  []
 
         The leaf then asks, for k in an interval, that k*delta = rem0
-        modulo m: m = 2r for the periodic factor, m = t for the last
-        scalar step t > 0 (signs normalized), and m = 0 (equality) with
-        neither.  A scalar leaf adds the linear bound rem0 - k*delta >= 0,
-        which narrows the interval.  With h = gcd(delta, m) the congruence
-        is solvable iff h divides rem0, and then it says k = r (mod m/h)
-        for r = (rem0/h)·(delta/h)^-1 mod m/h; the integers of [lo, hi] in
-        that class number floor((hi - r)/n) - floor((lo - 1 - r)/n) with
-        n = m/h.  For m = 0 it pins k = rem0/delta (or leaves every k free
-        when delta = rem0 = 0).
+        modulo m: m = t for the last scalar step t > 0, and m = 2r for
+        the periodic factor.  A scalar leaf adds the linear bound
+        rem0 - k*delta >= 0, which narrows the interval.  With
+        h = gcd(delta, m) the congruence is solvable iff h divides rem0,
+        and then it says k = r (mod n) for n = m/h and
+        r = (rem0/h)·(delta/h)^-1 mod n; the integers of [lo, hi] in that
+        class number floor((hi - r)/n) - floor((lo - 1 - r)/n).
+
+        Scalar steps t < 0 (they share one sign) are made positive by
+        negating every rem, s_i and t_j, which keeps the count.  A form
+        with fewer than two sloped factors, or with neither a scalar nor a
+        periodic factor, is counted over phantom factors: multiplying the
+        numerator by (1 - e^mu) and the denominator product by the same
+        factor leaves every coefficient unchanged, since
+        (1 - e^mu)·sum_a e^(a*mu) = 1.  The plan takes mu = (1, 0) (d = 1,
+        s = 1) for a missing sloped factor and mu = (1, 1) (t = 2) for a
+        missing leaf.  So every form is counted by the one path above,
+        from constants its _CountingPlan computes once: the (gap, rem)
+        offset and sign of each term, g, n1, n2, n1^-1 mod n2 and delta,
+        and h, n and (delta/h)^-1 mod n.
         """
-        if not is_dominant(lam):
+        if lam[0] < lam[1]:
             return 0
-        sloped = [(mu[0] - mu[1], mu[0] + mu[1]) for mu in self.denominators if mu[0] > mu[1]]
-        steps = [2 * mu[0] for mu in self.denominators if mu[0] == mu[1]]
-        modulus = 2 * self.periodic[0] if self.periodic is not None else 0
+        plan = self._plan
+        gap, rem = lam[0] - lam[1], plan.flip * (lam[0] + lam[1])
         total = 0
-        for sign, nu_ in self.numerator:
-            gap = (lam[0] - lam[1]) - (nu_[0] - nu_[1])
-            if gap >= 0:
-                rem = (lam[0] + lam[1]) - (nu_[0] + nu_[1])
-                total += sign * _count(sloped, steps, modulus, gap, rem)
+        for sign, gap0, rem0 in plan.terms:
+            if gap >= gap0:
+                total += sign * plan.count(gap - gap0, rem - rem0)
         return total
 
 
-def _count(sloped: list[tuple[int, int]], steps: list[int], modulus: int,
-           gap: int, rem: int) -> int:
-    """Solutions for one numerator term (see ClosedFormCharacter.coefficient)."""
-    if len(sloped) > 2:
-        (d, s), rest = sloped[0], sloped[1:]
-        return sum(_count(rest, steps, modulus, gap - a * d, rem - a * s)
-                   for a in range(gap // d + 1))
-    if not sloped:
-        if gap:
+class _CountingPlan:
+    """The constants of ClosedFormCharacter.coefficient that depend only
+    on the form, and the count of one numerator term from them."""
+
+    __slots__ = ("terms", "flip", "sloped", "g", "n1", "n2", "n1_inv", "s1", "s2", "steps",
+                 "delta", "bounded", "h", "n", "delta_inv")
+
+    def __init__(self, numerator: list[tuple[int, Weight]], denominators: list[Weight],
+                 modulus: int):
+        n_sloped = sum(mu[0] > mu[1] for mu in denominators)
+        phantoms = [(1, 0)] * max(0, 2 - n_sloped)
+        if not modulus and n_sloped == len(denominators):
+            phantoms.append((1, 1))
+        for m1, m2 in phantoms:  # times (1 - e^mu) / (1 - e^mu)
+            numerator = numerator + [(-sign, (v1 + m1, v2 + m2)) for sign, (v1, v2) in numerator]
+        denominators = phantoms + denominators
+        sloped = [(mu[0] - mu[1], mu[0] + mu[1]) for mu in denominators if mu[0] > mu[1]]
+        steps = [2 * mu[0] for mu in denominators if mu[0] == mu[1]]
+        self.flip = flip = -1 if steps and steps[0] < 0 else 1
+        self.terms = tuple((sign, nu_[0] - nu_[1], flip * (nu_[0] + nu_[1]))
+                           for sign, nu_ in numerator)
+        sloped = [(d, flip * s) for d, s in sloped]
+        self.sloped = tuple(sloped[:-2])
+        (d1, s1), (d2, s2) = sloped[-2:]
+        g = gcd(d1, d2)
+        n1, n2 = d1 // g, d2 // g
+        self.g, self.n1, self.n2, self.n1_inv = g, n1, n2, pow(n1, -1, n2)
+        self.s1, self.s2 = s1, s2
+        steps = [flip * t for t in steps]
+        self.steps = tuple(steps[:-1])
+        self.delta = delta = n2 * s1 - n1 * s2
+        self.bounded = bool(steps)
+        m = steps[-1] if steps else modulus
+        self.h = h = gcd(delta, m)
+        self.n = m // h
+        self.delta_inv = pow(delta // h, -1, self.n)
+
+    def count(self, gap: int, rem: int, i: int = 0) -> int:
+        """Solutions for one numerator term, sloped weights i, i+1, ...
+        still to place (see ClosedFormCharacter.coefficient)."""
+        if i < len(self.sloped):
+            d, s = self.sloped[i]
+            return sum(self.count(gap - a * d, rem - a * s, i + 1) for a in range(gap // d + 1))
+        if gap % self.g:
             return 0
-        return _count_scalar(steps, modulus, 0, rem, 0)
-    if len(sloped) == 1:
-        d, s = sloped[0]
-        if gap % d:
+        q = gap // self.g
+        a1 = q * self.n1_inv % self.n2
+        a2 = (q - a1 * self.n1) // self.n2  # (gap - a1*d1) / d2
+        if a2 < 0:
             return 0
-        return _count_scalar(steps, modulus, 0, rem - gap // d * s, 0)
-    (d1, s1), (d2, s2) = sloped
-    g = gcd(d1, d2)
-    if gap % g:
-        return 0
-    n1, n2 = d1 // g, d2 // g
-    a1 = gap // g * pow(n1, -1, n2) % n2
-    a2 = (gap - a1 * d1) // d2
-    if a2 < 0:
-        return 0
-    return _count_scalar(steps, modulus, a2 // n1, rem - a1 * s1 - a2 * s2, n2 * s1 - n1 * s2)
+        return self.leaf(a2 // self.n1, rem - a1 * self.s1 - a2 * self.s2)
 
-
-def _count_scalar(steps: list[int], modulus: int, top: int, rem0: int, delta: int) -> int:
-    """Pairs (k, c) with 0 <= k <= top, c_i >= 0 and sum c_i*steps_i equal
-    to rem0 - k*delta: exactly, or modulo `modulus` when it is nonzero
-    (then steps is empty).  Steps share one sign."""
-    if not steps:
-        return _progression(0, top, delta, rem0, modulus)
-    if steps[0] < 0:
-        steps, rem0, delta = [-t for t in steps], -rem0, -delta
-    if len(steps) > 1:
-        first, rest = steps[0], steps[1:]
-        most = rem0 - min(0, top * delta)  # largest rem0 - k*delta on [0, top]
-        return sum(_count_scalar(rest, 0, top, rem0 - c * first, delta)
-                   for c in range(most // first + 1))
-    lo, hi = 0, top
-    if delta > 0:
-        hi = min(top, rem0 // delta)
-    elif delta < 0:
-        lo = max(0, -(rem0 // -delta))
-    elif rem0 < 0:
-        return 0
-    return _progression(lo, hi, delta, rem0, steps[0])
-
-
-def _progression(lo: int, hi: int, delta: int, rem: int, modulus: int) -> int:
-    """Integers k in [lo, hi] with k*delta = rem (mod modulus); modulus 0
-    asks for equality."""
-    if hi < lo:
-        return 0
-    h = gcd(delta, modulus)
-    if h == 0:
-        return hi - lo + 1 if rem == 0 else 0
-    if rem % h:
-        return 0
-    n = modulus // h
-    if n == 0:
-        return 1 if lo <= rem // delta <= hi else 0
-    r = rem // h * pow(delta // h, -1, n) % n
-    return (hi - r) // n - (lo - 1 - r) // n
+    def leaf(self, top: int, rem: int, j: int = 0) -> int:
+        """Pairs (k, c) with 0 <= k <= top, c_i >= 0 for scalar steps j, j+1,
+        ... and the last step taking rem - k*delta - sum c_i*t_i (or the
+        periodic factor, modulo 2r)."""
+        delta = self.delta
+        if j < len(self.steps):
+            t = self.steps[j]
+            most = rem - min(0, top * delta)  # largest rem - k*delta on [0, top]
+            return sum(self.leaf(top, rem - c * t, j + 1) for c in range(most // t + 1))
+        lo, hi = 0, top
+        if self.bounded:
+            if delta > 0:
+                hi = min(top, rem // delta)
+            elif delta < 0:
+                lo = max(0, -(rem // -delta))
+            elif rem < 0:
+                return 0
+        if hi < lo or rem % self.h:
+            return 0
+        n = self.n
+        r = rem // self.h * self.delta_inv % n
+        return (hi - r) // n - (lo - 1 - r) // n
 
 
 class Character:
@@ -242,9 +284,14 @@ class Character:
 
     Immutable and referentially transparent; evaluations are memoized,
     so the combinators may be stacked freely.  Evaluation at a
-    non-dominant weight is 0 by convention.  Weight components must be
-    integers (any type with __index__, numpy integers included); a float,
-    a Fraction or a bool raises TypeError rather than being truncated.
+    non-dominant weight is 0 by convention.  mult is the checked entry:
+    weight components must be integers (any type with __index__, numpy
+    integers included); a float, a Fraction or a bool raises TypeError
+    rather than being truncated.  The value fn returns goes through the
+    same check, so a fn returning 1.7 or '3' raises TypeError too.  The
+    combinators (add, sub, shift, fourier, localize) and the box scans
+    (truncate, first_disagreement) build their weights from checked ints
+    and read the memo through _value, without checking them again.
     """
 
     def __init__(self, fn: Callable[[Weight], int], name: str = ""):
@@ -261,10 +308,16 @@ class Character:
             l1, l2 = integer(l1), integer(l2)
         if l1 < l2:
             return 0
-        lam = (l1, l2)
+        return self._value((l1, l2))
+
+    def _value(self, lam: Weight) -> int:
+        """The memoized multiplicity at a dominant weight of two ints, unchecked."""
         cached = self._cache.get(lam)
         if cached is None:
-            cached = self._cache[lam] = int(self._fn(lam))
+            cached = self._fn(lam)
+            if cached.__class__ is not int:
+                cached = integer(cached)
+            self._cache[lam] = cached
         return cached
 
     def __add__(self, other: "Character") -> "Character":
@@ -282,22 +335,28 @@ def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
 
 
 def add(c: Character, d: Character) -> Character:
-    return Character(lambda lam: c.mult(lam) + d.mult(lam), f"({c.name}+{d.name})")
+    return Character(lambda lam: c._value(lam) + d._value(lam), f"({c.name}+{d.name})")
 
 
 def sub(c: Character, d: Character) -> Character:
-    return Character(lambda lam: c.mult(lam) - d.mult(lam), f"({c.name}-{d.name})")
+    return Character(lambda lam: c._value(lam) - d._value(lam), f"({c.name}-{d.name})")
 
 
 def shift(c: Character, mu: Weight) -> Character:
-    """Multiplication by e^mu: mult(lam) = c.mult(lam - mu)."""
-    m1, m2 = mu
-    return Character(lambda lam: c.mult((lam[0] - m1, lam[1] - m2)), f"{c.name}*e^{mu}")
+    """Multiplication by e^mu: mult(lam) = c.mult(lam - mu), which is 0
+    where lam - mu is not dominant.  mu is checked here, once."""
+    m1, m2 = _ints(mu)
+
+    def fn(lam: Weight) -> int:
+        l1, l2 = lam[0] - m1, lam[1] - m2
+        return c._value((l1, l2)) if l1 >= l2 else 0
+
+    return Character(fn, f"{c.name}*e^{mu}")
 
 
 def fourier(c: Character) -> Character:
     """Fourier image: mult(lam) = c.mult(dual(lam) - (6, 6)).  Involutive."""
-    return Character(lambda lam: c.mult(fourier_weight(lam)), f"F({c.name})")
+    return Character(lambda lam: c._value(fourier_weight(lam)), f"F({c.name})")
 
 
 def localize(c: Character) -> Character:
@@ -338,17 +397,21 @@ def localize(c: Character) -> Character:
 
     def fn(lam: Weight) -> int:
         n = max(0, -((2 * lam[1] - lam[0]) // 6))  # ceil((l1 - 2*l2) / 6)
-        return c.mult((lam[0] + 6 * n, lam[1] + 6 * n))
+        return c._value((lam[0] + 6 * n, lam[1] + 6 * n))
 
     return Character(fn, f"({c.name})_loc")
 
 
 def truncate(c: Character, lo: int, hi: int) -> dict[Weight, int]:
-    """Sparse table of nonzero multiplicities on {lo <= l2 <= l1 <= hi}."""
+    """Sparse table of nonzero multiplicities on {lo <= l2 <= l1 <= hi}.
+
+    lo and hi are checked by integer once; the scan reads c._value.
+    """
+    lo, hi = integer(lo), integer(hi)
     table: dict[Weight, int] = {}
     for l1 in range(lo, hi + 1):
         for l2 in range(lo, l1 + 1):
-            v = c.mult((l1, l2))
+            v = c._value((l1, l2))
             if v:
                 table[(l1, l2)] = v
     return table
@@ -362,9 +425,12 @@ def box_weights(lo: int, hi: int) -> Iterable[Weight]:
 
 
 def first_disagreement(c: Character, d: Character, lo: int, hi: int) -> Weight | None:
-    """First weight in the box where the two characters differ, else None."""
-    for lam in box_weights(lo, hi):
-        if c.mult(lam) != d.mult(lam):
+    """First weight in the box where the two characters differ, else None.
+
+    lo and hi are checked by integer once; the scan reads c._value and d._value.
+    """
+    for lam in box_weights(integer(lo), integer(hi)):
+        if c._value(lam) != d._value(lam):
             return lam
     return None
 

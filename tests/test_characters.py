@@ -7,6 +7,7 @@ paper-sourced values are frozen literals.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,31 @@ class TestClosedForms:
     def test_rejects_mixed_sign_scalars(self):
         with pytest.raises(ch.InvalidClosedForm):
             ch.ClosedFormCharacter(((1, (0, 0)),), ((2, 2), (-2, -2)))
+
+    @pytest.mark.parametrize("args", [
+        (((1, (0.5, 0)),),),  # would count coefficient((3.5, 0)) as 1
+        (((1, (0, 0)),), ((3.0, 0),)),
+        (((1, (0, 0)),), ((3, 0), (2.0, 2.0))),
+        (((1, (0, 0)),), ((3, 0),), (6.0, 6.0)),
+        (((1, ("6", 3)),),),
+        (((True, (0, 0)),),),
+        (((1.0, (0, 0)),),),
+    ], ids=["float numerator", "float sloped", "float scalar", "float periodic", "str",
+            "bool sign", "float sign"])
+    def test_rejects_non_integer_components_at_construction(self, args):
+        with pytest.raises(TypeError):
+            ch.ClosedFormCharacter(*args)
+
+    def test_accepts_numpy_integer_components(self):
+        form = ch.ClosedFormCharacter(((np.int64(1), (np.int64(0), 0)),),
+                                      ((np.int32(3), 0), (4, 2)), (np.int64(6), 6))
+        assert form.coefficient((3, 0)) == ch.SDELTA_FORM.coefficient((3, 0)) == 1
+
+    def test_plan_takes_no_part_in_eq_hash_repr(self):
+        twin = ch.ClosedFormCharacter(ch.S_FORM.numerator, ch.S_FORM.denominators)
+        assert twin == ch.S_FORM and hash(twin) == hash(ch.S_FORM)
+        assert twin._plan is not ch.S_FORM._plan
+        assert "plan" not in repr(twin)
 
 
 # sloped denominator weights: gap 1..6, either sign of mu1 + mu2
@@ -322,6 +348,67 @@ class TestCombinators:
     def test_mult_caches_consistently(self):
         s = ch.from_closed_form(ch.S_FORM)
         assert s.mult((6, 3)) == s.mult((6, 3)) == 1
+
+    def test_shift_checks_mu_when_built(self):
+        with pytest.raises(TypeError):
+            ch.shift(ch.Character(lambda lam: 1), (1.5, 0))
+        with pytest.raises(TypeError):
+            ch.shift(ch.Character(lambda lam: 1), (True, 0))
+
+    def test_non_scalar_shift_keeps_non_dominant_zero(self):
+        # (1, 0) - (3, 0) = (-2, 0) is not dominant
+        assert ch.shift(ch.Character(lambda lam: 1), (3, 0)).mult((1, 0)) == 0
+        assert ch.shift(ch.Character(lambda lam: 1), (3, 0)).mult((3, 0)) == 1
+
+    def test_stacked_combinators_evaluate_each_weight_once(self):
+        calls = Counter()
+
+        def fn(lam):
+            calls[lam] += 1
+            return 7 * lam[0] - lam[1] ** 2
+
+        def direct(lam):
+            # the same tree, written out without Character or memo
+            def f(mu):
+                return 7 * mu[0] - mu[1] ** 2 if mu[0] >= mu[1] else 0
+            n = max(0, -((2 * lam[1] - lam[0]) // 6))
+            return (f((lam[0] - 3, lam[1])) + f(ch.fourier_weight(lam))
+                    - f((lam[0] + 6 * n, lam[1] + 6 * n)) + f((lam[0] - 2, lam[1] - 2)))
+
+        base = ch.Character(fn)
+        tree = ch.add(ch.sub(ch.add(ch.shift(base, (3, 0)), ch.fourier(base)), ch.localize(base)),
+                      ch.shift(base, (2, 2)))
+        table = ch.truncate(tree, -9, 9)
+        assert table == {lam: direct(lam) for lam in ch.box_weights(-9, 9) if direct(lam)}
+        other = ch.Character(direct)
+        assert ch.first_disagreement(tree, other, -9, 9) is None
+        assert ch.truncate(tree, -9, 9) == table
+        assert calls and max(calls.values()) == 1
+        assert all(ch.is_dominant(lam) for lam in calls)
+
+
+class TestValuesAreIntegers:
+    @pytest.mark.parametrize("value", [1.7, 3.0, "3", True, Fraction(3, 1)])
+    def test_mult_rejects_non_integer_value(self, value):
+        with pytest.raises(TypeError):
+            ch.Character(lambda lam: value).mult((0, 0))
+
+    def test_mult_rejects_non_integer_value_nested(self):
+        inner = ch.Character(lambda lam: 1.7)
+        with pytest.raises(TypeError):
+            ch.fourier(inner).mult((0, 0))
+
+    def test_mult_accepts_numpy_integer_value(self):
+        value = ch.Character(lambda lam: np.int64(3)).mult((0, 0))
+        assert value == 3 and value.__class__ is int
+
+    def test_box_scans_check_their_bounds(self):
+        s = ch.from_closed_form(ch.S_FORM)
+        with pytest.raises(TypeError):
+            ch.truncate(s, -2.0, 3)
+        with pytest.raises(TypeError):
+            ch.first_disagreement(s, s, 0, True)
+        assert ch.truncate(s, np.int64(0), np.int32(3)) == {(0, 0): 1, (3, 0): 1}
 
 
 def proven_shift(lam):
