@@ -277,6 +277,8 @@ def verify_identities(lo: int = -30, hi: int = 30) -> list[dict]:
     formulas, so the two routes genuinely cross-check each other.
     """
     get = character_of
+    # the box and the diagonal are dominant weights of ints, so the scans
+    # below read Character._value, unchecked
     box = list(ch.box_weights(lo, hi))
 
     def equal(name: str, left: Character, right: Character) -> dict:
@@ -293,7 +295,7 @@ def verify_identities(lo: int = -30, hi: int = 30) -> list[dict]:
     ]
 
     def congruence(name: str, char: Character, residue: int) -> dict:
-        return check(name, next((lam for lam in box if char.mult(lam) != 0
+        return check(name, next((lam for lam in box if char._value(lam) != 0
                                  and (lam[0] + lam[1] - residue) % 3 != 0), None))
 
     for j in (0, 1, 2):
@@ -303,7 +305,7 @@ def verify_identities(lo: int = -30, hi: int = 30) -> list[dict]:
 
     def diagonal(name: str, char: Character, expected) -> dict:
         return check(name, next(((a, a) for a in range(lo, hi + 1)
-                                 if char.mult((a, a)) != expected(a)), None))
+                                 if char._value((a, a)) != expected(a)), None))
 
     checks.append(diagonal("[D1] SL-invariants: 1 iff a = 1 mod 6, a <= -5", get("D1"),
                            lambda a: 1 if (a % 6 == 1 and a <= -5) else 0))
@@ -312,7 +314,7 @@ def verify_identities(lo: int = -30, hi: int = 30) -> list[dict]:
     checks.append(diagonal("[D0] has no SL-invariants", get("D0"), lambda a: 0))
 
     p = get("P")
-    checks.append(check("[P] is non-negative", next((lam for lam in box if p.mult(lam) < 0), None)))
+    checks.append(check("[P] is non-negative", next((lam for lam in box if p._value(lam) < 0), None)))
 
     obstruction = (
         ("<[D0], e^(-6,-9)> = 1", get("D0").mult((-6, -9)), 1),

@@ -41,7 +41,10 @@ that is dim K - dim(K ∩ I), K the socle and I the radical of V at v
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is checked exactly.  The split, the peel and
+every split it finds is checked exactly.  It reads what it can off the
+trace form: a basis element in its radical is never tried, and a part
+of a split whose semisimple rank is bounded by 1 is certified without
+its hom space (proofs at decompose_certified).  The split, the peel and
 conjugate share one change of basis per vertex, _cut, which must be
 invertible and block-diagonalize every arrow.  Only conjugate takes a
 seed.
@@ -803,17 +806,39 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     V_v), or when the pairing has rank 0 (for e_v, when K ⊆ I); with
     nothing peeled, the loop below starts from V itself.
 
-    Deferred certification.  A summand whose End has dimension one is a
+    The split search.  A summand whose End has dimension one is a
     certified leaf.  Any other first tries the first basis endomorphism
-    and computes semisimple_rank only when that does not split it: rank
-    one makes it a certified leaf, and otherwise the search goes on with
-    the rest of the basis and then the SPLIT_TRIALS random combinations.
-    Ranking first would change nothing.  Rank one means End is local, so
-    every endomorphism is c * id plus a nilpotent, its minimal
-    polynomial is a power of t - c, and no candidate splits; so the
-    candidates tried, the draws of the generator, the summands and the
-    flags are the same in either order, and a summand that the first
-    candidate splits is never ranked.
+    and is ranked only when that does not split it: the rank of its
+    trace form (the Gram matrix of semisimple_rank) is its semisimple
+    rank ssr, and rank one makes it a certified leaf.  Otherwise the
+    search goes on with the rest of the basis and then the SPLIT_TRIALS
+    random combinations.  Ranking first would change nothing.  Rank one
+    means End is local, so every endomorphism is c * id plus a
+    nilpotent, its minimal polynomial is a power of t - c, and no
+    candidate splits; so the candidates tried, the draws of the
+    generator, the summands and the flags are the same in either order,
+    and a summand that the first candidate splits is never ranked.  Two
+    facts spare most of the rest of the work:
+
+    - Radical candidates.  After the ranking, a basis element whose row
+      of the Gram matrix is zero is not tried.  The radical of the trace
+      form is rad End(V) (semisimple_rank), so that element is
+      nilpotent, its minimal polynomial is t^k, and it splits nothing.
+      The random combinations are drawn as before, so the first
+      candidate that splits is the one the full search finds.
+    - A bound on the semisimple rank.  Each part of a split carries an
+      upper bound on its ssr; the root has none.  Let V split into k
+      parts P_i, and let s be ssr(V) when V was ranked and otherwise the
+      smaller of its bound and dim End(V).  The projections e_i of the
+      split are orthogonal idempotents of A = End(V) with sum 1, and
+      e_i A e_i = End(P_i).  The map from the sum of the e_i A e_i to
+      A/rad A has kernel the sum of the e_i rad(A) e_i, and
+      e rad(A) e = rad(eAe) (Assem-Simson-Skowroński 2006, ch. I), so
+      A/rad A contains the sum of the End(P_i)/rad and
+      ssr(V) >= ssr(P_1) + ... + ssr(P_k).  Each ssr(P_i) >= 1, so
+      ssr(P_i) <= s - (k - 1), the bound P_i gets.  A part whose bound is
+      1 has ssr 1, so it is a certified leaf without its hom basis; no
+      candidate could split it, so no draw of the generator is skipped.
 
     One change of basis per split (_split).  For each factor p^k of the
     minimal polynomial of an endomorphism phi, the part at a vertex v is
@@ -831,24 +856,33 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     rng = random.Random(0)  # fixed, so the summands depend on V alone
     W, peeled = _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
-    stack = [W] if W.total_dim() else []
+    # each node comes with a bound on its semisimple rank; the root has none
+    stack: list[tuple[Representation, int | None]] = [(W, None)] if W.total_dim() else []
     while stack:
-        cur = stack.pop()
+        cur, bound = stack.pop()
+        if bound == 1:
+            out.append((cur, True))
+            continue
         basis = hom_basis(cur, cur)
         if len(basis) == 1:
             out.append((cur, True))
             continue
-        candidates = _split_candidates(basis, rng)
-        parts = _split(cur, next(candidates))
+        s = len(basis) if bound is None else min(bound, len(basis))
+        candidates = enumerate(_split_candidates(basis, rng))
+        parts = _split(cur, next(candidates)[1])
         if parts is None:
-            if semisimple_rank(cur, basis) == 1:
+            gram = _trace_pairing(basis, basis)
+            s = rl.rank(gram)
+            if s == 1:
                 out.append((cur, True))
                 continue
-            parts = next(filter(None, (_split(cur, phi) for phi in candidates)), None)
+            # a basis element with a zero Gram row lies in the radical
+            parts = next(filter(None, (_split(cur, phi) for i, phi in candidates
+                                       if i >= len(basis) or any(gram.num[i]))), None)
         if parts is None:
             out.append((cur, False))
         else:
-            stack.extend(parts)
+            stack.extend((part, s - len(parts) + 1) for part in parts)
     return out
 
 

@@ -24,10 +24,12 @@ on Python integers:
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
-  substitution.  The cost follows the nonzero entries, not rows x cols,
-  which matters for the wide, mostly-zero intertwining systems of hom
-  spaces; rref, rank, nullspace and solve hand it the numerator rows of
-  their matrix, and quiver.hom_basis hands it its equations directly;
+  substitution.  A reduction step drops the entry it cancels, and a row
+  is rebuilt to drop zero entries only when it has one.  The cost
+  follows the nonzero entries, not rows x cols, which matters for the
+  wide, mostly-zero intertwining systems of hom spaces; rref, rank,
+  nullspace and solve hand it the numerator rows of their matrix, and
+  quiver.hom_basis hands it its equations directly;
 - kernel_basis reads a kernel basis straight off the sparse echelon
   rows, as integer vectors each with its denominator, and checks every
   basis vector against every input row with integer dot products,
@@ -284,8 +286,10 @@ Row = dict[int, int]
 
 
 def _normalized(row: Row) -> Row:
-    """row with its zero entries dropped and divided by the gcd of the rest."""
-    row = {j: v for j, v in row.items() if v}
+    """row with its zero entries dropped and divided by the gcd of the rest;
+    a row with no zero entry is not rebuilt to drop them."""
+    if 0 in row.values():
+        row = {j: v for j, v in row.items() if v}
     g = gcd(*row.values())
     if g > 1:
         return {j: v // g for j, v in row.items()}
@@ -311,6 +315,7 @@ def _reduce(row: Row, pivots: dict[int, Row]) -> Row:
         out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
         for j, v in p.items():
             out[j] = out.get(j, 0) - b * v
+        del out[c]  # a * row[c] - b * p[c] = 0
         row = _normalized(out)
     return row
 

@@ -1,7 +1,8 @@
 """The split step of decompose_certified: one checked change of basis per
-summand, against the kernel() route it replaced, the deferred
-semisimple_rank, and the peel of simple summands and arrow modules
-before the split search."""
+summand, against the kernel() route it replaced, the deferred ranking,
+the candidates it skips and the rank bound that certifies split parts,
+and the peel of simple summands and arrow modules before the split
+search."""
 
 import importlib.util
 import json
@@ -222,16 +223,26 @@ def test_a_non_intertwining_phi_raises_under_python_O():
     assert report["arrow_peel"] == "a part is not stable under arrow beta2"
 
 
+def spy_on(monkeypatch, name):
+    """The dimension vectors of the first argument's source (a
+    representation, or the source of a list of morphisms) of every later
+    call of quiver.<name>."""
+    seen = []
+    original = getattr(qv, name)
+
+    def spy(*args):
+        first = args[0]
+        seen.append((first[0].source if isinstance(first, list) else first).dim_vector())
+        return original(*args)
+
+    monkeypatch.setattr(qv, name, spy)
+    return seen
+
+
 def ranked_during_decompose(monkeypatch, V):
-    """The dimension vectors of the representations decompose_certified(V) ranks."""
-    ranked = []
-    semisimple_rank = qv.semisimple_rank
-
-    def spy(W, basis=None):
-        ranked.append(W.dim_vector())
-        return semisimple_rank(W, basis)
-
-    monkeypatch.setattr(qv, "semisimple_rank", spy)
+    """The dimension vectors of the representations decompose_certified(V)
+    ranks, each through the trace form of its hom basis."""
+    ranked = spy_on(monkeypatch, "_trace_pairing")
     out = qv.decompose_certified(V)
     assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), True)] * 2
     return ranked
@@ -245,10 +256,10 @@ def test_a_sum_split_by_the_first_candidate_is_never_ranked(monkeypatch):
 def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch):
     # the first basis endomorphism of the plain sum is the nilpotent of
     # R_2(1), minimal polynomial t^2, so the sum is ranked (rank 2) before
-    # the second one splits it
+    # the second one splits it; its two parts have rank at most 2 - 1 = 1
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     assert qv._split(V, qv.hom_basis(V, V)[0].blocks) is None
-    assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)] + [(2, 2, 2, 2, 4)] * 2
+    assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
 
 
 def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
@@ -268,6 +279,75 @@ def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
     monkeypatch.setattr(qv, "SPLIT_TRIALS", 0)
     out = qv.decompose_certified(V)
     assert [(W.dim_vector(), certified) for W, certified in out] == [((2, 2, 2, 2, 4), False)]
+
+
+def test_the_parts_of_a_ranked_split_are_certified_by_the_bound(monkeypatch):
+    # ranked at 2 and split in two, each part has rank at most 1, so
+    # neither gets a hom basis of its own
+    V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
+    homs = spy_on(monkeypatch, "hom_basis")
+    assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
+    assert homs == [(4, 4, 4, 4, 8)]
+
+
+def test_no_basis_element_in_the_radical_of_the_trace_form_is_tried(monkeypatch):
+    # End has dimension 36 and rank 2: the trace form kills every basis
+    # element but 29 and 35, so after the first (nilpotent) one the search
+    # tries 29, which splits the sum
+    A = cubics.embed_alpha(cubics.rn_family(2, 0))
+    B = cubics.embed_beta(cubics.rn_family(2, -4))
+    V = qv.direct_sum(A, B)
+    basis = qv.hom_basis(V, V)
+    gram = qv._trace_pairing(basis, basis)
+    assert len(basis) == 36 and qv.semisimple_rank(V, basis) == 2
+    assert [i for i, row in enumerate(gram.num) if any(row)] == [29, 35]
+    tried = []
+    split = qv._split
+    monkeypatch.setattr(qv, "_split", lambda W, phi: tried.append(phi) or split(W, phi))
+    out = qv.decompose_certified(V)
+    assert sorted((W.dim_vector(), c) for W, c in out) == sorted(
+        [(A.dim_vector(), True), (B.dim_vector(), True)])
+    assert tried == [basis[0].blocks, basis[29].blocks]
+
+
+def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
+    # ranked at 3, the sum splits into R_2(λ) and a sum of two R_2: each
+    # part gets the bound 3 - (2 - 1) = 2, so the sum of two is searched
+    # again and comes apart (the bound 3 - 2 = 1 would pass it whole)
+    R = cubics.rn_family
+    V = reduce(qv.direct_sum, [R(2, 1), R(2, 3), R(2, 5)])
+    ranked = spy_on(monkeypatch, "_trace_pairing")
+    cuts = []
+    split = qv._split
+
+    def spy(W, phi):
+        parts = split(W, phi)
+        if parts is not None:
+            cuts.append([P.dim_vector() for P in parts])
+        return parts
+
+    monkeypatch.setattr(qv, "_split", spy)
+    out = qv.decompose_certified(V)
+    assert ranked[0] == (6, 6, 6, 6, 12)
+    assert cuts[0] == [(2, 2, 2, 2, 4), (4, 4, 4, 4, 8)]
+    assert [(W.dim_vector(), c) for W, c in out] == [((2, 2, 2, 2, 4), True)] * 3
+
+
+def test_each_benchmark_sum_takes_one_hom_basis_and_at_most_two_splits(monkeypatch):
+    # the root's trace form decides each sum of the decompose workload
+    # (seed 0, passes 0-2): the root is ranked once the first candidate
+    # fails, the next candidate outside the radical splits it, and both
+    # parts are certified by the bound
+    worker = load_worker()
+    homs, splits = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_split")
+    ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
+    assert len(ops) == 15
+    for op in ops:
+        homs.clear()
+        splits.clear()
+        out = worker.decompose_op(*op)
+        assert len(homs) == 1 and len(splits) <= 2, (op, len(homs), len(splits))
+        assert [c for _, c in out] == [True, True]
 
 
 #: parts of a direct sum on each named quiver, the vertices of its simple
