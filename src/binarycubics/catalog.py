@@ -107,7 +107,7 @@ def _build_characters() -> dict[str, Character]:
     s = ch.from_closed_form(ch.S_FORM, "S")
     e = ch.from_closed_form(ch.E_FORM, "E")
     sdelta = ch.from_closed_form(ch.SDELTA_FORM, "Sdelta")
-    p = Character(lambda lam: sdelta._value(lam) - s._value(lam) - e._value(lam), "P")
+    p = sdelta - s - e
     d = {j: Character(lambda lam, j=j: ch.mult_d(j, lam), f"D{j}") for j in (0, 1, 2)}
     q0 = ch.fourier(d[0])
     q0.name = "Q0"
@@ -149,7 +149,10 @@ def character_of(name: str) -> Character:
     image of D_0, and Q_j as [Q0 localized] shifted by (2j, 2j), where
     the localization is read at one proven shift by a multiple of (6, 6)
     (characters.localize).  The table is built on first use and
-    instances are shared, so repeated queries hit one memo table.
+    instances are shared.  Only the six leaves S, E, Sdelta and the D_j
+    memoize; every other character is a memo-free view whose values
+    are read off those six memos, so repeated queries of any name hit
+    the leaf memos they reach.
     """
     if not _characters:
         _characters.update(_build_characters())

@@ -26,10 +26,21 @@ A localization at the discriminant is evaluated once, at a shift by a
 multiple of (6, 6) that is proven to lie where the shifted
 multiplicities no longer change (see localize); no limit is sampled.
 
+Only leaf characters memoize: a Character(fn) built from a closed form,
+from the twisted-cubic count or from any fn keeps one memo, and each
+leaf evaluates each weight at most once.  The combinators return
+memo-free views, whose value at a weight is a few integer operations on
+the values of the nodes below, so a stacked tree holds memo entries only
+at its leaves.
+
 Character.mult is the checked entry: it checks the weight and returns 0
 off the dominant chamber.  Combinator nodes and the box scans build
-their weights from ints already checked and read the memo of the nodes
-below through Character._value, so nested calls are not re-checked.
+their weights from ints already checked and read the nodes below
+through Character._value, so nested calls are not re-checked.  The
+counting helpers (ClosedFormCharacter.coefficient, nu, m_diag, mult_d)
+check their arguments through integer, with the same plain-int fast
+path, so a float or a bool raises TypeError rather than giving a float
+or a silent 0.
 """
 
 from __future__ import annotations
@@ -66,8 +77,11 @@ def nu(i: int) -> int:
 
     Coefficient of t^i in 1/((1 - t^2)(1 - t^3)); zero for i < 0.  For
     i >= 0 the pairs are b = i mod 2, i mod 2 + 2, ... up to i // 3, so
-    nu(i + 6) = nu(i) + 1 and nu(i) = i // 6 + (i % 6 != 1).
+    nu(i + 6) = nu(i) + 1 and nu(i) = i // 6 + (i % 6 != 1).  i goes
+    through integer: a float or a bool raises TypeError.
     """
+    if i.__class__ is not int:  # plain ints skip the check
+        i = integer(i)
     if i < 0:
         return 0
     return i // 6 + (i % 6 != 1)
@@ -191,11 +205,17 @@ class ClosedFormCharacter:
         from constants its _CountingPlan computes once: the (gap, rem)
         offset and sign of each term, g, n1, n2, n1^-1 mod n2 and delta,
         and h, n and (delta/h)^-1 mod n.
+
+        The components of lam go through integer, as in Character.mult,
+        so a float raises TypeError rather than counting as an int.
         """
-        if lam[0] < lam[1]:
+        l1, l2 = lam
+        if l1.__class__ is not int or l2.__class__ is not int:  # plain ints skip the check
+            l1, l2 = integer(l1), integer(l2)
+        if l1 < l2:
             return 0
         plan = self._plan
-        gap, rem = lam[0] - lam[1], plan.flip * (lam[0] + lam[1])
+        gap, rem = l1 - l2, plan.flip * (l1 + l2)
         total = 0
         for sign, gap0, rem0 in plan.terms:
             if gap >= gap0:
@@ -282,16 +302,19 @@ class _CountingPlan:
 class Character:
     """An exact multiplicity function on dominant weights.
 
-    Immutable and referentially transparent; evaluations are memoized,
-    so the combinators may be stacked freely.  Evaluation at a
-    non-dominant weight is 0 by convention.  mult is the checked entry:
-    weight components must be integers (any type with __index__, numpy
-    integers included); a float, a Fraction or a bool raises TypeError
-    rather than being truncated.  The value fn returns goes through the
-    same check, so a fn returning 1.7 or '3' raises TypeError too.  The
-    combinators (add, sub, shift, fourier, localize) and the box scans
-    (truncate, first_disagreement) build their weights from checked ints
-    and read the memo through _value, without checking them again.
+    Immutable and referentially transparent.  A Character(fn) is a leaf:
+    it memoizes fn, so each weight is evaluated at most once.  The
+    combinators (add, sub, shift, fourier, localize) return memo-free
+    views over their operands, so they may be stacked freely and a tree
+    keeps memo entries only at its leaves.  Evaluation at a non-dominant
+    weight is 0 by convention.  mult is the checked entry: weight
+    components must be integers (any type with __index__, numpy integers
+    included); a float, a Fraction or a bool raises TypeError rather
+    than being truncated.  The value fn returns goes through the same
+    check, so a fn returning 1.7 or '3' raises TypeError too.  The
+    combinators and the box scans (truncate, first_disagreement) build
+    their weights from checked ints and read the nodes below through
+    _value, without checking them again.
     """
 
     def __init__(self, fn: Callable[[Weight], int], name: str = ""):
@@ -321,13 +344,38 @@ class Character:
         return cached
 
     def __add__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         return sub(self, other)
 
     def __repr__(self) -> str:
         return f"Character({self.name or '...'})"
+
+
+class _View(Character):
+    """A combinator node: _value is fn itself, with no memo of its own.
+
+    Its value at a weight is a few integer operations on the values of
+    its operands, which end in the memo of a leaf; a memo here would
+    only store those values once more per node of a stacked tree.
+    """
+
+    def __init__(self, fn: Callable[[Weight], int], name: str):
+        self._value = fn
+        self.name = name
+
+
+def _operand(c: object) -> Character:
+    """c itself if it is a Character; anything else raises TypeError."""
+    if isinstance(c, Character):
+        return c
+    hint = "; wrap it with from_closed_form" if isinstance(c, ClosedFormCharacter) else ""
+    raise TypeError(f"a combinator takes a Character, got {type(c).__name__}{hint}")
 
 
 def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
@@ -335,28 +383,32 @@ def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
 
 
 def add(c: Character, d: Character) -> Character:
-    return Character(lambda lam: c._value(lam) + d._value(lam), f"({c.name}+{d.name})")
+    c, d = _operand(c), _operand(d)
+    return _View(lambda lam: c._value(lam) + d._value(lam), f"({c.name}+{d.name})")
 
 
 def sub(c: Character, d: Character) -> Character:
-    return Character(lambda lam: c._value(lam) - d._value(lam), f"({c.name}-{d.name})")
+    c, d = _operand(c), _operand(d)
+    return _View(lambda lam: c._value(lam) - d._value(lam), f"({c.name}-{d.name})")
 
 
 def shift(c: Character, mu: Weight) -> Character:
     """Multiplication by e^mu: mult(lam) = c.mult(lam - mu), which is 0
     where lam - mu is not dominant.  mu is checked here, once."""
+    c = _operand(c)
     m1, m2 = _ints(mu)
 
     def fn(lam: Weight) -> int:
         l1, l2 = lam[0] - m1, lam[1] - m2
         return c._value((l1, l2)) if l1 >= l2 else 0
 
-    return Character(fn, f"{c.name}*e^{mu}")
+    return _View(fn, f"{c.name}*e^{mu}")
 
 
 def fourier(c: Character) -> Character:
     """Fourier image: mult(lam) = c.mult(dual(lam) - (6, 6)).  Involutive."""
-    return Character(lambda lam: c._value(fourier_weight(lam)), f"F({c.name})")
+    c = _operand(c)
+    return _View(lambda lam: c._value(fourier_weight(lam)), f"F({c.name})")
 
 
 def localize(c: Character) -> Character:
@@ -394,12 +446,13 @@ def localize(c: Character) -> Character:
     (say one with finite support) gets its value at that point, not a
     limit.
     """
+    c = _operand(c)
 
     def fn(lam: Weight) -> int:
         n = max(0, -((2 * lam[1] - lam[0]) // 6))  # ceil((l1 - 2*l2) / 6)
         return c._value((lam[0] + 6 * n, lam[1] + 6 * n))
 
-    return Character(fn, f"({c.name})_loc")
+    return _View(fn, f"({c.name})_loc")
 
 
 def truncate(c: Character, lo: int, hi: int) -> dict[Weight, int]:
@@ -474,7 +527,9 @@ def e_weight(lam: Weight) -> int:
 
 def m_diag(a: int) -> int:
     """m at the scalar weight (a, a): -1 for a = 0 mod 6, a >= 6; +1 for
-    a = +-1 mod 6, a >= 5; else 0."""
+    a = +-1 mod 6, a >= 5; else 0.  a goes through integer."""
+    if a.__class__ is not int:  # plain ints skip the check
+        a = integer(a)
     if a >= 6 and a % 6 == 0:
         return -1
     if a >= 5 and a % 6 in (1, 5):
@@ -487,13 +542,20 @@ def mult_d(j: int, lam: Weight) -> int:
 
     The character of D_j is carried by dual weights, so the count is read
     off at dual(lam): zero unless dual(lam)_1 + dual(lam)_2 = j mod 3,
-    and otherwise m (j = 1, 2) or m + e (j = 0).
+    and otherwise m (j = 1, 2) or m + e (j = 0).  j and the components
+    of lam go through integer, so a bool j or a float weight raises
+    TypeError; a j outside {0, 1, 2} raises ValueError.
     """
+    if j.__class__ is not int:  # plain ints skip the check
+        j = integer(j)
     if j not in (0, 1, 2):
         raise ValueError(f"j must be 0, 1 or 2, got {j}")
-    if not is_dominant(lam):
+    l1, l2 = lam
+    if l1.__class__ is not int or l2.__class__ is not int:  # plain ints skip the check
+        l1, l2 = integer(l1), integer(l2)
+    if l1 < l2:
         return 0
-    mu = dual(lam)
+    mu = dual((l1, l2))
     if (mu[0] + mu[1] - j) % 3 != 0:
         return 0
     m = m_weight(mu)

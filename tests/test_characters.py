@@ -449,3 +449,91 @@ def test_q0delta_reciprocity_formula(lam):
     count = nuq(l1 + 1) - nuq(l2) if (l1 + l2) % 3 == 0 else 0
     expected = count + ch.SDELTA_FORM.coefficient(lam)
     assert catalog.character_of("Q0delta").mult(lam) == expected
+
+
+class TestCombinatorOperands:
+    def test_arithmetic_with_a_non_character_is_not_implemented(self):
+        s = catalog.character_of("S")
+        assert s.__add__(3) is NotImplemented
+        assert s.__sub__("x") is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            s + 3
+        with pytest.raises(TypeError, match="unsupported operand"):
+            3 - s
+
+    @pytest.mark.parametrize("build", [
+        lambda c: ch.add(c, catalog.character_of("S")),
+        lambda c: ch.add(catalog.character_of("S"), c),
+        lambda c: ch.sub(c, catalog.character_of("S")),
+        lambda c: ch.sub(catalog.character_of("S"), c),
+        lambda c: ch.shift(c, (1, 1)),
+        ch.fourier,
+        ch.localize,
+    ])
+    @pytest.mark.parametrize("operand", [5, None, (0, 0), lambda lam: 1])
+    def test_combinators_reject_non_characters(self, build, operand):
+        with pytest.raises(TypeError, match="takes a Character"):
+            build(operand)
+
+    @pytest.mark.parametrize("build", [
+        lambda f: ch.add(f, catalog.character_of("E")),
+        lambda f: ch.sub(catalog.character_of("E"), f),
+        lambda f: ch.shift(f, (1, 1)),
+        ch.fourier,
+        ch.localize,
+    ])
+    def test_a_closed_form_operand_names_from_closed_form(self, build):
+        with pytest.raises(TypeError, match="from_closed_form"):
+            build(ch.S_FORM)
+
+
+class TestCountingHelpersCheckArguments:
+    @pytest.mark.parametrize("lam", [(3.0, 0), (3.5, 0), (6, 3.0), (True, 0), (Fraction(3), 0)])
+    def test_coefficient_rejects_non_integral_weight(self, lam):
+        with pytest.raises(TypeError):
+            ch.S_FORM.coefficient(lam)
+
+    @pytest.mark.parametrize("lam", [(-6.0, -9), (-6, -9.0), (False, -9)])
+    def test_mult_d_rejects_non_integral_weight(self, lam):
+        with pytest.raises(TypeError):
+            ch.mult_d(0, lam)
+
+    @pytest.mark.parametrize("j", [True, False, 1.0, "1", Fraction(1)])
+    def test_mult_d_rejects_non_int_j(self, j):
+        with pytest.raises(TypeError):
+            ch.mult_d(j, (3, -1))
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_mult_d_rejects_j_out_of_range(self, j):
+        with pytest.raises(ValueError):
+            ch.mult_d(j, (3, -1))
+
+    @pytest.mark.parametrize("i", [7.0, 6.5, True, Fraction(7)])
+    def test_nu_rejects_non_integer(self, i):
+        with pytest.raises(TypeError):
+            ch.nu(i)
+
+    @pytest.mark.parametrize("a", [6.0, 5.5, True, Fraction(6)])
+    def test_m_diag_rejects_non_integer(self, a):
+        with pytest.raises(TypeError):
+            ch.m_diag(a)
+
+    def test_numpy_integers_count_as_ints(self):
+        assert ch.S_FORM.coefficient((np.int64(6), np.int32(3))) == 1
+        assert ch.mult_d(np.int64(0), (np.int64(-6), -9)) == 1
+        assert ch.nu(np.int64(6)) == 2 and ch.m_diag(np.int32(6)) == -1
+        assert all(v.__class__ is int for v in (
+            ch.S_FORM.coefficient((np.int64(6), 3)), ch.mult_d(np.int8(0), (-6, -9)),
+            ch.nu(np.int64(6)), ch.m_diag(np.int64(6))))
+
+
+def test_only_the_six_leaves_hold_a_memo():
+    # every catalog name is a leaf or a view over the leaves S, E, Sdelta
+    # and the D_j; the views store nothing of their own
+    characters = catalog._build_characters()
+    for c in characters.values():
+        ch.truncate(c, -30, 30)
+    memos = {name: len(vars(c)["_cache"]) for name, c in characters.items()
+             if "_cache" in vars(c)}
+    assert set(memos) == {"S", "E", "Sdelta", "D0", "D1", "D2"}
+    assert sum(memos.values()) <= 13_000
