@@ -36,18 +36,17 @@ acting by 1: the simple S_v for the trivial path at each vertex v, then
 the two-dimensional module M_a for each arrow a with x != y.  With
 Φ = Hom(V, M_p) and K = Hom(M_p, V), read as functionals on V_y and
 vectors in V_x, M_p is a summand exactly rank(Φ V_p K) times; for S_v
-that is dim K - dim(K ∩ I), K the socle and I the radical of V at v
-(proof at decompose_certified).
+that is dim K - dim(K ∩ I), K the socle and I the radical of V at v;
+one change of basis takes them all off (proofs at decompose_certified).
 
 The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
 every split it finds is checked exactly.  It reads what it can off the
 trace form: a basis element in its radical is never tried, and a part
 of a split whose semisimple rank is bounded by 1 is certified without
-its hom space (proofs at decompose_certified).  The split, the peel and
-conjugate share one change of basis per vertex, _cut, which must be
-invertible and block-diagonalize every arrow.  Only conjugate takes a
-seed.
+its hom space (proofs at decompose_certified).  The split and the peel
+share one change of basis per vertex, _cut, which must be invertible
+and block-diagonalize every arrow.  Only conjugate takes a seed.
 """
 
 from __future__ import annotations
@@ -563,16 +562,17 @@ def direct_sum(V: Representation, W: Representation) -> Representation:
 
 
 def conjugate(V: Representation, seed: int = 0) -> Representation:
-    """V with arrow a: x -> y changed to T_y V_a T_x^-1 by _cut, T_v the first
+    """V with arrow a: x -> y changed to T_y V_a T_x^-1, T_v the first
     invertible draw of a matrix with entries in [-3, 3]; isomorphic to V."""
     rng = random.Random(seed)
-    bases = {}
+    T, T_inv = {}, {}
     for v, d in V.dims.items():
-        while v not in bases:
-            inv = rl.inverse(rl.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], d, d))
-            if inv is not None:
-                bases[v] = [rl.transpose(inv)]
-    return _cut(V, bases)[0]
+        while T_inv.get(v) is None:
+            T[v] = rl.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], d, d)
+            T_inv[v] = rl.inverse(T[v])
+    maps = {a.name: rl.matmul(T[a.target], rl.matmul(V.maps[a.name], T_inv[a.source]))
+            for a in V.bq.quiver.arrows}
+    return Representation(V.bq, V.dims, maps)
 
 
 def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
@@ -699,47 +699,52 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     """(W, peeled) with V = W ⊕ peeled and W without a summand M_p for a path
     p: x -> y of length <= 1 (see decompose_certified): the trivial path at
     each vertex, whose M_p is the simple, then each arrow with x != y, whose
-    M_p is its arrow module.  Each p with a summand gets one _cut at x, and
-    at y for an arrow; the summands come in that order, and W is V itself
-    when there is none."""
+    M_p is its arrow module.  One _cut takes them all off, each M_p built
+    once and listed once per copy, in path order; W is V when there is none."""
     bq = V.bq
     arrows = bq.quiver.arrows
     paths = [(v, v, None) for v in bq.quiver.vertices]
     paths += [(a.source, a.target, a) for a in arrows if a.source != a.target]
-    W, peeled = V, []
+    # for each path with a summand: at x (and y), its chosen functionals and its part
+    cuts: list[dict[str, tuple[rl.Mat, rl.Mat]]] = []
+    peeled = []
     for x, y, p in paths:
-        Vp = rl.identity(W.dims[x]) if p is None else W.maps[p.name]
+        Vp = rl.identity(V.dims[x]) if p is None else V.maps[p.name]
         if rl.is_zero(Vp):
             continue
-        # Φ, rows: the functionals on W_y that kill every arrow into y other
-        # than p and, for an arrow p, W_p W_c for every arrow c into x; a
+        # Φ, rows: the functionals on V_y that kill every arrow into y other
+        # than p and, for an arrow p, V_p V_c for every arrow c into x; a
         # product that a relation declares zero is left out, here and in K
-        into = [W.maps[b.name] for b in arrows if b.target == y and b is not p]
+        into = [V.maps[b.name] for b in arrows if b.target == y and b is not p]
         if p is not None:
-            into += [rl.matmul(Vp, W.maps[c.name]) for c in arrows
+            into += [rl.matmul(Vp, V.maps[c.name]) for c in arrows
                      if c.target == x and (c.name, p.name) not in bq.zero_paths]
-        Phi = rl.nullspace(rl.transpose(reduce(rl.hstack, into, rl.zeros(W.dims[y], 0))))
+        Phi = rl.nullspace(rl.transpose(reduce(rl.hstack, into, rl.zeros(V.dims[y], 0))))
         Phi_p = Phi if p is None else rl.matmul(Phi, Vp)
         if rl.is_zero(Phi_p):
             continue
-        # K, rows: the vectors of W_x that every arrow out of x other than p
-        # and, for an arrow p, W_c W_p for every arrow c out of y kill
-        out = [W.maps[b.name] for b in arrows if b.source == x and b is not p]
+        # K, rows: the vectors of V_x that every arrow out of x other than p
+        # and, for an arrow p, V_c V_p for every arrow c out of y kill
+        out = [V.maps[b.name] for b in arrows if b.source == x and b is not p]
         if p is not None:
-            out += [rl.matmul(W.maps[c.name], Vp) for c in arrows
+            out += [rl.matmul(V.maps[c.name], Vp) for c in arrows
                     if c.source == y and (p.name, c.name) not in bq.zero_paths]
-        K = rl.nullspace(reduce(rl.vstack, out, rl.zeros(0, W.dims[x])))
-        pairing = rl.matmul(Phi_p, rl.transpose(K))
-        rows, cols = rl.rank_profiles(pairing)
+        K = rl.nullspace(reduce(rl.vstack, out, rl.zeros(0, V.dims[x])))
+        rows, cols = rl.rank_profiles(rl.matmul(Phi_p, rl.transpose(K)))
         if not cols:
             continue
         K1 = _rows(K, cols)
-        bases = {x: [rl.nullspace(_rows(Phi_p, rows)), K1]}
+        cuts.append({x: (_rows(Phi_p, rows), K1)})
         if p is not None:
-            bases[y] = [rl.nullspace(_rows(Phi, rows)), rl.matmul(K1, rl.transpose(Vp))]
-        W, _ = _cut(W, bases)
-        peeled += [bq.simple(x) if p is None else bq.arrow_module(p.name) for _ in cols]
-    return W, peeled
+            cuts[-1][y] = (_rows(Phi, rows), rl.matmul(K1, rl.transpose(Vp)))
+        peeled += [bq.simple(x) if p is None else bq.arrow_module(p.name)] * len(cols)
+    if not cuts:
+        return V, []
+    # at each vertex a path touches, ker f first, then the part of each path
+    bases = {v: [rl.nullspace(reduce(rl.vstack, [c[v][0] for c in cuts if v in c]))]
+             + [c[v][1] if v in c else rl.zeros(0, d) for c in cuts]
+             for v, d in V.dims.items() if any(v in c for c in cuts)}
+    return _cut(V, bases)[0], peeled
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
@@ -752,14 +757,14 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     form of a pair of conjugate complex indecomposables).
 
     The peel (_peel).  First every summand M_p of a path p: x -> y of
-    length <= 1, with Q at x and at y and p acting by 1, is split off by
-    one change of basis at x, and at y when p is an arrow; its copies
-    come out as certified leaves (End(M_p) = Q) ahead of the other
-    summands.  The paths are the trivial path e_v at each vertex v, in
-    vertex order, with x = y = v, V_p the identity and M_p the simple
-    S_v (bq.simple); then each arrow a: x -> y with x != y, in arrow
-    order, with M_p the module M_a (bq.arrow_module).  The argument is
-    the one for Hom spaces of Assem-Simson-Skowroński 2006, ch. III.
+    length <= 1, with Q at x and at y and p acting by 1, is split off, all
+    of them by one change of basis; their copies come out as certified
+    leaves (End(M_p) = Q) ahead of the other summands.  The paths are the
+    trivial path e_v at each vertex v, in vertex order, with x = y = v,
+    V_p the identity and M_p the simple S_v (bq.simple); then each arrow
+    a: x -> y with x != y, in arrow order, with M_p the module M_a
+    (bq.arrow_module).  The argument is the one for Hom spaces of
+    Assem-Simson-Skowroński 2006, ch. III.
 
     - Hom spaces.  A morphism V -> M_p is a functional φ on V_y, with
       φ V_p at x; it intertwines exactly when φ kills V_b for every arrow
@@ -780,45 +785,45 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       p = e_v, Φ is the annihilator of the radical I of V at v (the sum
       of the images of the arrows into v) and K its socle (the common
       kernel of the arrows out of v), so m = dim K - dim(K ∩ I).
-    - Complement.  m independent columns K' of K and m independent rows
-      Φ' of Φ, the pivot columns of the pairing matrix and its rows
-      independent of the rows before them (rl.rank_profiles, read off
-      one elimination), meet in an invertible minor Φ' V_p K'.  So K'
-      is a morphism g: M_p^m -> V and Φ' one f: V -> M_p^m with f g
-      invertible, and V = im g ⊕ ker f, both subrepresentations: im g
-      is K' at x and V_p K' at y, and ker f is ker Φ' V_p at x, ker Φ'
-      at y and V elsewhere.  In the basis K', V_p K' the part im g is M_p^m
-      exactly: p acts by the identity, and any other arrow b with both
-      ends in {x, y} acts by a block B with Φ' V_p K' B = 0 (Φ' kills
-      V_b when b ends at y, Φ' V_p kills V_b when b ends at x), so
-      B = 0.  For p = e_v such a b is a loop at v, and an arrow from v to
-      another vertex meets a zero-dimensional part.  The copies are
-      therefore emitted as bq.simple(v) or bq.arrow_module(a) without a
-      check of their own.
-    - Once is enough.  The M_p are pairwise non-isomorphic, so peeling
-      one leaves the multiplicity of every other as it was, and by
-      Krull-Schmidt the parts of a split of W have no summand M_p.
+    - One change of basis.  Every path is read on V itself.  For each p
+      with m_p > 0, the m_p pivot columns K'_p of the pairing matrix and
+      its m_p rows Φ'_p independent of the rows before them
+      (rl.rank_profiles, one elimination) meet in an invertible minor
+      Φ'_p V_p K'_p.  The K'_p make a morphism g: ⊕ M_p^{m_p} -> V and
+      the Φ'_p one f: V -> ⊕ M_p^{m_p}.  f g is invertible, as it is
+      modulo the radical of End(⊕ M_p^{m_p}): its diagonal blocks
+      Φ'_p V_p K'_p are invertible, and its off-diagonal blocks are maps
+      between the non-isomorphic bricks M_p and M_q, so they lie in that
+      radical.  So V = im g ⊕ ker f, both subrepresentations; g is an
+      injective morphism, so each im g_p is M_p^{m_p} exactly in the
+      basis K'_p at x, V_p K'_p at y, and the copies are emitted as
+      bq.simple(v) or bq.arrow_module(a), each built once.
 
-    _cut changes the basis, with ker f and im g as the parts at x (and
-    y), and checks it.  A path is skipped without a change of basis when
-    V_p = 0 (for e_v, when V_v = 0), when Φ V_p = 0 (Φ is computed first,
-    and then the pairing is zero; for e_v, when the arrows into v span
-    V_v), or when the pairing has rank 0 (for e_v, when K ⊆ I); with
-    nothing peeled, the loop below starts from V itself.
+    _cut makes this change of basis at the vertices the peeled paths
+    touch, and checks it.  There the first part is ker f, the common
+    kernel of the chosen Φ'_p at y and Φ'_p V_p at x, which the split
+    search gets; each peeled path adds the part im g_p, empty elsewhere.
+    A path is skipped when V_p = 0 (for e_v, when V_v = 0), when
+    Φ V_p = 0 (Φ is computed first, and then the pairing is zero; for
+    e_v, when the arrows into v span V_v), or when the pairing has rank
+    0 (for e_v, when K ⊆ I); with nothing peeled, the split search
+    starts from V itself.
 
-    The split search.  A summand whose End has dimension one is a
-    certified leaf.  Any other first tries the first basis endomorphism
-    and is ranked only when that does not split it: the rank of its
-    trace form (the Gram matrix of semisimple_rank) is its semisimple
-    rank ssr, and rank one makes it a certified leaf.  Otherwise the
-    search goes on with the rest of the basis and then the SPLIT_TRIALS
-    random combinations.  Ranking first would change nothing.  Rank one
-    means End is local, so every endomorphism is c * id plus a
-    nilpotent, its minimal polynomial is a power of t - c, and no
-    candidate splits; so the candidates tried, the draws of the
-    generator, the summands and the flags are the same in either order,
-    and a summand that the first candidate splits is never ranked.  Two
-    facts spare most of the rest of the work:
+    The split search.  Each node carries an upper bound s on its
+    semisimple rank ssr; the root has none.  Once its hom basis is
+    computed, s is lowered to dim End when that is smaller, and once it
+    is ranked, to ssr itself: the rank of its trace form (the Gram
+    matrix of semisimple_rank).  A node is a certified leaf exactly when
+    s = 1.  Then ssr = 1 and End is local, so every endomorphism is
+    c * id plus a nilpotent, its minimal polynomial is a power of t - c,
+    and no candidate splits.  A node whose inherited bound is not 1
+    computes its hom basis, tries the first basis endomorphism, and is
+    ranked only when that does not split it; then the search goes on
+    with the rest of the basis and the SPLIT_TRIALS random combinations.
+    Ranking first would change nothing: the candidates tried, the draws
+    of the generator, the summands and the flags are the same in either
+    order, and a summand that the first candidate splits is never
+    ranked.  Two facts spare most of the rest of the work:
 
     - Radical candidates.  After the ranking, a basis element whose row
       of the Gram matrix is zero is not tried.  The radical of the trace
@@ -826,10 +831,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       nilpotent, its minimal polynomial is t^k, and it splits nothing.
       The random combinations are drawn as before, so the first
       candidate that splits is the one the full search finds.
-    - A bound on the semisimple rank.  Each part of a split carries an
-      upper bound on its ssr; the root has none.  Let V split into k
-      parts P_i, and let s be ssr(V) when V was ranked and otherwise the
-      smaller of its bound and dim End(V).  The projections e_i of the
+    - A bound on the semisimple rank.  Let V split into k parts P_i,
+      with s its bound at that point.  The projections e_i of the
       split are orthogonal idempotents of A = End(V) with sum 1, and
       e_i A e_i = End(P_i).  The map from the sum of the e_i A e_i to
       A/rad A has kernel the sum of the e_i rad(A) e_i, and
@@ -856,30 +859,27 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     rng = random.Random(0)  # fixed, so the summands depend on V alone
     W, peeled = _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
-    # each node comes with a bound on its semisimple rank; the root has none
+    # s: an upper bound on the semisimple rank of the node; the root has none
     stack: list[tuple[Representation, int | None]] = [(W, None)] if W.total_dim() else []
     while stack:
-        cur, bound = stack.pop()
-        if bound == 1:
+        cur, s = stack.pop()
+        parts = None
+        if s != 1:
+            basis = hom_basis(cur, cur)
+            s = len(basis) if s is None else min(s, len(basis))
+        if s != 1:
+            candidates = enumerate(_split_candidates(basis, rng))
+            parts = _split(cur, next(candidates)[1])
+            if parts is None:
+                gram = _trace_pairing(basis, basis)
+                s = rl.rank(gram)  # ssr itself, so at most the bound and dim End
+                if s != 1:
+                    # a basis element with a zero Gram row lies in the radical
+                    parts = next(filter(None, (_split(cur, phi) for i, phi in candidates
+                                               if i >= len(basis) or any(gram.num[i]))), None)
+        if s == 1:
             out.append((cur, True))
-            continue
-        basis = hom_basis(cur, cur)
-        if len(basis) == 1:
-            out.append((cur, True))
-            continue
-        s = len(basis) if bound is None else min(bound, len(basis))
-        candidates = enumerate(_split_candidates(basis, rng))
-        parts = _split(cur, next(candidates)[1])
-        if parts is None:
-            gram = _trace_pairing(basis, basis)
-            s = rl.rank(gram)
-            if s == 1:
-                out.append((cur, True))
-                continue
-            # a basis element with a zero Gram row lies in the radical
-            parts = next(filter(None, (_split(cur, phi) for i, phi in candidates
-                                       if i >= len(basis) or any(gram.num[i]))), None)
-        if parts is None:
+        elif parts is None:
             out.append((cur, False))
         else:
             stack.extend((part, s - len(parts) + 1) for part in parts)

@@ -248,6 +248,18 @@ def test_verify_all_suites_exit_zero(capsys):
     assert all(c["status"] == "pass" for r in reports for c in r["checks"])
 
 
+def test_verify_all_suites_are_recorded_under_python_O():
+    # python -O strips asserts, and no answer may rest on one: the output
+    # stays byte-identical to the recorded answers
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "binarycubics", "--format", "json",
+                           "--seed", "0", "verify", "--suite", "all"], cwd=ROOT, env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads(RECORDED.read_text())["verify_seed0_json_sha256"]
+    assert hashlib.sha256(done.stdout).hexdigest() == recorded
+
+
 def test_verify_exit_codes_for_nonpass_reports(capsys, monkeypatch):
     from binarycubics import verify
 

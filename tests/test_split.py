@@ -93,16 +93,24 @@ def test_split_equals_the_kernel_route_part_for_part():
     assert splits >= 50, splits
 
 
-def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
+def benchmark_ops():
+    """The (kind, n, lambda, mu) of the sums the decompose workload
+    decomposes at seed 0, passes 0 and 1."""
     worker = load_worker()
-    inputs = {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
-    inputs.add(("d4hat", 2, 1, 3))
-    for kind, n, lam, mu in sorted(inputs):
-        if kind == "d4hat":
-            V = qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
-        else:
-            V = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
-                              cubics.embed_beta(cubics.rn_family(n, mu)))
+    return {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
+
+
+def benchmark_sum(kind, n, lam, mu):
+    """The sum the decompose workload decomposes for (kind, n, lambda, mu)."""
+    if kind == "d4hat":
+        return qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
+    return qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
+                         cubics.embed_beta(cubics.rn_family(n, mu)))
+
+
+def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
+    for op in sorted(benchmark_ops() | {("d4hat", 2, 1, 3)}):
+        V = benchmark_sum(*op)
         got = qv.decompose_certified(V)
         assert got == kernel_route_decompose(V)
         assert [certified for _, certified in got] == [True, True]
@@ -192,10 +200,10 @@ split = raised(lambda: qv._split(V, phi))
 bq = cubics.build("two_vertex_pair")
 S_P = qv.direct_sum(bq.simple("1"), bq.projective("1"))
 nullspace, calls = rl.nullspace, []
-def whole_space_second(A):
+def all_ones_second(A):
     calls.append(A)
-    return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
-rl.nullspace = whole_space_second
+    return rl.mat([[1] * A.cols]) if len(calls) == 2 else nullspace(A)
+rl.nullspace = all_ones_second
 peel = raised(lambda: qv._peel(S_P))
 # the failing peel of test_a_peeled_arrow_module_that_another_arrow_moves_raises
 big = cubics.build("big_component")
@@ -408,18 +416,20 @@ def test_a_socle_inside_the_radical_is_not_peeled(name, sink):
 
 def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
     # the second null space the peel computes, the socle at vertex 1 of
-    # S_1 + P_1 (after Φ there), comes back as all of V_1, so the vector of
-    # P_1 that a sends to V_2 is peeled
+    # S_1 + P_1 (after Φ there), comes back as the sum of the two basis
+    # vectors of V_1 in place of the first alone; the pairing still has rank
+    # one, so the one cut takes off a simple at 1 spanned by a vector that
+    # a sends to V_2, beside M_a, and every T_v stays invertible
     bq = cubics.build("two_vertex_pair")
     V = qv.direct_sum(bq.simple("1"), bq.projective("1"))
     nullspace = rl.nullspace
     calls = []
 
-    def whole_space_second(A):
+    def all_ones_second(A):
         calls.append(A)
-        return rl.identity(A.cols) if len(calls) == 2 else nullspace(A)
+        return rl.mat([[1] * A.cols]) if len(calls) == 2 else nullspace(A)
 
-    monkeypatch.setattr(rl, "nullspace", whole_space_second)
+    monkeypatch.setattr(rl, "nullspace", all_ones_second)
     with pytest.raises(ArithmeticError, match="not stable under arrow a"):
         qv._peel(V)
 
@@ -452,14 +462,21 @@ def test_the_peel_splits_off_exactly_the_arrow_modules(name):
     check_the_peel(name, ARROW_CASES, seed=4)
 
 
-def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
-    # l is both into and out of vertex 1, so Φ kills its image and K its
-    # kernel; J_2, l acting by a nilpotent Jordan block, stays for the split
+def loop_vertex_case():
+    """(V, J_2, S_1, M_a) on the quiver with a loop l at 1 and an arrow
+    a: 1 -> 2, ll = la = 0: J_2 has l acting by a nilpotent Jordan block,
+    and V is the conjugated sum of J_2, S_1, M_a and S_1."""
     loop = qv.BoundQuiver(qv.Quiver(("1", "2"), (qv.Arrow("l", "1", "1"), qv.Arrow("a", "1", "2"))),
                           qv.monomial_relations([("l", "l"), ("l", "a")]))
     J2 = qv.Representation(loop, {"1": 2}, {"l": [[0, 0], [1, 0]]})
     S1, M_a = loop.simple("1"), loop.arrow_module("a")
-    V = qv.conjugate(reduce(qv.direct_sum, [J2, S1, M_a, S1]), 7)
+    return qv.conjugate(reduce(qv.direct_sum, [J2, S1, M_a, S1]), 7), J2, S1, M_a
+
+
+def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
+    # l is both into and out of vertex 1, so Φ kills its image and K its
+    # kernel; J_2 stays for the split
+    V, J2, S1, M_a = loop_vertex_case()
     W, peeled = qv._peel(V)
     assert peeled == [S1, S1, M_a]
     assert W.dim_vector() == (2, 0) and qv.is_isomorphic(W, J2)
@@ -470,16 +487,26 @@ def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
 
 def test_the_peel_finds_no_summand_in_the_benchmark_pairs():
     # so the decompose workload pays only the peel's exits
-    worker = load_worker()
-    inputs = {op for k in range(2) for op in worker.decompose_inputs(0, k) if op[0] != "end"}
-    for kind, n, lam, mu in sorted(inputs):
-        if kind == "d4hat":
-            V = qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
-        else:
-            V = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
-                              cubics.embed_beta(cubics.rn_family(n, mu)))
+    for op in sorted(benchmark_ops()):
+        V = benchmark_sum(*op)
         W, peeled = qv._peel(V)
         assert W is V and peeled == []
+
+
+def test_the_peel_makes_one_cut(monkeypatch):
+    # every path is read on V itself, so one change of basis takes off all
+    # the summands the peel finds, and a V without one is not cut at all
+    sums = [qv.conjugate(reduce(qv.direct_sum, cases[name][0](cubics.build(name))), seed=seed)
+            for cases, seed in ((PEEL_CASES, 3), (ARROW_CASES, 4)) for name in cases]
+    sums.append(loop_vertex_case()[0])
+    cuts = spy_on(monkeypatch, "_cut")
+    for V in sums:
+        cuts.clear()
+        assert qv._peel(V)[1] and len(cuts) == 1, V
+    cuts.clear()
+    for op in benchmark_ops():
+        qv._peel(benchmark_sum(*op))
+    assert cuts == []
 
 
 def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
@@ -498,8 +525,8 @@ def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
 def test_a_peeled_arrow_module_that_another_arrow_moves_raises(monkeypatch):
     # the sixth null space the peel computes, K of alpha1 on M_alpha1 + P_1
     # (after Φ and K at vertex 1, Φ at 2 and 5 and Φ of alpha1), comes back
-    # as all of V_1, so the vector of P_1 that alpha1 beta2 sends to V_2 is
-    # peeled
+    # as all of V_1, so the one cut takes off, with M_alpha1, the vector of
+    # P_1 that alpha1 beta2 sends to V_2
     bq = cubics.build("big_component")
     V = qv.direct_sum(bq.arrow_module("alpha1"), bq.projective("1"))
     nullspace = rl.nullspace
