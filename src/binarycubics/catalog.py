@@ -14,11 +14,10 @@ closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import characters as ch
 from .characters import Character
 from .ratlinalg import integer
+from .values import Frozen
 
 SIMPLES = ("S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E")
 
@@ -43,15 +42,16 @@ _FOURIER = _pairing(_FOURIER_PAIRS, _FOURIER_FIXED)
 _DUALITY = _pairing(_DUALITY_PAIRS, _DUALITY_FIXED)
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
-    """One GL2-orbit on the space of binary cubics."""
+class OrbitInfo(Frozen):
+    """One GL2-orbit on the space of binary cubics; local_systems counts its
+    irreducible equivariant local systems, the simples supported there."""
 
-    name: str
-    dim: int
-    representative: str
-    component_group: str
-    local_systems: int  # irreducible equivariant local systems = simples supported there
+    _fields = ("name", "dim", "representative", "component_group", "local_systems")
+
+    def __init__(self, name: str, dim: int, representative: str, component_group: str,
+                 local_systems: int):
+        vars(self).update(name=name, dim=dim, representative=representative,
+                          component_group=component_group, local_systems=local_systems)
 
 
 ORBITS = (
@@ -166,8 +166,7 @@ def all_character_names() -> tuple[str, ...]:
     return SIMPLES + DERIVED
 
 
-@dataclass(frozen=True)
-class CompositionSeriesFact:
+class CompositionSeriesFact(Frozen):
     """An ambient module together with its simple factors (with multiplicity).
 
     non_split marks the indecomposable extensions among the factors, a
@@ -175,9 +174,10 @@ class CompositionSeriesFact:
     non-splitness).
     """
 
-    ambient: str
-    factors: tuple[str, ...]
-    non_split: bool = False
+    _fields = ("ambient", "factors", "non_split")
+
+    def __init__(self, ambient: str, factors: tuple[str, ...], non_split: bool = False):
+        vars(self).update(ambient=ambient, factors=factors, non_split=non_split)
 
 
 COMPOSITION_SERIES = (

@@ -45,11 +45,11 @@ or a silent 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from math import gcd
-from typing import Callable, Iterable
 
 from .ratlinalg import integer
+from .values import Frozen
 
 Weight = tuple[int, int]
 
@@ -97,8 +97,7 @@ def _ints(w: Weight) -> Weight:
     return integer(a), integer(b)
 
 
-@dataclass(frozen=True)
-class ClosedFormCharacter:
+class ClosedFormCharacter(Frozen):
     """A character of shape  sum_s s*e^nu / prod_mu (1 - e^mu)  [* e^(rho Z)].
 
     numerator:    terms (sign, weight) with sign in {+1, -1}.
@@ -119,19 +118,18 @@ class ClosedFormCharacter:
     takes no part in ==, hash or repr.
     """
 
-    numerator: tuple[tuple[int, Weight], ...]
-    denominators: tuple[Weight, ...] = ()
-    periodic: Weight | None = None
-    _plan: _CountingPlan = field(init=False, repr=False, compare=False)
+    _fields = ("numerator", "denominators", "periodic")
 
-    def __post_init__(self) -> None:
-        numerator = [(integer(sign), _ints(nu_)) for sign, nu_ in self.numerator]
-        for sign, _ in numerator:
+    def __init__(self, numerator: tuple[tuple[int, Weight], ...],
+                 denominators: tuple[Weight, ...] = (), periodic: Weight | None = None) -> None:
+        vars(self).update(numerator=numerator, denominators=denominators, periodic=periodic)
+        terms = [(integer(sign), _ints(nu_)) for sign, nu_ in numerator]
+        for sign, _ in terms:
             if sign not in (1, -1):
                 raise InvalidClosedForm(f"numerator sign must be +-1, got {sign}")
-        denominators = [_ints(mu) for mu in self.denominators]
+        mus = [_ints(mu) for mu in denominators]
         scalar_signs = set()
-        for mu in denominators:
+        for mu in mus:
             if mu[0] < mu[1]:
                 raise InvalidClosedForm(f"denominator weight {mu} is not dominant")
             if mu[0] == mu[1]:
@@ -141,14 +139,14 @@ class ClosedFormCharacter:
         if len(scalar_signs) > 1:
             raise InvalidClosedForm("scalar denominators must share one sign")
         modulus = 0
-        if self.periodic is not None:
-            r1, r2 = _ints(self.periodic)
+        if periodic is not None:
+            r1, r2 = _ints(periodic)
             if r1 != r2 or r1 <= 0:
-                raise InvalidClosedForm(f"periodic weight must be (r, r), r > 0, got {self.periodic}")
+                raise InvalidClosedForm(f"periodic weight must be (r, r), r > 0, got {periodic}")
             if scalar_signs:
                 raise InvalidClosedForm("periodic factor excludes scalar denominators")
             modulus = 2 * r1
-        object.__setattr__(self, "_plan", _CountingPlan(numerator, denominators, modulus))
+        vars(self)["_plan"] = _CountingPlan(terms, mus, modulus)
 
     def coefficient(self, lam: Weight) -> int:
         """Exact multiplicity of e^lam: a few integer operations per

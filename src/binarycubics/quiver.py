@@ -54,13 +54,13 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 
 from . import ratlinalg as rl
 from .polyfactor import factor
+from .values import Frozen, Value
 
 Path = tuple[str, ...]  # arrow names in traversal order; () is a trivial path
 
@@ -69,26 +69,25 @@ class NonAdmissibleError(ValueError):
     """Nonzero paths persist at the configured length bound."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Frozen):
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        vars(self).update(name=name, source=source, target=target)
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+class Quiver(Frozen):
+    _fields = ("vertices", "arrows")
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        vars(self).update(vertices=vertices, arrows=arrows)
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
-        vs = set(self.vertices)
-        for a in self.arrows:
+        vs = set(vertices)
+        for a in arrows:
             if a.source not in vs or a.target not in vs:
                 raise ValueError(f"arrow {a.name} has endpoints outside the vertex set")
 
@@ -135,8 +134,7 @@ def monomial_relations(paths) -> tuple[Relation, ...]:
     return tuple(((Fraction(1), tuple(p)),) for p in paths)
 
 
-@dataclass
-class PathBasis:
+class PathBasis(Value):
     """Residue-class representative paths of the quiver algebra.
 
     by_pair[(x, y)] lists the basis paths x -> y, shortest first; the
@@ -145,9 +143,11 @@ class PathBasis:
     the algebra).
     """
 
-    vertices: tuple[str, ...]
-    by_pair: dict[tuple[str, str], list[Path]]
-    reduction: dict[Path, tuple[tuple[Fraction, Path], ...]]
+    _fields = ("vertices", "by_pair", "reduction")
+
+    def __init__(self, vertices: tuple[str, ...], by_pair: dict[tuple[str, str], list[Path]],
+                 reduction: dict[Path, tuple[tuple[Fraction, Path], ...]]):
+        self.vertices, self.by_pair, self.reduction = vertices, by_pair, reduction
 
     def paths(self, x: str, y: str) -> list[Path]:
         _check_vertices(self.vertices, x, y)
@@ -353,8 +353,7 @@ class BoundQuiver:
         return Representation(self, {y: len(ps) for y, ps in into.items()}, maps)
 
 
-@dataclass
-class Representation:
+class Representation(Value):
     """Vector spaces at the vertices, exact rational matrices on the arrows.
 
     maps[arrow] has shape (dim target) x (dim source), also when a
@@ -365,9 +364,12 @@ class Representation:
     string or a bool, raises TypeError rather than being truncated.
     """
 
-    bq: BoundQuiver
-    dims: dict[str, int]
-    maps: dict[str, rl.Mat] = field(default_factory=dict)
+    _fields = ("bq", "dims", "maps")
+
+    def __init__(self, bq: BoundQuiver, dims: dict[str, int],
+                 maps: dict[str, rl.Mat] | None = None):
+        self.bq, self.dims, self.maps = bq, dims, {} if maps is None else maps
+        self.__post_init__()
 
     def __post_init__(self):
         q = self.bq.quiver
@@ -425,8 +427,7 @@ def _vertexwise(given: dict, shapes: dict[str, tuple[int, int]], unknown: str) -
             for key, (m, n) in shapes.items()}
 
 
-@dataclass
-class RepMorphism:
+class RepMorphism(Value):
     """Vertexwise matrices intertwining two representations of one quiver.
 
     The blocks are normalized like Representation.maps (by _vertexwise):
@@ -438,9 +439,11 @@ class RepMorphism:
     equations, which is the same check.
     """
 
-    source: Representation
-    target: Representation
-    blocks: dict[str, rl.Mat]
+    _fields = ("source", "target", "blocks")
+
+    def __init__(self, source: Representation, target: Representation, blocks: dict[str, rl.Mat]):
+        self.source, self.target, self.blocks = source, target, blocks
+        self.__post_init__()
 
     def __post_init__(self):
         V, W = self.source, self.target
@@ -632,8 +635,10 @@ def _split_candidates(basis: list[RepMorphism], rng: random.Random):
             yield blocks
 
 
-def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
-    """V cut into parts by one checked change of basis per vertex.
+def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, dict]]:
+    """V cut into parts by one checked change of basis per vertex; each part
+    as its (dims, maps), which the caller builds into a Representation when
+    it keeps the part: _split keeps them all, _peel only the first.
 
     The rows of bases[v][i] are a basis of part i at v (the form of
     rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
@@ -644,11 +649,12 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     - T_v is square and invertible: the parts fill V_v;
     - V_a T_x = T_y C_a on every arrow: the inverse is right;
     - C_a is zero off its diagonal blocks: each part is arrow-stable;
-    - each part is built as a Representation, which checks the relations.
+    - a part built as a Representation has its relations checked.
 
     The first three raise ArithmeticError.  The last raises ValueError and
     cannot fail once they pass: V satisfies the relations, and the path
-    matrices of the parts are the diagonal blocks of T_y^-1 V_p T_x.
+    matrices of the parts are the diagonal blocks of T_y^-1 V_p T_x.  So
+    a part that is not kept is not built.
     """
     count = max(map(len, bases.values()), default=1)
     sizes, T, T_inv = {}, {}, {}
@@ -674,8 +680,7 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
             raise ArithmeticError(f"a part is not stable under arrow {a.name}")
         for part, block in zip(maps, blocks):
             part[a.name] = block
-    return [Representation(V.bq, {v: sizes[v][i] for v in V.dims}, part)
-            for i, part in enumerate(maps)]
+    return [({v: sizes[v][i] for v in V.dims}, part) for i, part in enumerate(maps)]
 
 
 def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
@@ -686,8 +691,9 @@ def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | 
     factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
     if len(factors) < 2:
         return None
-    return _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
-                    for v in verts})
+    parts = _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
+                     for v in verts})
+    return [Representation(V.bq, dims, maps) for dims, maps in parts]
 
 
 def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
@@ -744,7 +750,7 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     bases = {v: [rl.nullspace(reduce(rl.vstack, [c[v][0] for c in cuts if v in c]))]
              + [c[v][1] if v in c else rl.zeros(0, d) for c in cuts]
              for v, d in V.dims.items() if any(v in c for c in cuts)}
-    return _cut(V, bases)[0], peeled
+    return Representation(V.bq, *_cut(V, bases)[0]), peeled
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:

@@ -51,7 +51,6 @@ raised the peak memory of a verify run by about 0.35 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice
 from math import gcd, lcm
@@ -64,20 +63,29 @@ IntVector = tuple[list[int], int]
 _ONE = Fraction(1)
 
 
-@dataclass(slots=True, repr=False)
 class Mat:
     """A rows x cols rational matrix: entry (i, j) is num[i][j] / den.
 
     num holds rows lists of cols integers and den > 0, reduced so that
     gcd(den, every numerator) = 1.  len(M) is the row count, M[i] is row
     i as a tuple of Fractions and iteration runs over the rows; two
-    matrices are equal when their shapes and entries are.
+    matrices are equal when their shapes and entries are.  A Mat is
+    unhashable, and it is never equal to anything but a Mat.
     """
 
-    rows: int
-    cols: int
-    num: IntRows
-    den: int
+    __slots__ = ("rows", "cols", "num", "den")
+
+    def __init__(self, rows: int, cols: int, num: IntRows, den: int):
+        self.rows = rows
+        self.cols = cols
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols and self.den == other.den
+                and self.num == other.num)
 
     def __len__(self) -> int:
         return self.rows

@@ -180,12 +180,6 @@ class TestClosedForms:
                                       ((np.int32(3), 0), (4, 2)), (np.int64(6), 6))
         assert form.coefficient((3, 0)) == ch.SDELTA_FORM.coefficient((3, 0)) == 1
 
-    def test_plan_takes_no_part_in_eq_hash_repr(self):
-        twin = ch.ClosedFormCharacter(ch.S_FORM.numerator, ch.S_FORM.denominators)
-        assert twin == ch.S_FORM and hash(twin) == hash(ch.S_FORM)
-        assert twin._plan is not ch.S_FORM._plan
-        assert "plan" not in repr(twin)
-
 
 # sloped denominator weights: gap 1..6, either sign of mu1 + mu2
 sloped_weights = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(

@@ -493,12 +493,18 @@ def test_the_peel_finds_no_summand_in_the_benchmark_pairs():
         assert W is V and peeled == []
 
 
+def peel_sums():
+    """The conjugated sums of PEEL_CASES, ARROW_CASES and loop_vertex_case,
+    each with summands for the peel."""
+    sums = [qv.conjugate(reduce(qv.direct_sum, cases[name][0](cubics.build(name))), seed=seed)
+            for cases, seed in ((PEEL_CASES, 3), (ARROW_CASES, 4)) for name in cases]
+    return sums + [loop_vertex_case()[0]]
+
+
 def test_the_peel_makes_one_cut(monkeypatch):
     # every path is read on V itself, so one change of basis takes off all
     # the summands the peel finds, and a V without one is not cut at all
-    sums = [qv.conjugate(reduce(qv.direct_sum, cases[name][0](cubics.build(name))), seed=seed)
-            for cases, seed in ((PEEL_CASES, 3), (ARROW_CASES, 4)) for name in cases]
-    sums.append(loop_vertex_case()[0])
+    sums = peel_sums()
     cuts = spy_on(monkeypatch, "_cut")
     for V in sums:
         cuts.clear()
@@ -507,6 +513,26 @@ def test_the_peel_makes_one_cut(monkeypatch):
     for op in benchmark_ops():
         qv._peel(benchmark_sum(*op))
     assert cuts == []
+
+
+def test_the_peel_builds_only_the_part_it_keeps(monkeypatch):
+    # the one cut builds W alone, and each peeled module is built once, by
+    # bq.simple or bq.arrow_module, however many copies V has
+    sums = peel_sums()
+    built = []
+    post_init = qv.Representation.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(qv.Representation, "__post_init__", spy)
+    for V in sums:
+        built.clear()
+        W, peeled = qv._peel(V)
+        modules = list({id(M): M for M in peeled}.values())
+        assert len(built) == len(modules) + 1
+        assert all(X is Y for X, Y in zip(built, modules + [W]))
 
 
 def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
