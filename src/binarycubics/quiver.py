@@ -47,16 +47,22 @@ of a split whose semisimple rank is bounded by 1 is certified without
 its hom space (proofs at decompose_certified).  The split and the peel
 share one change of basis per vertex, _cut, which must be invertible
 and block-diagonalize every arrow.  Only conjugate takes a seed.
+
+A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
+fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
+M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
+1099, 3.2).  decompose_certified splits such a node along the primary
+decomposition of M, or certifies it from M, with no hom space; at the root
+this test replaces the peel (proofs at decompose_certified).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from math import comb, lcm
 
 from . import ratlinalg as rl
 from .polyfactor import factor
@@ -126,6 +132,8 @@ def _relation_data(rel: Relation) -> list:
 
 
 def _bad_relation(rel: Relation, problem: str) -> ValueError:
+    import json  # its one use: the package import does not load json
+
     return ValueError(f"relation {json.dumps(_relation_data(rel))} {problem}")
 
 
@@ -753,6 +761,61 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     return Representation(V.bq, *_cut(V, bases)[0]), peeled
 
 
+def _tube(V: Representation) -> tuple | None:
+    """The tube form of V (see decompose_certified), or None: the vertices
+    x_1..x_4 and c, T^T, G_3^T, A_3^-T, A_4^-T and the tube operator M."""
+    arrows = [a for a in V.bq.quiver.arrows if not rl.is_zero(V.maps[a.name])]
+    if len(arrows) != 4:
+        return None
+    xs, c = [a.source for a in arrows], arrows[0].target
+    n = V.dims[xs[0]]
+    shape = {**dict.fromkeys(xs, n), c: 2 * n}
+    if (n == 0 or len(shape) != 5 or any(a.target != c for a in arrows)
+            or any(d != shape.get(v, 0) for v, d in V.dims.items())):
+        return None
+    W1, W2, W3, W4 = (V.maps[a.name] for a in arrows)
+    T = rl.hstack(W1, W2)
+    T_inv = rl.inverse(T)
+    if T_inv is None:
+        return None
+    A3, B3, A4, B4 = [_rows(rl.matmul(T_inv, Wi), list(half)) for Wi in (W3, W4)
+                      for half in (range(n), range(n, 2 * n))]
+    A3_inv, B3_inv, A4_inv = inverses = [rl.inverse(X) for X in (A3, B3, A4)]
+    if any(X is None for X in inverses):
+        return None
+    M = rl.matmul(rl.matmul(A3, B3_inv), rl.matmul(B4, A4_inv))
+    return (xs + [c], rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
+            rl.transpose(A3_inv), rl.transpose(A4_inv), M)
+
+
+def _kernel_form(B: rl.Mat) -> rl.Mat:
+    """The basis of the row space of B (of full row rank) that rl.nullspace
+    gives a subspace: reduced echelon on the reversed columns, rows reversed."""
+    R = rl.rref(rl.over([row[::-1] for row in B.num], B.den, B.rows, B.cols))[0]
+    return rl.over([row[::-1] for row in reversed(R.num)], R.den, R.rows, R.cols)
+
+
+def _local(f: list[Fraction], n: int) -> bool:
+    """Whether the monic f is (t - c)^n; then c = -f[n - 1] / n."""
+    return len(f) == n + 1 and f == [comb(n, j) * (f[n - 1] / n) ** (n - j) for j in range(n + 1)]
+
+
+def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Representation]:
+    """V cut by _cut along the factors of the minimal polynomial of its tube
+    operator M, in the order polyfactor.factor gives them; the parts are those
+    of _split along the endomorphism of M (see decompose_certified)."""
+    verts, Tt, G3t, A3_invt, A4_invt, M = tube
+    bases: dict[str, list[rl.Mat]] = {v: [] for v in verts}
+    for power in factors:
+        K = rl.nullspace(rl.eval_poly(power, M))
+        KG = rl.matmul(K, G3t)
+        bases[verts[0]].append(K)
+        for v, B in zip(verts[1:], (KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
+                                    rl.matmul(rl.block_diag(K, KG), Tt))):
+            bases[v].append(_kernel_form(B))
+    return [Representation(V.bq, dims, maps) for dims, maps in _cut(V, bases)]
+
+
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
@@ -859,17 +922,62 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     kernel(p^k(phi))[0], Mat for Mat.  For an endomorphism phi the checks
     cannot fail: the generalized kernels of the coprime factors of its
     minimal polynomial are subrepresentations, and V is their direct sum.
+
+    The tube route (_tube, _tube_split).  A node W is in tube form when its
+    nonzero arrows are exactly four, a_i: x_i -> c in arrow order, with
+    x_1..x_4, c distinct; its dimension is n >= 1 at each x_i, 2n at c and
+    0 elsewhere; T = [W_a1 | W_a2] is invertible; and with
+    T^-1 W_a3 = [A_3; B_3], T^-1 W_a4 = [A_4; B_4], A_3, B_3 and A_4 are
+    invertible.  Its tube operator is M = A_3 B_3^-1 B_4 A_4^-1.
+
+    - Normal form.  In the basis T, U_1 = im a_1 is Q^n + 0, U_2 is 0 + Q^n,
+      and U_3, U_4 are the graphs of G_3 = B_3 A_3^-1 and G_4 = B_4 A_4^-1
+      over U_1, with M = G_3^-1 G_4.  Every a_i is injective.
+    - End = centralizer of M.  f in End(W) is fixed by f_c, as the a_i are
+      injective, and f_c keeps each U_i: diag(P, Q) in the basis T, with
+      Q = G_3 P G_3^-1 (U_3) and then PM = MP (U_4).  Conversely a P that
+      commutes with M acts by P, G_3 P G_3^-1, A_3^-1 P A_3, A_4^-1 P A_4
+      at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.
+    - Split.  Take P = M: for a factor q^k of its minimal polynomial the
+      generalized kernel is K = ker q^k(M) at x_1 and G_3 K, A_3^-1 K,
+      A_4^-1 K, T(K + G_3 K) at x_2, x_3, x_4, c, each basis in the form
+      rl.nullspace gives: the parts of _split along P, Mat for Mat, checked
+      by _cut.  A part has tube operator M on K, of minimal polynomial q^k:
+      it is a certified leaf (below) when q^k = (t - c)^m, m = dim K, else
+      it gets the bound s - (j - 1) for j parts, or none at the root.  A
+      tube node draws nothing from the generator.
+    - Certificate.  When the minimal polynomial of M is (t - c)^n, M is
+      cyclic, so End(W) = Q[M] = Q[t]/(t - c)^n is local with End/rad = Q.
+      Any other M of one primary factor goes to the split search.
+    - Peel skip.  The a_i are injective, so no S_{x_i} is a summand; the
+      radical U_1 + U_2 at c is W_c, so S_c is not one; for M_{a_i} the
+      other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
+      W_c, so Φ = 0; every other arrow is zero.  So a root in tube form
+      skips _peel.
     """
     if V.total_dim() == 0:
         return []
     rng = random.Random(0)  # fixed, so the summands depend on V alone
-    W, peeled = _peel(V)
+    tube = _tube(V)
+    W, peeled = (V, []) if tube else _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
     # s: an upper bound on the semisimple rank of the node; the root has none
-    stack: list[tuple[Representation, int | None]] = [(W, None)] if W.total_dim() else []
+    stack: list[tuple[Representation, int | None, tuple | None]] = (
+        [(W, None, tube)] if W.total_dim() else [])
     while stack:
-        cur, s = stack.pop()
+        cur, s, tube = stack.pop()
         parts = None
+        if s != 1 and tube:
+            f = rl.minimal_polynomial(tube[-1])
+            if _local(f, tube[-1].rows):
+                s = 1
+            elif len(factors := factor(f)) > 1:
+                parts = _tube_split(cur, tube, factors)
+                bound = None if s is None else s - len(parts) + 1
+                # each part is in tube form, and its M has the minimal polynomial its factor
+                stack.extend((P, 1 if _local(q, P.dims[tube[0][0]]) else bound, None)
+                             for P, q in zip(parts, factors))
+                continue
         if s != 1:
             basis = hom_basis(cur, cur)
             s = len(basis) if s is None else min(s, len(basis))
@@ -888,7 +996,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
         elif parts is None:
             out.append((cur, False))
         else:
-            stack.extend((part, s - len(parts) + 1) for part in parts)
+            bound = s - len(parts) + 1
+            stack.extend((part, bound, None if bound == 1 else _tube(part)) for part in parts)
     return out
 
 

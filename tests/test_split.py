@@ -12,7 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -46,15 +46,59 @@ def kernel_route_split(V, phi):
             for power in factors]
 
 
+def top_and_bottom(S, n):
+    """The first n and the last n rows of the 2n x n matrix S."""
+    rows = list(S)
+    return rl.mat(rows[:n], n, n), rl.mat(rows[n:], n, n)
+
+
+def tube_endomorphism(W):
+    """The endomorphism of W that acts by its tube operator M, built from W's
+    maps: M, G3 M G3^-1, A3^-1 M A3 and A4^-1 M A4 at x1..x4 and
+    T diag(M, G3 M G3^-1) T^-1 at c; None when W is not in tube form (four
+    nonzero arrows a_i: x_i -> c, dimension n at each x_i, 2n at c and 0
+    elsewhere, T = [W_a1 | W_a2], A3, B3 and A4 invertible)."""
+    arrows = [a for a in W.bq.quiver.arrows if not rl.is_zero(W.maps[a.name])]
+    if len(arrows) != 4:
+        return None
+    xs, c = [a.source for a in arrows], arrows[0].target
+    n = W.dims[xs[0]]
+    dims = {v: 2 * n if v == c else n if v in xs else 0 for v in W.dims}
+    if n == 0 or len({*xs, c}) != 5 or {a.target for a in arrows} != {c} or W.dims != dims:
+        return None
+    T = rl.hstack(W.maps[arrows[0].name], W.maps[arrows[1].name])
+    T_inv = rl.inverse(T)
+    if T_inv is None:
+        return None
+    A3, B3 = top_and_bottom(rl.matmul(T_inv, W.maps[arrows[2].name]), n)
+    A4, B4 = top_and_bottom(rl.matmul(T_inv, W.maps[arrows[3].name]), n)
+    if any(rl.inverse(X) is None for X in (A3, B3, A4)):
+        return None
+    M = rl.matmul(rl.matmul(A3, rl.inverse(B3)), rl.matmul(B4, rl.inverse(A4)))
+    G3 = rl.matmul(B3, rl.inverse(A3))
+    G3MG3_inv = rl.matmul(rl.matmul(G3, M), rl.inverse(G3))
+    phi = {v: rl.zeros(0, 0) for v in W.dims}
+    phi.update(zip(xs, (M, G3MG3_inv, rl.matmul(rl.matmul(rl.inverse(A3), M), A3),
+                        rl.matmul(rl.matmul(rl.inverse(A4), M), A4))))
+    phi[c] = rl.matmul(rl.matmul(T, rl.block_diag(M, G3MG3_inv)), T_inv)
+    return phi
+
+
 def kernel_route_decompose(V):
-    """decompose_certified with semisimple_rank computed before any candidate
-    and every split cut out by kernel()."""
+    """decompose_certified with the tube split along tube_endomorphism,
+    semisimple_rank computed before any candidate and every split cut out by
+    kernel()."""
     if V.total_dim() == 0:
         return []
     rng = random.Random(0)
     out, stack = [], [V]
     while stack:
         cur = stack.pop()
+        phi = tube_endomorphism(cur)
+        parts = phi and kernel_route_split(cur, phi)
+        if parts:
+            stack.extend(parts)
+            continue
         basis = qv.hom_basis(cur, cur)
         if len(basis) == 1 or qv.semisimple_rank(cur, basis) == 1:
             out.append((cur, True))
@@ -214,8 +258,14 @@ def whole_space_sixth(A):
     return rl.identity(A.cols) if len(calls) == 6 else nullspace(A)
 rl.nullspace = whole_space_sixth
 arrow_peel = raised(lambda: qv._peel(M_P))
+# the failing tube split of test_a_wrong_tube_operator_raises
+rl.nullspace = nullspace
+tube = qv._tube
+qv._tube = lambda V: (lambda form: form and form[:-1] + (rl.transpose(form[-1]),))(tube(V))
+tube_split = [raised(lambda: qv.decompose_certified(qv.conjugate(qv.direct_sum(
+    cubics.rn_family(2, 5), cubics.rn_family(2, 7)), seed))) for seed in (3, 11)]
 print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel,
-                  "arrow_peel": arrow_peel}))
+                  "arrow_peel": arrow_peel, "tube_split": tube_split}))
 """
 
 
@@ -229,6 +279,7 @@ def test_a_non_intertwining_phi_raises_under_python_O():
     assert "not stable under arrow" in report["split"]
     assert report["peel"] == "a part is not stable under arrow a"
     assert report["arrow_peel"] == "a part is not stable under arrow beta2"
+    assert report["tube_split"] == ["a part is not stable under arrow alpha4"] * 2
 
 
 def spy_on(monkeypatch, name):
@@ -247,6 +298,12 @@ def spy_on(monkeypatch, name):
     return seen
 
 
+def without_the_tube_route(monkeypatch):
+    """decompose_certified finds no node in tube form, so every node takes
+    the peel and the split search."""
+    monkeypatch.setattr(qv, "_tube", lambda V: None)
+
+
 def ranked_during_decompose(monkeypatch, V):
     """The dimension vectors of the representations decompose_certified(V)
     ranks, each through the trace form of its hom basis."""
@@ -257,6 +314,7 @@ def ranked_during_decompose(monkeypatch, V):
 
 
 def test_a_sum_split_by_the_first_candidate_is_never_ranked(monkeypatch):
+    without_the_tube_route(monkeypatch)
     V = qv.conjugate(qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3)), seed=1)
     assert ranked_during_decompose(monkeypatch, V) == [(2, 2, 2, 2, 4)] * 2
 
@@ -265,6 +323,7 @@ def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch)
     # the first basis endomorphism of the plain sum is the nilpotent of
     # R_2(1), minimal polynomial t^2, so the sum is ranked (rank 2) before
     # the second one splits it; its two parts have rank at most 2 - 1 = 1
+    without_the_tube_route(monkeypatch)
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     assert qv._split(V, qv.hom_basis(V, V)[0].blocks) is None
     assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
@@ -292,6 +351,7 @@ def test_a_random_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
 def test_the_parts_of_a_ranked_split_are_certified_by_the_bound(monkeypatch):
     # ranked at 2 and split in two, each part has rank at most 1, so
     # neither gets a hom basis of its own
+    without_the_tube_route(monkeypatch)
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     homs = spy_on(monkeypatch, "hom_basis")
     assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
@@ -322,6 +382,7 @@ def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
     # ranked at 3, the sum splits into R_2(λ) and a sum of two R_2: each
     # part gets the bound 3 - (2 - 1) = 2, so the sum of two is searched
     # again and comes apart (the bound 3 - 2 = 1 would pass it whole)
+    without_the_tube_route(monkeypatch)
     R = cubics.rn_family
     V = reduce(qv.direct_sum, [R(2, 1), R(2, 3), R(2, 5)])
     ranked = spy_on(monkeypatch, "_trace_pairing")
@@ -342,10 +403,12 @@ def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
 
 
 def test_each_benchmark_sum_takes_one_hom_basis_and_at_most_two_splits(monkeypatch):
-    # the root's trace form decides each sum of the decompose workload
-    # (seed 0, passes 0-2): the root is ranked once the first candidate
-    # fails, the next candidate outside the radical splits it, and both
-    # parts are certified by the bound
+    # the root's trace form decides each big-component sum of the decompose
+    # workload (seed 0, passes 0-2): the root is ranked once the first
+    # candidate fails, the next candidate outside the radical splits it, and
+    # both parts are certified by the bound; a d4hat sum is in tube form, so
+    # its tube operator splits it and certifies both parts, with no hom basis
+    # and no _split
     worker = load_worker()
     homs, splits = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_split")
     ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
@@ -354,7 +417,10 @@ def test_each_benchmark_sum_takes_one_hom_basis_and_at_most_two_splits(monkeypat
         homs.clear()
         splits.clear()
         out = worker.decompose_op(*op)
-        assert len(homs) == 1 and len(splits) <= 2, (op, len(homs), len(splits))
+        if op[0] == "d4hat":
+            assert len(homs) == 0 and len(splits) == 0, (op, len(homs), len(splits))
+        else:
+            assert len(homs) == 1 and len(splits) <= 2, (op, len(homs), len(splits))
         assert [c for _, c in out] == [True, True]
 
 
@@ -486,7 +552,8 @@ def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
 
 
 def test_the_peel_finds_no_summand_in_the_benchmark_pairs():
-    # so the decompose workload pays only the peel's exits
+    # so the big-component sums of the decompose workload pay only the
+    # peel's exits; the d4hat sums are in tube form and skip the peel
     for op in sorted(benchmark_ops()):
         V = benchmark_sum(*op)
         W, peeled = qv._peel(V)
@@ -607,3 +674,107 @@ def test_the_two_vertex_counts_are_kept():
     report = cubics.check_two_vertex_component(50, 0)
     assert report == {"samples": 50, "summands": 149, "simple_1": 28, "simple_2": 63,
                       "arrow_a": 58, "arrow_b": 0, "violations": []}
+
+
+def four_subspaces(n, G3, G4):
+    """The d4hat representation of dimension n delta whose subspaces of
+    Q^2n are the two coordinate halves and the graphs of G3 and G4 (n x n)
+    over the first: M = G3^-1 G4 when G3 is invertible."""
+    I, Z = rl.identity(n), rl.zeros(n, n)
+    return qv.Representation(cubics.build("d4hat"), {"1": n, "2": n, "3": n, "4": n, "5": 2 * n},
+                             {"alpha1": rl.vstack(I, Z), "alpha2": rl.vstack(Z, I),
+                              "alpha3": rl.vstack(I, rl.mat(G3, n, n)),
+                              "alpha4": rl.vstack(I, rl.mat(G4, n, n))})
+
+
+def tube_sums():
+    """R_n(lambda) + R_n(mu) for n <= 4 and three pairs (lambda, mu) per n,
+    from {0, 1, -1, 5, 1/2}: plain, conjugated at seeds 1-3, and embedded on
+    the alpha arrows of big_component."""
+    pairs = list(combinations([0, 1, -1, 5, Fraction(1, 2)], 2))
+    for n in range(1, 5):
+        for lam, mu in [pairs[(3 * n + i) % len(pairs)] for i in range(3)]:
+            V = qv.direct_sum(cubics.rn_family(n, lam), cubics.rn_family(n, mu))
+            yield from [V] + [qv.conjugate(V, seed) for seed in (1, 2, 3)]
+            yield qv.direct_sum(cubics.embed_alpha(cubics.rn_family(n, lam)),
+                                cubics.embed_alpha(cubics.rn_family(n, mu)))
+
+
+def test_the_tube_split_equals_the_kernel_route_along_M():
+    # each sum is split by M into its two summands, and each is certified by
+    # its M, (t - lambda)^n; the leaves come off the stack last part first
+    cases = 0
+    for V in tube_sums():
+        phi = tube_endomorphism(V)
+        want = kernel_route_split(V, phi)
+        assert len(want) == 2
+        assert qv.decompose_certified(V) == [(P, True) for P in reversed(want)]
+        cases += 1
+    assert cases == 60
+
+
+def declined_cases():
+    """Tube-like modules the tube route leaves to the split search, with the
+    verdicts they get: R_1(5) + R_1(5), whose M = 5 is not cyclic; M the
+    companion of t^2 + 1, irreducible over Q; and U_3 = U_1, so B3 = 0."""
+    return [(qv.direct_sum(cubics.rn_family(1, 5), cubics.rn_family(1, 5)), [True, True], "no"),
+            (four_subspaces(2, rl.identity(2), [[0, -1], [1, 0]]), [False], "inconclusive"),
+            (four_subspaces(1, [[0]], [[1]]), [True], "yes")]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("case", range(3))
+def test_the_tube_route_keeps_the_verdicts_where_it_declines(monkeypatch, case, seed):
+    V, flags, verdict = declined_cases()[case]
+    V = V if seed is None else qv.conjugate(V, seed)
+    assert (qv._tube(V) is None) == (verdict == "yes")  # only B3 = 0 is not in tube form
+    got = qv.decompose_certified(V)
+    assert [certified for _, certified in got] == flags
+    assert qv.is_indecomposable(V) == verdict
+    without_the_tube_route(monkeypatch)
+    assert got == qv.decompose_certified(V)
+
+
+def conjugated_tube_modules():
+    """50 conjugated modules in tube form: one R_n(lambda) or a sum of two
+    (n <= 2), on d4hat or through embed_alpha."""
+    rng = random.Random(30)
+    params = [0, 1, -1, 5, Fraction(1, 2), 7]
+    for i in range(50):
+        n = rng.randint(1, 2)
+        V = reduce(qv.direct_sum, [cubics.rn_family(n, rng.choice(params))
+                                   for _ in range(rng.randint(1, 2))])
+        yield qv.conjugate(cubics.embed_alpha(V) if i % 5 == 4 else V, seed=i)
+
+
+def test_a_module_in_tube_form_has_nothing_to_peel():
+    for V in conjugated_tube_modules():
+        assert qv._tube(V) is not None
+        W, peeled = qv._peel(V)
+        assert W is V and peeled == []
+
+
+def transposed_tube_operator(tube):
+    """qv._tube with M replaced by its transpose: the same minimal polynomial,
+    other generalized eigenspaces (test_a_non_intertwining_phi_raises_under_python_O
+    makes the same change under python -O)."""
+    def wrong(V):
+        form = tube(V)
+        return form and form[:-1] + (rl.transpose(form[-1]),)
+    return wrong
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_a_wrong_tube_operator_raises(monkeypatch, seed):
+    V = qv.conjugate(qv.direct_sum(cubics.rn_family(2, 5), cubics.rn_family(2, 7)), seed)
+    monkeypatch.setattr(qv, "_tube", transposed_tube_operator(qv._tube))
+    with pytest.raises(ArithmeticError, match="a part is not stable under arrow alpha4"):
+        qv.decompose_certified(V)
+
+
+def test_the_conjugated_pair_takes_no_hom_basis(monkeypatch):
+    V = qv.conjugate(qv.direct_sum(cubics.rn_family(4, 5), cubics.rn_family(4, 7)), 3)
+    homs = spy_on(monkeypatch, "hom_basis")
+    out = qv.decompose_certified(V)
+    assert [(W.dim_vector(), certified) for W, certified in out] == [((4, 4, 4, 4, 8), True)] * 2
+    assert homs == []

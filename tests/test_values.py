@@ -113,17 +113,20 @@ def test_keyword_defaults():
 
 
 IMPORT_GUARD = """
-import json, sys
+import sys
 import binarycubics
-after_package = sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules)
+after_package = sorted(m for m in ("dataclasses", "inspect", "json", "typing") if m in sys.modules)
 import binarycubics.cli
 after_cli = sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules)
+import json
 print(json.dumps([after_package, after_cli]))
 """
 
 
 def test_the_import_loads_no_dataclasses_inspect_or_typing():
-    # -S: site would import some of them before the package does
+    # -S: site would import some of them before the package does; the library
+    # import loads no json either (the CLI does), which the guard records
+    # before it imports json itself
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
