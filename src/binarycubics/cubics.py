@@ -44,6 +44,7 @@ from .quiver import (
     cokernel,
     decompose_certified,
     direct_sum,
+    dual,
     is_isomorphic,
     monomial_relations,
 )
@@ -121,27 +122,22 @@ _BUILDERS = {
 NAMED_QUIVERS = tuple(_BUILDERS)
 
 
+def _embed(V: Representation, side: str, W: Representation) -> Representation:
+    """W's alpha maps on big_component's side1..side4; W is V or D(V), V on d4hat."""
+    if V.bq is not build("d4hat"):
+        raise ValueError(f"embed_{side} expects a representation of d4hat")
+    maps = {f"{side}{i}": W.maps[f"alpha{i}"] for i in (1, 2, 3, 4)}
+    return Representation(build("big_component"), dict(V.dims), maps)
+
+
 def embed_alpha(V: Representation) -> Representation:
     """Four-subspace representation placed on the alpha arrows (betas zero)."""
-    if V.bq is not build("d4hat"):
-        raise ValueError("embed_alpha expects a representation of d4hat")
-    bq = build("big_component")
-    dims = dict(V.dims)
-    maps = {f"alpha{i}": V.maps[f"alpha{i}"] for i in (1, 2, 3, 4)}
-    return Representation(bq, dims, maps)
+    return _embed(V, "alpha", V)
 
 
 def embed_beta(V: Representation) -> Representation:
-    """Dualized four-subspace representation on the beta arrows (alphas zero).
-
-    Spaces are replaced by their duals in the standard basis, so each
-    beta_i carries the transpose of V(alpha_i).
-    """
-    if V.bq is not build("d4hat"):
-        raise ValueError("embed_beta expects a representation of d4hat")
-    bq = build("big_component")
-    maps = {f"beta{i}": rl.transpose(V.maps[f"alpha{i}"]) for i in (1, 2, 3, 4)}
-    return Representation(bq, dict(V.dims), maps)
+    """D(V) on the beta arrows (alphas zero): beta_i carries V(alpha_i)^T."""
+    return _embed(V, "beta", dual(V))
 
 
 def jordan_block(n: int, lam) -> rl.Mat:

@@ -113,6 +113,15 @@ class TestEmbeddings:
         R = cubics.rn_family(1, Fraction(2, 5))
         out = cubics.embed_beta(R)
         assert out.maps["beta4"] == rl.mat([[Fraction(1), Fraction(2, 5)]])
+        d4 = cubics.build("d4hat")
+        for X in (R, cubics.rn_family(3, -2), d4.injective("5"),
+                  qv.conjugate(cubics.rn_family(2, Fraction(-3, 4)), seed=5)):
+            out = cubics.embed_beta(X)
+            assert out.dims == X.dims
+            for i in (1, 2, 3, 4):
+                alpha = X.maps[f"alpha{i}"]
+                assert out.maps[f"beta{i}"] == rl.transpose(alpha)
+                assert out.maps[f"alpha{i}"] == rl.zeros(alpha.rows, alpha.cols)
 
 
 class TestRnFamily:

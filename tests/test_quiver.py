@@ -171,6 +171,132 @@ class TestStandardModules:
             qv.BoundQuiver(q, qv.monomial_relations([("a", "zz")]))
 
 
+def injective_by_left_concatenation(bq, x):
+    """The injective envelope of the simple at x on a second route: the duals
+    of the paths into x, an arrow a acting by the transpose of left
+    concatenation p -> a p, reduced in bq's own path basis."""
+    pb = bq.path_basis()
+    into = {y: pb.paths(y, x) for y in bq.quiver.vertices}
+    maps = {}
+    for a in bq.quiver.arrows:
+        src, tgt = into[a.target], into[a.source]
+        row = {p: i for i, p in enumerate(tgt)}
+        M = [[0] * len(src) for _ in tgt]
+        for j, p in enumerate(src):
+            for coeff, bp in pb.reduce((a.name,) + p):
+                M[row[bp]][j] += coeff
+        maps[a.name] = rl.transpose(rl.mat(M, len(tgt), len(src)))
+    return qv.Representation(bq, {y: len(ps) for y, ps in into.items()}, maps)
+
+
+def commutative_square():
+    """x -> y -> w and x -> z -> w, bound by the two-term relation ab - cd."""
+    q = qv.Quiver(("x", "y", "z", "w"), (qv.Arrow("a", "x", "y"), qv.Arrow("b", "y", "w"),
+                                         qv.Arrow("c", "x", "z"), qv.Arrow("d", "z", "w")))
+    return qv.BoundQuiver(q, (((Fraction(1), ("a", "b")), (Fraction(-1), ("c", "d"))),))
+
+
+def two_loops():
+    """One vertex, loops a and b, relations a^2, b^2 and ab: the path ba
+    survives, so a relation left unreversed on the opposite is still a path."""
+    q = qv.Quiver(("1",), (qv.Arrow("a", "1", "1"), qv.Arrow("b", "1", "1")))
+    return qv.BoundQuiver(q, qv.monomial_relations([("a", "a"), ("b", "b"), ("a", "b")]),
+                          max_path_length=3)
+
+
+def duality_samples(rng):
+    """Representations of the four named quivers and of the two inline ones
+    above: every projective and injective, a random representation of each
+    named quiver, and the commutative square with every arrow 1."""
+    for bq in [cubics.build(name) for name in cubics.NAMED_QUIVERS] + [
+            commutative_square(), two_loops()]:
+        for v in bq.quiver.vertices:
+            yield bq.projective(v)
+            yield bq.injective(v)
+        if bq.name:
+            free = {a.name for a in bq.quiver.arrows if a.name.startswith(("a", "gamma"))}
+            dims = {v: rng.randint(0, 2) for v in bq.quiver.vertices}
+            yield cubics._complete(rng, bq, dims, free)
+    square = commutative_square()
+    yield qv.Representation(square, dict.fromkeys(square.quiver.vertices, 1),
+                            dict.fromkeys("abcd", [[1]]))
+
+
+class TestDuality:
+    def test_opposite_is_built_once_and_reverses_arrows_and_relations(self):
+        bq = commutative_square()
+        op = bq.opposite()
+        assert op is bq.opposite() and op.opposite() is bq
+        assert op.name == "" and op.bound == bq.bound
+        assert [(a.name, a.source, a.target) for a in op.quiver.arrows] == [
+            ("a", "y", "x"), ("b", "w", "y"), ("c", "z", "x"), ("d", "w", "z")]
+        assert op.relations == (((Fraction(1), ("b", "a")), (Fraction(-1), ("d", "c"))),)
+        pf = cubics.build("paper_full")
+        assert pf.opposite().vertex_labels == pf.vertex_labels
+
+    def test_dual_is_an_involution(self):
+        for V in duality_samples(random.Random(3)):
+            DV = qv.dual(V)
+            assert DV.bq is V.bq.opposite()
+            assert qv.dual(DV).bq is V.bq
+            assert qv.dual(DV) == V
+
+    def test_dual_satisfies_the_relations_of_the_opposite(self):
+        """dual skips Representation's checks; the checked constructor accepts
+        every D(V), so the relations hold as its docstring proves."""
+        count = 0
+        for V in duality_samples(random.Random(4)):
+            DV = qv.dual(V)
+            checked = qv.Representation(DV.bq, DV.dims, DV.maps)
+            assert (checked.dims, checked.maps) == (DV.dims, DV.maps)
+            count += 1
+        # a projective and an injective at each of the 26 + 4 + 1 vertices, one
+        # random representation per named quiver, and the square of ones
+        assert count == 2 * (26 + 4 + 1) + 4 + 1
+
+    def test_an_unreversed_relation_fails_on_the_dual(self):
+        # the check above has teeth: on two_loops, V(ab) = 0 but V(ba) != 0
+        bq = two_loops()
+        P = bq.projective("1")
+        assert rl.is_zero(P.path_matrix(("a", "b"))) and not rl.is_zero(P.path_matrix(("b", "a")))
+        op = bq.opposite()
+        unreversed = qv.BoundQuiver(op.quiver, bq.relations, bq.bound)
+        DP = qv.dual(P)
+        with pytest.raises(ValueError, match="is violated"):
+            qv.Representation(unreversed, DP.dims, DP.maps)
+
+    def test_hom_dimensions_match_under_duality(self):
+        rng = random.Random(17)
+        nonzero = 0
+        for _ in range(10):
+            V = small_big_component_rep(rng, 2, 3)
+            W = small_big_component_rep(rng, 2, 3)
+            dim = len(qv.hom_basis(V, W))
+            assert dim == len(qv.hom_basis(qv.dual(W), qv.dual(V)))
+            nonzero += dim > 0
+        assert nonzero > 0
+
+    def test_summands_of_the_dual_are_the_duals_of_the_summands(self):
+        rng = random.Random(23)
+        for _ in range(8):
+            V = small_big_component_rep(rng, 2, 4)
+            dual_summands = [qv.dual(S) for S, _ in qv.decompose_certified(V)]
+            summands = [T for T, _ in qv.decompose_certified(qv.dual(V))]
+            assert len(summands) == len(dual_summands)
+            for T in summands:  # isomorphism is an equivalence, so a greedy match is a matching
+                match = next(i for i, S in enumerate(dual_summands) if qv.is_isomorphic(T, S))
+                dual_summands.pop(match)
+
+    def test_injective_is_the_transpose_of_left_concatenation(self):
+        count = 0
+        for name in cubics.NAMED_QUIVERS:
+            bq = cubics.build(name)
+            for v in bq.quiver.vertices:
+                assert bq.injective(v) == injective_by_left_concatenation(bq, v), (name, v)
+                count += 1
+        assert count == 26
+
+
 class TestRelationData:
     def test_relations_validated_once_per_bound_quiver(self, monkeypatch):
         # validation walks every path of every relation, once
@@ -362,11 +488,13 @@ class TestKernelsCokernels:
             assert all(S.dims[v] == V.dims[v] + W.dims[v] for v in verts)
             for phi in qv.hom_basis(V, W) + [qv.RepMorphism(V, W, {})]:
                 K, _ = qv.kernel(phi)
-                C, _ = qv.cokernel(phi)
+                C, proj = qv.cokernel(phi)
                 for v in verts:
                     image = rl.rank(phi.blocks[v])
                     assert K.dims[v] + image == V.dims[v]
                     assert image + C.dims[v] == W.dims[v]
+                    assert rl.is_zero(rl.matmul(proj.blocks[v], phi.blocks[v]))  # proj∘φ = 0
+                    assert rl.rank(proj.blocks[v]) == C.dims[v]  # proj is onto
         assert zero_vertices > 0  # the samples do reach zero-dimensional vertices
 
     def test_image_plus_kernel_dimensions(self):
@@ -734,6 +862,17 @@ class TestRepresentationFiles:
                 "dims": {"x": 1}}
         with pytest.raises(ValueError, match="max_path_length"):
             qv.rep_from_dict(data)
+
+    def test_round_trip_of_a_dual_writes_the_opposite_inline(self):
+        for V in (cubics.build("big_component").projective("5"),
+                  cubics.rn_family(2, Fraction(1, 3))):
+            DV = qv.dual(V)
+            data = json.loads(json.dumps(qv.rep_to_dict(DV)))
+            assert data["quiver"] == qv.quiver_to_dict(DV.bq)
+            back = qv.rep_from_dict(data)
+            assert back.dims == DV.dims
+            assert back.maps == DV.maps
+            assert qv.quiver_to_dict(back.bq) == qv.quiver_to_dict(DV.bq)
 
     def test_fraction_strings_are_exact(self):
         V = cubics.rn_family(1, Fraction(-5, 7))
