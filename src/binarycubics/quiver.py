@@ -46,14 +46,17 @@ trace form: a basis element in its radical is never tried, and a part
 of a split whose semisimple rank is bounded by 1 is certified without
 its hom space (proofs at decompose_certified).  The split and the peel
 share one change of basis per vertex, _cut, which must be invertible
-and block-diagonalize every arrow.  Only conjugate takes a seed.
+and block-diagonalize every arrow; its parts then satisfy the
+relations, so they skip Representation's check.  Only conjugate takes
+a seed.
 
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
 M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
 1099, 3.2).  decompose_certified splits such a node along the primary
 decomposition of M, or certifies it from M, with no hom space; at the root
-this test replaces the peel (proofs at decompose_certified).
+this test replaces the peel.  A node in dual form, four arrows c -> x_i, is
+read the same way through D (proofs at decompose_certified).
 """
 
 from __future__ import annotations
@@ -325,21 +328,31 @@ class BoundQuiver:
         return sum(1 for a in self.quiver.arrows if a.source == x and a.target == y)
 
     def simple(self, x: str) -> "Representation":
+        """S_x: Q at x, 0 elsewhere.  Its relations hold unchecked: a relation
+        path has length >= 2, and a module with at most one nonzero arrow, not
+        a loop, kills every such path."""
         _check_vertices(self.quiver.vertices, x)
-        dims = {v: (1 if v == x else 0) for v in self.quiver.vertices}
-        return Representation(self, dims, {})
+        return self._one_arrow({v: int(v == x) for v in self.quiver.vertices}, None)
 
     def arrow_module(self, name: str) -> "Representation":
         """M_a for the arrow a called name, x -> y with x != y: Q at x and at y,
         a acting by 1 and every other arrow by 0; the non-split extension of
         the simple at x by the simple at y that a stands for.  KeyError on an
-        unknown arrow, ValueError on a loop."""
+        unknown arrow, ValueError on a loop.  Its relations hold unchecked, as
+        for simple."""
         if name not in self.quiver._by_name:
             raise KeyError(f"unknown arrow {name!r}")
         a = self.quiver._by_name[name]
         if a.source == a.target:
             raise ValueError(f"arrow {name} is a loop")
-        return Representation(self, {a.source: 1, a.target: 1}, {name: rl.identity(1)})
+        return self._one_arrow({v: int(v in (a.source, a.target)) for v in self.quiver.vertices},
+                               name)
+
+    def _one_arrow(self, dims: dict[str, int], name: str | None) -> "Representation":
+        """dims, the arrow called name (none for None) acting by 1, the others by 0."""
+        maps = {a.name: rl.identity(1) if a.name == name else rl.zeros(dims[a.target], dims[a.source])
+                for a in self.quiver.arrows}
+        return Representation._satisfying(self, dims, maps)
 
     def projective(self, x: str) -> "Representation":
         """Projective cover of the simple at x: the paths out of x, an arrow
@@ -374,6 +387,13 @@ class Representation(Value):
     construction.  A dimension must be an integer (numpy integers too)
     and an entry an integer or a Fraction; anything else, a float, a
     string or a bool, raises TypeError rather than being truncated.
+
+    The relation check runs on every representation built here: a user's,
+    rep_from_dict's, the samplers', kernel's and projective's.  It is
+    skipped, through _satisfying, only where the construction proves the
+    relations: simple and arrow_module (at most one nonzero arrow), the
+    parts _cut returns (its docstring), a direct_sum on one bound quiver
+    and conjugate (block sums and conjugates of path matrices), and dual.
     """
 
     _fields = ("bq", "dims", "maps")
@@ -395,6 +415,15 @@ class Representation(Value):
             self.maps, {a.name: (self.dims[a.target], self.dims[a.source]) for a in q.arrows},
             "maps for unknown arrows")
         self._check_relations()
+
+    @classmethod
+    def _satisfying(cls, bq: BoundQuiver, dims: dict[str, int],
+                    maps: dict[str, rl.Mat]) -> "Representation":
+        """The representation with dims (an int per vertex) and maps (a Mat of
+        the right shape per arrow) known to satisfy bq's relations."""
+        V = cls.__new__(cls)
+        V.bq, V.dims, V.maps = bq, dims, maps
+        return V
 
     def _check_relations(self):
         """Each relation multiplied out, without the terms whose path passes a
@@ -570,17 +599,23 @@ def cokernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
 
 
 def direct_sum(V: Representation, W: Representation) -> Representation:
+    """V ⊕ W on V.bq.  On one bound quiver its relations hold unchecked, as
+    its path matrices are block sums of V's and W's; a W on another bound
+    quiver over the same quiver may break V.bq's, so they are checked."""
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
     q = V.bq.quiver
     dims = {v: V.dims[v] + W.dims[v] for v in q.vertices}
     maps = {a.name: rl.block_diag(V.maps[a.name], W.maps[a.name]) for a in q.arrows}
+    if V.bq is W.bq:
+        return Representation._satisfying(V.bq, dims, maps)
     return Representation(V.bq, dims, maps)
 
 
 def conjugate(V: Representation, seed: int = 0) -> Representation:
     """V with arrow a: x -> y changed to T_y V_a T_x^-1, T_v the first
-    invertible draw of a matrix with entries in [-3, 3]; isomorphic to V."""
+    invertible draw of a matrix with entries in [-3, 3]; isomorphic to V.
+    Its relations hold unchecked: its path matrices are V's, conjugated."""
     rng = random.Random(seed)
     T, T_inv = {}, {}
     for v, d in V.dims.items():
@@ -589,7 +624,7 @@ def conjugate(V: Representation, seed: int = 0) -> Representation:
             T_inv[v] = rl.inverse(T[v])
     maps = {a.name: rl.matmul(T[a.target], rl.matmul(V.maps[a.name], T_inv[a.source]))
             for a in V.bq.quiver.arrows}
-    return Representation(V.bq, V.dims, maps)
+    return Representation._satisfying(V.bq, dict(V.dims), maps)
 
 
 def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
@@ -651,24 +686,28 @@ def _split_candidates(basis: list[RepMorphism], rng: random.Random):
 
 def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, dict]]:
     """V cut into parts by one checked change of basis per vertex; each part
-    as its (dims, maps), which the caller builds into a Representation when
-    it keeps the part: _split keeps them all, _peel only the first.
+    as its (dims, maps), which the caller builds with Representation._satisfying
+    when it keeps the part: _split and _tube_split keep them all, _peel only
+    the first.
 
     The rows of bases[v][i] are a basis of part i at v (the form of
     rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
     the first part.  T_v holds the bases of the parts at v as columns, and
     an arrow a: x -> y becomes C_a = T_y^-1 V_a T_x (no product at a vertex
-    left alone), whose diagonal blocks are the maps of the parts.  Checks:
+    left alone), whose diagonal blocks are the maps of the parts.  Checks,
+    each raising ArithmeticError:
 
     - T_v is square and invertible: the parts fill V_v;
-    - V_a T_x = T_y C_a on every arrow: the inverse is right;
-    - C_a is zero off its diagonal blocks: each part is arrow-stable;
-    - a part built as a Representation has its relations checked.
+    - T_v T_v^-1 = I, once per vertex: the inverse is right, so
+      T_y C_a = V_a T_x on every arrow, the check it replaces;
+    - C_a is zero off its diagonal blocks: each part is arrow-stable.
 
-    The first three raise ArithmeticError.  The last raises ValueError and
-    cannot fail once they pass: V satisfies the relations, and the path
-    matrices of the parts are the diagonal blocks of T_y^-1 V_p T_x.  So
-    a part that is not kept is not built.
+    Once they pass, the parts satisfy the relations, so they are built
+    without Representation's check.  A path p: x -> y has the matrix
+    C_p = T_y^-1 V_p T_x, the inner T_v T_v^-1 cancelling, and C_p is
+    block diagonal with the path matrices of the parts as its blocks; a
+    relation sum c_i V_(p_i) is zero on V, so sum c_i C_(p_i) is, and
+    with it each of its blocks.
     """
     count = max(map(len, bases.values()), default=1)
     sizes, T, T_inv = {}, {}, {}
@@ -681,14 +720,14 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, 
         T_inv[v] = rl.inverse(T[v]) if T[v].cols == T[v].rows == d else None
         if T_inv[v] is None:
             raise ArithmeticError(f"the parts do not fill V at vertex {v}")
+        if rl.matmul(T[v], T_inv[v]) != rl.identity(d):
+            raise ArithmeticError(f"the change of basis fails at vertex {v}")
     maps: list[dict[str, rl.Mat]] = [{} for _ in range(count)]
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
-        C = moved = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
+        C = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
         if y in T:
-            C = rl.matmul(T_inv[y], moved)
-            if rl.matmul(T[y], C) != moved:
-                raise ArithmeticError(f"the change of basis fails along arrow {a.name}")
+            C = rl.matmul(T_inv[y], C)
         blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
         if blocks is None:
             raise ArithmeticError(f"a part is not stable under arrow {a.name}")
@@ -707,7 +746,7 @@ def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | 
         return None
     parts = _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
                      for v in verts})
-    return [Representation(V.bq, dims, maps) for dims, maps in parts]
+    return [Representation._satisfying(V.bq, dims, maps) for dims, maps in parts]
 
 
 def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
@@ -763,33 +802,41 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     bases = {v: [rl.nullspace(reduce(rl.vstack, [c[v][0] for c in cuts if v in c]))]
              + [c[v][1] if v in c else rl.zeros(0, d) for c in cuts]
              for v, d in V.dims.items() if any(v in c for c in cuts)}
-    return Representation(V.bq, *_cut(V, bases)[0]), peeled
+    return Representation._satisfying(V.bq, *_cut(V, bases)[0]), peeled
 
 
 def _tube(V: Representation) -> tuple | None:
-    """The tube form of V (see decompose_certified), or None: the vertices
-    x_1..x_4 and c, T^T, G_3^T, A_3^-T, A_4^-T and the tube operator M."""
+    """The tube form of V or of D(V) (see decompose_certified), or None: X, the
+    vertices x_1..x_4 and c, T^T, G_3^T, A_3^-T, A_4^-T and the tube operator M
+    of X, where X is V in tube form and D(V) when V is in dual form.  The
+    arrow pattern and the dimensions are read on V, so a V in neither form
+    builds no D(V)."""
     arrows = [a for a in V.bq.quiver.arrows if not rl.is_zero(V.maps[a.name])]
     if len(arrows) != 4:
         return None
-    xs, c = [a.source for a in arrows], arrows[0].target
+    if all(a.target == arrows[0].target for a in arrows):
+        xs, c = [a.source for a in arrows], arrows[0].target
+    elif all(a.source == arrows[0].source for a in arrows):
+        xs, c = [a.target for a in arrows], arrows[0].source
+    else:
+        return None
     n = V.dims[xs[0]]
     shape = {**dict.fromkeys(xs, n), c: 2 * n}
-    if (n == 0 or len(shape) != 5 or any(a.target != c for a in arrows)
-            or any(d != shape.get(v, 0) for v, d in V.dims.items())):
+    if n == 0 or len(shape) != 5 or any(d != shape.get(v, 0) for v, d in V.dims.items()):
         return None
-    W1, W2, W3, W4 = (V.maps[a.name] for a in arrows)
+    X = V if arrows[0].target == c else dual(V)
+    W1, W2, W3, W4 = (X.maps[a.name] for a in arrows)
     T = rl.hstack(W1, W2)
     T_inv = rl.inverse(T)
     if T_inv is None:
         return None
     A3, B3, A4, B4 = [_rows(rl.matmul(T_inv, Wi), list(half)) for Wi in (W3, W4)
                       for half in (range(n), range(n, 2 * n))]
-    A3_inv, B3_inv, A4_inv = inverses = [rl.inverse(X) for X in (A3, B3, A4)]
-    if any(X is None for X in inverses):
+    A3_inv, B3_inv, A4_inv = inverses = [rl.inverse(B) for B in (A3, B3, A4)]
+    if any(B is None for B in inverses):
         return None
     M = rl.matmul(rl.matmul(A3, B3_inv), rl.matmul(B4, A4_inv))
-    return (xs + [c], rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
+    return (X, xs + [c], rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
             rl.transpose(A3_inv), rl.transpose(A4_inv), M)
 
 
@@ -806,10 +853,11 @@ def _local(f: list[Fraction], n: int) -> bool:
 
 
 def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Representation]:
-    """V cut by _cut along the factors of the minimal polynomial of its tube
-    operator M, in the order polyfactor.factor gives them; the parts are those
-    of _split along the endomorphism of M (see decompose_certified)."""
-    verts, Tt, G3t, A3_invt, A4_invt, M = tube
+    """V cut along the factors of the minimal polynomial of the tube operator M
+    of _tube's X, in the order polyfactor.factor gives them: X cut by _cut into
+    the parts of _split along the endomorphism of M, and for a V in dual form,
+    X = D(V), each part P of X comes back as D(P) (see decompose_certified)."""
+    X, verts, Tt, G3t, A3_invt, A4_invt, M = tube
     bases: dict[str, list[rl.Mat]] = {v: [] for v in verts}
     for power in factors:
         K = rl.nullspace(rl.eval_poly(power, M))
@@ -818,7 +866,8 @@ def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Represent
         for v, B in zip(verts[1:], (KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
                                     rl.matmul(rl.block_diag(K, KG), Tt))):
             bases[v].append(_kernel_form(B))
-    return [Representation(V.bq, dims, maps) for dims, maps in _cut(V, bases)]
+    parts = [Representation._satisfying(X.bq, dims, maps) for dims, maps in _cut(X, bases)]
+    return parts if X is V else [dual(P) for P in parts]
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
@@ -958,6 +1007,24 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
       W_c, so Φ = 0; every other arrow is zero.  So a root in tube form
       skips _peel.
+
+    The dual form.  A node W is in dual form when its four nonzero arrows
+    go the other way, a_i: c -> x_i, with the same dimensions, so that
+    D(W) = dual(W) on bq.opposite() has the arrows a_i: x_i -> c; W takes
+    the tube route when D(W) is in tube form, with D(W)'s M.  These are
+    the α-zero nodes of big_component, the β-images embed_beta(R_n(λ)).
+
+    - Split.  D is additive and D(D(X)) = X on V.bq, as opposite() is
+      built once, so D(W) = P_1 ⊕ ... ⊕ P_j exactly when
+      W = D(P_1) ⊕ ... ⊕ D(P_j): _tube_split cuts D(W) as above and
+      gives each part P back as dual(P), of the dims of P.
+    - Certificate.  f -> D(f), the transposed blocks, is an
+      anti-isomorphism End(W) -> End(D(W)), so End(W) ≅ End(D(W))^op,
+      which is local with End/rad = Q when the minimal polynomial of
+      D(W)'s M is (t - c)^n.
+    - Peel skip.  D(S_v) is the simple at v of the opposite and D(M_a)
+      is the arrow module of the reversed arrow a, so a summand S_v or
+      M_a of W would give one of D(W), which has none (above).
     """
     if V.total_dim() == 0:
         return []
@@ -978,8 +1045,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
             elif len(factors := factor(f)) > 1:
                 parts = _tube_split(cur, tube, factors)
                 bound = None if s is None else s - len(parts) + 1
-                # each part is in tube form, and its M has the minimal polynomial its factor
-                stack.extend((P, 1 if _local(q, P.dims[tube[0][0]]) else bound, None)
+                # each part is in the node's form, and its M has the minimal polynomial
+                # its factor
+                stack.extend((P, 1 if _local(q, P.dims[tube[1][0]]) else bound, None)
                              for P, q in zip(parts, factors))
                 continue
         if s != 1:
@@ -1097,12 +1165,16 @@ def _is_term(x) -> bool:
 
 
 def quiver_to_dict(bq: BoundQuiver) -> dict:
-    return {
+    """bq as an inline quiver; "vertex_labels" is written when bq has any."""
+    out = {
         "vertices": list(bq.quiver.vertices),
         "arrows": [[a.name, a.source, a.target] for a in bq.quiver.arrows],
         "relations": [_relation_data(rel) for rel in bq.relations],
         "max_path_length": bq.bound,
     }
+    if bq.vertex_labels:
+        out["vertex_labels"] = dict(bq.vertex_labels)
+    return out
 
 
 def _require(data: dict, *keys: str) -> None:
@@ -1124,13 +1196,17 @@ def quiver_from_dict(data: dict) -> BoundQuiver:
     bound = data.get("max_path_length")
     if bound is not None and not _is_int(bound):
         raise ValueError('"max_path_length" must be an integer')
+    labels = data.get("vertex_labels", {})
+    if not isinstance(labels, dict) or not all(
+            v in data["vertices"] and isinstance(name, str) for v, name in labels.items()):
+        raise ValueError('"vertex_labels" must map vertices of the quiver to names')
     quiver = Quiver(
         tuple(data["vertices"]),
         tuple(Arrow(name, src, tgt) for name, src, tgt in data["arrows"]),
     )
     relations = tuple(tuple((_fraction_from(c), tuple(p)) for c, p in rel)
                       for rel in data.get("relations", []))
-    return BoundQuiver(quiver, relations, bound)
+    return BoundQuiver(quiver, relations, bound, vertex_labels=labels)
 
 
 def rep_to_dict(V: Representation) -> dict:

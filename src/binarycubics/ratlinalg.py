@@ -24,18 +24,20 @@ on Python integers:
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
-  substitution.  A reduction step drops the entry it cancels, and a row
-  is rebuilt to drop zero entries only when it has one.  The cost
-  follows the nonzero entries, not rows x cols, which matters for the
-  wide, mostly-zero intertwining systems of hom spaces; rref, rank,
-  nullspace and solve hand it the numerator rows of their matrix, and
-  quiver.hom_basis hands it its equations directly;
+  substitution, skipped when the forward step leaves a pivot in every
+  column the rows meet (the reduced form is then the unit rows).  A
+  reduction step drops the entry it cancels, and a row is rebuilt to
+  drop zero entries only when it has one.  The cost follows the nonzero
+  entries, not rows x cols, which matters for the wide, mostly-zero
+  intertwining systems of hom spaces; rref, rank, nullspace and solve
+  hand it the numerator rows of their matrix, and quiver.hom_basis hands
+  it its equations directly;
 - kernel_basis reads a kernel basis straight off the sparse echelon
-  rows, as integer vectors each with its denominator, and checks every
-  basis vector against every input row with integer dot products,
-  taking only the rows that meet the vector's nonzero columns, through
-  an index from each column to its rows built once per call (any other
-  row has dot product 0);
+  rows (with no rows, the unit basis at once), as integer vectors each
+  with its denominator, and checks every basis vector against every
+  input row with integer dot products, taking only the rows that meet
+  the vector's nonzero columns, through an index from each column to its
+  rows built once per call (any other row has dot product 0);
 - rank_profiles reads the pivot columns and the rows independent of
   the rows before them off echelon's forward step alone;
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
@@ -359,9 +361,17 @@ def echelon(rows: list[Row]) -> list[tuple[int, Row]]:
     echelon form of a matrix is unique, so the rows over Q and the pivots
     do not depend on the order of the rows or on which row becomes the
     pivot of a column: they are those of any Gauss-Jordan elimination.
+
+    When every pivot row lies in the pivot columns, the forward step has
+    left a pivot in every column the rows meet: the |pivots| independent
+    pivot rows span all of Q^pivots, which holds the input rows.  The
+    reduced echelon form is then the identity there, and the unit rows
+    {c: 1} are returned with no back substitution.
     """
     pivots, _ = _forward(rows)
     order = sorted(pivots)
+    if all(map(pivots.keys().__ge__, map(dict.keys, pivots.values()))):
+        return [(c, {c: 1}) for c in order]
     for c in reversed(order):
         p = pivots[c]
         hits = [k for k in p if k != c and k in pivots]
@@ -399,7 +409,11 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
     column of ints has dot product 0 with it, so each ints is dotted only
     with the rows that meet its nonzero columns, found through one index
     from each column to the rows nonzero there; that is the same check.
+    With no rows there is no equation: the basis is the unit vectors, in
+    column order.
     """
+    if not rows:
+        return [([int(j == f) for j in range(ncols)], 1) for f in range(ncols)]
     ech = echelon(rows)
     pivot_set = {c for c, _ in ech}
     hits: dict[int, list[tuple[int, Row]]] = {

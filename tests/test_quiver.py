@@ -874,6 +874,23 @@ class TestRepresentationFiles:
             assert back.maps == DV.maps
             assert qv.quiver_to_dict(back.bq) == qv.quiver_to_dict(DV.bq)
 
+    def test_round_trip_of_a_dual_keeps_the_vertex_labels(self):
+        pf = cubics.build("paper_full")
+        DV = qv.dual(pf.projective("p"))
+        data = json.loads(json.dumps(qv.rep_to_dict(DV)))
+        assert data["quiver"]["vertex_labels"] == pf.vertex_labels
+        back = qv.rep_from_dict(data)
+        assert len(back.bq.vertex_labels) == 14
+        assert back.bq.vertex_labels == DV.bq.vertex_labels == pf.vertex_labels
+        assert "vertex_labels" not in qv.quiver_to_dict(cubics.build("d4hat"))
+
+    @pytest.mark.parametrize("labels", [["S"], {"x": 1}, {"y": "S"}])
+    def test_inline_vertex_labels_must_map_vertices_to_names(self, labels):
+        data = {"quiver": {"vertices": ["x"], "arrows": [], "vertex_labels": labels},
+                "dims": {"x": 1}}
+        with pytest.raises(ValueError, match="vertex_labels"):
+            qv.rep_from_dict(data)
+
     def test_fraction_strings_are_exact(self):
         V = cubics.rn_family(1, Fraction(-5, 7))
         data = qv.rep_to_dict(V)

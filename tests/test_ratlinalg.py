@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from binarycubics import ratlinalg as rl
 
@@ -574,6 +575,69 @@ def test_kernel_basis_checks_every_vector_against_every_row():
     assert rows == [{0: 1, 1: -1}, {1: 2, 2: -2}]
     assert rl.kernel_basis([], 2) == [([1, 0], 1), ([0, 1], 1)]
     assert rl.kernel_basis([{0: 3}], 1) == []
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, full): dense integer rows over n <= 7 columns.  A full system
+    is the unit rows of the columns it meets, mixed by row operations, with
+    combinations of them added and scaled: a pivot in every column it
+    meets.  Otherwise random rows, with one met column repeated as a
+    nonzero multiple in another, so the rank falls short of the columns
+    met."""
+    n = draw(st.integers(2, 7))
+    full = draw(st.booleans())
+    small = st.integers(-3, 3)
+    if full:
+        met = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        rows = [[int(j == c) for j in range(n)] for c in met]
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            if i != j:
+                k = draw(small)
+                rows[j] = [a + k * b for a, b in zip(rows[j], rows[i])]
+        for _ in range(draw(st.integers(0, 3))):
+            ks = draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n)])
+        rows = [[draw(st.integers(1, 4)) * x for x in row] for row in rows]
+    else:
+        cells = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+        rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=7))
+        c0, c1 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[0][c0] = rows[0][c0] or 1
+        k = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        for row in rows:
+            row[c1] = k * row[c0]
+    return rows, full
+
+
+@given(integer_systems())
+@settings(max_examples=200, deadline=None)
+def test_echelon_agrees_with_sympy_with_and_without_full_column_rank(case):
+    # with a pivot in every column the rows meet, echelon returns the unit
+    # rows at once; the reduced echelon form is unique, so sympy agrees
+    rows, full = case
+    n = len(rows[0])
+    ech = rl.echelon([{j: x for j, x in enumerate(row) if x} for row in rows])
+    R, pivots = sympy.Matrix(rows).rref()
+    assert [c for c, _ in ech] == list(pivots)
+    for i, (c, row) in enumerate(ech):
+        assert [sympy.Rational(row.get(j, 0), row[c]) for j in range(n)] == list(R.row(i))
+    met = {j for row in rows for j, x in enumerate(row) if x}
+    assert (set(pivots) == met) == full
+    if full:
+        assert ech == [(c, {c: 1}) for c in sorted(met)]
+
+
+@pytest.mark.parametrize("ncols", range(6))
+def test_kernel_basis_of_no_rows_is_the_unit_basis_with_no_elimination(monkeypatch, ncols):
+    def refused(rows):
+        raise AssertionError("no rows, nothing to eliminate")
+
+    monkeypatch.setattr(rl, "echelon", refused)
+    assert rl.kernel_basis([], ncols) == [([int(j == f) for j in range(ncols)], 1)
+                                          for f in range(ncols)]
 
 
 def test_kernel_basis_refuses_vectors_that_fail_a_row(monkeypatch):

@@ -1,8 +1,8 @@
 """The split step of decompose_certified: one checked change of basis per
 summand, against the kernel() route it replaced, the deferred ranking,
 the candidates it skips and the rank bound that certifies split parts,
-and the peel of simple summands and arrow modules before the split
-search."""
+the peel of simple summands and arrow modules before the split search,
+and the tube route, in tube form and through D in dual form."""
 
 import importlib.util
 import json
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from binarycubics import cubics
+from binarycubics import cli, cubics
 from binarycubics import quiver as qv
 from binarycubics import ratlinalg as rl
 from binarycubics.polyfactor import factor
@@ -584,16 +584,23 @@ def test_the_peel_makes_one_cut(monkeypatch):
 
 def test_the_peel_builds_only_the_part_it_keeps(monkeypatch):
     # the one cut builds W alone, and each peeled module is built once, by
-    # bq.simple or bq.arrow_module, however many copies V has
+    # bq.simple or bq.arrow_module, however many copies V has; a construction
+    # is counted on either route, checked (__post_init__) or not (_satisfying)
     sums = peel_sums()
     built = []
     post_init = qv.Representation.__post_init__
+    satisfying = qv.Representation._satisfying
 
     def spy(self):
         built.append(self)
         post_init(self)
 
+    def spy_satisfying(bq, dims, maps):
+        built.append(satisfying(bq, dims, maps))
+        return built[-1]
+
     monkeypatch.setattr(qv.Representation, "__post_init__", spy)
+    monkeypatch.setattr(qv.Representation, "_satisfying", staticmethod(spy_satisfying))
     for V in sums:
         built.clear()
         W, peeled = qv._peel(V)
@@ -778,3 +785,57 @@ def test_the_conjugated_pair_takes_no_hom_basis(monkeypatch):
     out = qv.decompose_certified(V)
     assert [(W.dim_vector(), certified) for W, certified in out] == [((4, 4, 4, 4, 8), True)] * 2
     assert homs == []
+
+
+BETA_IMAGES = [(n, lam) for n in range(1, 5) for lam in (0, 1, -1, 5)]
+
+
+@pytest.mark.parametrize("n, lam", BETA_IMAGES)
+def test_a_beta_image_is_certified_through_D_with_no_hom_basis_and_no_peel(monkeypatch, n, lam):
+    # embed_beta(R_n(lam)) is in dual form: D of it is in tube form, with
+    # M of minimal polynomial (t - lam)^n
+    V = cubics.embed_beta(cubics.rn_family(n, lam))
+    tube = qv._tube(V)
+    assert tube[0] == qv.dual(V) and tube[0].bq is V.bq.opposite()
+    homs, peels = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_peel")
+    assert qv.decompose_certified(V) == [(V, True)]
+    assert homs == peels == []
+
+
+def dual_form_sum(seed):
+    """embed_beta(R_2(5) + R_2(7)), conjugated: a node in dual form whose M splits."""
+    return qv.conjugate(cubics.embed_beta(qv.direct_sum(cubics.rn_family(2, 5),
+                                                        cubics.rn_family(2, 7))), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_a_dual_form_sum_gives_the_duals_of_the_summands_of_its_D(monkeypatch, seed):
+    V = dual_form_sum(seed)
+    DV = qv.dual(V)
+    assert qv._tube(V)[0] == DV and qv._tube(DV)[0] is DV  # dual form, tube form
+    want = [(qv.dual(P), certified) for P, certified in qv.decompose_certified(DV)]
+    homs = spy_on(monkeypatch, "hom_basis")
+    got = qv.decompose_certified(V)
+    assert got == want
+    assert [(W.bq, W.dim_vector(), certified) for W, certified in got] == [
+        (V.bq, (2, 2, 2, 2, 4), True)] * 2
+    assert homs == []
+
+
+def test_without_the_tube_route_neither_form_is_read(monkeypatch):
+    tube_form = cubics.embed_alpha(cubics.rn_family(2, 5))
+    dual_form = cubics.embed_beta(cubics.rn_family(2, 5))
+    without_the_tube_route(monkeypatch)
+    homs = spy_on(monkeypatch, "hom_basis")
+    for V in (tube_form, dual_form):
+        homs.clear()
+        assert [certified for _, certified in qv.decompose_certified(V)] == [True]
+        assert homs == [V.dim_vector()]
+
+
+def test_rep_decompose_of_a_beta_image_prints_one_certified_summand(tmp_path, capsys):
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(qv.rep_to_dict(cubics.embed_beta(cubics.rn_family(3, -1)))))
+    assert cli.main(["--format", "json", "rep", "decompose", str(path)]) == 0
+    assert [(s["dims"], s["verdict"]) for s in json.loads(capsys.readouterr().out)["summands"]] == [
+        ([3, 3, 3, 3, 6], "indecomposable")]

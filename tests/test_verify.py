@@ -83,3 +83,15 @@ def test_injective_envelope_check_fails_under_python_O():
     assert checks["cokernel of P -> H + F(H) is the injective envelope of P"] == {
         "name": "cokernel of P -> H + F(H) is the injective envelope of P",
         "status": "fail", "witness": "cokernel must be the injective envelope"}
+
+
+def test_the_tame_suite_decomposes_each_sample_once_through_the_name_cubics_imports(monkeypatch):
+    # perfbench/selftest.py's tracer counts these 100 calls at seed 0
+    from binarycubics import cubics, quiver
+
+    calls = []
+    decompose = cubics.decompose_certified
+    assert decompose is quiver.decompose_certified
+    monkeypatch.setattr(cubics, "decompose_certified", lambda V: calls.append(V) or decompose(V))
+    (report,) = verify.run_suites(["tame"], seed=0)
+    assert report["detail"]["samples"] == len(calls) == 100
