@@ -110,9 +110,7 @@ def _build_characters() -> dict[str, Character]:
     p = sdelta - s - e
     d = {j: Character(lambda lam, j=j: ch.mult_d(j, lam), f"D{j}") for j in (0, 1, 2)}
     q0 = ch.fourier(d[0])
-    q0.name = "Q0"
     q0delta = ch.localize(q0)
-    q0delta.name = "Q0delta"
     out = {
         "S": s,
         "E": e,
@@ -241,29 +239,31 @@ def _support_of_object(name: str) -> str:
     raise KeyError(f"unknown module name: {name!r}")
 
 
-def local_cohomology(name: str, support: str, k: int) -> tuple[str, ...]:
-    """Simple factors of H^k with the given support applied to the module.
+def _local_cohomology_entry(name: str, support: str, k: int) -> tuple[tuple[str, ...], bool]:
+    """(simple factors, whether a non-split extension) of H^k with the given
+    support applied to the module.
 
     Supports not strictly smaller than the support of the module give
     the module itself in degree 0 and nothing elsewhere; every entry
-    absent from the table is zero.  The degree k must be an integer: a
-    float or a bool raises TypeError.
+    absent from the table is zero.  An unknown support or module name
+    raises KeyError, a degree k that is not an integer TypeError.
     """
     k = integer(k)
     if support not in CLOSURE_DIM:
         raise KeyError(f"unknown support: {support!r} (expected one of {SUPPORT_CLOSURES})")
     if CLOSURE_DIM[support] >= ORBIT_DIM[_support_of_object(name)]:
-        if k == 0:
-            return tuple(COMPOSITION_SERIES_FACTORS.get(name, (name,)))
-        return ()
-    entry = _LOCAL_COHOMOLOGY.get((name, support, k))
-    return entry[0] if entry else ()
+        return (tuple(COMPOSITION_SERIES_FACTORS.get(name, (name,))) if k == 0 else ()), False
+    return _LOCAL_COHOMOLOGY.get((name, support, k), ((), False))
+
+
+def local_cohomology(name: str, support: str, k: int) -> tuple[str, ...]:
+    """Simple factors of H^k with the given support applied to the module."""
+    return _local_cohomology_entry(name, support, k)[0]
 
 
 def local_cohomology_is_extension(name: str, support: str, k: int) -> bool:
     """Whether the recorded group is a non-split extension of its factors."""
-    entry = _LOCAL_COHOMOLOGY.get((name, support, integer(k)))
-    return bool(entry and entry[1])
+    return _local_cohomology_entry(name, support, k)[1]
 
 
 COMPOSITION_SERIES_FACTORS = {fact.ambient: fact.factors for fact in COMPOSITION_SERIES}

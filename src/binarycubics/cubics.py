@@ -246,6 +246,13 @@ def random_big_component_rep(rng: random.Random) -> Representation:
     return _complete(rng, build("big_component"), dims, {f"{side}{i}" for i in (1, 2, 3, 4)})
 
 
+def _sample_count(samples) -> int:
+    """samples as an int; TypeError on a bool or a float, ValueError below 0."""
+    if (samples := rl.integer(samples)) < 0:
+        raise ValueError(f"samples {samples} is negative")
+    return samples
+
+
 def check_tame_classification(samples: int = 100, seed: int = 0) -> dict:
     """Randomized check that big-component indecomposables fall into the
     three classified cases.
@@ -256,6 +263,7 @@ def check_tame_classification(samples: int = 100, seed: int = 0) -> dict:
     indecomposability could not be certified are counted separately as
     inconclusive (their case classification is still checked).
     """
+    samples = _sample_count(samples)
     bq = build("big_component")
     rng = random.Random(seed)
     proj_inj = [bq.projective(str(i)) for i in (1, 2, 3, 4)]
@@ -301,6 +309,7 @@ def check_two_vertex_component(samples: int = 50, seed: int = 0) -> dict:
     simples or one of their two projective covers (one arrow carrying an
     isomorphism, the other zero).  Each vertex gets a dimension in [0, 4].
     """
+    samples = _sample_count(samples)
     bq = build("two_vertex_pair")
     rng = random.Random(seed)
     report = {"samples": samples, "summands": 0,

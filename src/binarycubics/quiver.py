@@ -24,11 +24,10 @@ case End/rad of dimension one; otherwise the verdict is "inconclusive"
 by design.
 
 A BoundQuiver validates its relations once and keeps the endpoints of
-each relation, the vertices each of its paths passes and its one-term
-vanishing paths, which everything below reads.  An unknown vertex, or
-an arrow a relation names that the quiver lacks, raises KeyError, and a
-failed exactness condition raises ArithmeticError, never an assert, so
-python -O gives the same answers.
+each relation and its one-term vanishing paths, which everything below
+reads.  An unknown vertex, or an arrow a relation names that the quiver
+lacks, raises KeyError, and a failed exactness condition raises
+ArithmeticError, never an assert, so python -O gives the same answers.
 
 Before its split search, decompose_certified peels off every summand
 M_p of a path p: x -> y of length <= 1, with Q at x and at y and p
@@ -47,8 +46,8 @@ of a split whose semisimple rank is bounded by 1 is certified without
 its hom space (proofs at decompose_certified).  The split and the peel
 share one change of basis per vertex, _cut, which must be invertible
 and block-diagonalize every arrow; its parts then satisfy the
-relations, so they skip Representation's check.  Only conjugate takes
-a seed.
+relations, so it builds them without Representation's check.  Only
+conjugate takes a seed.
 
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
@@ -225,13 +224,11 @@ def _build_path_basis(bq: "BoundQuiver") -> PathBasis:
                     for u in levels[i].get((src, rel_src), []):
                         for w in levels[length - rel_len - i].get((rel_tgt, tgt), []):
                             row = [Fraction(0)] * len(plist)
-                            hit = False
                             for coeff, rp in rel:
                                 j = index.get(u + rp + w)
                                 if j is not None:
                                     row[j] += coeff
-                                    hit = True
-                            if hit and any(row):
+                            if any(row):
                                 gens.append(row)
             if gens:
                 R, pivots = rl.rref(rl.mat(gens, len(gens), len(plist)))
@@ -269,17 +266,16 @@ class BoundQuiver:
 
     It validates the relations once, on construction (ValueError on a
     malformed one, KeyError on an unknown arrow), and keeps the
-    (source, target) of each, the vertices each of its paths passes and
-    the paths a one-term relation declares zero: the path basis,
-    Representation's relation check, the peel and the cubics
-    samplers read these.  A vertex it lacks raises KeyError.
+    (source, target) of each and the paths a one-term relation declares
+    zero: the path basis, the peel and the cubics samplers read these.
+    A vertex it lacks raises KeyError.
     """
 
     def __init__(self, quiver: Quiver, relations: tuple[Relation, ...] = (),
                  max_path_length: int | None = None, name: str = "",
                  vertex_labels: dict[str, str] | None = None):
         self.relations: tuple[Relation, ...] = tuple(relations)
-        ends, vertices = [], []
+        ends = []
         for rel in self.relations:
             if not rel:
                 raise ValueError("empty relation")
@@ -295,7 +291,6 @@ class BoundQuiver:
             if any(c == 0 for c, _ in rel):
                 raise _bad_relation(rel, "has a zero coefficient")
             ends.append(rel_ends.pop())
-            vertices.append(tuple(visits))
         if max_path_length is None:
             longest = max((len(p) for rel in self.relations for _, p in rel), default=2)
             max_path_length = len(quiver.vertices) * max(2, longest)
@@ -306,8 +301,6 @@ class BoundQuiver:
             raise ValueError(f"max_path_length {max_path_length} is not positive")
         #: (source, target) of each relation, in the order of relations
         self.relation_ends = tuple(ends)
-        #: the vertices each term's path passes, per relation, in the order of relations
-        self.relation_vertices = tuple(vertices)
         #: the paths that a one-term relation declares zero
         self.zero_paths = frozenset(rel[0][1] for rel in self.relations if len(rel) == 1)
         self.quiver = quiver
@@ -388,12 +381,11 @@ class Representation(Value):
     and an entry an integer or a Fraction; anything else, a float, a
     string or a bool, raises TypeError rather than being truncated.
 
-    The relation check runs on every representation built here: a user's,
-    rep_from_dict's, the samplers', kernel's and projective's.  It is
-    skipped, through _satisfying, only where the construction proves the
-    relations: simple and arrow_module (at most one nonzero arrow), the
-    parts _cut returns (its docstring), a direct_sum on one bound quiver
-    and conjugate (block sums and conjugates of path matrices), and dual.
+    The relation check runs on every representation built here, except
+    where the construction proves the relations: there _satisfying builds
+    it, called where the proof is written, by _cut (the parts of _split,
+    _peel and _tube_split), _one_arrow (simple, arrow_module), direct_sum
+    on one bound quiver, conjugate and dual.
     """
 
     _fields = ("bq", "dims", "maps")
@@ -426,13 +418,11 @@ class Representation(Value):
         return V
 
     def _check_relations(self):
-        """Each relation multiplied out, without the terms whose path passes a
-        zero-dimensional vertex: their matrices are exactly zero."""
-        zero = {v for v, d in self.dims.items() if d == 0}
-        for rel, visits in zip(self.bq.relations, self.bq.relation_vertices):
-            terms = [term for term, vs in zip(rel, visits) if zero.isdisjoint(vs)]
-            if terms and not rl.is_zero(reduce(rl.mat_add, (
-                    rl.scale(self.path_matrix(path), coeff) for coeff, path in terms))):
+        """Every term of every relation multiplied out; rl.matmul returns zeros
+        at once for a term whose path passes a zero-dimensional vertex."""
+        for rel in self.bq.relations:
+            if not rl.is_zero(reduce(rl.mat_add, (
+                    rl.scale(self.path_matrix(path), coeff) for coeff, path in rel))):
                 raise _bad_relation(rel, "is violated")
 
     def path_matrix(self, path: Path) -> rl.Mat:
@@ -565,13 +555,11 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
 def dual(V: Representation) -> Representation:
     """D(V) on V.bq.opposite(): V's dims, V_a^T on each reversed arrow a
     (Assem-Simson-Skowroński 2006, ch. III); D(D(V)) == V.  Representation's checks
-    cannot fail, so they are skipped: V_a^T has the reversed shape, and a path
+    cannot fail, so _satisfying builds it: V_a^T has the reversed shape, and a path
     (a_1, ..., a_k) of the opposite has the matrix V_{a_k}^T ... V_{a_1}^T, the
     transpose of V's of (a_k, ..., a_1): each relation is that of V.bq, transposed."""
-    D = Representation.__new__(Representation)
-    D.bq, D.dims = V.bq.opposite(), dict(V.dims)
-    D.maps = {name: rl.transpose(m) for name, m in V.maps.items()}
-    return D
+    return Representation._satisfying(V.bq.opposite(), dict(V.dims),
+                                      {name: rl.transpose(m) for name, m in V.maps.items()})
 
 
 def kernel(phi: RepMorphism) -> tuple[Representation, RepMorphism]:
@@ -684,11 +672,10 @@ def _split_candidates(basis: list[RepMorphism], rng: random.Random):
             yield blocks
 
 
-def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, dict]]:
-    """V cut into parts by one checked change of basis per vertex; each part
-    as its (dims, maps), which the caller builds with Representation._satisfying
-    when it keeps the part: _split and _tube_split keep them all, _peel only
-    the first.
+def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
+    """V cut into parts by one checked change of basis per vertex, each part
+    a Representation on V.bq: _split and _tube_split keep them all, _peel
+    only the first.
 
     The rows of bases[v][i] are a basis of part i at v (the form of
     rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
@@ -702,12 +689,11 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, 
       T_y C_a = V_a T_x on every arrow, the check it replaces;
     - C_a is zero off its diagonal blocks: each part is arrow-stable.
 
-    Once they pass, the parts satisfy the relations, so they are built
-    without Representation's check.  A path p: x -> y has the matrix
-    C_p = T_y^-1 V_p T_x, the inner T_v T_v^-1 cancelling, and C_p is
-    block diagonal with the path matrices of the parts as its blocks; a
-    relation sum c_i V_(p_i) is zero on V, so sum c_i C_(p_i) is, and
-    with it each of its blocks.
+    Once they pass, the parts satisfy the relations, so _satisfying builds
+    them.  A path p: x -> y has the matrix C_p = T_y^-1 V_p T_x, the inner
+    T_v T_v^-1 cancelling, and C_p is block diagonal with the path matrices
+    of the parts as its blocks; a relation sum c_i V_(p_i) is zero on V, so
+    sum c_i C_(p_i) is, and with it each of its blocks.
     """
     count = max(map(len, bases.values()), default=1)
     sizes, T, T_inv = {}, {}, {}
@@ -733,20 +719,20 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[tuple[dict, 
             raise ArithmeticError(f"a part is not stable under arrow {a.name}")
         for part, block in zip(maps, blocks):
             part[a.name] = block
-    return [({v: sizes[v][i] for v in V.dims}, part) for i, part in enumerate(maps)]
+    return [Representation._satisfying(V.bq, {v: sizes[v][i] for v in V.dims}, part)
+            for i, part in enumerate(maps)]
 
 
 def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
-    """V cut by _cut along the coprime factors of the minimal polynomial of
+    """_cut's parts along the coprime factors of the minimal polynomial of
     phi (one square block per vertex), in the order polyfactor.factor gives
     them; None when that polynomial is a power of one irreducible."""
     verts = V.bq.quiver.vertices
     factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
     if len(factors) < 2:
         return None
-    parts = _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
-                     for v in verts})
-    return [Representation._satisfying(V.bq, dims, maps) for dims, maps in parts]
+    return _cut(V, {v: [rl.nullspace(rl.eval_poly(power, phi[v])) for power in factors]
+                    for v in verts})
 
 
 def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
@@ -770,8 +756,9 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     """(W, peeled) with V = W ⊕ peeled and W without a summand M_p for a path
     p: x -> y of length <= 1 (see decompose_certified): the trivial path at
     each vertex, whose M_p is the simple, then each arrow with x != y, whose
-    M_p is its arrow module.  One _cut takes them all off, each M_p built
-    once and listed once per copy, in path order; W is V when there is none."""
+    M_p is its arrow module.  One _cut takes them all off; W is its first
+    part, and each M_p, built once, is listed once per copy, in path order.
+    W is V when there is none."""
     bq = V.bq
     DV = dual(V)
     paths = [(v, v, None) for v in bq.quiver.vertices]
@@ -802,7 +789,7 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     bases = {v: [rl.nullspace(reduce(rl.vstack, [c[v][0] for c in cuts if v in c]))]
              + [c[v][1] if v in c else rl.zeros(0, d) for c in cuts]
              for v, d in V.dims.items() if any(v in c for c in cuts)}
-    return Representation._satisfying(V.bq, *_cut(V, bases)[0]), peeled
+    return _cut(V, bases)[0], peeled
 
 
 def _tube(V: Representation) -> tuple | None:
@@ -866,7 +853,7 @@ def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Represent
         for v, B in zip(verts[1:], (KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
                                     rl.matmul(rl.block_diag(K, KG), Tt))):
             bases[v].append(_kernel_form(B))
-    parts = [Representation._satisfying(X.bq, dims, maps) for dims, maps in _cut(X, bases)]
+    parts = _cut(X, bases)
     return parts if X is V else [dual(P) for P in parts]
 
 

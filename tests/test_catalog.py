@@ -176,6 +176,13 @@ class TestLocalCohomology:
         with pytest.raises(KeyError):
             catalog.local_cohomology("Sx", "O0", 1)
 
+    @pytest.mark.parametrize("name, support, message", [
+        ("S", "bogus", "unknown support: 'bogus'"), ("Nope", "O0", "unknown module name: 'Nope'")])
+    def test_both_lookups_reject_an_unknown_name_alike(self, name, support, message):
+        for lookup in (catalog.local_cohomology, catalog.local_cohomology_is_extension):
+            with pytest.raises(KeyError, match=message):
+                lookup(name, support, 1)
+
 
 class TestVerifyIdentities:
     def test_all_pass_on_box(self):

@@ -200,6 +200,17 @@ class TestClassificationChecks:
                  + report["arrow_a"] + report["arrow_b"])
         assert total == report["summands"]
 
+    @pytest.mark.parametrize("check", [cubics.check_tame_classification,
+                                       cubics.check_two_vertex_component])
+    def test_a_sample_count_must_be_a_nonnegative_integer(self, check):
+        with pytest.raises(ValueError, match="samples -3 is negative"):
+            check(samples=-3)
+        for samples in (True, 2.0):
+            with pytest.raises(TypeError, match="is not an integer"):
+                check(samples=samples)
+        report = check(samples=0)
+        assert report["samples"] == 0 and report["summands"] == 0 and report["violations"] == []
+
 
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]

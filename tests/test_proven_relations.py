@@ -1,7 +1,7 @@
 """Representations built without Representation's relation check.
 
 The parts _cut returns, bq.simple, bq.arrow_module, a direct_sum on one
-bound quiver and conjugate are built by Representation._satisfying,
+bound quiver, conjugate and dual are built by Representation._satisfying,
 because their construction proves the relations.  Each must pass that
 check when rebuilt through Representation, and the check still runs
 wherever it can fail: a sum with a module of another bound quiver and a
@@ -75,24 +75,49 @@ def random_cut(rng, V):
     return bases
 
 
+def summand_cut(rng, summands):
+    """Bases for _cut splitting the direct sum of summands along them, each
+    summand's block at a vertex taken in a random basis; it is arrow-stable."""
+    bases = {}
+    for v in summands[0].bq.quiver.vertices:
+        d, at = sum(X.dims[v] for X in summands), 0
+        bases[v] = []
+        for X in summands:
+            k = X.dims[v]
+            T = None
+            while T is None or rl.inverse(T) is None:
+                T = rl.mat([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)], k, k)
+            block = rl.mat([[int(j == at + i) for j in range(d)] for i in range(k)], k, d)
+            bases[v].append(rl.matmul(T, block))
+            at += k
+    return bases
+
+
 @pytest.mark.parametrize("name", ["paper_full", "big_component", "two_vertex_pair"])
 def test_a_cut_raises_or_returns_parts_that_satisfy_the_relations(name):
     # a cut that is not arrow-stable must raise: its diagonal blocks need
-    # not satisfy the relations, and on these sums of projectives most do not
+    # not satisfy the relations, and on these sums of projectives most do
+    # not; a cut along the summands returns them, in other bases
     bq = cubics.build(name)
-    V = qv.conjugate(reduce(qv.direct_sum, [bq.projective(v) for v in bq.quiver.vertices]), seed=1)
+    projectives = [bq.projective(v) for v in bq.quiver.vertices]
+    S = reduce(qv.direct_sum, projectives)
+    V = qv.conjugate(S, seed=1)
     rng = random.Random(7)
-    raised = 0
-    for _ in range(10):
+    raised, returned = 0, 0
+    for W, bases in [(V, random_cut(rng, V)) for _ in range(10)] + [(S, summand_cut(rng, projectives))]:
         try:
-            parts = qv._cut(V, random_cut(rng, V))
+            parts = qv._cut(W, bases)
         except ArithmeticError as exc:
             assert "not stable under arrow" in str(exc)
             raised += 1
             continue
-        for dims, maps in parts:
-            qv.Representation(V.bq, dims, maps)
-    assert raised
+        returned += 1
+        assert all(P.bq is bq for P in parts)
+        assert_checked(parts)
+        if W is S:
+            assert len(parts) == len(projectives)
+            assert all(qv.is_isomorphic(P, X) for P, X in zip(parts, projectives))
+    assert raised and returned
 
 
 def breaking_maps(bq):

@@ -324,26 +324,23 @@ class TestRelationData:
         with pytest.raises(ValueError, match="relation .* is violated"):
             qv.Representation(bq, {"1": 1, "2": 1, "3": 1}, {"a": [[1]], "b": [[1]]})
 
-    def test_a_term_through_a_zero_vertex_is_not_multiplied(self, monkeypatch):
+    def test_a_term_through_a_zero_vertex_is_an_exact_zero(self):
         # ab = cd: the term cd passes vertex 4, ab does not
         q = qv.Quiver(("1", "2", "3", "4"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"),
                                              qv.Arrow("c", "1", "4"), qv.Arrow("d", "4", "3")))
         one = Fraction(1)
         bq = qv.BoundQuiver(q, (((one, ("a", "b")), (-one, ("c", "d"))),))
-        assert bq.relation_vertices == ((("1", "2", "3"), ("1", "4", "3")),)
-        multiplied = []
-        path_matrix = qv.Representation.path_matrix
-        monkeypatch.setattr(qv.Representation, "path_matrix",
-                            lambda V, path: multiplied.append(path) or path_matrix(V, path))
         dims = {"1": 1, "2": 1, "3": 1, "4": 0}
         qv.Representation(bq, dims, {"a": [[1]]})
-        assert multiplied == [("a", "b")]
-        # the term left is still checked: ab = 1 is not cd = 0
+        # the term through 4 is zero, and the other is still checked: ab = 1 is not cd = 0
         with pytest.raises(ValueError, match="relation .* is violated"):
             qv.Representation(bq, dims, {"a": [[1]], "b": [[1]]})
-        multiplied.clear()
         qv.Representation(bq, {"1": 1, "2": 0, "3": 1, "4": 0}, {})
-        assert multiplied == []
+        # both terms live: ab = cd = 1 holds, so each term is multiplied and subtracted
+        ones = {name: [[1]] for name in "abcd"}
+        qv.Representation(bq, dict.fromkeys(q.vertices, 1), ones)
+        with pytest.raises(ValueError, match="relation .* is violated"):
+            qv.Representation(bq, dict.fromkeys(q.vertices, 1), {**ones, "d": [[2]]})
 
 
 def dense_hom_basis(V, W):

@@ -582,14 +582,17 @@ def test_the_peel_makes_one_cut(monkeypatch):
     assert cuts == []
 
 
-def test_the_peel_builds_only_the_part_it_keeps(monkeypatch):
-    # the one cut builds W alone, and each peeled module is built once, by
-    # bq.simple or bq.arrow_module, however many copies V has; a construction
-    # is counted on either route, checked (__post_init__) or not (_satisfying)
+def test_the_peel_builds_each_module_once_and_keeps_the_first_part(monkeypatch):
+    # after D(V), which gives K, each peeled module is built once, by
+    # bq.simple or bq.arrow_module, however many copies V has, then the one
+    # cut builds its parts, and W is the first; a construction is counted on
+    # either route, checked (__post_init__) or not (_satisfying)
     sums = peel_sums()
-    built = []
+    built, one_arrow, cuts = [], [], []
     post_init = qv.Representation.__post_init__
     satisfying = qv.Representation._satisfying
+    one_arrow_module = qv.BoundQuiver._one_arrow
+    cut = qv._cut
 
     def spy(self):
         built.append(self)
@@ -599,14 +602,28 @@ def test_the_peel_builds_only_the_part_it_keeps(monkeypatch):
         built.append(satisfying(bq, dims, maps))
         return built[-1]
 
+    def spy_one_arrow(bq, dims, name):
+        one_arrow.append(one_arrow_module(bq, dims, name))
+        return one_arrow[-1]
+
+    def spy_cut(V, bases):
+        cuts.append(cut(V, bases))
+        return cuts[-1]
+
     monkeypatch.setattr(qv.Representation, "__post_init__", spy)
     monkeypatch.setattr(qv.Representation, "_satisfying", staticmethod(spy_satisfying))
+    monkeypatch.setattr(qv.BoundQuiver, "_one_arrow", spy_one_arrow)
+    monkeypatch.setattr(qv, "_cut", spy_cut)
     for V in sums:
-        built.clear()
+        built.clear(), one_arrow.clear(), cuts.clear()
         W, peeled = qv._peel(V)
         modules = list({id(M): M for M in peeled}.values())
-        assert len(built) == len(modules) + 1
-        assert all(X is Y for X, Y in zip(built, modules + [W]))
+        [parts] = cuts
+        assert W is parts[0]
+        assert len(one_arrow) == len(modules) and all(X is Y for X, Y in zip(one_arrow, modules))
+        assert len(built) == 1 + len(modules) + len(parts)
+        assert all(X is Y for X, Y in zip(built[1:], modules + parts))
+        assert built[0] == qv.dual(V)
 
 
 def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
