@@ -19,9 +19,10 @@ valid in characteristic zero), exact isomorphism tests (ranks of the trace
 pairings of the hom spaces, see is_isomorphic), and decompositions into
 indecomposables by splitting along coprime factors of minimal polynomials of
 endomorphisms, which polyfactor.factor finds exactly over ℚ, in-house.
-Indecomposability is certified only in the absolutely indecomposable
-case End/rad of dimension one; otherwise the verdict is "inconclusive"
-by design.
+Indecomposability is certified when End/rad has dimension one (the
+absolutely indecomposable case), or when a four-subspace tube module has
+a cyclic operator M of one primary factor, so that End = ℚ[M] is local;
+otherwise the verdict is "inconclusive" by design.
 
 A BoundQuiver validates its relations once and keeps the endpoints of
 each relation and its one-term vanishing paths, which everything below
@@ -42,7 +43,7 @@ The split search is the only randomized step.  It draws from a fixed
 internal generator, so the summands and verdicts depend on V alone, and
 every split it finds is checked exactly.  It reads what it can off the
 trace form: a basis element in its radical is never tried, and a part
-of a split whose semisimple rank is bounded by 1 is certified without
+of a split whose number of summands is bounded by 1 is certified without
 its hom space (proofs at decompose_certified).  The split and the peel
 share one change of basis per vertex, _cut, which must be invertible
 and block-diagonalize every arrow; its parts then satisfy the
@@ -53,9 +54,9 @@ A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
 M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
 1099, 3.2).  decompose_certified splits such a node along the primary
-decomposition of M, or certifies it from M, with no hom space; at the root
-this test replaces the peel.  A node in dual form, four arrows c -> x_i, is
-read the same way through D (proofs at decompose_certified).
+decomposition of M, or certifies it when M is cyclic, with no hom space; at
+the root this test replaces the peel.  A node in dual form, four arrows
+c -> x_i, is read the same way through D (proofs at decompose_certified).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import random
 import re
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb, lcm
+from math import lcm
 
 from . import ratlinalg as rl
 from .polyfactor import factor
@@ -631,7 +632,7 @@ def _trace_pairing(fs: list[RepMorphism], gs: list[RepMorphism]) -> rl.Mat:
     return rl.matmul(rl.stack_rows(flat, size), rl.transpose(rl.stack_rows(flat_t, size)))
 
 
-def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -> int:
+def semisimple_rank(V: Representation) -> int:
     """dim(End(V)/rad) via the module trace form; 1 certifies indecomposability.
 
     In characteristic zero the pairing (f, g) -> tr_V(f∘g) on End(V) has
@@ -639,8 +640,7 @@ def semisimple_rank(V: Representation, basis: list[RepMorphism] | None = None) -
     composition factors exhaust the simple factors of End/rad), so its
     rank is the semisimple dimension, without structure constants.
     """
-    if basis is None:
-        basis = hom_basis(V, V)
+    basis = hom_basis(V, V)
     return rl.rank(_trace_pairing(basis, basis))
 
 
@@ -827,32 +827,19 @@ def _tube(V: Representation) -> tuple | None:
             rl.transpose(A3_inv), rl.transpose(A4_inv), M)
 
 
-def _kernel_form(B: rl.Mat) -> rl.Mat:
-    """The basis of the row space of B (of full row rank) that rl.nullspace
-    gives a subspace: reduced echelon on the reversed columns, rows reversed."""
-    R = rl.rref(rl.over([row[::-1] for row in B.num], B.den, B.rows, B.cols))[0]
-    return rl.over([row[::-1] for row in reversed(R.num)], R.den, R.rows, R.cols)
-
-
-def _local(f: list[Fraction], n: int) -> bool:
-    """Whether the monic f is (t - c)^n; then c = -f[n - 1] / n."""
-    return len(f) == n + 1 and f == [comb(n, j) * (f[n - 1] / n) ** (n - j) for j in range(n + 1)]
-
-
 def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Representation]:
     """V cut along the factors of the minimal polynomial of the tube operator M
     of _tube's X, in the order polyfactor.factor gives them: X cut by _cut into
-    the parts of _split along the endomorphism of M, and for a V in dual form,
-    X = D(V), each part P of X comes back as D(P) (see decompose_certified)."""
+    the generalized kernels of M, and for a V in dual form, X = D(V), each
+    part P of X comes back as D(P) (see decompose_certified)."""
     X, verts, Tt, G3t, A3_invt, A4_invt, M = tube
     bases: dict[str, list[rl.Mat]] = {v: [] for v in verts}
     for power in factors:
         K = rl.nullspace(rl.eval_poly(power, M))
         KG = rl.matmul(K, G3t)
-        bases[verts[0]].append(K)
-        for v, B in zip(verts[1:], (KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
-                                    rl.matmul(rl.block_diag(K, KG), Tt))):
-            bases[v].append(_kernel_form(B))
+        for v, B in zip(verts, (K, KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
+                                rl.matmul(rl.block_diag(K, KG), Tt))):
+            bases[v].append(B)
     parts = _cut(X, bases)
     return parts if X is V else [dual(P) for P in parts]
 
@@ -861,10 +848,12 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
     Splits repeatedly along coprime factors of minimal polynomials of
-    endomorphisms; a summand is certified when End/rad has dimension
-    one.  An uncertified summand resisted all splitting attempts but
-    its endomorphism ring is not known to be local (e.g. a rational
-    form of a pair of conjugate complex indecomposables).
+    endomorphisms; a summand is certified when it is known to be
+    indecomposable: End/rad has dimension one, or it is a tube node whose
+    M is cyclic of one primary factor.  An uncertified summand resisted
+    all splitting attempts but its endomorphism ring is not known to be
+    local (e.g. a sum X ⊕ X that no candidate splits, or a module off
+    the tube route whose End is a field larger than Q).
 
     The peel (_peel).  First every summand M_p of a path p: x -> y of
     length <= 1, with Q at x and at y and p acting by 1, is split off, all
@@ -918,17 +907,22 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     0 (for e_v, when K ⊆ I); with nothing peeled, the split search
     starts from V itself.
 
-    The split search.  Each node carries an upper bound s on its
-    semisimple rank ssr; the root has none.  Once its hom basis is
-    computed, s is lowered to dim End when that is smaller, and once it
-    is ranked, to ssr itself: the rank of its trace form (the Gram
-    matrix of semisimple_rank).  A node is a certified leaf exactly when
-    s = 1.  Then ssr = 1 and End is local, so every endomorphism is
-    c * id plus a nilpotent, its minimal polynomial is a power of t - c,
-    and no candidate splits.  A node whose inherited bound is not 1
-    computes its hom basis, tries the first basis endomorphism, and is
-    ranked only when that does not split it; then the search goes on
-    with the rest of the basis and the SPLIT_TRIALS random combinations.
+    The split search.  Each node carries an upper bound s on the number
+    of its indecomposable summands (Krull-Schmidt); the root has none.
+    Once its hom basis is computed, s is lowered to dim End when that is
+    smaller, and once it is ranked, s becomes its semisimple rank ssr:
+    the rank of its trace form (the Gram matrix of semisimple_rank).
+    Both bound that number: for V the sum of the X_i^(m_i), X_i
+    indecomposable and pairwise non-isomorphic with End(X_i)/rad of
+    dimension d_i, dim End >= ssr = sum m_i^2 d_i >= sum m_i
+    (is_isomorphic).  The cyclic certificate and the bound of a part
+    (below) are the other two.  A node is a certified leaf exactly when
+    s = 1: it is indecomposable, so End is local, every endomorphism is
+    invertible or nilpotent (Fitting), and no candidate splits.  A node
+    whose inherited bound is not 1 computes its hom basis, tries the
+    first basis endomorphism, and is ranked only when that does not
+    split it; then the search goes on with the rest of the basis and the
+    SPLIT_TRIALS random combinations.
     Ranking first would change nothing: the candidates tried, the draws
     of the generator, the summands and the flags are the same in either
     order, and a summand that the first candidate splits is never
@@ -940,17 +934,13 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       nilpotent, its minimal polynomial is t^k, and it splits nothing.
       The random combinations are drawn as before, so the first
       candidate that splits is the one the full search finds.
-    - A bound on the semisimple rank.  Let V split into k parts P_i,
-      with s its bound at that point.  The projections e_i of the
-      split are orthogonal idempotents of A = End(V) with sum 1, and
-      e_i A e_i = End(P_i).  The map from the sum of the e_i A e_i to
-      A/rad A has kernel the sum of the e_i rad(A) e_i, and
-      e rad(A) e = rad(eAe) (Assem-Simson-Skowroński 2006, ch. I), so
-      A/rad A contains the sum of the End(P_i)/rad and
-      ssr(V) >= ssr(P_1) + ... + ssr(P_k).  Each ssr(P_i) >= 1, so
-      ssr(P_i) <= s - (k - 1), the bound P_i gets.  A part whose bound is
-      1 has ssr 1, so it is a certified leaf without its hom basis; no
-      candidate could split it, so no draw of the generator is skipped.
+    - A bound on the summands.  Let V split into k parts P_i, with s
+      its bound at that point.  By Krull-Schmidt the summands of V are
+      those of the P_i together, and each P_i has at least one, so P_i
+      has at most s - (k - 1): the bound P_i gets.  A part whose bound is
+      1 is indecomposable, so it is a certified leaf without its hom
+      basis; no candidate could split it, so no draw of the generator is
+      skipped.
 
     One change of basis per split (_split).  For each factor p^k of the
     minimal polynomial of an endomorphism phi, the part at a vertex v is
@@ -978,17 +968,21 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       Q = G_3 P G_3^-1 (U_3) and then PM = MP (U_4).  Conversely a P that
       commutes with M acts by P, G_3 P G_3^-1, A_3^-1 P A_3, A_4^-1 P A_4
       at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.
-    - Split.  Take P = M: for a factor q^k of its minimal polynomial the
-      generalized kernel is K = ker q^k(M) at x_1 and G_3 K, A_3^-1 K,
-      A_4^-1 K, T(K + G_3 K) at x_2, x_3, x_4, c, each basis in the form
-      rl.nullspace gives: the parts of _split along P, Mat for Mat, checked
-      by _cut.  A part has tube operator M on K, of minimal polynomial q^k:
-      it is a certified leaf (below) when q^k = (t - c)^m, m = dim K, else
-      it gets the bound s - (j - 1) for j parts, or none at the root.  A
-      tube node draws nothing from the generator.
-    - Certificate.  When the minimal polynomial of M is (t - c)^n, M is
-      cyclic, so End(W) = Q[M] = Q[t]/(t - c)^n is local with End/rad = Q.
-      Any other M of one primary factor goes to the split search.
+    - Split.  Take P = M: for a factor q of its minimal polynomial, a
+      power of one irreducible, the generalized kernel is K = ker q(M) at
+      x_1 and G_3 K, A_3^-1 K, A_4^-1 K, T(K + G_3 K) at x_2, x_3, x_4, c.
+      Their bases are the rows of K (from rl.nullspace), K G_3^T,
+      K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T, which _cut checks.  A
+      part has tube operator M on K, of minimal polynomial q: it is a
+      certified leaf (below) when deg q = dim K, else it gets the bound
+      s - (j - 1) for j parts, or none at the root.  A tube node draws
+      nothing from the generator.
+    - Certificate.  When the minimal polynomial f of M is a power of one
+      irreducible p and deg f = n, M is cyclic, so End(W), its
+      centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
+      cyclic one is a polynomial in it).  That ring is local, with
+      End/rad = Q[t]/(p), so W is indecomposable and s = 1.  Any other M
+      of one primary factor goes to the split search.
     - Peel skip.  The a_i are injective, so no S_{x_i} is a summand; the
       radical U_1 + U_2 at c is W_c, so S_c is not one; for M_{a_i} the
       other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
@@ -1007,8 +1001,7 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       gives each part P back as dual(P), of the dims of P.
     - Certificate.  f -> D(f), the transposed blocks, is an
       anti-isomorphism End(W) -> End(D(W)), so End(W) ≅ End(D(W))^op,
-      which is local with End/rad = Q when the minimal polynomial of
-      D(W)'s M is (t - c)^n.
+      which is local when D(W)'s M is cyclic of one primary factor.
     - Peel skip.  D(S_v) is the simple at v of the opposite and D(M_a)
       is the arrow module of the reversed arrow a, so a summand S_v or
       M_a of W would give one of D(W), which has none (above).
@@ -1019,22 +1012,22 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     tube = _tube(V)
     W, peeled = (V, []) if tube else _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
-    # s: an upper bound on the semisimple rank of the node; the root has none
+    # s: an upper bound on the number of summands of the node; the root has none
     stack: list[tuple[Representation, int | None, tuple | None]] = (
         [(W, None, tube)] if W.total_dim() else [])
     while stack:
         cur, s, tube = stack.pop()
         parts = None
         if s != 1 and tube:
-            f = rl.minimal_polynomial(tube[-1])
-            if _local(f, tube[-1].rows):
-                s = 1
-            elif len(factors := factor(f)) > 1:
+            factors = factor(rl.minimal_polynomial(tube[-1]))
+            if len(factors) == 1 and len(factors[0]) == tube[-1].rows + 1:
+                s = 1  # M is cyclic of one primary factor
+            elif len(factors) > 1:
                 parts = _tube_split(cur, tube, factors)
                 bound = None if s is None else s - len(parts) + 1
                 # each part is in the node's form, and its M has the minimal polynomial
-                # its factor
-                stack.extend((P, 1 if _local(q, P.dims[tube[1][0]]) else bound, None)
+                # its factor q, so it is cyclic when deg q = dim K
+                stack.extend((P, 1 if len(q) == P.dims[tube[1][0]] + 1 else bound, None)
                              for P, q in zip(parts, factors))
                 continue
         if s != 1:
@@ -1045,7 +1038,7 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
             parts = _split(cur, next(candidates)[1])
             if parts is None:
                 gram = _trace_pairing(basis, basis)
-                s = rl.rank(gram)  # ssr itself, so at most the bound and dim End
+                s = rl.rank(gram)  # ssr, a bound on the summands
                 if s != 1:
                     # a basis element with a zero Gram row lies in the radical
                     parts = next(filter(None, (_split(cur, phi) for i, phi in candidates

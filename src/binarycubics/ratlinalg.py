@@ -523,7 +523,7 @@ def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
 
 def complement_columns(B: Mat) -> Mat:
     """Unit columns extending col(B) to Q^n: the section of quotient_maps(B);
-    kept while perfbench's layer trace names it (ROADMAP item 7)."""
+    kept while perfbench's layer trace names it (ROADMAP item 10)."""
     return quotient_maps(B)[1]
 
 

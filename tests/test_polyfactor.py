@@ -137,6 +137,6 @@ def test_decomposition_runs_without_sympy():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["split"] == [True, True]  # R_2(1) + R_2(3) splits
-    assert report["kept"] == [False]  # End/rad = Q(i): no split, not certified
+    assert report["kept"] == [True]  # End = Q(i): M is cyclic, so certified unsplit
     assert report["factored"]  # the factorization did run
     assert report["sympy"] is False

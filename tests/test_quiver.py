@@ -582,7 +582,7 @@ class TestEndAlgebra:
             if V.total_dim() == 0:
                 continue
             end = end_algebra(V)
-            assert end.semisimple_dim == qv.semisimple_rank(V, end.basis)
+            assert end.semisimple_dim == qv.semisimple_rank(V)
 
     def test_rn_endomorphisms_are_jordan_commutant(self):
         # End(R_n(lam)) is the polynomial algebra of the Jordan block: dim n
@@ -722,7 +722,7 @@ class TestIsIsomorphic:
     def test_end_mod_rad_a_quadratic_field(self):
         # alpha4 = [I; C] with C the companion matrix of t^2 + c: End = Q[C],
         # a field of degree 2 for c = 1, 2, so the rep is indecomposable and
-        # not absolutely indecomposable
+        # not absolutely indecomposable; its tube operator C is cyclic
         def quadratic(c):
             I, Z = rl.identity(2), rl.zeros(2, 2)
             C = rl.mat([[0, -c], [1, 0]])
@@ -733,7 +733,8 @@ class TestIsIsomorphic:
 
         Vi, V2 = quadratic(1), quadratic(2)
         assert qv.semisimple_rank(Vi) == 2
-        assert qv.is_indecomposable(Vi) == "inconclusive"
+        assert len(qv.hom_basis(Vi, Vi)) == 2
+        assert qv.is_indecomposable(Vi) == "yes"
         assert qv.is_isomorphic(Vi, qv.conjugate(Vi, seed=5))
         assert not qv.is_isomorphic(Vi, V2)
         assert not qv.is_isomorphic(qv.direct_sum(Vi, Vi), qv.direct_sum(Vi, V2))

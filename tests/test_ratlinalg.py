@@ -581,8 +581,8 @@ def test_kernel_basis_checks_every_vector_against_every_row():
 def integer_systems(draw):
     """(rows, full): dense integer rows over n <= 7 columns.  A full system
     is the unit rows of the columns it meets, mixed by row operations, with
-    combinations of them added and scaled: a pivot in every column it
-    meets.  Otherwise random rows, with one met column repeated as a
+    combinations of them added and each row scaled: a pivot in every
+    column it meets.  Otherwise random rows, with one met column repeated as a
     nonzero multiple in another, so the rank falls short of the columns
     met."""
     n = draw(st.integers(2, 7))
@@ -600,7 +600,8 @@ def integer_systems(draw):
             ks = draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
             rows.insert(draw(st.integers(0, len(rows))),
                         [sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n)])
-        rows = [[draw(st.integers(1, 4)) * x for x in row] for row in rows]
+        rows = [[k * x for x in row] for row, k in zip(rows, draw(
+            st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows))))]
     else:
         cells = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
         rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=7))

@@ -16,6 +16,7 @@ from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from sympy import Poly, Rational, Symbol
 
 from binarycubics import cli, cubics
 from binarycubics import quiver as qv
@@ -100,7 +101,7 @@ def kernel_route_decompose(V):
             stack.extend(parts)
             continue
         basis = qv.hom_basis(cur, cur)
-        if len(basis) == 1 or qv.semisimple_rank(cur, basis) == 1:
+        if len(basis) == 1 or rl.rank(qv._trace_pairing(basis, basis)) == 1:
             out.append((cur, True))
             continue
         parts = next(filter(None, (kernel_route_split(cur, phi)
@@ -367,7 +368,7 @@ def test_no_basis_element_in_the_radical_of_the_trace_form_is_tried(monkeypatch)
     V = qv.direct_sum(A, B)
     basis = qv.hom_basis(V, V)
     gram = qv._trace_pairing(basis, basis)
-    assert len(basis) == 36 and qv.semisimple_rank(V, basis) == 2
+    assert len(basis) == 36 and qv.semisimple_rank(V) == 2
     assert [i for i, row in enumerate(gram.num) if any(row)] == [29, 35]
     tried = []
     split = qv._split
@@ -678,9 +679,9 @@ def test_arrow_module_is_the_module_of_one_arrow():
 TAME_COUNTS = {
     0: (427, 1, 316, 314, 0),
     1: (406, 0, 296, 281, 0),
-    2: (381, 1, 274, 252, 1),
+    2: (381, 1, 274, 252, 0),
     3: (392, 0, 306, 228, 0),
-    4: (409, 0, 295, 306, 2),
+    4: (409, 0, 295, 306, 1),
     5: (379, 1, 265, 255, 0),
 }
 
@@ -726,37 +727,99 @@ def tube_sums():
 
 def test_the_tube_split_equals_the_kernel_route_along_M():
     # each sum is split by M into its two summands, and each is certified by
-    # its M, (t - lambda)^n; the leaves come off the stack last part first
+    # its M, (t - lambda)^n; the leaves come off the stack last part first,
+    # each isomorphic to its part of the kernel route (in other bases)
     cases = 0
     for V in tube_sums():
         phi = tube_endomorphism(V)
         want = kernel_route_split(V, phi)
         assert len(want) == 2
-        assert qv.decompose_certified(V) == [(P, True) for P in reversed(want)]
+        got = qv.decompose_certified(V)
+        assert len(got) == 2
+        assert all(paired_up_to_isomorphism([leaf], [(P, True)])
+                   for leaf, P in zip(got, reversed(want)))
         cases += 1
     assert cases == 60
 
 
 def declined_cases():
-    """Tube-like modules the tube route leaves to the split search, with the
-    verdicts they get: R_1(5) + R_1(5), whose M = 5 is not cyclic; M the
-    companion of t^2 + 1, irreducible over Q; and U_3 = U_1, so B3 = 0."""
-    return [(qv.direct_sum(cubics.rn_family(1, 5), cubics.rn_family(1, 5)), [True, True], "no"),
-            (four_subspaces(2, rl.identity(2), [[0, -1], [1, 0]]), [False], "inconclusive"),
-            (four_subspaces(1, [[0]], [[1]]), [True], "yes")]
+    """Tube-like modules with the flags and verdict they get, then the flags
+    the split search alone gives them.  The tube route leaves two to the
+    split search: R_1(5) + R_1(5), whose M = 5 is not cyclic, and U_3 = U_1,
+    so B3 = 0.  M the companion of t^2 + 1, irreducible over Q, is cyclic:
+    the route certifies it, and the split search alone leaves it open."""
+    return [(qv.direct_sum(cubics.rn_family(1, 5), cubics.rn_family(1, 5)), [True, True], "no",
+             [True, True]),
+            (four_subspaces(2, rl.identity(2), [[0, -1], [1, 0]]), [True], "yes", [False]),
+            (four_subspaces(1, [[0]], [[1]]), [True], "yes", [True])]
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 @pytest.mark.parametrize("case", range(3))
 def test_the_tube_route_keeps_the_verdicts_where_it_declines(monkeypatch, case, seed):
-    V, flags, verdict = declined_cases()[case]
+    V, flags, verdict, searched = declined_cases()[case]
     V = V if seed is None else qv.conjugate(V, seed)
-    assert (qv._tube(V) is None) == (verdict == "yes")  # only B3 = 0 is not in tube form
+    assert (qv._tube(V) is None) == (case == 2)  # only B3 = 0 is not in tube form
     got = qv.decompose_certified(V)
     assert [certified for _, certified in got] == flags
     assert qv.is_indecomposable(V) == verdict
     without_the_tube_route(monkeypatch)
-    assert got == qv.decompose_certified(V)
+    alone = qv.decompose_certified(V)
+    assert [W for W, _ in alone] == [W for W, _ in got]
+    assert [certified for _, certified in alone] == searched
+
+
+def tame_leaves(monkeypatch, seed):
+    """The (summand, certified) pairs check_tame_classification(100, seed)
+    decomposes, in order."""
+    leaves = []
+    decompose = cubics.decompose_certified
+
+    def spy(V):
+        out = decompose(V)
+        leaves.extend(out)
+        return out
+
+    monkeypatch.setattr(cubics, "decompose_certified", spy)
+    assert cubics.check_tame_classification(100, seed)["violations"] == []
+    return leaves
+
+
+@pytest.mark.parametrize("seed, fields", [(2, 1), (4, 1)])
+def test_a_cyclic_tube_leaf_has_the_end_its_minimal_polynomial_gives(monkeypatch, seed, fields):
+    # a certified leaf whose M is cyclic, of minimal polynomial p^k of degree
+    # n (factored by sympy), has End = Q[t]/(p^k): dim End = n and ssr = deg p,
+    # replayed through hom_basis; where p^k is irreducible of degree n >= 2,
+    # End is a field, of dim End = ssr = n
+    t = Symbol("t")
+    seen = 0
+    for W, certified in tame_leaves(monkeypatch, seed):
+        tube = qv._tube(W)
+        if not certified or tube is None:
+            continue
+        M = tube[-1]
+        n, f = M.rows, rl.minimal_polynomial(M)
+        if len(f) != n + 1:
+            continue
+        _, ((p, k),) = Poly([Rational(c.numerator, c.denominator) for c in reversed(f)],
+                            t).factor_list()
+        assert len(qv.hom_basis(W, W)) == n
+        assert qv.semisimple_rank(W) == p.degree()
+        seen += (k == 1 and n >= 2)
+    assert seen == fields
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_a_part_of_a_tube_split_with_a_repeated_root_is_searched(seed):
+    # M = diag(5, 5, 7) splits into the parts of t - 5 (dimension 2, not
+    # cyclic) and t - 7; the first is R_1(5) + R_1(5), which the split
+    # search takes apart
+    R = cubics.rn_family
+    V = reduce(qv.direct_sum, [R(1, 5), R(1, 5), R(1, 7)])
+    V = V if seed is None else qv.conjugate(V, seed)
+    got = qv.decompose_certified(V)
+    assert [(W.dim_vector(), certified) for W, certified in got] == [((1, 1, 1, 1, 2), True)] * 3
+    assert paired_up_to_isomorphism(got, [(R(1, 5), True), (R(1, 5), True), (R(1, 7), True)])
 
 
 def conjugated_tube_modules():
