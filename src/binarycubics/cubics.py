@@ -257,15 +257,15 @@ def check_tame_classification(samples: int = 100, seed: int = 0) -> dict:
     """Randomized check that big-component indecomposables fall into the
     three classified cases.
 
-    Decomposes seeded random representations and verifies every summand
-    is (i) one of the four projective-injectives, (ii) has all beta
-    maps zero, or (iii) has all alpha maps zero.  Summands whose
-    indecomposability could not be certified are counted separately as
-    inconclusive (their case classification is still checked).
+    Decomposes random representations drawn from the integer seed and
+    verifies every summand is (i) one of the four projective-injectives,
+    (ii) has all beta maps zero, or (iii) has all alpha maps zero.
+    Summands whose indecomposability could not be certified are counted
+    separately as inconclusive (their case classification is still checked).
     """
     samples = _sample_count(samples)
     bq = build("big_component")
-    rng = random.Random(seed)
+    rng = random.Random(rl.integer(seed))
     proj_inj = [bq.projective(str(i)) for i in (1, 2, 3, 4)]
     report = {
         "samples": samples,
@@ -311,7 +311,7 @@ def check_two_vertex_component(samples: int = 50, seed: int = 0) -> dict:
     """
     samples = _sample_count(samples)
     bq = build("two_vertex_pair")
-    rng = random.Random(seed)
+    rng = random.Random(rl.integer(seed))
     report = {"samples": samples, "summands": 0,
               "simple_1": 0, "simple_2": 0, "arrow_a": 0, "arrow_b": 0,
               "violations": []}

@@ -39,16 +39,16 @@ vectors in V_x, M_p is a summand exactly rank(Φ V_p K) times; for S_v
 that is dim K - dim(K ∩ I), K the socle and I the radical of V at v;
 one change of basis takes them all off (proofs at decompose_certified).
 
-The split search is the only randomized step.  It draws from a fixed
-internal generator, so the summands and verdicts depend on V alone, and
-every split it finds is checked exactly.  It reads what it can off the
-trace form: a basis element in its radical is never tried, and a part
-of a split whose number of summands is bounded by 1 is certified without
-its hom space (proofs at decompose_certified).  The split and the peel
-share one change of basis per vertex, _cut, which must be invertible
-and block-diagonalize every arrow; its parts then satisfy the
-relations, so it builds them without Representation's check.  Only
-conjugate takes a seed.
+The split search tries the basis endomorphisms, then one that kills a
+unit vector and has nonzero trace, which always splits; every split it
+finds is checked exactly.  It reads what it can off the trace form: a
+basis element in its radical is never tried, and a part of a split whose
+number of summands is bounded by 1 is certified without its hom space
+(proofs at decompose_certified).  The split and the peel share one
+change of basis per vertex, _cut, which must be invertible and
+block-diagonalize every arrow; its parts then satisfy the relations, so
+it builds them without Representation's check.  Only conjugate draws at
+random.
 
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
@@ -602,10 +602,10 @@ def direct_sum(V: Representation, W: Representation) -> Representation:
 
 
 def conjugate(V: Representation, seed: int = 0) -> Representation:
-    """V with arrow a: x -> y changed to T_y V_a T_x^-1, T_v the first
-    invertible draw of a matrix with entries in [-3, 3]; isomorphic to V.
-    Its relations hold unchecked: its path matrices are V's, conjugated."""
-    rng = random.Random(seed)
+    """V with arrow a: x -> y changed to T_y V_a T_x^-1, T_v the first invertible
+    draw from the integer seed (rl.integer) of a matrix with entries in [-3, 3];
+    isomorphic to V.  Its relations hold unchecked: its path matrices are V's."""
+    rng = random.Random(rl.integer(seed))
     T, T_inv = {}, {}
     for v, d in V.dims.items():
         while T_inv.get(v) is None:
@@ -644,32 +644,28 @@ def semisimple_rank(V: Representation) -> int:
     return rl.rank(_trace_pairing(basis, basis))
 
 
-def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat] | None:
-    """Blocks of the sum of c * b over the nonzero coefficients; None when all are 0."""
-    out = None
-    for c, b in zip(coeffs, basis):
-        if c:
-            scaled = {v: rl.scale(m, c) for v, m in b.blocks.items()}
-            out = scaled if out is None else {v: rl.mat_add(out[v], scaled[v]) for v in out}
-    return out
+def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat]:
+    """Blocks of the sum of c * b over the coefficients, not all 0."""
+    terms = [{v: rl.scale(m, c) for v, m in b.blocks.items()} for c, b in zip(coeffs, basis) if c]
+    return reduce(lambda f, g: {v: rl.mat_add(f[v], g[v]) for v in f}, terms)
 
 
-#: random endomorphisms a split attempt tries after the basis elements
-SPLIT_TRIALS = 40
-
-
-def _split_candidates(basis: list[RepMorphism], rng: random.Random):
-    """The blocks of each basis endomorphism, then of SPLIT_TRIALS random
-    integer combinations of them (all-zero draws skipped).  A combination
-    is not re-checked as a morphism: it intertwines by linearity, and
-    _split checks whatever it cuts along exactly."""
+def _split_candidates(V: Representation, basis: list[RepMorphism]):
+    """The blocks of each basis endomorphism, then of the annihilator candidate
+    if there is one (see decompose_certified): phi = sum c_i b_i for the first
+    c, at the first vertex v and unit vector e_j, with phi e_j = 0 and
+    tr phi = sum c_i tr(b_i) != 0.  It intertwines by linearity."""
     for b in basis:
         yield b.blocks
-    d = len(basis)
-    for _ in range(SPLIT_TRIALS):
-        blocks = _combination(basis, [rng.randint(-5, 5) for _ in range(d)])
-        if blocks is not None:
-            yield blocks
+    ident = RepMorphism._intertwining(V, V, {v: rl.identity(d) for v, d in V.dims.items()})
+    traces = _trace_pairing(basis, [ident])
+    for v in V.bq.quiver.vertices:
+        for j in range(V.dims[v]):
+            ann = rl.nullspace(rl.mat([[b.blocks[v][r][j] for b in basis] for r in range(V.dims[v])]))
+            for c, tr in zip(ann.num, rl.matmul(ann, traces).num):
+                if tr[0]:
+                    yield _combination(basis, c)
+                    return
 
 
 def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
@@ -922,25 +918,30 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     whose inherited bound is not 1 computes its hom basis, tries the
     first basis endomorphism, and is ranked only when that does not
     split it; then the search goes on with the rest of the basis and the
-    SPLIT_TRIALS random combinations.
-    Ranking first would change nothing: the candidates tried, the draws
-    of the generator, the summands and the flags are the same in either
+    annihilator candidate.  Ranking first would change nothing: the
+    candidates tried, the summands and the flags are the same in either
     order, and a summand that the first candidate splits is never
     ranked.  Two facts spare most of the rest of the work:
 
     - Radical candidates.  After the ranking, a basis element whose row
       of the Gram matrix is zero is not tried.  The radical of the trace
       form is rad End(V) (semisimple_rank), so that element is
-      nilpotent, its minimal polynomial is t^k, and it splits nothing.
-      The random combinations are drawn as before, so the first
-      candidate that splits is the one the full search finds.
+      nilpotent, its minimal polynomial is t^k, and it splits nothing,
+      so the first candidate that splits is the one the full search finds.
     - A bound on the summands.  Let V split into k parts P_i, with s
       its bound at that point.  By Krull-Schmidt the summands of V are
       those of the P_i together, and each P_i has at least one, so P_i
       has at most s - (k - 1): the bound P_i gets.  A part whose bound is
       1 is indecomposable, so it is a certified leaf without its hom
-      basis; no candidate could split it, so no draw of the generator is
-      skipped.
+      basis; no candidate could split it.
+
+    The annihilator candidate (_split_candidates): phi in End(V) with
+    phi e_j = 0 for a unit vector e_j and tr phi != 0.  phi is not
+    invertible, as it kills e_j, nor nilpotent, as tr phi != 0.  So its
+    minimal polynomial is t^k g with k >= 1, g(0) != 0 and deg g >= 1,
+    and V = ker phi^k ⊕ ker g(phi) with both parts nonzero (Fitting):
+    phi splits V, and _cut checks the cut.  A node with no such phi and
+    no splitting basis element is left uncertified.
 
     One change of basis per split (_split).  For each factor p^k of the
     minimal polynomial of an endomorphism phi, the part at a vertex v is
@@ -975,8 +976,7 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T, which _cut checks.  A
       part has tube operator M on K, of minimal polynomial q: it is a
       certified leaf (below) when deg q = dim K, else it gets the bound
-      s - (j - 1) for j parts, or none at the root.  A tube node draws
-      nothing from the generator.
+      s - (j - 1) for j parts, or none at the root.
     - Certificate.  When the minimal polynomial f of M is a power of one
       irreducible p and deg f = n, M is cyclic, so End(W), its
       centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
@@ -1008,7 +1008,6 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """
     if V.total_dim() == 0:
         return []
-    rng = random.Random(0)  # fixed, so the summands depend on V alone
     tube = _tube(V)
     W, peeled = (V, []) if tube else _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
@@ -1034,7 +1033,7 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
             basis = hom_basis(cur, cur)
             s = len(basis) if s is None else min(s, len(basis))
         if s != 1:
-            candidates = enumerate(_split_candidates(basis, rng))
+            candidates = enumerate(_split_candidates(cur, basis))
             parts = _split(cur, next(candidates)[1])
             if parts is None:
                 gram = _trace_pairing(basis, basis)

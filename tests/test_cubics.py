@@ -211,6 +211,24 @@ class TestClassificationChecks:
         report = check(samples=0)
         assert report["samples"] == 0 and report["summands"] == 0 and report["violations"] == []
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "a", None])
+    @pytest.mark.parametrize("check", [cubics.check_tame_classification,
+                                       cubics.check_two_vertex_component])
+    def test_a_seed_must_be_an_integer(self, check, seed):
+        # None would reseed from the system, so two reports would differ
+        with pytest.raises(TypeError, match="is not an integer"):
+            check(samples=2, seed=seed)
+
+    @pytest.mark.parametrize("check, counts", [
+        (cubics.check_tame_classification,
+         {"summands": 18, "case_beta_zero": 15, "case_alpha_zero": 12, "inconclusive": 0}),
+        (cubics.check_two_vertex_component,
+         {"summands": 11, "simple_1": 6, "simple_2": 2, "arrow_a": 3, "arrow_b": 0}),
+    ])
+    def test_a_negative_seed_draws_what_it_drew_before_seeds_were_checked(self, check, counts):
+        report = check(samples=5, seed=-7)
+        assert {key: report[key] for key in counts} == counts and report["violations"] == []
+
 
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]

@@ -808,7 +808,7 @@ def conjugated_by_draws(V, seed):
     return maps
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [*range(4), -5])
 @pytest.mark.parametrize("name", ["d4hat", "big_component", "two_vertex_pair"])
 def test_conjugate_is_pinned_by_its_draws(name, seed):
     bq = cubics.build(name)
@@ -950,3 +950,71 @@ class TestRepresentationFiles:
         for bad in (0.1, "1.5", True):
             with pytest.raises(TypeError, match="not an integer or a Fraction"):
                 qv.Representation(d4, {"1": 1, "5": 1}, {"alpha1": [[bad]]})
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "a", None])
+def test_a_conjugating_seed_must_be_an_integer(seed):
+    # None would reseed from the system, so two calls would differ
+    with pytest.raises(TypeError, match="is not an integer"):
+        qv.conjugate(cubics.rn_family(1, 0), seed)
+
+
+class TestBoundaryErrors:
+    """The typed errors of the constructors, and of the operations on two
+    representations, that the other tests never raise."""
+
+    @pytest.mark.parametrize("vertices, arrows, message", [
+        (("1", "1"), (), "duplicate vertex names"),
+        (("1", "2"), (qv.Arrow("a", "1", "2"), qv.Arrow("a", "2", "1")), "duplicate arrow names"),
+        (("1",), (qv.Arrow("a", "1", "2"),), "arrow a has endpoints outside the vertex set"),
+    ])
+    def test_a_bad_quiver_is_rejected(self, vertices, arrows, message):
+        with pytest.raises(ValueError, match=message):
+            qv.Quiver(vertices, arrows)
+
+    @pytest.mark.parametrize("relation, message", [
+        ((), "empty relation"),
+        (((1, ("a", "b")), (1, ("a", "c"))), "mixes sources/targets"),
+        (((0, ("a", "b")),), "has a zero coefficient"),
+        (((1, ("b", "a")),), r"path \('b', 'a'\) is not composable at a"),
+    ])
+    def test_a_bad_relation_is_rejected(self, relation, message):
+        # a: 1 -> 2, b: 2 -> 3 and c: 2 -> 1, so ab ends at 3 and ac at 1
+        q = qv.Quiver(("1", "2", "3"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"),
+                                        qv.Arrow("c", "2", "1")))
+        relation = tuple((Fraction(c), p) for c, p in relation)
+        with pytest.raises(ValueError, match=message):
+            qv.BoundQuiver(q, (relation,))
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"1": 1, "zz": 1}, r"dimensions for unknown vertices: \['zz'\]"),
+        ({"1": -1}, "negative dimension"),
+    ])
+    def test_bad_dimensions_are_rejected(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            qv.Representation(cubics.build("d4hat"), dims)
+
+    @pytest.mark.parametrize("vertex, arrow", [("1", "alpha1"), ("2", "alpha2"), ("5", "alpha1")])
+    def test_blocks_that_do_not_intertwine_are_rejected(self, vertex, arrow):
+        # the identity at one vertex of R_1(0) and zero elsewhere; every arrow is nonzero
+        V = cubics.rn_family(1, 0)
+        with pytest.raises(ValueError, match=f"blocks do not intertwine along arrow {arrow}"):
+            qv.RepMorphism(V, V, {vertex: rl.identity(V.dims[vertex])})
+
+    @pytest.mark.parametrize("operation", [qv.hom_basis, qv.direct_sum, qv.is_isomorphic])
+    def test_representations_over_different_quivers_are_rejected(self, operation):
+        V = cubics.rn_family(1, 0)
+        W = cubics.build("two_vertex_pair").simple("1")
+        for pair in ((V, W), (W, V)):
+            with pytest.raises(ValueError, match="representations live over different quivers"):
+                operation(*pair)
+
+    @pytest.mark.parametrize("vertex", ["1", "3"])
+    def test_the_kernel_of_blocks_that_do_not_intertwine_raises(self, vertex):
+        # built without RepMorphism's check: zero at one outer vertex and the
+        # identity elsewhere, so its arrow carries the kernel there out of the
+        # zero kernel at 5
+        V = cubics.rn_family(1, 0)
+        blocks = {v: rl.zeros(d, d) if v == vertex else rl.identity(d) for v, d in V.dims.items()}
+        with pytest.raises(ArithmeticError, match="not arrow-stable"):
+            qv.kernel(qv.RepMorphism._intertwining(V, V, blocks))
