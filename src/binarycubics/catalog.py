@@ -108,7 +108,7 @@ def _build_characters() -> dict[str, Character]:
     e = ch.from_closed_form(ch.E_FORM, "E")
     sdelta = ch.from_closed_form(ch.SDELTA_FORM, "Sdelta")
     p = sdelta - s - e
-    d = {j: Character(lambda lam, j=j: ch.mult_d(j, lam), f"D{j}") for j in (0, 1, 2)}
+    d = ch.twisted_cubic_characters()
     q0 = ch.fourier(d[0])
     q0delta = ch.localize(q0)
     out = {
@@ -147,10 +147,12 @@ def character_of(name: str) -> Character:
     image of D_0, and Q_j as [Q0 localized] shifted by (2j, 2j), where
     the localization is read at one proven shift by a multiple of (6, 6)
     (characters.localize).  The table is built on first use and
-    instances are shared.  Only the six leaves S, E, Sdelta and the D_j
-    memoize; every other character is a memo-free view whose values
-    are read off those six memos, so repeated queries of any name hit
-    the leaf memos they reach.
+    instances are shared.  Only four leaves memoize: S, E, one period
+    of Sdelta (characters.from_closed_form) and the twisted-cubic count
+    that D_0, D_1 and D_2 share (characters.twisted_cubic_characters).
+    Every other character is a memo-free view whose values are read off
+    those four memos, so repeated queries of any name hit the leaf
+    memos they reach.
     """
     if not _characters:
         _characters.update(_build_characters())

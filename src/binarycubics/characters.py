@@ -26,12 +26,14 @@ A localization at the discriminant is evaluated once, at a shift by a
 multiple of (6, 6) that is proven to lie where the shifted
 multiplicities no longer change (see localize); no limit is sampled.
 
-Only leaf characters memoize: a Character(fn) built from a closed form,
-from the twisted-cubic count or from any fn keeps one memo, and each
-leaf evaluates each weight at most once.  The combinators return
-memo-free views, whose value at a weight is a few integer operations on
-the values of the nodes below, so a stacked tree holds memo entries only
-at its leaves.
+Only leaf characters memoize: a Character(fn) keeps one memo, keyed by
+the weight, and evaluates each weight at most once.  The combinators
+return memo-free views, whose value at a weight is a few integer
+operations on the values of the nodes below, so a stacked tree holds
+memo entries only at its leaves.  Two leaves store less than one entry
+per weight read: a periodic closed form is memoized
+on one period (see from_closed_form), and D_0, D_1, D_2 are views over
+one shared leaf of the twisted-cubic count (see twisted_cubic_characters).
 
 Character.mult is the checked entry: it checks the weight and returns 0
 off the dominant chamber.  Combinator nodes and the box scans build
@@ -377,7 +379,27 @@ def _operand(c: object) -> Character:
 
 
 def from_closed_form(form: ClosedFormCharacter, name: str = "") -> Character:
-    return Character(form.coefficient, name)
+    """The character of a closed form: a leaf memoizing form.coefficient.
+
+    A periodic form, periodic = (r, r), is memoized on one period: it is a
+    view that reads its leaf at (l1 - k*r, l2 - k*r) with k = l2 // r, so
+    for each gap the leaf holds at most r weights, those with
+    0 <= l2 < r.  Proof that the value is kept: coefficient reads a
+    weight only through gap = l1 - l2 and rem = l1 + l2, and with a
+    periodic factor the count takes rem modulo 2r.  Adding (r, r) adds
+    2r to rem and leaves gap unchanged, so coefficient(lam + (r, r)) =
+    coefficient(lam), and the shift keeps lam dominant.
+    """
+    leaf = Character(form.coefficient, name)
+    if form.periodic is None:
+        return leaf
+    r = integer(form.periodic[0])
+
+    def fn(lam: Weight) -> int:
+        k = lam[1] // r
+        return leaf._value((lam[0] - k * r, lam[1] - k * r))
+
+    return _View(fn, name)
 
 
 def add(c: Character, d: Character) -> Character:
@@ -454,7 +476,8 @@ def localize(c: Character) -> Character:
 
 
 def truncate(c: Character, lo: int, hi: int) -> dict[Weight, int]:
-    """Sparse table of nonzero multiplicities on {lo <= l2 <= l1 <= hi}.
+    """Sparse table of nonzero multiplicities on {lo <= l2 <= l1 <= hi},
+    in lexicographic order of the weights.
 
     lo and hi are checked by integer once; the scan reads c._value.
     """
@@ -462,17 +485,21 @@ def truncate(c: Character, lo: int, hi: int) -> dict[Weight, int]:
     table: dict[Weight, int] = {}
     for l1 in range(lo, hi + 1):
         for l2 in range(lo, l1 + 1):
-            v = c._value((l1, l2))
+            lam = (l1, l2)
+            v = c._value(lam)
             if v:
-                table[(l1, l2)] = v
+                table[lam] = v
     return table
 
 
 def box_weights(lo: int, hi: int) -> Iterable[Weight]:
-    """Dominant weights lam with lo <= l2 <= l1 <= hi, in lexicographic order."""
-    for l1 in range(lo, hi + 1):
-        for l2 in range(lo, l1 + 1):
-            yield (l1, l2)
+    """Dominant weights lam with lo <= l2 <= l1 <= hi, in lexicographic order.
+
+    lo and hi are checked by integer at the call, so a float or a bool
+    raises TypeError there rather than at the first weight drawn.
+    """
+    lo, hi = integer(lo), integer(hi)
+    return ((l1, l2) for l1 in range(lo, hi + 1) for l2 in range(lo, l1 + 1))
 
 
 def first_disagreement(c: Character, d: Character, lo: int, hi: int) -> Weight | None:
@@ -480,7 +507,7 @@ def first_disagreement(c: Character, d: Character, lo: int, hi: int) -> Weight |
 
     lo and hi are checked by integer once; the scan reads c._value and d._value.
     """
-    for lam in box_weights(integer(lo), integer(hi)):
+    for lam in box_weights(lo, hi):
         if c._value(lam) != d._value(lam):
             return lam
     return None
@@ -560,3 +587,19 @@ def mult_d(j: int, lam: Weight) -> int:
     if j == 0:
         return m + e_weight(mu)
     return m
+
+
+def twisted_cubic_characters() -> tuple[Character, Character, Character]:
+    """The characters of D_0, D_1, D_2, as views over one shared leaf.
+
+    mult_d(j, lam) is 0 unless j = -(l1 + l2) mod 3, since dual(lam) =
+    (-l2, -l1).  So the leaf lam -> mult_d(-(l1 + l2) mod 3, lam) holds
+    all three counts, each weight once, and D_j reads it on its own
+    class l1 + l2 = -j mod 3 and is 0 elsewhere.
+    """
+    leaf = Character(lambda lam: mult_d(-(lam[0] + lam[1]) % 3, lam), "D")
+
+    def view(j: int) -> Character:
+        return _View(lambda lam: leaf._value(lam) if -(lam[0] + lam[1]) % 3 == j else 0, f"D{j}")
+
+    return view(0), view(1), view(2)

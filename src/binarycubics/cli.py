@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from . import catalog, characters as ch, cubics, quiver as qv, verify
 
@@ -65,7 +66,7 @@ def _character(name: str) -> ch.Character:
     return catalog.character_of(name)
 
 
-def _emit(args, payload: dict, text_lines: list[str], tsv_rows: list[list]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str], tsv_rows: Iterable[list]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "tsv":
@@ -88,13 +89,13 @@ def _cmd_mult(args) -> int:
 def _cmd_table(args) -> int:
     if args.lo > args.hi:
         raise _UsageError("--lo must not exceed --hi")
-    table = ch.truncate(_character(args.name), args.lo, args.hi)
-    entries = sorted(table.items())
+    table = ch.truncate(_character(args.name), args.lo, args.hi)  # in lexicographic order
+    # a large table is copied only into the one output --format prints
+    entries = [[list(w), m] for w, m in table.items()] if args.format == "json" else []
     _emit(args,
-          {"name": args.name, "lo": args.lo, "hi": args.hi,
-           "entries": [[list(w), m] for w, m in entries]},
-          [f"({w[0]},{w[1]})\t{m}" for w, m in entries],
-          [[w[0], w[1], m] for w, m in entries])
+          {"name": args.name, "lo": args.lo, "hi": args.hi, "entries": entries},
+          (f"({w[0]},{w[1]})\t{m}" for w, m in table.items()),
+          ([w[0], w[1], m] for w, m in table.items()))
     return 0
 
 

@@ -396,6 +396,11 @@ class TestValuesAreIntegers:
         value = ch.Character(lambda lam: np.int64(3)).mult((0, 0))
         assert value == 3 and value.__class__ is int
 
+    @pytest.mark.parametrize("lo, hi", [(True, 2), (0, 2.0), (Fraction(0), 2)])
+    def test_box_weights_checks_its_bounds_at_the_call(self, lo, hi):
+        with pytest.raises(TypeError):
+            ch.box_weights(lo, hi)
+
     def test_box_scans_check_their_bounds(self):
         s = ch.from_closed_form(ch.S_FORM)
         with pytest.raises(TypeError):
@@ -521,13 +526,76 @@ class TestCountingHelpersCheckArguments:
             ch.nu(np.int64(6)), ch.m_diag(np.int64(6))))
 
 
-def test_only_the_six_leaves_hold_a_memo():
-    # every catalog name is a leaf or a view over the leaves S, E, Sdelta
-    # and the D_j; the views store nothing of their own
+@pytest.fixture
+def built_leaves(monkeypatch):
+    """Every memo-holding Character built while the test runs, recorded
+    as it is constructed, so it is found however the views above it hold
+    it; a view (characters._View) keeps no memo and is not recorded."""
+    leaves = []
+    init = ch.Character.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        leaves.append(self)
+
+    monkeypatch.setattr(ch.Character, "__init__", recording_init)
+    return leaves
+
+
+def test_only_the_four_leaf_memos_remain(built_leaves):
+    # every catalog name is a leaf or a view over four leaves: S, E, the
+    # one period of Sdelta and the shared twisted-cubic count; the views
+    # store nothing of their own
     characters = catalog._build_characters()
     for c in characters.values():
         ch.truncate(c, -30, 30)
-    memos = {name: len(vars(c)["_cache"]) for name, c in characters.items()
-             if "_cache" in vars(c)}
-    assert set(memos) == {"S", "E", "Sdelta", "D0", "D1", "D2"}
-    assert sum(memos.values()) <= 13_000
+    leaf_ids = {id(c) for c in built_leaves}
+    assert all("_cache" not in vars(c) for c in characters.values() if id(c) not in leaf_ids)
+    memos = {c.name: len(c._cache) for c in built_leaves}
+    assert len(memos) == len(built_leaves) == 4
+    assert set(memos) == {"S", "E", "Sdelta", "D"}
+    assert sum(memos.values()) <= 6_500
+
+
+@pytest.mark.parametrize("name, r", [
+    ("Sdelta", 0), ("G2", 2), ("G3", 3), ("G4", 4), ("F1", 1), ("F-1", -1),
+])
+def test_sdelta_and_its_shifts_read_one_period(name, r):
+    c = catalog.character_of(name)
+    huge = [(10**18 + 7, 10**18 - 5), (-10**18, -10**18 - 13), (10**18, -10**18 + 1)]
+    for lam in list(ch.box_weights(-40, 40)) + huge:
+        assert c.mult(lam) == ch.SDELTA_FORM.coefficient((lam[0] - r, lam[1] - r)), lam
+
+
+def test_sdelta_leaf_holds_one_period(built_leaves):
+    sdelta = ch.from_closed_form(ch.SDELTA_FORM, "Sdelta")
+    ch.truncate(sdelta, -300, 300)
+    [leaf] = built_leaves
+    assert all(0 <= l2 < 6 for _, l2 in leaf._cache)
+    assert len(leaf._cache) <= 6 * 601
+
+
+def test_twisted_cubic_views_share_one_leaf(monkeypatch, built_leaves):
+    calls = Counter()
+    mult_d = ch.mult_d
+
+    def counted(j, lam):
+        calls[lam] += 1
+        return mult_d(j, lam)
+
+    monkeypatch.setattr(ch, "mult_d", counted)
+    d = ch.twisted_cubic_characters()
+    box = list(ch.box_weights(-40, 40))
+    for j in (0, 1, 2):
+        assert [d[j].mult(lam) for lam in box] == [mult_d(j, lam) for lam in box]
+    [leaf] = built_leaves
+    assert len(leaf._cache) == len(box) == len(calls)
+    assert max(calls.values()) == 1
+
+
+def test_the_memo_keeps_huge_and_shared_l1_weights_apart():
+    s = ch.from_closed_form(ch.S_FORM, "S")
+    weights = [(2**80, 5), (5, -2**80), (12, 0), (12, 6), (2**80, 2**80 - 3), (5, 5)]
+    for _ in range(2):  # the second pass reads the memo
+        for lam in weights:
+            assert s.mult(lam) == ch.S_FORM.coefficient(lam), lam

@@ -70,6 +70,15 @@ def test_table_json_stable(capsys):
     assert [[-6, -6], 1] in payload["entries"]
 
 
+@pytest.mark.parametrize("fmt, prefix", [
+    ("text", "f8ec29b1bcb78091"), ("json", "7b1c6c7c6438690f"), ("tsv", "fd9b1837cb4bacd4"),
+])
+def test_table_output_is_pinned_in_every_format(capsys, fmt, prefix):
+    code, out, _ = run(capsys, "--format", fmt, "table", "P", "--lo", "-40", "--hi", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
 def test_quiver_paths(capsys):
     code, out, _ = run(capsys, "quiver", "paths", "paper_full", "e", "s")
     assert code == 0
