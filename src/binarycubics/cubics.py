@@ -10,13 +10,16 @@ the 2-vertex component ("two_vertex_pair"), together with the two
 embeddings of four-subspace representations into the big component,
 the one-parameter families R_n(lambda), the injective envelope of the
 middle simple P, and the randomized checks of the classification
-(domestic tame type): every summand of a random big-component
-representation has all beta maps zero or all alpha maps zero, as the
-images of four-subspace representations under the embeddings do, or
-else is isomorphic to one of the four projective-injectives.  Their
-seed draws the samples only: _complete solves each quiver's zero
-relations for the arrows left after the free ones, and decompositions
-take no seed.
+(domestic tame type), which read each summand's case off its own maps
+by an exact rule: a summand of a random big-component representation
+has all beta maps zero or all alpha maps zero, as the images of
+four-subspace representations under the embeddings do, or else is the
+projective-injective P_i, which holds exactly when it has dimension 1
+at i, 5 and j, 0 elsewhere, for (i, j) in _DIAGONAL, and beta_j alpha_i
+!= 0; a two_vertex_pair summand is a simple or has dimension vector
+(1, 1) with exactly one of a and b nonzero.  Their seed draws the
+samples only: _complete solves each quiver's zero relations for the
+arrows left after the free ones, and decompositions take no seed.
 
 In big_component the outer vertices are numbered so that the surviving
 diagonal compositions are 1 -> 2, 2 -> 1, 3 -> 4, 4 -> 3; the simples
@@ -246,11 +249,55 @@ def random_big_component_rep(rng: random.Random) -> Representation:
     return _complete(rng, build("big_component"), dims, {f"{side}{i}" for i in (1, 2, 3, 4)})
 
 
-def _sample_count(samples) -> int:
-    """samples as an int; TypeError on a bool or a float, ValueError below 0."""
+def _classify(samples, seed, draw, keys, cases) -> tuple[dict, int]:
+    """Both checks' loop: decompose samples draws from the integer seed and
+    count each summand W under every key in cases(W), read off W's own maps
+    (none: a violation).  Returns the report and the uncertified count.
+    samples must be an int (TypeError on a bool or a float) and >= 0."""
     if (samples := rl.integer(samples)) < 0:
         raise ValueError(f"samples {samples} is negative")
-    return samples
+    rng = random.Random(rl.integer(seed))
+    report = {"samples": samples, "summands": 0, **dict.fromkeys(keys, 0), "violations": []}
+    uncertified = 0
+    for k in range(samples):
+        for W, certified in decompose_certified(draw(rng)):
+            report["summands"] += 1
+            uncertified += not certified
+            for key in (found := cases(W)):
+                report[key] += 1
+            if not found:
+                report["violations"].append({"sample": k, "dim_vector": list(W.dim_vector())})
+    return report, uncertified
+
+
+def _tame_cases(W: Representation) -> list[str]:
+    """The cases of a big-component W: all beta maps zero, all alpha maps
+    zero (both for a simple), or the projective-injective P_i.
+
+    W is isomorphic to P_i exactly when, for some (i, j) in _DIAGONAL, it
+    has dimension 1 at i, 5 and j, 0 elsewhere, and beta_j alpha_i != 0.
+    P_i (basis e_i, alpha_i, beta_j alpha_i) is such a W.  Conversely, on
+    such a W alpha_i and beta_j are nonzero scalars, so the 2-cycles
+    alpha_i beta_i = 0 and beta_j alpha_j = 0 force beta_i = alpha_j = 0,
+    every other arrow meets a zero space, and rescaling W at 5 and j gives
+    P_i.  So the rule is exact for every W, certified or not; it is only
+    tried when neither side is zero, as beta_j alpha_i != 0 needs both.
+    """
+    found = [f"case_{side}_zero" for side in ("beta", "alpha")
+             if all(rl.is_zero(W.maps[f"{side}{i}"]) for i in (1, 2, 3, 4))]
+    if not found and any(W.dim_vector() == tuple(int(v in (i, j, 5)) for v in range(1, 6))
+                         and not rl.is_zero(W.path_matrix((f"alpha{i}", f"beta{j}")))
+                         for i, j in _DIAGONAL):
+        found.append("case_projective_injective")
+    return found
+
+
+def _two_vertex_cases(W: Representation) -> list[str]:
+    """The case of a two_vertex_pair W, read from (dims, a != 0, b != 0)."""
+    table = {((1, 0), False, False): "simple_1", ((0, 1), False, False): "simple_2",
+             ((1, 1), True, False): "arrow_a", ((1, 1), False, True): "arrow_b"}
+    key = (W.dim_vector(), not rl.is_zero(W.maps["a"]), not rl.is_zero(W.maps["b"]))
+    return [table[key]] if key in table else []
 
 
 def check_tame_classification(samples: int = 100, seed: int = 0) -> dict:
@@ -258,47 +305,18 @@ def check_tame_classification(samples: int = 100, seed: int = 0) -> dict:
     three classified cases.
 
     Decomposes random representations drawn from the integer seed and
-    verifies every summand is (i) one of the four projective-injectives,
-    (ii) has all beta maps zero, or (iii) has all alpha maps zero.
-    Summands whose indecomposability could not be certified are counted
-    separately as inconclusive (their case classification is still checked).
+    verifies every summand (i) has all beta maps zero, (ii) has all alpha
+    maps zero, or (iii) is a projective-injective: for some (i, j) in
+    _DIAGONAL it has dimension 1 at i, 5 and j, 0 elsewhere, and
+    beta_j alpha_i != 0 (exact, proof at _tame_cases).  Summands whose
+    indecomposability could not be certified are counted separately as
+    inconclusive (their case classification is still checked).
     """
-    samples = _sample_count(samples)
-    bq = build("big_component")
-    rng = random.Random(rl.integer(seed))
-    proj_inj = [bq.projective(str(i)) for i in (1, 2, 3, 4)]
-    report = {
-        "samples": samples,
-        "summands": 0,
-        "case_projective_injective": 0,
-        "case_beta_zero": 0,
-        "case_alpha_zero": 0,
-        "violations": [],
-        "inconclusive": 0,
-    }
-    for k in range(samples):
-        V = random_big_component_rep(rng)
-        for W, certified in decompose_certified(V):
-            report["summands"] += 1
-            if not certified:
-                report["inconclusive"] += 1
-            beta_zero = all(rl.is_zero(W.maps[f"beta{i}"]) for i in (1, 2, 3, 4))
-            alpha_zero = all(rl.is_zero(W.maps[f"alpha{i}"]) for i in (1, 2, 3, 4))
-            if beta_zero:
-                report["case_beta_zero"] += 1
-            if alpha_zero:
-                report["case_alpha_zero"] += 1
-            if beta_zero or alpha_zero:
-                continue
-            if any(is_isomorphic(W, P) for P in proj_inj if W.dim_vector() == P.dim_vector()):
-                report["case_projective_injective"] += 1
-            else:
-                report["violations"].append(
-                    {"sample": k, "dim_vector": list(W.dim_vector())}
-                )
-    report["inconclusive_rate"] = (
-        report["inconclusive"] / report["summands"] if report["summands"] else 0.0
-    )
+    report, uncertified = _classify(
+        samples, seed, random_big_component_rep,
+        ("case_projective_injective", "case_beta_zero", "case_alpha_zero"), _tame_cases)
+    report["inconclusive"] = uncertified
+    report["inconclusive_rate"] = uncertified / report["summands"] if report["summands"] else 0.0
     return report
 
 
@@ -306,29 +324,12 @@ def check_two_vertex_component(samples: int = 50, seed: int = 0) -> dict:
     """Randomized check that the 2-cycle quiver has only four indecomposables.
 
     Every summand of a random representation must be one of the two
-    simples or one of their two projective covers (one arrow carrying an
-    isomorphism, the other zero).  Each vertex gets a dimension in [0, 4].
+    simples (dimension vector (1, 0) or (0, 1)) or one of their two
+    projective covers (dimension vector (1, 1), exactly one of a and b
+    nonzero).  Each vertex gets a dimension in [0, 4].
     """
-    samples = _sample_count(samples)
     bq = build("two_vertex_pair")
-    rng = random.Random(rl.integer(seed))
-    report = {"samples": samples, "summands": 0,
-              "simple_1": 0, "simple_2": 0, "arrow_a": 0, "arrow_b": 0,
-              "violations": []}
-    for k in range(samples):
-        dims = {"1": rng.randint(0, 4), "2": rng.randint(0, 4)}
-        for W, _certified in decompose_certified(_complete(rng, bq, dims, {"a"})):
-            report["summands"] += 1
-            dv = W.dim_vector()
-            ra, rb = W.arrow_rank("a"), W.arrow_rank("b")
-            if dv == (1, 0):
-                report["simple_1"] += 1
-            elif dv == (0, 1):
-                report["simple_2"] += 1
-            elif dv == (1, 1) and ra == 1 and rb == 0:
-                report["arrow_a"] += 1
-            elif dv == (1, 1) and ra == 0 and rb == 1:
-                report["arrow_b"] += 1
-            else:
-                report["violations"].append({"sample": k, "dim_vector": list(dv)})
-    return report
+    return _classify(
+        samples, seed,
+        lambda rng: _complete(rng, bq, {"1": rng.randint(0, 4), "2": rng.randint(0, 4)}, {"a"}),
+        ("simple_1", "simple_2", "arrow_a", "arrow_b"), _two_vertex_cases)[0]

@@ -441,9 +441,6 @@ class Representation(Value):
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def arrow_rank(self, name: str) -> int:
-        return rl.rank(self.maps[name])
-
     def __repr__(self):
         dims = ", ".join(f"{v}:{d}" for v, d in self.dims.items() if d)
         return f"Representation({self.bq.name or 'quiver'}; {dims or '0'})"

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -96,8 +98,8 @@ class TestEmbeddings:
     def test_alpha_image_ranks(self):
         V = cubics.embed_alpha(cubics.rn_family(1, 0))
         for i in (1, 2, 3, 4):
-            assert V.arrow_rank(f"alpha{i}") == 1
-            assert V.arrow_rank(f"beta{i}") == 0
+            assert rl.rank(V.maps[f"alpha{i}"]) == 1
+            assert rl.rank(V.maps[f"beta{i}"]) == 0
 
     def test_beta_image_of_center_simple(self):
         d4 = cubics.build("d4hat")
@@ -291,3 +293,95 @@ def test_small_builds_the_mat_that_mat_builds_from_its_draws(seed):
         rng = random.Random(seed)
         want = rl.mat([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], m, n)
         assert got == want
+
+
+def projective_injective_by_search(W, projectives=None):
+    """The isomorphism search the tame check made before its exact rule:
+    whether W is isomorphic to one of the four projectives of big_component."""
+    bq = cubics.build("big_component")
+    projectives = projectives or [bq.projective(str(i)) for i in (1, 2, 3, 4)]
+    return any(qv.is_isomorphic(W, P) for P in projectives if W.dim_vector() == P.dim_vector())
+
+
+def planted_tame_sums():
+    """Big-component sums with every case planted: the four P_i (both
+    orientations of each diagonal pair), the alpha and beta images of
+    R_n(lambda) and of the center simple, and two outer simples; each
+    conjugated at two seeds."""
+    bc, d4 = cubics.build("big_component"), cubics.build("d4hat")
+    sums = [reduce(qv.direct_sum, [bc.projective(str(i)) for i in (1, 2, 3, 4)]),
+            qv.direct_sum(cubics.embed_alpha(cubics.rn_family(2, 1)),
+                          cubics.embed_beta(cubics.rn_family(1, 3))),
+            reduce(qv.direct_sum, [cubics.embed_beta(d4.simple("5")), bc.simple("1"),
+                                   bc.simple("4"), bc.projective("3")])]
+    return [qv.conjugate(V, seed) for V in sums for seed in (1, 2)]
+
+
+def planted_two_vertex_sums():
+    """Conjugated sums of S_1, S_2, M_a and M_b on two_vertex_pair."""
+    tv = cubics.build("two_vertex_pair")
+    V = reduce(qv.direct_sum, [tv.simple("1"), tv.simple("2"),
+                               tv.arrow_module("a"), tv.arrow_module("b")])
+    return [qv.conjugate(V, seed) for seed in (1, 2, 3)]
+
+
+def test_the_planted_sums_reach_every_case_of_both_checks():
+    # the samplers reach the P_i case once in 427 summands at seed 0 and
+    # arrow_b never at seed 0; the planted sums reach every case, each
+    # summand classified by the rule the checks use
+    for sums, cases, keys in [
+            (planted_tame_sums(), cubics._tame_cases,
+             {"case_projective_injective", "case_beta_zero", "case_alpha_zero"}),
+            (planted_two_vertex_sums(), cubics._two_vertex_cases,
+             {"simple_1", "simple_2", "arrow_a", "arrow_b"})]:
+        reached = Counter()
+        for V in sums:
+            for W, certified in qv.decompose_certified(V):
+                found = cases(W)
+                assert certified and found, W
+                reached.update(found)
+        assert set(reached) == keys, reached
+    projectives = [W for V in planted_tame_sums()[:2] for W, _ in qv.decompose_certified(V)]
+    assert [cubics._tame_cases(W) for W in projectives] == [["case_projective_injective"]] * 8
+
+
+def test_the_projective_injective_rule_agrees_with_the_isomorphism_search(monkeypatch):
+    leaves = []
+    decompose = cubics.decompose_certified
+    monkeypatch.setattr(cubics, "decompose_certified",
+                        lambda V: leaves.extend(out := decompose(V)) or out)
+    for seed in range(10):
+        assert cubics.check_tame_classification(100, seed)["violations"] == []
+    leaves += [leaf for V in planted_tame_sums() for leaf in decompose(V)]
+    bq = cubics.build("big_component")
+    projectives = [bq.projective(str(i)) for i in (1, 2, 3, 4)]
+    agree = Counter()
+    for W, _certified in leaves:
+        by_rule = "case_projective_injective" in cubics._tame_cases(W)
+        assert by_rule == projective_injective_by_search(W, projectives), W
+        agree[by_rule] += 1
+    assert agree[True] >= 14 and agree[False] >= 3900, agree
+
+
+def test_a_sum_with_both_sides_nonzero_fits_no_case():
+    # on dimension vector (1, 1, 0, 0, 1) the 2-cycles leave only P_1, P_2
+    # and sums with a zero side, so a violation needs a decomposable W
+    bc = cubics.build("big_component")
+    for W in (qv.direct_sum(bc.projective("1"), bc.simple("3")),
+              qv.direct_sum(cubics.embed_alpha(cubics.rn_family(1, 0)),
+                            cubics.embed_beta(cubics.rn_family(1, 1)))):
+        assert cubics._tame_cases(W) == [] and not projective_injective_by_search(W)
+
+
+def test_the_tame_check_builds_no_projective_and_searches_no_isomorphism(monkeypatch):
+    # seed 0 has a P_i summand, which the search route matched by is_isomorphic
+    calls = []
+    for module in (cubics, qv):
+        monkeypatch.setattr(module, "is_isomorphic", lambda V, W, search=module.is_isomorphic:
+                            calls.append("is_isomorphic") or search(V, W))
+    projective = qv.BoundQuiver.projective
+    monkeypatch.setattr(qv.BoundQuiver, "projective",
+                        lambda bq, x: calls.append("projective") or projective(bq, x))
+    report = cubics.check_tame_classification(100, 0)
+    assert report["case_projective_injective"] == 1 and report["violations"] == []
+    assert calls == []

@@ -699,7 +699,7 @@ class TestIsIsomorphic:
         W = qv.conjugate(V, seed=8)
         assert qv.is_isomorphic(V, W)
         for a in V.bq.quiver.arrows:
-            assert V.arrow_rank(a.name) == W.arrow_rank(a.name)
+            assert rl.rank(V.maps[a.name]) == rl.rank(W.maps[a.name])
 
     def test_distinct_tube_parameters(self):
         assert not qv.is_isomorphic(cubics.rn_family(1, 0), cubics.rn_family(1, 1))

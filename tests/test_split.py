@@ -172,6 +172,16 @@ def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
         assert [certified for _, certified in got] == [True, True]
 
 
+def test_the_benchmark_accepts_the_decompositions_of_its_seed_0_inputs():
+    # perfbench's decompose workload compares the (summand, certified) pairs
+    # of decompose_certified with two (want, True); a change to those pairs
+    # (a certificate object for the bool) shows here, not only in a bench run
+    worker = load_worker()
+    for k in range(3):
+        for kind, n, lam, mu in worker.decompose_inputs(0, k):
+            assert worker.check_decompose(kind, n, worker.decompose_op(kind, n, lam, mu)) is None
+
+
 def paired_up_to_isomorphism(got, want):
     """Whether the (summand, certified) lists got and want pair up one to
     one, with equal flags and isomorphic summands."""
