@@ -524,19 +524,19 @@ S_FORM = ClosedFormCharacter(
     denominators=((3, 0), (4, 2), (6, 6)),
 )
 
-# S localized at the discriminant: the (6,6)-factor becomes the full
-# lattice factor, so the character is invariant under shifts by (6,6).
+# S localized at the discriminant Delta, of weight (6,6).  Proof: inverting
+# Delta turns 1/(1 - e^(6,6)) = sum_{t >= 0} e^(t(6,6)) into the lattice factor.
 SDELTA_FORM = ClosedFormCharacter(
-    numerator=((1, (0, 0)), (1, (6, 3))),
-    denominators=((3, 0), (4, 2)),
+    numerator=S_FORM.numerator,
+    denominators=tuple(mu for mu in S_FORM.denominators if mu != (6, 6)),
     periodic=(6, 6),
 )
 
-# Fourier transform of S, supported at the origin: every weight of
-# S_FORM pushed through the Fourier weight map.
+# Fourier transform of S, supported at the origin.  Proof: dual is linear, so
+# F(nu + sum a_i mu_i) = F(nu) + sum a_i dual(mu_i), and dual keeps dominance.
 E_FORM = ClosedFormCharacter(
-    numerator=((1, (-6, -6)), (1, (-9, -12))),
-    denominators=((0, -3), (-2, -4), (-6, -6)),
+    numerator=tuple((sign, fourier_weight(nu)) for sign, nu in S_FORM.numerator),
+    denominators=tuple(dual(mu) for mu in S_FORM.denominators),
 )
 
 

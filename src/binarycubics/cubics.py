@@ -2,8 +2,8 @@
 
 The category of GL2-equivariant coherent D-modules on the space of
 binary cubic forms is equivalent to representations of a 14-vertex
-quiver whose relations are all 2-cycles and all non-diagonal
-compositions through the central vertex p.  This module builds that
+quiver whose relations are all 2-cycles and every path through the
+central vertex p not joining Fourier partners.  This module builds that
 quiver ("paper_full"), its 5-vertex big component ("big_component"),
 the extended Dynkin quiver of the four subspace problem ("d4hat") and
 the 2-vertex component ("two_vertex_pair"), together with the two
@@ -21,15 +21,13 @@ at i, 5 and j, 0 elsewhere, for (i, j) in _DIAGONAL, and beta_j alpha_i
 samples only: _complete solves each quiver's zero relations for the
 arrows left after the free ones, and decompositions take no seed.
 
-In big_component the outer vertices are numbered so that the surviving
-diagonal compositions are 1 -> 2, 2 -> 1, 3 -> 4, 4 -> 3; the simples
-they correspond to are 1 = S, 2 = E, 3 = D0, 4 = Q0, 5 = P (the pairs
-exchanged by the Fourier transform sit opposite each other).
+In big_component the vertices 1, ..., 5 stand for S, E, D0, Q0 and P.
 
-_bound states the two vanishing rules once for every named quiver: all
-2-cycles vanish, and alpha_i beta_j vanishes unless (i, j) is in
-_DIAGONAL, read in the big-component numbering (paper_full's s, d0, e,
-q0 through their labels).  A failed exactness condition raises
+_bound states the two vanishing rules once for every named quiver, on
+its vertex labels: all 2-cycles vanish, and a path through P vanishes
+unless catalog.fourier_partner pairs the simples at its two ends, so
+alpha then beta survives only from S to E, E to S, D0 to Q0 and Q0 to
+D0 (_DIAGONAL in big_component).  A failed exactness condition raises
 ArithmeticError, never an assert, so python -O gives the same answers.
 """
 
@@ -38,6 +36,7 @@ from __future__ import annotations
 import random
 
 from . import ratlinalg as rl
+from .catalog import fourier_partner
 from .quiver import (
     Arrow,
     BoundQuiver,
@@ -52,13 +51,11 @@ from .quiver import (
     monomial_relations,
 )
 
-#: surviving diagonal pairs of the big component: alpha_i then beta_j is
-#: nonzero exactly for these (i, j)
-_DIAGONAL = {(1, 2), (2, 1), (3, 4), (4, 3)}
-
 #: the big component's vertices and the simples they stand for
 _BIG_LABELS = {"1": "S", "2": "E", "3": "D0", "4": "Q0", "5": "P"}
-_BIG_OUTER = {i: _BIG_LABELS[str(i)] for i in (1, 2, 3, 4)}
+#: alpha_i then beta_j is nonzero exactly for these (i, j): Fourier partners
+_DIAGONAL = {(int(i), int(j)) for i, s in _BIG_LABELS.items() for j, t in _BIG_LABELS.items()
+             if s != "P" and fourier_partner(s) == t}
 _ALPHAS = [Arrow(f"alpha{i}", str(i), "5") for i in (1, 2, 3, 4)]
 
 _cache: dict[str, BoundQuiver] = {}
@@ -77,21 +74,19 @@ def named_quivers() -> dict[str, BoundQuiver]:
     return {name: build(name) for name in NAMED_QUIVERS}
 
 
-def _bound(name: str, vertices, arrows, outer: dict[int, str] | None = None,
-           labels: dict[str, str] | None = None) -> BoundQuiver:
+def _bound(name: str, vertices, arrows, labels: dict[str, str] | None = None) -> BoundQuiver:
     """The quiver bound by the two vanishing rules.
 
-    Every 2-cycle vanishes.  With outer, which names the simple at the
-    outer end of alpha_i and beta_i, alpha_i beta_j vanishes unless the
-    big-component numbers of outer[i] and outer[j] are a pair in _DIAGONAL.
+    Every 2-cycle vanishes.  With labels, which name the simple at each
+    vertex, a path a b through the vertex labelled P vanishes unless
+    fourier_partner pairs the labels at its two ends.
     """
     quiver = Quiver(tuple(vertices), tuple(arrows))
     zero = [(a.name, b.name) for a in quiver.arrows for b in quiver.arrows
             if a.target == b.source and b.target == a.source]
-    if outer:
-        number = {s: int(v) for v, s in _BIG_LABELS.items()}
-        zero += [(f"alpha{i}", f"beta{j}") for i in outer for j in outer
-                 if (number[outer[i]], number[outer[j]]) not in _DIAGONAL]
+    zero += [(a.name, b.name) for a in quiver.arrows for b in quiver.arrows
+             if labels and a.target == b.source and labels[a.target] == "P"
+             and fourier_partner(labels[a.source]) != labels[b.target]]
     return BoundQuiver(quiver, monomial_relations(dict.fromkeys(zero)), name=name,
                        vertex_labels=labels)
 
@@ -109,14 +104,14 @@ def _paper_full() -> BoundQuiver:
         Arrow("gamma1", "g1", "d1"), Arrow("delta1", "d1", "g1"),
         Arrow("gamma-1", "g-1", "d2"), Arrow("delta-1", "d2", "g-1"),
     ]
-    return _bound("paper_full", labels, arrows, {i: labels[v] for i, v in outer.items()}, labels)
+    return _bound("paper_full", labels, arrows, labels)
 
 
 _BUILDERS = {
     "paper_full": _paper_full,
     "big_component": lambda: _bound(
         "big_component", _BIG_LABELS,
-        _ALPHAS + [Arrow(f"beta{i}", "5", str(i)) for i in _BIG_OUTER], _BIG_OUTER, _BIG_LABELS),
+        _ALPHAS + [Arrow(f"beta{i}", "5", str(i)) for i in (1, 2, 3, 4)], _BIG_LABELS),
     "d4hat": lambda: _bound("d4hat", ("1", "2", "3", "4", "5"), _ALPHAS),
     "two_vertex_pair": lambda: _bound(
         "two_vertex_pair", ("1", "2"), [Arrow("a", "1", "2"), Arrow("b", "2", "1")]),

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -380,7 +381,9 @@ class Representation(Value):
     arrow names, the shapes and the relations are checked on
     construction.  A dimension must be an integer (numpy integers too)
     and an entry an integer or a Fraction; anything else, a float, a
-    string or a bool, raises TypeError rather than being truncated.
+    string or a bool, raises TypeError rather than being truncated.  A
+    dimension below 0 or above sys.maxsize, which no list could hold,
+    raises ValueError.
 
     The relation check runs on every representation built here, except
     where the construction proves the relations: there _satisfying builds
@@ -404,6 +407,8 @@ class Representation(Value):
         self.dims = {v: rl.integer(self.dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
+        if any(d > sys.maxsize for d in self.dims.values()):
+            raise ValueError(f"dimension above sys.maxsize ({sys.maxsize})")
         self.maps = _vertexwise(
             self.maps, {a.name: (self.dims[a.target], self.dims[a.source]) for a in q.arrows},
             "maps for unknown arrows")
@@ -1186,8 +1191,13 @@ def quiver_from_dict(data: dict) -> BoundQuiver:
 
 
 def rep_to_dict(V: Representation) -> dict:
+    """V as a representation file: the quiver by name when the name resolves to
+    V.bq itself among cubics.named_quivers(), so rep_from_dict reads it back,
+    and inline otherwise (a quiver of the user's naming or an equal copy)."""
+    from .cubics import named_quivers  # cubics imports this module
+    named = V.bq.name and named_quivers().get(V.bq.name) is V.bq
     out = {
-        "quiver": V.bq.name if V.bq.name else quiver_to_dict(V.bq),
+        "quiver": V.bq.name if named else quiver_to_dict(V.bq),
         "dims": {v: V.dims[v] for v in V.bq.quiver.vertices},
         "maps": {},
     }

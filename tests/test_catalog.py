@@ -184,6 +184,30 @@ class TestLocalCohomology:
                 lookup(name, support, 1)
 
 
+def _o3bar_euler_disagreement(name: str):
+    """First weight on the box [-30, 30] where sum_k (-1)^k [H^k_O3bar(M)],
+    read row by row off catalog.local_cohomology, differs from
+    [M] - localize([M]); None where the Euler identity holds."""
+    rows = [((-1) ** k, catalog.character_of(factor)) for k in range(5)
+            for factor in catalog.local_cohomology(name, "O3bar", k)]
+    euler = ch.Character(lambda lam: sum(sign * c.mult(lam) for sign, c in rows), "euler")
+    M = catalog.character_of(name)
+    return ch.first_disagreement(euler, M - ch.localize(M), -30, 30)
+
+
+class TestO3barEulerIdentity:
+    """A second route for the O3bar rows of the local cohomology table: the
+    alternating sum of the rows is [M] minus its localization at Delta."""
+
+    @pytest.mark.parametrize("name", catalog.SIMPLES + ("SdeltaModS",))
+    def test_rows_sum_to_m_minus_its_localization(self, name):
+        assert _o3bar_euler_disagreement(name) is None
+
+    def test_a_row_missing_a_factor_breaks_the_identity(self, monkeypatch):
+        monkeypatch.setitem(catalog._LOCAL_COHOMOLOGY, ("S", "O3bar", 1), (("P",), True))
+        assert _o3bar_euler_disagreement("S") == (-30, -30)
+
+
 class TestVerifyIdentities:
     def test_all_pass_on_box(self):
         for check in catalog.verify_identities(-12, 12):

@@ -140,6 +140,14 @@ def test_rep_key_errors_print_their_message(tmp_path, capsys, content, message):
     assert err == f"error: bad representation file: {message}\n"
 
 
+def test_a_dimension_no_list_can_hold_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"quiver": "two_vertex_pair", "dims": {"1": 2 ** 70, "2": 0}}))
+    code, out, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: bad representation file: dimension above sys.maxsize ({sys.maxsize})\n"
+
+
 def test_rep_decompose_peels_simple_summands_as_before(tmp_path, capsys):
     # S_1 + S_1 + S_5 + P_1 + alpha(R_2(0)) on big_component, conjugated: the
     # rows are those decompose_certified gave before simples were peeled

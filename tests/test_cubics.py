@@ -9,6 +9,7 @@ from functools import reduce
 
 import pytest
 
+from binarycubics import characters as ch
 from binarycubics import cubics
 from binarycubics import quiver as qv
 from binarycubics import ratlinalg as rl
@@ -92,6 +93,30 @@ def test_vanishing_paths_match_recorded(name):
     got = sorted(" ".join(rel[0][1]) for rel in bq.relations)
     assert got == RECORDED_ZERO_PATHS[name]  # sorted and free of duplicates
     assert bq.zero_paths == {tuple(p.split()) for p in RECORDED_ZERO_PATHS[name]}
+
+
+#: Recorded data, taken while the big component's relations were listed
+#: through a hand-typed _DIAGONAL: the sha256 of the sorted-key JSON of
+#: quiver_to_dict of each named quiver.
+RECORDED_QUIVER_SHAS = {
+    "paper_full": "ba3e38f55648f13076f5809dc7aec1f92b62861da7c48d9f7592520ac72afb21",
+    "big_component": "f40ddd0836762846da1d8a6e60c18576ebd49079bb6c9275b513aa56974d11c1",
+    "d4hat": "749c0e23546b48cc00e0879e814239267641e2702c00e521019ec7755e25fe16",
+    "two_vertex_pair": "86de553e03b285f563b98ddde4e07e1e4ebc404f97551927b9e0108ff17db03c",
+}
+
+
+def test_derived_forms_diagonal_and_quivers_equal_the_recorded_literals():
+    """E and S_Delta are computed from S's closed form, _DIAGONAL and the
+    Fourier rule from fourier_partner; each equals what was typed in before."""
+    assert (ch.S_FORM, ch.SDELTA_FORM, ch.E_FORM) == (
+        ch.ClosedFormCharacter(((1, (0, 0)), (1, (6, 3))), ((3, 0), (4, 2), (6, 6))),
+        ch.ClosedFormCharacter(((1, (0, 0)), (1, (6, 3))), ((3, 0), (4, 2)), periodic=(6, 6)),
+        ch.ClosedFormCharacter(((1, (-6, -6)), (1, (-9, -12))), ((0, -3), (-2, -4), (-6, -6))))
+    assert cubics._DIAGONAL == {(1, 2), (2, 1), (3, 4), (4, 3)}
+    assert {name: hashlib.sha256(json.dumps(qv.quiver_to_dict(cubics.build(name)),
+                                            sort_keys=True).encode()).hexdigest()
+            for name in cubics.NAMED_QUIVERS} == RECORDED_QUIVER_SHAS
 
 
 class TestEmbeddings:

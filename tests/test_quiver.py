@@ -831,6 +831,19 @@ class TestRepresentationFiles:
         assert back.dims == V.dims
         assert back.maps == V.maps
 
+    def test_a_quiver_of_the_users_naming_is_written_inline_and_reads_back(self):
+        q = qv.Quiver(("x", "y"), (qv.Arrow("a", "x", "y"),))
+        named = cubics.build("two_vertex_pair")
+        for bq in (qv.BoundQuiver(q, name="mine"),
+                   # equal to a named quiver, but not that object
+                   qv.BoundQuiver(named.quiver, named.relations, name="two_vertex_pair")):
+            V = qv.Representation(bq, {v: 1 for v in bq.quiver.vertices},
+                                  {bq.quiver.arrows[0].name: [[Fraction(2, 3)]]})
+            data = json.loads(json.dumps(qv.rep_to_dict(V)))
+            assert data["quiver"] == qv.quiver_to_dict(bq)
+            back = qv.rep_from_dict(data, cubics.named_quivers())
+            assert back.dims == V.dims and back.maps == V.maps
+
     def test_round_trip_inline_quiver(self):
         bq = cubics.build("two_vertex_pair")
         V = qv.Representation(bq, {"1": 1, "2": 1}, {"a": [[Fraction(2, 3)]]})
@@ -989,6 +1002,7 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize("dims, message", [
         ({"1": 1, "zz": 1}, r"dimensions for unknown vertices: \['zz'\]"),
         ({"1": -1}, "negative dimension"),
+        ({"1": 2 ** 70}, "dimension above sys.maxsize"),
     ])
     def test_bad_dimensions_are_rejected(self, dims, message):
         with pytest.raises(ValueError, match=message):
