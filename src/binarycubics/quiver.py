@@ -56,7 +56,11 @@ M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
 1099, 3.2).  decompose_certified splits such a node along the primary
 decomposition of M, or certifies it when M is cyclic, with no hom space; at
 the root this test replaces the peel.  A node in dual form, four arrows
-c -> x_i, is read the same way through D (proofs at decompose_certified).
+c -> x_i, is read the same way through D.  A root in neither form on which
+every length-2 path acts by zero is cut along its separated quiver into its
+tops and radicals (Auslander-Reiten-Smalø 1995, X.2); when every part is in
+one of the two forms, the parts take the tube route and the root skips the
+peel (proofs at decompose_certified).
 """
 
 from __future__ import annotations
@@ -388,7 +392,7 @@ class Representation(Value):
     The relation check runs on every representation built here, except
     where the construction proves the relations: there _satisfying builds
     it, called where the proof is written, by _cut (the parts of _split,
-    _peel and _tube_split), _one_arrow (simple, arrow_module), direct_sum
+    _peel, _tube_split and _separate), _one_arrow (simple, arrow_module), direct_sum
     on one bound quiver, conjugate and dual.
     """
 
@@ -672,8 +676,8 @@ def _split_candidates(V: Representation, basis: list[RepMorphism]):
 
 def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
     """V cut into parts by one checked change of basis per vertex, each part
-    a Representation on V.bq: _split and _tube_split keep them all, _peel
-    only the first.
+    a Representation on V.bq: _split, _tube_split and _separate keep them
+    all, _peel only the first.
 
     The rows of bases[v][i] are a basis of part i at v (the form of
     rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
@@ -790,13 +794,19 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     return _cut(V, bases)[0], peeled
 
 
+def _nonzero_arrows(V: Representation) -> list[Arrow]:
+    """The arrows that act on V by a nonzero map, in arrow order: the pattern
+    _tube and _separate read before any linear algebra."""
+    return [a for a in V.bq.quiver.arrows if not rl.is_zero(V.maps[a.name])]
+
+
 def _tube(V: Representation) -> tuple | None:
     """The tube form of V or of D(V) (see decompose_certified), or None: X, the
     vertices x_1..x_4 and c, T^T, G_3^T, A_3^-T, A_4^-T and the tube operator M
     of X, where X is V in tube form and D(V) when V is in dual form.  The
     arrow pattern and the dimensions are read on V, so a V in neither form
     builds no D(V)."""
-    arrows = [a for a in V.bq.quiver.arrows if not rl.is_zero(V.maps[a.name])]
+    arrows = _nonzero_arrows(V)
     if len(arrows) != 4:
         return None
     if all(a.target == arrows[0].target for a in arrows):
@@ -840,6 +850,61 @@ def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Represent
             bases[v].append(B)
     parts = _cut(X, bases)
     return parts if X is V else [dual(P) for P in parts]
+
+
+def _separate(V: Representation) -> list[tuple[Representation, tuple]] | None:
+    """V cut along its separated quiver, each part with its _tube form, or None
+    (see decompose_certified).  The sides (v, 0), the top, and (v, 1), the
+    radical, of the vertices are joined by each nonzero arrow a: x -> y, from
+    (x, 0) to (y, 1), with a union-find.  It declines before any linear
+    algebra unless there are two components or more, each of four arrows with
+    one common target or one common source; then when a length-2 path of
+    nonzero arrows that bq does not declare zero acts on V by a nonzero map;
+    then when a top is left to no component or a part is in neither form.
+    The parts come in the order of the first arrow of each component."""
+    arrows = _nonzero_arrows(V)
+    root: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(u):
+        while root.get(u, u) != u:
+            u = root[u]
+        return u
+
+    for a in arrows:
+        root[find((a.source, 0))] = find((a.target, 1))
+    comps: dict[tuple[str, int], list[Arrow]] = {}
+    for a in arrows:
+        comps.setdefault(find((a.target, 1)), []).append(a)
+    if len(comps) < 2 or any(len(c) != 4 or (len({a.source for a in c}) > 1
+                                             and len({a.target for a in c}) > 1)
+                             for c in comps.values()):
+        return None
+    if any(a.target == b.source and (a.name, b.name) not in V.bq.zero_paths
+           and not rl.is_zero(rl.matmul(V.maps[b.name], V.maps[a.name]))
+           for a in arrows for b in arrows):
+        return None
+    index = {key: i for i, key in enumerate(comps)}
+    bases: dict[str, list[rl.Mat]] = {}
+    for v, d in V.dims.items():
+        if not d:
+            continue
+        # the images of the arrows into v, as rows: their independent rows span
+        # rad_v, and the unit rows off their leading columns span a top_v
+        images = rl.transpose(reduce(rl.hstack, [V.maps[a.name] for a in arrows if a.target == v],
+                                     rl.zeros(d, 0)))
+        kept, lead = rl.rank_profiles(images)
+        free = sorted(set(range(d)).difference(lead))
+        sides = (_rows(rl.identity(d), free), _rows(images, kept))
+        bases[v] = [rl.zeros(0, d)] * len(comps)
+        for side, B in enumerate(sides):
+            if B.rows:
+                i = index.get(find((v, side)))
+                if i is None:  # a top at a vertex no nonzero arrow leaves
+                    return None
+                bases[v][i] = rl.vstack(bases[v][i], B)
+    parts = _cut(V, bases)
+    tubes = [_tube(P) for P in parts]
+    return None if any(t is None for t in tubes) else list(zip(parts, tubes))
 
 
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
@@ -1007,15 +1072,53 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     - Peel skip.  D(S_v) is the simple at v of the opposite and D(M_a)
       is the arrow module of the reversed arrow a, so a summand S_v or
       M_a of W would give one of D(W), which has none (above).
+
+    The separated parts (_separate).  A root in neither form is cut along
+    the separated quiver of rad^2 = 0 (Auslander-Reiten-Smalø 1995, X.2)
+    when every part that gives is in tube or dual form.  At each vertex v,
+    rad_v is the sum of the images of the nonzero arrows into v, and top_v
+    is spanned by the unit vectors off the leading columns of an echelon
+    basis of rad_v (rl.rank_profiles, one elimination), so V_v = top_v ⊕
+    rad_v.  Each nonzero arrow a: x -> y joins the sides (x, top) and
+    (y, rad), and the part of a component C at v is top_v if (v, top) is
+    in C, plus rad_v if (v, rad) is.  On big_component the parts are
+    A' = (top_1..top_4, rad_5), with beta = 0, and B' = (rad_1..rad_4,
+    top_5), with alpha = 0, so embed_alpha(X) ⊕ embed_beta(Y) comes apart
+    into the two images.
+
+    - Subrepresentations.  The first check is that every path b a of two
+      nonzero arrows, b first, that bq does not declare zero has
+      V_a V_b = 0; the declared ones are zero on V.  Then every arrow
+      kills rad V: an arrow a out of x kills the image of each arrow b
+      into x.  So V_a is zero on rad_x and maps top_x into rad_y, and
+      (y, rad) lies in the component of (x, top).  Each part is a
+      subrepresentation and V is their direct sum; _cut checks both.
+    - Summands.  By Krull-Schmidt the summands of V are those of its parts
+      together.  Each part is in tube or dual form (its _tube is checked
+      after the cut), so it has no summand S_v or M_a (Peel skip, above),
+      and neither has V: the peel would find nothing.  The parts go on the
+      stack with their tube forms and no bound, as the root has none.
+    - Declines.  Before any linear algebra, the nonzero arrows must make
+      two components or more, each of four arrows with one common target
+      or one common source, the arrows of a part in tube or dual form; one
+      component would be V itself, which _tube has declined.  A nonzero
+      length-2 path declines (on big_component a diagonal beta_j alpha_i:
+      then the projective-injective P_i is a summand, see
+      cubics._tame_cases), as does a nonzero top_v at a vertex that no
+      nonzero arrow leaves (it holds a summand S_v) and a part in neither
+      form.  A declined root takes the peel and the split search as if
+      the separation were not there.
     """
     if V.total_dim() == 0:
         return []
     tube = _tube(V)
-    W, peeled = (V, []) if tube else _peel(V)
+    separated = None if tube else _separate(V)
+    W, peeled = (V, []) if tube or separated else _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
     # s: an upper bound on the number of summands of the node; the root has none
     stack: list[tuple[Representation, int | None, tuple | None]] = (
-        [(W, None, tube)] if W.total_dim() else [])
+        [(P, None, form) for P, form in separated] if separated
+        else [(W, None, tube)] if W.total_dim() else [])
     while stack:
         cur, s, tube = stack.pop()
         parts = None

@@ -3,13 +3,15 @@
 Hypothesis draws bound quivers with 2-4 vertices of four kinds (acyclic,
 rad^2 = 0, monomial length-2 relations, and commutative squares) and,
 on each, a module: the cokernel of a random map between small sums of
-projectives, or the direct sum of two such, of total dimension at most
-14, conjugated so that its summands are not visible in the basis.  The
-properties check the decomposition, the duality, the file round trip
-and the path basis (through Yoneda: Hom(P_x, V) and Hom(V, I_x) both
-have dimension dim V_x).  The runs are derandomized, with no example
-database and a bounded number of examples, so they are the same on
-every run.
+projectives or the kernel of one between small sums of injectives, or
+the direct sum of two such, of total dimension at most 14, conjugated so
+that its summands are not visible in the basis.  The properties check
+the decomposition (and that a second conjugation gives the same
+summands up to isomorphism), the duality, the file round trip, the
+kernel and cokernel of an endomorphism and the path basis (through
+Yoneda: Hom(P_x, V) and Hom(V, I_x) both have dimension dim V_x).  The
+runs are derandomized, with no example database and a bounded number of
+examples, so they are the same on every run.
 """
 
 import json
@@ -67,35 +69,52 @@ def bound_quivers(draw):
     return bq
 
 
-def _sum_of_projectives(bq, xs):
-    return reduce(qv.direct_sum, [bq.projective(x) for x in xs])
+def _sum_of(build, xs):
+    return reduce(qv.direct_sum, [build(x) for x in xs])
 
 
-def _cokernel(draw, bq):
-    """The cokernel of a random integer combination of the Hom basis from a
-    sum of 1-2 projectives to a sum of 1-3, of dimension at most MAX_DIM."""
-    P = _sum_of_projectives(bq, draw(st.lists(st.sampled_from(bq.quiver.vertices),
-                                              min_size=1, max_size=2)))
-    Q = _sum_of_projectives(bq, draw(st.lists(st.sampled_from(bq.quiver.vertices),
-                                              min_size=1, max_size=3)))
-    if Q.total_dim() > MAX_DIM:
-        reject()
+def _random_morphism(draw, P, Q):
+    """A random integer combination, coefficients in [-2, 2], of the Hom
+    basis from P to Q."""
     basis = qv.hom_basis(P, Q)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
     blocks = {v: reduce(rl.mat_add, (rl.scale(f.blocks[v], c) for f, c in zip(basis, coeffs)),
                         rl.zeros(Q.dims[v], P.dims[v]))
-              for v in bq.quiver.vertices}
-    return qv.cokernel(qv.RepMorphism(P, Q, blocks))[0]
+              for v in P.bq.quiver.vertices}
+    return qv.RepMorphism(P, Q, blocks)
+
+
+def _cokernel(draw, bq):
+    """The cokernel of a random map from a sum of 1-2 projectives to a sum
+    of 1-3, of dimension at most MAX_DIM."""
+    vertices = st.sampled_from(bq.quiver.vertices)
+    P = _sum_of(bq.projective, draw(st.lists(vertices, min_size=1, max_size=2)))
+    Q = _sum_of(bq.projective, draw(st.lists(vertices, min_size=1, max_size=3)))
+    if Q.total_dim() > MAX_DIM:
+        reject()
+    return qv.cokernel(_random_morphism(draw, P, Q))[0]
+
+
+def _kernel(draw, bq):
+    """The kernel of a random map from a sum of 1-3 injectives to a sum of
+    1-2, of dimension at most MAX_DIM."""
+    vertices = st.sampled_from(bq.quiver.vertices)
+    I = _sum_of(bq.injective, draw(st.lists(vertices, min_size=1, max_size=3)))
+    J = _sum_of(bq.injective, draw(st.lists(vertices, min_size=1, max_size=2)))
+    if I.total_dim() > MAX_DIM:
+        reject()
+    return qv.kernel(_random_morphism(draw, I, J))[0]
 
 
 @st.composite
 def modules(draw):
-    """A cokernel, or the direct sum of two, on a drawn bound quiver, of total
-    dimension 1 to MAX_DIM and conjugated by a drawn seed."""
+    """A cokernel or a kernel, or the direct sum of two, on a drawn bound
+    quiver, of total dimension 1 to MAX_DIM and conjugated by a drawn seed."""
     bq = draw(bound_quivers())
-    V = _cokernel(draw, bq)
+    source = draw(st.sampled_from((_cokernel, _kernel)))
+    V = source(draw, bq)
     if draw(st.booleans()):
-        V = qv.direct_sum(V, _cokernel(draw, bq))
+        V = qv.direct_sum(V, draw(st.sampled_from((_cokernel, _kernel)))(draw, bq))
     if not 0 < V.total_dim() <= MAX_DIM:
         reject()
     return qv.conjugate(V, draw(st.integers(0, 99)))
@@ -127,3 +146,38 @@ def test_hom_from_a_projective_and_into_an_injective_counts_dim_v_x(V):
     for x in V.bq.quiver.vertices:
         assert len(qv.hom_basis(V.bq.projective(x), V)) == V.dims[x]
         assert len(qv.hom_basis(V, V.bq.injective(x))) == V.dims[x]
+
+
+def _unmatched(got, want):
+    """The summands of want that no summand of got pairs with, one to one,
+    up to isomorphism."""
+    unpaired = list(want)
+    for W in got:
+        match = next((i for i, X in enumerate(unpaired) if X.dim_vector() == W.dim_vector()
+                      and qv.is_isomorphic(W, X)), None)
+        if match is None:
+            return [W]
+        unpaired.pop(match)
+    return unpaired
+
+
+@NET
+@given(modules(), st.integers(0, 99))
+def test_a_second_conjugation_gives_the_same_summands(V, seed):
+    got = [W for W, _ in qv.decompose_certified(V)]
+    again = [W for W, _ in qv.decompose_certified(qv.conjugate(V, seed))]
+    assert len(got) == len(again) and _unmatched(got, again) == []
+
+
+@NET
+@given(st.data())
+def test_an_endomorphism_has_a_kernel_and_a_cokernel_of_one_dimension(data):
+    V = data.draw(modules())
+    f = _random_morphism(data.draw, V, V)
+    (K, incl), (C, proj) = qv.kernel(f), qv.cokernel(f)
+    assert K.dim_vector() == C.dim_vector()
+    rank = sum(rl.rank(f.blocks[v]) for v in V.bq.quiver.vertices)
+    assert K.total_dim() == V.total_dim() - rank
+    for v in V.bq.quiver.vertices:
+        assert rl.is_zero(rl.matmul(f.blocks[v], incl.blocks[v]))
+        assert rl.is_zero(rl.matmul(proj.blocks[v], f.blocks[v]))

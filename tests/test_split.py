@@ -2,7 +2,8 @@
 summand, against the kernel() route it replaced, the deferred ranking,
 the candidates it skips and the rank bound that certifies split parts,
 the peel of simple summands and arrow modules before the split search,
-and the tube route, in tube form and through D in dual form."""
+the tube route, in tube form and through D in dual form, and the cut of a
+root along its separated quiver into parts that take the tube route."""
 
 import importlib.util
 import json
@@ -326,6 +327,12 @@ def without_the_tube_route(monkeypatch):
     monkeypatch.setattr(qv, "_tube", lambda V: None)
 
 
+def without_the_separated_parts(monkeypatch):
+    """decompose_certified cuts no root along its separated quiver, so a
+    big-component sum takes the peel and the split search."""
+    monkeypatch.setattr(qv, "_separate", lambda V: None)
+
+
 def ranked_during_decompose(monkeypatch, V):
     """The dimension vectors of the representations decompose_certified(V)
     ranks, each through the trace form of its hom basis."""
@@ -436,6 +443,7 @@ def test_no_basis_element_in_the_radical_of_the_trace_form_is_tried(monkeypatch)
     # End has dimension 36 and rank 2: the trace form kills every basis
     # element but 29 and 35, so after the first (nilpotent) one the search
     # tries 29, which splits the sum
+    without_the_separated_parts(monkeypatch)
     A = cubics.embed_alpha(cubics.rn_family(2, 0))
     B = cubics.embed_beta(cubics.rn_family(2, -4))
     V = qv.direct_sum(A, B)
@@ -476,13 +484,12 @@ def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
     assert [(W.dim_vector(), c) for W, c in out] == [((2, 2, 2, 2, 4), True)] * 3
 
 
-def test_each_benchmark_sum_takes_one_hom_basis_and_at_most_two_splits(monkeypatch):
-    # the root's trace form decides each big-component sum of the decompose
-    # workload (seed 0, passes 0-2): the root is ranked once the first
-    # candidate fails, the next candidate outside the radical splits it, and
-    # both parts are certified by the bound; a d4hat sum is in tube form, so
-    # its tube operator splits it and certifies both parts, with no hom basis
-    # and no _split
+def test_each_benchmark_sum_takes_no_hom_basis_and_no_split(monkeypatch):
+    # each sum of the decompose workload (seed 0, passes 0-2) goes to the
+    # tube route: a d4hat sum is in tube form, so its tube operator splits it
+    # and certifies both parts; a big-component sum is cut along its
+    # separated quiver into a part in tube form and one in dual form, each
+    # certified by its tube operator; neither takes a hom basis or a _split
     worker = load_worker()
     homs, splits = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_split")
     ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
@@ -491,10 +498,7 @@ def test_each_benchmark_sum_takes_one_hom_basis_and_at_most_two_splits(monkeypat
         homs.clear()
         splits.clear()
         out = worker.decompose_op(*op)
-        if op[0] == "d4hat":
-            assert len(homs) == 0 and len(splits) == 0, (op, len(homs), len(splits))
-        else:
-            assert len(homs) == 1 and len(splits) <= 2, (op, len(homs), len(splits))
+        assert len(homs) == 0 and len(splits) == 0, (op, len(homs), len(splits))
         assert [c for _, c in out] == [True, True]
 
 
@@ -1005,3 +1009,116 @@ def test_rep_decompose_of_a_beta_image_prints_one_certified_summand(tmp_path, ca
     assert cli.main(["--format", "json", "rep", "decompose", str(path)]) == 0
     assert [(s["dims"], s["verdict"]) for s in json.loads(capsys.readouterr().out)["summands"]] == [
         ([3, 3, 3, 3, 6], "indecomposable")]
+
+
+def big_sum(alphas, betas, seed):
+    """embed_alpha of the sum of the R_n(lambda) for (n, lambda) in alphas
+    plus embed_beta of that for betas, conjugated at seed."""
+    def side(pairs):
+        return reduce(qv.direct_sum, [cubics.rn_family(n, lam) for n, lam in pairs])
+    return qv.conjugate(qv.direct_sum(cubics.embed_alpha(side(alphas)),
+                                      cubics.embed_beta(side(betas))), seed)
+
+
+#: (alphas, betas) of big_sum: the two benchmark kinds, a lambda repeated
+#: across the sides and within one (whose M = 5 I is not cyclic), two R on
+#: one side or on both, and Fraction parameters
+SEPARATED_SUMS = [([(1, 0)], [(1, 3)]), ([(2, 5)], [(2, -7)]), ([(2, 3)], [(2, 3)]),
+                  ([(1, 5), (1, 5)], [(1, 5)]), ([(1, 0), (2, 1)], [(1, 2), (1, -1)]),
+                  ([(2, Fraction(1, 2))], [(1, Fraction(-3, 2)), (1, 4)])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6])
+@pytest.mark.parametrize("alphas, betas", SEPARATED_SUMS)
+def test_the_separated_parts_give_the_summands_of_the_old_route(monkeypatch, alphas, betas, seed):
+    # the cut gives the alpha part in tube form (its _tube reads X = P) and
+    # the beta part in dual form (X = D(P)), so V takes no peel; the summands
+    # are those of the peel and the split search
+    V = big_sum(alphas, betas, seed)
+    a, b = (sum(n for n, _ in side) for side in (alphas, betas))
+    assert [(P.dim_vector(), form[0] is P) for P, form in qv._separate(V)] == [
+        ((a, a, a, a, 2 * a), True), ((b, b, b, b, 2 * b), False)]
+    peels = spy_on(monkeypatch, "_peel")
+    got = qv.decompose_certified(V)
+    assert peels == []
+    without_the_separated_parts(monkeypatch)
+    want = qv.decompose_certified(V)
+    assert peels == [V.dim_vector()]
+    assert sorted((W.dim_vector(), c) for W, c in got) == sorted((W.dim_vector(), c) for W, c in want)
+    assert paired_up_to_isomorphism(got, want)
+    assert len(got) == len(alphas) + len(betas)
+
+
+def cuts_in_separate(monkeypatch):
+    """One (cut, taken) pair per later call of quiver._separate: cut is "cut"
+    when it called _cut and None otherwise, taken whether it returned parts."""
+    seen = []
+    separate, cut = qv._separate, qv._cut
+
+    def spy_cut(V, bases):
+        if seen and seen[-1] is None:
+            seen[-1] = "cut"
+        return cut(V, bases)
+
+    def spy(V):
+        seen.append(None)
+        out = separate(V)
+        seen[-1] = (seen[-1], out is not None)
+        return out
+
+    monkeypatch.setattr(qv, "_cut", spy_cut)
+    monkeypatch.setattr(qv, "_separate", spy)
+    return seen
+
+
+def declining_sums():
+    """(name, V, cut), V conjugated: embed_alpha(R_2(1)) + embed_beta(R_1(4))
+    with P_1 (every arrow nonzero, so the arrow pattern passes, but
+    beta_2 alpha_1 != 0), with S_5 or with M_alpha1 (cut, then a part is in
+    neither form), and a two_vertex_pair module (components of one arrow);
+    cut says whether the cut is made."""
+    big = cubics.build("big_component")
+    two = cubics.build("two_vertex_pair")
+    base = qv.direct_sum(cubics.embed_alpha(cubics.rn_family(2, 1)),
+                         cubics.embed_beta(cubics.rn_family(1, 4)))
+    return [("P_1", qv.conjugate(qv.direct_sum(base, big.projective("1")), 2), False),
+            ("S_5", qv.conjugate(qv.direct_sum(base, big.simple("5")), 2), True),
+            ("M_alpha1", qv.conjugate(qv.direct_sum(base, big.arrow_module("alpha1")), 2), True),
+            ("two_vertex_pair", qv.conjugate(reduce(qv.direct_sum, [
+                two.projective("1"), two.projective("2"), two.simple("1")]), 2), False)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_the_separation_declines_where_a_part_is_not_in_either_form(monkeypatch, case):
+    # a declined root takes the peel and the split search exactly as with
+    # the separation switched off: the same summands, in the same order
+    name, V, cut = declining_sums()[case]
+    if name == "P_1":
+        assert len(qv._nonzero_arrows(V)) == 8
+        assert not rl.is_zero(V.path_matrix(("alpha1", "beta2")))
+    seen = cuts_in_separate(monkeypatch)
+    got = qv.decompose_certified(V)
+    assert seen == [("cut" if cut else None, False)]
+    without_the_separated_parts(monkeypatch)
+    assert qv.decompose_certified(V) == got
+    assert all(certified for _, certified in got)
+
+
+def test_a_declined_separation_keeps_the_peel_order():
+    # S_5 and M_alpha1 on a separable sum: the root declines, and the peel
+    # takes them off first, the simple then the arrow module
+    big = cubics.build("big_component")
+    S5, M = big.simple("5"), big.arrow_module("alpha1")
+    cases = {"big_component": (lambda bq: [M, cubics.embed_alpha(cubics.rn_family(2, 1)), S5,
+                                           cubics.embed_beta(cubics.rn_family(1, 4))],
+                               ["5"], ["alpha1"])}
+    check_the_peel("big_component", cases, seed=5)
+
+
+def test_the_verify_samples_never_reach_the_cut(monkeypatch):
+    # the separation declines on every root of both classification checks
+    # at the verify seed, before any cut, so their route is the old one
+    seen = cuts_in_separate(monkeypatch)
+    cubics.check_tame_classification(100, 0)
+    cubics.check_two_vertex_component(50, 0)
+    assert len(seen) > 100 and set(seen) == {(None, False)}
