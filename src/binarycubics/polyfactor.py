@@ -4,16 +4,18 @@ factor(coeffs) gives the monic prime-power factors over ℚ of a monic
 rational polynomial, in pure Python on integers (Zassenhaus 1969, with
 the modular step of Cantor and Zassenhaus 1981).  Let f be the primitive
 integer multiple of the input, t^k stripped.  Yun's algorithm splits f
-into squarefree parts; each is factored modulo the least odd prime p
-keeping it squarefree (distinct-degree, then equal-degree splitting by
-a fixed internal generator), the factors are Hensel-lifted to a modulus
-M > 2B, B = 2^n ‖f‖₂, and subsets of the lifts are recombined, smallest
-first.  This finds the irreducible factors: such a factor g is, mod M,
-lc(g) times the product of the lifts of the modular factors it reduces
-to (Hensel lifts are unique), and by Mignotte's bound (lc(f)/lc(g))·g
-has coefficients at most B, so it is the symmetric residue of one
-subset; as smaller subsets come first, each divisor found is
-irreducible.  The factors must multiply back to the input, or
+into squarefree parts.  A linear part is irreducible, and a quadratic
+part splits over ℚ exactly when its discriminant is a square (the
+quadratic formula).  Each part of higher degree is factored modulo the
+least odd prime p keeping it squarefree (distinct-degree, then
+equal-degree splitting by a fixed internal generator), the factors are
+Hensel-lifted to a modulus M > 2B, B = 2^n ‖f‖₂, and subsets of the
+lifts are recombined, smallest first.  This finds the irreducible
+factors: such a factor g is, mod M, lc(g) times the product of the
+lifts of the modular factors it reduces to (Hensel lifts are unique),
+and by Mignotte's bound (lc(f)/lc(g))·g has coefficients at most B, so
+it is the symmetric residue of one subset; as smaller subsets come
+first, each divisor found is irreducible.  The factors must multiply back to the input, or
 ArithmeticError is raised.
 
 Polynomials are coefficient lists from low to high degree without
@@ -239,6 +241,21 @@ def _lift(f: list[int], factors: list[list[int]], p: int, M: int) -> list[list[i
 
 def _zassenhaus(f: list[int], rng: random.Random) -> list[list[int]]:
     """Irreducible factors over ℤ of a primitive squarefree f with lc(f) > 0."""
+    if len(f) == 2:  # linear, so irreducible
+        return [f]
+    if len(f) == 3:
+        # c + b t + a t^2 = a (t - t_1)(t - t_2), t_1,2 = (-b ± √D) / 2a with
+        # D = b^2 - 4ac, so f splits over ℚ exactly when D is a rational
+        # square, that is for an integer D a perfect square r^2; r > 0, as f
+        # is squarefree.  2a t + b ∓ r = 2a (t - t_1,2), so the product of
+        # their primitive parts is proportional to f, and primitive with a
+        # positive lc (Gauss), as f is: it is f.
+        c, b, a = f
+        D = b * b - 4 * a * c
+        r = isqrt(D) if D > 0 else 0
+        if r * r != D:
+            return [f]
+        return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
     p = next(p for p in _odd_primes() if _squarefree_mod(f, p))
     modular = [u for g, d in _ddf(_monic(_reduce(f, p), p), p) for u in _edf(g, d, p, rng)]
     if len(modular) == 1:

@@ -514,7 +514,8 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     of their two denominators: the nonzero entries of each column of
     V(a) and each row of W(a) are listed once per arrow, and the
     equation of entry (i, j) is built from column j of V(a) and row i of
-    W(a) alone, so its cost follows their nonzero entries.  kernel_basis
+    W(a) alone, so its cost follows their nonzero entries; where both are
+    zero the equation is 0 = 0, and the pair (i, j) is skipped.  kernel_basis
     checks every basis vector exactly against every row.  That check is
     the intertwining equation, so the elements are built without
     RepMorphism's own check of it; each block is the integer slice of a
@@ -540,14 +541,15 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
                    for col in rl.transpose(va).num]
         wa_rows = [[(offs[x] + k * dvx, -wa_scale * v) for k, v in enumerate(row) if v]
                    for row in wa.num]
+        # with row i of W(a) zero, equation (i, j) is empty where column j of V(a) is too
+        va_nonzero = [(j, col) for j, col in enumerate(va_cols) if col]
         for i, wa_row in enumerate(wa_rows):
             at = i * dvy
-            for j, va_col in enumerate(va_cols):
+            for j, va_col in enumerate(va_cols) if wa_row else va_nonzero:
                 row: rl.Row = {at + k: v for k, v in va_col}
                 for k, v in wa_row:
                     row[k + j] = row.get(k + j, 0) + v
-                if row:
-                    rows.append(row)
+                rows.append(row)
     basis = []
     for ints, den in rl.kernel_basis(rows, total):
         blocks = {}
@@ -686,9 +688,11 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     left alone), whose diagonal blocks are the maps of the parts.  Checks,
     each raising ArithmeticError:
 
-    - T_v is square and invertible: the parts fill V_v;
-    - T_v T_v^-1 = I, once per vertex: the inverse is right, so
-      T_y C_a = V_a T_x on every arrow, the check it replaces;
+    - T_v is square and invertible: the parts fill V_v.  T_v^-1 is built
+      only at a vertex some arrow enters, the only place C_a uses it;
+      elsewhere rl.rank(T_v) = d_v certifies it;
+    - T_v T_v^-1 = I at each vertex where T_v^-1 is built: the inverse is
+      right, so T_y C_a = V_a T_x on every arrow, the check it replaces;
     - C_a is zero off its diagonal blocks: each part is arrow-stable.
 
     Once they pass, the parts satisfy the relations, so _satisfying builds
@@ -698,6 +702,7 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     sum c_i C_(p_i) is, and with it each of its blocks.
     """
     count = max(map(len, bases.values()), default=1)
+    targets = {a.target for a in V.bq.quiver.arrows}
     sizes, T, T_inv = {}, {}, {}
     for v, d in V.dims.items():
         if v not in bases:
@@ -705,10 +710,15 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
             continue
         sizes[v] = [B.rows for B in bases[v]]
         T[v] = rl.transpose(reduce(rl.vstack, bases[v]))
-        T_inv[v] = rl.inverse(T[v]) if T[v].cols == T[v].rows == d else None
-        if T_inv[v] is None:
+        square = T[v].cols == T[v].rows == d
+        if v in targets:
+            T_inv[v] = rl.inverse(T[v]) if square else None
+            filled = T_inv[v] is not None
+        else:
+            filled = square and rl.rank(T[v]) == d
+        if not filled:
             raise ArithmeticError(f"the parts do not fill V at vertex {v}")
-        if rl.matmul(T[v], T_inv[v]) != rl.identity(d):
+        if v in T_inv and rl.matmul(T[v], T_inv[v]) != rl.identity(d):
             raise ArithmeticError(f"the change of basis fails at vertex {v}")
     maps: list[dict[str, rl.Mat]] = [{} for _ in range(count)]
     for a in V.bq.quiver.arrows:

@@ -43,6 +43,9 @@ on Python integers:
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
   matrix on their own and adds one power per degree to one growing
   echelon, through the forward step _reduce that echelon runs too;
+- inverse runs one echelon of [A | I] built from the nonzero entries of
+  A, with no dense identity block, and reads the inverse off the unit
+  columns;
 - quotient_maps reads both of its maps off one reduced echelon.
 
 Star arguments are unpacked from lists, never from generators: CPython
@@ -54,7 +57,7 @@ raised the peak memory of a verify run by about 0.35 MB.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm
 from operator import add, index, mul
 
@@ -174,8 +177,13 @@ def zeros(m: int, n: int) -> Mat:
     return Mat(m, n, [[0] * n] * m, 1)
 
 
+def _unit(i: int, n: int) -> list[int]:
+    """Unit vector i of length n, as integers."""
+    return [0] * i + [1] + [0] * (n - 1 - i)
+
+
 def identity(n: int) -> Mat:
-    return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
+    return Mat(n, n, [_unit(i, n) for i in range(n)], 1)
 
 
 def transpose(A: Mat) -> Mat:
@@ -413,7 +421,7 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
     column order.
     """
     if not rows:
-        return [([int(j == f) for j in range(ncols)], 1) for f in range(ncols)]
+        return [(_unit(f, ncols), 1) for f in range(ncols)]
     ech = echelon(rows)
     pivot_set = {c for c, _ in ech}
     hits: dict[int, list[tuple[int, Row]]] = {
@@ -489,8 +497,31 @@ def solve(A: Mat, B: Mat) -> Mat | None:
 
 
 def inverse(A: Mat) -> Mat | None:
-    """Exact inverse of a square matrix, or None when singular."""
-    return solve(A, identity(A.rows))
+    """Exact inverse of a square matrix, or None when singular; ValueError
+    when A is not square.
+
+    One echelon of [N | I], N the numerators of A, built as sparse rows
+    from the nonzero entries of N and the 1 at column n + i of row i.
+    The n rows are independent, so A is invertible exactly when their n
+    pivots lie in the columns of N; the reduced form is then [I | N^-1],
+    and A^-1 = A.den * N^-1 is read off the unit columns over the lcm of
+    the pivot entries.
+    """
+    n = A.rows
+    if A.cols != n:
+        raise ValueError(f"inverse of a non-square {n}x{A.cols} matrix")
+    ech = echelon([{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+                   for i, row in enumerate(A.num)])
+    if any(c >= n for c, _ in ech):
+        return None
+    den = lcm(*[row[c] for c, row in ech])
+    num = [[0] * n for _ in range(n)]
+    for c, row in ech:
+        f = A.den * (den // row[c])
+        for j, x in row.items():
+            if j >= n:
+                num[c][j - n] = f * x
+    return over(num, den, n, n)
 
 
 def quotient_maps(B: Mat) -> tuple[Mat, Mat]:
@@ -568,9 +599,7 @@ def eval_poly(coeffs: list[Fraction], A: Mat) -> Mat:
     """Evaluate a polynomial (coefficients low to high) at a square matrix."""
     n = A.rows
     out = scale(identity(n), coeffs[0]) if coeffs else zeros(n, n)
-    power = identity(n)
-    for c in coeffs[1:]:
-        power = matmul(power, A)
+    for c, power in zip(coeffs[1:], accumulate(repeat(A, len(coeffs) - 1), matmul)):
         if c:
             out = mat_add(out, scale(power, c))
     return out

@@ -95,6 +95,61 @@ def test_verify_sized_coefficients():
     assert pf.factor(coeffs) == [[-b, 1], [a * a, -2 * a, 1]] == sympy_factors(coeffs)
 
 
+def spy_on_the_modular_step(monkeypatch):
+    """The polynomials that reach the distinct-degree step _ddf."""
+    seen = []
+    ddf = pf._ddf
+    monkeypatch.setattr(pf, "_ddf", lambda f, p: seen.append(f) or ddf(f, p))
+    return seen
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    ([F(1, 6), F(5, 6), 1], 2),  # (t + 1/2)(t + 1/3): 6t^2 + 5t + 1 once cleared
+    ([-6, 1, 1], 2),  # (t - 2)(t + 3)
+    ([F(-3, 4), -1, 1], 2),  # (t + 1/2)(t - 3/2)
+    ([F(2, 9), -1, 1], 2),  # (t - 1/3)(t - 2/3)
+    ([-2, 0, 1], 1),  # D = 8, not a square
+    ([F(1, 3), F(1, 2), 1], 1),  # 6t^2 + 3t + 2, D = -39 < 0
+    ([1, 1, 1], 1),  # D = -3
+    ([5, 0, 1], 1),  # D = -20
+])
+def test_a_squarefree_quadratic_is_factored_in_closed_form(monkeypatch, coeffs, count):
+    seen = spy_on_the_modular_step(monkeypatch)
+    got = pf.factor(coeffs)
+    assert got == sympy_factors(coeffs) and len(got) == count
+    assert seen == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam, mu", [(2, -3), (F(1, 2), F(-5, 3)), (0, 7)])
+def test_equal_powers_of_two_linear_factors_take_no_modular_step(monkeypatch, n, lam, mu):
+    # Yun leaves (t - lam)(t - mu), a split quadratic, as the part of multiplicity n
+    seen = spy_on_the_modular_step(monkeypatch)
+    coeffs = monic(product(*[[-lam, 1], [-mu, 1]] * n))
+    assert pf.factor(coeffs) == sympy_factors(coeffs)
+    assert seen == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("lam", [3, F(-7, 4)])
+def test_a_power_of_a_linear_factor_takes_no_modular_step(monkeypatch, n, lam):
+    seen = spy_on_the_modular_step(monkeypatch)
+    coeffs = monic(product(*[[-lam, 1]] * n))
+    assert pf.factor(coeffs) == sympy_factors(coeffs) == [monic(product(*[[-lam, 1]] * n))]
+    assert seen == []
+
+
+@given(st.fractions(-50, 50, max_denominator=12), st.fractions(-50, 50, max_denominator=12),
+       st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_products_of_linear_powers_match_sympy(lam, mu, n):
+    coeffs = monic(product(*[[-lam, 1]] * n, *[[-mu, 1]] * (n + 1)))
+    assert pf.factor(coeffs) == sympy_factors(coeffs)
+
+
 @pytest.mark.parametrize("coeffs", [[], [2], [1, 2], [Fraction(1, 2), Fraction(1, 2)], [0]])
 def test_non_monic_input_raises_value_error(coeffs):
     with pytest.raises(ValueError, match="monic"):

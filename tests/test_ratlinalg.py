@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import sympy
 
@@ -47,6 +47,48 @@ def test_solve_and_inverse():
     assert rl.matmul(A, X) == rl.identity(2)
     assert rl.inverse(A) == X
     assert rl.inverse(rl.mat([[1, 2], [2, 4]])) is None
+
+
+#: entries for inverse: small, fractional, near 2^70, and zero
+inverse_cells = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=5),
+                          st.integers(-2**70, 2**70), st.just(2**70), st.just(0))
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n <= 5, singular by construction on about half the draws."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(inverse_cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):  # row i a multiple of row j (j = i: row i zero)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = 0 if i == j else draw(st.fractions(-3, 3, max_denominator=3))
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@given(square_matrices())
+@example([])
+@example([[0]])
+@example([[Fraction(-3, 7)]])
+@example([[2**70]])
+@example([[2**70, 1], [2**71, 2]])
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+@example([[1, Fraction(1, 2)], [Fraction(1, 3), 2**70]])
+@settings(max_examples=150, deadline=None)
+def test_inverse_equals_solve_against_the_identity(rows):
+    n = len(rows)
+    A = rl.mat(rows, n, n)
+    X = rl.inverse(A)
+    assert X == rl.solve(A, rl.identity(n))
+    assert (X is None) == (rl.rank(A) < n)
+    if X is not None:
+        assert rl.matmul(A, X) == rl.identity(n) == rl.matmul(X, A)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]])
+def test_inverse_of_a_non_square_matrix_raises(rows):
+    with pytest.raises(ValueError, match="non-square"):
+        rl.inverse(rl.mat(rows))
 
 
 def test_solve_inconsistent():

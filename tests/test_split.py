@@ -14,12 +14,13 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
 from sympy import Poly, Rational, Symbol
 
-from binarycubics import cli, cubics
+from binarycubics import cli, cubics, polyfactor
 from binarycubics import quiver as qv
 from binarycubics import ratlinalg as rl
 from binarycubics.polyfactor import factor
@@ -502,6 +503,98 @@ def test_each_benchmark_sum_takes_no_hom_basis_and_no_split(monkeypatch):
         assert [c for _, c in out] == [True, True]
 
 
+def test_each_benchmark_sum_inverts_only_where_it_conjugates(monkeypatch):
+    # a d4hat sum inverts T = [W1 W2], A_3, B_3 and A_4 in _tube and, in
+    # _cut, only T_5 at the one vertex the arrows enter: 5 inverses; a
+    # big-component sum makes 13 over its separation and its two tube
+    # parts; no minimal polynomial needs the modular factoring step
+    worker = load_worker()
+    inverses, ddf = [], []
+    inverse, modular = rl.inverse, polyfactor._ddf
+    monkeypatch.setattr(rl, "inverse", lambda A: inverses.append(A.rows) or inverse(A))
+    monkeypatch.setattr(polyfactor, "_ddf", lambda f, p: ddf.append(f) or modular(f, p))
+    ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
+    assert len(ops) == 15
+    for op in ops:
+        inverses.clear()
+        worker.decompose_op(*op)
+        assert len(inverses) == {"d4hat": 5, "big_component": 13}[op[0]], (op, inverses)
+    assert ddf == []
+
+
+def split_at_the_middle(V):
+    """_cut's bases for a sum X + Y of equal dimension vectors: at each
+    vertex the first half of the unit rows for X, the second for Y."""
+    bases = {}
+    for v, d in V.dims.items():
+        unit, h = rl.identity(d).num, d // 2
+        bases[v] = [rl.over(unit[:h], 1, h, d), rl.over(unit[h:], 1, h, d)]
+    return bases
+
+
+@pytest.mark.parametrize("vertex", ["1", "5"])
+def test_a_cut_whose_parts_do_not_fill_a_vertex_raises(vertex):
+    # vertex 1 is only an arrow source, where the rank certifies T_1; the
+    # arrows enter vertex 5, where T_5 is inverted
+    X, Y = cubics.rn_family(2, 1), cubics.rn_family(2, 3)
+    V = qv.direct_sum(X, Y)
+    bases = split_at_the_middle(V)
+    assert qv._cut(V, bases) == [X, Y]
+    bases[vertex][1] = bases[vertex][0]
+    with pytest.raises(ArithmeticError, match=f"the parts do not fill V at vertex {vertex}$"):
+        qv._cut(V, bases)
+
+
+def all_pairs_rows(V, W):
+    """The equations of hom_basis(V, W), built as one row for every entry
+    (i, j) of every arrow, dropping only the rows left empty."""
+    offs, total = {}, 0
+    for v in V.bq.quiver.vertices:
+        offs[v], total = total, total + V.dims[v] * W.dims[v]
+    rows = []
+    for a in V.bq.quiver.arrows:
+        x, y = a.source, a.target
+        va, wa = V.maps[a.name], W.maps[a.name]
+        den = lcm(va.den, wa.den)
+        for i, wa_row in enumerate(wa.num):
+            for j in range(V.dims[x]):
+                row = {}
+                for k in range(V.dims[y]):
+                    if va.num[k][j]:
+                        row[offs[y] + i * V.dims[y] + k] = den // va.den * va.num[k][j]
+                for k, w in enumerate(wa_row):
+                    if w:
+                        at = offs[x] + k * V.dims[x] + j
+                        row[at] = row.get(at, 0) - den // wa.den * w
+                if row:
+                    rows.append(row)
+    return rows, total
+
+
+@pytest.mark.parametrize("case", ["embed_alpha(R_3(2))", "tame sample"])
+def test_hom_basis_hands_kernel_basis_every_nonempty_equation_in_order(monkeypatch, case):
+    V = (cubics.embed_alpha(cubics.rn_family(3, 2)) if case == "embed_alpha(R_3(2))"
+         else cubics.random_big_component_rep(random.Random(0)))
+    # W(a) has zero rows where V(a) has nonzero columns and the other way
+    # round: on the beta arrows of a module placed on the alphas, and on the
+    # alphas of X, placed on the betas
+    W, X = qv.conjugate(V, seed=2), cubics.embed_beta(cubics.rn_family(2, 5))
+    systems = []
+    kernel_basis = rl.kernel_basis
+    monkeypatch.setattr(rl, "kernel_basis", lambda rows, n: systems.append((rows, n))
+                        or kernel_basis(rows, n))
+    skipped = 0  # the 0 = 0 equations: a zero row of W(a) against a zero column of V(a)
+    for A, B in ((V, V), (V, W), (W, V), (V, X), (X, W)):
+        systems.clear()
+        qv.hom_basis(A, B)
+        assert systems == [all_pairs_rows(A, B)]
+        for a in A.bq.quiver.arrows:
+            va, wa = A.maps[a.name], B.maps[a.name]
+            skipped += (sum(not any(r) for r in wa.num)
+                        * sum(not any(col) for col in rl.transpose(va).num))
+    assert skipped > 0
+
+
 #: parts of a direct sum on each named quiver, the vertices of its simple
 #: summands and the arrows of its summands M_a, in the order the peel
 #: returns them; a projective can be an arrow module (P_1 = M_alpha1 on
@@ -630,8 +723,9 @@ def test_a_loop_vertex_peels_its_simples_and_its_arrow_module():
 
 
 def test_the_peel_finds_no_summand_in_the_benchmark_pairs():
-    # so the big-component sums of the decompose workload pay only the
-    # peel's exits; the d4hat sums are in tube form and skip the peel
+    # no sum of the decompose workload takes the peel: the d4hat sums are
+    # in tube form and the big-component sums are cut along their separated
+    # quiver; run on them anyway, it finds no simple summand or arrow module
     for op in sorted(benchmark_ops()):
         V = benchmark_sum(*op)
         W, peeled = qv._peel(V)
