@@ -121,11 +121,17 @@ NAMED_QUIVERS = tuple(_BUILDERS)
 
 
 def _embed(V: Representation, side: str, W: Representation) -> Representation:
-    """W's alpha maps on big_component's side1..side4; W is V or D(V), V on d4hat."""
+    """W's alpha maps on big_component's side1..side4 and zeros on the other
+    side's arrows; W is V or D(V), V on d4hat.  Its relations hold unchecked,
+    so Representation._satisfying builds it: every relation of big_component
+    is a length-2 path through one alpha and one beta (a 2-cycle, or a path
+    through P), so its matrix has a zero factor."""
     if V.bq is not build("d4hat"):
         raise ValueError(f"embed_{side} expects a representation of d4hat")
-    maps = {f"{side}{i}": W.maps[f"alpha{i}"] for i in (1, 2, 3, 4)}
-    return Representation(build("big_component"), dict(V.dims), maps)
+    big = build("big_component")
+    maps = {a.name: W.maps[f"alpha{a.name[-1]}"] if a.name.startswith(side)
+            else rl.zeros(V.dims[a.target], V.dims[a.source]) for a in big.quiver.arrows}
+    return Representation._satisfying(big, dict(V.dims), maps)
 
 
 def embed_alpha(V: Representation) -> Representation:

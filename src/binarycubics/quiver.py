@@ -21,8 +21,9 @@ indecomposables by splitting along coprime factors of minimal polynomials of
 endomorphisms, which polyfactor.factor finds exactly over ℚ, in-house.
 Indecomposability is certified when End/rad has dimension one (the
 absolutely indecomposable case), or when a four-subspace tube module has
-a cyclic operator M of one primary factor, so that End = ℚ[M] is local;
-otherwise the verdict is "inconclusive" by design.
+a cyclic operator M of one primary factor, so that End = ℚ[M] is local,
+and every tube module is cut into such pieces; otherwise the verdict is
+"inconclusive" by design.
 
 A BoundQuiver validates its relations once and keeps the endpoints of
 each relation and its one-term vanishing paths, which everything below
@@ -53,9 +54,10 @@ random.
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
 M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
-1099, 3.2).  decompose_certified splits such a node along the primary
-decomposition of M, or certifies it when M is cyclic, with no hom space; at
-the root this test replaces the peel.  A node in dual form, four arrows
+1099, 3.2).  decompose_certified cuts such a node along M-invariant
+subspaces until M is cyclic of one primary factor on each piece, which
+certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3); at the
+root this test replaces the peel.  A node in dual form, four arrows
 c -> x_i, is read the same way through D.  A root in neither form on which
 every length-2 path acts by zero is cut along its separated quiver into its
 tops and radicals (Auslander-Reiten-Smalø 1995, X.2); when every part is in
@@ -70,6 +72,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate, repeat
 from math import lcm
 
 from . import ratlinalg as rl
@@ -392,8 +395,9 @@ class Representation(Value):
     The relation check runs on every representation built here, except
     where the construction proves the relations: there _satisfying builds
     it, called where the proof is written, by _cut (the parts of _split,
-    _peel, _tube_split and _separate), _one_arrow (simple, arrow_module), direct_sum
-    on one bound quiver, conjugate and dual.
+    _peel, TubeForm.cut and _separate), _one_arrow (simple, arrow_module),
+    cubics._embed (embed_alpha, embed_beta), direct_sum on one bound quiver,
+    conjugate and dual.
     """
 
     _fields = ("bq", "dims", "maps")
@@ -678,7 +682,7 @@ def _split_candidates(V: Representation, basis: list[RepMorphism]):
 
 def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representation]:
     """V cut into parts by one checked change of basis per vertex, each part
-    a Representation on V.bq: _split, _tube_split and _separate keep them
+    a Representation on V.bq: _split, TubeForm.cut and _separate keep them
     all, _peel only the first.
 
     The rows of bases[v][i] are a basis of part i at v (the form of
@@ -810,12 +814,41 @@ def _nonzero_arrows(V: Representation) -> list[Arrow]:
     return [a for a in V.bq.quiver.arrows if not rl.is_zero(V.maps[a.name])]
 
 
-def _tube(V: Representation) -> tuple | None:
-    """The tube form of V or of D(V) (see decompose_certified), or None: X, the
-    vertices x_1..x_4 and c, T^T, G_3^T, A_3^-T, A_4^-T and the tube operator M
-    of X, where X is V in tube form and D(V) when V is in dual form.  The
-    arrow pattern and the dimensions are read on V, so a V in neither form
-    builds no D(V)."""
+class TubeForm(Frozen):
+    """The tube form of a node V (see decompose_certified): X, which is V in
+    tube form and D(V) when V is in dual form; verts, x_1..x_4 and c; Tt, G3t,
+    A3_invt and A4_invt, the transposes of T, G_3, A_3^-1 and A_4^-1; and M,
+    the tube operator of X."""
+
+    _fields = ("X", "verts", "Tt", "G3t", "A3_invt", "A4_invt", "M")
+
+    def __init__(self, X: Representation, verts: tuple[str, ...], Tt: rl.Mat, G3t: rl.Mat,
+                 A3_invt: rl.Mat, A4_invt: rl.Mat, M: rl.Mat):
+        vars(self).update(X=X, verts=verts, Tt=Tt, G3t=G3t, A3_invt=A3_invt, A4_invt=A4_invt, M=M)
+
+    def cut(self, V: Representation, spaces: list[rl.Mat]) -> list[Representation]:
+        """V cut along M-invariant subspaces whose direct sum is Q^n, one
+        part per row basis K in spaces, in that order: X cut by _cut with
+        the bases K, K G_3^T, K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T at
+        x_1..x_4 and c, each part P given back as D(P) when X = D(V).  One
+        space is Q^n itself, and V comes back whole, with no _cut."""
+        if len(spaces) == 1:
+            return [V]
+        bases: dict[str, list[rl.Mat]] = {v: [] for v in self.verts}
+        for K in spaces:
+            KG = rl.matmul(K, self.G3t)
+            for v, B in zip(self.verts, (K, KG, rl.matmul(K, self.A3_invt),
+                                         rl.matmul(K, self.A4_invt),
+                                         rl.matmul(rl.block_diag(K, KG), self.Tt))):
+                bases[v].append(B)
+        parts = _cut(self.X, bases)
+        return parts if self.X is V else [dual(P) for P in parts]
+
+
+def _tube(V: Representation) -> TubeForm | None:
+    """The TubeForm of V (see decompose_certified), or None.  The arrow
+    pattern and the dimensions are read on V, so a V in neither form builds
+    no D(V)."""
     arrows = _nonzero_arrows(V)
     if len(arrows) != 4:
         return None
@@ -841,28 +874,36 @@ def _tube(V: Representation) -> tuple | None:
     if any(B is None for B in inverses):
         return None
     M = rl.matmul(rl.matmul(A3, B3_inv), rl.matmul(B4, A4_inv))
-    return (X, xs + [c], rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
-            rl.transpose(A3_inv), rl.transpose(A4_inv), M)
+    return TubeForm(X, (*xs, c), rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
+                    rl.transpose(A3_inv), rl.transpose(A4_inv), M)
 
 
-def _tube_split(V: Representation, tube: tuple, factors: list) -> list[Representation]:
-    """V cut along the factors of the minimal polynomial of the tube operator M
-    of _tube's X, in the order polyfactor.factor gives them: X cut by _cut into
-    the generalized kernels of M, and for a V in dual form, X = D(V), each
-    part P of X comes back as D(P) (see decompose_certified)."""
-    X, verts, Tt, G3t, A3_invt, A4_invt, M = tube
-    bases: dict[str, list[rl.Mat]] = {v: [] for v in verts}
-    for power in factors:
-        K = rl.nullspace(rl.eval_poly(power, M))
-        KG = rl.matmul(K, G3t)
-        for v, B in zip(verts, (K, KG, rl.matmul(K, A3_invt), rl.matmul(K, A4_invt),
-                                rl.matmul(rl.block_diag(K, KG), Tt))):
-            bases[v].append(B)
-    parts = _cut(X, bases)
-    return parts if X is V else [dual(P) for P in parts]
+def _pieces(M: rl.Mat) -> tuple[list[rl.Mat], list[bool]]:
+    """Row bases of M-invariant subspaces whose direct sum is Q^n, and whether
+    M is cyclic of one primary factor on each (see decompose_certified,
+    Pieces): the generalized kernels of the factors of the minimal
+    polynomial f when it has two or more; Q^n when f, one power of an
+    irreducible, has degree n; else Z, the span of the Krylov vectors of the
+    first unit vector e_j with deg f independent ones, and C, the common
+    kernel of e_r, e_r M, ..., e_r M^(deg f - 1) for the first unit row e_r
+    whose pairing with Z is invertible."""
+    factors = factor(rl.minimal_polynomial(M))
+    n, e = M.rows, len(factors[0]) - 1
+    if len(factors) > 1:
+        spaces = [rl.nullspace(rl.eval_poly(q, M)) for q in factors]
+        return spaces, [len(q) - 1 == K.rows for q, K in zip(factors, spaces)]
+    if e == n:
+        return [rl.identity(n)], [True]
+    powers = list(accumulate(repeat(M, e - 1), rl.matmul, initial=rl.identity(n)))
+    krylov = (rl.stack_rows([([row[j] for row in P.num], P.den) for P in powers], n)
+              for j in range(n))
+    Z = next(K for K in krylov if rl.rank(K) == e)
+    rows = (rl.stack_rows([(P.num[r], P.den) for P in powers], n) for r in range(n))
+    Phi = next(F for F in rows if rl.rank(rl.matmul(F, rl.transpose(Z))) == e)
+    return [Z, rl.nullspace(Phi)], [True, False]
 
 
-def _separate(V: Representation) -> list[tuple[Representation, tuple]] | None:
+def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None:
     """V cut along its separated quiver, each part with its _tube form, or None
     (see decompose_certified).  The sides (v, 0), the top, and (v, 1), the
     radical, of the vertices are joined by each nonzero arrow a: x -> y, from
@@ -1031,10 +1072,10 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     cannot fail: the generalized kernels of the coprime factors of its
     minimal polynomial are subrepresentations, and V is their direct sum.
 
-    The tube route (_tube, _tube_split).  A node W is in tube form when its
-    nonzero arrows are exactly four, a_i: x_i -> c in arrow order, with
-    x_1..x_4, c distinct; its dimension is n >= 1 at each x_i, 2n at c and
-    0 elsewhere; T = [W_a1 | W_a2] is invertible; and with
+    The tube route (_tube, TubeForm.cut, _pieces).  A node W is in tube
+    form when its nonzero arrows are exactly four, a_i: x_i -> c in arrow
+    order, with x_1..x_4, c distinct; its dimension is n >= 1 at each x_i,
+    2n at c and 0 elsewhere; T = [W_a1 | W_a2] is invertible; and with
     T^-1 W_a3 = [A_3; B_3], T^-1 W_a4 = [A_4; B_4], A_3, B_3 and A_4 are
     invertible.  Its tube operator is M = A_3 B_3^-1 B_4 A_4^-1.
 
@@ -1046,20 +1087,45 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       Q = G_3 P G_3^-1 (U_3) and then PM = MP (U_4).  Conversely a P that
       commutes with M acts by P, G_3 P G_3^-1, A_3^-1 P A_3, A_4^-1 P A_4
       at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.
-    - Split.  Take P = M: for a factor q of its minimal polynomial, a
-      power of one irreducible, the generalized kernel is K = ker q(M) at
-      x_1 and G_3 K, A_3^-1 K, A_4^-1 K, T(K + G_3 K) at x_2, x_3, x_4, c.
-      Their bases are the rows of K (from rl.nullspace), K G_3^T,
-      K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T, which _cut checks.  A
-      part has tube operator M on K, of minimal polynomial q: it is a
-      certified leaf (below) when deg q = dim K, else it gets the bound
-      s - (j - 1) for j parts, or none at the root.
+    - Cut.  An M-invariant subspace K of Q^n at x_1 spans the
+      subrepresentation with G_3 K, A_3^-1 K, A_4^-1 K and T(K + G_3 K) at
+      x_2, x_3, x_4 and c: in the basis T, a_4 maps A_4^-1 K onto the
+      graph of G_4 = G_3 M over K, inside K + G_3 K.  Subspaces whose
+      direct sum is Q^n cut W into the direct sum of theirs, with the
+      bases K (rows), K G_3^T, K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T,
+      which _cut checks.  A part is in W's form, with tube operator M on K: A_3, B_3
+      and A_4 are invertible exactly when U_3 meets U_2 and U_1, and U_4
+      meets U_2, in 0 alone, which the part inherits.
     - Certificate.  When the minimal polynomial f of M is a power of one
       irreducible p and deg f = n, M is cyclic, so End(W), its
       centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
       cyclic one is a polynomial in it).  That ring is local, with
-      End/rad = Q[t]/(p), so W is indecomposable and s = 1.  Any other M
-      of one primary factor goes to the split search.
+      End/rad = Q[t]/(p), so W is indecomposable and s = 1.
+    - Pieces.  The subspaces come from f.  With two or more factors q,
+      coprime powers of irreducibles, they are the generalized kernels
+      ker q(M), in the order polyfactor.factor gives them; M has the
+      minimal polynomial q on ker q, so its part is certified when
+      deg q = dim ker q.  With f = p^k of degree n, Q^n itself is
+      certified.  With f = p^k of degree e < n, they are Z and then C:
+      - Z.  v = e_j, for the first j whose Krylov vectors v, Mv, ...,
+        M^(e-1) v have rank e, and Z is their span, M-invariant as
+        f(M) v = 0, with M cyclic on it.  Such a j exists: p^(k-1)(M) != 0
+        has a nonzero column j, and then the annihilator of e_j is p^k.
+      - C.  φ = e_r, for the first unit row whose e x e pairing
+        G_ab = φ M^(a+b) v has rank e, and C is the common kernel of φ,
+        φM, ..., φM^(e-1).  Such an r exists: any r with
+        (p^(k-1)(M) v)_r != 0.  Were G c = 0 for some c != 0, the w in Z
+        killed by every φ M^a (every a, as φ f(M) = 0) would make a
+        nonzero M-invariant subspace of Z ≅ Q[t]/(p^k), which holds
+        p^(k-1)(M) v; but φ does not kill that.  C is M-invariant, since
+        φ f(M) = 0 puts φ M^e in the span of the rows before it, and
+        dim C >= n - e.  G invertible gives Z ∩ C = 0, as w = sum c_b M^b v
+        in C has G c = 0, so Q^n = Z ⊕ C.
+      Z is certified, and C is a tube node again, with its own _tube.
+      Every piece is smaller than its node, so the loop cuts W into
+      certified leaves, the cyclic primary summands Q[t]/(p^k) of the
+      Q[t]-module (Q^n, M) (Jacobson, Basic Algebra I, ch. 3).  No node in
+      tube or dual form takes a hom space, a candidate or a trace form.
     - Peel skip.  The a_i are injective, so no S_{x_i} is a summand; the
       radical U_1 + U_2 at c is W_c, so S_c is not one; for M_{a_i} the
       other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
@@ -1072,9 +1138,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     the tube route when D(W) is in tube form, with D(W)'s M.  These are
     the α-zero nodes of big_component, the β-images embed_beta(R_n(λ)).
 
-    - Split.  D is additive and D(D(X)) = X on V.bq, as opposite() is
+    - Cut.  D is additive and D(D(X)) = X on V.bq, as opposite() is
       built once, so D(W) = P_1 ⊕ ... ⊕ P_j exactly when
-      W = D(P_1) ⊕ ... ⊕ D(P_j): _tube_split cuts D(W) as above and
+      W = D(P_1) ⊕ ... ⊕ D(P_j): TubeForm.cut cuts D(W) as above and
       gives each part P back as dual(P), of the dims of P.
     - Certificate.  f -> D(f), the transposed blocks, is an
       anti-isomorphism End(W) -> End(D(W)), so End(W) ≅ End(D(W))^op,
@@ -1126,24 +1192,16 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     W, peeled = (V, []) if tube or separated else _peel(V)
     out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
     # s: an upper bound on the number of summands of the node; the root has none
-    stack: list[tuple[Representation, int | None, tuple | None]] = (
+    stack: list[tuple[Representation, int | None, TubeForm | None]] = (
         [(P, None, form) for P, form in separated] if separated
         else [(W, None, tube)] if W.total_dim() else [])
     while stack:
         cur, s, tube = stack.pop()
-        parts = None
-        if s != 1 and tube:
-            factors = factor(rl.minimal_polynomial(tube[-1]))
-            if len(factors) == 1 and len(factors[0]) == tube[-1].rows + 1:
-                s = 1  # M is cyclic of one primary factor
-            elif len(factors) > 1:
-                parts = _tube_split(cur, tube, factors)
-                bound = None if s is None else s - len(parts) + 1
-                # each part is in the node's form, and its M has the minimal polynomial
-                # its factor q, so it is cyclic when deg q = dim K
-                stack.extend((P, 1 if len(q) == P.dims[tube[1][0]] + 1 else bound, None)
-                             for P, q in zip(parts, factors))
-                continue
+        if tube:
+            spaces, cyclic = _pieces(tube.M)
+            stack.extend((P, 1, None) if c else (P, None, _tube(P))
+                         for P, c in zip(tube.cut(cur, spaces), cyclic))
+            continue
         if s != 1:
             basis = hom_basis(cur, cur)
             s = len(basis) if s is None else min(s, len(basis))

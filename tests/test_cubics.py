@@ -150,6 +150,21 @@ class TestEmbeddings:
                 assert out.maps[f"beta{i}"] == rl.transpose(alpha)
                 assert out.maps[f"alpha{i}"] == rl.zeros(alpha.rows, alpha.cols)
 
+    @pytest.mark.parametrize("seed", [None, 0, 4])
+    @pytest.mark.parametrize("n, lam", [(1, 0), (2, Fraction(-1, 3)), (3, 2)])
+    def test_the_unchecked_embeddings_equal_the_checked_construction(self, n, lam, seed):
+        # _embed builds its image without the relation check; the checked
+        # constructor, given the same side's maps, builds the same module
+        V = cubics.rn_family(n, lam)
+        V = V if seed is None else qv.conjugate(V, seed)
+        big = cubics.build("big_component")
+        for side, embed, W in (("alpha", cubics.embed_alpha, V),
+                               ("beta", cubics.embed_beta, qv.dual(V))):
+            maps = {f"{side}{i}": W.maps[f"alpha{i}"] for i in (1, 2, 3, 4)}
+            out = embed(V)
+            assert out == qv.Representation(big, dict(V.dims), maps)
+            assert out.bq is big
+
 
 class TestRnFamily:
     def test_displayed_matrices_for_n1(self):

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -285,7 +286,8 @@ arrow_peel = raised(lambda: qv._peel(M_P))
 # the failing tube split of test_a_wrong_tube_operator_raises
 rl.nullspace = nullspace
 tube = qv._tube
-qv._tube = lambda V: (lambda form: form and form[:-1] + (rl.transpose(form[-1]),))(tube(V))
+qv._tube = lambda V: (lambda f: f and qv.TubeForm(f.X, f.verts, f.Tt, f.G3t, f.A3_invt, f.A4_invt,
+                                                  rl.transpose(f.M)))(tube(V))
 tube_split = [raised(lambda: qv.decompose_certified(qv.conjugate(qv.direct_sum(
     cubics.rn_family(2, 5), cubics.rn_family(2, 7)), seed))) for seed in (3, 11)]
 print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel,
@@ -362,7 +364,9 @@ def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch)
 def test_the_annihilator_candidate_splits_a_sum_no_basis_element_splits(monkeypatch):
     # End(X + X) is M_2(Q) for X = R_1(0); after this change of basis no
     # basis endomorphism has two coprime factors, but the annihilator
-    # candidate, which kills a unit vector and has nonzero trace, does
+    # candidate, which kills a unit vector and has nonzero trace, does; the
+    # tube route would cut the sum by its M = 0 before any candidate
+    without_the_tube_route(monkeypatch)
     V = qv.conjugate(qv.direct_sum(cubics.rn_family(1, 0), cubics.rn_family(1, 0)), 0)
     basis = qv.hom_basis(V, V)
     assert len(basis) == 4
@@ -915,9 +919,10 @@ def test_the_tube_split_equals_the_kernel_route_along_M():
 
 def declined_cases():
     """Tube-like modules with the flags and verdict they get, then the flags
-    the split search alone gives them.  The tube route leaves two to the
-    split search: R_1(5) + R_1(5), whose M = 5 is not cyclic, and U_3 = U_1,
-    so B3 = 0.  M the companion of t^2 + 1, irreducible over Q, is cyclic:
+    the split search alone gives them.  R_1(5) + R_1(5), whose M = 5 I is
+    not cyclic, is cut by M into its two summands, in other bases than the
+    split search's.  The tube route leaves U_3 = U_1, so B3 = 0, to the
+    split search.  M the companion of t^2 + 1, irreducible over Q, is cyclic:
     the route certifies it, and the split search alone leaves it open."""
     return [(qv.direct_sum(cubics.rn_family(1, 5), cubics.rn_family(1, 5)), [True, True], "no",
              [True, True]),
@@ -936,7 +941,10 @@ def test_the_tube_route_keeps_the_verdicts_where_it_declines(monkeypatch, case, 
     assert qv.is_indecomposable(V) == verdict
     without_the_tube_route(monkeypatch)
     alone = qv.decompose_certified(V)
-    assert [W for W, _ in alone] == [W for W, _ in got]
+    if case == 0:
+        assert paired_up_to_isomorphism(got, alone)
+    else:
+        assert [W for W, _ in alone] == [W for W, _ in got]
     assert [certified for _, certified in alone] == searched
 
 
@@ -981,7 +989,7 @@ def test_a_cyclic_tube_leaf_has_the_end_its_minimal_polynomial_gives(monkeypatch
         tube = qv._tube(W)
         if not certified or tube is None:
             continue
-        M = tube[-1]
+        M = tube.M
         n, f = M.rows, rl.minimal_polynomial(M)
         if len(f) != n + 1:
             continue
@@ -994,16 +1002,110 @@ def test_a_cyclic_tube_leaf_has_the_end_its_minimal_polynomial_gives(monkeypatch
 
 
 @pytest.mark.parametrize("seed", [None, 3])
-def test_a_part_of_a_tube_split_with_a_repeated_root_is_searched(seed):
+def test_a_part_of_a_tube_split_with_a_repeated_root_is_cut_by_M(monkeypatch, seed):
     # M = diag(5, 5, 7) splits into the parts of t - 5 (dimension 2, not
-    # cyclic) and t - 7; the first is R_1(5) + R_1(5), which the split
-    # search takes apart
+    # cyclic) and t - 7; the first is R_1(5) + R_1(5), which its own M cuts
+    # apart, with no hom space
     R = cubics.rn_family
     V = reduce(qv.direct_sum, [R(1, 5), R(1, 5), R(1, 7)])
     V = V if seed is None else qv.conjugate(V, seed)
+    homs = spy_on(monkeypatch, "hom_basis")
     got = qv.decompose_certified(V)
+    assert homs == []
     assert [(W.dim_vector(), certified) for W, certified in got] == [((1, 1, 1, 1, 2), True)] * 3
     assert paired_up_to_isomorphism(got, [(R(1, 5), True), (R(1, 5), True), (R(1, 7), True)])
+
+
+def companion(*coeffs):
+    """The companion matrix of the monic t^n + c_(n-1) t^(n-1) + ... + c_0,
+    for coeffs = (c_0, ..., c_(n-1))."""
+    n = len(coeffs)
+    return rl.mat([[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)], n, n)
+
+
+def tube_module(*blocks):
+    """The d4hat module in tube form whose M is the block sum of blocks."""
+    M = reduce(rl.block_diag, blocks)
+    return four_subspaces(M.rows, rl.identity(M.rows), M)
+
+
+J = cubics.jordan_block
+C1, C2 = companion(1, 0), companion(1, 0, 2, 0)  # of t^2 + 1 and of (t^2 + 1)^2
+#: planted tube modules: R_n(lambda)^m with lambda an integer or a Fraction,
+#: companions of t^2 + 1 and of (t^2 + 1)^2, and mixed elementary divisors
+PLANTED = {"R_2(3)^2": reduce(qv.direct_sum, [cubics.rn_family(2, 3)] * 2),
+           "R_1(1/2)^3": reduce(qv.direct_sum, [cubics.rn_family(1, Fraction(1, 2))] * 3),
+           "C(t^2+1)^2": tube_module(C1, C1),
+           "C((t^2+1)^2)+C(t^2+1)": tube_module(C2, C1),
+           "J_2(2)+J_1(2)": tube_module(J(2, 2), J(1, 2)),
+           "J_2(1/2)^2+J_1(3)": tube_module(J(2, Fraction(1, 2)), J(2, Fraction(1, 2)), J(1, 3))}
+#: the forms a planted module is decomposed in: tube form, dual form, and
+#: the two images on big_component (in tube form and in dual form)
+FORMS = {"tube": lambda V: V, "dual": qv.dual,
+         "alpha": cubics.embed_alpha, "beta": cubics.embed_beta}
+
+
+def spy_on_the_split_search(monkeypatch):
+    """Whether _tube reads a tube form on the node of each later call of
+    hom_basis, _split_candidates or _trace_pairing."""
+    seen = []
+    for name in ("hom_basis", "_split_candidates", "_trace_pairing"):
+        def spy(first, *rest, original=getattr(qv, name)):
+            node = first[0].source if isinstance(first, list) else first
+            seen.append(qv._tube(node) is not None)
+            return original(first, *rest)
+        monkeypatch.setattr(qv, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("name", PLANTED)
+def test_a_planted_tube_sum_is_cut_by_M_into_certified_summands(monkeypatch, name, form):
+    # every node is in the tube or the dual form, so the tube route decides
+    # it: no hom space, candidate or trace form; the summands are those of
+    # the split search, which leaves the companions' summands uncertified
+    V = qv.conjugate(FORMS[form](PLANTED[name]), seed=2)
+    seen = spy_on_the_split_search(monkeypatch)
+    got = qv.decompose_certified(V)
+    assert seen == []
+    assert all(certified for _, certified in got)
+    monkeypatch.undo()
+    without_the_tube_route(monkeypatch)
+    alone = qv.decompose_certified(V)
+    assert paired_up_to_isomorphism(got, [(W, True) for W, _ in alone])
+
+
+def test_a_conjugated_cube_of_R_3_is_cut_in_a_fifth_of_a_second(monkeypatch):
+    V = qv.conjugate(reduce(qv.direct_sum, [cubics.rn_family(3, 2)] * 3), seed=1)
+    seen = spy_on_the_split_search(monkeypatch)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = qv.decompose_certified(V)
+        times.append(time.perf_counter() - start)
+    assert [(W.dim_vector(), certified) for W, certified in got] == [((3, 3, 3, 3, 6), True)] * 3
+    assert seen == []
+    assert min(times) < 0.2, times
+
+
+@pytest.mark.parametrize("blocks, dim_end", [
+    ((J(3, 2), J(1, 2), J(2, 2)), 14), ((C1, C1, C1), 18),
+    ((J(2, Fraction(1, 2)), J(2, Fraction(1, 2)), J(1, 3)), 9)])
+def test_dim_end_is_the_frobenius_count_of_the_elementary_divisors(blocks, dim_end):
+    # each certified summand's M has minimal polynomial p^k (factored by
+    # sympy); the centralizer of M then has dimension
+    # sum over p of deg p * sum over i, j of min(k_i, k_j)
+    t = Symbol("t")
+    V = qv.conjugate(tube_module(*blocks), seed=7)
+    powers = {}
+    for W, certified in qv.decompose_certified(V):
+        assert certified
+        f = rl.minimal_polynomial(qv._tube(W).M)
+        _, ((p, k),) = Poly([Rational(c.numerator, c.denominator) for c in reversed(f)],
+                            t).factor_list()
+        powers.setdefault(p.as_expr(), []).append((p.degree(), k))
+    count = sum(d * min(k, l) for ks in powers.values() for d, k in ks for _, l in ks)
+    assert count == dim_end == len(qv.hom_basis(V, V))
 
 
 def conjugated_tube_modules():
@@ -1030,8 +1132,8 @@ def transposed_tube_operator(tube):
     other generalized eigenspaces (test_a_non_intertwining_phi_raises_under_python_O
     makes the same change under python -O)."""
     def wrong(V):
-        form = tube(V)
-        return form and form[:-1] + (rl.transpose(form[-1]),)
+        f = tube(V)
+        return f and qv.TubeForm(f.X, f.verts, f.Tt, f.G3t, f.A3_invt, f.A4_invt, rl.transpose(f.M))
     return wrong
 
 
@@ -1060,7 +1162,7 @@ def test_a_beta_image_is_certified_through_D_with_no_hom_basis_and_no_peel(monke
     # M of minimal polynomial (t - lam)^n
     V = cubics.embed_beta(cubics.rn_family(n, lam))
     tube = qv._tube(V)
-    assert tube[0] == qv.dual(V) and tube[0].bq is V.bq.opposite()
+    assert tube.X == qv.dual(V) and tube.X.bq is V.bq.opposite()
     homs, peels = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_peel")
     assert qv.decompose_certified(V) == [(V, True)]
     assert homs == peels == []
@@ -1076,7 +1178,7 @@ def dual_form_sum(seed):
 def test_a_dual_form_sum_gives_the_duals_of_the_summands_of_its_D(monkeypatch, seed):
     V = dual_form_sum(seed)
     DV = qv.dual(V)
-    assert qv._tube(V)[0] == DV and qv._tube(DV)[0] is DV  # dual form, tube form
+    assert qv._tube(V).X == DV and qv._tube(DV).X is DV  # dual form, tube form
     want = [(qv.dual(P), certified) for P, certified in qv.decompose_certified(DV)]
     homs = spy_on(monkeypatch, "hom_basis")
     got = qv.decompose_certified(V)
@@ -1130,7 +1232,7 @@ def test_the_separated_parts_give_the_summands_of_the_old_route(monkeypatch, alp
     # are those of the peel and the split search
     V = big_sum(alphas, betas, seed)
     a, b = (sum(n for n, _ in side) for side in (alphas, betas))
-    assert [(P.dim_vector(), form[0] is P) for P, form in qv._separate(V)] == [
+    assert [(P.dim_vector(), form.X is P) for P, form in qv._separate(V)] == [
         ((a, a, a, a, 2 * a), True), ((b, b, b, b, 2 * b), False)]
     peels = spy_on(monkeypatch, "_peel")
     got = qv.decompose_certified(V)
