@@ -54,10 +54,12 @@ random.
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
 fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
 M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
-1099, 3.2).  decompose_certified cuts such a node along M-invariant
-subspaces until M is cyclic of one primary factor on each piece, which
-certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3); at the
-root this test replaces the peel.  A node in dual form, four arrows
+1099, 3.2).  decompose_certified cuts such a node, in one cut, along
+M-invariant subspaces on each of which M is cyclic of one primary factor,
+which certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3);
+at the root this test replaces the peel.  For two such modules hom_basis
+solves the Sylvester equation P M_V = M_W P in place of the intertwining
+system and gives the same basis.  A node in dual form, four arrows
 c -> x_i, is read the same way through D.  A root in neither form on which
 every length-2 path acts by zero is cut along its separated quiver into its
 tops and radicals (Auslander-Reiten-Smalø 1995, X.2); when every part is in
@@ -478,7 +480,9 @@ class RepMorphism(Value):
     elements of hom_basis are built by _intertwining, which skips both
     steps: hom_basis builds every block as a Mat of the right shape and
     has already checked every element exactly against the intertwining
-    equations, which is the same check.
+    equations, which is the same check: through kernel_basis on the
+    system, or, on the Sylvester route, along each arrow nonzero on the
+    source or the target, the other arrows giving 0 = 0.
     """
 
     _fields = ("source", "target", "blocks")
@@ -508,60 +512,142 @@ class RepMorphism(Value):
         return f
 
 
-def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
-    """Basis of Hom(V, W), by exact solution of the intertwining system.
+def _equations(rows: list[rl.Row], va: rl.Mat, wa: rl.Mat, at_x: int, at_y: int) -> None:
+    """Append to rows the equations of f_y va = wa f_x (see hom_basis), the
+    entries of f_x and f_y numbered row-major from at_x and at_y."""
+    dvx, dvy = va.cols, va.rows
+    den = lcm(va.den, wa.den)
+    va_scale, wa_scale = den // va.den, den // wa.den
+    # the nonzero entries of va column j, as (unknown f_y[0][k], va[k][j]),
+    # and of wa row i, as (unknown f_x[k][0], -wa[i][k]), listed once
+    va_cols = [[(at_y + k, va_scale * v) for k, v in enumerate(col) if v]
+               for col in rl.transpose(va).num]
+    wa_rows = [[(at_x + k * dvx, -wa_scale * v) for k, v in enumerate(row) if v]
+               for row in wa.num]
+    # with row i of wa zero, equation (i, j) is empty where column j of va is too
+    va_nonzero = [(j, col) for j, col in enumerate(va_cols) if col]
+    for i, wa_row in enumerate(wa_rows):
+        at = i * dvy
+        for j, va_col in enumerate(va_cols) if wa_row else va_nonzero:
+            row: rl.Row = {at + k: v for k, v in va_col}
+            for k, v in wa_row:
+                row[k + j] = row.get(k + j, 0) + v
+            rows.append(row)
 
-    The unknowns are the entries of the blocks f_v, vertex by vertex and
-    row-major; each arrow a: x -> y gives one equation per entry of
-    f_y V(a) - W(a) f_x.  The equations go to rl.kernel_basis as sparse
-    integer rows, read off the numerators of V(a) and W(a) over the lcm
-    of their two denominators: the nonzero entries of each column of
-    V(a) and each row of W(a) are listed once per arrow, and the
-    equation of entry (i, j) is built from column j of V(a) and row i of
-    W(a) alone, so its cost follows their nonzero entries; where both are
-    zero the equation is 0 = 0, and the pair (i, j) is skipped.  kernel_basis
-    checks every basis vector exactly against every row.  That check is
-    the intertwining equation, so the elements are built without
-    RepMorphism's own check of it; each block is the integer slice of a
-    basis vector over its denominator.  The basis is the one read off
+
+def _lifts(src: "TubeForm", tgt: "TubeForm") -> list[dict[str, rl.Mat]]:
+    """The blocks, at x_1..x_4 and c, of a basis of Hom(src.X, tgt.X) for two
+    tube forms on the same arrows: each P with P M_src = M_tgt P, lifted (see
+    hom_basis)."""
+    m, n = tgt.M.rows, src.M.rows
+    rows: list[rl.Row] = []
+    _equations(rows, src.M, tgt.M, 0, 0)
+    T, G3, A3_inv, A4_inv = map(rl.transpose, (tgt.Tt, tgt.G3t, tgt.A3_invt, tgt.A4_invt))
+    x1, x2, x3, x4, c = src.verts
+    lifts = []
+    for ints, den in rl.kernel_basis(rows, m * n):
+        P = rl.over([ints[i * n:(i + 1) * n] for i in range(m)], den, m, n)
+        Q = rl.matmul(G3, rl.matmul(P, src.G3_inv))
+        lifts.append({x1: P, x2: Q, x3: rl.matmul(A3_inv, rl.matmul(P, src.A3)),
+                      x4: rl.matmul(A4_inv, rl.matmul(P, src.A4)),
+                      c: rl.matmul(T, rl.matmul(rl.block_diag(P, Q), src.T_inv))})
+    return lifts
+
+
+def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
+    """Basis of Hom(V, W), by exact solution of the intertwining system, or,
+    for two modules in tube form or two in dual form, of a Sylvester equation.
+
+    The system.  The unknowns are the entries of the blocks f_v, vertex by
+    vertex and row-major; each arrow a: x -> y gives one equation per entry
+    of f_y V(a) - W(a) f_x (_equations).  The equations go to
+    rl.kernel_basis as sparse integer rows, read off the numerators of V(a)
+    and W(a) over the lcm of their two denominators: the nonzero entries of
+    each column of V(a) and each row of W(a) are listed once per arrow, and
+    the equation of entry (i, j) is built from column j of V(a) and row i
+    of W(a) alone, so its cost follows their nonzero entries; where both
+    are zero the equation is 0 = 0, and the pair (i, j) is skipped.
+    kernel_basis checks every basis vector exactly against every row.
+    That check is the intertwining equation, so the elements are built
+    without RepMorphism's own check of it; each block is the integer slice
+    of a basis vector over its denominator.  The basis is the one read off
     the reduced echelon form of the system, which is unique: it does not
     depend on how the elimination runs.
+
+    The Sylvester route (_tube, _lifts), when V and W are both in tube form
+    on the same four arrows a_i: x_i -> c (see decompose_certified), with T,
+    A_3, B_3, A_4, B_4, G_3 = B_3 A_3^-1, G_4 = B_4 A_4^-1 and M = G_3^-1 G_4
+    read on each; V's dimension is n_V at each x_i, W's n_W.  It has
+    n_V n_W unknowns, against sum_v dim V_v dim W_v for the system (Frobenius;
+    Gantmacher, The Theory of Matrices, vol. 1, ch. VIII).
+
+    - Sylvester equation.  As in "End = centralizer of M": the a_i are
+      injective, and f_c T_V = T_W diag(P, Q) with P = f_(x_1) and
+      Q = f_(x_2), along a_1 and a_2.  Along a_3, P A_3V = A_3W f_(x_3) and
+      Q B_3V = B_3W f_(x_3), so f_(x_3) = A_3W^-1 P A_3V and
+      Q = G_3W P G_3V^-1; along a_4 the same with A_4, B_4 and G_4, so
+      G_3W P G_3V^-1 = G_4W P G_4V^-1, that is P M_V = M_W P.
+    - Lift.  Conversely every n_W x n_V solution P gives the morphism with
+      the blocks P, Q = G_3W P G_3V^-1, A_3W^-1 P A_3V and A_4W^-1 P A_4V at
+      x_1..x_4 and T_W diag(P, Q) T_V^-1 at c, and 0 x 0 blocks elsewhere:
+      each equation above holds.  P -> f is linear, injective (P is f at
+      x_1) and onto, so the lifts of a basis of the solutions are a basis
+      of Hom(V, W).  The rows of P M_V - M_W P are those of the system for
+      one loop acting by M_V and M_W (_equations), and kernel_basis checks
+      every P against them.
+    - Restore.  Flattened in the numbering of the system (rl.flatten over
+      the vertices in order), the lifts span its kernel, so
+      rl.kernel_form gives kernel_basis's basis of that kernel (its
+      lemma): the basis the system route returns, vector for vector.
+    - Check.  Each element f is checked against f_y V(a) = W(a) f_x along
+      the four arrows, the arrows nonzero on V or W; along any other both
+      sides are 0, so that is the check of every equation.  A mismatch
+      raises ArithmeticError, as kernel_basis's check does.
+    - Dual form.  When V and W are both in dual form on the same arrows,
+      f -> D(f), the transposed blocks, maps Hom(V, W) onto
+      Hom(D(W), D(V)), whose modules are in tube form: the route lifts a
+      basis of that space, transposes its blocks, then restores and checks
+      as above.
+
+    Any other pair, tube against dual form or a node in neither form,
+    takes the system; _tube runs once when W is V.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
+    verts = V.bq.quiver.vertices
     offs, total = {}, 0  # where the entries of each block f_v start, and how many there are
-    for v in V.bq.quiver.vertices:
+    for v in verts:
         offs[v], total = total, total + V.dims[v] * W.dims[v]
-    rows: list[rl.Row] = []
-    for a in V.bq.quiver.arrows:
-        x, y = a.source, a.target
-        dvx, dvy = V.dims[x], V.dims[y]
-        va, wa = V.maps[a.name], W.maps[a.name]
-        den = lcm(va.den, wa.den)
-        va_scale, wa_scale = den // va.den, den // wa.den
-        # the nonzero entries of V(a) column j, as (unknown f_y[0][k], V(a)[k][j]),
-        # and of W(a) row i, as (unknown f_x[k][0], -W(a)[i][k]), listed once
-        va_cols = [[(offs[y] + k, va_scale * v) for k, v in enumerate(col) if v]
-                   for col in rl.transpose(va).num]
-        wa_rows = [[(offs[x] + k * dvx, -wa_scale * v) for k, v in enumerate(row) if v]
-                   for row in wa.num]
-        # with row i of W(a) zero, equation (i, j) is empty where column j of V(a) is too
-        va_nonzero = [(j, col) for j, col in enumerate(va_cols) if col]
-        for i, wa_row in enumerate(wa_rows):
-            at = i * dvy
-            for j, va_col in enumerate(va_cols) if wa_row else va_nonzero:
-                row: rl.Row = {at + k: v for k, v in va_col}
-                for k, v in wa_row:
-                    row[k + j] = row.get(k + j, 0) + v
-                rows.append(row)
+    src = _tube(V)
+    tgt = src if src is None or W is V else _tube(W)
+    sylvester = tgt is not None and tgt.arrows == src.arrows
+    if not sylvester:
+        rows: list[rl.Row] = []
+        for a in V.bq.quiver.arrows:
+            _equations(rows, V.maps[a.name], W.maps[a.name], offs[a.source], offs[a.target])
+        vectors = rl.kernel_basis(rows, total)
+    else:
+        if src.X is V:
+            lifts = _lifts(src, tgt)
+        else:
+            lifts = [{v: rl.transpose(g) for v, g in h.items()} for h in _lifts(tgt, src)]
+        vectors = rl.kernel_form([rl.flatten([f[v] for v in verts if v in f]) for f in lifts],
+                                 total)
     basis = []
-    for ints, den in rl.kernel_basis(rows, total):
+    for ints, den in vectors:
         blocks = {}
-        for v in V.bq.quiver.vertices:
+        for v in verts:
             m, n = W.dims[v], V.dims[v]
             at = offs[v]
             blocks[v] = rl.over([ints[at + i * n: at + (i + 1) * n] for i in range(m)], den, m, n)
         basis.append(RepMorphism._intertwining(V, W, blocks))
+    if sylvester:
+        for name in src.arrows:
+            a = V.bq.quiver._by_name[name]
+            va, wa = V.maps[name], W.maps[name]
+            for f in basis:
+                if rl.matmul(f.blocks[a.target], va) != rl.matmul(wa, f.blocks[a.source]):
+                    raise ArithmeticError(f"a lifted morphism fails the equations of arrow {name}")
     return basis
 
 
@@ -816,15 +902,20 @@ def _nonzero_arrows(V: Representation) -> list[Arrow]:
 
 class TubeForm(Frozen):
     """The tube form of a node V (see decompose_certified): X, which is V in
-    tube form and D(V) when V is in dual form; verts, x_1..x_4 and c; Tt, G3t,
-    A3_invt and A4_invt, the transposes of T, G_3, A_3^-1 and A_4^-1; and M,
-    the tube operator of X."""
+    tube form and D(V) when V is in dual form; arrows, the names of a_1..a_4;
+    verts, x_1..x_4 and c; Tt, G3t, A3_invt and A4_invt, the transposes of T,
+    G_3, A_3^-1 and A_4^-1, which cut reads; T_inv, G3_inv, A3 and A4, the
+    matrices T^-1, G_3^-1 = A_3 B_3^-1, A_3 and A_4, which hom_basis's lift
+    reads at the source; and M, the tube operator of X."""
 
-    _fields = ("X", "verts", "Tt", "G3t", "A3_invt", "A4_invt", "M")
+    _fields = ("X", "arrows", "verts", "Tt", "G3t", "A3_invt", "A4_invt",
+               "T_inv", "G3_inv", "A3", "A4", "M")
 
-    def __init__(self, X: Representation, verts: tuple[str, ...], Tt: rl.Mat, G3t: rl.Mat,
-                 A3_invt: rl.Mat, A4_invt: rl.Mat, M: rl.Mat):
-        vars(self).update(X=X, verts=verts, Tt=Tt, G3t=G3t, A3_invt=A3_invt, A4_invt=A4_invt, M=M)
+    def __init__(self, X: Representation, arrows: tuple[str, ...], verts: tuple[str, ...],
+                 Tt: rl.Mat, G3t: rl.Mat, A3_invt: rl.Mat, A4_invt: rl.Mat,
+                 T_inv: rl.Mat, G3_inv: rl.Mat, A3: rl.Mat, A4: rl.Mat, M: rl.Mat):
+        vars(self).update(X=X, arrows=arrows, verts=verts, Tt=Tt, G3t=G3t, A3_invt=A3_invt,
+                          A4_invt=A4_invt, T_inv=T_inv, G3_inv=G3_inv, A3=A3, A4=A4, M=M)
 
     def cut(self, V: Representation, spaces: list[rl.Mat]) -> list[Representation]:
         """V cut along M-invariant subspaces whose direct sum is Q^n, one
@@ -873,34 +964,61 @@ def _tube(V: Representation) -> TubeForm | None:
     A3_inv, B3_inv, A4_inv = inverses = [rl.inverse(B) for B in (A3, B3, A4)]
     if any(B is None for B in inverses):
         return None
-    M = rl.matmul(rl.matmul(A3, B3_inv), rl.matmul(B4, A4_inv))
-    return TubeForm(X, (*xs, c), rl.transpose(T), rl.transpose(rl.matmul(B3, A3_inv)),
-                    rl.transpose(A3_inv), rl.transpose(A4_inv), M)
+    G3_inv = rl.matmul(A3, B3_inv)
+    return TubeForm(X, tuple(a.name for a in arrows), (*xs, c), rl.transpose(T),
+                    rl.transpose(rl.matmul(B3, A3_inv)), rl.transpose(A3_inv),
+                    rl.transpose(A4_inv), T_inv, G3_inv, A3, A4,
+                    rl.matmul(G3_inv, rl.matmul(B4, A4_inv)))
 
 
-def _pieces(M: rl.Mat) -> tuple[list[rl.Mat], list[bool]]:
-    """Row bases of M-invariant subspaces whose direct sum is Q^n, and whether
-    M is cyclic of one primary factor on each (see decompose_certified,
-    Pieces): the generalized kernels of the factors of the minimal
-    polynomial f when it has two or more; Q^n when f, one power of an
-    irreducible, has degree n; else Z, the span of the Krylov vectors of the
-    first unit vector e_j with deg f independent ones, and C, the common
-    kernel of e_r, e_r M, ..., e_r M^(deg f - 1) for the first unit row e_r
-    whose pairing with Z is invertible."""
+def _pieces(M: rl.Mat) -> list[rl.Mat]:
+    """Row bases of M-invariant subspaces whose direct sum is Q^n, with M
+    cyclic of one primary factor on each (see decompose_certified, Pieces):
+    for each factor q of the minimal polynomial, in the order
+    polyfactor.factor gives them, the generalized kernel ker q(M) when its
+    dimension is deg q, else _primary's pieces of M on it."""
     factors = factor(rl.minimal_polynomial(M))
-    n, e = M.rows, len(factors[0]) - 1
-    if len(factors) > 1:
-        spaces = [rl.nullspace(rl.eval_poly(q, M)) for q in factors]
-        return spaces, [len(q) - 1 == K.rows for q, K in zip(factors, spaces)]
-    if e == n:
-        return [rl.identity(n)], [True]
-    powers = list(accumulate(repeat(M, e - 1), rl.matmul, initial=rl.identity(n)))
-    krylov = (rl.stack_rows([([row[j] for row in P.num], P.den) for P in powers], n)
-              for j in range(n))
-    Z = next(K for K in krylov if rl.rank(K) == e)
-    rows = (rl.stack_rows([(P.num[r], P.den) for P in powers], n) for r in range(n))
-    Phi = next(F for F in rows if rl.rank(rl.matmul(F, rl.transpose(Z))) == e)
-    return [Z, rl.nullspace(Phi)], [True, False]
+    if len(factors) == 1:
+        return _primary(M, len(factors[0]) - 1, rl.identity(M.rows))
+    pieces = []
+    for q in factors:
+        K = rl.nullspace(rl.eval_poly(q, M))
+        pieces += [K] if K.rows == len(q) - 1 else _primary(_restricted(M, K), len(q) - 1, K)
+    return pieces
+
+
+def _restricted(M: rl.Mat, K: rl.Mat) -> rl.Mat:
+    """M on the M-invariant subspace with row basis K, in K's coordinates:
+    the R with M K^T = K^T R, exact, unique as the rows of K are
+    independent; ArithmeticError when there is none."""
+    Kt = rl.transpose(K)
+    R = rl.solve(Kt, rl.matmul(M, Kt))
+    if R is None:
+        raise ArithmeticError("a piece of Q^n is not M-invariant")
+    return R
+
+
+def _primary(M: rl.Mat, e: int, B: rl.Mat) -> list[rl.Mat]:
+    """The cyclic pieces of M, of minimal polynomial p^k of degree e, as row
+    bases in Q^n, B the row basis in Q^n of the space M acts on (see
+    decompose_certified, Pieces): while e < dim, Z, the span of the Krylov
+    vectors of the first unit vector e_j with e independent ones, and then
+    the same on C, the common kernel of e_r, e_r M, ..., e_r M^(e - 1) for
+    the first unit row e_r whose pairing with Z is invertible, with M on C
+    in C's coordinates; then the last space itself."""
+    pieces = []
+    while e < M.rows:
+        n = M.rows
+        powers = list(accumulate(repeat(M, e - 1), rl.matmul, initial=rl.identity(n)))
+        krylov = (rl.stack_rows([([row[j] for row in P.num], P.den) for P in powers], n)
+                  for j in range(n))
+        Z = next(K for K in krylov if rl.rank(K) == e)
+        rows = (rl.stack_rows([(P.num[r], P.den) for P in powers], n) for r in range(n))
+        C = rl.nullspace(next(F for F in rows if rl.rank(rl.matmul(F, rl.transpose(Z))) == e))
+        pieces.append(rl.matmul(Z, B))
+        M, B = _restricted(M, C), rl.matmul(C, B)
+        e = len(rl.minimal_polynomial(M)) - 1
+    return pieces + [B]
 
 
 def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None:
@@ -1086,7 +1204,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       injective, and f_c keeps each U_i: diag(P, Q) in the basis T, with
       Q = G_3 P G_3^-1 (U_3) and then PM = MP (U_4).  Conversely a P that
       commutes with M acts by P, G_3 P G_3^-1, A_3^-1 P A_3, A_4^-1 P A_4
-      at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.
+      at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.  hom_basis takes
+      this route for any two modules in tube form on the same arrows, with
+      P M_V = M_W P (its Sylvester route).
     - Cut.  An M-invariant subspace K of Q^n at x_1 spans the
       subrepresentation with G_3 K, A_3^-1 K, A_4^-1 K and T(K + G_3 K) at
       x_2, x_3, x_4 and c: in the basis T, a_4 maps A_4^-1 K onto the
@@ -1105,7 +1225,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       coprime powers of irreducibles, they are the generalized kernels
       ker q(M), in the order polyfactor.factor gives them; M has the
       minimal polynomial q on ker q, so its part is certified when
-      deg q = dim ker q.  With f = p^k of degree n, Q^n itself is
+      deg q = dim ker q, and else cut further as below, with M on ker q
+      in its coordinates.  With f = p^k of degree n, Q^n itself is
       certified.  With f = p^k of degree e < n, they are Z and then C:
       - Z.  v = e_j, for the first j whose Krylov vectors v, Mv, ...,
         M^(e-1) v have rank e, and Z is their span, M-invariant as
@@ -1121,11 +1242,15 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
         φ f(M) = 0 puts φ M^e in the span of the rows before it, and
         dim C >= n - e.  G invertible gives Z ∩ C = 0, as w = sum c_b M^b v
         in C has G c = 0, so Q^n = Z ⊕ C.
-      Z is certified, and C is a tube node again, with its own _tube.
-      Every piece is smaller than its node, so the loop cuts W into
-      certified leaves, the cyclic primary summands Q[t]/(p^k) of the
-      Q[t]-module (Q^n, M) (Jacobson, Basic Algebra I, ch. 3).  No node in
-      tube or dual form takes a hom space, a candidate or a trace form.
+      Z is certified.  M on C, of minimal polynomial p^k' (k' <= k), is
+      read in C's coordinates (_restricted: the R with M C^T = C^T R,
+      solved exactly; R's invariant subspaces, mapped by C, are M's), and
+      the step repeats on it until M is cyclic there (_primary).  Each
+      piece K found in coordinates B is mapped to Q^n as K B, so W is cut
+      once, by one TubeForm.cut, into certified leaves, the cyclic
+      primary summands Q[t]/(p^k) of the Q[t]-module (Q^n, M) (Jacobson,
+      Basic Algebra I, ch. 3).  No node in tube or dual form takes a hom
+      space, a candidate or a trace form.
     - Peel skip.  The a_i are injective, so no S_{x_i} is a summand; the
       radical U_1 + U_2 at c is W_c, so S_c is not one; for M_{a_i} the
       other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
@@ -1198,9 +1323,7 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     while stack:
         cur, s, tube = stack.pop()
         if tube:
-            spaces, cyclic = _pieces(tube.M)
-            stack.extend((P, 1, None) if c else (P, None, _tube(P))
-                         for P, c in zip(tube.cut(cur, spaces), cyclic))
+            stack.extend((P, 1, None) for P in tube.cut(cur, _pieces(tube.M)))
             continue
         if s != 1:
             basis = hom_basis(cur, cur)
@@ -1275,6 +1398,9 @@ def is_isomorphic(V: Representation, W: Representation) -> bool:
        ssr(V) = Σ_i m_i² d_i and ssr(W) = Σ_i n_i² d_i.  Hence
        ssr(V) + ssr(W) − 2 rank(B) = Σ_i d_i (m_i − n_i)², which is zero
        exactly when m_i = n_i for every i, that is, when V ≅ W.
+
+    On two modules in tube form, or two in dual form, on the same arrows,
+    all four hom spaces take hom_basis's Sylvester route.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")

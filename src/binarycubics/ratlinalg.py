@@ -38,6 +38,8 @@ on Python integers:
   input row with integer dot products, taking only the rows that meet
   the vector's nonzero columns, through an index from each column to its
   rows built once per call (any other row has dot product 0);
+- kernel_form gives kernel_basis's basis of a span from any spanning
+  set, by one echelon of the vectors read from the right;
 - rank_profiles reads the pivot columns and the rows independent of
   the rows before them off echelon's forward step alone;
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
@@ -451,6 +453,29 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[IntVector]:
             if sum(map(mul, row.values(), map(ints.__getitem__, row))):
                 raise ArithmeticError("a kernel vector fails an equation of its system")
     return basis
+
+
+def kernel_form(vectors: list[IntVector], ncols: int) -> list[IntVector]:
+    """The basis kernel_basis gives of the span of vectors, if it is the
+    kernel of a system: reverse each vector, echelon, reverse back.
+
+    Lemma: the reduced echelon form of a span, read from the right, is
+    kernel_basis's basis of it.  kernel_basis gives one vector v_f per
+    free column f, 1 at f, 0 at every other free column, and elsewhere
+    nonzero only at pivot columns c < f, where a reduced echelon row
+    leading at c can be nonzero at f.  So v_f is 1 at its last nonzero
+    column f, and every other v_g is 0 there.  Reversed, coordinate j to
+    ncols - 1 - j, the v_f lead at the columns ncols - 1 - f with entry
+    1 and vanish at each other's leading columns: they are the reduced
+    echelon rows of the reversed span, which are unique, so echelon of
+    any spanning set gives them.  Reversed back, in increasing f, and as
+    (ints, den) with gcd 1 and den the entry at f (_echelon_row), they
+    are kernel_basis's vectors, integer for integer.  The denominators
+    of vectors play no part: ints spans what ints / den spans.
+    """
+    rows = [{ncols - 1 - j: x for j, x in enumerate(ints) if x} for ints, _ in vectors]
+    return [(ints[::-1], den) for ints, den in reversed(
+        [_echelon_row(row, c, ncols) for c, row in echelon(rows)])]
 
 
 def rref(A: Mat) -> tuple[Mat, list[int]]:

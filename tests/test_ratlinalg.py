@@ -673,6 +673,31 @@ def test_echelon_agrees_with_sympy_with_and_without_full_column_rank(case):
         assert ech == [(c, {c: 1}) for c in sorted(met)]
 
 
+@given(integer_systems(), st.randoms(use_true_random=False))
+@example(([[1, 2], [0, 3]], True), random.Random(0))  # an empty kernel
+@settings(max_examples=200, deadline=None)
+def test_kernel_form_of_a_recombined_kernel_basis_is_the_kernel_basis(case, rng):
+    # the lemma of kernel_form: the reduced echelon form of the kernel,
+    # read from the right, is kernel_basis's basis, whatever basis of the
+    # kernel it is read from; here a unit triangular mix of kernel_basis's
+    # vectors, scaled, shuffled and each over a denominator of its own
+    rows, _ = case
+    n = len(rows[0])
+    basis = rl.kernel_basis([{j: x for j, x in enumerate(row) if x} for row in rows], n)
+    k = len(basis)
+    mix = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(k)]
+           for i in range(k)]
+    vectors = []
+    for i in range(k):
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 5))
+        entries = [scale * sum(Fraction(c * ints[j], den) for c, (ints, den) in zip(mix[i], basis))
+                   for j in range(n)]
+        den = lcm(*[x.denominator for x in entries]) * rng.randint(1, 3)
+        vectors.append(([int(x * den) for x in entries], den))
+    rng.shuffle(vectors)
+    assert rl.kernel_form(vectors, n) == basis
+
+
 @pytest.mark.parametrize("ncols", range(6))
 def test_kernel_basis_of_no_rows_is_the_unit_basis_with_no_elimination(monkeypatch, ncols):
     def refused(rows):

@@ -286,8 +286,7 @@ arrow_peel = raised(lambda: qv._peel(M_P))
 # the failing tube split of test_a_wrong_tube_operator_raises
 rl.nullspace = nullspace
 tube = qv._tube
-qv._tube = lambda V: (lambda f: f and qv.TubeForm(f.X, f.verts, f.Tt, f.G3t, f.A3_invt, f.A4_invt,
-                                                  rl.transpose(f.M)))(tube(V))
+qv._tube = lambda V: (lambda f: f and qv.TubeForm(**{**vars(f), "M": rl.transpose(f.M)}))(tube(V))
 tube_split = [raised(lambda: qv.decompose_certified(qv.conjugate(qv.direct_sum(
     cubics.rn_family(2, 5), cubics.rn_family(2, 7)), seed))) for seed in (3, 11)]
 print(json.dumps({"optimize": sys.flags.optimize, "split": split, "peel": peel,
@@ -577,16 +576,16 @@ def all_pairs_rows(V, W):
 
 @pytest.mark.parametrize("case", ["embed_alpha(R_3(2))", "tame sample"])
 def test_hom_basis_hands_kernel_basis_every_nonempty_equation_in_order(monkeypatch, case):
+    # (V, V) and (V, W) are tube pairs, which take the Sylvester route
+    # unless the tube route is off (see the test below)
+    without_the_tube_route(monkeypatch)
     V = (cubics.embed_alpha(cubics.rn_family(3, 2)) if case == "embed_alpha(R_3(2))"
          else cubics.random_big_component_rep(random.Random(0)))
     # W(a) has zero rows where V(a) has nonzero columns and the other way
     # round: on the beta arrows of a module placed on the alphas, and on the
     # alphas of X, placed on the betas
     W, X = qv.conjugate(V, seed=2), cubics.embed_beta(cubics.rn_family(2, 5))
-    systems = []
-    kernel_basis = rl.kernel_basis
-    monkeypatch.setattr(rl, "kernel_basis", lambda rows, n: systems.append((rows, n))
-                        or kernel_basis(rows, n))
+    systems = spy_on_kernel_basis(monkeypatch)
     skipped = 0  # the 0 = 0 equations: a zero row of W(a) against a zero column of V(a)
     for A, B in ((V, V), (V, W), (W, V), (V, X), (X, W)):
         systems.clear()
@@ -597,6 +596,62 @@ def test_hom_basis_hands_kernel_basis_every_nonempty_equation_in_order(monkeypat
             skipped += (sum(not any(r) for r in wa.num)
                         * sum(not any(col) for col in rl.transpose(va).num))
     assert skipped > 0
+
+
+def spy_on_kernel_basis(monkeypatch):
+    """The (rows, ncols) of every later call of rl.kernel_basis."""
+    systems = []
+    kernel_basis = rl.kernel_basis
+    monkeypatch.setattr(rl, "kernel_basis", lambda rows, n: systems.append((rows, n))
+                        or kernel_basis(rows, n))
+    return systems
+
+
+@pytest.mark.parametrize("lam", [3, 7, -9])
+def test_the_end_op_hands_kernel_basis_64_unknowns_and_not_512(monkeypatch, lam):
+    # the decompose workload's end op: End(embed_alpha(R_8)) is the
+    # centralizer of M = J_8(lam), P M = M P in 8 x 8 unknowns
+    R = cubics.embed_alpha(cubics.rn_family(8, lam))
+    systems = spy_on_kernel_basis(monkeypatch)
+    assert len(qv.hom_basis(R, R)) == 8
+    assert [n for _, n in systems] == [64]
+
+
+def tube_and_dual_pairs():
+    """Pairs in one form: tube form on d4hat and through embed_alpha, dual
+    form through embed_beta, conjugated, of different n."""
+    R, conj = cubics.rn_family, qv.conjugate
+    return {"d4hat": (conj(R(4, 1), 1), R(2, 1)),
+            "alpha": (conj(cubics.embed_alpha(R(2, 0)), 2), cubics.embed_alpha(R(3, 0))),
+            "beta": (conj(cubics.embed_beta(R(3, 2)), 3), conj(cubics.embed_beta(R(2, 2)), 4))}
+
+
+@pytest.mark.parametrize("form", ["d4hat", "alpha", "beta"])
+def test_a_tube_or_dual_pair_hands_kernel_basis_n_V_n_W_unknowns(monkeypatch, form):
+    V, W = tube_and_dual_pairs()[form]
+    n_V, n_W = V.dims["1"], W.dims["1"]
+    systems = spy_on_kernel_basis(monkeypatch)
+    assert len(qv.hom_basis(V, W)) == len(qv.hom_basis(W, V)) == min(n_V, n_W)
+    assert [n for _, n in systems] == [n_V * n_W] * 2
+
+
+def mixed_pairs():
+    """Pairs in different forms: tube against dual form, and a module in
+    tube form (plain, in dual form) against one in neither."""
+    R = cubics.rn_family
+    alpha, beta = cubics.embed_alpha(R(3, 2)), cubics.embed_beta(R(3, 2))
+    sample = cubics.random_big_component_rep(random.Random(0))
+    assert qv._tube(sample) is None
+    return [(alpha, beta), (beta, alpha), (alpha, sample), (sample, beta),
+            (qv.conjugate(beta, 1), sample)]
+
+
+def test_a_mixed_pair_hands_kernel_basis_the_whole_system(monkeypatch):
+    systems = spy_on_kernel_basis(monkeypatch)
+    for V, W in mixed_pairs():
+        systems.clear()
+        qv.hom_basis(V, W)
+        assert systems == [all_pairs_rows(V, W)]
 
 
 #: parts of a direct sum on each named quiver, the vertices of its simple
@@ -1088,15 +1143,10 @@ def test_a_conjugated_cube_of_R_3_is_cut_in_a_fifth_of_a_second(monkeypatch):
     assert min(times) < 0.2, times
 
 
-@pytest.mark.parametrize("blocks, dim_end", [
-    ((J(3, 2), J(1, 2), J(2, 2)), 14), ((C1, C1, C1), 18),
-    ((J(2, Fraction(1, 2)), J(2, Fraction(1, 2)), J(1, 3)), 9)])
-def test_dim_end_is_the_frobenius_count_of_the_elementary_divisors(blocks, dim_end):
-    # each certified summand's M has minimal polynomial p^k (factored by
-    # sympy); the centralizer of M then has dimension
-    # sum over p of deg p * sum over i, j of min(k_i, k_j)
+def elementary_divisors(V):
+    """{p: [(deg p, k), ...]}: the minimal polynomial p^k (factored by sympy)
+    of the M of each summand of V, all certified."""
     t = Symbol("t")
-    V = qv.conjugate(tube_module(*blocks), seed=7)
     powers = {}
     for W, certified in qv.decompose_certified(V):
         assert certified
@@ -1104,8 +1154,123 @@ def test_dim_end_is_the_frobenius_count_of_the_elementary_divisors(blocks, dim_e
         _, ((p, k),) = Poly([Rational(c.numerator, c.denominator) for c in reversed(f)],
                             t).factor_list()
         powers.setdefault(p.as_expr(), []).append((p.degree(), k))
+    return powers
+
+
+@pytest.mark.parametrize("blocks, dim_end", [
+    ((J(3, 2), J(1, 2), J(2, 2)), 14), ((C1, C1, C1), 18),
+    ((J(2, Fraction(1, 2)), J(2, Fraction(1, 2)), J(1, 3)), 9)])
+def test_dim_end_is_the_frobenius_count_of_the_elementary_divisors(blocks, dim_end):
+    # each certified summand's M has minimal polynomial p^k; the
+    # centralizer of M then has dimension
+    # sum over p of deg p * sum over i, j of min(k_i, k_j)
+    V = qv.conjugate(tube_module(*blocks), seed=7)
+    powers = elementary_divisors(V)
     count = sum(d * min(k, l) for ks in powers.values() for d, k in ks for _, l in ks)
     assert count == dim_end == len(qv.hom_basis(V, V))
+
+
+@pytest.mark.parametrize("form", ["tube", "dual"])
+@pytest.mark.parametrize("blocks_V, blocks_W, dim_hom", [
+    ((J(3, 2), J(1, 2)), (J(2, 2), J(2, 3)), 3), ((C1, C1), (C2,), 4),
+    ((J(2, Fraction(1, 2)), C1), (C2, J(1, Fraction(1, 2)), J(3, Fraction(1, 2))), 5),
+    ((J(2, 5),), (J(3, 6),), 0)])
+def test_dim_hom_is_the_frobenius_count_of_the_elementary_divisors(blocks_V, blocks_W, dim_hom,
+                                                                   form):
+    # test_dim_end_is_the_frobenius_count_of_the_elementary_divisors for
+    # Hom(V, W): sum over p of deg p * sum over i, j of min(k_i, l_j), in
+    # both directions, as min is symmetric; D reverses Hom, so the dual
+    # form has the same count
+    to_form = (lambda V: V) if form == "tube" else qv.dual
+    V = to_form(qv.conjugate(tube_module(*blocks_V), seed=7))
+    W = to_form(qv.conjugate(tube_module(*blocks_W), seed=8))
+    divisors_V, divisors_W = elementary_divisors(V), elementary_divisors(W)
+    count = sum(d * min(k, l) for p, ks in divisors_V.items()
+                for d, k in ks for _, l in divisors_W.get(p, []))
+    assert count == dim_hom == len(qv.hom_basis(V, W)) == len(qv.hom_basis(W, V))
+
+
+def oracle_pairs():
+    """(V, W) pairs whose Hom the Sylvester route takes: plain and
+    conjugated, equal operators, different lambda (Hom = 0), different n,
+    a Fraction lambda, the companion of t^2 + 1, through embed_alpha and,
+    in dual form, through embed_beta."""
+    R, conj = cubics.rn_family, qv.conjugate
+    half = R(3, Fraction(1, 2))
+    alpha, beta = cubics.embed_alpha(R(3, -1)), cubics.embed_beta(R(3, 4))
+    return {"R_3(2)": (R(3, 2), R(3, 2)),
+            "R_3(2), seed 1": (conj(R(3, 2), 1), conj(R(3, 2), 1)),
+            "R_3(2), seeds 1, 2": (conj(R(3, 2), 1), conj(R(3, 2), 2)),
+            "R_2(1), R_2(3)": (conj(R(2, 1), 1), R(2, 3)),
+            "R_4(1), R_2(1)": (R(4, 1), R(2, 1)), "R_2(1), R_4(1)": (R(2, 1), R(4, 1)),
+            "R_3(1/2)": (half, conj(half, 2)),
+            "C(t^2+1)^2, C(t^2+1)": (conj(tube_module(C1, C1), 1), tube_module(C1)),
+            "alpha": (conj(alpha, 1), conj(alpha, 2)),
+            "alpha, R_2(-1)": (cubics.embed_alpha(R(2, -1)), conj(alpha, 3)),
+            "beta": (conj(beta, 1), conj(beta, 2)),
+            "beta, R_4(4)": (conj(beta, 3), cubics.embed_beta(R(4, 4)))}
+
+
+@pytest.mark.parametrize("name", list(oracle_pairs()))
+def test_the_sylvester_route_gives_the_basis_of_the_system(monkeypatch, name):
+    V, W = oracle_pairs()[name]
+    tube_V, tube_W = qv._tube(V), qv._tube(W)
+    assert tube_V.arrows == tube_W.arrows  # the route is taken
+    got = qv.hom_basis(V, W)
+    without_the_tube_route(monkeypatch)
+    want = qv.hom_basis(V, W)
+    assert [f.blocks for f in got] == [f.blocks for f in want]
+    assert len(got) == 0 if name == "R_2(1), R_2(3)" else len(got) > 0
+
+
+def test_a_lifted_morphism_that_fails_an_arrow_raises(monkeypatch):
+    # the lift with Q = G_3^-1 P G_3 in place of G_3 P G_3^-1: the morphism
+    # no longer intertwines along alpha2, and the route raises
+    V = qv.conjugate(cubics.rn_family(2, 3), seed=1)
+    lifts = qv._lifts
+
+    def wrong(src, tgt):
+        G3, G3_inv = rl.transpose(tgt.G3t), src.G3_inv
+        return [{**f, "2": rl.matmul(G3_inv, rl.matmul(f["1"], G3))} for f in lifts(src, tgt)]
+
+    monkeypatch.setattr(qv, "_lifts", wrong)
+    with pytest.raises(ArithmeticError, match="fails the equations of arrow alpha2"):
+        qv.hom_basis(V, V)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_a_sum_of_equal_summands_is_cut_once(monkeypatch, m):
+    # M = 5 I_m, one primary factor, not cyclic: _pieces gives all m cyclic
+    # pieces at once, so one _tube and one _cut decide the node
+    V = qv.conjugate(reduce(qv.direct_sum, [cubics.rn_family(1, 5)] * m), seed=1)
+    calls = {"_cut": 0, "_tube": 0}
+    for name in calls:
+        def spy(*args, name=name, original=getattr(qv, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(qv, name, spy)
+    got = qv.decompose_certified(V)
+    assert calls == {"_cut": 1, "_tube": 1}
+    assert [(W.dim_vector(), certified) for W, certified in got] == [((1, 1, 1, 1, 2), True)] * m
+    monkeypatch.undo()
+    without_the_tube_route(monkeypatch)
+    alone = qv.decompose_certified(V)
+    monkeypatch.undo()
+    assert paired_up_to_isomorphism(got, [(W, True) for W, _ in alone])
+
+
+def test_is_isomorphic_on_tube_sums_takes_four_sylvester_systems(monkeypatch):
+    # all four hom spaces of is_isomorphic take the route: no system of
+    # more than n_V n_W unknowns (22.3 s by the system, at 648 unknowns)
+    R = cubics.rn_family
+    triple = reduce(qv.direct_sum, [R(3, 0), R(3, 1), R(3, 5)])
+    pair = qv.direct_sum(R(3, 5), R(3, 6))
+    systems = spy_on_kernel_basis(monkeypatch)
+    assert qv.is_isomorphic(qv.conjugate(triple, 1), qv.conjugate(triple, 2))
+    assert [n for _, n in systems] == [81] * 4
+    assert not qv.is_isomorphic(qv.conjugate(pair, 3), qv.conjugate(qv.direct_sum(R(3, 5), R(3, 7)), 4))
+    assert not qv.is_isomorphic(qv.conjugate(pair, 3), qv.direct_sum(R(3, 5), R(3, 5)))
+    assert max(n for _, n in systems) == 81
 
 
 def conjugated_tube_modules():
@@ -1133,7 +1298,7 @@ def transposed_tube_operator(tube):
     makes the same change under python -O)."""
     def wrong(V):
         f = tube(V)
-        return f and qv.TubeForm(f.X, f.verts, f.Tt, f.G3t, f.A3_invt, f.A4_invt, rl.transpose(f.M))
+        return f and qv.TubeForm(**{**vars(f), "M": rl.transpose(f.M)})
     return wrong
 
 
