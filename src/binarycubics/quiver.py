@@ -52,14 +52,17 @@ it builds them without Representation's check.  Only conjugate draws at
 random.
 
 A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
-fill V_c and U_3, U_4 are graphs over U_1, is the normal form of an operator
-M, and End(V) is the centralizer of M (Gelfand-Ponomarev 1970; Ringel, LNM
-1099, 3.2).  decompose_certified cuts such a node, in one cut, along
-M-invariant subspaces on each of which M is cyclic of one primary factor,
-which certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3);
-at the root this test replaces the peel.  For two such modules hom_basis
-solves the Sylvester equation P M_V = M_W P in place of the intertwining
-system and gives the same basis.  A node in dual form, four arrows
+fill V_c and U_3, U_4 are graphs over U_1, is, through one frame per vertex,
+the normal form N(M) of an operator M: Q^n at each x_i, Q^2n at c and the
+maps [I; 0], [0; I], [I; I], [I; M] (Gelfand-Ponomarev 1970; Ringel, LNM
+1099, 3.2).  A morphism N(M) -> N(M') is one P with PM = M'P at every
+vertex, and an M-invariant subspace K spans K at each x_i and K ⊕ K at c.
+So decompose_certified cuts such a node, in one cut, along M-invariant
+subspaces on each of which M is cyclic of one primary factor, which
+certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3); at the
+root this test replaces the peel.  For two such modules hom_basis solves
+P M_V = M_W P in place of the intertwining system, lifts each P through
+the frames and gives the same basis.  A node in dual form, four arrows
 c -> x_i, is read the same way through D.  A root in neither form on which
 every length-2 path acts by zero is cut along its separated quiver into its
 tops and radicals (Auslander-Reiten-Smalø 1995, X.2); when every part is in
@@ -537,20 +540,16 @@ def _equations(rows: list[rl.Row], va: rl.Mat, wa: rl.Mat, at_x: int, at_y: int)
 
 def _lifts(src: "TubeForm", tgt: "TubeForm") -> list[dict[str, rl.Mat]]:
     """The blocks, at x_1..x_4 and c, of a basis of Hom(src.X, tgt.X) for two
-    tube forms on the same arrows: each P with P M_src = M_tgt P, lifted (see
-    hom_basis)."""
+    tube forms on the same arrows: each P with P M_src = M_tgt P, lifted to
+    f_v = E^tgt_v P^ (E^src_v)^-1 (decompose_certified, Normal form)."""
     m, n = tgt.M.rows, src.M.rows
     rows: list[rl.Row] = []
     _equations(rows, src.M, tgt.M, 0, 0)
-    T, G3, A3_inv, A4_inv = map(rl.transpose, (tgt.Tt, tgt.G3t, tgt.A3_invt, tgt.A4_invt))
-    x1, x2, x3, x4, c = src.verts
     lifts = []
     for ints, den in rl.kernel_basis(rows, m * n):
         P = rl.over([ints[i * n:(i + 1) * n] for i in range(m)], den, m, n)
-        Q = rl.matmul(G3, rl.matmul(P, src.G3_inv))
-        lifts.append({x1: P, x2: Q, x3: rl.matmul(A3_inv, rl.matmul(P, src.A3)),
-                      x4: rl.matmul(A4_inv, rl.matmul(P, src.A4)),
-                      c: rl.matmul(T, rl.matmul(rl.block_diag(P, Q), src.T_inv))})
+        lifts.append({v: rl.matmul(E, rl.matmul(src.hat(v, P), E_inv))
+                      for v, E, E_inv in zip(src.verts, tgt.E, src.E_inv)})
     return lifts
 
 
@@ -575,24 +574,17 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     depend on how the elimination runs.
 
     The Sylvester route (_tube, _lifts), when V and W are both in tube form
-    on the same four arrows a_i: x_i -> c (see decompose_certified), with T,
-    A_3, B_3, A_4, B_4, G_3 = B_3 A_3^-1, G_4 = B_4 A_4^-1 and M = G_3^-1 G_4
-    read on each; V's dimension is n_V at each x_i, W's n_W.  It has
-    n_V n_W unknowns, against sum_v dim V_v dim W_v for the system (Frobenius;
-    Gantmacher, The Theory of Matrices, vol. 1, ch. VIII).
+    on the same four arrows a_i: x_i -> c, with tube operators M_V and M_W
+    and frames E^V and E^W (decompose_certified, Normal form); V's
+    dimension is n_V at each x_i, W's n_W.  It has n_V n_W unknowns, against
+    sum_v dim V_v dim W_v for the system (Frobenius; Gantmacher, The Theory
+    of Matrices, vol. 1, ch. VIII).
 
-    - Sylvester equation.  As in "End = centralizer of M": the a_i are
-      injective, and f_c T_V = T_W diag(P, Q) with P = f_(x_1) and
-      Q = f_(x_2), along a_1 and a_2.  Along a_3, P A_3V = A_3W f_(x_3) and
-      Q B_3V = B_3W f_(x_3), so f_(x_3) = A_3W^-1 P A_3V and
-      Q = G_3W P G_3V^-1; along a_4 the same with A_4, B_4 and G_4, so
-      G_3W P G_3V^-1 = G_4W P G_4V^-1, that is P M_V = M_W P.
-    - Lift.  Conversely every n_W x n_V solution P gives the morphism with
-      the blocks P, Q = G_3W P G_3V^-1, A_3W^-1 P A_3V and A_4W^-1 P A_4V at
-      x_1..x_4 and T_W diag(P, Q) T_V^-1 at c, and 0 x 0 blocks elsewhere:
-      each equation above holds.  P -> f is linear, injective (P is f at
-      x_1) and onto, so the lifts of a basis of the solutions are a basis
-      of Hom(V, W).  The rows of P M_V - M_W P are those of the system for
+    - Lift.  By the lemma of Normal form, f_v = E^W_v P^ (E^V_v)^-1 at
+      x_1..x_4 and c, and 0 x 0 blocks elsewhere, is a bijection from the
+      n_W x n_V solutions P of P M_V = M_W P onto Hom(V, W), and it is
+      linear, so the lifts of a basis of the solutions are a basis of
+      Hom(V, W).  The rows of P M_V - M_W P are those of the system for
       one loop acting by M_V and M_W (_equations), and kernel_basis checks
       every P against them.
     - Restore.  Flattened in the numbering of the system (rl.flatten over
@@ -901,38 +893,32 @@ def _nonzero_arrows(V: Representation) -> list[Arrow]:
 
 
 class TubeForm(Frozen):
-    """The tube form of a node V (see decompose_certified): X, which is V in
-    tube form and D(V) when V is in dual form; arrows, the names of a_1..a_4;
-    verts, x_1..x_4 and c; Tt, G3t, A3_invt and A4_invt, the transposes of T,
-    G_3, A_3^-1 and A_4^-1, which cut reads; T_inv, G3_inv, A3 and A4, the
-    matrices T^-1, G_3^-1 = A_3 B_3^-1, A_3 and A_4, which hom_basis's lift
-    reads at the source; and M, the tube operator of X."""
+    """The tube form of a node V (decompose_certified, Normal form): X, which
+    is V in tube form and D(V) when V is in dual form; arrows, the names of
+    a_1..a_4; verts, x_1..x_4 and c; E and E_inv, the frames E_v of X at
+    verts, with X_a E_x = E_c N(M)_a on each a_i, and their inverses; and M,
+    the tube operator of X."""
 
-    _fields = ("X", "arrows", "verts", "Tt", "G3t", "A3_invt", "A4_invt",
-               "T_inv", "G3_inv", "A3", "A4", "M")
+    _fields = ("X", "arrows", "verts", "E", "E_inv", "M")
 
     def __init__(self, X: Representation, arrows: tuple[str, ...], verts: tuple[str, ...],
-                 Tt: rl.Mat, G3t: rl.Mat, A3_invt: rl.Mat, A4_invt: rl.Mat,
-                 T_inv: rl.Mat, G3_inv: rl.Mat, A3: rl.Mat, A4: rl.Mat, M: rl.Mat):
-        vars(self).update(X=X, arrows=arrows, verts=verts, Tt=Tt, G3t=G3t, A3_invt=A3_invt,
-                          A4_invt=A4_invt, T_inv=T_inv, G3_inv=G3_inv, A3=A3, A4=A4, M=M)
+                 E: tuple[rl.Mat, ...], E_inv: tuple[rl.Mat, ...], M: rl.Mat):
+        vars(self).update(X=X, arrows=arrows, verts=verts, E=E, E_inv=E_inv, M=M)
+
+    def hat(self, v: str, K: rl.Mat) -> rl.Mat:
+        """K^ at the vertex v: K at each x_i, diag(K, K) at c."""
+        return rl.block_diag(K, K) if v == self.verts[4] else K
 
     def cut(self, V: Representation, spaces: list[rl.Mat]) -> list[Representation]:
         """V cut along M-invariant subspaces whose direct sum is Q^n, one
         part per row basis K in spaces, in that order: X cut by _cut with
-        the bases K, K G_3^T, K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T at
-        x_1..x_4 and c, each part P given back as D(P) when X = D(V).  One
-        space is Q^n itself, and V comes back whole, with no _cut."""
+        the bases K^ E_v^T (Normal form), each part P given back as D(P)
+        when X = D(V).  One space is Q^n itself, and V comes back whole,
+        with no _cut."""
         if len(spaces) == 1:
             return [V]
-        bases: dict[str, list[rl.Mat]] = {v: [] for v in self.verts}
-        for K in spaces:
-            KG = rl.matmul(K, self.G3t)
-            for v, B in zip(self.verts, (K, KG, rl.matmul(K, self.A3_invt),
-                                         rl.matmul(K, self.A4_invt),
-                                         rl.matmul(rl.block_diag(K, KG), self.Tt))):
-                bases[v].append(B)
-        parts = _cut(self.X, bases)
+        parts = _cut(self.X, {v: [rl.matmul(self.hat(v, K), Et) for K in spaces]
+                              for v, Et in zip(self.verts, map(rl.transpose, self.E))})
         return parts if self.X is V else [dual(P) for P in parts]
 
 
@@ -955,19 +941,21 @@ def _tube(V: Representation) -> TubeForm | None:
         return None
     X = V if arrows[0].target == c else dual(V)
     W1, W2, W3, W4 = (X.maps[a.name] for a in arrows)
-    T = rl.hstack(W1, W2)
-    T_inv = rl.inverse(T)
+    T_inv = rl.inverse(rl.hstack(W1, W2))
     if T_inv is None:
         return None
-    A3, B3, A4, B4 = [_rows(rl.matmul(T_inv, Wi), list(half)) for Wi in (W3, W4)
-                      for half in (range(n), range(n, 2 * n))]
+    top, bottom = list(range(n)), list(range(n, 2 * n))
+    A3, B3, A4, B4 = [_rows(S, half) for S in (rl.matmul(T_inv, W3), rl.matmul(T_inv, W4))
+                      for half in (top, bottom)]
     A3_inv, B3_inv, A4_inv = inverses = [rl.inverse(B) for B in (A3, B3, A4)]
     if any(B is None for B in inverses):
         return None
-    G3_inv = rl.matmul(A3, B3_inv)
-    return TubeForm(X, tuple(a.name for a in arrows), (*xs, c), rl.transpose(T),
-                    rl.transpose(rl.matmul(B3, A3_inv)), rl.transpose(A3_inv),
-                    rl.transpose(A4_inv), T_inv, G3_inv, A3, A4,
+    G3, G3_inv, I = rl.matmul(B3, A3_inv), rl.matmul(A3, B3_inv), rl.identity(n)
+    # E_c = T diag(I, G_3) and E_c^-1 = diag(I, G_3^-1) T^-1
+    E = (I, G3, A3_inv, A4_inv, rl.hstack(W1, rl.matmul(W2, G3)))
+    E_inv = (I, G3_inv, A3, A4,
+             rl.vstack(_rows(T_inv, top), rl.matmul(G3_inv, _rows(T_inv, bottom))))
+    return TubeForm(X, tuple(a.name for a in arrows), (*xs, c), E, E_inv,
                     rl.matmul(G3_inv, rl.matmul(B4, A4_inv)))
 
 
@@ -1195,27 +1183,29 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     order, with x_1..x_4, c distinct; its dimension is n >= 1 at each x_i,
     2n at c and 0 elsewhere; T = [W_a1 | W_a2] is invertible; and with
     T^-1 W_a3 = [A_3; B_3], T^-1 W_a4 = [A_4; B_4], A_3, B_3 and A_4 are
-    invertible.  Its tube operator is M = A_3 B_3^-1 B_4 A_4^-1.
+    invertible.  Its tube operator is M = G_3^-1 G_4, with G_3 = B_3 A_3^-1
+    and G_4 = B_4 A_4^-1.
 
-    - Normal form.  In the basis T, U_1 = im a_1 is Q^n + 0, U_2 is 0 + Q^n,
-      and U_3, U_4 are the graphs of G_3 = B_3 A_3^-1 and G_4 = B_4 A_4^-1
-      over U_1, with M = G_3^-1 G_4.  Every a_i is injective.
-    - End = centralizer of M.  f in End(W) is fixed by f_c, as the a_i are
-      injective, and f_c keeps each U_i: diag(P, Q) in the basis T, with
-      Q = G_3 P G_3^-1 (U_3) and then PM = MP (U_4).  Conversely a P that
-      commutes with M acts by P, G_3 P G_3^-1, A_3^-1 P A_3, A_4^-1 P A_4
-      at x_1..x_4 and T diag(P, G_3 P G_3^-1) T^-1 at c.  hom_basis takes
-      this route for any two modules in tube form on the same arrows, with
-      P M_V = M_W P (its Sylvester route).
-    - Cut.  An M-invariant subspace K of Q^n at x_1 spans the
-      subrepresentation with G_3 K, A_3^-1 K, A_4^-1 K and T(K + G_3 K) at
-      x_2, x_3, x_4 and c: in the basis T, a_4 maps A_4^-1 K onto the
-      graph of G_4 = G_3 M over K, inside K + G_3 K.  Subspaces whose
-      direct sum is Q^n cut W into the direct sum of theirs, with the
-      bases K (rows), K G_3^T, K A_3^-T, K A_4^-T and [K 0; 0 K G_3^T] T^T,
-      which _cut checks.  A part is in W's form, with tube operator M on K: A_3, B_3
-      and A_4 are invertible exactly when U_3 meets U_2 and U_1, and U_4
-      meets U_2, in 0 alone, which the part inherits.
+    - Normal form.  N(M) has Q^n at each x_i, Q^2n at c and the maps
+      [I; 0], [0; I], [I; I] and [I; M] on a_1..a_4 (Gelfand-Ponomarev 1970;
+      Ringel, LNM 1099, 3.2).  The frames E_v, which are I, G_3, A_3^-1 and
+      A_4^-1 at x_1..x_4 and E_c = T diag(I, G_3) = [W_a1 | W_a2 G_3] at c,
+      are invertible, with W_a E_x = E_c N(M)_a on each a_i; on a_3 and a_4
+      both sides are T [I; G_3] and T [I; G_4] = E_c [I; M].  So E is an
+      isomorphism N(M) -> W, and _tube keeps M, the E_v and the E_v^-1.
+      Lemma: a morphism N(M) -> N(M') is (P, P, P, P, diag(P, P)) with
+      PM = M'P, and each such tuple is one.  Along a_1 and a_2,
+      f_c = diag(P, Q) with P, Q the blocks at x_1, x_2; a_3 gives P = Q
+      at x_3, and a_4 gives P at x_4 and PM = M'P.  An M-invariant K
+      (a row basis) spans (K, K, K, K, K ⊕ K), in whose basis the maps
+      are those of N(M_K), M_K the matrix of M on K; subspaces whose direct
+      sum is Q^n cut N(M) into the direct sum of theirs.  Both facts carry
+      over to W through the frames.  Write P^ and K^ for P and K at each
+      x_i and diag(P, P) and diag(K, K) at c.  Hom(W, W') is the
+      E'_v P^ E_v^-1 with PM = M'P, so End(W) is the centralizer of M
+      (hom_basis lifts through this, _lifts); and K cuts W along the row
+      bases K^ E_v^T (TubeForm.cut), which _cut checks, into the part
+      N(M_K) itself.
     - Certificate.  When the minimal polynomial f of M is a power of one
       irreducible p and deg f = n, M is cyclic, so End(W), its
       centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
@@ -1251,11 +1241,12 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       primary summands Q[t]/(p^k) of the Q[t]-module (Q^n, M) (Jacobson,
       Basic Algebra I, ch. 3).  No node in tube or dual form takes a hom
       space, a candidate or a trace form.
-    - Peel skip.  The a_i are injective, so no S_{x_i} is a summand; the
-      radical U_1 + U_2 at c is W_c, so S_c is not one; for M_{a_i} the
-      other arrows into c span U_2 + U_3, U_1 + U_3 or U_1 + U_2, which is
-      W_c, so Φ = 0; every other arrow is zero.  So a root in tube form
-      skips _peel.
+    - Peel skip.  In N(M) the a_i are injective, so no S_{x_i} is a
+      summand, and any three of the four images hold two of [I; 0],
+      [0; I] and [I; I], which span Q^2n: so the radical at c is all of it
+      and S_c is not one, and for M_{a_i} the other arrows into c fill it,
+      so Φ = 0; every other arrow is zero.  So a root in tube form skips
+      _peel.
 
     The dual form.  A node W is in dual form when its four nonzero arrows
     go the other way, a_i: c -> x_i, with the same dimensions, so that
@@ -1322,8 +1313,8 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
         else [(W, None, tube)] if W.total_dim() else [])
     while stack:
         cur, s, tube = stack.pop()
-        if tube:
-            stack.extend((P, 1, None) for P in tube.cut(cur, _pieces(tube.M)))
+        if tube:  # certified leaves (Pieces), last part first, as split parts leave the stack
+            out += [(P, True) for P in reversed(tube.cut(cur, _pieces(tube.M)))]
             continue
         if s != 1:
             basis = hom_basis(cur, cur)

@@ -1,15 +1,23 @@
 """Command-line surface tests: parsing, output formats, exit codes,
+representation files, and a derandomized hypothesis net of mutated
 representation files."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from binarycubics import cli, cubics, quiver as qv
 
@@ -370,3 +378,97 @@ def test_python_m_binarycubics_runs_the_cli():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert [r["suite"] for r in json.loads(done.stdout)["reports"]] == ["loccoh"]
+
+
+def rep_files():
+    """Representation files of dimension at most 4 at each vertex: named
+    quivers (d4hat, big_component in tube and dual form, two_vertex_pair)
+    and inline ones (two_vertex_pair, a monomial and a commutative relation)."""
+    d4, big, two = (cubics.build(name) for name in ("d4hat", "big_component", "two_vertex_pair"))
+    line = qv.BoundQuiver(
+        qv.Quiver(("1", "2", "3"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"))),
+        qv.monomial_relations([("a", "b")]))
+    square = qv.BoundQuiver(
+        qv.Quiver(("1", "2", "3", "4"), tuple(qv.Arrow(*a) for a in (
+            ("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")))),
+        (((Fraction(1), ("a", "b")), (Fraction(-1), ("c", "d"))),))
+    reps = [qv.direct_sum(cubics.rn_family(1, 2), d4.simple("1")),
+            qv.conjugate(cubics.embed_alpha(cubics.rn_family(1, 0)), 1),
+            qv.conjugate(cubics.embed_beta(cubics.rn_family(1, 3)), 2),
+            qv.direct_sum(big.arrow_module("alpha1"), big.simple("5")),
+            qv.direct_sum(two.projective("1"), two.simple("2")),
+            qv.direct_sum(line.projective("1"), line.simple("3")), square.projective("1")]
+    files = [qv.rep_to_dict(V) for V in reps]
+    inline = copy.deepcopy(files[4])
+    inline["quiver"] = qv.quiver_to_dict(two)
+    return files + [inline]
+
+
+#: what a mutation writes: exact entries, small integers among them (so no
+#: dimension exceeds 4), then inexact strings, names and values of the
+#: wrong type
+EXACT = st.one_of(st.integers(-2, 4), st.sampled_from(["1/2", "-3", "5/7", "0"]))
+JSON_VALUES = st.one_of(
+    EXACT, st.sampled_from(["x", "1.5", "", "1/0", "alpha1", "5", "a"]),
+    st.sampled_from([None, True, 1.5, [], {}, [[1]], [[0, 1]], ["1"], [1, 2]]).map(copy.deepcopy))
+JSON_KEYS = st.sampled_from(["1", "5", "alpha1", "a", "zz", "vertices", "maps", "relations"])
+
+
+def json_paths(node, at=()):
+    """The key path of every node of a JSON tree, the root's () first."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, at + (key,))
+
+
+@st.composite
+def mutated_files(draw, files):
+    """One of files with up to three mutations, each at a node drawn from
+    the tree: a leaf set to an exact entry, the node set to any drawn
+    value, deleted, or, for an object or a list, given one more key or item."""
+    data = copy.deepcopy(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(list(json_paths(data))))
+        node = reduce(getitem, at, data)
+        kind = draw(st.sampled_from(("entry", "set", "delete", "insert")))
+        value = draw(EXACT if kind == "entry" else JSON_VALUES)
+        if kind == "insert" and isinstance(node, dict):
+            node[draw(JSON_KEYS)] = value
+        elif kind == "insert" and isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), value)
+        elif not at:
+            data = value
+        elif kind == "delete":
+            del reduce(getitem, at[:-1], data)[at[-1]]
+        else:
+            reduce(getitem, at[:-1], data)[at[-1]] = value
+    return data
+
+
+def test_a_mutated_rep_file_exits_0_or_2_with_one_error_line(tmp_path):
+    # every mutated file decomposes (exit 0) or is refused as a usage error
+    # (exit 2) with one "error:" line on stderr and nothing on stdout; an
+    # uncaught exception would reach the test as a traceback
+    files = rep_files()
+    path, codes = tmp_path / "rep.json", []
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_files(files), st.sampled_from(["text", "json", "tsv"]))
+    def check(data, fmt):
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--format", fmt, "rep", "decompose", str(path)])
+        codes.append((code, data in files))
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert code == 0 and err.getvalue() == ""
+
+    check()
+    # the net reaches both exits, and decomposes files that differ from the seeds
+    counts = {key: codes.count(key) for key in ((0, True), (0, False), (2, False))}
+    assert min(counts.values()) >= 20 and len(codes) == sum(counts.values()), counts

@@ -1230,12 +1230,83 @@ def test_a_lifted_morphism_that_fails_an_arrow_raises(monkeypatch):
     lifts = qv._lifts
 
     def wrong(src, tgt):
-        G3, G3_inv = rl.transpose(tgt.G3t), src.G3_inv
+        G3, G3_inv = tgt.E[1], src.E_inv[1]  # the frames at x_2
         return [{**f, "2": rl.matmul(G3_inv, rl.matmul(f["1"], G3))} for f in lifts(src, tgt)]
 
     monkeypatch.setattr(qv, "_lifts", wrong)
     with pytest.raises(ArithmeticError, match="fails the equations of arrow alpha2"):
         qv.hom_basis(V, V)
+
+
+def normal_form(tube, M):
+    """N(M) on the quiver of tube.X, by the checked constructor: Q^n at each
+    x_i, Q^2n at c and 0 elsewhere, [I; 0], [0; I], [I; I] and [I; M] on
+    a_1..a_4 and 0 on every other arrow."""
+    n, c = M.rows, tube.verts[4]
+    I, Z = rl.identity(n), rl.zeros(n, n)
+    dims = {v: 2 * n if v == c else n if v in tube.verts else 0 for v in tube.X.dims}
+    maps = dict(zip(tube.arrows, (rl.vstack(I, Z), rl.vstack(Z, I), rl.vstack(I, I),
+                                  rl.vstack(I, M))))
+    return qv.Representation(tube.X.bq, dims, maps)
+
+
+def framed_modules():
+    """The planted modules in the four forms, plain and conjugated, and the
+    modules of oracle_pairs."""
+    planted = [to_form(P) for P in PLANTED.values() for to_form in FORMS.values()]
+    return [*planted, *(qv.conjugate(V, 2) for V in planted),
+            *(V for pair in oracle_pairs().values() for V in pair)]
+
+
+def test_the_frames_carry_the_normal_form_onto_each_tube_module():
+    # E: N(M) -> X passes RepMorphism's own intertwining check, E_v E_v^-1 = I,
+    # and the part of each piece K that TubeForm.cut gives is N(M_K) itself
+    cut = 0
+    for V in framed_modules():
+        tube = qv._tube(V)
+        qv.RepMorphism(normal_form(tube, tube.M), tube.X, dict(zip(tube.verts, tube.E)))
+        for v, E, E_inv in zip(tube.verts, tube.E, tube.E_inv):
+            assert rl.matmul(E, E_inv) == rl.identity(tube.X.dims[v])
+        pieces = qv._pieces(tube.M)
+        if len(pieces) > 1:
+            assert tube.cut(tube.X, pieces) == [normal_form(tube, qv._restricted(tube.M, K))
+                                                for K in pieces]
+            cut += 1
+    assert cut == 49
+
+
+def test_a_frame_at_c_without_diag_I_G3_fails_the_intertwining_check():
+    # the mutant frame T = [W_a1 | W_a2] at c: W_a2 G_3 != T [0; I] once
+    # G_3 != I, as on every conjugated planted module; where G_3 = I the
+    # mutant is the frame itself
+    mutants = 0
+    for V in framed_modules():
+        tube = qv._tube(V)
+        a1, a2 = (tube.X.maps[name] for name in tube.arrows[:2])
+        frames = {**dict(zip(tube.verts, tube.E)), tube.verts[4]: rl.hstack(a1, a2)}
+        if tube.E[1] == rl.identity(tube.M.rows):
+            assert frames[tube.verts[4]] == tube.E[4]
+            continue
+        with pytest.raises(ValueError, match=f"do not intertwine along arrow {tube.arrows[1]}$"):
+            qv.RepMorphism(normal_form(tube, tube.M), tube.X, frames)
+        mutants += 1
+    assert mutants == 37
+
+
+@pytest.mark.parametrize("form", ["tube", "dual"])
+def test_tube_makes_four_inverses_and_at_most_eight_products(monkeypatch, form):
+    # T, A_3, B_3 and A_4 are inverted; T^-1 W_a3 and T^-1 W_a4 are each
+    # built once, and the products they save pay for E_c and E_c^-1
+    V = qv.conjugate(cubics.rn_family(3, 2), seed=1)
+    V = V if form == "tube" else qv.dual(V)
+    calls = {"inverse": 0, "matmul": 0}
+    for name in calls:
+        def spy(*args, name=name, original=getattr(rl, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(rl, name, spy)
+    assert qv._tube(V) is not None
+    assert calls["inverse"] == 4 and calls["matmul"] <= 8, calls
 
 
 @pytest.mark.parametrize("m", [4, 8])
