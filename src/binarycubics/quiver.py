@@ -424,7 +424,7 @@ class Representation(Value):
             raise ValueError(f"dimension above sys.maxsize ({sys.maxsize})")
         self.maps = _vertexwise(
             self.maps, {a.name: (self.dims[a.target], self.dims[a.source]) for a in q.arrows},
-            "maps for unknown arrows")
+            ("map", "arrows"))
         self._check_relations()
 
     @classmethod
@@ -464,14 +464,24 @@ class Representation(Value):
         return f"Representation({self.bq.name or 'quiver'}; {dims or '0'})"
 
 
-def _vertexwise(given: dict, shapes: dict[str, tuple[int, int]], unknown: str) -> dict[str, rl.Mat]:
+def _vertexwise(given: dict, shapes: dict[str, tuple[int, int]],
+                names: tuple[str, str]) -> dict[str, rl.Mat]:
     """One matrix per key of shapes, checked by rl.mat; omitted (or None) keys
-    are zero, and keys that shapes lacks raise ValueError headed by unknown."""
+    are zero.  names is (noun, keys), ("map", "arrows") or ("block",
+    "vertices"): keys that shapes lacks raise ValueError "maps for unknown
+    arrows: [...]", and a matrix of the wrong shape ValueError "map alpha1:
+    expected a 2x1 matrix, got 3x2"."""
+    noun, keys = names
     extra = set(given) - set(shapes)
     if extra:
-        raise ValueError(f"{unknown}: {sorted(extra)}")
-    return {key: rl.zeros(m, n) if given.get(key) is None else rl.mat(given[key], m, n)
-            for key, (m, n) in shapes.items()}
+        raise ValueError(f"{noun}s for unknown {keys}: {sorted(extra)}")
+    out = {}
+    for key, (m, n) in shapes.items():
+        try:
+            out[key] = rl.zeros(m, n) if given.get(key) is None else rl.mat(given[key], m, n)
+        except ValueError as exc:
+            raise ValueError(f"{noun} {key}: {exc}") from None
+    return out
 
 
 class RepMorphism(Value):
@@ -498,7 +508,7 @@ class RepMorphism(Value):
         V, W = self.source, self.target
         self.blocks = _vertexwise(
             self.blocks, {v: (W.dims[v], V.dims[v]) for v in V.bq.quiver.vertices},
-            "blocks for unknown vertices")
+            ("block", "vertices"))
         for a in V.bq.quiver.arrows:
             x, y = a.source, a.target
             left = rl.matmul(self.blocks[y], V.maps[a.name])
@@ -767,15 +777,19 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     rl.nullspace); a vertex that bases lacks keeps its basis, all of it in
     the first part.  T_v holds the bases of the parts at v as columns, and
     an arrow a: x -> y becomes C_a = T_y^-1 V_a T_x (no product at a vertex
-    left alone), whose diagonal blocks are the maps of the parts.  Checks,
-    each raising ArithmeticError:
+    left alone), whose diagonal blocks are the maps of the parts.  Only
+    the arrows with V_a != 0 are conjugated: for V_a = 0, C_a = 0, so its
+    blocks are the zero matrices of the parts' shapes and it is zero off
+    them.  Checks, each raising ArithmeticError:
 
     - T_v is square and invertible: the parts fill V_v.  T_v^-1 is built
-      only at a vertex some arrow enters, the only place C_a uses it;
-      elsewhere rl.rank(T_v) = d_v certifies it;
+      only at a vertex some nonzero arrow enters, the only place a C_a
+      uses it; elsewhere rl.rank(T_v) = d_v certifies it;
     - T_v T_v^-1 = I at each vertex where T_v^-1 is built: the inverse is
-      right, so T_y C_a = V_a T_x on every arrow, the check it replaces;
-    - C_a is zero off its diagonal blocks: each part is arrow-stable.
+      right, so T_y C_a = V_a T_x on every nonzero arrow, the check it
+      replaces (on a zero arrow both sides are 0);
+    - C_a is zero off its diagonal blocks, on every nonzero arrow: each
+      part is arrow-stable.
 
     Once they pass, the parts satisfy the relations, so _satisfying builds
     them.  A path p: x -> y has the matrix C_p = T_y^-1 V_p T_x, the inner
@@ -784,7 +798,8 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     sum c_i C_(p_i) is, and with it each of its blocks.
     """
     count = max(map(len, bases.values()), default=1)
-    targets = {a.target for a in V.bq.quiver.arrows}
+    acting = set(_nonzero_arrows(V))
+    targets = {a.target for a in acting}
     sizes, T, T_inv = {}, {}, {}
     for v, d in V.dims.items():
         if v not in bases:
@@ -805,12 +820,15 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
     maps: list[dict[str, rl.Mat]] = [{} for _ in range(count)]
     for a in V.bq.quiver.arrows:
         x, y = a.source, a.target
-        C = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
-        if y in T:
-            C = rl.matmul(T_inv[y], C)
-        blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
-        if blocks is None:
-            raise ArithmeticError(f"a part is not stable under arrow {a.name}")
+        if a not in acting:  # V_a = 0, so C_a = 0 and so are its blocks
+            blocks = list(map(rl.zeros, sizes[y], sizes[x]))
+        else:
+            C = rl.matmul(V.maps[a.name], T[x]) if x in T else V.maps[a.name]
+            if y in T:
+                C = rl.matmul(T_inv[y], C)
+            blocks = rl.diagonal_blocks(C, sizes[y], sizes[x])
+            if blocks is None:
+                raise ArithmeticError(f"a part is not stable under arrow {a.name}")
         for part, block in zip(maps, blocks):
             part[a.name] = block
     return [Representation._satisfying(V.bq, {v: sizes[v][i] for v in V.dims}, part)
@@ -837,13 +855,17 @@ def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
 def _functionals(V: Representation, x: str, y: str, p: str | None) -> rl.Mat:
     """Φ of p: x -> y, the arrow called p or None for e_x (see decompose_certified):
     rows, the functionals on V_y that kill every arrow into y but p and, for an
-    arrow p, V_p V_c for each arrow c into x with c p not declared zero."""
+    arrow p, V_p V_c for each arrow c into x with c p not declared zero.  The
+    zero maps are dropped, and with none left Φ is I (decompose_certified, Peel)."""
     arrows = V.bq.quiver.arrows
     into = [V.maps[b.name] for b in arrows if b.target == y and b.name != p]
     if p is not None:
         into += [rl.matmul(V.maps[p], V.maps[c.name]) for c in arrows
                  if c.target == x and (c.name, p) not in V.bq.zero_paths]
-    return rl.nullspace(rl.transpose(reduce(rl.hstack, into, rl.zeros(V.dims[y], 0))))
+    into = [A for A in into if not rl.is_zero(A)]
+    if not into:
+        return rl.identity(V.dims[y])
+    return rl.nullspace(rl.transpose(reduce(rl.hstack, into)))
 
 
 def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
@@ -852,7 +874,8 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     each vertex, whose M_p is the simple, then each arrow with x != y, whose
     M_p is its arrow module.  One _cut takes them all off; W is its first
     part, and each M_p, built once, is listed once per copy, in path order.
-    W is V when there is none."""
+    W is V when there is none.  At a vertex no nonzero arrow touches, Φ and
+    K come back as I with no elimination (see decompose_certified, Peel)."""
     bq = V.bq
     DV = dual(V)
     paths = [(v, v, None) for v in bq.quiver.vertices]
@@ -1125,7 +1148,12 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     Φ V_p = 0 (Φ is computed first, and then the pairing is zero; for
     e_v, when the arrows into v span V_v), or when the pairing has rank
     0 (for e_v, when K ⊆ I); with nothing peeled, the split search
-    starts from V itself.
+    starts from V itself.  _functionals leaves out the zero maps, which
+    every functional kills, and with none left returns I, the unit basis
+    rl.nullspace gives for a zero matrix, with no elimination.  So at a
+    vertex v no nonzero arrow touches, Φ = K = I, the pairing I I^T = I
+    costs no product and S_v is peeled d_v times; the bases and the cut
+    are those the eliminations gave.
 
     The split search.  Each node carries an upper bound s on the number
     of its indecomposable summands (Krull-Schmidt); the root has none.

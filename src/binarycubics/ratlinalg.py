@@ -13,14 +13,20 @@ shape, and exact(x) admits an entry only if it is an integer or a
 Fraction.  over and stack_rows build a Mat from integers the library
 already holds.  Reading M[i] gives row i as a tuple of Fractions, so a
 write into it raises TypeError; no Mat, and no list in num, is written
-in place once built, so matrices share rows freely.  The hot paths run
-on Python integers:
+in place once built, so matrices share rows freely, and a function may
+return one of its arguments.  The hot paths run on Python integers, and
+an identity or a zero operand costs a scan of its integers, no arithmetic:
 
-- matmul builds row i of the product over A.den * B.den as the sum of
-  a * (row k of B's numerators) over the nonzero numerators a of row i
-  of A (Gustavson's row-by-row product), so its cost follows the nonzero
-  entries of A, and reduces by one gcd, building no Fraction; mat_add,
-  scale and the stacks work over the lcm of the denominators;
+- matmul hands back the other factor itself when one factor is an
+  identity, I B = B and A I = A, and zeros(m, n) when one is zero (or a
+  dimension is 0), with no arithmetic.  A reduced Mat is an identity
+  exactly when it is square, has den 1 and has the unit rows as its
+  numerators, a scan that stops at the first row that fails.
+  Otherwise it builds row i of the product over A.den * B.den as the
+  sum of a * (row k of B's numerators) over the nonzero numerators a of
+  row i of A (Gustavson's row-by-row product), so its cost follows the
+  nonzero entries of A, and reduces by one gcd, building no Fraction;
+  mat_add, scale and the stacks work over the lcm of the denominators;
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
@@ -45,9 +51,9 @@ on Python integers:
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
   matrix on their own and adds one power per degree to one growing
   echelon, through the forward step _reduce that echelon runs too;
-- inverse runs one echelon of [A | I] built from the nonzero entries of
-  A, with no dense identity block, and reads the inverse off the unit
-  columns;
+- inverse hands back an identity as it is, I^-1 = I; otherwise it runs
+  one echelon of [A | I] built from the nonzero entries of A, with no
+  dense identity block, and reads the inverse off the unit columns;
 - quotient_maps reads both of its maps off one reduced echelon.
 
 Star arguments are unpacked from lists, never from generators: CPython
@@ -169,7 +175,10 @@ def mat(x, m: int | None = None, n: int | None = None) -> Mat:
     if n is None:
         n = len(data[0]) if data else 0
     if len(data) != m or any(len(row) != n for row in data):
-        raise ValueError(f"expected a {m}x{n} matrix")
+        widths = sorted({len(row) for row in data})
+        got = (f"{len(data)}x{widths[0] if widths else 0}" if len(widths) < 2
+               else f"rows of lengths {widths}")
+        raise ValueError(f"expected a {m}x{n} matrix, got {got}")
     ints, den = cleared([v for row in data for v in row])
     it = iter(ints)
     return over([list(islice(it, n)) for _ in range(m)], den, m, n)
@@ -186,6 +195,15 @@ def _unit(i: int, n: int) -> list[int]:
 
 def identity(n: int) -> Mat:
     return Mat(n, n, [_unit(i, n) for i in range(n)], 1)
+
+
+def _is_identity(A: Mat) -> bool:
+    """A is an identity matrix: square, den 1 and row i the unit row i (A
+    is reduced, so its numerators are those integers exactly).  A scan
+    that stops at the first row that fails, building nothing."""
+    n = A.rows
+    return (A.den == 1 and A.cols == n
+            and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(A.num)))
 
 
 def transpose(A: Mat) -> Mat:
@@ -225,7 +243,11 @@ def flatten(blocks) -> IntVector:
 def matmul(A: Mat, B: Mat) -> Mat:
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
-    if not (A.rows and A.cols and B.cols):
+    if _is_identity(A):
+        return B
+    if _is_identity(B):
+        return A
+    if is_zero(A) or is_zero(B):  # also when a dimension is 0
         return zeros(A.rows, B.cols)
     zero = [0] * B.cols
     num = []
@@ -525,7 +547,8 @@ def inverse(A: Mat) -> Mat | None:
     """Exact inverse of a square matrix, or None when singular; ValueError
     when A is not square.
 
-    One echelon of [N | I], N the numerators of A, built as sparse rows
+    An identity is its own inverse and comes back as it is.  Otherwise
+    one echelon of [N | I], N the numerators of A, built as sparse rows
     from the nonzero entries of N and the 1 at column n + i of row i.
     The n rows are independent, so A is invertible exactly when their n
     pivots lie in the columns of N; the reduced form is then [I | N^-1],
@@ -535,6 +558,8 @@ def inverse(A: Mat) -> Mat | None:
     n = A.rows
     if A.cols != n:
         raise ValueError(f"inverse of a non-square {n}x{A.cols} matrix")
+    if _is_identity(A):
+        return A
     ech = echelon([{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
                    for i, row in enumerate(A.num)])
     if any(c >= n for c, _ in ech):

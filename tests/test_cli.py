@@ -328,6 +328,16 @@ def test_rep_bad_schema(tmp_path, capsys, content):
     assert "bad representation file" in err and "Traceback" not in err
 
 
+def test_a_wrong_shape_map_names_its_arrow_and_both_shapes(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"quiver": "d4hat", "dims": {"1": 1, "5": 2},
+                                "maps": {"alpha1": [[1, 2], [3, 4], [5, 6]]}}))
+    code, out, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: bad representation file: "
+                   "map alpha1: expected a 2x1 matrix, got 3x2\n")
+
+
 def test_rep_inline_quiver_with_unknown_arrow_in_a_relation(tmp_path, capsys):
     path = tmp_path / "inline.json"
     path.write_text(json.dumps({

@@ -303,6 +303,56 @@ def test_matmul_of_mostly_zero_operands_matches_fraction_reference(case):
     assert MB.num == before  # B's rows may be shared by C, never written
 
 
+fraction_entries = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def planted_products(draw):
+    """((kind_A, kind_B), A, B, (m, k, n)): A m x k and B k x n with dims
+    0-5, each factor dense (denominators up to 12), the identity, a scaled
+    identity I/d with d > 1, or zero; a planted (scaled) identity is square."""
+    kinds = draw(st.tuples(*[st.sampled_from(("dense", "identity", "scaled", "zero"))] * 2))
+    m, k, n = draw(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+    m = k if kinds[0] in ("identity", "scaled") else m
+    n = k if kinds[1] in ("identity", "scaled") else n
+
+    def build(kind, rows, cols):
+        if kind == "dense":
+            return draw(matrices_of(rows, cols, fraction_entries))
+        if kind == "zero":
+            return [[0] * cols for _ in range(rows)]
+        d = 1 if kind == "identity" else draw(st.integers(2, 9))
+        return [[Fraction(int(i == j), d) for j in range(cols)] for i in range(rows)]
+
+    return kinds, build(kinds[0], m, k), build(kinds[1], k, n), (m, k, n)
+
+
+@given(planted_products())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_identity_and_zero_factors_are_handed_back(case):
+    kinds, A, B, (m, k, n) = case
+    MA, MB = rl.mat(A, m, k), rl.mat(B, k, n)
+    C = rl.matmul(MA, MB)
+    assert C == rl.mat([[sum((Fraction(A[i][t]) * Fraction(B[t][j]) for t in range(k)), Fraction(0))
+                         for j in range(n)] for i in range(m)], m, n)
+    assert_reduced(C)
+    # I @ X is X; X @ I is X too, but I itself when X is an identity
+    for X in (MA, MB):
+        I_left, I_right = rl.identity(X.rows), rl.identity(X.cols)
+        assert rl.matmul(I_left, X) is X
+        assert rl.matmul(X, I_right) is (I_right if X == I_left else X)
+    if "zero" in kinds:
+        assert C == rl.zeros(m, n) and (C.rows, C.cols) == (m, n)
+    if m == k:
+        inv = rl.inverse(MA)
+        if kinds[0] == "identity":
+            assert inv is MA
+        if inv is not None:
+            assert rl.matmul(MA, inv) == rl.identity(m) == rl.matmul(inv, MA)
+        else:
+            assert rl.rank(MA) < m
+
+
 def test_matmul_shape_errors_kept():
     with pytest.raises(ValueError, match="shape mismatch"):
         rl.matmul(rl.mat([[1, 2]]), rl.mat([[1]]))

@@ -268,23 +268,24 @@ split = raised(lambda: qv._split(V, phi))
 # the failing peel of test_a_peeled_vector_that_an_arrow_does_not_kill_raises
 bq = cubics.build("two_vertex_pair")
 S_P = qv.direct_sum(bq.simple("1"), bq.projective("1"))
-nullspace, calls = rl.nullspace, []
-def all_ones_second(A):
-    calls.append(A)
-    return rl.mat([[1] * A.cols]) if len(calls) == 2 else nullspace(A)
-rl.nullspace = all_ones_second
+functionals = qv._functionals
+def all_ones_socle(W, x, y, p):
+    if W.bq is bq.opposite() and (x, p) == ("1", None):
+        return rl.mat([[1] * W.dims[y]])
+    return functionals(W, x, y, p)
+qv._functionals = all_ones_socle
 peel = raised(lambda: qv._peel(S_P))
 # the failing peel of test_a_peeled_arrow_module_that_another_arrow_moves_raises
 big = cubics.build("big_component")
 M_P = qv.direct_sum(big.arrow_module("alpha1"), big.projective("1"))
-calls.clear()
-def whole_space_sixth(A):
-    calls.append(A)
-    return rl.identity(A.cols) if len(calls) == 6 else nullspace(A)
-rl.nullspace = whole_space_sixth
+def whole_space_K(W, x, y, p):
+    if W.bq is big.opposite() and p == "alpha1":
+        return rl.identity(W.dims[y])
+    return functionals(W, x, y, p)
+qv._functionals = whole_space_K
 arrow_peel = raised(lambda: qv._peel(M_P))
 # the failing tube split of test_a_wrong_tube_operator_raises
-rl.nullspace = nullspace
+qv._functionals = functionals
 tube = qv._tube
 qv._tube = lambda V: (lambda f: f and qv.TubeForm(**{**vars(f), "M": rl.transpose(f.M)}))(tube(V))
 tube_split = [raised(lambda: qv.decompose_certified(qv.conjugate(qv.direct_sum(
@@ -711,23 +712,26 @@ def test_a_socle_inside_the_radical_is_not_peeled(name, sink):
 
 
 def test_a_peeled_vector_that_an_arrow_does_not_kill_raises(monkeypatch):
-    # the second null space the peel computes, the socle at vertex 1 of
-    # S_1 + P_1 (after Φ there), comes back as the sum of the two basis
-    # vectors of V_1 in place of the first alone; the pairing still has rank
-    # one, so the one cut takes off a simple at 1 spanned by a vector that
-    # a sends to V_2, beside M_a, and every T_v stays invertible
+    # K of e_1 on S_1 + P_1, the socle at vertex 1, read as the Φ of e_1 on
+    # D(V), comes back as the sum of the two basis vectors of V_1 in place
+    # of the first alone; the pairing still has rank one, so the one cut
+    # takes off a simple at 1 spanned by a vector that a sends to V_2,
+    # beside M_a, and every T_v stays invertible
     bq = cubics.build("two_vertex_pair")
     V = qv.direct_sum(bq.simple("1"), bq.projective("1"))
-    nullspace = rl.nullspace
-    calls = []
+    functionals = qv._functionals
+    hit = []
 
-    def all_ones_second(A):
-        calls.append(A)
-        return rl.mat([[1] * A.cols]) if len(calls) == 2 else nullspace(A)
+    def all_ones_socle(W, x, y, p):
+        if W.bq is bq.opposite() and (x, p) == ("1", None):
+            hit.append(x)
+            return rl.mat([[1] * W.dims[y]])
+        return functionals(W, x, y, p)
 
-    monkeypatch.setattr(rl, "nullspace", all_ones_second)
+    monkeypatch.setattr(qv, "_functionals", all_ones_socle)
     with pytest.raises(ArithmeticError, match="not stable under arrow a"):
         qv._peel(V)
+    assert hit == ["1"]
 
 
 #: parts of a direct sum on each named quiver, with its summands M_a and
@@ -871,22 +875,24 @@ def test_the_pairing_rank_not_dim_K_is_the_multiplicity():
 
 
 def test_a_peeled_arrow_module_that_another_arrow_moves_raises(monkeypatch):
-    # the sixth null space the peel computes, K of alpha1 on M_alpha1 + P_1
-    # (after Φ and K at vertex 1, Φ at 2 and 5 and Φ of alpha1), comes back
-    # as all of V_1, so the one cut takes off, with M_alpha1, the vector of
-    # P_1 that alpha1 beta2 sends to V_2
+    # K of alpha1 on M_alpha1 + P_1, read as the Φ of the reversed alpha1 on
+    # D(V), comes back as all of V_1, so the one cut takes off, with
+    # M_alpha1, the vector of P_1 that alpha1 beta2 sends to V_2
     bq = cubics.build("big_component")
     V = qv.direct_sum(bq.arrow_module("alpha1"), bq.projective("1"))
-    nullspace = rl.nullspace
-    calls = []
+    functionals = qv._functionals
+    hit = []
 
-    def whole_space_sixth(A):
-        calls.append(A)
-        return rl.identity(A.cols) if len(calls) == 6 else nullspace(A)
+    def whole_space_K(W, x, y, p):
+        if W.bq is bq.opposite() and p == "alpha1":
+            hit.append((x, y))
+            return rl.identity(W.dims[y])
+        return functionals(W, x, y, p)
 
-    monkeypatch.setattr(rl, "nullspace", whole_space_sixth)
+    monkeypatch.setattr(qv, "_functionals", whole_space_K)
     with pytest.raises(ArithmeticError, match="not stable under arrow beta2"):
         qv._peel(V)
+    assert hit == [("5", "1")]
 
 
 def test_arrow_module_is_the_module_of_one_arrow():
