@@ -61,6 +61,7 @@ from .quiver import (
     monomial_relations,
     rep_from_dict,
     rep_to_dict,
+    semisimple_rank,
 )
 from .cubics import (
     NAMED_QUIVERS,

@@ -31,6 +31,12 @@ reads.  An unknown vertex, or an arrow a relation names that the quiver
 lacks, raises KeyError, and a failed exactness condition raises
 ArithmeticError, never an assert, so python -O gives the same answers.
 
+decompose_certified first cuts V along its coefficient quiver (Ringel
+1998), one node per basis vector and one edge per nonzero matrix entry:
+each component spans a subrepresentation, V is their direct sum, and the
+summands come part by part, a part of dimension one as a certified leaf
+and every other part through the pipeline below, run once on it.
+
 Before its split search, decompose_certified peels off every summand
 M_p of a path p: x -> y of length <= 1, with Q at x and at y and p
 acting by 1: the simple S_v for the trivial path at each vertex v, then
@@ -400,9 +406,9 @@ class Representation(Value):
     The relation check runs on every representation built here, except
     where the construction proves the relations: there _satisfying builds
     it, called where the proof is written, by _cut (the parts of _split,
-    _peel, TubeForm.cut and _separate), _one_arrow (simple, arrow_module),
-    cubics._embed (embed_alpha, embed_beta), direct_sum on one bound quiver,
-    conjugate and dual.
+    _peel, TubeForm.cut and _separate), _coordinate_parts, _one_arrow
+    (simple, arrow_module), cubics._embed (embed_alpha, embed_beta),
+    direct_sum on one bound quiver, conjugate and dual.
     """
 
     _fields = ("bq", "dims", "maps")
@@ -616,13 +622,19 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
+    src = _tube(V)
+    return _hom_basis(V, W, src, src if src is None or W is V else _tube(W))
+
+
+def _hom_basis(V: Representation, W: Representation, src: TubeForm | None,
+               tgt: TubeForm | None) -> list[RepMorphism]:
+    """hom_basis(V, W) given _tube(V) as src and _tube(W) as tgt, V and W
+    over one quiver; tgt is read only when src is not None."""
     verts = V.bq.quiver.vertices
     offs, total = {}, 0  # where the entries of each block f_v start, and how many there are
     for v in verts:
         offs[v], total = total, total + V.dims[v] * W.dims[v]
-    src = _tube(V)
-    tgt = src if src is None or W is V else _tube(W)
-    sylvester = tgt is not None and tgt.arrows == src.arrows
+    sylvester = src is not None and tgt is not None and tgt.arrows == src.arrows
     if not sylvester:
         rows: list[rl.Row] = []
         for a in V.bq.quiver.arrows:
@@ -1087,6 +1099,56 @@ def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None
     return None if any(t is None for t in tubes) else list(zip(parts, tubes))
 
 
+def _coordinate_parts(V: Representation) -> list[Representation] | None:
+    """V cut along the components of its coefficient quiver, or None when
+    that is connected (see decompose_certified, Coordinate parts).  The
+    nodes are the pairs (v, i), i < dim V_v, numbered in vertex order, and
+    each nonzero entry (i, j) of V_a, a: x -> y, joins (y, i) to (x, j), by
+    a union-find that stops as soon as one component is left.  The parts
+    come in the order of their first node; a part has the coordinates of
+    its component at each vertex, in increasing order, and the submatrices
+    of V's maps on them."""
+    offs, count = {}, 0
+    for v, d in V.dims.items():
+        offs[v], count = count, count + d
+    if count == 1:
+        return None
+    root = list(range(count))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        return u
+
+    for a in V.bq.quiver.arrows:
+        at_x, at_y = offs[a.source], offs[a.target]
+        for i, row in enumerate(V.maps[a.name].num):
+            u = find(at_y + i)
+            for j, x in enumerate(row):
+                if x and (w := find(at_x + j)) != u:
+                    root[w] = u
+                    count -= 1
+                    if count == 1:
+                        return None
+    index: dict[int, int] = {}
+    coords: list[dict[str, list[int]]] = []
+    for v, at in offs.items():
+        for i in range(V.dims[v]):
+            part = index.setdefault(find(at + i), len(coords))
+            if part == len(coords):
+                coords.append({w: [] for w in V.dims})
+            coords[part][v].append(i)
+    parts = []
+    for c in coords:
+        maps = {}
+        for a in V.bq.quiver.arrows:
+            A, rows, cols = V.maps[a.name], c[a.target], c[a.source]
+            maps[a.name] = rl.over([[A.num[i][j] for j in cols] for i in rows], A.den,
+                                   len(rows), len(cols))
+        parts.append(Representation._satisfying(V.bq, {v: len(ks) for v, ks in c.items()}, maps))
+    return parts
+
+
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
@@ -1098,10 +1160,40 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     local (e.g. a sum X ⊕ X that no candidate splits, or a module off
     the tube route whose End is a field larger than Q).
 
+    Coordinate parts (_coordinate_parts).  The coefficient quiver of V
+    (Ringel, "Exceptional modules are tree modules", 1998) has one node
+    (v, i) per basis vector, i < dim V_v, and one edge per nonzero entry
+    (i, j) of V_a, a: x -> y, joining (y, i) to (x, j).  When it has two
+    components or more, V is cut along them before any linear algebra: a
+    part has the coordinates of its component at each vertex, in
+    increasing order, and the submatrices of V's maps on them; the parts
+    come in the order of their first node, vertex by vertex.
+
+    - Subrepresentations.  An entry (i, j) of V_a with (x, j) and (y, i)
+      in different components is zero, or it would join them.  So V_a
+      maps the coordinates of a component C at x into those of C at y,
+      each component spans a subrepresentation, and V is their direct
+      sum, as the components partition the basis.  Reordered by parts,
+      every V_a is block diagonal, with the maps of the parts as blocks.
+    - Relations.  A path matrix is a product of block-diagonal V_a, so it
+      is block diagonal with the path matrices of the parts as blocks; a
+      relation is zero on V, so it is zero on each block, and
+      _satisfying builds the parts.
+    - Summands.  By Krull-Schmidt the summands of V are those of its
+      parts together.  A part of dimension one has End = Q, so it is a
+      certified leaf and takes no peel; every other part takes the root
+      pipeline below (_tube, _separate, _peel, the stack) once, and its
+      summands come out together, in that pipeline's order.  A part is
+      never searched again: its own search would find it whole.  A root
+      whose coefficient quiver is connected takes the pipeline itself.
+      The search cannot see a sum in a basis that mixes its summands, a
+      conjugated one; the tube route, _separate and the peel cut those.
+
     The peel (_peel).  First every summand M_p of a path p: x -> y of
     length <= 1, with Q at x and at y and p acting by 1, is split off, all
     of them by one change of basis; their copies come out as certified
-    leaves (End(M_p) = Q) ahead of the other summands.  The paths are the
+    leaves (End(M_p) = Q) ahead of the other summands of the root (of
+    the part, for a root cut by its coefficient quiver).  The paths are the
     trivial path e_v at each vertex v, in vertex order, with x = y = v,
     V_p the identity and M_p the simple S_v (bq.simple); then each arrow
     a: x -> y with x != y, in arrow order, with M_p the module M_a
@@ -1331,6 +1423,17 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """
     if V.total_dim() == 0:
         return []
+    parts = _coordinate_parts(V)
+    if parts is None:
+        return _decompose_root(V)
+    return [leaf for P in parts
+            for leaf in ([(P, True)] if P.total_dim() == 1 else _decompose_root(P))]
+
+
+def _decompose_root(V: Representation) -> list[tuple[Representation, bool]]:
+    """The summands of a nonzero root V, read with no coordinate search:
+    its tube form, its separated parts or its peel, then the stack (see
+    decompose_certified)."""
     tube = _tube(V)
     separated = None if tube else _separate(V)
     W, peeled = (V, []) if tube or separated else _peel(V)
@@ -1419,14 +1522,18 @@ def is_isomorphic(V: Representation, W: Representation) -> bool:
        exactly when m_i = n_i for every i, that is, when V ≅ W.
 
     On two modules in tube form, or two in dual form, on the same arrows,
-    all four hom spaces take hom_basis's Sylvester route.
+    all four hom spaces take hom_basis's Sylvester route.  Each tube form
+    is read once, and each End basis is built once, for its ssr.
     """
     if V.bq.quiver != W.bq.quiver:
         raise ValueError("representations live over different quivers")
     if V.dim_vector() != W.dim_vector():
         return False
-    pairing = _trace_pairing(hom_basis(V, W), hom_basis(W, V))
-    return semisimple_rank(V) + semisimple_rank(W) == 2 * rl.rank(pairing)
+    tube_V, tube_W = _tube(V), _tube(W)
+    pairing = _trace_pairing(_hom_basis(V, W, tube_V, tube_W), _hom_basis(W, V, tube_W, tube_V))
+    end_V, end_W = _hom_basis(V, V, tube_V, tube_V), _hom_basis(W, W, tube_W, tube_W)
+    ssr = rl.rank(_trace_pairing(end_V, end_V)) + rl.rank(_trace_pairing(end_W, end_W))
+    return ssr == 2 * rl.rank(pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -1442,11 +1549,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _fraction_from(x) -> Fraction:
-    """An exact entry: a JSON integer or a "p" / "p/q" string, never a decimal."""
+def _fraction_from(x, entry: str = "entry") -> Fraction:
+    """An exact entry: a JSON integer or a "p" / "p/q" string, never a decimal;
+    entry names it in the error, as in "map alpha1: entry (0, 1)"."""
     if _is_int(x) or (isinstance(x, str) and _EXACT_ENTRY.fullmatch(x)):
         return Fraction(x)
-    raise ValueError(f"entry {x!r} is not an integer or a \"p/q\" string")
+    raise ValueError(f"{entry} {x!r} is not an integer or a \"p/q\" string")
 
 
 def _is_list_of(x, check) -> bool:
@@ -1540,6 +1648,7 @@ def rep_from_dict(data: dict, named_quivers: dict[str, BoundQuiver] | None = Non
     if not isinstance(rows_of, dict) or not all(
             _is_list_of(rows, lambda row: isinstance(row, list)) for rows in rows_of.values()):
         raise ValueError('"maps" must map each arrow to a list of rows')
-    maps = {name: [[_fraction_from(x) for x in row] for row in rows]
+    maps = {name: [[_fraction_from(x, f"map {name}: entry ({i}, {j})") for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)]
             for name, rows in rows_of.items()}
     return Representation(bq, dims, maps)

@@ -51,6 +51,7 @@ an identity or a zero operand costs a scan of its integers, no arithmetic:
 - minimal_polynomial powers the diagonal blocks of a block-diagonal
   matrix on their own and adds one power per degree to one growing
   echelon, through the forward step _reduce that echelon runs too;
+- rank reads n off an n x n identity, with no elimination;
 - inverse hands back an identity as it is, I^-1 = I; otherwise it runs
   one echelon of [A | I] built from the nonzero entries of A, with no
   dense identity block, and reads the inverse off the unit columns;
@@ -522,7 +523,8 @@ def rank_profiles(A: Mat) -> tuple[list[int], list[int]]:
 
 
 def rank(A: Mat) -> int:
-    return len(echelon(_sparse_rows(A)))
+    """The rank of A; an identity is read as n, with no elimination."""
+    return A.rows if _is_identity(A) else len(echelon(_sparse_rows(A)))
 
 
 def nullspace(A: Mat) -> Mat:

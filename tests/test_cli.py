@@ -338,6 +338,18 @@ def test_a_wrong_shape_map_names_its_arrow_and_both_shapes(tmp_path, capsys):
                    "map alpha1: expected a 2x1 matrix, got 3x2\n")
 
 
+@pytest.mark.parametrize("entry", [1.5, "x", "1.5", True, None])
+def test_a_bad_entry_names_its_arrow_and_its_position(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"quiver": "d4hat", "dims": {"1": 2, "2": 2, "5": 4},
+                                "maps": {"alpha1": [[1, 0], [0, 1], [0, 0], [0, 0]],
+                                         "alpha2": [[0, 0], [0, 0], [1, entry], [0, 1]]}}))
+    code, out, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: bad representation file: "
+                   f"map alpha2: entry (2, 1) {entry!r} is not an integer or a \"p/q\" string\n")
+
+
 def test_rep_inline_quiver_with_unknown_arrow_in_a_relation(tmp_path, capsys):
     path = tmp_path / "inline.json"
     path.write_text(json.dumps({

@@ -719,6 +719,28 @@ class TestIsIsomorphic:
         permuted = qv.direct_sum(qv.direct_sum(R(1, 3), R(1, 2)), R(1, 2))
         assert qv.is_isomorphic(V, qv.conjugate(permuted, seed=4))
 
+    @pytest.mark.parametrize("form", ["tube", "dual"])
+    def test_each_tube_form_is_read_once(self, monkeypatch, form):
+        # two tube (or two dual) modules: is_isomorphic reads each tube form
+        # once, where the four hom spaces through hom_basis and
+        # semisimple_rank read it six times, and it gives their answer
+        R = cubics.rn_family
+        pairs = [(R(2, 3), qv.conjugate(R(2, 3), seed=8)), (R(2, 1), R(2, 5)),
+                 (qv.direct_sum(R(1, 2), R(1, 3)), qv.conjugate(qv.direct_sum(R(1, 3), R(1, 2)), 4))]
+        if form == "dual":
+            pairs = [(qv.dual(V), qv.dual(W)) for V, W in pairs]
+        tube, calls = qv._tube, []
+        monkeypatch.setattr(qv, "_tube", lambda V: calls.append(V) or tube(V))
+        for (V, W), want in zip(pairs, (True, False, True)):
+            assert tube(V) is not None and tube(W) is not None
+            calls.clear()
+            assert qv.is_isomorphic(V, W) is want
+            assert calls == [V, W]
+            calls.clear()
+            pairing = qv._trace_pairing(qv.hom_basis(V, W), qv.hom_basis(W, V))
+            ssr = qv.semisimple_rank(V) + qv.semisimple_rank(W)
+            assert (ssr == 2 * rl.rank(pairing)) is want and len(calls) == 6
+
     def test_end_mod_rad_a_quadratic_field(self):
         # alpha4 = [I; C] with C the companion matrix of t^2 + c: End = Q[C],
         # a field of degree 2 for c = 1, 2, so the rep is indecomposable and

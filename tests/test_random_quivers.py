@@ -169,6 +169,43 @@ def test_a_second_conjugation_gives_the_same_summands(V, seed):
     assert len(got) == len(again) and _unmatched(got, again) == []
 
 
+@st.composite
+def block_sums(draw):
+    """The direct sum of two nonzero cokernels or kernels on a drawn bound
+    quiver, in block form and of total dimension at most MAX_DIM."""
+    bq = draw(bound_quivers())
+    X, Y = [draw(st.sampled_from((_cokernel, _kernel)))(draw, bq) for _ in range(2)]
+    if not (X.total_dim() and Y.total_dim() and X.total_dim() + Y.total_dim() <= MAX_DIM):
+        reject()
+    return qv.direct_sum(X, Y)
+
+
+def _paired_into(got, want):
+    """Whether each summand of want pairs with its own summand of got, up
+    to isomorphism."""
+    unpaired = list(got)
+    for X in want:
+        match = next((i for i, W in enumerate(unpaired) if W.dim_vector() == X.dim_vector()
+                      and qv.is_isomorphic(W, X)), None)
+        if match is None:
+            return False
+        unpaired.pop(match)
+    return True
+
+
+@NET
+@given(block_sums(), st.integers(0, 99))
+def test_a_sum_in_block_form_gives_the_summands_of_its_conjugate(V, seed):
+    # the block sum is cut along its coefficient quiver, its conjugate is
+    # taken whole; every summand the conjugate certifies is matched by a
+    # certified one
+    assert qv._coordinate_parts(V) is not None
+    got = qv.decompose_certified(V)
+    again = qv.decompose_certified(qv.conjugate(V, seed))
+    assert len(got) == len(again) and _unmatched([W for W, _ in got], [W for W, _ in again]) == []
+    assert _paired_into([W for W, c in got if c], [W for W, c in again if c])
+
+
 @NET
 @given(st.data())
 def test_an_endomorphism_has_a_kernel_and_a_cokernel_of_one_dimension(data):

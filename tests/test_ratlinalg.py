@@ -758,6 +758,20 @@ def test_kernel_basis_of_no_rows_is_the_unit_basis_with_no_elimination(monkeypat
                                           for f in range(ncols)]
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_the_rank_of_an_identity_takes_no_elimination(monkeypatch, n):
+    # I / 2 and I plus one unit entry above the diagonal (2 I for n = 1)
+    # are not identities, and are eliminated
+    echelon, calls = rl.echelon, []
+    monkeypatch.setattr(rl, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
+    assert rl.rank(rl.identity(n)) == n and calls == []
+    if n:
+        upper = [[int(i == j) + int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)]
+        assert rl.rank(rl.scale(rl.identity(n), Fraction(1, 2))) == n
+        assert rl.rank(rl.mat(upper)) == n
+        assert calls == [n, n]
+
+
 def test_kernel_basis_refuses_vectors_that_fail_a_row(monkeypatch):
     echelon = rl.echelon
 

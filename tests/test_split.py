@@ -2,8 +2,9 @@
 summand, against the kernel() route it replaced, the deferred ranking,
 the candidates it skips and the rank bound that certifies split parts,
 the peel of simple summands and arrow modules before the split search,
-the tube route, in tube form and through D in dual form, and the cut of a
-root along its separated quiver into parts that take the tube route."""
+the tube route, in tube form and through D in dual form, the cut of a
+root along its separated quiver into parts that take the tube route, and
+the cut of a root along its coefficient quiver before any of them."""
 
 import importlib.util
 import json
@@ -167,7 +168,8 @@ def benchmark_sum(kind, n, lam, mu):
                          cubics.embed_beta(cubics.rn_family(n, mu)))
 
 
-def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs():
+def test_decompose_certified_matches_the_kernel_route_on_the_benchmark_inputs(monkeypatch):
+    without_the_coordinate_parts(monkeypatch)
     for op in sorted(benchmark_ops() | {("d4hat", 2, 1, 3)}):
         V = benchmark_sum(*op)
         got = qv.decompose_certified(V)
@@ -336,6 +338,12 @@ def without_the_separated_parts(monkeypatch):
     monkeypatch.setattr(qv, "_separate", lambda V: None)
 
 
+def without_the_coordinate_parts(monkeypatch):
+    """decompose_certified cuts no root along its coefficient quiver, so a
+    sum given in block form takes the route of the whole sum."""
+    monkeypatch.setattr(qv, "_coordinate_parts", lambda V: None)
+
+
 def ranked_during_decompose(monkeypatch, V):
     """The dimension vectors of the representations decompose_certified(V)
     ranks, each through the trace form of its hom basis."""
@@ -356,6 +364,7 @@ def test_a_sum_is_ranked_when_the_first_candidate_does_not_split_it(monkeypatch)
     # R_2(1), minimal polynomial t^2, so the sum is ranked (rank 2) before
     # the second one splits it; its two parts have rank at most 2 - 1 = 1
     without_the_tube_route(monkeypatch)
+    without_the_coordinate_parts(monkeypatch)
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     assert qv._split(V, qv.hom_basis(V, V)[0].blocks) is None
     assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
@@ -438,6 +447,7 @@ def test_the_parts_of_a_ranked_split_are_certified_by_the_bound(monkeypatch):
     # ranked at 2 and split in two, each part has rank at most 1, so
     # neither gets a hom basis of its own
     without_the_tube_route(monkeypatch)
+    without_the_coordinate_parts(monkeypatch)
     V = qv.direct_sum(cubics.rn_family(2, 1), cubics.rn_family(2, 3))
     homs = spy_on(monkeypatch, "hom_basis")
     assert ranked_during_decompose(monkeypatch, V) == [(4, 4, 4, 4, 8)]
@@ -449,6 +459,7 @@ def test_no_basis_element_in_the_radical_of_the_trace_form_is_tried(monkeypatch)
     # element but 29 and 35, so after the first (nilpotent) one the search
     # tries 29, which splits the sum
     without_the_separated_parts(monkeypatch)
+    without_the_coordinate_parts(monkeypatch)
     A = cubics.embed_alpha(cubics.rn_family(2, 0))
     B = cubics.embed_beta(cubics.rn_family(2, -4))
     V = qv.direct_sum(A, B)
@@ -470,6 +481,7 @@ def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
     # part gets the bound 3 - (2 - 1) = 2, so the sum of two is searched
     # again and comes apart (the bound 3 - 2 = 1 would pass it whole)
     without_the_tube_route(monkeypatch)
+    without_the_coordinate_parts(monkeypatch)
     R = cubics.rn_family
     V = reduce(qv.direct_sum, [R(2, 1), R(2, 3), R(2, 5)])
     ranked = spy_on(monkeypatch, "_trace_pairing")
@@ -508,21 +520,30 @@ def test_each_benchmark_sum_takes_no_hom_basis_and_no_split(monkeypatch):
 
 
 def test_each_benchmark_sum_inverts_only_where_it_conjugates(monkeypatch):
-    # a d4hat sum inverts T = [W1 W2], A_3, B_3 and A_4 in _tube and, in
-    # _cut, only T_5 at the one vertex the arrows enter: 5 inverses; a
-    # big-component sum makes 13 over its separation and its two tube
-    # parts; no minimal polynomial needs the modular factoring step
+    # on the coordinate route each sum comes apart into its two summands,
+    # and each inverts T = [W1 W2], A_3, B_3 and A_4 in _tube, all of them
+    # identities on R_n(λ) and its α and β images: 8 calls, no elimination.
+    # Taken whole, a d4hat sum inverts those four and, in _cut, only T_5 at
+    # the one vertex the arrows enter: 5 inverses; a big-component sum
+    # makes 13 over its separation and its two tube parts.  No minimal
+    # polynomial needs the modular factoring step
     worker = load_worker()
     inverses, ddf = [], []
     inverse, modular = rl.inverse, polyfactor._ddf
-    monkeypatch.setattr(rl, "inverse", lambda A: inverses.append(A.rows) or inverse(A))
+    monkeypatch.setattr(rl, "inverse",
+                        lambda A: inverses.append((A.rows, rl._is_identity(A))) or inverse(A))
     monkeypatch.setattr(polyfactor, "_ddf", lambda f, p: ddf.append(f) or modular(f, p))
     ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
     assert len(ops) == 15
-    for op in ops:
-        inverses.clear()
-        worker.decompose_op(*op)
-        assert len(inverses) == {"d4hat": 5, "big_component": 13}[op[0]], (op, inverses)
+    for whole, counts in ((False, {"d4hat": 8, "big_component": 8}),
+                          (True, {"d4hat": 5, "big_component": 13})):
+        if whole:
+            without_the_coordinate_parts(monkeypatch)
+        for op in ops:
+            inverses.clear()
+            worker.decompose_op(*op)
+            assert len(inverses) == counts[op[0]], (op, inverses)
+            assert whole or all(identity for _, identity in inverses), (op, inverses)
     assert ddf == []
 
 
@@ -758,7 +779,10 @@ ARROW_CASES = {
 
 
 @pytest.mark.parametrize("name", ARROW_CASES)
-def test_the_peel_splits_off_exactly_the_arrow_modules(name):
+def test_the_peel_splits_off_exactly_the_arrow_modules(monkeypatch, name):
+    # the paper_full sum is supported on three components of the quiver,
+    # which its coefficient quiver would cut apart before the peel
+    without_the_coordinate_parts(monkeypatch)
     check_the_peel(name, ARROW_CASES, seed=4)
 
 
@@ -961,10 +985,12 @@ def tube_sums():
                                 cubics.embed_alpha(cubics.rn_family(n, mu)))
 
 
-def test_the_tube_split_equals_the_kernel_route_along_M():
+def test_the_tube_split_equals_the_kernel_route_along_M(monkeypatch):
     # each sum is split by M into its two summands, and each is certified by
     # its M, (t - lambda)^n; the leaves come off the stack last part first,
-    # each isomorphic to its part of the kernel route (in other bases)
+    # each isomorphic to its part of the kernel route (in other bases); the
+    # plain sums are kept whole, so that they take the tube split too
+    without_the_coordinate_parts(monkeypatch)
     cases = 0
     for V in tube_sums():
         phi = tube_endomorphism(V)
@@ -1560,3 +1586,49 @@ def test_the_verify_samples_never_reach_the_cut(monkeypatch):
     cubics.check_tame_classification(100, 0)
     cubics.check_two_vertex_component(50, 0)
     assert len(seen) > 100 and set(seen) == {(None, False)}
+
+
+def calls_of(monkeypatch, *names):
+    """The first argument of every later call of quiver.<name>, by name."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def spy(first, *rest, name=name, original=getattr(qv, name)):
+            seen[name].append(first)
+            return original(first, *rest)
+        monkeypatch.setattr(qv, name, spy)
+    return seen
+
+
+def test_each_benchmark_sum_comes_apart_into_its_planted_summands(monkeypatch):
+    # the sums are block diagonal, so the coefficient quiver cuts each into
+    # the two modules it was built from, Mat for Mat, before any linear
+    # algebra; each part is in tube or dual form, and its M certifies it
+    ops = sorted(benchmark_ops())
+    assert {kind for kind, *_ in ops} == {"d4hat", "big_component"}
+    for kind, n, lam, mu in ops:
+        planted = [cubics.rn_family(n, lam), cubics.rn_family(n, mu)]
+        if kind == "big_component":
+            planted = [cubics.embed_alpha(planted[0]), cubics.embed_beta(planted[1])]
+        V = benchmark_sum(kind, n, lam, mu)
+        seen = calls_of(monkeypatch, "_tube", "_separate", "hom_basis", "_peel")
+        assert qv.decompose_certified(V) == [(X, True) for X in planted]
+        assert seen == {"_tube": planted, "_separate": [], "hom_basis": [], "_peel": []}
+        monkeypatch.undo()
+
+
+def test_a_one_dimensional_component_is_a_certified_leaf_with_no_peel(monkeypatch):
+    # S_1 beside R_1(2) on d4hat, and S_5 beside α(R_2(0)) on big_component:
+    # the simple is a component of one node, End = Q; the other part takes
+    # the tube route, so neither meets the peel, which the sum taken whole
+    # would run
+    d4, big = cubics.build("d4hat"), cubics.build("big_component")
+    for X, S in ((cubics.rn_family(1, 2), d4.simple("1")),
+                 (cubics.embed_alpha(cubics.rn_family(2, 0)), big.simple("5"))):
+        V = qv.direct_sum(X, S)
+        seen = calls_of(monkeypatch, "_peel", "hom_basis", "_tube")
+        assert qv.decompose_certified(V) == [(X, True), (S, True)]
+        assert seen == {"_peel": [], "hom_basis": [], "_tube": [X]}
+        without_the_coordinate_parts(monkeypatch)
+        assert qv.decompose_certified(V) == [(S, True), (X, True)]
+        assert len(seen["_peel"]) == 1
+        monkeypatch.undo()
