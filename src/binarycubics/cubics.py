@@ -145,9 +145,13 @@ def embed_beta(V: Representation) -> Representation:
 
 
 def jordan_block(n: int, lam) -> rl.Mat:
-    """The upper n x n Jordan block with eigenvalue lam, an integer or a Fraction."""
+    """The upper n x n Jordan block with eigenvalue lam, an integer or a Fraction,
+    built on integers: lam = p / q gives p on the diagonal and q above it,
+    over q."""
     lam = rl.exact(lam)
-    return rl.mat([[lam if j == i else int(j == i + 1) for j in range(n)] for i in range(n)], n, n)
+    p, q = lam.numerator, lam.denominator
+    return rl.over([[p if j == i else q if j == i + 1 else 0 for j in range(n)] for i in range(n)],
+                   q, n, n)
 
 
 def rn_family(n: int, lam) -> Representation:

@@ -45,9 +45,12 @@ def factor(coeffs) -> list[list[Fraction]]:
         raise ValueError("factor takes a monic polynomial, whose last coefficient is 1")
     whole = _primitive(coeffs)
     k = next(i for i, c in enumerate(whole) if c)
-    rng = random.Random(0)
     parts = [([0, 1], k)] if k else []
-    parts += [(g, m) for h, m in _yun(whole[k:]) for g in _zassenhaus(h, rng)]
+    rng = None  # built for the first part of degree >= 3, the first that can draw
+    for h, m in _yun(whole[k:]):
+        if rng is None and len(h) > 3:
+            rng = random.Random(0)
+        parts += [(g, m) for g in _zassenhaus(h, rng)]
     parts.sort(key=lambda part: (len(part[0]), part[1], part[0][::-1]))
     powers = [_product([g] * m) for g, m in parts]
     if _product(powers) != whole:
@@ -239,8 +242,9 @@ def _lift(f: list[int], factors: list[list[int]], p: int, M: int) -> list[list[i
     return _lift(g, factors[:k], p, M) + _lift(h, factors[k:], p, M)
 
 
-def _zassenhaus(f: list[int], rng: random.Random) -> list[list[int]]:
-    """Irreducible factors over ℤ of a primitive squarefree f with lc(f) > 0."""
+def _zassenhaus(f: list[int], rng: random.Random | None) -> list[list[int]]:
+    """Irreducible factors over ℤ of a primitive squarefree f with lc(f) > 0;
+    only a degree >= 3 f draws from rng, which may be None for a lower one."""
     if len(f) == 2:  # linear, so irreducible
         return [f]
     if len(f) == 3:

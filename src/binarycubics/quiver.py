@@ -83,7 +83,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, repeat
 from math import lcm
 
 from . import ratlinalg as rl
@@ -752,7 +751,11 @@ def semisimple_rank(V: Representation) -> int:
     composition factors exhaust the simple factors of End/rad), so its
     rank is the semisimple dimension, without structure constants.
     """
-    basis = hom_basis(V, V)
+    return _ssr(hom_basis(V, V))
+
+
+def _ssr(basis: list[RepMorphism]) -> int:
+    """The rank of the trace form on a basis of End(V): the semisimple rank."""
     return rl.rank(_trace_pairing(basis, basis))
 
 
@@ -1028,16 +1031,15 @@ def _primary(M: rl.Mat, e: int, B: rl.Mat) -> list[rl.Mat]:
     vectors of the first unit vector e_j with e independent ones, and then
     the same on C, the common kernel of e_r, e_r M, ..., e_r M^(e - 1) for
     the first unit row e_r whose pairing with Z is invertible, with M on C
-    in C's coordinates; then the last space itself."""
+    in C's coordinates; then the last space itself.  Both read Krylov
+    vectors, e_r M^k as the M^T-Krylov vectors of e_r: no power of M is
+    formed."""
     pieces = []
     while e < M.rows:
-        n = M.rows
-        powers = list(accumulate(repeat(M, e - 1), rl.matmul, initial=rl.identity(n)))
-        krylov = (rl.stack_rows([([row[j] for row in P.num], P.den) for P in powers], n)
-                  for j in range(n))
-        Z = next(K for K in krylov if rl.rank(K) == e)
-        rows = (rl.stack_rows([(P.num[r], P.den) for P in powers], n) for r in range(n))
-        C = rl.nullspace(next(F for F in rows if rl.rank(rl.matmul(F, rl.transpose(Z))) == e))
+        n, Mt = M.rows, rl.transpose(M)
+        Z = next(K for K in (rl.krylov(M, j, e) for j in range(n)) if rl.rank(K) == e)
+        C = rl.nullspace(next(F for F in (rl.krylov(Mt, r, e) for r in range(n))
+                              if rl.rank(rl.matmul(F, rl.transpose(Z))) == e))
         pieces.append(rl.matmul(Z, B))
         M, B = _restricted(M, C), rl.matmul(C, B)
         e = len(rl.minimal_polynomial(M)) - 1
@@ -1331,7 +1333,9 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
       cyclic one is a polynomial in it).  That ring is local, with
       End/rad = Q[t]/(p), so W is indecomposable and s = 1.
-    - Pieces.  The subspaces come from f.  With two or more factors q,
+    - Pieces.  The subspaces come from f, which rl.minimal_polynomial
+      reads off Krylov vectors of unit vectors, with no power of M.  With
+      two or more factors q,
       coprime powers of irreducibles, they are the generalized kernels
       ker q(M), in the order polyfactor.factor gives them; M has the
       minimal polynomial q on ker q, so its part is certified when
@@ -1339,16 +1343,17 @@ def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
       in its coordinates.  With f = p^k of degree n, Q^n itself is
       certified.  With f = p^k of degree e < n, they are Z and then C:
       - Z.  v = e_j, for the first j whose Krylov vectors v, Mv, ...,
-        M^(e-1) v have rank e, and Z is their span, M-invariant as
-        f(M) v = 0, with M cyclic on it.  Such a j exists: p^(k-1)(M) != 0
-        has a nonzero column j, and then the annihilator of e_j is p^k.
+        M^(e-1) v (rl.krylov, by matrix-vector products) have rank e, and
+        Z is their span, M-invariant as f(M) v = 0, with M cyclic on it.
+        Such a j exists: p^(k-1)(M) != 0 has a nonzero column j, and then
+        the annihilator of e_j is p^k.
       - C.  φ = e_r, for the first unit row whose e x e pairing
         G_ab = φ M^(a+b) v has rank e, and C is the common kernel of φ,
-        φM, ..., φM^(e-1).  Such an r exists: any r with
-        (p^(k-1)(M) v)_r != 0.  Were G c = 0 for some c != 0, the w in Z
-        killed by every φ M^a (every a, as φ f(M) = 0) would make a
-        nonzero M-invariant subspace of Z ≅ Q[t]/(p^k), which holds
-        p^(k-1)(M) v; but φ does not kill that.  C is M-invariant, since
+        φM, ..., φM^(e-1), the Krylov vectors of e_r under M^T.  Such an
+        r exists: any r with (p^(k-1)(M) v)_r != 0.  Were G c = 0 for some
+        c != 0, the w in Z killed by every φ M^a (every a, as φ f(M) = 0)
+        would make a nonzero M-invariant subspace of Z ≅ Q[t]/(p^k), which
+        holds p^(k-1)(M) v; but φ does not kill that.  C is M-invariant, since
         φ f(M) = 0 puts φ M^e in the span of the rows before it, and
         dim C >= n - e.  G invertible gives Z ∩ C = 0, as w = sum c_b M^b v
         in C has G c = 0, so Q^n = Z ⊕ C.
@@ -1531,8 +1536,7 @@ def is_isomorphic(V: Representation, W: Representation) -> bool:
         return False
     tube_V, tube_W = _tube(V), _tube(W)
     pairing = _trace_pairing(_hom_basis(V, W, tube_V, tube_W), _hom_basis(W, V, tube_W, tube_V))
-    end_V, end_W = _hom_basis(V, V, tube_V, tube_V), _hom_basis(W, W, tube_W, tube_W)
-    ssr = rl.rank(_trace_pairing(end_V, end_V)) + rl.rank(_trace_pairing(end_W, end_W))
+    ssr = _ssr(_hom_basis(V, V, tube_V, tube_V)) + _ssr(_hom_basis(W, W, tube_W, tube_W))
     return ssr == 2 * rl.rank(pairing)
 
 
@@ -1549,9 +1553,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _fraction_from(x, entry: str = "entry") -> Fraction:
+def _fraction_from(x, entry: str) -> Fraction:
     """An exact entry: a JSON integer or a "p" / "p/q" string, never a decimal;
-    entry names it in the error, as in "map alpha1: entry (0, 1)"."""
+    entry names it in the error, as in "map alpha1: entry (0, 1)" or
+    "relation 0: term 1: coefficient"."""
     if _is_int(x) or (isinstance(x, str) and _EXACT_ENTRY.fullmatch(x)):
         return Fraction(x)
     raise ValueError(f"{entry} {x!r} is not an integer or a \"p/q\" string")
@@ -1609,8 +1614,9 @@ def quiver_from_dict(data: dict) -> BoundQuiver:
         tuple(data["vertices"]),
         tuple(Arrow(name, src, tgt) for name, src, tgt in data["arrows"]),
     )
-    relations = tuple(tuple((_fraction_from(c), tuple(p)) for c, p in rel)
-                      for rel in data.get("relations", []))
+    relations = tuple(tuple((_fraction_from(c, f"relation {r}: term {t}: coefficient"), tuple(p))
+                            for t, (c, p) in enumerate(rel))
+                      for r, rel in enumerate(data.get("relations", [])))
     return BoundQuiver(quiver, relations, bound, vertex_labels=labels)
 
 

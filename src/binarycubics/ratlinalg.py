@@ -21,7 +21,8 @@ an identity or a zero operand costs a scan of its integers, no arithmetic:
   identity, I B = B and A I = A, and zeros(m, n) when one is zero (or a
   dimension is 0), with no arithmetic.  A reduced Mat is an identity
   exactly when it is square, has den 1 and has the unit rows as its
-  numerators, a scan that stops at the first row that fails.
+  numerators, one list comparison against the unit rows that identity
+  shares.
   Otherwise it builds row i of the product over A.den * B.den as the
   sum of a * (row k of B's numerators) over the nonzero numerators a of
   row i of A (Gustavson's row-by-row product), so its cost follows the
@@ -48,9 +49,12 @@ an identity or a zero operand costs a scan of its integers, no arithmetic:
   set, by one echelon of the vectors read from the right;
 - rank_profiles reads the pivot columns and the rows independent of
   the rows before them off echelon's forward step alone;
-- minimal_polynomial powers the diagonal blocks of a block-diagonal
-  matrix on their own and adds one power per degree to one growing
-  echelon, through the forward step _reduce that echelon runs too;
+- minimal_polynomial forms no power of its matrix: it takes the
+  annihilators of unit vectors from their Krylov vectors, matrix-vector
+  products on the integer numerators, in one growing echelon through the
+  forward step _reduce that echelon runs too, and skips a unit vector
+  that the polynomial found so far kills (krylov gives the same vectors
+  as the rows of a Mat);
 - rank reads n off an n x n identity, with no elimination;
 - inverse hands back an identity as it is, I^-1 = I; otherwise it runs
   one echelon of [A | I] built from the nonzero entries of A, with no
@@ -66,6 +70,7 @@ raised the peak memory of a verify run by about 0.35 MB.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm
 from operator import add, index, mul
@@ -194,17 +199,22 @@ def _unit(i: int, n: int) -> list[int]:
     return [0] * i + [1] + [0] * (n - 1 - i)
 
 
+@lru_cache(maxsize=64)
+def _unit_rows(n: int) -> IntRows:
+    """The unit rows of length n, built once per n and shared (never written)."""
+    return [_unit(i, n) for i in range(n)]
+
+
 def identity(n: int) -> Mat:
-    return Mat(n, n, [_unit(i, n) for i in range(n)], 1)
+    return Mat(n, n, _unit_rows(n), 1)
 
 
 def _is_identity(A: Mat) -> bool:
-    """A is an identity matrix: square, den 1 and row i the unit row i (A
-    is reduced, so its numerators are those integers exactly).  A scan
-    that stops at the first row that fails, building nothing."""
-    n = A.rows
-    return (A.den == 1 and A.cols == n
-            and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(A.num)))
+    """A is an identity matrix: square, den 1 and the unit rows as its
+    numerators (A is reduced, so they are those integers exactly).  One
+    list comparison against the shared unit rows, which stops at the first
+    row that differs and passes a shared row by identity."""
+    return A.den == 1 and A.cols == A.rows and A.num == _unit_rows(A.rows)
 
 
 def transpose(A: Mat) -> Mat:
@@ -610,41 +620,117 @@ def complement_columns(B: Mat) -> Mat:
     return quotient_maps(B)[1]
 
 
+def _matvec(N: IntRows, v: list[int]) -> list[int]:
+    """N v for integer rows N and an integer vector v."""
+    return [sum(map(mul, row, v)) for row in N]
+
+
+def krylov(A: Mat, j: int, k: int) -> Mat:
+    """The k x n matrix whose row i is A^i e_j, i < k, for a square A: the
+    Krylov vectors of the unit vector e_j, with no power of A.  With A =
+    N / den, A^i e_j = N^i e_j / den^i, by matrix-vector products on
+    integers."""
+    n = A.rows
+    v, rows = _unit(j, n), []
+    for i in range(k):
+        if i:
+            v = _matvec(A.num, v)
+        rows.append((v, A.den ** i))
+    return stack_rows(rows, n)
+
+
+def _kills(N: IntRows, poly: list[int], j: int) -> bool:
+    """poly(N) e_j = 0, poly integer coefficients low to high: Horner,
+    deg poly matrix-vector products."""
+    v = _unit(j, len(N))
+    v[j] = poly[-1]
+    for t in reversed(poly[:-1]):
+        v = _matvec(N, v)
+        v[j] += t
+    return not any(v)
+
+
+def _annihilator(members: list[tuple[IntRows, list[list[int]]]]) -> list[int]:
+    """The least-degree integer polynomial T, coefficients low to high,
+    gcd 1, with T(N) v = 0 for each member (N, [v, N v, ...]): the
+    annihilator of the stacked vector w of the v, on which N acts member
+    by member.  One echelon grows with the degree: w_k, the members' N^k v
+    side by side, enters as the row (w_k, e_k) with the tag 1 at column
+    size + k, and _reduce takes it down by the pivot rows of the lower
+    degrees.  The row is then a sum of t_i (w_i, e_i) over i <= k, with
+    t_i at column size + i.  No pivot sits at a tag column (the loop stops
+    at the first), so if the row leads at a tag column its vector part is
+    zero: sum t_i w_i = 0.  And t_k != 0: no pivot row has a tag at size +
+    k, and each step scales the row by a nonzero integer.  w_0..w_(k-1)
+    are independent, as their rows became pivots, so T = sum t_i t^i has
+    the least degree.  Each member's vectors are extended in place as the
+    degree grows, and kept for a later call."""
+    size = sum(len(N) for N, _ in members)
+    pivots: dict[int, Row] = {}
+    for k in range(size + 1):
+        row: Row = {}
+        at = 0
+        for N, vectors in members:
+            if len(vectors) == k:
+                vectors.append(_matvec(N, vectors[-1]))
+            for i, x in enumerate(vectors[k]):
+                if x:
+                    row[at + i] = x
+            at += len(N)
+        row[size + k] = 1
+        row = _reduce(row, pivots)
+        c = min(row)
+        if c >= size:
+            return [row.get(size + i, 0) for i in range(k + 1)]
+        pivots[c] = row
+    raise ArithmeticError("an annihilator must exist by degree size")
+
+
 def minimal_polynomial(*blocks: Mat) -> list[Fraction]:
     """Monic minimal polynomial, coefficients low to high, of the block-diagonal
-    matrix with the given square diagonal blocks (a single matrix is one block).
+    matrix B with the given square diagonal blocks (a single matrix is one
+    block), from Krylov vectors: no power of B is formed.
 
-    The powers of a block-diagonal matrix are the block-diagonal matrices
-    of the blocks' powers, so only the blocks are powered.  One echelon
-    grows with the degree: B^k, its blocks flattened to a vector of length
-    size of integers over den, enters as one row with the tag den at
-    column size + k, that is den * (B^k, e_k), and _reduce takes it
-    down by the pivot rows of the lower degrees.  The row is then a sum of
-    t_j * (B^j, e_j) over j <= k, with t_j at column size + j.  No pivot
-    sits at a tag column (the loop stops at the first), so if the row
-    leads at a tag column its power part is zero: sum t_j * B^j = 0.  And
-    t_k != 0: no pivot row has a tag at size + k, and each step scales the
-    row by a nonzero integer.  B^0..B^(k-1) are independent, as their rows
-    became pivots, so dividing by t_k gives the minimal polynomial.
+    Over the lcm den of the blocks' denominators B = N / den with N
+    integer, so T(N) = 0 for an integer T = sum t_i t^i exactly when the
+    monic t_i den^i / (t_d den^d) give the minimal polynomial of B, d =
+    deg T; the work runs on N.  The unit vectors e_j are taken block by
+    block, each block's from its last coordinate down (the cyclic vector
+    of an upper Jordan block), with the annihilator L of the stacked
+    vector (e_j)_{j in S}, S the unit vectors taken so far: an e_j that L
+    kills (_kills, Horner) is skipped, and any other joins S, and L is
+    recomputed (_annihilator).  The search stops at deg L = n, the size of
+    B.
+
+    Lemma.  For vectors v_1, ..., v_s, each acted on by the block of its
+    coordinates, the annihilator of the stacked vector (v_1, ..., v_s) is
+    lcm(ann v_1, ..., ann v_s): f(N) kills the stacked vector exactly when
+    it kills each v_i.  So L = lcm(ann e_j : j in S), which divides the
+    minimal polynomial m = lcm(ann e_j : all j), as f(N) = 0 exactly when
+    f(N) e_j = 0 for every j.  L only grows, each time by a multiple, so
+    an e_j that was killed when it was skipped is killed by the last L,
+    and so is every e_j in S: the last L kills every unit vector, so m
+    divides it, and L = m.  When deg L reaches n, L is m too: m divides
+    the characteristic polynomial (Cayley-Hamilton), of degree n.  L
+    grows at most deg m times, so S holds at most deg m unit vectors.
     """
     n = sum(B.rows for B in blocks)
     if n == 0:
         return [_ONE]
-    blocks = tuple(B for B in blocks if B.rows)
-    powers = [identity(B.rows) for B in blocks]
-    size = sum(B.rows * B.rows for B in blocks)
-    pivots: dict[int, Row] = {}
-    for k in range(n + 1):
-        ints, den = flatten(powers)
-        row = {j: v for j, v in enumerate(ints) if v}
-        row[size + k] = den
-        row = _reduce(row, pivots)
-        c = min(row)
-        if c >= size:
-            return [Fraction(row.get(size + j, 0), row[size + k]) for j in range(k)] + [_ONE]
-        pivots[c] = row
-        powers = [matmul(P, B) for P, B in zip(powers, blocks)]
-    raise ArithmeticError("minimal polynomial must exist by degree n")
+    den = lcm(*[B.den for B in blocks])
+    units = [(N, j) for N in [_scaled(B, den) for B in blocks if B.rows]
+             for j in reversed(range(len(N)))]
+    members: list[tuple[IntRows, list[list[int]]]] = []
+    poly: list[int] = []
+    for N, j in units:
+        if len(poly) == n + 1:
+            break
+        if poly and _kills(N, poly, j):
+            continue
+        members.append((N, [_unit(j, len(N))]))
+        poly = _annihilator(members)
+    d = len(poly) - 1
+    return [Fraction(t, poly[d] * den ** (d - i)) for i, t in enumerate(poly)]
 
 
 def eval_poly(coeffs: list[Fraction], A: Mat) -> Mat:

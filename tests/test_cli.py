@@ -350,6 +350,21 @@ def test_a_bad_entry_names_its_arrow_and_its_position(tmp_path, capsys, entry):
                    f"map alpha2: entry (2, 1) {entry!r} is not an integer or a \"p/q\" string\n")
 
 
+@pytest.mark.parametrize("coefficient", [1.5, "x", "1.5", True, None])
+def test_a_bad_relation_coefficient_names_its_relation_and_its_term(tmp_path, capsys,
+                                                                     coefficient):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "2", "3"]],
+                   "relations": [[[1, ["a", "b"]]],
+                                 [["1/2", ["a", "b"]], [coefficient, ["a", "b"]]]]},
+        "dims": {"1": 1, "2": 1}, "maps": {"a": [["1"]]}}))
+    code, out, err = run(capsys, "rep", "decompose", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: bad representation file: relation 1: term 1: coefficient "
+                   f"{coefficient!r} is not an integer or a \"p/q\" string\n")
+
+
 def test_rep_inline_quiver_with_unknown_arrow_in_a_relation(tmp_path, capsys):
     path = tmp_path / "inline.json"
     path.write_text(json.dumps({
@@ -405,7 +420,8 @@ def test_python_m_binarycubics_runs_the_cli():
 def rep_files():
     """Representation files of dimension at most 4 at each vertex: named
     quivers (d4hat, big_component in tube and dual form, two_vertex_pair)
-    and inline ones (two_vertex_pair, a monomial and a commutative relation)."""
+    and inline ones (two_vertex_pair, a monomial and a commutative relation,
+    the latter also with integer and "p" string coefficients)."""
     d4, big, two = (cubics.build(name) for name in ("d4hat", "big_component", "two_vertex_pair"))
     line = qv.BoundQuiver(
         qv.Quiver(("1", "2", "3"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"))),
@@ -423,6 +439,8 @@ def rep_files():
     files = [qv.rep_to_dict(V) for V in reps]
     inline = copy.deepcopy(files[4])
     inline["quiver"] = qv.quiver_to_dict(two)
+    # the square's relation written as 2 ab - 2 cd, one coefficient a JSON integer
+    files[6]["quiver"]["relations"] = [[[2, ["a", "b"]], ["-2", ["c", "d"]]]]
     return files + [inline]
 
 

@@ -178,6 +178,12 @@ class TestRnFamily:
     def test_jordan_block_shape(self):
         J = cubics.jordan_block(3, 5)
         assert J == rl.mat([[5, 1, 0], [0, 5, 1], [0, 0, 5]])
+        assert cubics.jordan_block(3, Fraction(5)) == J  # the same Mat for a Fraction lam
+        lam = Fraction(-7, 3)
+        J = cubics.jordan_block(3, lam)
+        assert J == rl.mat([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
+        assert (J.num, J.den) == ([[-7, 3, 0], [0, -7, 3], [0, 0, -7]], 3)
+        assert cubics.jordan_block(1, -7) == rl.mat([[-7]])
 
     def test_dimension_vector(self):
         assert cubics.rn_family(3, 0).dim_vector() == (3, 3, 3, 3, 6)

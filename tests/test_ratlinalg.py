@@ -132,6 +132,16 @@ def test_minimal_polynomial_examples():
     low = [Fraction(-3), Fraction(1, 2), Fraction(0), Fraction(-2)]
     C = rl.mat([[-low[i] if j == 3 else int(j == i - 1) for j in range(4)] for i in range(4)])
     assert rl.minimal_polynomial(C) == low + [Fraction(1)]
+    # 3 I / 2, every unit vector after the first skipped; J_3(0) + J_1(0)
+    # conjugated: t^3; J_2(1) + J_1(2) beside J_2(1), an lcm over two unit
+    # vectors, (t - 1)^2 (t - 2)
+    assert rl.minimal_polynomial(rl.scale(rl.identity(5), Fraction(3, 2))) == [
+        Fraction(-3, 2), Fraction(1)]
+    T = rl.mat([[1, 1, 0, 0], [0, 1, 2, 0], [1, 0, 1, 1], [0, 0, 0, 1]])
+    N = rl.matmul(rl.matmul(T, rl.mat(jordan_sum([(0, 3), (0, 1)]))), rl.inverse(T))
+    assert rl.minimal_polynomial(N) == [Fraction(0)] * 3 + [Fraction(1)]
+    blocks = [rl.mat(jordan_sum([(1, 2), (2, 1)])), rl.mat(jordan_sum([(1, 2)]))]
+    assert rl.minimal_polynomial(*blocks) == [Fraction(c) for c in (-2, 5, -4, 1)]
 
 
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=4))
@@ -391,6 +401,154 @@ def test_minimal_polynomial_of_blocks(blocks, repeat_first):
 def test_minimal_polynomial_of_empty_blocks():
     assert rl.minimal_polynomial(rl.mat([]), rl.mat([])) == [Fraction(1)]
     assert rl.minimal_polynomial(rl.mat([]), rl.mat([[Fraction(3)]]), rl.mat([])) == [Fraction(-3), Fraction(1)]
+
+
+eigenvalues = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-5, 3)]))
+
+
+def conjugator(draw, n):
+    """An invertible n x n integer matrix: a unit lower times a unit upper
+    triangular one, off-diagonal entries in -2..2."""
+    L = [[1 if j == i else draw(st.integers(-2, 2)) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if j == i else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    return rl.matmul(rl.mat(L), rl.mat(U))
+
+
+def jordan_sum(pieces):
+    """The block-diagonal matrix of the upper Jordan blocks J_d(lam), as rows."""
+    n = sum(d for _, d in pieces)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for lam, d in pieces:
+        for i in range(d):
+            out[at + i][at + i] = Fraction(lam)
+            if i + 1 < d:
+                out[at + i][at + i + 1] = Fraction(1)
+        at += d
+    return out
+
+
+@st.composite
+def planted_operators(draw):
+    """(kind, blocks): square blocks whose sum has a known shape, up to 8 x 8:
+    a sum of Jordan blocks whose eigenvalues repeat, a scalar matrix, a
+    nilpotent one (Jordan blocks at 0), or a list of Jordan sums that share
+    eigenvalues, with integer and rational eigenvalues; each block plain or
+    conjugated (all of them alike).  A conjugated block's unit vectors are
+    generic, a plain one's reach the lcm."""
+    kind = draw(st.sampled_from(("jordan", "scalar", "nilpotent", "blocks")))
+    if kind == "scalar":
+        n = draw(st.integers(1, 8))
+        return kind, [rl.scale(rl.identity(n), draw(eigenvalues))]
+    shared = draw(st.lists(eigenvalues, min_size=1, max_size=2, unique=True))
+    lam = st.just(0) if kind == "nilpotent" else st.sampled_from(shared)
+    pieces = draw(st.lists(st.tuples(lam, st.integers(1, 3)), min_size=1, max_size=5))
+    while sum(d for _, d in pieces) > 8:
+        pieces.pop()
+    plain = draw(st.booleans())  # unconjugated, where unit vectors are not generic
+    groups = [pieces]
+    if kind == "blocks":  # cut in two, the first part repeated when there is room
+        k = draw(st.integers(1, len(pieces)))
+        groups = [g for g in (pieces[:k], pieces[k:]) if g]
+        if 2 * sum(d for _, d in groups[0]) + sum(d for _, d in pieces[k:]) <= 8:
+            groups.append(groups[0])
+    blocks = []
+    for group in groups:
+        n = sum(d for _, d in group)
+        T = rl.identity(n) if plain else conjugator(draw, n)
+        blocks.append(rl.matmul(rl.matmul(T, rl.mat(jordan_sum(group))), rl.inverse(T)))
+    return kind, blocks
+
+
+def minimality_certificate(coeffs, A):
+    """coeffs vanishes at A, and coeffs / q does not, for each irreducible q
+    dividing it, q the base of a prime-power factor polyfactor.factor gives."""
+    from binarycubics import polyfactor
+
+    assert rl.is_zero(rl.eval_poly(coeffs, A))
+    t = sympy.Symbol("t")
+    f = sympy.Poly(list(reversed(coeffs)), t, domain="QQ")
+    for power in polyfactor.factor(coeffs):
+        q = sympy.Poly(list(reversed(power)), t, domain="QQ").sqf_part()
+        assert q.is_irreducible
+        g, r = f.div(q)
+        assert r.is_zero
+        low = [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+        assert not rl.is_zero(rl.eval_poly(low, A))
+
+
+def test_minimal_polynomial_of_planted_operators_reaches_the_skip_and_the_lcm():
+    # the oracle is the power method on the full matrix and the minimality
+    # certificate; the run must skip unit vectors the polynomial found
+    # already kills and must raise it to an lcm over several unit vectors
+    reached = {"skip": 0, "lcm": 0, "deg < n": 0, "size 8": 0}
+    kills, annihilator = rl._kills, rl._annihilator
+    seen = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(planted_operators())
+    def check(case):
+        kind, blocks = case
+        full = ref_block_diag([[list(row) for row in B] for B in blocks])
+        expected = ref_minimal_polynomial(full)
+        seen.clear()
+        got = rl.minimal_polynomial(*blocks)
+        reached["skip"] += "kill" in seen
+        reached["lcm"] += seen.count("annihilator") > 1
+        assert got == expected
+        assert rl.minimal_polynomial(rl.mat(full)) == expected
+        minimality_certificate(got, rl.mat(full))
+        reached["deg < n"] += len(got) - 1 < len(full)
+        reached["size 8"] += len(full) == 8
+
+    rl._kills = lambda *a: seen.append("kill") or kills(*a)
+    rl._annihilator = lambda members: seen.append("annihilator") or annihilator(members)
+    try:
+        check()
+    finally:
+        rl._kills, rl._annihilator = kills, annihilator
+    assert min(reached.values()) >= 5, reached
+
+
+def test_minimal_polynomial_forms_no_matrix_product(monkeypatch):
+    def refused(A, B):
+        raise AssertionError("minimal_polynomial multiplies no matrices")
+
+    monkeypatch.setattr(rl, "matmul", refused)
+    # the companion matrix of t^4 - 2 t^3 + t / 2 - 3 beside 5: that times t - 5
+    C = rl.mat([[0, 0, 0, 3], [1, 0, 0, Fraction(-1, 2)], [0, 1, 0, 0], [0, 0, 1, 2]])
+    assert rl.minimal_polynomial(C, rl.mat([[5]])) == [
+        Fraction(c) for c in (15, Fraction(-11, 2), Fraction(1, 2), 10, -7, 1)]
+
+
+@given(square_matrices(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_krylov_rows_are_the_columns_of_the_powers(rows, k):
+    A = rl.mat(rows)
+    n = A.rows
+    for j in range(n):
+        K = rl.krylov(A, j, k)
+        assert (K.rows, K.cols) == (k, n)
+        power = rl.identity(n)
+        for i in range(k):
+            assert K[i] == tuple(row[j] for row in power)
+            power = rl.matmul(A, power)
+        assert_reduced(K)
+
+
+def test_is_identity_is_one_comparison_of_the_unit_rows():
+    assert rl._is_identity(rl.identity(0)) and rl._is_identity(rl.mat([]))
+    assert rl._is_identity(rl.mat([[1, 0], [0, 1]]))  # rows of its own, not shared
+    assert rl._is_identity(rl.over([[2, 0], [0, 2]], 2, 2, 2))  # 2 I / 2, reduced to I
+    assert not rl._is_identity(rl.mat([[1, 0, 0], [0, 1, 0]]))  # unit rows, not square
+    assert not rl._is_identity(rl.mat([[1, 0], [0, 1], [0, 0]]))
+    assert not rl._is_identity(rl.zeros(0, 2)) and not rl._is_identity(rl.zeros(2, 0))
+    assert not rl._is_identity(rl.mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # a permutation
+    assert not rl._is_identity(rl.scale(rl.identity(3), Fraction(1, 2)))  # den 2
+    assert not rl._is_identity(rl.mat([[Fraction(1, 2), 0], [0, 1]]))
+    assert rl.identity(4).num is rl.identity(4).num  # the unit rows are shared
 
 
 # -- the reduced integer form -------------------------------------------------

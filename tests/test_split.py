@@ -502,11 +502,11 @@ def test_the_bound_of_a_part_is_the_rank_less_the_other_parts(monkeypatch):
 
 
 def test_each_benchmark_sum_takes_no_hom_basis_and_no_split(monkeypatch):
-    # each sum of the decompose workload (seed 0, passes 0-2) goes to the
-    # tube route: a d4hat sum is in tube form, so its tube operator splits it
-    # and certifies both parts; a big-component sum is cut along its
-    # separated quiver into a part in tube form and one in dual form, each
-    # certified by its tube operator; neither takes a hom basis or a _split
+    # each sum of the decompose workload (seed 0, passes 0-2) is in block
+    # form, so its coefficient quiver cuts it into its two summands before
+    # any linear algebra; each part is in tube form (a d4hat sum, or the α
+    # image of a big-component sum) or in dual form (the β image) and is
+    # certified by its tube operator; none takes a hom basis or a _split
     worker = load_worker()
     homs, splits = spy_on(monkeypatch, "hom_basis"), spy_on(monkeypatch, "_split")
     ops = [op for k in range(3) for op in worker.decompose_inputs(0, k) if op[0] != "end"]
