@@ -169,13 +169,31 @@ def _squarefree_mod(f: list[int], p: int) -> bool:
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     """[(g_i, i)] with f = ∏ g_i^i, each g_i primitive, squarefree and nonconstant,
-    for a primitive f (Yun's algorithm, on integers)."""
+    for a primitive f (Yun, "On square-free decomposition algorithms",
+    SYMSAC 1976, on integers).
+
+    Write f = ∏_j g_j^j, each g_j primitive with lc > 0 (g_j = 1 for the
+    multiplicities f lacks).  Round i starts from b = ∏_(j>=i) g_j and
+    c = Σ_(j>=i) (j - i + 1) g_j' ∏_(k>=i, k!=j) g_k, exactly on integers,
+    as the gcds are primitive with lc > 0.  So d = c - b' is the same sum
+    with j - i in place of j - i + 1: the term of g_i vanishes, every
+    other term has the factor g_i, and a g_j with j > i divides every
+    term but its own (g_j is squarefree and prime to the other g_k).
+    Hence gcd(b, d) = g_i, and b / g_i, d / g_i start round i + 1.  When
+    b is linear it is the one nonconstant g_j with j >= i, and c is the
+    constant (j - i + 1) b': the rounds left would take b off at round j,
+    so the loop appends (b, i - 1 + c / b') and stops.  A power
+    (t - λ)^n of one linear factor costs one gcd.
+    """
     out = []
     df = _deriv(f)
     a = _gcd(f, df)
     b, c = _divmod(f, a)[0], _divmod(df, a)[0]
     i = 1
     while len(b) > 1:
+        if len(b) == 2:
+            out.append((b, i - 1 + c[0] // b[1]))
+            break
         d = _sub(c, _deriv(b))
         a = _gcd(b, d)
         if len(a) > 1:

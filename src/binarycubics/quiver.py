@@ -83,6 +83,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain, compress
 from math import lcm
 
 from . import ratlinalg as rl
@@ -532,7 +533,9 @@ class RepMorphism(Value):
 
 def _equations(rows: list[rl.Row], va: rl.Mat, wa: rl.Mat, at_x: int, at_y: int) -> None:
     """Append to rows the equations of f_y va = wa f_x (see hom_basis), the
-    entries of f_x and f_y numbered row-major from at_x and at_y."""
+    entries of f_x and f_y numbered row-major from at_x and at_y.  A
+    coefficient that cancels to 0 is dropped, and an equation left with
+    none, 0 = 0, is not appended."""
     dvx, dvy = va.cols, va.rows
     den = lcm(va.den, wa.den)
     va_scale, wa_scale = den // va.den, den // wa.den
@@ -549,8 +552,12 @@ def _equations(rows: list[rl.Row], va: rl.Mat, wa: rl.Mat, at_x: int, at_y: int)
         for j, va_col in enumerate(va_cols) if wa_row else va_nonzero:
             row: rl.Row = {at + k: v for k, v in va_col}
             for k, v in wa_row:
-                row[k + j] = row.get(k + j, 0) + v
-            rows.append(row)
+                if (x := row.get(k + j, 0) + v):
+                    row[k + j] = x
+                else:  # the two sides cancel on this unknown
+                    del row[k + j]
+            if row:
+                rows.append(row)
 
 
 def _lifts(src: "TubeForm", tgt: "TubeForm") -> list[dict[str, rl.Mat]]:
@@ -608,8 +615,14 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
       lemma): the basis the system route returns, vector for vector.
     - Check.  Each element f is checked against f_y V(a) = W(a) f_x along
       the four arrows, the arrows nonzero on V or W; along any other both
-      sides are 0, so that is the check of every equation.  A mismatch
-      raises ArithmeticError, as kernel_basis's check does.
+      sides are 0, so that is the check of every equation.  It takes one
+      product per side of an arrow for the whole basis: the blocks f_y
+      stacked one above the other times V(a), and W(a) times the blocks
+      f_x side by side, each stack over the lcm of its denominators.  Block
+      l of a product is f^l_y V(a) or W(a) f^l_x, so comparing them block
+      by block checks the same equations for every element.  A mismatch
+      raises ArithmeticError naming the arrow, as kernel_basis's check
+      raises one.
     - Dual form.  When V and W are both in dual form on the same arrows,
       f -> D(f), the transposed blocks, maps Hom(V, W) onto
       Hom(D(W), D(V)), whose modules are in tube form: the route lifts a
@@ -654,13 +667,17 @@ def _hom_basis(V: Representation, W: Representation, src: TubeForm | None,
             at = offs[v]
             blocks[v] = rl.over([ints[at + i * n: at + (i + 1) * n] for i in range(m)], den, m, n)
         basis.append(RepMorphism._intertwining(V, W, blocks))
-    if sylvester:
+    if sylvester and basis:
         for name in src.arrows:
             a = V.bq.quiver._by_name[name]
-            va, wa = V.maps[name], W.maps[name]
-            for f in basis:
-                if rl.matmul(f.blocks[a.target], va) != rl.matmul(wa, f.blocks[a.source]):
-                    raise ArithmeticError(f"a lifted morphism fails the equations of arrow {name}")
+            m = W.dims[a.target]
+            left = rl.matmul(rl.vstack(*[f.blocks[a.target] for f in basis]), V.maps[name])
+            right = rl.matmul(W.maps[name], rl.hstack(*[f.blocks[a.source] for f in basis]))
+            # left holds the blocks f_y V(a) one above the other, right the
+            # blocks W(a) f_x side by side: row i of right is row i of each
+            if left.den != right.den or right.num != [
+                    list(chain.from_iterable(left.num[i::m])) for i in range(m)]:
+                raise ArithmeticError(f"a lifted morphism fails the equations of arrow {name}")
     return basis
 
 
@@ -821,7 +838,7 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
             sizes[v] = [d] + [0] * (count - 1)
             continue
         sizes[v] = [B.rows for B in bases[v]]
-        T[v] = rl.transpose(reduce(rl.vstack, bases[v]))
+        T[v] = rl.transpose(rl.vstack(*bases[v]))
         square = T[v].cols == T[v].rows == d
         if v in targets:
             T_inv[v] = rl.inverse(T[v]) if square else None
@@ -880,7 +897,7 @@ def _functionals(V: Representation, x: str, y: str, p: str | None) -> rl.Mat:
     into = [A for A in into if not rl.is_zero(A)]
     if not into:
         return rl.identity(V.dims[y])
-    return rl.nullspace(rl.transpose(reduce(rl.hstack, into)))
+    return rl.nullspace(rl.transpose(rl.hstack(*into)))
 
 
 def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
@@ -918,7 +935,7 @@ def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
     if not cuts:
         return V, []
     # at each vertex a path touches, ker f first, then the part of each path
-    bases = {v: [rl.nullspace(reduce(rl.vstack, [c[v][0] for c in cuts if v in c]))]
+    bases = {v: [rl.nullspace(rl.vstack(*[c[v][0] for c in cuts if v in c]))]
              + [c[v][1] if v in c else rl.zeros(0, d) for c in cuts]
              for v, d in V.dims.items() if any(v in c for c in cuts)}
     return _cut(V, bases)[0], peeled
@@ -1084,8 +1101,8 @@ def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None
             continue
         # the images of the arrows into v, as rows: their independent rows span
         # rad_v, and the unit rows off their leading columns span a top_v
-        images = rl.transpose(reduce(rl.hstack, [V.maps[a.name] for a in arrows if a.target == v],
-                                     rl.zeros(d, 0)))
+        images = rl.transpose(rl.hstack(rl.zeros(d, 0),
+                                        *[V.maps[a.name] for a in arrows if a.target == v]))
         kept, lead = rl.rank_profiles(images)
         free = sorted(set(range(d)).difference(lead))
         sides = (_rows(rl.identity(d), free), _rows(images, kept))
@@ -1124,10 +1141,11 @@ def _coordinate_parts(V: Representation) -> list[Representation] | None:
 
     for a in V.bq.quiver.arrows:
         at_x, at_y = offs[a.source], offs[a.target]
+        cols = range(at_x, at_x + V.dims[a.source])
         for i, row in enumerate(V.maps[a.name].num):
             u = find(at_y + i)
-            for j, x in enumerate(row):
-                if x and (w := find(at_x + j)) != u:
+            for j in compress(cols, row):
+                if (w := find(j)) != u:
                     root[w] = u
                     count -= 1
                     if count == 1:

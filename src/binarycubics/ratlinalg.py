@@ -25,9 +25,14 @@ an identity or a zero operand costs a scan of its integers, no arithmetic:
   shares.
   Otherwise it builds row i of the product over A.den * B.den as the
   sum of a * (row k of B's numerators) over the nonzero numerators a of
-  row i of A (Gustavson's row-by-row product), so its cost follows the
-  nonzero entries of A, and reduces by one gcd, building no Fraction;
-  mat_add, scale and the stacks work over the lcm of the denominators;
+  row i of A (Gustavson's row-by-row product, ACM TOMS 4, 1978), so its
+  cost follows the nonzero entries of A, and reduces by one gcd,
+  building no Fraction.  An all-zero row of A is passed by one any and
+  gives the shared zero row, the nonzero columns of a row are walked
+  through compress, and a coefficient 1 adds row k of B as it is, with
+  no multiplication (a first such term is row k itself, shared);
+  mat_add, scale and the stacks work over the lcm of the denominators,
+  and hstack and vstack take any number of blocks;
 - echelon is the one elimination routine.  It takes sparse rows, each a
   dict from column to integer, and runs a fraction-free reduced echelon
   with pivots on the leading column, per-row gcd normalization and back
@@ -60,6 +65,11 @@ an identity or a zero operand costs a scan of its integers, no arithmetic:
   one echelon of [A | I] built from the nonzero entries of A, with no
   dense identity block, and reads the inverse off the unit columns;
 - quotient_maps reads both of its maps off one reduced echelon.
+
+matmul, the sparse rows of rref, rank, nullspace and solve, kernel_form,
+rank_profiles and inverse find the nonzero entries of an integer row by
+compress(columns, row), which passes the zeros in C, not by a
+Python-level test per entry.
 
 Star arguments are unpacked from lists, never from generators: CPython
 builds the argument tuple of a generator in ten slots and shrinks it,
@@ -260,13 +270,19 @@ def matmul(A: Mat, B: Mat) -> Mat:
         return A
     if is_zero(A) or is_zero(B):  # also when a dimension is 0
         return zeros(A.rows, B.cols)
-    zero = [0] * B.cols
+    zero, ks, brows = [0] * B.cols, range(A.cols), B.num
     num = []
     for row in A.num:
-        out = zero  # the sum of a * B.num[k] over the nonzero a = row[k]
-        for a, b in compress(zip(row, B.num), row):
-            if out is zero:
+        if not any(row):
+            num.append(zero)
+            continue
+        out = None  # the sum of a * B.num[k] over the nonzero a = row[k]
+        for k in compress(ks, row):
+            a, b = row[k], brows[k]
+            if out is None:
                 out = b if a == 1 else list(map(a.__mul__, b))
+            elif a == 1:
+                out = list(map(add, out, b))
             else:
                 out = list(map(add, out, map(a.__mul__, b)))
         num.append(out)
@@ -290,19 +306,28 @@ def scale(A: Mat, c) -> Mat:
                 A.rows, A.cols)
 
 
-def hstack(A: Mat, B: Mat) -> Mat:
-    if A.rows != B.rows:
-        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} beside {B.rows}x{B.cols}")
-    den = lcm(A.den, B.den)
-    num = [ra + rb for ra, rb in zip(_scaled(A, den), _scaled(B, den))]
-    return Mat(A.rows, A.cols + B.cols, num, den)
+def hstack(*blocks: Mat) -> Mat:
+    """The blocks side by side, over the lcm of their denominators."""
+    A = blocks[0]
+    den = lcm(*[B.den for B in blocks])
+    num, cols = _scaled(A, den), A.cols
+    for B in blocks[1:]:
+        if B.rows != A.rows:
+            raise ValueError(f"shape mismatch: {A.rows}x{A.cols} beside {B.rows}x{B.cols}")
+        num = list(map(add, num, _scaled(B, den)))
+        cols += B.cols
+    return Mat(A.rows, cols, num, den)
 
 
-def vstack(A: Mat, B: Mat) -> Mat:
-    if A.cols != B.cols:
-        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} above {B.rows}x{B.cols}")
-    den = lcm(A.den, B.den)
-    return Mat(A.rows + B.rows, A.cols, _scaled(A, den) + _scaled(B, den), den)
+def vstack(*blocks: Mat) -> Mat:
+    """The blocks one above the other, over the lcm of their denominators."""
+    A, num = blocks[0], []
+    den = lcm(*[B.den for B in blocks])
+    for B in blocks:
+        if B.cols != A.cols:
+            raise ValueError(f"shape mismatch: {A.rows}x{A.cols} above {B.rows}x{B.cols}")
+        num += _scaled(B, den)
+    return Mat(len(num), A.cols, num, den)
 
 
 def block_diag(A: Mat, B: Mat) -> Mat:
@@ -351,7 +376,8 @@ def _normalized(row: Row) -> Row:
 
 def _sparse_rows(A: Mat) -> list[Row]:
     """The nonzero numerator rows of A, as sparse rows."""
-    return [{j: x for j, x in enumerate(row) if x} for row in A.num if any(row)]
+    cols = range(A.cols)
+    return [{j: row[j] for j in compress(cols, row)} for row in A.num if any(row)]
 
 
 def _reduce(row: Row, pivots: dict[int, Row]) -> Row:
@@ -506,7 +532,8 @@ def kernel_form(vectors: list[IntVector], ncols: int) -> list[IntVector]:
     are kernel_basis's vectors, integer for integer.  The denominators
     of vectors play no part: ints spans what ints / den spans.
     """
-    rows = [{ncols - 1 - j: x for j, x in enumerate(ints) if x} for ints, _ in vectors]
+    cols = range(ncols)
+    rows = [{ncols - 1 - j: ints[j] for j in compress(cols, ints)} for ints, _ in vectors]
     return [(ints[::-1], den) for ints, den in reversed(
         [_echelon_row(row, c, ncols) for c, row in echelon(rows)])]
 
@@ -528,7 +555,8 @@ def rank_profiles(A: Mat) -> tuple[list[int], list[int]]:
     the row space of A, so their leading columns are the pivot columns
     of A.
     """
-    pivots, rows = _forward([{j: x for j, x in enumerate(row) if x} for row in A.num])
+    cols = range(A.cols)
+    pivots, rows = _forward([{j: row[j] for j in compress(cols, row)} for row in A.num])
     return rows, sorted(pivots)
 
 
@@ -572,7 +600,8 @@ def inverse(A: Mat) -> Mat | None:
         raise ValueError(f"inverse of a non-square {n}x{A.cols} matrix")
     if _is_identity(A):
         return A
-    ech = echelon([{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+    cols = range(n)
+    ech = echelon([{**{j: row[j] for j in compress(cols, row)}, n + i: 1}
                    for i, row in enumerate(A.num)])
     if any(c >= n for c, _ in ech):
         return None

@@ -1,5 +1,5 @@
 """Command-line surface tests: parsing, output formats, exit codes,
-representation files, and a derandomized hypothesis net of mutated
+representation files, and a seeded hypothesis net of mutated
 representation files."""
 
 import contextlib
@@ -16,7 +16,7 @@ from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from binarycubics import cli, cubics, quiver as qv
@@ -421,7 +421,7 @@ def rep_files():
     """Representation files of dimension at most 4 at each vertex: named
     quivers (d4hat, big_component in tube and dual form, two_vertex_pair)
     and inline ones (two_vertex_pair, a monomial and a commutative relation,
-    the latter also with integer and "p" string coefficients)."""
+    the latter also with integer and "p" string coefficients in a copy)."""
     d4, big, two = (cubics.build(name) for name in ("d4hat", "big_component", "two_vertex_pair"))
     line = qv.BoundQuiver(
         qv.Quiver(("1", "2", "3"), (qv.Arrow("a", "1", "2"), qv.Arrow("b", "2", "3"))),
@@ -440,8 +440,9 @@ def rep_files():
     inline = copy.deepcopy(files[4])
     inline["quiver"] = qv.quiver_to_dict(two)
     # the square's relation written as 2 ab - 2 cd, one coefficient a JSON integer
-    files[6]["quiver"]["relations"] = [[[2, ["a", "b"]], ["-2", ["c", "d"]]]]
-    return files + [inline]
+    scaled = copy.deepcopy(files[6])
+    scaled["quiver"]["relations"] = [[[2, ["a", "b"]], ["-2", ["c", "d"]]]]
+    return files + [inline, scaled]
 
 
 #: what a mutation writes: exact entries, small integers among them (so no
@@ -486,6 +487,9 @@ def mutated_files(draw, files):
     return data
 
 
+FUZZ_SEED = 0
+
+
 def test_a_mutated_rep_file_exits_0_or_2_with_one_error_line(tmp_path):
     # every mutated file decomposes (exit 0) or is refused as a usage error
     # (exit 2) with one "error:" line on stderr and nothing on stdout; an
@@ -493,7 +497,10 @@ def test_a_mutated_rep_file_exits_0_or_2_with_one_error_line(tmp_path):
     files = rep_files()
     path, codes = tmp_path / "rep.json", []
 
-    @settings(max_examples=500, derandomize=True, database=None, deadline=None,
+    # a fixed seed, not derandomize, which draws the stream from the source
+    # of check: an edit to check would redraw which files reach each exit
+    @seed(FUZZ_SEED)
+    @settings(max_examples=500, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(mutated_files(files), st.sampled_from(["text", "json", "tsv"]))
     def check(data, fmt):

@@ -133,13 +133,46 @@ def test_equal_powers_of_two_linear_factors_take_no_modular_step(monkeypatch, n,
     assert seen == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+def count_gcds(monkeypatch):
+    calls = []
+    gcd = pf._gcd
+    monkeypatch.setattr(pf, "_gcd", lambda f, g, m=0: calls.append(m) or gcd(f, g, m))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("lam", [3, F(-7, 4)])
 def test_a_power_of_a_linear_factor_takes_no_modular_step(monkeypatch, n, lam):
-    seen = spy_on_the_modular_step(monkeypatch)
+    # and one gcd: the square-free rest t - lam is linear at once, so Yun
+    # takes it off with its multiplicity and stops
+    seen, gcds = spy_on_the_modular_step(monkeypatch), count_gcds(monkeypatch)
     coeffs = monic(product(*[[-lam, 1]] * n))
     assert pf.factor(coeffs) == sympy_factors(coeffs) == [monic(product(*[[-lam, 1]] * n))]
-    assert seen == []
+    assert seen == [] and gcds == [0]
+
+
+def sympy_yun(f):
+    """[(g_i, i)] of sympy's square-free decomposition of the integer f:
+    primitive parts with a positive lc, low-to-high coefficients."""
+    _, parts = Poly(list(reversed(f)), T, domain="ZZ").sqf_list()
+    return [([int(c) for c in reversed(g.primitive()[1].all_coeffs())], m) for g, m in parts]
+
+
+@pytest.mark.parametrize("parts", [
+    [([0, 1], 1), ([-2, 1], 3)],  # t (t - 2)^3
+    [([0, 1], 3), ([5, 1], 2)],  # t^3 (t + 5)^2
+    [([0, 1], 2), ([-3, 1], 8)],  # t^2 (t - 3)^8
+    [([1, 0, 1], 1), ([-2, 1], 3)],  # the rest turns linear after g_1 = t^2 + 1
+    [([-1, 1], 2), ([3, 1], 5)],  # after g_1 = 1 and g_2 = t - 1
+    [([1, 2], 1), ([-2, 3], 4)],  # (2t + 1)(3t - 2)^4: rational roots
+    [([1, 1, 1], 2), ([-1, 1], 3), ([4, 1], 6)],  # two rounds, then a linear rest
+], ids=["t(t-2)^3", "t^3(t+5)^2", "t^2(t-3)^8", "(t2+1)(t-2)^3", "(t-1)^2(t+3)^5",
+        "(2t+1)(3t-2)^4", "(t2+t+1)^2(t-1)^3(t+4)^6"])
+def test_yun_stopped_at_a_linear_rest_matches_sympy(parts):
+    f = product(*(g for g, m in parts for _ in range(m)))
+    k = next(i for i, c in enumerate(f) if c)
+    assert pf._yun(pf._primitive(f[k:])) == sympy_yun(pf._primitive(f[k:]))
+    assert pf.factor(monic(f)) == sympy_factors(monic(f))
 
 
 @given(st.fractions(-50, 50, max_denominator=12), st.fractions(-50, 50, max_denominator=12),

@@ -257,8 +257,24 @@ def matrices_of(m, n, cells=entries):
     return st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m)
 
 
+def shortcut_rows(n):
+    """Rows of n entries that take matmul's shortcuts: all zero, a unit
+    vector, or entries 0, 1 and -1."""
+    return st.one_of(st.just([0] * n), st.lists(st.sampled_from([0, 1, -1]), min_size=n, max_size=n),
+                     *([st.integers(0, n - 1).map(lambda k: [int(j == k) for j in range(n)])]
+                       if n else []))
+
+
+def mixed_matrices_of(m, n):
+    """m x n matrices whose rows are dense or shortcut_rows."""
+    return st.lists(st.one_of(st.lists(entries, min_size=n, max_size=n), shortcut_rows(n)),
+                    min_size=m, max_size=m)
+
+
 @given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5)).flatmap(
-    lambda s: st.tuples(matrices_of(s[0], s[1]), matrices_of(s[1], s[2]))))
+    lambda s: st.tuples(mixed_matrices_of(s[0], s[1]), mixed_matrices_of(s[1], s[2]))))
+@example(([[0, 0], [1, 0], [1, -1]], [[Fraction(1, 2), 3], [-1, 1]]))  # a zero, a unit and a ±1 row
+@example(([[1, 1, 1]], [[1, 0], [0, 1], [1, 1]]))  # the rows of B added unchanged
 @settings(max_examples=80, deadline=None)
 def test_matmul_matches_fraction_reference(pair):
     A, B = pair
@@ -277,7 +293,8 @@ nonzero_entries = st.one_of(st.just(1), st.just(-1), st.integers(-10**9, 10**9).
 def sparse_products(draw):
     """(A, B, zero_row): mostly-zero A (m x k) and B (k x n) with a whole
     zero row zero_row of A, a zero column of A (so a row of B that no
-    entry of A multiplies) and a zero column of B; denominators up to 10**12."""
+    entry of A multiplies), a zero column of B, and up to two rows of A
+    from shortcut_rows; denominators up to 10**12."""
     m, k, n = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
 
     def sparse(rows, cols):
@@ -289,6 +306,11 @@ def sparse_products(draw):
         return M
 
     A, B = sparse(m, k), sparse(k, n)
+    # a shortcut row and a row of 0, 1 and -1 in A (rows of B added
+    # unchanged), before the zero row and columns are cut
+    A[draw(st.integers(0, m - 1))] = draw(shortcut_rows(k))
+    A[draw(st.integers(0, m - 1))] = draw(st.lists(st.sampled_from([0, 1, -1]),
+                                                    min_size=k, max_size=k))
     zero_row = draw(st.integers(0, m - 1))
     A[zero_row] = [0] * k
     zero_col = draw(st.integers(0, k - 1))
@@ -301,6 +323,9 @@ def sparse_products(draw):
 
 
 @given(sparse_products())
+# the rows of B that a coefficient 1 adds come first, where C may share them
+@example(([[1, 0, 1, 0], [0, 0, 0, 0]], [[1, 0], [2, 0], [Fraction(1, 3), 0], [4, 0]], 1))
+@example(([[0, 0, 0], [1, -1, 0], [0, 1, 0]], [[5, 0, 1], [0, 0, 1], [7, 0, 0]], 0))
 @settings(max_examples=150, deadline=None)
 def test_matmul_of_mostly_zero_operands_matches_fraction_reference(case):
     A, B, zero_row = case

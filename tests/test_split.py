@@ -1270,6 +1270,65 @@ def test_a_lifted_morphism_that_fails_an_arrow_raises(monkeypatch):
         qv.hom_basis(V, V)
 
 
+def test_one_bad_lift_of_several_fails_the_stacked_check(monkeypatch):
+    # only the last of the three lifts of End(R_3(2)), conjugated, is off
+    # Hom: I added at x_2 breaks alpha2 on every combination that draws on
+    # it, and the one product per arrow side for the whole basis finds it
+    V = qv.conjugate(cubics.rn_family(3, 2), seed=1)
+    lifts = qv._lifts
+
+    def wrong(src, tgt):
+        *good, last = lifts(src, tgt)
+        assert len(good) >= 2
+        return [*good, {**last, "2": rl.mat_add(last["2"], rl.identity(3))}]
+
+    monkeypatch.setattr(qv, "_lifts", wrong)
+    with pytest.raises(ArithmeticError, match="fails the equations of arrow alpha2"):
+        qv.hom_basis(V, V)
+
+
+def test_a_bad_last_basis_element_fails_the_stacked_check(monkeypatch):
+    # the restored basis with 1 added to entry (0, 0) of the last element's
+    # block at x_2: the other elements intertwine, so the check must read
+    # every block of the stacked products, not only the first
+    V = qv.conjugate(cubics.rn_family(3, 2), seed=1)
+    verts = V.bq.quiver.vertices
+    at = sum(V.dims[v] ** 2 for v in verts[:verts.index("2")])
+    kernel_form = rl.kernel_form
+
+    def wrong(vectors, ncols):
+        *good, (ints, den) = kernel_form(vectors, ncols)
+        assert len(good) >= 2
+        return [*good, ([x + den * (u == at) for u, x in enumerate(ints)], den)]
+
+    monkeypatch.setattr(rl, "kernel_form", wrong)
+    with pytest.raises(ArithmeticError, match="fails the equations of arrow alpha2"):
+        qv.hom_basis(V, V)
+
+
+@pytest.mark.parametrize("n, lam", [(1, 4), (2, 3), (3, Fraction(-5, 2)), (8, 7)])
+def test_the_sylvester_rows_hold_no_zero_coefficient_and_no_empty_equation(n, lam):
+    # P M - M P on M = J_n(lam): the coefficient lam - lam of P[i][j] in
+    # equation (i, j) cancels, and the equation (n - 1, 0) is 0 = 0
+    M = qv._tube(cubics.rn_family(n, lam)).M
+    rows = []
+    qv._equations(rows, M, M, 0, 0)
+    # every equation, each with all n^2 coefficients, zeros kept
+    full = []
+    for i in range(n):
+        for j in range(n):
+            row = dict.fromkeys(range(n * n), 0)
+            for k in range(n):
+                row[i * n + k] += M.num[k][j]
+                row[k * n + j] -= M.num[i][k]
+            full.append(row)
+    assert any(not any(row.values()) for row in full)
+    assert all(rows) and all(all(row.values()) for row in rows)  # n = 1: no equation left
+    assert rows == [{u: x for u, x in row.items() if x} for row in full if any(row.values())]
+    assert rl.kernel_basis(rows, n * n) == rl.kernel_basis(full, n * n)
+    assert len(rl.kernel_basis(rows, n * n)) == n  # the polynomials in M
+
+
 def normal_form(tube, M):
     """N(M) on the quiver of tube.X, by the checked constructor: Q^n at each
     x_i, Q^2n at c and 0 elsewhere, [I; 0], [0; I], [I; I] and [I; M] on
