@@ -19,27 +19,34 @@ from .characters import Character
 from .ratlinalg import integer
 from .values import Frozen
 
-SIMPLES = ("S", "G-1", "G1", "G2", "G3", "G4", "Q0", "Q1", "Q2", "P", "D0", "D1", "D2", "E")
+#: Support of each simple, as the orbit whose closure carries it.
+SUPPORT = {
+    "S": "O4", "G-1": "O4", "G1": "O4", "G2": "O4", "G3": "O4", "G4": "O4",
+    "Q0": "O4", "Q1": "O4", "Q2": "O4",
+    "P": "O3",
+    "D0": "O2", "D1": "O2", "D2": "O2",
+    "E": "O0",
+}
+
+SIMPLES = tuple(SUPPORT)
 
 #: Names of non-simple characters that are still individually addressable.
 DERIVED = ("Sdelta", "Q0delta", "F1", "F-1", "SdeltaModS")
 
-_FOURIER_PAIRS = (("S", "E"), ("G-1", "D1"), ("G1", "D2"), ("G2", "G4"), ("Q1", "Q2"), ("D0", "Q0"))
-_FOURIER_FIXED = ("P", "G3")
-_DUALITY_PAIRS = (("D1", "D2"), ("Q1", "Q2"), ("G2", "G4"), ("G1", "G-1"))
-_DUALITY_FIXED = ("S", "Q0", "P", "D0", "E", "G3")
 
-
-def _pairing(pairs, fixed) -> dict[str, str]:
-    out = {x: x for x in fixed}
+def _pairing(pairs) -> dict[str, str]:
+    """The involution of SIMPLES that swaps each pair and fixes every
+    simple no pair names."""
+    out = {x: x for x in SIMPLES}
     for a, b in pairs:
         out[a] = b
         out[b] = a
     return out
 
 
-_FOURIER = _pairing(_FOURIER_PAIRS, _FOURIER_FIXED)
-_DUALITY = _pairing(_DUALITY_PAIRS, _DUALITY_FIXED)
+_FOURIER = _pairing((("S", "E"), ("G-1", "D1"), ("G1", "D2"), ("G2", "G4"), ("Q1", "Q2"),
+                     ("D0", "Q0")))
+_DUALITY = _pairing((("D1", "D2"), ("Q1", "Q2"), ("G2", "G4"), ("G1", "G-1")))
 
 
 class OrbitInfo(Frozen):
@@ -64,14 +71,6 @@ ORBITS = (
 #: Dimension of each orbit, read off ORBITS.
 ORBIT_DIM = {o.name: o.dim for o in ORBITS}
 
-#: Support of each simple, as the orbit whose closure carries it.
-SUPPORT = {
-    "S": "O4", "G-1": "O4", "G1": "O4", "G2": "O4", "G3": "O4", "G4": "O4",
-    "Q0": "O4", "Q1": "O4", "Q2": "O4",
-    "P": "O3",
-    "D0": "O2", "D1": "O2", "D2": "O2",
-    "E": "O0",
-}
 
 def fourier_partner(name: str) -> str:
     """The simple paired with this one by the Fourier transform."""

@@ -31,49 +31,24 @@ reads.  An unknown vertex, or an arrow a relation names that the quiver
 lacks, raises KeyError, and a failed exactness condition raises
 ArithmeticError, never an assert, so python -O gives the same answers.
 
-decompose_certified first cuts V along its coefficient quiver (Ringel
-1998), one node per basis vector and one edge per nonzero matrix entry:
-each component spans a subrepresentation, V is their direct sum, and the
-summands come part by part, a part of dimension one as a certified leaf
-and every other part through the pipeline below, run once on it.
+decompose_certified seeds one stack of nodes with the parts of the root
+along its coefficient quiver (_coordinate_parts, Ringel 1998, with no
+linear algebra) and runs one loop over it.  A node takes the first of
+these routes that applies, each proved in its own docstring:
 
-Before its split search, decompose_certified peels off every summand
-M_p of a path p: x -> y of length <= 1, with Q at x and at y and p
-acting by 1: the simple S_v for the trivial path at each vertex v, then
-the two-dimensional module M_a for each arrow a with x != y.  With
-Φ = Hom(V, M_p) and K = Hom(M_p, V), read as functionals on V_y and
-vectors in V_x, M_p is a summand exactly rank(Φ V_p K) times; for S_v
-that is dim K - dim(K ∩ I), K the socle and I the radical of V at v;
-one change of basis takes them all off (proofs at decompose_certified).
+- a leaf: a node of dimension one, or with at most one summand;
+- _tube, TubeForm, _pieces, _primary: a four-subspace tube module, or its
+  dual, is cut along invariant subspaces of its operator M into cyclic
+  primary pieces (Gelfand-Ponomarev 1970), with no hom space;
+- _separate: a root on which every length-2 path acts by zero is cut
+  along its separated quiver into parts in tube or dual form;
+- _peel: the simples and arrow modules that are summands of a root come
+  off in one change of basis;
+- _split_search, _split_candidates, _split: a node is split along the
+  coprime factors of the minimal polynomial of an endomorphism.
 
-The split search tries the basis endomorphisms, then one that kills a
-unit vector and has nonzero trace, which always splits; every split it
-finds is checked exactly.  It reads what it can off the trace form: a
-basis element in its radical is never tried, and a part of a split whose
-number of summands is bounded by 1 is certified without its hom space
-(proofs at decompose_certified).  The split and the peel share one
-change of basis per vertex, _cut, which must be invertible and
-block-diagonalize every arrow; its parts then satisfy the relations, so
-it builds them without Representation's check.  Only conjugate draws at
-random.
-
-A four-subspace tube module, on arrows a_i: x_i -> c whose images U_1 + U_2
-fill V_c and U_3, U_4 are graphs over U_1, is, through one frame per vertex,
-the normal form N(M) of an operator M: Q^n at each x_i, Q^2n at c and the
-maps [I; 0], [0; I], [I; I], [I; M] (Gelfand-Ponomarev 1970; Ringel, LNM
-1099, 3.2).  A morphism N(M) -> N(M') is one P with PM = M'P at every
-vertex, and an M-invariant subspace K spans K at each x_i and K ⊕ K at c.
-So decompose_certified cuts such a node, in one cut, along M-invariant
-subspaces on each of which M is cyclic of one primary factor, which
-certifies it, with no hom space (Jacobson, Basic Algebra I, ch. 3); at the
-root this test replaces the peel.  For two such modules hom_basis solves
-P M_V = M_W P in place of the intertwining system, lifts each P through
-the frames and gives the same basis.  A node in dual form, four arrows
-c -> x_i, is read the same way through D.  A root in neither form on which
-every length-2 path acts by zero is cut along its separated quiver into its
-tops and radicals (Auslander-Reiten-Smalø 1995, X.2); when every part is in
-one of the two forms, the parts take the tube route and the root skips the
-peel (proofs at decompose_certified).
+Every cut but the coordinate one is one checked change of basis per
+vertex, _cut.  Only conjugate draws at random.
 """
 
 from __future__ import annotations
@@ -563,7 +538,7 @@ def _equations(rows: list[rl.Row], va: rl.Mat, wa: rl.Mat, at_x: int, at_y: int)
 def _lifts(src: "TubeForm", tgt: "TubeForm") -> list[dict[str, rl.Mat]]:
     """The blocks, at x_1..x_4 and c, of a basis of Hom(src.X, tgt.X) for two
     tube forms on the same arrows: each P with P M_src = M_tgt P, lifted to
-    f_v = E^tgt_v P^ (E^src_v)^-1 (decompose_certified, Normal form)."""
+    f_v = E^tgt_v P^ (E^src_v)^-1 (TubeForm, Normal form)."""
     m, n = tgt.M.rows, src.M.rows
     rows: list[rl.Row] = []
     _equations(rows, src.M, tgt.M, 0, 0)
@@ -597,12 +572,12 @@ def hom_basis(V: Representation, W: Representation) -> list[RepMorphism]:
 
     The Sylvester route (_tube, _lifts), when V and W are both in tube form
     on the same four arrows a_i: x_i -> c, with tube operators M_V and M_W
-    and frames E^V and E^W (decompose_certified, Normal form); V's
+    and frames E^V and E^W (TubeForm, Normal form); V's
     dimension is n_V at each x_i, W's n_W.  It has n_V n_W unknowns, against
     sum_v dim V_v dim W_v for the system (Frobenius; Gantmacher, The Theory
     of Matrices, vol. 1, ch. VIII).
 
-    - Lift.  By the lemma of Normal form, f_v = E^W_v P^ (E^V_v)^-1 at
+    - Lift.  By the lemma of TubeForm's Normal form, f_v = E^W_v P^ (E^V_v)^-1 at
       x_1..x_4 and c, and 0 x 0 blocks elsewhere, is a bijection from the
       n_W x n_V solutions P of P M_V = M_W P onto Hom(V, W), and it is
       linear, so the lifts of a basis of the solutions are a basis of
@@ -783,10 +758,15 @@ def _combination(basis: list[RepMorphism], coeffs) -> dict[str, rl.Mat]:
 
 
 def _split_candidates(V: Representation, basis: list[RepMorphism]):
-    """The blocks of each basis endomorphism, then of the annihilator candidate
-    if there is one (see decompose_certified): phi = sum c_i b_i for the first
-    c, at the first vertex v and unit vector e_j, with phi e_j = 0 and
-    tr phi = sum c_i tr(b_i) != 0.  It intertwines by linearity."""
+    """The blocks of each basis endomorphism, then of the annihilator
+    candidate if there is one: phi = sum c_i b_i for the first c, at the
+    first vertex v and unit vector e_j, with phi e_j = 0 and
+    tr phi = sum c_i tr(b_i) != 0.  It intertwines by linearity.  It is not
+    invertible, as it kills e_j, nor nilpotent, as tr phi != 0.  So its
+    minimal polynomial is t^k g with k >= 1, g(0) != 0 and deg g >= 1, and
+    V = ker phi^k ⊕ ker g(phi) with both parts nonzero (Fitting): phi
+    splits V, and _cut checks the cut.  A node with no such phi and no
+    splitting basis element is left uncertified."""
     for b in basis:
         yield b.blocks
     ident = RepMorphism._intertwining(V, V, {v: rl.identity(d) for v, d in V.dims.items()})
@@ -870,7 +850,16 @@ def _cut(V: Representation, bases: dict[str, list[rl.Mat]]) -> list[Representati
 def _split(V: Representation, phi: dict[str, rl.Mat]) -> list[Representation] | None:
     """_cut's parts along the coprime factors of the minimal polynomial of
     phi (one square block per vertex), in the order polyfactor.factor gives
-    them; None when that polynomial is a power of one irreducible."""
+    them; None when that polynomial is a power of one irreducible.
+
+    For each factor p^k, the part at a vertex v is spanned by the columns
+    of K_v, the basis of the kernel of p^k(phi_v) that rl.nullspace gives,
+    which is the basis kernel() takes.  Then K_y B = V_a K_x for the
+    diagonal block B of a part, so B is the unique solution that kernel()
+    solves for, and each part equals kernel(p^k(phi))[0], Mat for Mat.
+    For an endomorphism phi _cut's checks cannot fail: the generalized
+    kernels of the coprime factors of its minimal polynomial are
+    subrepresentations, and V is their direct sum."""
     verts = V.bq.quiver.vertices
     factors = factor(rl.minimal_polynomial(*[phi[v] for v in verts]))
     if len(factors) < 2:
@@ -885,10 +874,10 @@ def _rows(A: rl.Mat, keep: list[int]) -> rl.Mat:
 
 
 def _functionals(V: Representation, x: str, y: str, p: str | None) -> rl.Mat:
-    """Φ of p: x -> y, the arrow called p or None for e_x (see decompose_certified):
-    rows, the functionals on V_y that kill every arrow into y but p and, for an
-    arrow p, V_p V_c for each arrow c into x with c p not declared zero.  The
-    zero maps are dropped, and with none left Φ is I (decompose_certified, Peel)."""
+    """Φ of p: x -> y, the arrow called p or None for e_x (see _peel): rows,
+    the functionals on V_y that kill every arrow into y but p and, for an
+    arrow p, V_p V_c for each arrow c into x with c p not declared zero.
+    The zero maps are dropped, and with none left Φ is I."""
     arrows = V.bq.quiver.arrows
     into = [V.maps[b.name] for b in arrows if b.target == y and b.name != p]
     if p is not None:
@@ -901,13 +890,60 @@ def _functionals(V: Representation, x: str, y: str, p: str | None) -> rl.Mat:
 
 
 def _peel(V: Representation) -> tuple[Representation, list[Representation]]:
-    """(W, peeled) with V = W ⊕ peeled and W without a summand M_p for a path
-    p: x -> y of length <= 1 (see decompose_certified): the trivial path at
-    each vertex, whose M_p is the simple, then each arrow with x != y, whose
-    M_p is its arrow module.  One _cut takes them all off; W is its first
-    part, and each M_p, built once, is listed once per copy, in path order.
-    W is V when there is none.  At a vertex no nonzero arrow touches, Φ and
-    K come back as I with no elimination (see decompose_certified, Peel)."""
+    """(W, peeled) with V = W ⊕ peeled and W without a summand M_p for a
+    path p: x -> y of length <= 1, with Q at x and at y and p acting by 1:
+    the trivial path e_v at each vertex v, in vertex order, with x = y = v,
+    V_p the identity and M_p the simple S_v (bq.simple); then each arrow
+    a: x -> y with x != y, in arrow order, with M_p the module M_a
+    (bq.arrow_module).  One _cut takes them all off; W is its first part,
+    and each M_p, built once, is listed once per copy, in path order.  W is
+    V when there is none.  End(M_p) = Q, so each copy is a certified leaf.
+    The argument is the one for Hom spaces of Assem-Simson-Skowroński 2006,
+    ch. III.
+
+    - Hom spaces.  A morphism V -> M_p is a functional φ on V_y, with
+      φ V_p at x; it intertwines exactly when φ kills V_b for every arrow
+      b into y other than p and, when p is an arrow, φ V_p V_c = 0 for
+      every arrow c into x with c p not declared zero.  These φ form Φ.
+      A morphism M_p -> V is a vector v in V_x, with V_p v at y, and
+      Hom(M_p, V) = Hom(DV, DM_p) (dual), DM_p the M_p of the reversed
+      path p: y -> x of the opposite quiver, which reverses the zero
+      pairs.  So these v form K, the Φ of D(V) for p: y -> x.
+    - Multiplicity.  The composite M_p -> V -> M_p of v and φ is the
+      scalar φ V_p v, and M_p is a summand of V exactly m = rank(Φ V_p K)
+      times.  Over V = ⊕ X_i the hom spaces split and a morphism through
+      X_i composed with one from X_j (i != j) is zero, so the rank is the
+      sum of the ranks for the X_i.  M_p gives 1.  Any other
+      indecomposable X gives 0: were φ V_p v != 0, then v: M_p -> X would
+      be split by φ / (φ V_p v), and M_p would be a summand of X.  For
+      p = e_v, Φ is the annihilator of the radical I of V at v (the sum
+      of the images of the arrows into v) and K its socle (the common
+      kernel of the arrows out of v), so m = dim K - dim(K ∩ I).
+    - One change of basis.  Every path is read on V itself.  For each p
+      with m_p > 0, the m_p pivot columns K'_p of the pairing matrix and
+      its m_p rows Φ'_p independent of the rows before them
+      (rl.rank_profiles, one elimination) meet in an invertible minor
+      Φ'_p V_p K'_p.  The K'_p make a morphism g: ⊕ M_p^{m_p} -> V and
+      the Φ'_p one f: V -> ⊕ M_p^{m_p}.  f g is invertible, as it is
+      modulo the radical of End(⊕ M_p^{m_p}): its diagonal blocks
+      Φ'_p V_p K'_p are invertible, and its off-diagonal blocks are maps
+      between the non-isomorphic bricks M_p and M_q, so they lie in that
+      radical.  So V = im g ⊕ ker f, both subrepresentations; g is an
+      injective morphism, so each im g_p is M_p^{m_p} exactly in the
+      basis K'_p at x, V_p K'_p at y.
+
+    _cut makes this change of basis at the vertices the peeled paths
+    touch, and checks it.  There W is ker f, the common kernel of the
+    chosen Φ'_p at y and Φ'_p V_p at x; each peeled path adds the part
+    im g_p, empty elsewhere.  A path is skipped when V_p = 0 (for e_v,
+    when V_v = 0), when Φ V_p = 0 (Φ is computed first, and then the
+    pairing is zero; for e_v, when the arrows into v span V_v), or when
+    the pairing has rank 0 (for e_v, when K ⊆ I).  _functionals leaves out
+    the zero maps, which every functional kills, and with none left
+    returns I, the unit basis rl.nullspace gives for a zero matrix, with
+    no elimination.  So at a vertex v no nonzero arrow touches, Φ = K = I,
+    the pairing I I^T = I costs no product and S_v is peeled d_v times;
+    the bases and the cut are those the eliminations gave."""
     bq = V.bq
     DV = dual(V)
     paths = [(v, v, None) for v in bq.quiver.vertices]
@@ -948,11 +984,35 @@ def _nonzero_arrows(V: Representation) -> list[Arrow]:
 
 
 class TubeForm(Frozen):
-    """The tube form of a node V (decompose_certified, Normal form): X, which
-    is V in tube form and D(V) when V is in dual form; arrows, the names of
-    a_1..a_4; verts, x_1..x_4 and c; E and E_inv, the frames E_v of X at
-    verts, with X_a E_x = E_c N(M)_a on each a_i, and their inverses; and M,
-    the tube operator of X."""
+    """The tube form of a node V (_tube): X, which is V in tube form and
+    D(V) when V is in dual form; arrows, the names of a_1..a_4; verts,
+    x_1..x_4 and c; E and E_inv, the frames E_v of X at verts, with
+    X_a E_x = E_c N(M)_a on each a_i, and their inverses; and M, the tube
+    operator of X.
+
+    - Normal form.  N(M) has Q^n at each x_i, Q^2n at c and the maps
+      [I; 0], [0; I], [I; I] and [I; M] on a_1..a_4 (Gelfand-Ponomarev 1970;
+      Ringel, LNM 1099, 3.2).  The frames E_v, which are I, G_3, A_3^-1 and
+      A_4^-1 at x_1..x_4 and E_c = T diag(I, G_3) = [X_a1 | X_a2 G_3] at c,
+      are invertible, with X_a E_x = E_c N(M)_a on each a_i; on a_3 and a_4
+      both sides are T [I; G_3] and T [I; G_4] = E_c [I; M].  So E is an
+      isomorphism N(M) -> X.  Lemma: a morphism N(M) -> N(M') is
+      (P, P, P, P, diag(P, P)) with PM = M'P, and each such tuple is one.
+      Along a_1 and a_2, f_c = diag(P, Q) with P, Q the blocks at x_1, x_2;
+      a_3 gives P = Q at x_3, and a_4 gives P at x_4 and PM = M'P.  An
+      M-invariant K (a row basis) spans (K, K, K, K, K ⊕ K), in whose
+      basis the maps are those of N(M_K), M_K the matrix of M on K;
+      subspaces whose direct sum is Q^n cut N(M) into the direct sum of
+      theirs.  Both facts carry over to X through the frames.  Write P^
+      and K^ for P and K at each x_i and diag(P, P) and diag(K, K) at c.
+      Hom(X, X') is the E'_v P^ E_v^-1 with PM = M'P, so End(X) is the
+      centralizer of M (hom_basis lifts through this, _lifts); and K cuts
+      X along the row bases K^ E_v^T (cut), which _cut checks, into the
+      part N(M_K) itself.
+    - Dual form.  D is additive and D(D(V)) = V on V.bq, as opposite() is
+      built once, so D(V) = P_1 ⊕ ... ⊕ P_j exactly when
+      V = D(P_1) ⊕ ... ⊕ D(P_j): cut cuts D(V) as above and gives each
+      part P back as dual(P), of the dims of P."""
 
     _fields = ("X", "arrows", "verts", "E", "E_inv", "M")
 
@@ -978,9 +1038,18 @@ class TubeForm(Frozen):
 
 
 def _tube(V: Representation) -> TubeForm | None:
-    """The TubeForm of V (see decompose_certified), or None.  The arrow
-    pattern and the dimensions are read on V, so a V in neither form builds
-    no D(V)."""
+    """The TubeForm of V, or None.  V is in tube form when its nonzero
+    arrows are exactly four, a_i: x_i -> c in arrow order, with x_1..x_4, c
+    distinct; its dimension is n >= 1 at each x_i, 2n at c and 0
+    elsewhere; T = [V_a1 | V_a2] is invertible; and with
+    T^-1 V_a3 = [A_3; B_3], T^-1 V_a4 = [A_4; B_4], A_3, B_3 and A_4 are
+    invertible.  Its tube operator is M = G_3^-1 G_4, with G_3 = B_3 A_3^-1
+    and G_4 = B_4 A_4^-1.  V is in dual form when its four nonzero arrows
+    go the other way, a_i: c -> x_i, with the same dimensions, and
+    D(V) = dual(V) on bq.opposite() is in tube form, with D(V)'s M: the
+    α-zero nodes of big_component, the β-images embed_beta(R_n(λ)).  The
+    arrow pattern and the dimensions are read on V, so a V in neither form
+    builds no D(V)."""
     arrows = _nonzero_arrows(V)
     if len(arrows) != 4:
         return None
@@ -1016,10 +1085,31 @@ def _tube(V: Representation) -> TubeForm | None:
 
 def _pieces(M: rl.Mat) -> list[rl.Mat]:
     """Row bases of M-invariant subspaces whose direct sum is Q^n, with M
-    cyclic of one primary factor on each (see decompose_certified, Pieces):
-    for each factor q of the minimal polynomial, in the order
-    polyfactor.factor gives them, the generalized kernel ker q(M) when its
-    dimension is deg q, else _primary's pieces of M on it."""
+    cyclic of one primary factor on each: for each factor q of the minimal
+    polynomial f, in the order polyfactor.factor gives them, the
+    generalized kernel ker q(M) when its dimension is deg q, else
+    _primary's pieces of M on it.  rl.minimal_polynomial reads f off
+    Krylov vectors of unit vectors, with no power of M.
+
+    - Certificate.  Let M be the tube operator of a node W.  When f is a
+      power of one irreducible p and deg f = n, M is cyclic, so End(W),
+      the centralizer of M (TubeForm), is Q[M] = Q[t]/(f) (a matrix that
+      commutes with a cyclic one is a polynomial in it).  That ring is
+      local, with End/rad = Q[t]/(p), so W is indecomposable.  For W in
+      dual form, f -> D(f), the transposed blocks, is an anti-isomorphism
+      End(W) -> End(D(W)), so End(W) ≅ End(D(W))^op, which is local with
+      it.
+    - Pieces.  With two or more factors q, coprime powers of
+      irreducibles, the pieces are the ker q(M); M has the minimal
+      polynomial q on ker q, so its part is certified when
+      deg q = dim ker q, and else cut by _primary, with M on ker q in its
+      coordinates (_restricted).  With f = p^k of degree
+      n, Q^n itself is certified; of degree e < n, _primary cuts it.  Each
+      piece K found in coordinates B is mapped to Q^n as K B, so W is cut
+      once, by one TubeForm.cut, into certified leaves, the cyclic primary
+      summands Q[t]/(p^k) of the Q[t]-module (Q^n, M) (Jacobson, Basic
+      Algebra I, ch. 3).  No node in tube or dual form takes a hom space,
+      a candidate or a trace form."""
     factors = factor(rl.minimal_polynomial(M))
     if len(factors) == 1:
         return _primary(M, len(factors[0]) - 1, rl.identity(M.rows))
@@ -1033,7 +1123,8 @@ def _pieces(M: rl.Mat) -> list[rl.Mat]:
 def _restricted(M: rl.Mat, K: rl.Mat) -> rl.Mat:
     """M on the M-invariant subspace with row basis K, in K's coordinates:
     the R with M K^T = K^T R, exact, unique as the rows of K are
-    independent; ArithmeticError when there is none."""
+    independent; ArithmeticError when there is none.  R's invariant
+    subspaces, mapped by K, are M's."""
     Kt = rl.transpose(K)
     R = rl.solve(Kt, rl.matmul(M, Kt))
     if R is None:
@@ -1042,15 +1133,29 @@ def _restricted(M: rl.Mat, K: rl.Mat) -> rl.Mat:
 
 
 def _primary(M: rl.Mat, e: int, B: rl.Mat) -> list[rl.Mat]:
-    """The cyclic pieces of M, of minimal polynomial p^k of degree e, as row
-    bases in Q^n, B the row basis in Q^n of the space M acts on (see
-    decompose_certified, Pieces): while e < dim, Z, the span of the Krylov
-    vectors of the first unit vector e_j with e independent ones, and then
-    the same on C, the common kernel of e_r, e_r M, ..., e_r M^(e - 1) for
-    the first unit row e_r whose pairing with Z is invertible, with M on C
-    in C's coordinates; then the last space itself.  Both read Krylov
-    vectors, e_r M^k as the M^T-Krylov vectors of e_r: no power of M is
-    formed."""
+    """The cyclic pieces of M, of minimal polynomial f = p^k of degree e,
+    as row bases in Q^n, B the row basis in Q^n of the space M acts on:
+    while e < dim, Z, and then the same on C, with M on C in C's
+    coordinates (_restricted), of minimal polynomial p^k', k' <= k; then
+    the last space itself.  Both read Krylov vectors (rl.krylov, by
+    matrix-vector products), e_r M^a as the M^T-Krylov vectors of e_r: no
+    power of M is formed.
+
+    - Z.  v = e_j, for the first j whose Krylov vectors v, Mv, ...,
+      M^(e-1) v have rank e, and Z is their span, M-invariant as
+      f(M) v = 0, with M cyclic on it, so its piece is certified.  Such a
+      j exists: p^(k-1)(M) != 0 has a nonzero column j, and then the
+      annihilator of e_j is p^k.
+    - C.  φ = e_r, for the first unit row whose e x e pairing
+      G_ab = φ M^(a+b) v has rank e, and C is the common kernel of φ,
+      φM, ..., φM^(e-1).  Such an r exists: any r with
+      (p^(k-1)(M) v)_r != 0.  Were G c = 0 for some c != 0, the w in Z
+      killed by every φ M^a (every a, as φ f(M) = 0) would make a nonzero
+      M-invariant subspace of Z ≅ Q[t]/(p^k), which holds p^(k-1)(M) v;
+      but φ does not kill that.  C is M-invariant, since φ f(M) = 0 puts
+      φ M^e in the span of the rows before it, and dim C >= n - e.  G
+      invertible gives Z ∩ C = 0, as w = sum c_b M^b v in C has G c = 0,
+      so Q^n = Z ⊕ C."""
     pieces = []
     while e < M.rows:
         n, Mt = M.rows, rl.transpose(M)
@@ -1064,15 +1169,38 @@ def _primary(M: rl.Mat, e: int, B: rl.Mat) -> list[rl.Mat]:
 
 
 def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None:
-    """V cut along its separated quiver, each part with its _tube form, or None
-    (see decompose_certified).  The sides (v, 0), the top, and (v, 1), the
-    radical, of the vertices are joined by each nonzero arrow a: x -> y, from
-    (x, 0) to (y, 1), with a union-find.  It declines before any linear
-    algebra unless there are two components or more, each of four arrows with
-    one common target or one common source; then when a length-2 path of
-    nonzero arrows that bq does not declare zero acts on V by a nonzero map;
-    then when a top is left to no component or a part is in neither form.
-    The parts come in the order of the first arrow of each component."""
+    """V cut along its separated quiver (Auslander-Reiten-Smalø 1995, X.2),
+    each part with its _tube form, or None.  At each vertex v, rad_v is the
+    sum of the images of the nonzero arrows into v, and top_v is spanned by
+    the unit vectors off the leading columns of an echelon basis of rad_v
+    (rl.rank_profiles, one elimination), so V_v = top_v ⊕ rad_v.  The
+    sides (v, 0), the top, and (v, 1), the radical, are joined by each
+    nonzero arrow a: x -> y, from (x, 0) to (y, 1), with a union-find, and
+    the part of a component at v is top_v if (v, 0) is in it, plus rad_v if
+    (v, 1) is.  The parts come in the order of the first arrow of each
+    component.  On big_component the parts are A' = (top_1..top_4, rad_5),
+    with beta = 0, and B' = (rad_1..rad_4, top_5), with alpha = 0, so
+    embed_alpha(X) ⊕ embed_beta(Y) comes apart into the two images.
+
+    - Subrepresentations.  The first check is that every path b a of two
+      nonzero arrows, b first, that bq does not declare zero has
+      V_a V_b = 0; the declared ones are zero on V.  Then every arrow
+      kills rad V: an arrow a out of x kills the image of each arrow b
+      into x.  So V_a is zero on rad_x and maps top_x into rad_y, and
+      (y, 1) lies in the component of (x, 0).  Each part is a
+      subrepresentation and V is their direct sum; _cut checks both.
+    - Summands.  By Krull-Schmidt the summands of V are those of its parts
+      together.  Each part is in tube or dual form (its _tube is checked
+      after the cut), so the tube route certifies its summands.
+    - Declines.  Before any linear algebra, the nonzero arrows must make
+      two components or more, each of four arrows with one common target
+      or one common source, the arrows of a part in tube or dual form; one
+      component would be V itself, which _tube has declined.  Then a
+      nonzero length-2 path declines (on big_component a diagonal
+      beta_j alpha_i: then the projective-injective P_i is a summand, see
+      cubics._tame_cases), as does a nonzero top_v at a vertex that no
+      nonzero arrow leaves (it holds a summand S_v) and a part in neither
+      form."""
     arrows = _nonzero_arrows(V)
     root: dict[tuple[str, int], tuple[str, int]] = {}
 
@@ -1119,14 +1247,30 @@ def _separate(V: Representation) -> list[tuple[Representation, TubeForm]] | None
 
 
 def _coordinate_parts(V: Representation) -> list[Representation] | None:
-    """V cut along the components of its coefficient quiver, or None when
-    that is connected (see decompose_certified, Coordinate parts).  The
-    nodes are the pairs (v, i), i < dim V_v, numbered in vertex order, and
-    each nonzero entry (i, j) of V_a, a: x -> y, joins (y, i) to (x, j), by
-    a union-find that stops as soon as one component is left.  The parts
-    come in the order of their first node; a part has the coordinates of
-    its component at each vertex, in increasing order, and the submatrices
-    of V's maps on them."""
+    """V cut along the components of its coefficient quiver (Ringel,
+    "Exceptional modules are tree modules", 1998), or None when that is
+    connected, with no linear algebra.  The nodes are the pairs (v, i),
+    i < dim V_v, numbered in vertex order, and each nonzero entry (i, j) of
+    V_a, a: x -> y, joins (y, i) to (x, j), by a union-find that stops as
+    soon as one component is left.  The parts come in the order of their
+    first node; a part has the coordinates of its component at each
+    vertex, in increasing order, and the submatrices of V's maps on them.
+
+    - Subrepresentations.  An entry (i, j) of V_a with (x, j) and (y, i)
+      in different components is zero, or it would join them.  So V_a
+      maps the coordinates of a component C at x into those of C at y,
+      each component spans a subrepresentation, and V is their direct
+      sum, as the components partition the basis.  Reordered by parts,
+      every V_a is block diagonal, with the maps of the parts as blocks.
+    - Relations.  A path matrix is a product of block-diagonal V_a, so it
+      is block diagonal with the path matrices of the parts as blocks; a
+      relation is zero on V, so it is zero on each block, and _satisfying
+      builds the parts.
+    - Summands.  By Krull-Schmidt the summands of V are those of its parts
+      together.  A part's coefficient quiver is connected, so a second cut
+      would give it back whole.  A sum in a basis that mixes its summands,
+      a conjugated one, looks connected; the tube route, _separate and the
+      peel cut those."""
     offs, count = {}, 0
     for v, d in V.dims.items():
         offs[v], count = count, count + d
@@ -1172,325 +1316,119 @@ def _coordinate_parts(V: Representation) -> list[Representation] | None:
 def decompose_certified(V: Representation) -> list[tuple[Representation, bool]]:
     """Indecomposable summands of V, each flagged certified/uncertified.
 
-    Splits repeatedly along coprime factors of minimal polynomials of
-    endomorphisms; a summand is certified when it is known to be
-    indecomposable: End/rad has dimension one, or it is a tube node whose
-    M is cyclic of one primary factor.  An uncertified summand resisted
-    all splitting attempts but its endomorphism ring is not known to be
-    local (e.g. a sum X ⊕ X that no candidate splits, or a module off
-    the tube route whose End is a field larger than Q).
+    A summand is certified when it is known to be indecomposable: it has
+    dimension one, or at most one summand by the bound s below (End/rad
+    has dimension one), or it is a cyclic primary piece of the tube route
+    (_pieces).  An uncertified summand resisted every split, but its End
+    is not known to be local (e.g. a sum X ⊕ X that no candidate splits,
+    or a module off the tube route whose End is a field larger than Q).
 
-    Coordinate parts (_coordinate_parts).  The coefficient quiver of V
-    (Ringel, "Exceptional modules are tree modules", 1998) has one node
-    (v, i) per basis vector, i < dim V_v, and one edge per nonzero entry
-    (i, j) of V_a, a: x -> y, joining (y, i) to (x, j).  When it has two
-    components or more, V is cut along them before any linear algebra: a
-    part has the coordinates of its component at each vertex, in
-    increasing order, and the submatrices of V's maps on them; the parts
-    come in the order of their first node, vertex by vertex.
+    One loop runs over one stack of nodes (W, s, tube), each W a summand
+    of V: s is an upper bound on the number of its indecomposable
+    summands, None until a split bounds it, and tube its TubeForm, which
+    the parts of _separate carry and any other node that is not a leaf
+    reads once with _tube.  The stack starts with V's coordinate parts
+    (_coordinate_parts), or V itself when its coefficient quiver is
+    connected.  A node takes the first route that applies:
 
-    - Subrepresentations.  An entry (i, j) of V_a with (x, j) and (y, i)
-      in different components is zero, or it would join them.  So V_a
-      maps the coordinates of a component C at x into those of C at y,
-      each component spans a subrepresentation, and V is their direct
-      sum, as the components partition the basis.  Reordered by parts,
-      every V_a is block diagonal, with the maps of the parts as blocks.
-    - Relations.  A path matrix is a product of block-diagonal V_a, so it
-      is block diagonal with the path matrices of the parts as blocks; a
-      relation is zero on V, so it is zero on each block, and
-      _satisfying builds the parts.
-    - Summands.  By Krull-Schmidt the summands of V are those of its
-      parts together.  A part of dimension one has End = Q, so it is a
-      certified leaf and takes no peel; every other part takes the root
-      pipeline below (_tube, _separate, _peel, the stack) once, and its
-      summands come out together, in that pipeline's order.  A part is
-      never searched again: its own search would find it whole.  A root
-      whose coefficient quiver is connected takes the pipeline itself.
-      The search cannot see a sum in a basis that mixes its summands, a
-      conjugated one; the tube route, _separate and the peel cut those.
+    1. a leaf, certified: dim W = 1 (End = Q) or s = 1 (_split_search);
+    2. the tube route, for W in tube or dual form: one TubeForm.cut into
+       the certified leaves _pieces gives;
+    3. for s = None, the separation: _separate's parts go on the stack
+       with their tube forms and no bound;
+    4. for s = None, the peel: _peel's copies of M_p are certified leaves,
+       and its rest W, when nonzero, goes on to
+    5. the split search: _split_search lowers s, and the k parts of its
+       split go on the stack, each with the bound s - k + 1; a node it
+       does not split is a leaf, certified exactly when s is 1.
 
-    The peel (_peel).  First every summand M_p of a path p: x -> y of
-    length <= 1, with Q at x and at y and p acting by 1, is split off, all
-    of them by one change of basis; their copies come out as certified
-    leaves (End(M_p) = Q) ahead of the other summands of the root (of
-    the part, for a root cut by its coefficient quiver).  The paths are the
-    trivial path e_v at each vertex v, in vertex order, with x = y = v,
-    V_p the identity and M_p the simple S_v (bq.simple); then each arrow
-    a: x -> y with x != y, in arrow order, with M_p the module M_a
-    (bq.arrow_module).  The argument is the one for Hom spaces of
-    Assem-Simson-Skowroński 2006, ch. III.
+    By Krull-Schmidt the summands of V are the leaves.  They come in
+    stack order: all of a node's before those of the nodes below it, the
+    coordinate parts first part first, a peel's copies in path order
+    before the summands of its rest, and the parts of a split or a
+    separation, like the pieces of the tube route, last part first.
 
-    - Hom spaces.  A morphism V -> M_p is a functional φ on V_y, with
-      φ V_p at x; it intertwines exactly when φ kills V_b for every arrow
-      b into y other than p and, when p is an arrow, φ V_p V_c = 0 for
-      every arrow c into x with c p not declared zero.  These φ form Φ.
-      A morphism M_p -> V is a vector v in V_x, with V_p v at y, and
-      Hom(M_p, V) = Hom(DV, DM_p) (dual), DM_p the M_p of the reversed
-      path p: y -> x of the opposite quiver, which reverses the zero
-      pairs.  So these v form K, the Φ of D(V) for p: y -> x.
-    - Multiplicity.  The composite M_p -> V -> M_p of v and φ is the
-      scalar φ V_p v, and M_p is a summand of V exactly m = rank(Φ V_p K)
-      times.  Over V = ⊕ X_i the hom spaces split and a morphism through
-      X_i composed with one from X_j (i != j) is zero, so the rank is the
-      sum of the ranks for the X_i.  M_p gives 1.  Any other
-      indecomposable X gives 0: were φ V_p v != 0, then v: M_p -> X would
-      be split by φ / (φ V_p v), and M_p would be a summand of X.  For
-      p = e_v, Φ is the annihilator of the radical I of V at v (the sum
-      of the images of the arrows into v) and K its socle (the common
-      kernel of the arrows out of v), so m = dim K - dim(K ∩ I).
-    - One change of basis.  Every path is read on V itself.  For each p
-      with m_p > 0, the m_p pivot columns K'_p of the pairing matrix and
-      its m_p rows Φ'_p independent of the rows before them
-      (rl.rank_profiles, one elimination) meet in an invertible minor
-      Φ'_p V_p K'_p.  The K'_p make a morphism g: ⊕ M_p^{m_p} -> V and
-      the Φ'_p one f: V -> ⊕ M_p^{m_p}.  f g is invertible, as it is
-      modulo the radical of End(⊕ M_p^{m_p}): its diagonal blocks
-      Φ'_p V_p K'_p are invertible, and its off-diagonal blocks are maps
-      between the non-isomorphic bricks M_p and M_q, so they lie in that
-      radical.  So V = im g ⊕ ker f, both subrepresentations; g is an
-      injective morphism, so each im g_p is M_p^{m_p} exactly in the
-      basis K'_p at x, V_p K'_p at y, and the copies are emitted as
-      bq.simple(v) or bq.arrow_module(a), each built once.
+    The separation and the peel run only on nodes with s = None: V and
+    its coordinate parts.  A bounded node is a part of a split, so a
+    summand of the rest of a peel, which has no summand M_p; by
+    Krull-Schmidt neither has the node, and the peel would find nothing
+    there.  A bounded node that the separation could cut has the summands
+    the split search finds, up to isomorphism (Krull-Schmidt); the split
+    search goes on deciding it, so its bases stay the same.
+    """
+    out: list[tuple[Representation, bool]] = []
+    roots = _coordinate_parts(V)
+    stack: list[tuple[Representation, int | None, TubeForm | None]] = [
+        (W, None, None) for W in ([V] if roots is None else reversed(roots))]
+    while stack:
+        W, s, tube = stack.pop()
+        if W.total_dim() == 1 or s == 1:
+            out.append((W, True))
+            continue
+        if tube or (tube := _tube(W)):  # certified leaves, last first, as parts leave the stack
+            out += [(P, True) for P in reversed(tube.cut(W, _pieces(tube.M)))]
+            continue
+        if s is None:
+            if separated := _separate(W):
+                stack += [(P, None, form) for P, form in separated]
+                continue
+            W, peeled = _peel(W)
+            out += [(M, True) for M in peeled]
+            if not W.total_dim():
+                continue
+        s, parts = _split_search(W, s)
+        if parts is None:
+            out.append((W, s == 1))
+        else:
+            stack += [(P, s - len(parts) + 1, None) for P in parts]
+    return out
 
-    _cut makes this change of basis at the vertices the peeled paths
-    touch, and checks it.  There the first part is ker f, the common
-    kernel of the chosen Φ'_p at y and Φ'_p V_p at x, which the split
-    search gets; each peeled path adds the part im g_p, empty elsewhere.
-    A path is skipped when V_p = 0 (for e_v, when V_v = 0), when
-    Φ V_p = 0 (Φ is computed first, and then the pairing is zero; for
-    e_v, when the arrows into v span V_v), or when the pairing has rank
-    0 (for e_v, when K ⊆ I); with nothing peeled, the split search
-    starts from V itself.  _functionals leaves out the zero maps, which
-    every functional kills, and with none left returns I, the unit basis
-    rl.nullspace gives for a zero matrix, with no elimination.  So at a
-    vertex v no nonzero arrow touches, Φ = K = I, the pairing I I^T = I
-    costs no product and S_v is peeled d_v times; the bases and the cut
-    are those the eliminations gave.
 
-    The split search.  Each node carries an upper bound s on the number
-    of its indecomposable summands (Krull-Schmidt); the root has none.
-    Once its hom basis is computed, s is lowered to dim End when that is
-    smaller, and once it is ranked, s becomes its semisimple rank ssr:
-    the rank of its trace form (the Gram matrix of semisimple_rank).
-    Both bound that number: for V the sum of the X_i^(m_i), X_i
+def _split_search(V: Representation, s: int | None) -> tuple[int, list[Representation] | None]:
+    """(s, parts) for a node V with the bound s on its number of summands
+    (None for no bound): s lowered by what the search reads, and _split's
+    parts along the first candidate of _split_candidates that splits V, or
+    None.
+
+    Once the hom basis is computed, s is lowered to dim End when that is
+    smaller, and once V is ranked, s becomes its semisimple rank ssr, the
+    rank of its trace form (the Gram matrix of semisimple_rank).  Both
+    bound the number of summands: for V the sum of the X_i^(m_i), X_i
     indecomposable and pairwise non-isomorphic with End(X_i)/rad of
     dimension d_i, dim End >= ssr = sum m_i^2 d_i >= sum m_i
-    (is_isomorphic).  The cyclic certificate and the bound of a part
-    (below) are the other two.  A node is a certified leaf exactly when
-    s = 1: it is indecomposable, so End is local, every endomorphism is
-    invertible or nilpotent (Fitting), and no candidate splits.  A node
-    whose inherited bound is not 1 computes its hom basis, tries the
-    first basis endomorphism, and is ranked only when that does not
-    split it; then the search goes on with the rest of the basis and the
-    annihilator candidate.  Ranking first would change nothing: the
-    candidates tried, the summands and the flags are the same in either
-    order, and a summand that the first candidate splits is never
-    ranked.  Two facts spare most of the rest of the work:
+    (is_isomorphic).  At s = 1, V is indecomposable, so End is local,
+    every endomorphism is invertible or nilpotent (Fitting), and no
+    candidate splits: the search stops.  V is ranked only when the first
+    basis endomorphism does not split it; then the search goes on with
+    the rest of the basis and the annihilator candidate.  Ranking first
+    would change nothing: the candidates tried, the summands and the
+    flags are the same in either order, and a node the first candidate
+    splits is never ranked.
 
-    - Radical candidates.  After the ranking, a basis element whose row
-      of the Gram matrix is zero is not tried.  The radical of the trace
-      form is rad End(V) (semisimple_rank), so that element is
-      nilpotent, its minimal polynomial is t^k, and it splits nothing,
-      so the first candidate that splits is the one the full search finds.
-    - A bound on the summands.  Let V split into k parts P_i, with s
-      its bound at that point.  By Krull-Schmidt the summands of V are
-      those of the P_i together, and each P_i has at least one, so P_i
-      has at most s - (k - 1): the bound P_i gets.  A part whose bound is
-      1 is indecomposable, so it is a certified leaf without its hom
-      basis; no candidate could split it.
-
-    The annihilator candidate (_split_candidates): phi in End(V) with
-    phi e_j = 0 for a unit vector e_j and tr phi != 0.  phi is not
-    invertible, as it kills e_j, nor nilpotent, as tr phi != 0.  So its
-    minimal polynomial is t^k g with k >= 1, g(0) != 0 and deg g >= 1,
-    and V = ker phi^k ⊕ ker g(phi) with both parts nonzero (Fitting):
-    phi splits V, and _cut checks the cut.  A node with no such phi and
-    no splitting basis element is left uncertified.
-
-    One change of basis per split (_split).  For each factor p^k of the
-    minimal polynomial of an endomorphism phi, the part at a vertex v is
-    spanned by the columns of K_v, the basis of the kernel of p^k(phi_v)
-    that rl.nullspace gives, which is the basis kernel() takes; _cut
-    changes the basis with these parts and checks it.  Then
-    K_y B = V_a K_x for the diagonal block B of a part, so B is the
-    unique solution that kernel() solves for, and each part equals
-    kernel(p^k(phi))[0], Mat for Mat.  For an endomorphism phi the checks
-    cannot fail: the generalized kernels of the coprime factors of its
-    minimal polynomial are subrepresentations, and V is their direct sum.
-
-    The tube route (_tube, TubeForm.cut, _pieces).  A node W is in tube
-    form when its nonzero arrows are exactly four, a_i: x_i -> c in arrow
-    order, with x_1..x_4, c distinct; its dimension is n >= 1 at each x_i,
-    2n at c and 0 elsewhere; T = [W_a1 | W_a2] is invertible; and with
-    T^-1 W_a3 = [A_3; B_3], T^-1 W_a4 = [A_4; B_4], A_3, B_3 and A_4 are
-    invertible.  Its tube operator is M = G_3^-1 G_4, with G_3 = B_3 A_3^-1
-    and G_4 = B_4 A_4^-1.
-
-    - Normal form.  N(M) has Q^n at each x_i, Q^2n at c and the maps
-      [I; 0], [0; I], [I; I] and [I; M] on a_1..a_4 (Gelfand-Ponomarev 1970;
-      Ringel, LNM 1099, 3.2).  The frames E_v, which are I, G_3, A_3^-1 and
-      A_4^-1 at x_1..x_4 and E_c = T diag(I, G_3) = [W_a1 | W_a2 G_3] at c,
-      are invertible, with W_a E_x = E_c N(M)_a on each a_i; on a_3 and a_4
-      both sides are T [I; G_3] and T [I; G_4] = E_c [I; M].  So E is an
-      isomorphism N(M) -> W, and _tube keeps M, the E_v and the E_v^-1.
-      Lemma: a morphism N(M) -> N(M') is (P, P, P, P, diag(P, P)) with
-      PM = M'P, and each such tuple is one.  Along a_1 and a_2,
-      f_c = diag(P, Q) with P, Q the blocks at x_1, x_2; a_3 gives P = Q
-      at x_3, and a_4 gives P at x_4 and PM = M'P.  An M-invariant K
-      (a row basis) spans (K, K, K, K, K ⊕ K), in whose basis the maps
-      are those of N(M_K), M_K the matrix of M on K; subspaces whose direct
-      sum is Q^n cut N(M) into the direct sum of theirs.  Both facts carry
-      over to W through the frames.  Write P^ and K^ for P and K at each
-      x_i and diag(P, P) and diag(K, K) at c.  Hom(W, W') is the
-      E'_v P^ E_v^-1 with PM = M'P, so End(W) is the centralizer of M
-      (hom_basis lifts through this, _lifts); and K cuts W along the row
-      bases K^ E_v^T (TubeForm.cut), which _cut checks, into the part
-      N(M_K) itself.
-    - Certificate.  When the minimal polynomial f of M is a power of one
-      irreducible p and deg f = n, M is cyclic, so End(W), its
-      centralizer, is Q[M] = Q[t]/(f) (a matrix that commutes with a
-      cyclic one is a polynomial in it).  That ring is local, with
-      End/rad = Q[t]/(p), so W is indecomposable and s = 1.
-    - Pieces.  The subspaces come from f, which rl.minimal_polynomial
-      reads off Krylov vectors of unit vectors, with no power of M.  With
-      two or more factors q,
-      coprime powers of irreducibles, they are the generalized kernels
-      ker q(M), in the order polyfactor.factor gives them; M has the
-      minimal polynomial q on ker q, so its part is certified when
-      deg q = dim ker q, and else cut further as below, with M on ker q
-      in its coordinates.  With f = p^k of degree n, Q^n itself is
-      certified.  With f = p^k of degree e < n, they are Z and then C:
-      - Z.  v = e_j, for the first j whose Krylov vectors v, Mv, ...,
-        M^(e-1) v (rl.krylov, by matrix-vector products) have rank e, and
-        Z is their span, M-invariant as f(M) v = 0, with M cyclic on it.
-        Such a j exists: p^(k-1)(M) != 0 has a nonzero column j, and then
-        the annihilator of e_j is p^k.
-      - C.  φ = e_r, for the first unit row whose e x e pairing
-        G_ab = φ M^(a+b) v has rank e, and C is the common kernel of φ,
-        φM, ..., φM^(e-1), the Krylov vectors of e_r under M^T.  Such an
-        r exists: any r with (p^(k-1)(M) v)_r != 0.  Were G c = 0 for some
-        c != 0, the w in Z killed by every φ M^a (every a, as φ f(M) = 0)
-        would make a nonzero M-invariant subspace of Z ≅ Q[t]/(p^k), which
-        holds p^(k-1)(M) v; but φ does not kill that.  C is M-invariant, since
-        φ f(M) = 0 puts φ M^e in the span of the rows before it, and
-        dim C >= n - e.  G invertible gives Z ∩ C = 0, as w = sum c_b M^b v
-        in C has G c = 0, so Q^n = Z ⊕ C.
-      Z is certified.  M on C, of minimal polynomial p^k' (k' <= k), is
-      read in C's coordinates (_restricted: the R with M C^T = C^T R,
-      solved exactly; R's invariant subspaces, mapped by C, are M's), and
-      the step repeats on it until M is cyclic there (_primary).  Each
-      piece K found in coordinates B is mapped to Q^n as K B, so W is cut
-      once, by one TubeForm.cut, into certified leaves, the cyclic
-      primary summands Q[t]/(p^k) of the Q[t]-module (Q^n, M) (Jacobson,
-      Basic Algebra I, ch. 3).  No node in tube or dual form takes a hom
-      space, a candidate or a trace form.
-    - Peel skip.  In N(M) the a_i are injective, so no S_{x_i} is a
-      summand, and any three of the four images hold two of [I; 0],
-      [0; I] and [I; I], which span Q^2n: so the radical at c is all of it
-      and S_c is not one, and for M_{a_i} the other arrows into c fill it,
-      so Φ = 0; every other arrow is zero.  So a root in tube form skips
-      _peel.
-
-    The dual form.  A node W is in dual form when its four nonzero arrows
-    go the other way, a_i: c -> x_i, with the same dimensions, so that
-    D(W) = dual(W) on bq.opposite() has the arrows a_i: x_i -> c; W takes
-    the tube route when D(W) is in tube form, with D(W)'s M.  These are
-    the α-zero nodes of big_component, the β-images embed_beta(R_n(λ)).
-
-    - Cut.  D is additive and D(D(X)) = X on V.bq, as opposite() is
-      built once, so D(W) = P_1 ⊕ ... ⊕ P_j exactly when
-      W = D(P_1) ⊕ ... ⊕ D(P_j): TubeForm.cut cuts D(W) as above and
-      gives each part P back as dual(P), of the dims of P.
-    - Certificate.  f -> D(f), the transposed blocks, is an
-      anti-isomorphism End(W) -> End(D(W)), so End(W) ≅ End(D(W))^op,
-      which is local when D(W)'s M is cyclic of one primary factor.
-    - Peel skip.  D(S_v) is the simple at v of the opposite and D(M_a)
-      is the arrow module of the reversed arrow a, so a summand S_v or
-      M_a of W would give one of D(W), which has none (above).
-
-    The separated parts (_separate).  A root in neither form is cut along
-    the separated quiver of rad^2 = 0 (Auslander-Reiten-Smalø 1995, X.2)
-    when every part that gives is in tube or dual form.  At each vertex v,
-    rad_v is the sum of the images of the nonzero arrows into v, and top_v
-    is spanned by the unit vectors off the leading columns of an echelon
-    basis of rad_v (rl.rank_profiles, one elimination), so V_v = top_v ⊕
-    rad_v.  Each nonzero arrow a: x -> y joins the sides (x, top) and
-    (y, rad), and the part of a component C at v is top_v if (v, top) is
-    in C, plus rad_v if (v, rad) is.  On big_component the parts are
-    A' = (top_1..top_4, rad_5), with beta = 0, and B' = (rad_1..rad_4,
-    top_5), with alpha = 0, so embed_alpha(X) ⊕ embed_beta(Y) comes apart
-    into the two images.
-
-    - Subrepresentations.  The first check is that every path b a of two
-      nonzero arrows, b first, that bq does not declare zero has
-      V_a V_b = 0; the declared ones are zero on V.  Then every arrow
-      kills rad V: an arrow a out of x kills the image of each arrow b
-      into x.  So V_a is zero on rad_x and maps top_x into rad_y, and
-      (y, rad) lies in the component of (x, top).  Each part is a
-      subrepresentation and V is their direct sum; _cut checks both.
-    - Summands.  By Krull-Schmidt the summands of V are those of its parts
-      together.  Each part is in tube or dual form (its _tube is checked
-      after the cut), so it has no summand S_v or M_a (Peel skip, above),
-      and neither has V: the peel would find nothing.  The parts go on the
-      stack with their tube forms and no bound, as the root has none.
-    - Declines.  Before any linear algebra, the nonzero arrows must make
-      two components or more, each of four arrows with one common target
-      or one common source, the arrows of a part in tube or dual form; one
-      component would be V itself, which _tube has declined.  A nonzero
-      length-2 path declines (on big_component a diagonal beta_j alpha_i:
-      then the projective-injective P_i is a summand, see
-      cubics._tame_cases), as does a nonzero top_v at a vertex that no
-      nonzero arrow leaves (it holds a summand S_v) and a part in neither
-      form.  A declined root takes the peel and the split search as if
-      the separation were not there.
-    """
-    if V.total_dim() == 0:
-        return []
-    parts = _coordinate_parts(V)
+    - Radical candidates.  After the ranking, a basis element whose row of
+      the Gram matrix is zero is not tried.  The radical of the trace form
+      is rad End(V) (semisimple_rank), so that element is nilpotent, its
+      minimal polynomial is t^k, and it splits nothing, so the first
+      candidate that splits is the one the full search finds.
+    - The bound of a part.  Let V split into k parts P_i, with s its bound
+      at that point.  By Krull-Schmidt the summands of V are those of the
+      P_i together, and each P_i has at least one, so P_i has at most
+      s - (k - 1).  A part whose bound is 1 is indecomposable, so it is a
+      certified leaf without its hom basis; no candidate could split it."""
+    basis = hom_basis(V, V)
+    s = len(basis) if s is None else min(s, len(basis))
+    if s == 1:
+        return s, None
+    candidates = enumerate(_split_candidates(V, basis))
+    parts = _split(V, next(candidates)[1])
     if parts is None:
-        return _decompose_root(V)
-    return [leaf for P in parts
-            for leaf in ([(P, True)] if P.total_dim() == 1 else _decompose_root(P))]
-
-
-def _decompose_root(V: Representation) -> list[tuple[Representation, bool]]:
-    """The summands of a nonzero root V, read with no coordinate search:
-    its tube form, its separated parts or its peel, then the stack (see
-    decompose_certified)."""
-    tube = _tube(V)
-    separated = None if tube else _separate(V)
-    W, peeled = (V, []) if tube or separated else _peel(V)
-    out: list[tuple[Representation, bool]] = [(M, True) for M in peeled]
-    # s: an upper bound on the number of summands of the node; the root has none
-    stack: list[tuple[Representation, int | None, TubeForm | None]] = (
-        [(P, None, form) for P, form in separated] if separated
-        else [(W, None, tube)] if W.total_dim() else [])
-    while stack:
-        cur, s, tube = stack.pop()
-        if tube:  # certified leaves (Pieces), last part first, as split parts leave the stack
-            out += [(P, True) for P in reversed(tube.cut(cur, _pieces(tube.M)))]
-            continue
+        gram = _trace_pairing(basis, basis)
+        s = rl.rank(gram)  # ssr, a bound on the summands
         if s != 1:
-            basis = hom_basis(cur, cur)
-            s = len(basis) if s is None else min(s, len(basis))
-        if s != 1:
-            candidates = enumerate(_split_candidates(cur, basis))
-            parts = _split(cur, next(candidates)[1])
-            if parts is None:
-                gram = _trace_pairing(basis, basis)
-                s = rl.rank(gram)  # ssr, a bound on the summands
-                if s != 1:
-                    # a basis element with a zero Gram row lies in the radical
-                    parts = next(filter(None, (_split(cur, phi) for i, phi in candidates
-                                               if i >= len(basis) or any(gram.num[i]))), None)
-        if s == 1:
-            out.append((cur, True))
-        elif parts is None:
-            out.append((cur, False))
-        else:
-            bound = s - len(parts) + 1
-            stack.extend((part, bound, None if bound == 1 else _tube(part)) for part in parts)
-    return out
+            # a basis element with a zero Gram row lies in the radical
+            parts = next(filter(None, (_split(V, phi) for i, phi in candidates
+                                       if i >= len(basis) or any(gram.num[i]))), None)
+    return s, parts
 
 
 def decompose(V: Representation) -> list[Representation]:

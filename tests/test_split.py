@@ -3,9 +3,11 @@ summand, against the kernel() route it replaced, the deferred ranking,
 the candidates it skips and the rank bound that certifies split parts,
 the peel of simple summands and arrow modules before the split search,
 the tube route, in tube form and through D in dual form, the cut of a
-root along its separated quiver into parts that take the tube route, and
-the cut of a root along its coefficient quiver before any of them."""
+root along its separated quiver into parts that take the tube route, the
+cut of a root along its coefficient quiver before any of them, and a
+digest of every summand, flag and position over 480 inputs."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -1691,3 +1693,65 @@ def test_a_one_dimensional_component_is_a_certified_leaf_with_no_peel(monkeypatc
         assert qv.decompose_certified(V) == [(S, True), (X, True)]
         assert len(seen["_peel"]) == 1
         monkeypatch.undo()
+
+
+def digest_inputs(seeds):
+    """The representations the decomposition digest hashes, in its order:
+    for each seed, 100 tame samples, then 50 two_vertex_pair samples, then
+    the decompose workload's non-end sums of passes 0-2, each plain and
+    then conjugated."""
+    worker = load_worker()
+    two = cubics.build("two_vertex_pair")
+    for s in seeds:
+        rng = random.Random(s)
+        for _ in range(100):
+            yield cubics.random_big_component_rep(rng)
+    for s in seeds:
+        rng = random.Random(s)
+        for _ in range(50):
+            dims = {"1": rng.randint(0, 4), "2": rng.randint(0, 4)}
+            yield cubics._complete(rng, two, dims, {"a"})
+    for p in range(3):
+        for op in worker.decompose_inputs(0, p):
+            if op[0] != "end":
+                V = benchmark_sum(*op)
+                yield V
+                yield qv.conjugate(V, 1)
+
+
+def decomposition_digest(seeds):
+    """sha256 over every summand's dimension vector, flag and maps, in the
+    order decompose_certified gives them, for each of digest_inputs(seeds)."""
+    digest, count = hashlib.sha256(), 0
+    for V in digest_inputs(seeds):
+        digest.update(json.dumps([
+            [list(W.dim_vector()), certified,
+             [[W.maps[a.name].den, W.maps[a.name].num] for a in W.bq.quiver.arrows]]
+            for W, certified in qv.decompose_certified(V)]).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_the_decompositions_of_480_inputs_are_pinned():
+    # every summand, flag and position of the tame samples of seeds 0-2,
+    # the two_vertex_pair samples and the decompose workload's sums; seeds
+    # 0-9 (1,530 inputs) read 5e982c7e9f2876abc7718827db7fbdc13865fd8d71ffd33903f82844a105baa2
+    assert decomposition_digest(range(3)) == (
+        480, "046cabddddfa1ad43a7e4d1d76f6f65c1258ac0f27ba0b9b58a703a45e28f195")
+
+
+def test_no_bounded_node_of_the_tame_samples_has_anything_to_peel(monkeypatch):
+    # the loop peels only nodes no split has bounded: a bounded node is a
+    # summand of a peel's rest, so by Krull-Schmidt it has no summand M_p
+    search, bounded = qv._split_search, []
+
+    def spy(W, s):
+        if s is not None:
+            bounded.append(W)
+            assert qv._peel(W)[1] == []
+        return search(W, s)
+
+    monkeypatch.setattr(qv, "_split_search", spy)
+    for seed in range(3):
+        cubics.check_tame_classification(100, seed)
+    assert len(bounded) >= 100, len(bounded)
